@@ -30,7 +30,7 @@ from .verdicts import DEFAULT_BUDGETS, Budgets, Verdict, conjoin
 
 @lru_cache(maxsize=None)
 def _chain_data(complex_: Complex):
-    """Ordered simplex bases and integer boundary matrices per degree."""
+    """Ordered simplex bases and their index maps per degree."""
     bases = {}
     index = {}
     for k in range(complex_.dimension + 1):
@@ -39,20 +39,25 @@ def _chain_data(complex_: Complex):
     return bases, index
 
 
-def boundary_matrix(complex_: Complex, k: int) -> list:
-    """The matrix of the boundary map from k-chains to (k-1)-chains with the
-    fixed vertex-order orientation; rows index (k-1)-simplices."""
+def boundary_columns(complex_: Complex, k: int) -> list:
+    """Sparse columns {face index: sign} of the boundary map from k-chains to
+    (k-1)-chains with the fixed vertex-order orientation."""
     bases, index = _chain_data(complex_)
+    simplices = bases.get(k, ())
+    if k <= 0 or not simplices:
+        return [{} for _ in simplices]
+    face_index = index[k - 1]
+    return [
+        {face_index[s[:drop] + s[drop + 1 :]]: 1 - 2 * (drop & 1) for drop in range(len(s))}
+        for s in simplices
+    ]
+
+
+def boundary_matrix(complex_: Complex, k: int) -> list:
+    """Dense form of `boundary_columns`; rows index (k-1)-simplices."""
+    bases, _ = _chain_data(complex_)
     rows = len(bases.get(k - 1, ()))
-    cols = len(bases.get(k, ()))
-    mat = snf.zeros(rows, cols)
-    if k <= 0 or not cols:
-        return mat
-    for j, s in enumerate(bases[k]):
-        for drop in range(len(s)):
-            face = s[:drop] + s[drop + 1 :]
-            mat[index[k - 1][face]][j] = (-1) ** drop
-    return mat
+    return snf.dense_rows(snf.transpose_sparse(boundary_columns(complex_, k), rows), len(bases.get(k, ())))
 
 
 def boundary_composition_is_zero(complex_: Complex) -> bool:
@@ -83,32 +88,53 @@ class HomologySummary:
 
 @dataclass
 class HomologyCoordinates:
-    """H_k presented as Z^rank basis-change data: free and torsion coordinates
-    of cycles, for mapping cycles into canonical homology coordinates."""
+    """H_k = Z_k / B_k from two sparse reductions, for mapping cycles into
+    canonical (free, torsion) homology coordinates.
+
+    `cycles` reduces the boundary matrix of degree k and records V and V^-1:
+    the columns of V without a pivot are a basis of the cycles, and a chain c
+    is a cycle exactly when V^-1 c vanishes at the pivot columns.  `quotient`
+    reduces the boundaries written in that basis, transposed, and records W
+    and W^-1: P = W^T takes cycle coordinates to canonical ones, and the rows
+    of W^-1 are the columns of P^-1.
+    """
 
     degree: int
-    cycle_basis: list  # columns, in simplex coordinates
-    change: list  # P: unimodular map on cycle coordinates
+    cycles: snf.Reduction
+    position: dict  # cycle coordinate of each V column without a pivot
+    inverse_columns: list  # V^-1 as columns, one per k-simplex
+    quotient: snf.Reduction
     torsion_entries: list  # (position, order) with order > 1
     free_positions: list
     betti: int
     torsion: tuple
-    n_simplices: int
 
-    def coords_of_cycle(self, cycle_vector: list):
-        """Canonical (free, torsion) coordinates of a cycle, or None if the
-        vector is not in the cycle lattice."""
-        if self.n_simplices == 0:
-            return ((), ())
-        z_dim = len(self.cycle_basis[0]) if self.cycle_basis else 0
-        expressed = snf.solve_matrix(self.cycle_basis, [cycle_vector], cols=z_dim)
-        if expressed is None:
+    def coords_of_cycle(self, chain: dict):
+        """Canonical (free, torsion) coordinates of a chain {simplex index:
+        coefficient}, or None if it is not a cycle."""
+        z = _cycle_coordinates(self.inverse_columns, self.position, chain)
+        if z is None:
             return None
-        z = expressed[0]
-        y = snf.mat_vec(self.change, z) if z_dim else []
-        free = tuple(y[i] for i in self.free_positions)
-        tor = tuple(y[i] % order for i, order in self.torsion_entries)
+        change = self.quotient.right
+
+        def coordinate(p):
+            column = change[p]
+            return sum(a * column[s] for s, a in z.items() if s in column)
+
+        free = tuple(coordinate(p) for p in self.free_positions)
+        tor = tuple(coordinate(p) % order for p, order in self.torsion_entries)
         return (free, tor)
+
+
+def _cycle_coordinates(inverse_columns: list, position: dict, chain: dict):
+    """V^-1 c read in cycle coordinates, or None when it has a pivot part."""
+    coords = {}
+    for j, a in snf.combine(inverse_columns, chain).items():
+        p = position.get(j)
+        if p is None:
+            return None
+        coords[p] = a
+    return coords
 
 
 @lru_cache(maxsize=None)
@@ -116,40 +142,29 @@ def homology_coordinates(complex_: Complex, k: int) -> HomologyCoordinates:
     if k < 0:
         raise ValueError("homology degree must be non-negative")
     bases, _ = _chain_data(complex_)
-    n_k = len(bases.get(k, ()))
-    if n_k == 0:
-        return HomologyCoordinates(k, [], [], [], [], 0, (), 0)
-    d_k = boundary_matrix(complex_, k)
-    kernel = snf.kernel_basis(d_k, cols=n_k)
-    z_dim = len(kernel)
-    # columns of the kernel matrix are the cycle basis
-    z_matrix = [[kernel[j][i] for j in range(z_dim)] for i in range(n_k)]
-    d_next = boundary_matrix(complex_, k + 1)
-    n_next = len(bases.get(k + 1, ()))
-    boundary_cols = [[d_next[i][j] for i in range(n_k)] for j in range(n_next)]
-    if z_dim == 0:
-        return HomologyCoordinates(k, z_matrix, [], [], [], 0, (), n_k)
-    expressed = snf.solve_matrix(z_matrix, boundary_cols, cols=z_dim)
-    if expressed is None:
-        raise AssertionError("boundaries failed to lie in the cycle lattice")
-    quotient = [[expressed[j][i] for j in range(len(expressed))] for i in range(z_dim)]
-    form = snf.smith_normal_form(quotient, cols=len(expressed))
-    torsion_entries = []
-    torsion = []
-    for i, d in enumerate(form.diagonal):
-        if d > 1:
-            torsion_entries.append((i, d))
-            torsion.append(d)
-    free_positions = list(range(form.rank, z_dim))
+    cycles = snf.eliminate(boundary_columns(complex_, k), len(bases.get(k - 1, ())), right=True)
+    position = {j: p for p, j in enumerate(cycles.free_columns())}
+    inverse_columns = snf.transpose_sparse(cycles.right_inverse, cycles.cols)
+    # relations[p] is row p of the relation matrix of H_k, whose columns are
+    # the boundaries in cycle coordinates; reducing the rows as columns
+    # reduces its transpose
+    d_next = boundary_columns(complex_, k + 1)
+    relations: list = [{} for _ in position]
+    for s, column in enumerate(d_next):
+        for p, a in _cycle_coordinates(inverse_columns, position, column).items():
+            relations[p][s] = a
+    quotient = snf.eliminate(relations, len(d_next), right=True)
+    torsion_entries = [(p, d) for _, p, d in quotient.pivots if d > 1]
     return HomologyCoordinates(
         degree=k,
-        cycle_basis=z_matrix,
-        change=form.left,
+        cycles=cycles,
+        position=position,
+        inverse_columns=inverse_columns,
+        quotient=quotient,
         torsion_entries=torsion_entries,
-        free_positions=free_positions,
-        betti=z_dim - form.rank,
-        torsion=tuple(torsion),
-        n_simplices=n_k,
+        free_positions=quotient.free_columns(),
+        betti=len(position) - quotient.rank,
+        torsion=tuple(d for _, d in torsion_entries),
     )
 
 
@@ -162,10 +177,6 @@ def homology(complex_: Complex, k: int, reduced: bool = False) -> HomologySummar
     if reduced and k == 0 and complex_.simplices:
         betti -= 1
     return HomologySummary(k, betti, data.torsion, reduced)
-
-
-def homology_summaries(complex_: Complex, up_to: int, reduced: bool = False) -> list:
-    return [homology(complex_, k, reduced) for k in range(up_to + 1)]
 
 
 # ---------------------------------------------------------------------------

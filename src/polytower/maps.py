@@ -331,24 +331,23 @@ def as_qsmap(vm: VertexMap, base_target: Complex) -> QSMap:
 # induced maps on homology
 
 
-def chain_map_matrix(vm: VertexMap, k: int) -> list:
-    """Matrix of the degree-k chain map; simplices collapsed by the map
-    contribute zero, non-degenerate images carry the sorting sign."""
+def chain_map_columns(vm: VertexMap, k: int) -> list:
+    """Sparse columns {target simplex index: sign} of the degree-k chain map;
+    simplices collapsed by the map give empty columns, non-degenerate images
+    carry the sorting sign."""
     src_bases, _ = _chain_data(vm.source)
-    dst_bases, dst_index = _chain_data(vm.target)
-    rows = len(dst_bases.get(k, ()))
-    cols = len(src_bases.get(k, ()))
-    mat = snf.zeros(rows, cols)
+    _, dst_index = _chain_data(vm.target)
     mapping = vm.as_dict()
-    for j, s in enumerate(src_bases.get(k, ())):
+    columns = []
+    for s in src_bases.get(k, ()):
         images = [mapping[v] for v in s]
         if len(set(images)) != len(images):
+            columns.append({})
             continue
         order = sorted(range(len(images)), key=lambda i: vertex_key(images[i]))
-        sign = _permutation_sign(order)
         target_simplex = tuple(images[i] for i in order)
-        mat[dst_index[k][target_simplex]][j] = sign
-    return mat
+        columns.append({dst_index[k][target_simplex]: _permutation_sign(order)})
+    return columns
 
 
 def _permutation_sign(order) -> int:
@@ -379,15 +378,13 @@ def induced_homology_map(p, k: int) -> tuple:
     vm = underlying_vertex_map(p)
     src = homology_coordinates(vm.source, k)
     dst = homology_coordinates(vm.target, k)
-    chain = chain_map_matrix(vm, k)
+    chain = chain_map_columns(vm, k)
     src_group = (src.betti, src.torsion)
     dst_group = (dst.betti, dst.torsion)
 
     generator_images = []
-    n_src = src.n_simplices
-    for col in _homology_generator_cycles(src):
-        pushed = snf.mat_vec(chain, col) if n_src else [0] * dst.n_simplices
-        coords = dst.coords_of_cycle(pushed)
+    for cycle in _homology_generator_cycles(src):
+        coords = dst.coords_of_cycle(snf.combine(chain, cycle))
         if coords is None:
             raise AssertionError("image of a cycle is not a cycle")
         generator_images.append(coords)
@@ -408,27 +405,12 @@ def _group_obj(data) -> dict:
 
 
 def _homology_generator_cycles(data) -> list:
-    """Cycle representatives (in simplex coordinates) of the canonical free
-    and torsion generators of H_k."""
-    if data.n_simplices == 0 or not data.cycle_basis:
-        return []
-    z_dim = len(data.cycle_basis[0])
-    inverse_positions = data.free_positions + [i for i, _ in data.torsion_entries]
-    gens = []
-    p_inv = _integer_inverse(data.change)
-    for pos in inverse_positions:
-        col = [p_inv[i][pos] for i in range(z_dim)]
-        cycle = snf.mat_vec(data.cycle_basis, col)
-        gens.append(cycle)
-    return gens
-
-
-def _integer_inverse(unimodular: list) -> list:
-    n = len(unimodular)
-    cols = snf.solve_matrix(unimodular, [[1 if i == j else 0 for i in range(n)] for j in range(n)], cols=n)
-    if cols is None:
-        raise AssertionError("matrix is not unimodular")
-    return [[cols[j][i] for j in range(n)] for i in range(n)]
+    """Cycle representatives {simplex index: coefficient} of the canonical
+    free and torsion generators of H_k: the columns of P^-1 at those
+    positions, carried from cycle coordinates to chains by V."""
+    basis = [data.cycles.right[j] for j in data.position]
+    positions = data.free_positions + [p for p, _ in data.torsion_entries]
+    return [snf.combine(basis, data.quotient.right_inverse[p]) for p in positions]
 
 
 def _onto_verdict(generator_images, dst) -> Verdict:

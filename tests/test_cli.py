@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -293,6 +294,39 @@ class TestDeterminism:
             assert code == 0
             outputs.append(out)
         assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize(
+        "gen, command, expected_code, digest",
+        [
+            (
+                ["gen", "subdivision-tower", "--base", "triangle", "--levels", "3"],
+                ["verify-tower", "--n", "2"],
+                0,
+                "a659cf68092c85b0b3b9ecd6cdba4f2f2b6eae731b54c6ec5b184af28c4fc113",
+            ),
+            (
+                ["gen", "cylinder-tower"],
+                ["verify-tower", "--n", "2"],
+                1,
+                "c391a6145c3bcab554db4ccd3096cefb8338fa523c00e6d13fabd554b46c1801",
+            ),
+            (
+                ["gen", "rp2"],
+                ["homology", "--degree", "1"],
+                0,
+                "06241d6696404625b1a9ecd8e4ac75e228753fbb3fcf64ea3fde6f1bd7b97d13",
+            ),
+        ],
+    )
+    def test_golden_digest(self, tmp_path, capsys, gen, command, expected_code, digest):
+        # certificates are canonical JSON, so a changed digest is a changed
+        # certificate, whatever engine computed it
+        _, generated = run_cli(gen, capsys)
+        path = tmp_path / "input.json"
+        path.write_text(generated, encoding="utf-8")
+        code, out = run_cli([command[0], str(path)] + command[1:], capsys)
+        assert code == expected_code
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
     def test_entry_point_runs(self, triangle_file):
         env = dict(os.environ)

@@ -17,13 +17,16 @@ from polytower.verdicts import Budgets, Verdict, conjoin
 from util import (
     betti_over_field,
     cylinder_complex,
-    gf2_rank,
     random_complex,
+    rank_mod_p,
     rational_rank,
     rp2_complex,
     simplex_complex,
     sphere_complex,
 )
+
+
+CROSS_CHECKED = [random_complex(seed) for seed in range(12)] + [rp2_complex()]
 
 
 def groups(k: Complex, up_to: int):
@@ -62,21 +65,25 @@ class TestHomology:
             homology(simplex_complex(["a"]), -1)
 
     def test_betti_matches_field_ranks_when_torsion_free(self):
-        for seed in range(6):
-            k = random_complex(seed)
+        # over Q the betti numbers; over F_p the universal coefficient
+        # theorem adds each torsion coefficient of H_k and of H_(k-1) that p
+        # divides
+        for k in CROSS_CHECKED:
             for deg in range(k.dimension + 1):
                 summary = homology(k, deg)
                 assert summary.betti == betti_over_field(k, deg, rational_rank)
-                if not summary.torsion and (deg + 1 > k.dimension or not homology(k, deg + 1).torsion):
-                    pass  # mod-2 comparison only meaningful without torsion nearby
+                nearby = summary.torsion + (homology(k, deg - 1).torsion if deg else ())
+                for p in (2, 3):
+                    field_dim = betti_over_field(k, deg, lambda m: rank_mod_p(m, p))
+                    assert field_dim == summary.betti + sum(1 for d in nearby if d % p == 0)
 
     def test_torsion_detected_by_mod2_gap(self):
         k = rp2_complex()
         assert betti_over_field(k, 1, rational_rank) == 0
-        assert betti_over_field(k, 1, gf2_rank) == 1
+        assert betti_over_field(k, 1, lambda m: rank_mod_p(m, 2)) == 1
 
     def test_euler_characteristic_consistency(self):
-        for k in (sphere_complex(1), sphere_complex(2), cylinder_complex()):
+        for k in (sphere_complex(1), sphere_complex(2), cylinder_complex(), *CROSS_CHECKED):
             chi = k.euler_characteristic()
             alt = sum((-1) ** d * homology(k, d).betti for d in range(k.dimension + 1))
             assert chi == alt

@@ -49,10 +49,11 @@ def test_kernel_basis_annihilates():
     for _ in range(20):
         rows, cols = rng.randint(1, 4), rng.randint(1, 6)
         matrix = [[rng.randint(-6, 6) for _ in range(cols)] for _ in range(rows)]
-        basis = snf.kernel_basis(matrix)
+        red = snf.eliminate(snf.sparse_columns(matrix, cols), rows, right=True)
+        basis = [red.right[j] for j in red.free_columns()]
         assert len(basis) == cols - rational_rank(matrix)
         for vec in basis:
-            assert all(x == 0 for x in snf.mat_vec(matrix, vec))
+            assert all(sum(row[j] * a for j, a in vec.items()) == 0 for row in matrix)
 
 
 def test_solve_round_trip():
@@ -62,14 +63,14 @@ def test_solve_round_trip():
         matrix = [[rng.randint(-5, 5) for _ in range(cols)] for _ in range(rows)]
         x = [rng.randint(-4, 4) for _ in range(cols)]
         b = snf.mat_vec(matrix, x)
-        solution = snf.solve(matrix, b)
+        solution = snf.solve_matrix(matrix, [b])
         assert solution is not None
-        assert snf.mat_vec(matrix, solution) == b
+        assert snf.mat_vec(matrix, solution[0]) == b
 
 
 def test_solve_detects_impossible():
-    assert snf.solve([[2]], [1]) is None
-    assert snf.solve([[0]], [1]) is None
+    assert snf.solve_matrix([[2]], [[1]]) is None
+    assert snf.solve_matrix([[0]], [[1]]) is None
 
 
 @given(st.lists(st.lists(st.integers(-20, 20), min_size=1, max_size=4), min_size=1, max_size=4).filter(lambda m: len({len(r) for r in m}) == 1))

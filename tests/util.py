@@ -2,7 +2,7 @@
 
 Everything here is deliberately independent of the implementation paths it
 cross-checks: subdivision counts come from a DFS chain enumerator over the
-face poset, homology cross-checks from rational and mod-2 Gaussian
+face poset, homology cross-checks from rational and mod-p Gaussian
 elimination, closures from raw powerset enumeration.
 """
 from __future__ import annotations
@@ -78,20 +78,23 @@ def rational_rank(matrix) -> int:
     return rank
 
 
-def gf2_rank(matrix) -> int:
-    rows = [int("".join(str(abs(x) % 2) for x in row), 2) if row else 0 for row in matrix]
+def rank_mod_p(matrix, p: int) -> int:
+    """Row reduction over the field with p elements, p prime."""
+    mat = [[x % p for x in row] for row in matrix]
     rank = 0
-    for _ in range(len(rows)):
-        pivot_row = None
-        for i, r in enumerate(rows):
-            if r:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            break
-        pivot = rows.pop(pivot_row)
-        top_bit = 1 << (pivot.bit_length() - 1)
-        rows = [r ^ pivot if r & top_bit else r for r in rows]
+    rows = len(mat)
+    cols = len(mat[0]) if rows else 0
+    for col in range(cols):
+        pivot = next((r for r in range(rank, rows) if mat[r][col]), None)
+        if pivot is None:
+            continue
+        mat[rank], mat[pivot] = mat[pivot], mat[rank]
+        inverse = pow(mat[rank][col], -1, p)
+        mat[rank] = [x * inverse % p for x in mat[rank]]
+        for r in range(rows):
+            if r != rank and mat[r][col]:
+                f = mat[r][col]
+                mat[r] = [(a - f * b) % p for a, b in zip(mat[r], mat[rank])]
         rank += 1
     return rank
 
