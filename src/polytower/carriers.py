@@ -21,6 +21,7 @@ from .complexes import (
     Subcomplex,
     barycentric_subdivision,
     convex_combination,
+    faces,
     flatten_point,
     lift_to_subdivision,
     make_point,
@@ -191,11 +192,6 @@ class Region:
             support = self._to_parent(y).support
             return min(support, key=vertex_key)
         return y.support
-
-    def segment_to_entry_valid(self, y: Point, node) -> bool:
-        if self.kind == "closed":
-            return node in self._to_parent(y).support
-        return set(node) <= set(y.support) or set(y.support) <= set(node)
 
     def path(self, start: Point, end: Point):
         """Points of a polygonal path from start to end inside the region,
@@ -805,7 +801,7 @@ def close_maps_homotopy(
         frozenset(
             face
             for s in ends
-            for face in _faces_of(s)
+            for face in faces(s)
         ),
     )
     images = {}
@@ -819,7 +815,7 @@ def close_maps_homotopy(
         name = s
         member_simplices = set()
         for cell in per_cell[s]:
-            member_simplices.update(_faces_of(cell))
+            member_simplices.update(faces(cell))
         cover_elements[name] = Subcomplex(prism, frozenset(member_simplices))
         targets[name] = cover.element(witnesses[s])
     source_cover = IndexedCover.build(prism, "closed", cover_elements, check=False)
@@ -835,12 +831,6 @@ def close_maps_homotopy(
         return HomotopyResult(result.status, result.refined_domain, result.extended, {}, closeness)
     path_witnesses = {s: witnesses[s] for s in used_f.domain.maximal}
     return HomotopyResult(Verdict.holds(), result.refined_domain, result.extended, path_witnesses, closeness)
-
-
-def _faces_of(simplex):
-    from .complexes import faces
-
-    return faces(simplex)
 
 
 def _element_extensor_verdict(element, n: int, budgets: Budgets) -> Verdict:

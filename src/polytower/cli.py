@@ -25,7 +25,7 @@ from .towers import (
     tower_lift,
     verify_tower,
 )
-from .verdicts import DEFAULT_BUDGETS, Budgets, Verdict
+from .verdicts import DEFAULT_BUDGETS, Budgets, Verdict, conjoin
 
 EXIT_HOLDS = 0
 EXIT_FAILS = 1
@@ -182,13 +182,7 @@ def cmd_check_map(args) -> int:
     surjective = is_surjective(parsed)
     constant = lipschitz_constant(parsed, Fraction(1), Fraction(1))
     report_data = regularity_report(parsed, args.n, budgets)
-    overall = Verdict.holds()
-    for v in (surjective, report_data.aggregate):
-        if v.is_fails:
-            overall = v
-            break
-        if v.is_inconclusive and overall.is_holds:
-            overall = v
+    overall = conjoin([surjective, report_data.aggregate])
     report = {
         "command": "check-map",
         "n": args.n,
@@ -281,26 +275,10 @@ def cmd_lift(args) -> int:
             }
             for s in result.stages
         ],
-        "cauchy": _cauchy_obj(result.cauchy),
+        "cauchy": result.cauchy,
     }
     _emit(report, args)
     return _exit_for(result.status.status)
-
-
-def _cauchy_obj(cauchy: dict):
-    out = {}
-    for key, value in cauchy.items():
-        if isinstance(value, Verdict):
-            out[key] = formats.verdict_to_obj(value)
-        elif isinstance(value, Fraction):
-            out[key] = formats.fraction_to_str(value)
-        elif isinstance(value, list):
-            out[key] = [formats.fraction_to_str(v) if isinstance(v, Fraction) else v for v in value]
-        elif isinstance(value, dict):
-            out[str(key)] = _cauchy_obj(value)
-        else:
-            out[str(key)] = value
-    return out
 
 
 def cmd_gen(args) -> int:

@@ -152,10 +152,6 @@ class Complex:
         return Complex._from_closed(closure)
 
     @staticmethod
-    def from_simplices(simplices: Iterable) -> "Complex":
-        return Complex.from_maximal(simplices)
-
-    @staticmethod
     def _from_closed(closure: set) -> "Complex":
         vertices = tuple(sorted({v for s in closure for v in s}, key=vertex_key))
         grouped = sorted(closure, key=simplex_sort_key, reverse=True)
@@ -191,9 +187,6 @@ class Complex:
         for k in range(self.dimension + 1):
             out.extend(self._by_dim.get(k, ()))
         return out
-
-    def has_simplex(self, simplex) -> bool:
-        return tuple(simplex) in self.simplices
 
     def has_vertex(self, name) -> bool:
         return name in self._vertex_set
@@ -248,15 +241,6 @@ def barycentric_subdivision(complex_: Complex) -> Complex:
                 chain.append(tuple(sorted(prefix, key=vertex_key)))
             flags.append(tuple(sorted(chain, key=vertex_key)))
     return Complex.from_maximal(flags)
-
-
-def is_chain(name_tuple) -> bool:
-    """Whether a simplex of a subdivision is a strictly nested chain."""
-    elems = sorted(name_tuple, key=len)
-    for a, b in zip(elems, elems[1:]):
-        if not set(a) < set(b):
-            return False
-    return True
 
 
 def chain_min(name_tuple) -> tuple:
@@ -378,12 +362,6 @@ class Point:
     @property
     def support(self) -> tuple:
         return tuple(v for v, _ in self.coords)
-
-    def value(self, vertex) -> Fraction:
-        for v, c in self.coords:
-            if v == vertex:
-                return c
-        return Fraction(0)
 
     def as_dict(self) -> dict:
         return dict(self.coords)

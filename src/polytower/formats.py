@@ -13,7 +13,7 @@ from .complexes import Complex, Point, Subcomplex, canon_vertex, make_point, sub
 from .maps import QSMap, VertexMap, check_quasi_simplicial
 from .plmaps import PartialPLMap
 from .stars import IndexedCover, open_star, barycentric_vertex_star, open_vertex_star
-from .towers import Tower
+from .towers import RegularityReport, Tower
 from .verdicts import Verdict
 
 
@@ -389,6 +389,8 @@ def _plain(value):
         return fraction_to_str(value)
     if isinstance(value, Verdict):
         return verdict_to_obj(value)
+    if isinstance(value, RegularityReport):
+        return value.to_obj()
     if isinstance(value, tuple):
         return [_plain(v) for v in value]
     if isinstance(value, (list, set, frozenset)):

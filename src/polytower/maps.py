@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from . import snf
 from .complexes import (
@@ -47,9 +48,10 @@ class VertexMap:
     @staticmethod
     def build(source: Complex, target: Complex, images: dict) -> "VertexMap":
         pairs = []
+        assigned = {canon_vertex(k) for k in images}
         for v in source.vertices:
             cv = canon_vertex(v)
-            if cv not in {canon_vertex(k) for k in images}:
+            if cv not in assigned:
                 raise ValueError("no image for vertex %s" % vertex_label(cv))
         for k, w in images.items():
             ck, cw = canon_vertex(k), canon_vertex(w)
@@ -61,19 +63,23 @@ class VertexMap:
         pairs.sort(key=lambda p: vertex_key(p[0]))
         return VertexMap(source, target, tuple(pairs))
 
+    @cached_property
+    def _lookup(self) -> dict:
+        """The assignment as a dict, built once per map for the lookups."""
+        return dict(self.assignment)
+
     def as_dict(self) -> dict:
         return dict(self.assignment)
 
     def __call__(self, vertex):
         v = canon_vertex(vertex)
-        for a, b in self.assignment:
-            if a == v:
-                return b
-        raise ValueError("unknown vertex %s" % vertex_label(v))
+        if v not in self._lookup:
+            raise ValueError("unknown vertex %s" % vertex_label(v))
+        return self._lookup[v]
 
     def image_simplex(self, simplex) -> tuple:
-        mapping = self.as_dict()
-        return tuple(sorted({mapping[v] for v in simplex}, key=vertex_key))
+        lookup = self._lookup
+        return tuple(sorted({lookup[v] for v in simplex}, key=vertex_key))
 
 
 def check_simplicial(f: VertexMap) -> Verdict:
@@ -238,20 +244,6 @@ def lipschitz_constant(p: QSMap, kappa, lam) -> Fraction:
     return best / (2 * kappa)
 
 
-def global_vertex_lipschitz(p: QSMap, kappa, lam) -> Fraction:
-    """Upper bound for distance ratios across arbitrary point pairs: the
-    diameter of the image vertex set over 2*kappa."""
-    kappa, lam = Fraction(kappa), Fraction(lam)
-    pts = [vertex_image_point(p, v, lam) for v in p.source.vertices]
-    best = Fraction(0)
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            d = distance(pts[i], pts[j])
-            if d > best:
-                best = d
-    return best / (2 * kappa)
-
-
 # ---------------------------------------------------------------------------
 # composition
 
@@ -320,11 +312,6 @@ def _flattening_target(subdivided: Complex, needed) -> Complex | None:
     ):
         return coarse
     return None
-
-
-def as_qsmap(vm: VertexMap, base_target: Complex) -> QSMap:
-    """Reinterpret a vertex map into a subdivision as a quasi-simplicial map."""
-    return QSMap.build(vm.source, base_target, vm.as_dict())
 
 
 # ---------------------------------------------------------------------------

@@ -100,12 +100,6 @@ class PartialPLMap:
     def image_points(self, simplex) -> list:
         return [self.image_of(v) for v in simplex]
 
-    def hull_support(self, simplex) -> tuple:
-        union = set()
-        for v in simplex:
-            union.update(self.image_of(v).support)
-        return tuple(sorted(union, key=vertex_key))
-
     def evaluate(self, point: Point) -> Point:
         """Affine evaluation at a point carried by the defined-on part."""
         if point.complex != self.domain:
@@ -116,10 +110,6 @@ class PartialPLMap:
         weights = [c for _, c in point.coords]
         return convex_combination(pts, weights)
 
-    def restricted_to(self, sub: Subcomplex) -> "PartialPLMap":
-        table = {v: p for v, p in self.images if v in sub.vertex_set()}
-        return PartialPLMap.build(self.domain, sub, table, self.target)
-
     def subdivided(self) -> "PartialPLMap":
         """The same map presented on the barycentric subdivision of its
         domain: subdivision vertices take the evaluated barycenter images."""
@@ -127,11 +117,8 @@ class PartialPLMap:
         beta_def = beta_subcomplex(self.defined_on, beta_dom)
         images = {}
         for name in beta_def.vertex_set():
-            images[name] = self.evaluate(barycenter_point(self.domain, name, self.scale_of_domain()))
+            images[name] = self.evaluate(barycenter_point(self.domain, name))
         return PartialPLMap.build(beta_dom, beta_def, images, self.target)
-
-    def scale_of_domain(self) -> Fraction:
-        return Fraction(1)
 
     def after(self, p: QSMap) -> "PartialPLMap":
         """Compose with a quasi-simplicial map applied to every image point."""

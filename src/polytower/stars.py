@@ -20,12 +20,11 @@ from .complexes import (
     Complex,
     Point,
     Subcomplex,
+    UnknownVertexError,
     barycentric_subdivision,
     beta_subcomplex,
     canon_vertex,
     chain_min,
-    distance,
-    flatten_point,
     induced_subcomplex,
     is_full_subcomplex,
     lift_to_subdivision,
@@ -33,7 +32,6 @@ from .complexes import (
     simplex_sort_key,
     vertex_key,
     vertex_label,
-    vertex_point,
 )
 from .maps import QSMap, VertexMap, preimage_of_base_subcomplex, preimage_of_subdivided_subcomplex, underlying_vertex_map
 from .plmaps import PartialPLMap
@@ -75,16 +73,6 @@ class OpenStarSet:
     def meets_simplex(self, simplex) -> bool:
         core_vertices = self.core.vertex_set()
         return any(v in core_vertices for v in simplex)
-
-    def closure_subcomplex(self) -> Subcomplex:
-        """Union of the closed simplices whose interior lies in the star."""
-        kept = set()
-        for s in self.ambient.simplices:
-            if self.meets_simplex(s):
-                kept.add(s)
-                for k in range(1, len(s)):
-                    kept.update(combinations(s, k))
-        return Subcomplex(self.ambient, frozenset(kept))
 
 
 def open_star(ambient: Complex, core: Subcomplex) -> OpenStarSet:
@@ -191,13 +179,12 @@ class IndexedCover:
     elements: tuple  # sorted (index, element) pairs
     base: Complex | None = None  # metric base when the ambient is its subdivision
     star_of: tuple = ()
-    checked: bool = True
 
     @staticmethod
     def build(ambient, kind, elements: dict, base=None, star_of=None, check=True) -> "IndexedCover":
         pairs = tuple(sorted(elements.items(), key=lambda kv: vertex_key(kv[0])))
         stars = tuple(sorted((star_of or {}).items(), key=lambda kv: vertex_key(kv[0])))
-        cover = IndexedCover(ambient, kind, pairs, base, stars, check)
+        cover = IndexedCover(ambient, kind, pairs, base, stars)
         if check:
             missing = cover.first_uncovered()
             if missing is not None:
@@ -388,10 +375,6 @@ def pullback_cover(p, cover: IndexedCover) -> IndexedCover:
             else:
                 raise ValueError("cannot pull back this element representation")
         return IndexedCover.build(vm.source, cover.kind, elements, base=None, star_of=star_of, check=False)
-    if isinstance(p, QSMap) and cover.base == p.base_target and cover.ambient == p.subdivided_target:
-        # same as the aligned case: the cover's elements already live on the
-        # subdivided target, which is the vertex map's codomain
-        raise AssertionError("unreachable: handled by the aligned case")
     if isinstance(p, QSMap) and cover.ambient == p.base_target:
         for i, e in cover.elements:
             if isinstance(e, Subcomplex):
@@ -462,8 +445,7 @@ def nerve(cover: IndexedCover, budgets: Budgets = DEFAULT_BUDGETS) -> NerveResul
         simplices.extend(tuple(sorted(c, key=vertex_key)) for c in next_level)
         current = next_level
         level += 1
-    nerve_complex = Complex.from_maximal(simplices) if simplices else Complex.from_maximal([])
-    return NerveResult(nerve_complex, Verdict.holds(), checked)
+    return NerveResult(Complex.from_maximal(simplices), Verdict.holds(), checked)
 
 
 def covers_isomorphic(f: IndexedCover, g: IndexedCover, budgets: Budgets = DEFAULT_BUDGETS) -> Verdict:
@@ -493,20 +475,30 @@ class MeshResult:
     computed_on_closure: bool
 
 
-def element_vertex_positions(cover: IndexedCover, element) -> list:
-    """Positions of the element's vertices as points of the metric base."""
+def _element_vertex_sets(cover: IndexedCover, element) -> set:
+    """The element's vertices (of its closure, for open stars), each read as
+    the set of base vertices at whose barycentre it sits: the parts of its
+    name when the element lives in the subdivision of the metric base, the
+    vertex alone otherwise."""
     if isinstance(element, OpenStarSet):
-        vertices = sorted(element.closure_subcomplex().vertex_set(), key=vertex_key)
+        core = element.core.vertex_set()
         ambient = element.ambient
+        vertices = {v for s in ambient.simplices if not core.isdisjoint(s) for v in s}
     elif isinstance(element, Subcomplex):
-        vertices = sorted(element.vertex_set(), key=vertex_key)
         ambient = element.parent
+        vertices = element.vertex_set()
     else:
         raise ValueError("mesh is not defined for preimage predicates")
-    points = [vertex_point(ambient, v) for v in vertices]
     if cover.base is not None and cover.base != ambient:
-        points = [flatten_point(pt, cover.base) for pt in points]
-    return points
+        return {frozenset(v) for v in vertices}
+    return {frozenset([v]) for v in vertices}
+
+
+def _barycentre_distance(a: int, b: int, c: int) -> Fraction:
+    """Exact l1 distance between the barycentres of two vertex sets of sizes
+    a and b sharing c vertices: c shared coordinates differ by |1/a - 1/b|,
+    the others contribute their whole mass."""
+    return c * abs(Fraction(1, a) - Fraction(1, b)) + Fraction(a - c, a) + Fraction(b - c, b)
 
 
 def mesh(cover: IndexedCover, scale=Fraction(1)) -> MeshResult:
@@ -521,12 +513,9 @@ def mesh(cover: IndexedCover, scale=Fraction(1)) -> MeshResult:
     for _, e in cover.elements:
         if isinstance(e, OpenStarSet):
             on_closure = True
-        points = element_vertex_positions(cover, e)
-        for i in range(len(points)):
-            for j in range(i + 1, len(points)):
-                d = distance(points[i], points[j])
-                if d > best:
-                    best = d
+        pairs = combinations(_element_vertex_sets(cover, e), 2)
+        shapes = {(len(x), len(y), len(x & y)) for x, y in pairs}
+        best = max([best] + [_barycentre_distance(*shape) for shape in shapes])
     return MeshResult(best * scale, on_closure)
 
 
@@ -537,19 +526,16 @@ def cone_geodesic_diameter_bound(cover: IndexedCover, scale=Fraction(1)) -> Frac
     straight segments.  None when some element has no recorded apex."""
     scale = Fraction(scale)
     star_of = dict(cover.star_of)
+    base = cover.base if cover.base is not None else cover.ambient
     worst = Fraction(0)
     for i, e in cover.elements:
         if i not in star_of or not isinstance(e, (Subcomplex, OpenStarSet)):
             return None
         apex = star_of[i]
-        positions = element_vertex_positions(cover, e)
-        base = cover.base if cover.base is not None else cover.ambient
-        apex_pt = vertex_point(base, apex)
-        reach = Fraction(0)
-        for p in positions:
-            d = distance(apex_pt, p)
-            if d > reach:
-                reach = d
+        if not base.has_vertex(apex):
+            raise UnknownVertexError(vertex_label(apex))
+        shapes = {(1, len(p), int(apex in p)) for p in _element_vertex_sets(cover, e)}
+        reach = max([Fraction(0)] + [_barycentre_distance(*shape) for shape in shapes])
         worst = max(worst, 2 * reach)
     return worst * scale
 

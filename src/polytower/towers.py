@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .complexes import (
     Complex,
@@ -105,8 +106,22 @@ class Tower:
     def depth(self) -> int:
         return len(self.levels)
 
-    def cover_at(self, i: int) -> IndexedCover:
-        return cover_B(self.levels[i]) if self.cover_kind == "B" else cover_O(self.levels[i])
+    @cached_property
+    def covers(self) -> tuple:
+        """The vertex-star cover of every level, built once per tower."""
+        return tuple(_star_cover(self.cover_kind, level) for level in self.levels)
+
+    @cached_property
+    def lipschitz(self) -> tuple:
+        """Each bond's Lipschitz constant at its levels' scales, computed once."""
+        return tuple(
+            lipschitz_constant(bond, self.scales[idx + 1], self.scales[idx])
+            for idx, bond in enumerate(self.bonds)
+        )
+
+
+def _star_cover(kind: str, level: Complex) -> IndexedCover:
+    return cover_B(level) if kind == "B" else cover_O(level)
 
 
 # ---------------------------------------------------------------------------
@@ -197,29 +212,13 @@ class TowerCertificate:
     statement: str
 
     def to_obj(self) -> dict:
-        from .formats import fraction_to_str, verdict_to_obj
-
-        def convert(value):
-            if isinstance(value, Verdict):
-                return verdict_to_obj(value)
-            if isinstance(value, RegularityReport):
-                return value.to_obj()
-            if isinstance(value, Fraction):
-                return fraction_to_str(value)
-            if isinstance(value, dict):
-                return {
-                    str(k): convert(v)
-                    for k, v in sorted(value.items(), key=lambda kv: str(kv[0]))
-                }
-            if isinstance(value, (list, tuple)):
-                return [convert(v) for v in value]
-            return value
-
+        """The certificate as one document; `formats.dumps_canonical`
+        renders the verdicts, reports and rationals inside it."""
         return {
             "n": self.n,
-            "conditions": convert(self.conditions),
-            "homology_evidence": convert(self.homology_evidence),
-            "conclusion": verdict_to_obj(self.conclusion),
+            "conditions": self.conditions,
+            "homology_evidence": self.homology_evidence,
+            "conclusion": self.conclusion,
             "statement": self.statement,
         }
 
@@ -261,9 +260,8 @@ def verify_tower(tower: Tower, n: int, budgets: Budgets = DEFAULT_BUDGETS) -> To
     verdicts.append(Verdict.holds())
 
     lipschitz_entries = []
-    for idx, bond in enumerate(tower.bonds):
+    for idx, computed in enumerate(tower.lipschitz):
         kappa, lam = tower.scales[idx + 1], tower.scales[idx]
-        computed = lipschitz_constant(bond, kappa, lam)
         lipschitz_entries.append(
             {
                 "bond": idx + 1,
@@ -290,26 +288,16 @@ def verify_tower(tower: Tower, n: int, budgets: Budgets = DEFAULT_BUDGETS) -> To
     pullback_entries = []
     pullback_verdicts = []
     for idx, bond in enumerate(tower.bonds):
-        cover = tower.cover_at(idx)
-        pulled = pullback_cover(bond.vertex_map if tower.cover_kind == "B" else bond, cover)
+        pulled = pullback_cover(bond, tower.covers[idx])
         level_entry = {"level": idx + 1, "intersections": []}
-        nerve_result = nerve(pulled, budgets)
-        if not nerve_result.status.is_holds:
-            pullback_verdicts.append(nerve_result.status)
-            level_entry["intersections"].append({"status": nerve_result.status, "indices": None})
-            pullback_entries.append(level_entry)
-            continue
-        for subset in sorted(nerve_result.complex.simplices, key=simplex_sort_key):
-            if tower.cover_kind == "B":
-                piece = pulled.intersection_subcomplex(list(subset))
-                verdict = subcomplex_verdict(piece, n, budgets)
-                size = len(piece.simplices)
-            else:
-                verdict = open_intersection_verdict(pulled, list(subset), n, budgets)
-                size = None
+        nerve_status, intersections = intersection_verdicts(pulled, n, budgets)
+        if not nerve_status.is_holds:
+            pullback_verdicts.append(nerve_status)
+            level_entry["intersections"].append({"status": nerve_status, "indices": None})
+        for indices, verdict, size in intersections:
             pullback_verdicts.append(verdict)
             level_entry["intersections"].append(
-                {"indices": list(subset), "status": verdict, "simplices": size}
+                {"indices": indices, "status": verdict, "simplices": size}
             )
         pullback_entries.append(level_entry)
     pullback_status = conjoin(pullback_verdicts)
@@ -353,14 +341,10 @@ def summability_report(tower: Tower) -> dict:
     depth = tower.depth()
     meshes = []
     cone_meshes = []
-    for i in range(depth):
-        cover = tower.cover_at(i)
-        meshes.append(mesh(cover, tower.scales[i]).value)
-        cone_meshes.append(cone_geodesic_diameter_bound(cover, tower.scales[i]))
-    lipschitz = [
-        lipschitz_constant(bond, tower.scales[idx + 1], tower.scales[idx])
-        for idx, bond in enumerate(tower.bonds)
-    ]
+    for cover, scale in zip(tower.covers, tower.scales):
+        meshes.append(mesh(cover, scale).value)
+        cone_meshes.append(cone_geodesic_diameter_bound(cover, scale))
+    lipschitz = list(tower.lipschitz)
     if any(c is None for c in cone_meshes):
         return {
             "status": Verdict.inconclusive("cover has no apexed elements for the tail bound"),
@@ -459,26 +443,36 @@ def pullback_star_cover(
     when a degree is supplied."""
     if not 1 <= i <= m <= tower.depth():
         raise MalformedTowerError("levels out of range")
-    if kind == "B":
-        current = cover_B(tower.levels[i - 1])
-        current = current if i == m else pullback_cover(tower.bonds[i - 1].vertex_map, current)
-    else:
-        current = cover_O(tower.levels[i - 1])
-        current = current if i == m else pullback_cover(tower.bonds[i - 1], current)
-    for idx in range(i, m - 1):
+    current = _star_cover(kind, tower.levels[i - 1])
+    for idx in range(i - 1, m - 1):
         current = pullback_cover(tower.bonds[idx], current)
-    verdicts: dict = {}
-    if n is not None:
-        nerve_result = nerve(current, budgets)
-        if not nerve_result.status.is_holds:
-            return current, {"status": nerve_result.status}
-        for subset in sorted(nerve_result.complex.simplices, key=simplex_sort_key):
-            if kind == "B":
-                piece = current.intersection_subcomplex(list(subset))
-                verdicts[tuple(subset)] = subcomplex_verdict(piece, n, budgets)
+    if n is None:
+        return current, {}
+    nerve_status, intersections = intersection_verdicts(current, n, budgets)
+    if not nerve_status.is_holds:
+        return current, {"status": nerve_status}
+    return current, {tuple(indices): verdict for indices, verdict, _ in intersections}
+
+
+def intersection_verdicts(pulled: IndexedCover, n: int, budgets: Budgets):
+    """The nerve status of a pulled-back cover and, lazily and in simplex
+    order, (indices, extensor verdict, size) for each non-empty intersection:
+    size is the simplex count of a closed intersection, None for an open one."""
+    nerve_result = nerve(pulled, budgets)
+    subsets = []
+    if nerve_result.status.is_holds:
+        subsets = sorted(nerve_result.complex.simplices, key=simplex_sort_key)
+
+    def verdicts():
+        for subset in subsets:
+            indices = list(subset)
+            if pulled.kind == "closed":
+                piece = pulled.intersection_subcomplex(indices)
+                yield indices, subcomplex_verdict(piece, n, budgets), len(piece.simplices)
             else:
-                verdicts[tuple(subset)] = open_intersection_verdict(current, list(subset), n, budgets)
-    return current, verdicts
+                yield indices, open_intersection_verdict(pulled, indices, n, budgets), None
+
+    return nerve_result.status, verdicts()
 
 
 def open_intersection_verdict(cover: IndexedCover, subset, n: int, budgets: Budgets) -> Verdict:
@@ -561,24 +555,16 @@ def single_lift(
                 "the given partial lift does not project onto the map at %s" % vertex_label(v)
             )
 
-    if cover.ambient == p.subdivided_target:
-        pulled = pullback_cover(p.vertex_map, cover)
-    else:
-        pulled = pullback_cover(p, cover)
-    nerve_result = nerve(pulled, budgets)
-    if not nerve_result.status.is_holds:
-        return LiftResult(nerve_result.status, None, None, {})
-    for subset in sorted(nerve_result.complex.simplices, key=simplex_sort_key):
-        if pulled.kind == "closed":
-            piece = pulled.intersection_subcomplex(list(subset))
-            verdict = subcomplex_verdict(piece, n, budgets)
-        else:
-            verdict = open_intersection_verdict(pulled, list(subset), n, budgets)
+    pulled = pullback_cover(p, cover)
+    nerve_status, intersections = intersection_verdicts(pulled, n, budgets)
+    if not nerve_status.is_holds:
+        return LiftResult(nerve_status, None, None, {})
+    for indices, verdict, _ in intersections:
         if not verdict.is_holds:
             return LiftResult(
                 Verdict.inconclusive(
                     "pulled-back cover intersection %s lacks an extensor certificate"
-                    % (list(subset),)
+                    % (indices,)
                 ),
                 None,
                 None,
@@ -721,9 +707,8 @@ def tower_lift(
     status = Verdict.holds()
     anchored = True
     for idx, bond in enumerate(tower.bonds):
-        cover = tower.cover_at(idx)
         result = single_lift(
-            bond, cover, current_f, current_defined, seeds[idx + 1], n, budgets
+            bond, tower.covers[idx], current_f, current_defined, seeds[idx + 1], n, budgets
         )
         if not result.status.is_holds:
             status = result.status

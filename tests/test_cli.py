@@ -18,6 +18,30 @@ from polytower.generators import (
 )
 
 
+# golden-digest placeholders: switch the generated tower to open star
+# covers; stand for the path of a file holding LIFT_SPEC
+OPEN_COVER = "<open-cover>"
+SPEC_FILE = "<lift-spec>"
+
+# an edge from a to b in the first level, anchored at a through a thread
+LIFT_SPEC = {
+    "domain": {"vertices": [], "maximal": [["x0", "x1"]]},
+    "f1": {
+        "vertex_points": {
+            "x0": {"coords": {"a": "1"}, "scale": "1"},
+            "x1": {"coords": {"b": "1"}, "scale": "1"},
+        }
+    },
+    "anchor": [["x0"]],
+    "threads": {
+        "x0": [
+            {"coords": {"a": "1"}, "scale": "1"},
+            {"coords": {"[\"a\"]": "1"}, "scale": "1"},
+        ]
+    },
+}
+
+
 def run_cli(args, capsys):
     code = main(args)
     out = capsys.readouterr().out
@@ -254,23 +278,7 @@ class TestCommands:
     def test_lift_command(self, tmp_path, capsys):
         t = subdivision_tower(simplex(2), 2)
         tower_path = write(tmp_path, "tower.json", formats.tower_to_obj(t))
-        spec = {
-            "domain": {"vertices": [], "maximal": [["x0", "x1"]]},
-            "f1": {
-                "vertex_points": {
-                    "x0": {"coords": {"a": "1"}, "scale": "1"},
-                    "x1": {"coords": {"b": "1"}, "scale": "1"},
-                }
-            },
-            "anchor": [["x0"]],
-            "threads": {
-                "x0": [
-                    {"coords": {"a": "1"}, "scale": "1"},
-                    {"coords": {"[\"a\"]": "1"}, "scale": "1"},
-                ]
-            },
-        }
-        spec_path = write(tmp_path, "spec.json", spec)
+        spec_path = write(tmp_path, "spec.json", LIFT_SPEC)
         code, out = run_cli(["lift", tower_path, "--spec", spec_path, "--n", "2"], capsys)
         assert code == 0
         report = json.loads(out)
@@ -316,15 +324,38 @@ class TestDeterminism:
                 0,
                 "06241d6696404625b1a9ecd8e4ac75e228753fbb3fcf64ea3fde6f1bd7b97d13",
             ),
+            (
+                # the open-star cover path: open intersections and meshes of closures
+                ["gen", "subdivision-tower", "--base", "triangle", "--levels", "3", OPEN_COVER],
+                ["verify-tower", "--n", "2"],
+                0,
+                "4df3365cafbcf6a7a45274d5a97bf465313a698eb61198c957d0323614e4aead",
+            ),
+            (
+                ["gen", "cylinder"],
+                ["check-map", "--n", "2"],
+                1,
+                "7437b3d342e3e4c42b282e24913b053a1bbcf171f0b38983bc2be56f59c65d0b",
+            ),
+            (
+                ["gen", "subdivision-tower", "--base", "triangle", "--levels", "2"],
+                ["lift", "--n", "2", "--spec", SPEC_FILE],
+                0,
+                "5cae152fead202fc0d59624a0769e9eeccac5ae949653511d1df83c446e7d8b3",
+            ),
         ],
     )
     def test_golden_digest(self, tmp_path, capsys, gen, command, expected_code, digest):
         # certificates are canonical JSON, so a changed digest is a changed
         # certificate, whatever engine computed it
-        _, generated = run_cli(gen, capsys)
+        _, generated = run_cli([a for a in gen if a != OPEN_COVER], capsys)
+        if OPEN_COVER in gen:
+            generated = formats.dumps_canonical(dict(json.loads(generated), cover="O"))
         path = tmp_path / "input.json"
         path.write_text(generated, encoding="utf-8")
-        code, out = run_cli([command[0], str(path)] + command[1:], capsys)
+        spec_path = write(tmp_path, "spec.json", LIFT_SPEC)
+        args = [spec_path if a == SPEC_FILE else a for a in command[1:]]
+        code, out = run_cli([command[0], str(path)] + args, capsys)
         assert code == expected_code
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 

@@ -6,16 +6,21 @@ import pytest
 from polytower.complexes import (
     barycenter_point,
     barycentric_subdivision,
+    distance,
+    flatten_point,
     induced_subcomplex,
     make_point,
     subcomplex_from,
+    vertex_key,
     vertex_point,
     whole_subcomplex,
 )
+from polytower.generators import cylinder_tower, projective_plane, random_tower, subdivision_tower
 from polytower.plmaps import PartialPLMap
 from polytower.stars import (
     IndexMismatchError,
     IndexedCover,
+    OpenStarSet,
     are_close,
     barycentric_star,
     barycentric_star_contains_point,
@@ -320,6 +325,75 @@ class TestMesh:
             bound = cone_geodesic_diameter_bound(cb)
             assert bound is not None
             assert bound >= mesh(cb).value or len(k.vertices) == 1
+
+
+def _reference_positions(cover, element):
+    """Element vertices (closure vertices for open stars) as Points of the
+    metric base, flattened out of the subdivision when the element lives
+    there."""
+    if isinstance(element, OpenStarSet):
+        ambient = element.ambient
+        vertices = {v for s in ambient.simplices if element.meets_simplex(s) for v in s}
+    else:
+        ambient = element.parent
+        vertices = element.vertex_set()
+    points = [vertex_point(ambient, v) for v in sorted(vertices, key=vertex_key)]
+    if cover.base is not None and cover.base != ambient:
+        points = [flatten_point(p, cover.base) for p in points]
+    return points
+
+
+def _reference_mesh(cover, scale):
+    best = Fraction(0)
+    for _, e in cover.elements:
+        points = _reference_positions(cover, e)
+        for i, x in enumerate(points):
+            for y in points[i + 1 :]:
+                best = max(best, distance(x, y))
+    return best * scale
+
+
+def _reference_cone(cover, scale):
+    base = cover.base if cover.base is not None else cover.ambient
+    star_of = dict(cover.star_of)
+    worst = Fraction(0)
+    for i, e in cover.elements:
+        apex = vertex_point(base, star_of[i])
+        reach = max([Fraction(0)] + [distance(apex, p) for p in _reference_positions(cover, e)])
+        worst = max(worst, 2 * reach)
+    return worst * scale
+
+
+def _outcome(fn, *args):
+    try:
+        return ("value", fn(*args))
+    except ValueError as exc:
+        return ("raises", type(exc))
+
+
+class TestMeshCrossCheck:
+    """Set-arithmetic meshes and cone bounds against Point distances."""
+
+    def covers(self):
+        towers = [random_tower(seed, 2) for seed in range(12)]
+        towers += [cylinder_tower(), subdivision_tower(projective_plane(), 2)]
+        for tower in towers:
+            for idx, (level, scale) in enumerate(zip(tower.levels, tower.scales)):
+                for cover in (cover_B(level), cover_O(level)):
+                    yield cover, scale
+                    if idx + 1 < tower.depth():
+                        yield pullback_cover(tower.bonds[idx], cover), tower.scales[idx + 1]
+
+    def test_mesh_and_cone_match_point_distances(self):
+        kinds = set()
+        for cover, scale in self.covers():
+            kinds.add((cover.kind, cover.base is not None))
+            result = mesh(cover, scale)
+            assert result.value == _reference_mesh(cover, scale)
+            assert result.computed_on_closure == (cover.kind == "open")
+            expected = _outcome(_reference_cone, cover, scale)
+            assert _outcome(cone_geodesic_diameter_bound, cover, scale) == expected
+        assert kinds == {("open", True), ("open", False), ("closed", True), ("closed", False)}
 
 
 class TestStarIntersectionIdentity:

@@ -135,6 +135,24 @@ class TestVerifyTower:
         assert cert.conclusion.is_holds
         assert cert.conditions["mesh_summability"]["contraction_quotient"] < 1
 
+    def test_covers_and_lipschitz_constants_built_once(self, monkeypatch):
+        # one cover per level and one constant per bond, shared by the
+        # pull-backs, the lipschitz condition and the summability report
+        from polytower import towers
+
+        calls = {"cover_B": 0, "lipschitz_constant": 0}
+        for name in calls:
+            original = getattr(towers, name)
+
+            def counted(*args, _original=original, _name=name, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(towers, name, counted)
+        cert = verify_tower(subdivision_tower(simplex(2), 3), 1)
+        assert cert.conclusion.is_holds
+        assert calls == {"cover_B": 3, "lipschitz_constant": 2}
+
 
 class TestSummability:
     def test_monotone_tail(self):
