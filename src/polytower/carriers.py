@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from .complexes import (
     Complex,
@@ -56,11 +57,16 @@ class Carrier:
         pairs = tuple(sorted(targets.items(), key=lambda kv: vertex_key(kv[0])))
         return Carrier(source_cover, pairs, pl_target, target_base)
 
+    @cached_property
+    def _by_index(self) -> dict:
+        """The targets as a dict, built once per carrier for the lookups."""
+        return dict(self.targets)
+
     def target(self, index):
-        for i, e in self.targets:
-            if i == index:
-                return e
-        raise ValueError("unknown carrier index %r" % (index,))
+        try:
+            return self._by_index[index]
+        except (KeyError, TypeError):
+            raise ValueError("unknown carrier index %r" % (index,)) from None
 
     def indices_covering(self, simplex) -> list:
         out = []

@@ -61,8 +61,13 @@ def canon_vertex(name):
     raise TypeError("vertex names are strings or nested tuples, got %r" % (name,))
 
 
+@lru_cache(maxsize=1 << 16)
 def vertex_key(name):
-    """Total order key: atoms first (by string), then tuples componentwise."""
+    """Total order key: atoms first (by string), then tuples componentwise.
+
+    Memoised with a fixed bound: names are hashable and every sort in the
+    package keys on them, while a complex holds far fewer distinct names
+    than sort comparisons; an evicted key is only recomputed."""
     if isinstance(name, str):
         return (0, name)
     return (1, tuple(vertex_key(p) for p in name))
@@ -153,18 +158,11 @@ class Complex:
 
     @staticmethod
     def _from_closed(closure: set) -> "Complex":
+        """The closure is face-closed, so a simplex is maximal exactly when it
+        is no facet of another simplex of it."""
         vertices = tuple(sorted({v for s in closure for v in s}, key=vertex_key))
-        grouped = sorted(closure, key=simplex_sort_key, reverse=True)
-        maximal = []
-        seen = set()
-        for s in grouped:
-            sset = set(s)
-            if any(sset < set(m) for m in maximal):
-                continue
-            if s not in seen:
-                maximal.append(s)
-                seen.add(s)
-        maximal.sort(key=simplex_sort_key)
+        facets = {s[:k] + s[k + 1 :] for s in closure if len(s) > 1 for k in range(len(s))}
+        maximal = sorted(closure - facets, key=simplex_sort_key)
         return Complex(frozenset(closure), vertices, tuple(maximal))
 
     @property
@@ -223,7 +221,7 @@ def validate(raw_simplices: Iterable, extra_vertices: Iterable = ()) -> Complex:
     return Complex.from_maximal(raw_simplices, extra_vertices)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def barycentric_subdivision(complex_: Complex) -> Complex:
     """The complex whose vertices are the simplices of the input and whose
     simplices are the strictly nested chains of the face poset.

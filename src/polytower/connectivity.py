@@ -28,7 +28,7 @@ from .verdicts import DEFAULT_BUDGETS, Budgets, Verdict, conjoin
 # chain complexes and homology
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def _chain_data(complex_: Complex):
     """Ordered simplex bases and their index maps per degree."""
     bases = {}
@@ -137,7 +137,7 @@ def _cycle_coordinates(inverse_columns: list, position: dict, chain: dict):
     return coords
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=128)
 def homology_coordinates(complex_: Complex, k: int) -> HomologyCoordinates:
     if k < 0:
         raise ValueError("homology degree must be non-negative")

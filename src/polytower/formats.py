@@ -9,10 +9,21 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .complexes import Complex, Point, Subcomplex, canon_vertex, make_point, subcomplex_from, vertex_key
+from .complexes import (
+    Complex,
+    Point,
+    Subcomplex,
+    UnknownVertexError,
+    barycentric_subdivision,
+    canon_vertex,
+    make_point,
+    subcomplex_from,
+    vertex_key,
+    vertex_label,
+)
 from .maps import QSMap, VertexMap, check_quasi_simplicial
 from .plmaps import PartialPLMap
-from .stars import IndexedCover, open_star, barycentric_vertex_star, open_vertex_star
+from .stars import IndexedCover, barycentric_vertex_stars, open_star, open_vertex_star
 from .towers import RegularityReport, Tower
 from .verdicts import Verdict
 
@@ -219,6 +230,7 @@ def parse_cover(obj, context="cover") -> IndexedCover:
         )
     elements = {}
     star_of = {}
+    stars = None
     base = None
     target_complex = ambient
     for key, value in raw.items():
@@ -227,11 +239,13 @@ def parse_cover(obj, context="cover") -> IndexedCover:
             v = parse_vertex(value["star_of"], context + ".elements[%s]" % key)
             star_of[index] = v
             if kind == "closed":
-                elements[index] = barycentric_vertex_star(ambient, v)
-                from .complexes import barycentric_subdivision
-
-                target_complex = barycentric_subdivision(ambient)
-                base = ambient
+                if stars is None:
+                    stars = barycentric_vertex_stars(ambient)
+                    target_complex = barycentric_subdivision(ambient)
+                    base = ambient
+                if v not in stars:
+                    raise UnknownVertexError(vertex_label(v))
+                elements[index] = stars[v]
             else:
                 elements[index] = open_vertex_star(ambient, v)
         elif isinstance(value, list):

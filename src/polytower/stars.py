@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 
 from .complexes import (
@@ -109,6 +110,18 @@ def barycentric_vertex_star(base: Complex, vertex) -> Subcomplex:
     return barycentric_star(base, induced_subcomplex(base, [v]))
 
 
+def barycentric_vertex_stars(base: Complex) -> dict:
+    """The barycentric star of every vertex of the base, in one pass over the
+    subdivision: each chain joins the star of every vertex of its minimal
+    element, the rule of `barycentric_star` for a one-vertex core."""
+    beta = barycentric_subdivision(base)
+    chains = {v: [] for v in base.vertices}
+    for c in beta.simplices:
+        for v in chain_min(c):
+            chains[v].append(c)
+    return {v: Subcomplex(beta, frozenset(kept)) for v, kept in chains.items()}
+
+
 def barycentric_star_contains_point(base: Complex, sub: Subcomplex, point: Point) -> bool:
     """Point-level membership in the barycentric star: some vertex of the
     subcomplex carries the maximal barycentric coordinate."""
@@ -197,11 +210,16 @@ class IndexedCover:
     def indices(self) -> tuple:
         return tuple(i for i, _ in self.elements)
 
+    @cached_property
+    def _by_index(self) -> dict:
+        """The elements as a dict, built once per cover for the lookups."""
+        return dict(self.elements)
+
     def element(self, index):
-        for i, e in self.elements:
-            if i == index:
-                return e
-        raise IndexMismatchError("unknown cover index %r" % (index,))
+        try:
+            return self._by_index[index]
+        except (KeyError, TypeError):
+            raise IndexMismatchError("unknown cover index %r" % (index,)) from None
 
     def as_dict(self) -> dict:
         return dict(self.elements)
@@ -277,7 +295,7 @@ def cover_B(base: Complex) -> IndexedCover:
     elements are subcomplexes of the subdivision, metrically flattened into
     the base."""
     beta = barycentric_subdivision(base)
-    elements = {v: barycentric_vertex_star(base, v) for v in base.vertices}
+    elements = barycentric_vertex_stars(base)
     return IndexedCover.build(beta, "closed", elements, base=base, star_of={v: v for v in base.vertices})
 
 

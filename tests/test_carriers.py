@@ -1,5 +1,7 @@
 from fractions import Fraction
 
+import pytest
+
 from polytower.complexes import (
     Complex,
     barycentric_subdivision,
@@ -44,6 +46,16 @@ class TestValidateCarrier:
         cov = closed_cover_of_maximal(k)
         carrier = Carrier.build(cov, {i: cov.element(i) for i in cov.indices}, k)
         assert validate_carrier(carrier).is_holds
+
+    def test_target_lookup(self):
+        k = simplex_complex(["a", "b", "c"])
+        cov = closed_cover_of_maximal(k)
+        carrier = Carrier.build(cov, {i: cov.element(i) for i in cov.indices}, k)
+        for i in cov.indices:
+            assert carrier.target(i) is cov.element(i)
+        for index in ("z", ["a", "b", "c"]):
+            with pytest.raises(ValueError):
+                carrier.target(index)
 
     def test_disjoint_targets_fail(self):
         k = simplex_complex(["a", "b"])

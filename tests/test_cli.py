@@ -8,6 +8,7 @@ import pytest
 
 from polytower import formats
 from polytower.cli import main
+from polytower.complexes import UnknownVertexError, barycentric_subdivision
 from polytower.generators import (
     cylinder_map,
     cylinder_tower,
@@ -16,6 +17,7 @@ from polytower.generators import (
     sphere,
     subdivision_tower,
 )
+from polytower.stars import barycentric_vertex_star
 
 
 # golden-digest placeholders: switch the generated tower to open star
@@ -110,6 +112,12 @@ class TestRoundTrips:
         assert cover.indices == ("a", "b", "c")
         again = formats.parse_cover(json.loads(formats.dumps_canonical(formats.cover_to_obj(cover))))
         assert again.indices == cover.indices
+        assert cover.ambient == barycentric_subdivision(k) and cover.base == k
+        for v in "abc":
+            assert cover.element(v) == barycentric_vertex_star(k, v)
+        obj["elements"]["d"] = {"star_of": "z"}
+        with pytest.raises(UnknownVertexError):
+            formats.parse_cover(obj)
 
 
 class TestCommands:

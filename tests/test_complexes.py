@@ -18,6 +18,7 @@ from polytower.complexes import (
     is_full_subcomplex,
     lift_to_subdivision,
     make_point,
+    simplex_sort_key,
     subcomplex_from,
     validate,
     vertex_key,
@@ -26,8 +27,10 @@ from polytower.complexes import (
 
 from util import (
     brute_force_closure,
+    brute_force_maximal,
     chain_f_vector,
     cylinder_complex,
+    kernel_complexes,
     random_complex,
     random_point,
     simplex_complex,
@@ -93,6 +96,32 @@ class TestVertexOrder:
             return
         key = vertex_key(c)
         assert key == vertex_key(canon_vertex(c))
+
+    def test_memoised_key_matches_reference(self):
+        def reference(name):
+            if isinstance(name, str):
+                return (0, name)
+            return (1, tuple(reference(p) for p in name))
+
+        for label, k in kernel_complexes():
+            for v in k.vertices:
+                assert vertex_key(v) == reference(v), (label, v)
+            assert list(k.vertices) == sorted(k.vertices, key=reference), label
+
+
+def test_kernel_caches_are_bounded():
+    from polytower.connectivity import _chain_data, homology_coordinates
+
+    for cached in (vertex_key, barycentric_subdivision, _chain_data, homology_coordinates):
+        assert cached.cache_info().maxsize is not None, cached.__name__
+
+
+class TestMaximalSimplices:
+    def test_facet_marking_matches_pairwise_scan(self):
+        for label, k in kernel_complexes():
+            rebuilt = Complex._from_closed(set(k.simplices))
+            assert set(rebuilt.maximal) == brute_force_maximal(k.simplices), label
+            assert list(rebuilt.maximal) == sorted(rebuilt.maximal, key=simplex_sort_key), label
 
 
 class TestSubdivision:

@@ -6,6 +6,7 @@ import pytest
 from polytower.complexes import (
     barycenter_point,
     barycentric_subdivision,
+    chain_min,
     distance,
     flatten_point,
     induced_subcomplex,
@@ -43,6 +44,7 @@ from polytower.verdicts import Budgets
 
 from util import (
     cylinder_map,
+    kernel_complexes,
     random_complex,
     random_point,
     random_surjective_vertex_map,
@@ -154,6 +156,33 @@ class TestCovers:
     def test_cover_O_is_a_cover(self):
         for seed in range(4):
             assert cover_O(random_complex(seed)).first_uncovered() is None
+
+    def test_cover_B_elements_are_barycentric_vertex_stars(self):
+        for label, k in kernel_complexes():
+            cb = cover_B(k)
+            assert cb.indices == k.vertices, label
+            for v in k.vertices:
+                assert cb.element(v) == barycentric_vertex_star(k, v), (label, v)
+
+    def test_cover_B_reads_each_chain_once(self, monkeypatch):
+        import polytower.stars as stars_module
+
+        calls = []
+
+        def counting_chain_min(chain):
+            calls.append(chain)
+            return chain_min(chain)
+
+        monkeypatch.setattr(stars_module, "chain_min", counting_chain_min)
+        k = projective_plane()
+        cover_B(k)
+        assert len(calls) == len(barycentric_subdivision(k).simplices)
+
+    def test_unknown_index_rejected(self):
+        cb = cover_B(simplex_complex(["u", "v"]))
+        for index in ("w", ["u"]):
+            with pytest.raises(IndexMismatchError):
+                cb.element(index)
 
 
 class TestNerve:

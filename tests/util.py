@@ -235,3 +235,23 @@ RP2_TRIANGLES = [
 
 def rp2_complex() -> Complex:
     return Complex.from_maximal(RP2_TRIANGLES)
+
+
+def brute_force_maximal(simplices) -> set:
+    """Simplices that are no proper subset of another, by pairwise scan."""
+    sets = [set(s) for s in simplices]
+    return {s for s in simplices if not any(set(s) < t for t in sets)}
+
+
+def kernel_complexes() -> list:
+    """(label, complex) pairs for the complex-kernel cross-checks: random
+    complexes, rp2, the cylinder, and every level of the 3-level triangle
+    subdivision tower together with its subdivision."""
+    from polytower.complexes import barycentric_subdivision
+    from polytower.generators import simplex, subdivision_tower
+
+    out = [("random %d" % seed, random_complex(seed)) for seed in range(12)]
+    out += [("rp2", rp2_complex()), ("cylinder", cylinder_complex())]
+    for i, level in enumerate(subdivision_tower(simplex(2), 3).levels):
+        out += [("triangle level %d" % i, level), ("beta of triangle level %d" % i, barycentric_subdivision(level))]
+    return out
