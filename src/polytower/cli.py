@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 the check holds (or the command produced its output), 1 a
-check was refuted, 2 a check was inconclusive, 3 malformed input.  Budgets
+check was refuted, 2 a check was inconclusive, 3 malformed input, 4 an
+internal error (a fault of the program, never a verdict).  Budgets
 come from flags, the POLYTOWER_BUDGETS environment variable
 ("pi1=N,filler=N,nerve=N"), or the defaults, in that order of precedence.
 """
@@ -11,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+import traceback
 from fractions import Fraction
 
 from . import formats, generators
@@ -31,6 +33,7 @@ EXIT_HOLDS = 0
 EXIT_FAILS = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_INPUT = 3
+EXIT_INTERNAL = 4
 
 _STATUS_EXIT = {"holds": EXIT_HOLDS, "fails": EXIT_FAILS, "inconclusive": EXIT_INCONCLUSIVE}
 
@@ -69,6 +72,8 @@ def _load(path: str):
         raise formats.InputFormatError("no such file: %s" % path)
     except json.JSONDecodeError as exc:
         raise formats.InputFormatError("not JSON: %s (%s)" % (path, exc))
+    except RecursionError:
+        raise formats.InputFormatError("not JSON: %s (nested too deep to read)" % path) from None
 
 
 def _emit(report, args) -> None:
@@ -452,6 +457,10 @@ def main(argv=None) -> int:
     except (ValueError, KeyError) as exc:
         sys.stderr.write("input error: %s\n" % exc)
         return EXIT_INPUT
+    except Exception as exc:
+        sys.stderr.write("internal error: %s: %s\n" % (type(exc).__name__, exc))
+        traceback.print_exc(file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -50,15 +50,20 @@ def canon_vertex(name):
     if isinstance(name, str):
         return name
     if isinstance(name, (list, tuple)):
-        parts = tuple(canon_vertex(p) for p in name)
-        if not parts:
-            raise EmptySimplexError("empty tuple is not a vertex name")
-        out = tuple(sorted(parts, key=vertex_key))
-        for a, b in zip(out, out[1:]):
-            if a == b:
-                raise DuplicateVertexError("duplicate part in vertex name %r" % (name,))
-        return out
+        return join_parts(tuple(canon_vertex(p) for p in name), name)
     raise TypeError("vertex names are strings or nested tuples, got %r" % (name,))
+
+
+def join_parts(parts: tuple, name) -> tuple:
+    """The vertex name made of already canonical parts: sorted, rejecting no
+    parts and repeated parts (`name` is the raw name the errors quote)."""
+    if not parts:
+        raise EmptySimplexError("empty tuple is not a vertex name")
+    out = tuple(sorted(parts, key=vertex_key))
+    for a, b in zip(out, out[1:]):
+        if a == b:
+            raise DuplicateVertexError("duplicate part in vertex name %r" % (name,))
+    return out
 
 
 @lru_cache(maxsize=1 << 16)
@@ -82,10 +87,14 @@ def vertex_label(name) -> str:
 
 def canon_simplex(vertices) -> tuple:
     """Sorted tuple of canonical names; rejects empty and duplicated input."""
-    names = [canon_vertex(v) for v in vertices]
+    return sorted_simplex([canon_vertex(v) for v in vertices])
+
+
+def sorted_simplex(names) -> tuple:
+    """`canon_simplex` of names that are canonical already."""
+    names = sorted(names, key=vertex_key)
     if not names:
         raise EmptySimplexError("a simplex needs at least one vertex")
-    names.sort(key=vertex_key)
     for a, b in zip(names, names[1:]):
         if a == b:
             raise DuplicateVertexError("duplicate vertex %s in simplex" % vertex_label(a))
@@ -103,6 +112,14 @@ def faces(simplex):
             yield f
 
 
+def face_closure(simplices) -> set:
+    """The simplices together with all their faces."""
+    closure = set()
+    for simplex in simplices:
+        closure.update(faces(simplex))
+    return closure
+
+
 # ---------------------------------------------------------------------------
 # complexes
 
@@ -114,7 +131,7 @@ class Complex:
     have the same vertices and the same simplex set.
     """
 
-    __slots__ = ("vertices", "simplices", "maximal", "_vertex_set", "_hash", "_by_dim")
+    __slots__ = ("vertices", "simplices", "maximal", "_vertex_set", "_hash", "_by_dim", "_maximal_at")
 
     def __init__(self, simplices: frozenset, vertices: tuple, maximal: tuple):
         object.__setattr__(self, "simplices", simplices)
@@ -128,6 +145,7 @@ class Complex:
         for group in by_dim.values():
             group.sort(key=simplex_sort_key)
         object.__setattr__(self, "_by_dim", by_dim)
+        object.__setattr__(self, "_maximal_at", None)
 
     def __setattr__(self, *_):
         raise AttributeError("Complex is immutable")
@@ -148,12 +166,14 @@ class Complex:
     @staticmethod
     def from_maximal(maximal: Iterable, extra_vertices: Iterable = ()) -> "Complex":
         """Validate raw simplex input and compute its downward closure."""
-        closure = set()
-        for raw in maximal:
-            simplex = canon_simplex(raw)
-            closure.update(faces(simplex))
-        for v in extra_vertices:
-            closure.add((canon_vertex(v),))
+        return Complex.closure_of(map(canon_simplex, maximal), map(canon_vertex, extra_vertices))
+
+    @staticmethod
+    def closure_of(simplices: Iterable, vertices: Iterable = ()) -> "Complex":
+        """The complex of canonical simplices, their faces and canonical
+        vertices, with no re-validation of the names."""
+        closure = face_closure(simplices)
+        closure.update((v,) for v in vertices)
         return Complex._from_closed(closure)
 
     @staticmethod
@@ -189,6 +209,29 @@ class Complex:
     def has_vertex(self, name) -> bool:
         return name in self._vertex_set
 
+    def maximal_at(self, vertex) -> list:
+        """The maximal simplices containing a vertex, from an index over all
+        vertices built on the first call and kept with the complex."""
+        index = self._maximal_at
+        if index is None:
+            index = {v: [] for v in self.vertices}
+            for m in self.maximal:
+                for v in m:
+                    index[v].append(m)
+            object.__setattr__(self, "_maximal_at", index)
+        return index[vertex]
+
+    def canon(self, name):
+        """`canon_vertex(name)`, skipped for a string or tuple that already
+        is a vertex of this complex (vertex names are canonical)."""
+        if isinstance(name, (str, tuple)):
+            try:
+                if name in self._vertex_set:
+                    return name
+            except TypeError:  # a tuple holding a list
+                pass
+        return canon_vertex(name)
+
     def vertex_set(self) -> frozenset:
         return self._vertex_set
 
@@ -204,16 +247,12 @@ class Complex:
         return s if s in self.simplices else None
 
     def closed_star(self, vertex) -> frozenset:
-        """Simplices of every closed simplex containing the vertex."""
-        v = canon_vertex(vertex)
+        """Simplices of every closed simplex containing the vertex: the faces
+        of the maximal simplices through it."""
+        v = self.canon(vertex)
         if v not in self._vertex_set:
             raise UnknownVertexError(vertex_label(v))
-        out = set()
-        for s in self.simplices:
-            joined = tuple(sorted(set(s) | {v}, key=vertex_key))
-            if joined in self.simplices:
-                out.add(s)
-        return frozenset(out)
+        return frozenset(face_closure(self.maximal_at(v)))
 
 
 def validate(raw_simplices: Iterable, extra_vertices: Iterable = ()) -> Complex:
@@ -238,7 +277,8 @@ def barycentric_subdivision(complex_: Complex) -> Complex:
                 prefix.append(v)
                 chain.append(tuple(sorted(prefix, key=vertex_key)))
             flags.append(tuple(sorted(chain, key=vertex_key)))
-    return Complex.from_maximal(flags)
+    # built from canonical names, so the flags are canonical simplices
+    return Complex.closure_of(flags)
 
 
 def chain_min(name_tuple) -> tuple:
@@ -296,49 +336,54 @@ class Subcomplex:
 
 
 def subcomplex_from(parent: Complex, simplices: Iterable) -> Subcomplex:
-    closed = set()
-    for raw in simplices:
-        s = canon_simplex(raw)
-        closed.update(faces(s))
-    return Subcomplex(parent, frozenset(closed))
+    return Subcomplex(parent, frozenset(face_closure(map(canon_simplex, simplices))))
 
 
 def whole_subcomplex(parent: Complex) -> Subcomplex:
     return Subcomplex(parent, parent.simplices)
 
 
+def _induced_tops(complex_: Complex, w) -> set:
+    """The intersections m ∩ w with the maximal simplices m meeting a set w
+    of vertices of the complex; the simplices of the complex inside w are
+    exactly their faces."""
+    tops = set()
+    for v in w:
+        for m in complex_.maximal_at(v):
+            tops.add(tuple(u for u in m if u in w))
+    return tops
+
+
+def _induced(complex_: Complex, w) -> Subcomplex:
+    return Subcomplex(complex_, frozenset(face_closure(_induced_tops(complex_, w))))
+
+
 def induced_subcomplex(complex_: Complex, vertex_subset: Iterable) -> Subcomplex:
     """All simplices of the complex with every vertex in the given set."""
     w = set()
     for v in vertex_subset:
-        cv = canon_vertex(v)
+        cv = complex_.canon(v)
         if not complex_.has_vertex(cv):
             raise UnknownVertexError(vertex_label(cv))
         w.add(cv)
-    kept = frozenset(s for s in complex_.simplices if set(s) <= w)
-    return Subcomplex(complex_, kept)
+    return _induced(complex_, w)
 
 
 def is_full_subcomplex(sub: Subcomplex, ambient: Complex | None = None) -> bool:
     """Whether every ambient simplex spanned by the subcomplex's vertices is
-    already in the subcomplex."""
-    parent = ambient if ambient is not None else sub.parent
+    already in the subcomplex: the subcomplex is face-closed, so it is enough
+    that it holds every intersection of its vertex set with a maximal
+    simplex."""
     if ambient is not None and ambient != sub.parent:
         raise ComplexMismatchError("subcomplex does not live in the given complex")
-    vs = sub.vertex_set()
-    for s in parent.simplices:
-        if set(s) <= vs and s not in sub.simplices:
-            return False
-    return True
+    return _induced_tops(sub.parent, sub.vertex_set()) <= sub.simplices
 
 
 def beta_subcomplex(sub: Subcomplex, subdivided_parent: Complex | None = None) -> Subcomplex:
     """The barycentric subdivision of a subcomplex, inside the subdivision of
     its parent: the induced subcomplex on the names of the sub's simplices."""
     beta_parent = subdivided_parent or barycentric_subdivision(sub.parent)
-    names = {s for s in sub.simplices}
-    kept = frozenset(c for c in beta_parent.simplices if all(e in names for e in c))
-    return Subcomplex(beta_parent, kept)
+    return _induced(beta_parent, {s for s in sub.simplices if beta_parent.has_vertex(s)})
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +426,7 @@ def make_point(complex_: Complex, coords: Mapping, scale=ONE, validate_support: 
             raise ValueError("negative barycentric coordinate")
         if c == 0:
             continue
-        cv = canon_vertex(v)
+        cv = complex_.canon(v)
         if not complex_.has_vertex(cv):
             raise UnknownVertexError(vertex_label(cv))
         cleaned.append((cv, c))

@@ -16,7 +16,6 @@ from . import snf
 from .complexes import (
     Complex,
     Subcomplex,
-    canon_vertex,
     simplex_sort_key,
     vertex_key,
     vertex_label,
@@ -261,7 +260,7 @@ def pi1_presentation(complex_: Complex, basepoint=None) -> Presentation:
         comp = comps[0]
         basepoint = comp[0]
     else:
-        basepoint = canon_vertex(basepoint)
+        basepoint = complex_.canon(basepoint)
         comp = next((c for c in comps if basepoint in c), None)
         if comp is None:
             raise ValueError("basepoint not in the complex")
@@ -429,14 +428,15 @@ def pi1_verdict(complex_: Complex, basepoint=None, budgets: Budgets = DEFAULT_BU
     if not comps:
         return Verdict.fails(witness="empty", reason="empty complex")
     if basepoint is not None:
-        bp = canon_vertex(basepoint)
+        bp = complex_.canon(basepoint)
         matching = [c for c in comps if bp in c]
         if not matching:
             raise ValueError("basepoint %s not in the complex" % vertex_label(bp))
         comps = matching
     per_component = []
     for comp in comps:
-        sub = {s for s in complex_.simplices if s[0] in set(comp)}
+        members = set(comp)
+        sub = {s for s in complex_.simplices if s[0] in members}
         piece = Complex._from_closed(sub)
         pres = pi1_presentation(piece, comp[0])
         simplified, _steps, exhausted = tietze_simplify(pres, budgets.pi1_steps)

@@ -15,10 +15,10 @@ from .complexes import (
     Subcomplex,
     UnknownVertexError,
     barycentric_subdivision,
-    canon_vertex,
+    join_parts,
     make_point,
+    sorted_simplex,
     subcomplex_from,
-    vertex_key,
     vertex_label,
 )
 from .maps import QSMap, VertexMap, check_quasi_simplicial
@@ -67,15 +67,33 @@ def vertex_to_obj(name):
     return [vertex_to_obj(part) for part in name]
 
 
-def parse_vertex(obj, context="vertex"):
+# deepest nesting of a vertex name in an input document; names made by
+# subdivision nest one level per subdivision, far below this
+MAX_NAME_DEPTH = 100
+
+
+def parse_vertex(obj, context="vertex", names=None):
+    """A vertex name from its JSON form.  `names` memoises the nested names
+    met so far in one document (the caller's dict, fresh when omitted), so
+    each distinct name is sorted and checked once."""
+    return _parse_name(obj, context, {} if names is None else names, 0)
+
+
+def _parse_name(obj, context, names: dict, depth: int):
     if isinstance(obj, str):
         return obj
-    if isinstance(obj, list):
+    if not isinstance(obj, list):
+        raise InputFormatError("vertex names are strings or nested arrays", context)
+    if depth == MAX_NAME_DEPTH:
+        raise InputFormatError("vertex name nested more than %d deep" % MAX_NAME_DEPTH, context)
+    parts = tuple(_parse_name(part, context, names, depth + 1) for part in obj)
+    name = names.get(parts)
+    if name is None:
         try:
-            return canon_vertex([parse_vertex(part, context) for part in obj])
+            name = names[parts] = join_parts(parts, obj)
         except ValueError as exc:
             raise InputFormatError(str(exc), context)
-    raise InputFormatError("vertex names are strings or nested arrays", context)
+    return name
 
 
 def vertex_to_key(name) -> str:
@@ -85,14 +103,16 @@ def vertex_to_key(name) -> str:
     return json.dumps(vertex_to_obj(name), separators=(",", ":"))
 
 
-def parse_vertex_key(text, context="vertex key"):
+def parse_vertex_key(text, context="vertex key", names=None):
     if not isinstance(text, str):
         raise InputFormatError("object keys must be strings", context)
     if text.startswith("["):
         try:
-            return parse_vertex(json.loads(text), context)
+            return parse_vertex(json.loads(text), context, names)
         except json.JSONDecodeError as exc:
             raise InputFormatError("bad vertex key %r: %s" % (text, exc), context)
+        except RecursionError:
+            raise InputFormatError("vertex key nested too deep", context) from None
     return text
 
 
@@ -107,7 +127,8 @@ def complex_to_obj(complex_: Complex) -> dict:
     }
 
 
-def parse_complex(obj, context="complex") -> Complex:
+def parse_complex(obj, context="complex", names=None) -> Complex:
+    names = {} if names is None else names
     if not isinstance(obj, dict):
         raise InputFormatError("a complex is an object", context)
     maximal = obj.get("maximal")
@@ -117,12 +138,13 @@ def parse_complex(obj, context="complex") -> Complex:
     for idx, raw in enumerate(maximal):
         if not isinstance(raw, list):
             raise InputFormatError("simplices are arrays", "%s.maximal[%d]" % (context, idx))
-        simplices.append([parse_vertex(v, "%s.maximal[%d]" % (context, idx)) for v in raw])
+        simplices.append([parse_vertex(v, "%s.maximal[%d]" % (context, idx), names) for v in raw])
     extra = []
     for idx, raw in enumerate(obj.get("vertices", [])):
-        extra.append(parse_vertex(raw, "%s.vertices[%d]" % (context, idx)))
+        extra.append(parse_vertex(raw, "%s.vertices[%d]" % (context, idx), names))
     try:
-        return Complex.from_maximal(simplices, extra_vertices=extra)
+        # parsed names are canonical: only the simplices need checking
+        return Complex.closure_of(map(sorted_simplex, simplices), extra)
     except ValueError as exc:
         raise InputFormatError(str(exc), context)
 
@@ -158,28 +180,29 @@ def map_to_obj(m, include_complexes: bool = True) -> dict:
     return out
 
 
-def parse_map(obj, source: Complex | None = None, target: Complex | None = None, context="map"):
+def parse_map(obj, source: Complex | None = None, target: Complex | None = None, context="map", names=None):
+    names = {} if names is None else names
     if not isinstance(obj, dict):
         raise InputFormatError("a map is an object", context)
     if source is None:
         if "source" not in obj:
             raise InputFormatError("missing 'source'", context)
-        source = parse_complex(obj["source"], context + ".source")
-    elif "source" in obj and parse_complex(obj["source"], context + ".source") != source:
+        source = parse_complex(obj["source"], context + ".source", names)
+    elif "source" in obj and parse_complex(obj["source"], context + ".source", names) != source:
         raise InputFormatError("embedded source disagrees with the tower level", context)
     if target is None:
         if "target" not in obj:
             raise InputFormatError("missing 'target'", context)
-        target = parse_complex(obj["target"], context + ".target")
-    elif "target" in obj and parse_complex(obj["target"], context + ".target") != target:
+        target = parse_complex(obj["target"], context + ".target", names)
+    elif "target" in obj and parse_complex(obj["target"], context + ".target", names) != target:
         raise InputFormatError("embedded target disagrees with the tower level", context)
     raw_images = obj.get("vertex_images")
     if not isinstance(raw_images, dict):
         raise InputFormatError("missing 'vertex_images' object", context)
     images = {}
     for key, value in raw_images.items():
-        v = parse_vertex_key(key, context + ".vertex_images")
-        images[v] = parse_vertex(value, context + ".vertex_images[%s]" % key)
+        v = parse_vertex_key(key, context + ".vertex_images", names)
+        images[v] = parse_vertex(value, context + ".vertex_images[%s]" % key, names)
     subdivide = obj.get("subdivide_target", True)
     try:
         if subdivide:
@@ -215,7 +238,8 @@ def cover_to_obj(cover: IndexedCover) -> dict:
 def parse_cover(obj, context="cover") -> IndexedCover:
     if not isinstance(obj, dict):
         raise InputFormatError("a cover is an object", context)
-    ambient = parse_complex(obj.get("ambient"), context + ".ambient")
+    names: dict = {}
+    ambient = parse_complex(obj.get("ambient"), context + ".ambient", names)
     kind = obj.get("kind")
     if kind not in ("open", "closed"):
         raise InputFormatError("kind must be 'open' or 'closed'", context)
@@ -234,9 +258,9 @@ def parse_cover(obj, context="cover") -> IndexedCover:
     base = None
     target_complex = ambient
     for key, value in raw.items():
-        index = parse_vertex_key(key, context + ".elements")
+        index = parse_vertex_key(key, context + ".elements", names)
         if isinstance(value, dict) and "star_of" in value:
-            v = parse_vertex(value["star_of"], context + ".elements[%s]" % key)
+            v = parse_vertex(value["star_of"], context + ".elements[%s]" % key, names)
             star_of[index] = v
             if kind == "closed":
                 if stars is None:
@@ -250,7 +274,7 @@ def parse_cover(obj, context="cover") -> IndexedCover:
                 elements[index] = open_vertex_star(ambient, v)
         elif isinstance(value, list):
             sub = subcomplex_from(ambient, [
-                [parse_vertex(w, context) for w in simplex] for simplex in value
+                [parse_vertex(w, context, names) for w in simplex] for simplex in value
             ])
             if kind == "closed":
                 elements[index] = sub
@@ -285,13 +309,14 @@ def parse_tower(obj, context="tower") -> Tower:
     raw_levels = obj.get("levels")
     if not isinstance(raw_levels, list) or not raw_levels:
         raise InputFormatError("missing 'levels' list", context)
-    levels = [parse_complex(l, "%s.levels[%d]" % (context, i)) for i, l in enumerate(raw_levels)]
+    names: dict = {}
+    levels = [parse_complex(l, "%s.levels[%d]" % (context, i), names) for i, l in enumerate(raw_levels)]
     raw_bonds = obj.get("bonds", [])
     if len(raw_bonds) != len(levels) - 1:
         raise InputFormatError("a tower with M levels needs M-1 bonds", context)
     bonds = []
     for i, raw in enumerate(raw_bonds):
-        bond = parse_map(raw, source=levels[i + 1], target=levels[i], context="%s.bonds[%d]" % (context, i))
+        bond = parse_map(raw, levels[i + 1], levels[i], "%s.bonds[%d]" % (context, i), names)
         if not isinstance(bond, QSMap):
             raise InputFormatError("bonds must be quasi-simplicial (subdivide_target true)", context)
         bonds.append(bond)
@@ -316,12 +341,12 @@ def point_to_obj(point: Point) -> dict:
     }
 
 
-def parse_point(obj, complex_: Complex, context="point") -> Point:
+def parse_point(obj, complex_: Complex, context="point", names=None) -> Point:
     if not isinstance(obj, dict) or "coords" not in obj:
         raise InputFormatError("a point is {'coords': {...}, 'scale': 'p/q'}", context)
     coords = {}
     for key, value in obj["coords"].items():
-        coords[parse_vertex_key(key, context)] = parse_fraction(value, context)
+        coords[parse_vertex_key(key, context, names)] = parse_fraction(value, context)
     scale = parse_fraction(obj.get("scale", "1"), context)
     try:
         return make_point(complex_, coords, scale)
@@ -343,13 +368,14 @@ def plmap_to_obj(f: PartialPLMap, include_complexes: bool = True) -> dict:
 def parse_plmap(obj, domain: Complex | None = None, target: Complex | None = None, context="plmap") -> PartialPLMap:
     if not isinstance(obj, dict):
         raise InputFormatError("a PL map is an object", context)
+    names: dict = {}
     if domain is None:
-        domain = parse_complex(obj.get("domain"), context + ".domain")
+        domain = parse_complex(obj.get("domain"), context + ".domain", names)
     if target is None:
-        target = parse_complex(obj.get("target"), context + ".target")
+        target = parse_complex(obj.get("target"), context + ".target", names)
     if "defined_on" in obj:
         defined = subcomplex_from(domain, [
-            [parse_vertex(v, context) for v in s] for s in obj["defined_on"]
+            [parse_vertex(v, context, names) for v in s] for s in obj["defined_on"]
         ])
     else:
         from .complexes import whole_subcomplex
@@ -360,7 +386,7 @@ def parse_plmap(obj, domain: Complex | None = None, target: Complex | None = Non
         raise InputFormatError("missing 'vertex_points'", context)
     images = {}
     for key, value in raw.items():
-        images[parse_vertex_key(key, context)] = parse_point(value, target, context)
+        images[parse_vertex_key(key, context, names)] = parse_point(value, target, context, names)
     try:
         return PartialPLMap.build(domain, defined, images, target)
     except ValueError as exc:

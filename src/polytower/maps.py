@@ -17,7 +17,6 @@ from .complexes import (
     Point,
     Subcomplex,
     barycentric_subdivision,
-    canon_vertex,
     distance,
     flatten_point,
     induced_subcomplex,
@@ -48,13 +47,12 @@ class VertexMap:
     @staticmethod
     def build(source: Complex, target: Complex, images: dict) -> "VertexMap":
         pairs = []
-        assigned = {canon_vertex(k) for k in images}
+        assigned = {source.canon(k) for k in images}
         for v in source.vertices:
-            cv = canon_vertex(v)
-            if cv not in assigned:
-                raise ValueError("no image for vertex %s" % vertex_label(cv))
+            if v not in assigned:
+                raise ValueError("no image for vertex %s" % vertex_label(v))
         for k, w in images.items():
-            ck, cw = canon_vertex(k), canon_vertex(w)
+            ck, cw = source.canon(k), target.canon(w)
             if not source.has_vertex(ck):
                 raise ValueError("unknown source vertex %s" % vertex_label(ck))
             if not target.has_vertex(cw):
@@ -72,7 +70,7 @@ class VertexMap:
         return dict(self.assignment)
 
     def __call__(self, vertex):
-        v = canon_vertex(vertex)
+        v = self.source.canon(vertex)
         if v not in self._lookup:
             raise ValueError("unknown vertex %s" % vertex_label(v))
         return self._lookup[v]
@@ -80,6 +78,24 @@ class VertexMap:
     def image_simplex(self, simplex) -> tuple:
         lookup = self._lookup
         return tuple(sorted({lookup[v] for v in simplex}, key=vertex_key))
+
+    @cached_property
+    def vertex_fibers(self) -> dict:
+        """Target vertex -> the source vertices mapped to it (hit vertices
+        only), built once per map."""
+        fibers: dict = {}
+        for v, w in self.assignment:
+            fibers.setdefault(w, []).append(v)
+        return fibers
+
+    @cached_property
+    def simplex_fibers(self) -> dict:
+        """Image simplex -> the source simplices mapped onto it exactly,
+        built once per map."""
+        fibers: dict = {}
+        for s in self.source.simplices:
+            fibers.setdefault(self.image_simplex(s), []).append(s)
+        return fibers
 
 
 def check_simplicial(f: VertexMap) -> Verdict:
@@ -158,12 +174,12 @@ def preimage_subcomplex(p: QSMap, delta) -> Subcomplex:
     The two agree geometrically: a point sits over delta exactly when its
     whole support maps into delta's vertex set (no coordinate may survive
     elsewhere)."""
-    delta = tuple(canon_vertex(v) for v in delta)
-    if tuple(sorted(delta, key=vertex_key)) not in p.subdivided_target.simplices:
+    target = p.subdivided_target
+    delta = [target.canon(v) for v in delta]
+    if tuple(sorted(delta, key=vertex_key)) not in target.simplices:
         raise ValueError("not a simplex of the subdivided target")
-    allowed = set(delta)
-    w = [v for v, img in p.vertex_map.assignment if img in allowed]
-    return induced_subcomplex(p.source, w)
+    fibers = p.vertex_map.vertex_fibers
+    return induced_subcomplex(p.source, [v for d in delta for v in fibers.get(d, ())])
 
 
 def preimage_of_subdivided_subcomplex(p, sub: Subcomplex) -> Subcomplex:
@@ -172,7 +188,8 @@ def preimage_of_subdivided_subcomplex(p, sub: Subcomplex) -> Subcomplex:
     vm = underlying_vertex_map(p)
     if sub.parent != vm.target:
         raise ValueError("subcomplex does not live in the map's target")
-    kept = frozenset(s for s in vm.source.simplices if vm.image_simplex(s) in sub.simplices)
+    fibers = vm.simplex_fibers
+    kept = frozenset(s for t in sub.simplices for s in fibers.get(t, ()))
     return Subcomplex(vm.source, kept)
 
 

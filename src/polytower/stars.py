@@ -225,21 +225,22 @@ class IndexedCover:
         return dict(self.elements)
 
     def first_uncovered(self):
-        """A maximal simplex no element accounts for, or None."""
+        """The first maximal simplex (in `simplex_sort_key` order) that no
+        element accounts for, or None.  A subcomplex accounts for its own
+        simplices, an open star for every simplex meeting its core, and a
+        preimage predicate for everything (it covers whenever the original
+        cover does)."""
+        covered = set()
+        touched = set()
+        for _, e in self.elements:
+            if isinstance(e, Subcomplex):
+                covered.update(e.simplices)
+            elif isinstance(e, OpenStarSet):
+                touched.update(e.core.vertex_set())
+            else:
+                return None
         for s in sorted(self.ambient.maximal, key=simplex_sort_key):
-            hit = False
-            for _, e in self.elements:
-                if isinstance(e, Subcomplex):
-                    if s in e.simplices:
-                        hit = True
-                elif isinstance(e, OpenStarSet):
-                    if e.meets_simplex(s):
-                        hit = True
-                else:
-                    hit = True  # preimage covers whenever the original does
-                if hit:
-                    break
-            if not hit:
+            if s not in covered and touched.isdisjoint(s):
                 return s
         return None
 
@@ -387,8 +388,8 @@ def pullback_cover(p, cover: IndexedCover) -> IndexedCover:
             if isinstance(e, Subcomplex):
                 elements[i] = preimage_of_subdivided_subcomplex(vm, e)
             elif isinstance(e, OpenStarSet):
-                core_targets = e.core.vertex_set()
-                w = [v for v in vm.source.vertices if vm(v) in core_targets]
+                fibers = vm.vertex_fibers
+                w = [v for t in e.core.vertex_set() for v in fibers.get(t, ())]
                 elements[i] = OpenStarSet(vm.source, induced_subcomplex(vm.source, w))
             else:
                 raise ValueError("cannot pull back this element representation")

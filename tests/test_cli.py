@@ -91,6 +91,43 @@ class TestRoundTrips:
         assert again.scales == t.scales
         assert [b.as_dict() for b in again.bonds] == [b.as_dict() for b in t.bonds]
 
+    def test_each_distinct_name_joined_once(self, monkeypatch):
+        from polytower.complexes import join_parts
+
+        t = subdivision_tower(simplex(2), 3)
+        obj = json.loads(json.dumps(formats.tower_to_obj(t)))
+        joined = []
+
+        def counting_join(parts, name):
+            joined.append(parts)
+            return join_parts(parts, name)
+
+        monkeypatch.setattr(formats, "join_parts", counting_join)
+        again = formats.parse_tower(obj)
+        assert again.levels == t.levels
+
+        def nested(name):
+            if isinstance(name, tuple):
+                yield name
+                for part in name:
+                    yield from nested(part)
+
+        names = {n for level in t.levels for v in level.vertices for n in nested(v)}
+        names |= {n for bond in t.bonds for _, w in bond.vertex_map.assignment for n in nested(w)}
+        # generated files list every name in canonical order, so one join
+        # per distinct name
+        assert len(joined) == len(names)
+
+    def test_name_checks_kept(self):
+        for bad, error in ((["a", "a"], "duplicate"), ([], "empty"), ([["a"], ["a"]], "duplicate")):
+            with pytest.raises(formats.InputFormatError, match=error):
+                formats.parse_complex({"vertices": [], "maximal": [[bad, "b"]]})
+            with pytest.raises(formats.InputFormatError, match=error):
+                formats.parse_complex({"vertices": [], "maximal": [[["c", "d"], ["d", "c"]], [bad]]})
+        with pytest.raises(formats.InputFormatError, match="duplicate vertex"):
+            formats.parse_complex({"vertices": [], "maximal": [[["c", "d"], ["d", "c"]]]})
+        assert formats.parse_vertex(["b", ["c", "a"]]) == ("b", ("a", "c"))
+
     def test_fraction_forms(self):
         from fractions import Fraction
 

@@ -11,6 +11,7 @@ from polytower.complexes import (
     UnknownVertexError,
     barycenter_point,
     barycentric_subdivision,
+    beta_subcomplex,
     canon_vertex,
     distance,
     flatten_point,
@@ -33,8 +34,14 @@ from util import (
     kernel_complexes,
     random_complex,
     random_point,
+    random_vertex_subsets,
+    scan_beta_subcomplex,
+    scan_closed_star,
+    scan_induced,
+    scan_is_full,
     simplex_complex,
     sphere_complex,
+    subdivision_flags,
 )
 
 
@@ -110,10 +117,27 @@ class TestVertexOrder:
 
 
 def test_kernel_caches_are_bounded():
+    import importlib
+    import pkgutil
+    from functools import cached_property
+
+    import polytower
     from polytower.connectivity import _chain_data, homology_coordinates
+    from polytower.maps import VertexMap
 
     for cached in (vertex_key, barycentric_subdivision, _chain_data, homology_coordinates):
         assert cached.cache_info().maxsize is not None, cached.__name__
+    # every module-level memo of the package has a fixed bound
+    for info in pkgutil.iter_modules(polytower.__path__):
+        module = importlib.import_module("polytower." + info.name)
+        for name, value in vars(module).items():
+            if hasattr(value, "cache_info"):
+                assert value.cache_info().maxsize is not None, (info.name, name)
+    # the vertex and fiber indexes live on their object and die with it
+    k = simplex_complex(["a", "b", "c"])
+    assert k.maximal_at("a") is k.maximal_at("a")
+    for index in ("vertex_fibers", "simplex_fibers"):
+        assert isinstance(vars(VertexMap)[index], cached_property), index
 
 
 class TestMaximalSimplices:
@@ -124,7 +148,78 @@ class TestMaximalSimplices:
             assert list(rebuilt.maximal) == sorted(rebuilt.maximal, key=simplex_sort_key), label
 
 
+class TestLocalQueries:
+    """The vertex-indexed queries against whole-complex scans."""
+
+    def test_induced_subcomplex_matches_scan(self):
+        for seed, (label, k) in enumerate(kernel_complexes()):
+            for w in random_vertex_subsets(k, seed):
+                assert induced_subcomplex(k, w).simplices == scan_induced(k, w), (label, w)
+
+    def test_induced_subcomplex_names(self):
+        k = barycentric_subdivision(simplex_complex(["a", "b"]))
+        # raw lists are canonicalised, known names are taken as they are
+        assert induced_subcomplex(k, [["b", "a"]]).simplices == {(("a", "b"),)}
+        assert induced_subcomplex(k, [("a", "b")]).simplices == {(("a", "b"),)}
+        with pytest.raises(UnknownVertexError):
+            induced_subcomplex(k, [("b", "c")])
+        with pytest.raises(DuplicateVertexError):
+            induced_subcomplex(k, [["a", "a"]])
+
+    def test_closed_star_matches_scan(self):
+        for label, k in kernel_complexes():
+            for v in k.vertices:
+                assert k.closed_star(v) == scan_closed_star(k, v), (label, v)
+        with pytest.raises(UnknownVertexError):
+            simplex_complex(["a", "b"]).closed_star("z")
+
+    def test_is_full_subcomplex_matches_scan(self):
+        for seed, (label, k) in enumerate(kernel_complexes()):
+            for w in random_vertex_subsets(k, seed):
+                induced = induced_subcomplex(k, w)
+                assert is_full_subcomplex(induced) and scan_is_full(induced), (label, w)
+                # dropping a top simplex of dimension at least one leaves
+                # a face-closed subcomplex that is not full
+                tops = [s for s in induced.simplices if len(s) > 1
+                        and not any(set(s) < set(t) for t in induced.simplices)]
+                for top in tops[:2]:
+                    holed = subcomplex_from(k, [s for s in induced.simplices if s != top])
+                    assert not is_full_subcomplex(holed), (label, top)
+                    assert not scan_is_full(holed), (label, top)
+
+    def test_beta_subcomplex_matches_scan(self):
+        # the first 16 stop before the larger triangle levels, whose
+        # subdivisions would dominate the suite's time
+        for seed, (label, k) in enumerate(kernel_complexes()[:16]):
+            beta = barycentric_subdivision(k)
+            for w in random_vertex_subsets(k, seed, count=3):
+                sub = induced_subcomplex(k, w)
+                assert beta_subcomplex(sub).simplices == scan_beta_subcomplex(sub, beta), (label, w)
+
+
 class TestSubdivision:
+    def test_matches_validated_flags(self):
+        for label, k in kernel_complexes():
+            beta = barycentric_subdivision(k)
+            reference = Complex.from_maximal(subdivision_flags(k))
+            assert beta == reference, label
+            assert beta.maximal == reference.maximal, label
+
+    def test_trusts_its_canonical_flags(self, monkeypatch):
+        import polytower.complexes as complexes
+
+        calls = []
+
+        def counted(name):
+            calls.append(name)
+            return canon_vertex(name)
+
+        inputs = kernel_complexes()
+        monkeypatch.setattr(complexes, "canon_vertex", counted)
+        for label, k in inputs:
+            barycentric_subdivision.__wrapped__(k)
+        assert calls == []
+
     def test_edge(self):
         k = simplex_complex(["a", "b"])
         b = barycentric_subdivision(k)

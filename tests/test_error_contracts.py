@@ -1,5 +1,7 @@
 """The error rows of the operation contracts: wrong inputs raise the named
 exceptions instead of producing verdicts."""
+import json
+
 import pytest
 
 from polytower.complexes import (
@@ -79,3 +81,59 @@ class TestCliInputErrors:
 
         assert main(["validate", "/nonexistent/x.json"]) == 3
         assert main(["lift", "/nonexistent/t.json", "--spec", "/nonexistent/s.json", "--n", "1"]) == 3
+
+
+def _deep_name(depth: int) -> str:
+    # built as text: json.dumps itself cannot nest this deep
+    return "[" * depth + '"x"' + "]" * depth
+
+
+class TestDeeplyNestedNames:
+    """A name nested past what the parser (or the JSON reader) accepts is
+    malformed input, never a verdict."""
+
+    @pytest.mark.parametrize("depth", [900, 2000])
+    def test_validate(self, tmp_path, capsys, depth):
+        from polytower.cli import main
+
+        path = tmp_path / "deep.json"
+        path.write_text('{"vertices": [], "maximal": [[%s, "y"]]}' % _deep_name(depth))
+        assert main(["validate", str(path)]) == 3
+        assert "input error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("depth", [900, 2000])
+    def test_verify_tower(self, tmp_path, capsys, depth):
+        from polytower.cli import main
+
+        path = tmp_path / "deep-tower.json"
+        level = '{"vertices": [], "maximal": [[%s, "y"]]}' % _deep_name(depth)
+        path.write_text('{"levels": [%s], "bonds": []}' % level)
+        assert main(["verify-tower", str(path), "--n", "1"]) == 3
+        assert "input error" in capsys.readouterr().err
+
+    def test_deepest_accepted_name(self):
+        from polytower import formats
+
+        name = formats.parse_vertex(json.loads(_deep_name(formats.MAX_NAME_DEPTH)))
+        assert formats.vertex_to_obj(name) == json.loads(_deep_name(formats.MAX_NAME_DEPTH))
+        with pytest.raises(formats.InputFormatError):
+            formats.parse_vertex(json.loads(_deep_name(formats.MAX_NAME_DEPTH + 1)))
+        with pytest.raises(formats.InputFormatError):
+            formats.parse_vertex_key(_deep_name(2000))
+
+
+class TestInternalErrors:
+    def test_uncaught_exception_is_no_verdict(self, tmp_path, capsys, monkeypatch):
+        from polytower import cli, formats
+
+        path = tmp_path / "tower.json"
+        path.write_text(formats.dumps_canonical(formats.tower_to_obj(subdivision_tower(simplex(2), 2))))
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("simulated fault")
+
+        monkeypatch.setattr(cli, "verify_tower", broken)
+        code = cli.main(["verify-tower", str(path), "--n", "1"])
+        assert code == cli.EXIT_INTERNAL
+        assert code not in (0, 1, 2, 3)
+        assert "internal error: RuntimeError" in capsys.readouterr().err

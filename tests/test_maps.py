@@ -6,6 +6,7 @@ import pytest
 from polytower.complexes import (
     barycentric_subdivision,
     distance,
+    induced_subcomplex,
     make_point,
     subcomplex_from,
     validate,
@@ -28,19 +29,25 @@ from polytower.maps import (
     is_surjective,
     lipschitz_constant,
     preimage_of_base_subcomplex,
+    preimage_of_subdivided_subcomplex,
     preimage_subcomplex,
     vertex_image_point,
 )
+from polytower.stars import cover_B
 from polytower import snf
 
 from util import (
     cylinder_complex,
     cylinder_map,
+    kernel_complexes,
     random_complex,
     random_point,
     random_qsmap,
     random_surjective_vertex_map,
+    random_vertex_subsets,
     rp2_complex,
+    scan_preimage,
+    scan_preimage_of_subdivided,
     simplex_complex,
     sphere_complex,
 )
@@ -153,6 +160,40 @@ class TestPreimage:
         u_only = subcomplex_from(p.base_target, [["u"]])
         bottom = preimage_of_base_subcomplex(p, u_only)
         assert sorted(bottom.vertices) == ["b0", "b1", "b2"]
+
+
+def fiber_maps():
+    """(label, map) pairs: `random_qsmap` on the kernel complexes of at most
+    120 simplices, three seeds each."""
+    for label, base in kernel_complexes():
+        if len(base.simplices) <= 120:
+            for seed in range(3):
+                yield "%s seed %d" % (label, seed), random_qsmap(base, seed)
+
+
+class TestFiberCrossCheck:
+    """The fiber-indexed preimages against whole-source scans."""
+
+    def test_preimage_subcomplex_matches_scan(self):
+        for label, p in fiber_maps():
+            for delta in p.subdivided_target.simplices:
+                assert preimage_subcomplex(p, delta).simplices == scan_preimage(p, delta), (label, delta)
+
+    def test_preimage_subcomplex_names(self):
+        p = cylinder_map()
+        middle = preimage_subcomplex(p, [("u", "v")]).simplices
+        assert preimage_subcomplex(p, [["v", "u"]]).simplices == middle
+        with pytest.raises(ValueError):
+            preimage_subcomplex(p, [("u", "w")])
+
+    def test_preimage_of_subdivided_subcomplex_matches_scan(self):
+        for seed, (label, p) in enumerate(fiber_maps()):
+            vm = p.vertex_map
+            subs = [induced_subcomplex(vm.target, w) for w in random_vertex_subsets(vm.target, seed, count=4)]
+            subs += [e for _, e in cover_B(p.base_target).elements]
+            for sub in subs:
+                expected = scan_preimage_of_subdivided(vm, sub)
+                assert preimage_of_subdivided_subcomplex(p, sub).simplices == expected, label
 
 
 class TestApply:

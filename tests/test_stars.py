@@ -47,7 +47,10 @@ from util import (
     kernel_complexes,
     random_complex,
     random_point,
+    random_qsmap,
     random_surjective_vertex_map,
+    scan_first_uncovered,
+    scan_induced,
     simplex_complex,
     sphere_complex,
 )
@@ -178,6 +181,30 @@ class TestCovers:
         cover_B(k)
         assert len(calls) == len(barycentric_subdivision(k).simplices)
 
+    def test_first_uncovered_matches_scan(self):
+        for label, k in kernel_complexes():
+            cb = cover_B(k)
+            for cover in (cb, cover_O(k), closed_star_cover(k)):
+                assert cover.first_uncovered() is None, label
+                assert scan_first_uncovered(cover) is None, label
+                for dropped in k.vertices[:3]:
+                    elements = {i: e for i, e in cover.elements if i != dropped}
+                    partial = IndexedCover.build(cover.ambient, cover.kind, elements, check=False)
+                    missing = partial.first_uncovered()
+                    assert missing == scan_first_uncovered(partial), (label, cover.kind, dropped)
+                    if cover is cb:
+                        # the flags starting at a vertex lie in its
+                        # barycentric star alone
+                        assert missing is not None, (label, dropped)
+
+    def test_first_uncovered_of_preimage_predicates(self):
+        vm = random_surjective_vertex_map(sphere_complex(1), 5)
+        pulled = pullback_cover(vm, cover_B(sphere_complex(1)))
+        assert pulled.first_uncovered() is None
+        assert scan_first_uncovered(pulled) is None
+        empty = IndexedCover.build(vm.source, "closed", {}, check=False)
+        assert empty.first_uncovered() == scan_first_uncovered(empty) == vm.source.maximal[0]
+
     def test_unknown_index_rejected(self):
         cb = cover_B(simplex_complex(["u", "v"]))
         for index in ("w", ["u"]):
@@ -306,6 +333,18 @@ class TestPullback:
                 forward = co.element_contains_point(i, apply(p, x))
                 back = pulled.element_contains_point(i, x)
                 assert forward == back
+
+    def test_open_star_pullback_matches_scan(self):
+        for label, base in kernel_complexes():
+            if len(base.simplices) > 120:
+                continue
+            vm = random_qsmap(base, 1).vertex_map
+            stars = cover_O(vm.target)
+            pulled = pullback_cover(vm, stars)
+            for i, e in pulled.elements:
+                core_targets = stars.element(i).core.vertex_set()
+                w = [v for v in vm.source.vertices if vm(v) in core_targets]
+                assert e.core.simplices == scan_induced(vm.source, w), (label, i)
 
     def test_star_preimage_predicates(self):
         base = sphere_complex(1)

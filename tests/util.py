@@ -255,3 +255,85 @@ def kernel_complexes() -> list:
     for i, level in enumerate(subdivision_tower(simplex(2), 3).levels):
         out += [("triangle level %d" % i, level), ("beta of triangle level %d" % i, barycentric_subdivision(level))]
     return out
+
+
+# ---------------------------------------------------------------------------
+# whole-complex scans: the reference versions of the indexed local queries
+
+
+def scan_induced(complex_: Complex, vertices) -> frozenset:
+    """Every simplex of the complex with all its vertices in the set."""
+    w = set(vertices)
+    return frozenset(s for s in complex_.simplices if set(s) <= w)
+
+
+def scan_closed_star(complex_: Complex, v) -> frozenset:
+    """Every simplex whose join with the vertex is a simplex."""
+    return frozenset(
+        s for s in complex_.simplices
+        if tuple(sorted(set(s) | {v}, key=vertex_key)) in complex_.simplices
+    )
+
+
+def scan_is_full(sub) -> bool:
+    vs = sub.vertex_set()
+    return all(s in sub.simplices for s in sub.parent.simplices if set(s) <= vs)
+
+
+def scan_beta_subcomplex(sub, beta) -> frozenset:
+    """The chains of the subdivision made of simplices of the subcomplex."""
+    return frozenset(c for c in beta.simplices if all(e in sub.simplices for e in c))
+
+
+def scan_preimage(p, delta) -> frozenset:
+    """`preimage_subcomplex`: induced on the source vertices mapped into delta."""
+    allowed = set(delta)
+    return scan_induced(p.source, [v for v, img in p.vertex_map.assignment if img in allowed])
+
+
+def scan_preimage_of_subdivided(vm, sub) -> frozenset:
+    """The source simplices whose image simplex lies in the subcomplex."""
+    return frozenset(s for s in vm.source.simplices if vm.image_simplex(s) in sub.simplices)
+
+
+def scan_first_uncovered(cover):
+    """Every element tested against every maximal simplex of the ambient."""
+    from polytower.complexes import Subcomplex, simplex_sort_key
+    from polytower.stars import OpenStarSet
+
+    for s in sorted(cover.ambient.maximal, key=simplex_sort_key):
+        hit = False
+        for _, e in cover.elements:
+            if isinstance(e, Subcomplex):
+                hit = s in e.simplices
+            elif isinstance(e, OpenStarSet):
+                hit = e.meets_simplex(s)
+            else:
+                hit = True
+            if hit:
+                break
+        if not hit:
+            return s
+    return None
+
+
+def subdivision_flags(complex_: Complex) -> list:
+    """One flag of faces per vertex ordering of every maximal simplex."""
+    from itertools import permutations
+
+    flags = []
+    for top in complex_.maximal:
+        for order in permutations(top):
+            flags.append([tuple(sorted(order[: k + 1], key=vertex_key)) for k in range(len(order))])
+    return flags
+
+
+def random_vertex_subsets(complex_: Complex, seed: int, count: int = 6) -> list:
+    """The empty set, every single vertex, all vertices, and seeded random
+    subsets."""
+    rng = random.Random(seed)
+    vertices = list(complex_.vertices)
+    subsets = [[], vertices] + [[v] for v in vertices]
+    for _ in range(count):
+        subsets.append(rng.sample(vertices, rng.randint(1, len(vertices))))
+    return subsets
