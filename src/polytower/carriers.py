@@ -31,6 +31,7 @@ from .complexes import (
     vertex_point,
     whole_subcomplex,
 )
+from .connectivity import collapses_to_point, subcomplex_verdict
 from .plmaps import PartialPLMap
 from .stars import (
     IndexedCover,
@@ -294,36 +295,6 @@ def _region_for(carrier: Carrier, indices) -> Region:
 
 
 # ---------------------------------------------------------------------------
-# collapsibility (used to order two-cell filler effort)
-
-
-def greedy_free_face_collapse(sub: Subcomplex) -> bool:
-    """Greedy elementary collapses; True when a single vertex remains."""
-    simplices = set(sub.simplices)
-    changed = True
-    while changed:
-        changed = False
-        cofaces: dict = {}
-        for s in simplices:
-            for t in simplices:
-                if len(t) == len(s) + 1 and set(s) < set(t):
-                    cofaces.setdefault(s, []).append(t)
-        for s in sorted(simplices, key=simplex_sort_key):
-            over = cofaces.get(s, [])
-            if len(over) == 1:
-                bigger = over[0]
-                has_even_bigger = any(
-                    len(t) == len(bigger) + 1 and set(bigger) < set(t) for t in simplices
-                )
-                if not has_even_bigger:
-                    simplices.discard(s)
-                    simplices.discard(bigger)
-                    changed = True
-                    break
-    return len(simplices) == 1
-
-
-# ---------------------------------------------------------------------------
 # the extension engine
 
 
@@ -526,8 +497,11 @@ def _fill_two_cell(cell, boundary, images, region: Region, fresh: _FreshNames, s
         return _fan_triangles(center, boundary)
     if region.kind != "closed":
         return None
-    if not greedy_free_face_collapse(region.sub) and len(region.sub.simplices) > 60:
-        # a large non-collapsible region: do not spend the search budget
+    size = len(region.sub.simplices)
+    if size > 60 and not collapses_to_point(region.sub.simplices, size):
+        # a large region that does not collapse: do not spend the search
+        # budget (every collapse removes two simplices, so `size` steps
+        # never run out)
         return None
     return _contract_boundary_loop(boundary, images, region, fresh, scale, budgets)
 
@@ -768,7 +742,6 @@ def close_maps_homotopy(
 ) -> HomotopyResult:
     """A PL homotopy between cover-close maps whose tracks each stay inside a
     single cover element, built by carried extension over a prism."""
-    from .connectivity import subcomplex_verdict
     from .stars import are_close
 
     if f.domain != g.domain or f.target != g.target:
@@ -844,7 +817,6 @@ def _element_extensor_verdict(element, n: int, budgets: Budgets) -> Verdict:
     open stars through their full cores (onto which the straight-line
     deformation retracts them)."""
     from .complexes import is_full_subcomplex
-    from .connectivity import subcomplex_verdict
 
     if isinstance(element, Subcomplex):
         return subcomplex_verdict(element, n, budgets)

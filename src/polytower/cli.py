@@ -1,10 +1,11 @@
 """Command-line front end.
 
 Exit codes: 0 the check holds (or the command produced its output), 1 a
-check was refuted, 2 a check was inconclusive, 3 malformed input, 4 an
-internal error (a fault of the program, never a verdict).  Budgets
-come from flags, the POLYTOWER_BUDGETS environment variable
-("pi1=N,filler=N,nerve=N"), or the defaults, in that order of precedence.
+check was refuted, 2 a check was inconclusive, 3 malformed input or a
+command-line usage error, 4 an internal error (a fault of the program, never
+a verdict).  Budgets come from flags, the POLYTOWER_BUDGETS environment
+variable ("pi1=N,filler=N,nerve=N"), or the defaults, in that order of
+precedence.
 """
 from __future__ import annotations
 
@@ -343,8 +344,18 @@ def _tower_scales(args):
 # parser
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is malformed input: it exits 3, not argparse's 2, which
+    is the code of an inconclusive check.  Subcommand parsers share the
+    class, and `--help` still exits 0."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT, "%s: error: %s\n" % (self.prog, message))
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="polytower",
         description="exact checks and certificates for towers of finite polyhedra",
     )

@@ -102,7 +102,7 @@ def sorted_simplex(names) -> tuple:
 
 
 def simplex_sort_key(simplex):
-    return (len(simplex), tuple(vertex_key(v) for v in simplex))
+    return (len(simplex), tuple(map(vertex_key, simplex)))
 
 
 def faces(simplex):
@@ -300,6 +300,15 @@ class Subcomplex:
     parent: Complex
     simplices: frozenset
 
+    @staticmethod
+    def _trusted(parent: Complex, simplices: frozenset) -> "Subcomplex":
+        """A subcomplex built without the checks of `__post_init__`, for
+        simplices known to be face-closed and to lie in the parent."""
+        sub = object.__new__(Subcomplex)
+        object.__setattr__(sub, "parent", parent)
+        object.__setattr__(sub, "simplices", simplices)
+        return sub
+
     def __post_init__(self):
         for s in self.simplices:
             if s not in self.parent.simplices:
@@ -355,7 +364,8 @@ def _induced_tops(complex_: Complex, w) -> set:
 
 
 def _induced(complex_: Complex, w) -> Subcomplex:
-    return Subcomplex(complex_, frozenset(face_closure(_induced_tops(complex_, w))))
+    # faces of simplices of the complex: face-closed and inside it
+    return Subcomplex._trusted(complex_, frozenset(face_closure(_induced_tops(complex_, w))))
 
 
 def induced_subcomplex(complex_: Complex, vertex_subset: Iterable) -> Subcomplex:

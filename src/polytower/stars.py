@@ -26,6 +26,7 @@ from .complexes import (
     beta_subcomplex,
     canon_vertex,
     chain_min,
+    faces,
     induced_subcomplex,
     is_full_subcomplex,
     lift_to_subdivision,
@@ -520,6 +521,24 @@ def _barycentre_distance(a: int, b: int, c: int) -> Fraction:
     return c * abs(Fraction(1, a) - Fraction(1, b)) + Fraction(a - c, a) + Fraction(b - c, b)
 
 
+def _diameter_bounds(elements) -> tuple:
+    """(largest vertex-pair distance, largest distance to the apex) at scale 1
+    over elements given as (apex, vertex sets) pairs, the vertex sets read
+    as in `_element_vertex_sets`.  Distances depend only on the shape (a, b,
+    c) of a pair, so the distinct shapes of all elements are collected first
+    and each is evaluated once."""
+    pair_shapes = set()
+    apex_shapes = set()
+    for apex, vertex_sets in elements:
+        pair_shapes.update((len(x), len(y), len(x & y)) for x, y in combinations(vertex_sets, 2))
+        apex_shapes.update((1, len(p), int(apex in p)) for p in vertex_sets)
+
+    def largest(shapes):
+        return max([Fraction(0)] + [_barycentre_distance(*shape) for shape in shapes])
+
+    return largest(pair_shapes), largest(apex_shapes)
+
+
 def mesh(cover: IndexedCover, scale=Fraction(1)) -> MeshResult:
     """Largest vertex-pair distance over the elements; the scaled l1 metric
     is convex in each argument, so this is the exact supremum of diameters.
@@ -527,15 +546,10 @@ def mesh(cover: IndexedCover, scale=Fraction(1)) -> MeshResult:
     scale = Fraction(scale)
     if scale <= 0:
         raise ValueError("scale must be positive")
-    best = Fraction(0)
-    on_closure = False
-    for _, e in cover.elements:
-        if isinstance(e, OpenStarSet):
-            on_closure = True
-        pairs = combinations(_element_vertex_sets(cover, e), 2)
-        shapes = {(len(x), len(y), len(x & y)) for x, y in pairs}
-        best = max([best] + [_barycentre_distance(*shape) for shape in shapes])
-    return MeshResult(best * scale, on_closure)
+    star_of = dict(cover.star_of)
+    elements = [(star_of.get(i), _element_vertex_sets(cover, e)) for i, e in cover.elements]
+    on_closure = any(isinstance(e, OpenStarSet) for _, e in cover.elements)
+    return MeshResult(_diameter_bounds(elements)[0] * scale, on_closure)
 
 
 def cone_geodesic_diameter_bound(cover: IndexedCover, scale=Fraction(1)) -> Fraction | None:
@@ -546,17 +560,32 @@ def cone_geodesic_diameter_bound(cover: IndexedCover, scale=Fraction(1)) -> Frac
     scale = Fraction(scale)
     star_of = dict(cover.star_of)
     base = cover.base if cover.base is not None else cover.ambient
-    worst = Fraction(0)
     for i, e in cover.elements:
         if i not in star_of or not isinstance(e, (Subcomplex, OpenStarSet)):
             return None
-        apex = star_of[i]
-        if not base.has_vertex(apex):
-            raise UnknownVertexError(vertex_label(apex))
-        shapes = {(1, len(p), int(apex in p)) for p in _element_vertex_sets(cover, e)}
-        reach = max([Fraction(0)] + [_barycentre_distance(*shape) for shape in shapes])
-        worst = max(worst, 2 * reach)
-    return worst * scale
+        if not base.has_vertex(star_of[i]):
+            raise UnknownVertexError(vertex_label(star_of[i]))
+    elements = [(star_of[i], _element_vertex_sets(cover, e)) for i, e in cover.elements]
+    return 2 * _diameter_bounds(elements)[1] * scale
+
+
+def star_cover_bounds(kind: str, base: Complex, scale=Fraction(1)) -> tuple:
+    """`mesh(cover).value` and `cone_geodesic_diameter_bound(cover)` of the
+    vertex-star cover of the given kind ("B" or "O") of a complex, read from
+    the complex alone: the barycentric star of v has the simplices through
+    v as its vertices, and the closure of the open star of v the vertices of
+    the maximal simplices through v."""
+    scale = Fraction(scale)
+    elements = []
+    for v in base.vertices:
+        tops = base.maximal_at(v)
+        if kind == "B":
+            vertex_sets = {frozenset(f) for m in tops for f in faces(m) if v in f}
+        else:
+            vertex_sets = {frozenset([u]) for m in tops for u in m}
+        elements.append((v, vertex_sets))
+    pair, reach = _diameter_bounds(elements)
+    return pair * scale, 2 * reach * scale
 
 
 # ---------------------------------------------------------------------------

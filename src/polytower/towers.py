@@ -52,13 +52,12 @@ from .carriers import Carrier, extend_carried, is_carried, validate_carrier
 from .stars import (
     IndexedCover,
     OpenStarSet,
-    cone_geodesic_diameter_bound,
     cover_B,
     cover_O,
     element_contains_hull,
-    mesh,
     nerve,
     pullback_cover,
+    star_cover_bounds,
 )
 from .verdicts import DEFAULT_BUDGETS, Budgets, Verdict, conjoin
 
@@ -108,8 +107,10 @@ class Tower:
 
     @cached_property
     def covers(self) -> tuple:
-        """The vertex-star cover of every level, built once per tower."""
-        return tuple(_star_cover(self.cover_kind, level) for level in self.levels)
+        """The vertex-star cover of every level but the last, built once per
+        tower: the pull-backs and lifts read a cover only at a bond's target,
+        and the summability bounds come from the levels themselves."""
+        return tuple(_star_cover(self.cover_kind, level) for level in self.levels[:-1])
 
     @cached_property
     def lipschitz(self) -> tuple:
@@ -337,20 +338,17 @@ def verify_tower(tower: Tower, n: int, budgets: Budgets = DEFAULT_BUDGETS) -> To
 
 def summability_report(tower: Tower) -> dict:
     """Exact meshes, per-bond Lipschitz constants, increment-bound tables for
-    every starting level, and the geometric tail data."""
+    every starting level, and the geometric tail data.  The meshes and cone
+    bounds of the star covers are read from the levels, so no level is
+    subdivided here."""
     depth = tower.depth()
     meshes = []
     cone_meshes = []
-    for cover, scale in zip(tower.covers, tower.scales):
-        meshes.append(mesh(cover, scale).value)
-        cone_meshes.append(cone_geodesic_diameter_bound(cover, scale))
+    for level, scale in zip(tower.levels, tower.scales):
+        value, cone = star_cover_bounds(tower.cover_kind, level, scale)
+        meshes.append(value)
+        cone_meshes.append(cone)
     lipschitz = list(tower.lipschitz)
-    if any(c is None for c in cone_meshes):
-        return {
-            "status": Verdict.inconclusive("cover has no apexed elements for the tail bound"),
-            "mesh": meshes,
-            "lipschitz": lipschitz,
-        }
     tables = {}
     for k in range(depth):
         rows = []

@@ -15,11 +15,11 @@ from polytower.carriers import (
     Carrier,
     close_maps_homotopy,
     extend_carried,
-    greedy_free_face_collapse,
     is_carried,
     prism_complex,
     validate_carrier,
 )
+from polytower.connectivity import collapses_to_point
 from polytower.plmaps import PartialPLMap, constant_pl_map, equal_on
 from polytower.stars import (
     IndexedCover,
@@ -269,7 +269,7 @@ class TestExtendCarried:
 
     def test_loop_contraction_on_grid_disc(self):
         target = self._grid_disc()
-        assert greedy_free_face_collapse(whole_subcomplex(target))
+        assert collapses_to_point(target.simplices, len(target.simplices))
         seed, carrier = self._grid_seed(target)
         result = extend_carried(seed, carrier, Budgets(filler_steps=20000))
         assert result.status.is_holds
@@ -294,15 +294,15 @@ class TestCollapsibility:
     def test_cone_collapses(self):
         base = simplex_complex(["a", "b", "c"])
         star = barycentric_vertex_star(base, "a")
-        assert greedy_free_face_collapse(star)
+        assert collapses_to_point(star.simplices, len(star.simplices))
 
     def test_circle_does_not_collapse(self):
         k = sphere_complex(1)
-        assert not greedy_free_face_collapse(whole_subcomplex(k))
+        assert not collapses_to_point(k.simplices, len(k.simplices))
 
     def test_simplex_collapses(self):
         k = simplex_complex(["a", "b", "c", "d"])
-        assert greedy_free_face_collapse(whole_subcomplex(k))
+        assert collapses_to_point(k.simplices, len(k.simplices))
 
 
 class TestPrism:

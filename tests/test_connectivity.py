@@ -1,8 +1,15 @@
-import pytest
+import os
+import subprocess
+import sys
+from pathlib import Path
 
-from polytower.complexes import Complex, barycentric_subdivision, validate
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from polytower.complexes import Complex, barycentric_subdivision, validate, whole_subcomplex
 from polytower.connectivity import (
     boundary_composition_is_zero,
+    collapses_to_point,
     components,
     homology,
     is_connected,
@@ -10,6 +17,7 @@ from polytower.connectivity import (
     ae_verdict,
     pi1_presentation,
     pi1_verdict,
+    subcomplex_verdict,
     tietze_simplify,
 )
 from polytower.verdicts import Budgets, Verdict, conjoin
@@ -17,6 +25,7 @@ from polytower.verdicts import Budgets, Verdict, conjoin
 from util import (
     betti_over_field,
     cylinder_complex,
+    dunce_hat_complex,
     random_complex,
     rank_mod_p,
     rational_rank,
@@ -264,3 +273,99 @@ class TestVerdictAlgebra:
         first = Verdict.fails("first")
         second = Verdict.fails("second")
         assert conjoin([first, second]).witness == "first"
+
+
+def cone(k: Complex) -> Complex:
+    return Complex.from_maximal([list(m) + ["apex"] for m in k.maximal])
+
+
+class TestCollapse:
+    """Elementary collapses decide contractible pieces; a stuck collapse
+    proves nothing and leaves the verdict to the full path."""
+
+    @given(st.integers(0, 2**32), st.booleans())
+    @settings(max_examples=80, deadline=None)
+    def test_collapse_to_point_implies_acyclic(self, seed, coned):
+        k = random_complex(seed)
+        if coned:
+            k = cone(k)
+        if collapses_to_point(k.simplices, len(k.simplices)):
+            assert k.euler_characteristic() == 1
+            for d in range(k.dimension + 1):
+                assert homology(k, d, reduced=True).is_trivial(), d
+            assert not ae_verdict(k, 3).is_fails
+
+    def test_both_outcomes_occur(self):
+        outcomes = {collapses_to_point(k.simplices, len(k.simplices)) for k in CROSS_CHECKED}
+        assert outcomes == {True, False}
+
+    def test_each_collapse_is_one_step(self):
+        # every elementary collapse removes two simplices, so a collapse to a
+        # vertex takes exactly (|S| - 1) / 2 steps
+        for k in CROSS_CHECKED + [cone(k) for k in CROSS_CHECKED]:
+            if not collapses_to_point(k.simplices, len(k.simplices)):
+                continue
+            needed = (len(k.simplices) - 1) // 2
+            assert collapses_to_point(k.simplices, needed)
+            if needed:
+                assert not collapses_to_point(k.simplices, needed - 1)
+
+    def test_vertex_empty_set_and_solid_cone(self):
+        # a simplex, a barycentric star and the circle are in test_carriers
+        assert collapses_to_point(simplex_complex(["a"]).simplices, 1)
+        assert not collapses_to_point(frozenset(), 10_000)
+        assert collapses_to_point(cone(sphere_complex(2)).simplices, 10_000)
+
+    def test_dunce_hat_falls_back(self, monkeypatch):
+        import polytower.connectivity as connectivity
+
+        k = dunce_hat_complex()
+        assert k.euler_characteristic() == 1
+        assert not collapses_to_point(k.simplices, 10**6)
+        expected = ae_verdict(k, 2)
+        assert expected == Verdict.holds()  # Tietze rewriting empties its presentation
+        fallbacks = []
+
+        def recording(complex_, n, budgets):
+            fallbacks.append(complex_)
+            return ae_verdict(complex_, n, budgets)
+
+        monkeypatch.setattr(connectivity, "ae_verdict", recording)
+        assert subcomplex_verdict(whole_subcomplex(k), 2) == expected
+        assert fallbacks == [k]
+
+    def test_fast_path_only_from_n_2(self, monkeypatch):
+        import polytower.connectivity as connectivity
+
+        def no_collapse(simplices, budget):
+            raise AssertionError("n = 1 needs only connectedness")
+
+        monkeypatch.setattr(connectivity, "collapses_to_point", no_collapse)
+        assert subcomplex_verdict(whole_subcomplex(simplex_complex(["a", "b"])), 1).is_holds
+
+    def test_independent_of_hash_seed(self):
+        script = (
+            "from util import dunce_hat_complex, random_complex\n"
+            "from polytower.connectivity import collapses_to_point\n"
+            "from polytower.formats import dumps_canonical\n"
+            "from polytower.generators import simplex, subdivision_tower\n"
+            "from polytower.towers import verify_tower\n"
+            "from polytower.verdicts import Budgets\n"
+            "pieces = [random_complex(seed) for seed in range(40)] + [dunce_hat_complex()]\n"
+            "print([[collapses_to_point(k.simplices, b) for b in (1, 4, 10, 100)] for k in pieces])\n"
+            "tower = subdivision_tower(simplex(2), 3)\n"
+            "for budget in (3, 10_000):\n"
+            "    print(dumps_canonical(verify_tower(tower, 2, Budgets(pi1_steps=budget)).to_obj()))\n"
+        )
+        here = Path(__file__).resolve().parent
+        path = os.pathsep.join([str(here.parent / "src"), str(here)])
+
+        def run(hash_seed):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=path)
+            return subprocess.run(
+                [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+            ).stdout
+
+        first = run("0")
+        assert first == run("1")
+        assert "True" in first and "False" in first

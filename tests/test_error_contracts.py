@@ -83,6 +83,36 @@ class TestCliInputErrors:
         assert main(["lift", "/nonexistent/t.json", "--spec", "/nonexistent/s.json", "--n", "1"]) == 3
 
 
+class TestUsageErrors:
+    """A command line argparse rejects is malformed input (3), never the
+    code of an inconclusive check (2)."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["validate", "complex.json", "--n", "1"],  # unrecognized argument
+            ["frobnicate", "complex.json"],  # unknown subcommand
+            ["verify-tower", "tower.json"],  # missing required --n
+        ],
+    )
+    def test_usage_error_exits_3(self, capsys, argv):
+        from polytower.cli import EXIT_INPUT, main
+
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_INPUT == 3
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["verify-tower", "--help"]])
+    def test_help_exits_0(self, capsys, argv):
+        from polytower.cli import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert "usage:" in capsys.readouterr().out
+
+
 def _deep_name(depth: int) -> str:
     # built as text: json.dumps itself cannot nest this deep
     return "[" * depth + '"x"' + "]" * depth

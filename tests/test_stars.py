@@ -39,6 +39,7 @@ from polytower.stars import (
     open_star_of_subdivided,
     open_vertex_star,
     pullback_cover,
+    star_cover_bounds,
 )
 from polytower.verdicts import Budgets
 
@@ -462,6 +463,21 @@ class TestMeshCrossCheck:
             expected = _outcome(_reference_cone, cover, scale)
             assert _outcome(cone_geodesic_diameter_bound, cover, scale) == expected
         assert kinds == {("open", True), ("open", False), ("closed", True), ("closed", False)}
+
+
+class TestStarCoverBoundsFromK:
+    """The meshes and cone bounds read from the complex equal those of the
+    built covers and of the Point-distance references."""
+
+    def test_matches_covers_and_references(self):
+        for label, k in kernel_complexes():
+            for kind, build in (("B", cover_B), ("O", cover_O)):
+                cover = build(k)
+                for scale in (Fraction(1), Fraction(3, 8)):
+                    value, cone = star_cover_bounds(kind, k, scale)
+                    where = (label, kind, scale)
+                    assert value == mesh(cover, scale).value == _reference_mesh(cover, scale), where
+                    assert cone == cone_geodesic_diameter_bound(cover, scale) == _reference_cone(cover, scale), where
 
 
 class TestStarIntersectionIdentity:

@@ -136,8 +136,8 @@ class TestVerifyTower:
         assert cert.conditions["mesh_summability"]["contraction_quotient"] < 1
 
     def test_covers_and_lipschitz_constants_built_once(self, monkeypatch):
-        # one cover per level and one constant per bond, shared by the
-        # pull-backs, the lipschitz condition and the summability report
+        # one cover per bond target and one constant per bond, shared by
+        # the pull-backs, the lipschitz condition and the summability report
         from polytower import towers
 
         calls = {"cover_B": 0, "lipschitz_constant": 0}
@@ -151,7 +151,33 @@ class TestVerifyTower:
             monkeypatch.setattr(towers, name, counted)
         cert = verify_tower(subdivision_tower(simplex(2), 3), 1)
         assert cert.conclusion.is_holds
-        assert calls == {"cover_B": 3, "lipschitz_constant": 2}
+        assert calls == {"cover_B": 2, "lipschitz_constant": 2}
+
+    @pytest.mark.parametrize("kind", ["B", "O"])
+    def test_top_level_never_subdivided(self, monkeypatch, kind):
+        # the summability bounds are read from the levels, and covers are
+        # built only at bond targets, so the last level is never subdivided
+        import sys
+
+        from polytower import complexes
+
+        t = subdivision_tower(simplex(2), 3)
+        t = Tower.build(t.levels, t.bonds, t.scales, cover_kind=kind)
+        original = complexes.barycentric_subdivision
+        subdivided = []
+
+        def recording(k):
+            subdivided.append(k)
+            return original(k)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("polytower") and getattr(module, "barycentric_subdivision", None) is original:
+                monkeypatch.setattr(module, "barycentric_subdivision", recording)
+        cert = verify_tower(t, 2)
+        assert cert.conclusion.is_holds
+        assert all(k != t.levels[-1] for k in subdivided)
+        assert subdivided or kind == "O"  # the B covers of the bond targets pass through the spy
+        assert len(t.covers) == t.depth() - 1
 
 
 class TestSummability:

@@ -337,3 +337,29 @@ def random_vertex_subsets(complex_: Complex, seed: int, count: int = 6) -> list:
     for _ in range(count):
         subsets.append(rng.sample(vertices, rng.randint(1, len(vertices))))
     return subsets
+
+
+def dunce_hat_complex() -> Complex:
+    """A triangulated dunce hat: the triangle abc with its edges ab, bc and
+    ac glued to one edge in the directions a->b, b->c and a->c.  The second
+    subdivision of the triangle makes the quotient simplicial: a vertex of it
+    on an edge gets the label of its parameter t along that edge (every
+    corner is "v", t = 1/4, 1/2, 3/4 give "e1", "e2", "e3"), and an inner
+    vertex keeps a name of its own.  Contractible, with no free face."""
+    from polytower.complexes import barycentric_subdivision, vertex_label
+
+    twice = barycentric_subdivision(barycentric_subdivision(Complex.from_maximal([["a", "b", "c"]])))
+    labels = {}
+    for name in twice.vertices:
+        position: dict = {}
+        for face in name:  # the barycentre of a chain of faces of abc
+            for corner in face:
+                position[corner] = position.get(corner, 0) + Fraction(1, len(face) * len(name))
+        support = sorted(position)
+        if len(support) == 1:
+            labels[name] = "v"
+        elif len(support) == 2:
+            labels[name] = "e%d" % (position[support[1]] * 4)
+        else:
+            labels[name] = "i" + vertex_label(name)
+    return Complex.from_maximal([[labels[v] for v in tri] for tri in twice.maximal])
