@@ -37,6 +37,7 @@ from .stars import (
     IndexedCover,
     OpenStarSet,
     element_contains_hull,
+    open_intersection,
 )
 from .verdicts import DEFAULT_BUDGETS, Budgets, Verdict
 
@@ -173,20 +174,15 @@ class Region:
     def first_witness(self):
         if self.kind != "open":
             raise ValueError("witness simplices exist for open regions only")
-        for s in sorted(self.ambient.simplices, key=simplex_sort_key):
-            if all(set(s) & core for core in self.cores):
-                return s
-        return None
+        nodes = self.nodes()
+        return nodes[0] if nodes else None
 
     # -- the node graph used by the one-dimensional filler
 
     def nodes(self) -> list:
         if self.kind == "closed":
             return sorted(self.sub.vertex_set(), key=vertex_key)
-        return sorted(
-            (s for s in self.ambient.simplices if all(set(s) & core for core in self.cores)),
-            key=simplex_sort_key,
-        )
+        return open_intersection(self.ambient, self.cores)
 
     def adjacent(self, a, b) -> bool:
         if self.kind == "closed":

@@ -476,6 +476,13 @@ def distance(x: Point, y: Point) -> Fraction:
     return x.scale * total
 
 
+def barycentre_distance(a: int, b: int, c: int) -> Fraction:
+    """Exact l1 distance at scale 1 between the barycentres of two vertex
+    sets of sizes a and b sharing c vertices: c shared coordinates differ by
+    |1/a - 1/b|, the others contribute their whole mass."""
+    return c * abs(Fraction(1, a) - Fraction(1, b)) + Fraction(a - c, a) + Fraction(b - c, b)
+
+
 def convex_combination(points, weights) -> Point:
     """Affine combination of points of one complex; the combined support must
     span a simplex (it does whenever all points lie in one closed simplex)."""

@@ -16,8 +16,8 @@ from .complexes import (
     Complex,
     Point,
     Subcomplex,
+    barycentre_distance,
     barycentric_subdivision,
-    distance,
     flatten_point,
     induced_subcomplex,
     make_point,
@@ -246,19 +246,20 @@ def lipschitz_constant(p: QSMap, kappa, lam) -> Fraction:
     Pairs of vertices of one simplex sit at source distance 2*kappa, so the
     constant is the largest image distance over such pairs divided by
     2*kappa.  Ratios between points of different simplices are not governed
-    by this constant under the ambient metric.
+    by this constant under the ambient metric.  The images of an edge's ends
+    are the barycentres of two base simplices, so each distinct shape (their
+    sizes and overlap) is evaluated once.
     """
     kappa, lam = Fraction(kappa), Fraction(lam)
     if kappa <= 0 or lam <= 0:
         raise ValueError("scales must be positive")
-    best = Fraction(0)
-    image_points = {v: vertex_image_point(p, v, lam) for v in p.source.vertices}
-    for edge in p.source.simplices_of_dim(1):
-        u, v = edge
-        d = distance(image_points[u], image_points[v])
-        if d > best:
-            best = d
-    return best / (2 * kappa)
+    mapping = p.as_dict()
+    shapes = set()
+    for u, v in p.source.simplices_of_dim(1):
+        a, b = mapping[u], mapping[v]
+        shapes.add((len(a), len(b), len(set(a) & set(b))))
+    best = max([Fraction(0)] + [barycentre_distance(*shape) for shape in shapes])
+    return lam * best / (2 * kappa)
 
 
 # ---------------------------------------------------------------------------

@@ -22,10 +22,12 @@ from .complexes import (
     Point,
     Subcomplex,
     UnknownVertexError,
+    barycentre_distance,
     barycentric_subdivision,
     beta_subcomplex,
     canon_vertex,
     chain_min,
+    face_closure,
     faces,
     induced_subcomplex,
     is_full_subcomplex,
@@ -75,6 +77,16 @@ class OpenStarSet:
     def meets_simplex(self, simplex) -> bool:
         core_vertices = self.core.vertex_set()
         return any(v in core_vertices for v in simplex)
+
+
+def open_intersection(ambient: Complex, cores) -> list:
+    """The simplices of the ambient meeting every core (vertex sets), in
+    `simplex_sort_key` order: each is a face of a maximal simplex through a
+    vertex of the smallest core, so only those faces are tested."""
+    smallest = min(cores, key=len)
+    tops = {m for v in smallest for m in ambient.maximal_at(v)}
+    joint = [s for s in face_closure(tops) if all(not core.isdisjoint(s) for core in cores)]
+    return sorted(joint, key=simplex_sort_key)
 
 
 def open_star(ambient: Complex, core: Subcomplex) -> OpenStarSet:
@@ -164,21 +176,6 @@ class VertexStarPreimage:
         return self.star_vertex in pushed
 
 
-def star_preimages_jointly_meet(elements) -> bool:
-    """Exact rule: the preimages of vertex stars along one simplicial map
-    intersect exactly when some source simplex covers all the star
-    vertices."""
-    vms = {e.vertex_map for e in elements}
-    if len(vms) != 1:
-        raise ValueError("joint rule needs a single underlying map")
-    vm = next(iter(vms))
-    wanted = {e.star_vertex for e in elements}
-    for s in vm.source.simplices:
-        if wanted <= set(vm.image_simplex(s)):
-            return True
-    return False
-
-
 # ---------------------------------------------------------------------------
 # indexed covers
 
@@ -244,34 +241,6 @@ class IndexedCover:
             if s not in covered and touched.isdisjoint(s):
                 return s
         return None
-
-    def element_nonempty(self, index) -> bool:
-        e = self.element(index)
-        if isinstance(e, Subcomplex):
-            return bool(e.simplices)
-        if isinstance(e, OpenStarSet):
-            return any(e.meets_simplex(s) for s in e.ambient.simplices)
-        return any(
-            e.star_vertex in e.vertex_map.image_simplex(s)
-            for s in e.vertex_map.source.simplices
-        )
-
-    def intersection_nonempty(self, index_subset) -> bool:
-        elems = [self.element(i) for i in index_subset]
-        if all(isinstance(e, Subcomplex) for e in elems):
-            common = set(elems[0].simplices)
-            for e in elems[1:]:
-                common &= e.simplices
-            return bool(common)
-        if all(isinstance(e, OpenStarSet) for e in elems):
-            cores = [e.core.vertex_set() for e in elems]
-            for s in self.ambient.simplices:
-                if all(set(s) & core for core in cores):
-                    return True
-            return False
-        if all(isinstance(e, VertexStarPreimage) for e in elems):
-            return star_preimages_jointly_meet(elems)
-        raise ValueError("cover mixes element representations")
 
     def intersection_subcomplex(self, index_subset) -> Subcomplex:
         elems = [self.element(i) for i in index_subset]
@@ -427,45 +396,52 @@ class NerveResult:
     subsets_checked: int
 
 
+def _meeting_sets(cover: IndexedCover):
+    """The indices of the elements that meet at each place: a subcomplex at
+    each of its vertices, an open star at each maximal simplex through its
+    core, and a preimage predicate at each maximal source simplex whose
+    image holds its star vertex.  Elements of one kind have a common point
+    exactly when they all meet at one place (a common simplex has a common
+    vertex; a simplex meeting every core, or whose image holds every star
+    vertex, lies in a maximal one), so the nerve is the face closure of
+    these sets."""
+    if len({type(e) for _, e in cover.elements}) > 1:
+        raise ValueError("cover mixes element representations")
+    meets: dict = {}
+    by_star: dict = {}
+    for i, e in cover.elements:
+        if isinstance(e, Subcomplex):
+            places = e.vertex_set()
+        elif isinstance(e, OpenStarSet):
+            places = {m for c in e.core.vertex_set() for m in e.ambient.maximal_at(c)}
+        else:
+            by_star.setdefault(e.star_vertex, []).append(i)
+            continue
+        for place in places:
+            meets.setdefault(place, []).append(i)
+    if by_star:
+        vms = {e.vertex_map for _, e in cover.elements}
+        if len(vms) != 1:
+            raise ValueError("joint rule needs a single underlying map")
+        vm = vms.pop()
+        for m in vm.source.maximal:
+            meets[m] = [i for w in vm.image_simplex(m) for i in by_star.get(w, ())]
+    return meets.values()
+
+
 def nerve(cover: IndexedCover, budgets: Budgets = DEFAULT_BUDGETS) -> NerveResult:
     """The complex on the index set whose simplices are the subsets with a
-    common point, grown level by level so that a first empty intersection
-    prunes everything above it."""
+    common point: the face closure of the meeting sets, with every distinct
+    nerve simplex counted against the budget."""
     budget = budgets.nerve_subsets
-    checked = 0
-    alive = []
-    for i in cover.indices:
-        checked += 1
-        if checked > budget:
-            return NerveResult(None, Verdict.inconclusive("nerve budget exhausted"), checked)
-        if cover.element_nonempty(i):
-            alive.append(i)
-    simplices = [tuple([i]) for i in alive]
-    current = [frozenset([i]) for i in alive]
-    level = 1
-    while current:
-        seen = set()
-        next_level = []
-        current_set = set(current)
-        for subset in current:
-            for i in alive:
-                if i in subset:
-                    continue
-                candidate = subset | {i}
-                if candidate in seen or len(candidate) != level + 1:
-                    continue
-                seen.add(candidate)
-                if any(candidate - {j} not in current_set for j in candidate):
-                    continue
-                checked += 1
-                if checked > budget:
-                    return NerveResult(None, Verdict.inconclusive("nerve budget exhausted"), checked)
-                if cover.intersection_nonempty(sorted(candidate, key=vertex_key)):
-                    next_level.append(candidate)
-        simplices.extend(tuple(sorted(c, key=vertex_key)) for c in next_level)
-        current = next_level
-        level += 1
-    return NerveResult(Complex.from_maximal(simplices), Verdict.holds(), checked)
+    closure: set = set()
+    for ids in {tuple(sorted(ids, key=vertex_key)) for ids in _meeting_sets(cover) if ids}:
+        for face in faces(ids):
+            if face not in closure:
+                closure.add(face)
+                if len(closure) > budget:
+                    return NerveResult(None, Verdict.inconclusive("nerve budget exhausted"), len(closure))
+    return NerveResult(Complex._from_closed(closure), Verdict.holds(), len(closure))
 
 
 def covers_isomorphic(f: IndexedCover, g: IndexedCover, budgets: Budgets = DEFAULT_BUDGETS) -> Verdict:
@@ -514,13 +490,6 @@ def _element_vertex_sets(cover: IndexedCover, element) -> set:
     return {frozenset([v]) for v in vertices}
 
 
-def _barycentre_distance(a: int, b: int, c: int) -> Fraction:
-    """Exact l1 distance between the barycentres of two vertex sets of sizes
-    a and b sharing c vertices: c shared coordinates differ by |1/a - 1/b|,
-    the others contribute their whole mass."""
-    return c * abs(Fraction(1, a) - Fraction(1, b)) + Fraction(a - c, a) + Fraction(b - c, b)
-
-
 def _diameter_bounds(elements) -> tuple:
     """(largest vertex-pair distance, largest distance to the apex) at scale 1
     over elements given as (apex, vertex sets) pairs, the vertex sets read
@@ -534,7 +503,7 @@ def _diameter_bounds(elements) -> tuple:
         apex_shapes.update((1, len(p), int(apex in p)) for p in vertex_sets)
 
     def largest(shapes):
-        return max([Fraction(0)] + [_barycentre_distance(*shape) for shape in shapes])
+        return max([Fraction(0)] + [barycentre_distance(*shape) for shape in shapes])
 
     return largest(pair_shapes), largest(apex_shapes)
 
@@ -639,7 +608,9 @@ def are_close(f: PartialPLMap, g: PartialPLMap, cover: IndexedCover, allow_subdi
             return Verdict.fails(
                 witness={"vertex": pointwise}, reason="no common element at a domain point"
             )
-        witnesses = _simplexwise_witnesses(current_f, current_g, cover)
+        # witnesses on maximal simplices restrict to faces
+        maximal = current_f.defined_on.as_complex().maximal
+        witnesses = hull_witnesses([current_f, current_g], maximal, cover)
         if witnesses is not None:
             return Verdict.holds(witness=witnesses)
         if not allow_subdivision or round_ == 1:
@@ -662,16 +633,16 @@ def _pointwise_violation(f, g, cover):
     return None
 
 
-def _simplexwise_witnesses(f, g, cover):
+def hull_witnesses(maps, simplices, cover: IndexedCover):
+    """For each of the given simplices, the first cover index whose element
+    certifiably contains its image hull under every one of the maps, or None
+    when some simplex has no such element."""
     witnesses = {}
-    for s in sorted(f.defined_on.simplices, key=simplex_sort_key):
-        if any(set(s) < set(other) for other in f.defined_on.simplices):
-            continue  # witnesses on maximal simplices restrict to faces
-        fpts, gpts = f.image_points(s), g.image_points(s)
+    for s in simplices:
+        hulls = [f.image_points(s) for f in maps]
         found = None
-        for i in cover.indices:
-            e = cover.element(i)
-            if element_contains_hull(e, fpts, cover.base) is True and element_contains_hull(e, gpts, cover.base) is True:
+        for i, e in cover.elements:
+            if all(element_contains_hull(e, pts, cover.base) is True for pts in hulls):
                 found = i
                 break
         if found is None:

@@ -55,7 +55,9 @@ from .stars import (
     cover_B,
     cover_O,
     element_contains_hull,
+    hull_witnesses,
     nerve,
+    open_intersection,
     pullback_cover,
     star_cover_bounds,
 )
@@ -480,14 +482,13 @@ def open_intersection_verdict(cover: IndexedCover, subset, n: int, budgets: Budg
     elements = [cover.element(i) for i in subset]
     if not all(isinstance(e, OpenStarSet) for e in elements):
         return Verdict.inconclusive("intersection verdicts need open star elements")
-    cores = [set(e.core.vertex_set()) for e in elements]
+    cores = [e.core.vertex_set() for e in elements]
     ambient = elements[0].ambient
-    common_core = set.intersection(*cores)
-    for s in ambient.simplices:
-        joint = all(set(s) & c for c in cores)
-        through_common = bool(set(s) & common_core)
-        if joint != through_common:
-            return Verdict.inconclusive("open intersection is not a star of the common core")
+    common_core = frozenset.intersection(*cores)
+    # a simplex through the common core meets every core; the converse is
+    # what makes the intersection the open star of the common core
+    if any(common_core.isdisjoint(s) for s in open_intersection(ambient, cores)):
+        return Verdict.inconclusive("open intersection is not a star of the common core")
     if not common_core:
         return Verdict.inconclusive("open intersection has no common core")
     piece = induced_subcomplex(ambient, sorted(common_core, key=vertex_key))
@@ -570,12 +571,12 @@ def single_lift(
             )
 
     current_f, current_g0, current_defined = f, g0, defined
-    witnesses = _domain_witnesses(current_f, cover)
+    witnesses = hull_witnesses([current_f], current_f.domain.maximal, cover)
     if witnesses is None:
         current_f = current_f.subdivided()
         current_g0 = current_g0.subdivided()
         current_defined = current_g0.defined_on
-        witnesses = _domain_witnesses(current_f, cover)
+        witnesses = hull_witnesses([current_f], current_f.domain.maximal, cover)
         if witnesses is None:
             return LiftResult(
                 Verdict.inconclusive(
@@ -609,23 +610,6 @@ def single_lift(
     return LiftResult(
         Verdict.holds(), lift, closeness, witnesses, used_f=current_f, used_defined=current_defined
     )
-
-
-def _domain_witnesses(f: PartialPLMap, cover: IndexedCover):
-    """One cover element per maximal domain simplex containing its image
-    hull, or None when some simplex has no certified element."""
-    witnesses = {}
-    for s in sorted(f.domain.maximal, key=simplex_sort_key):
-        pts = f.image_points(s)
-        found = None
-        for i in cover.indices:
-            if element_contains_hull(cover.element(i), pts, cover.base) is True:
-                found = i
-                break
-        if found is None:
-            return None
-        witnesses[s] = found
-    return witnesses
 
 
 def _closeness_certificate(lift, descent, p, cover, witnesses) -> Verdict:

@@ -35,6 +35,7 @@ from polytower.stars import (
     element_contains_point,
     mesh,
     nerve,
+    open_intersection,
     open_star,
     open_star_of_subdivided,
     open_vertex_star,
@@ -50,8 +51,11 @@ from util import (
     random_point,
     random_qsmap,
     random_surjective_vertex_map,
+    random_vertex_subsets,
     scan_first_uncovered,
     scan_induced,
+    scan_nerve,
+    scan_open_intersection,
     simplex_complex,
     sphere_complex,
 )
@@ -142,7 +146,7 @@ class TestCovers:
     def test_cover_O_of_triangle_triple_intersection(self):
         k = simplex_complex(["a", "b", "c"])
         co = cover_O(k)
-        assert co.intersection_nonempty(["a", "b", "c"])
+        assert ("a", "b", "c") in nerve(co).complex.simplices
         center = barycenter_point(k, ["a", "b", "c"])
         assert all(co.element_contains_point(v, center) for v in "abc")
 
@@ -249,6 +253,68 @@ class TestNerve:
             result = nerve(cover_O(k))
             assert result.status.is_holds
             assert result.complex.simplices == k.simplices
+
+    def test_nerve_matches_scan(self):
+        for label, cover in nerve_cross_check_covers():
+            reference, checked = scan_nerve(cover, 10_000)
+            if reference is None:
+                continue
+            result = nerve(cover)
+            assert result.status.is_holds, label
+            assert result.complex.simplices == reference, label
+            assert result.subsets_checked == len(reference) <= checked, label
+
+    def test_budget_counts_nerve_simplices(self):
+        for label, cover in nerve_cross_check_covers()[::7]:
+            count = nerve(cover).subsets_checked
+            if not count:
+                continue
+            assert nerve(cover, Budgets(nerve_subsets=count)).status.is_holds, label
+            short = nerve(cover, Budgets(nerve_subsets=count - 1))
+            assert short.status.is_inconclusive and short.complex is None, label
+
+    def test_mixed_element_kinds_rejected(self):
+        k = simplex_complex(["a", "b", "c"])
+        elements = dict(cover_O(k).elements)
+        elements["a"] = subcomplex_from(k, [["a"]])
+        cover = IndexedCover.build(k, "open", elements, check=False)
+        with pytest.raises(ValueError):
+            nerve(cover)
+
+
+def nerve_cross_check_covers() -> list:
+    """(label, cover) pairs holding every element kind: the star covers of
+    the kernel complexes, preimage predicates along surjections onto them,
+    and pull-backs along the bonds of random towers and along their vertex
+    maps (subcomplexes, open stars through chain tops and through vertex
+    fibers, preimage predicates)."""
+    out = []
+    for label, k in kernel_complexes():
+        out += [(label + " B", cover_B(k)), (label + " O", cover_O(k)), (label + " closed stars", closed_star_cover(k))]
+        vm = random_surjective_vertex_map(k, 3)
+        out.append((label + " preimages", pullback_cover(vm, cover_B(k))))
+    for seed in range(6):
+        tower = random_tower(seed, 3)
+        for idx, bond in enumerate(tower.bonds):
+            level, vm = tower.levels[idx], bond.vertex_map
+            tag = "random tower %d bond %d" % (seed, idx + 1)
+            out += [
+                (tag + " B", pullback_cover(bond, cover_B(level))),
+                (tag + " O", pullback_cover(bond, cover_O(level))),
+                (tag + " O on the map", pullback_cover(vm, cover_O(vm.target))),
+                (tag + " preimages", pullback_cover(vm, cover_B(vm.target))),
+            ]
+    return out
+
+
+class TestOpenIntersection:
+    def test_matches_scan(self):
+        for label, k in kernel_complexes():
+            subsets = [frozenset(s) for s in random_vertex_subsets(k, 7)]
+            for size in (1, 2, 3):
+                for j in range(len(subsets)):
+                    cores = [subsets[(j + t) % len(subsets)] for t in range(size)]
+                    assert open_intersection(k, cores) == scan_open_intersection(k, cores), (label, cores)
 
 
 def Complex_from(maximal):

@@ -363,3 +363,70 @@ def dunce_hat_complex() -> Complex:
         else:
             labels[name] = "i" + vertex_label(name)
     return Complex.from_maximal([[labels[v] for v in tri] for tri in twice.maximal])
+
+
+def scan_nerve(cover, budget: int = 100_000):
+    """The nerve grown level by level: every index tested for a non-empty
+    element, then every subset whose facets all meet tested for a common
+    simplex, each element read as the simplices it holds or touches by a
+    scan of the whole complex.  Returns (simplices, subsets checked), or
+    (None, checked) once more than `budget` subsets have been checked."""
+    from polytower.complexes import Subcomplex
+    from polytower.stars import OpenStarSet
+
+    if len({type(e) for _, e in cover.elements}) > 1:
+        raise ValueError("cover mixes element representations")
+    if len({getattr(e, "vertex_map", None) for _, e in cover.elements}) > 1:
+        raise ValueError("joint rule needs a single underlying map")
+
+    def held(e) -> frozenset:
+        if isinstance(e, Subcomplex):
+            return e.simplices
+        if isinstance(e, OpenStarSet):
+            return frozenset(s for s in e.ambient.simplices if e.meets_simplex(s))
+        vm = e.vertex_map
+        return frozenset(s for s in vm.source.simplices if e.star_vertex in vm.image_simplex(s))
+
+    sets = {i: held(e) for i, e in cover.elements}
+    checked = 0
+    alive = []
+    for i in cover.indices:
+        checked += 1
+        if checked > budget:
+            return None, checked
+        if sets[i]:
+            alive.append(i)
+    simplices = {(i,) for i in alive}
+    current = [frozenset([i]) for i in alive]
+    while current:
+        current_set = set(current)
+        seen = set()
+        grown = []
+        for subset in current:
+            for i in alive:
+                if i in subset:
+                    continue
+                candidate = subset | {i}
+                if candidate in seen:
+                    continue
+                seen.add(candidate)
+                if any(candidate - {j} not in current_set for j in candidate):
+                    continue
+                checked += 1
+                if checked > budget:
+                    return None, checked
+                if frozenset.intersection(*(sets[j] for j in candidate)):
+                    grown.append(candidate)
+        simplices.update(tuple(sorted(c, key=vertex_key)) for c in grown)
+        current = grown
+    return frozenset(simplices), checked
+
+
+def scan_open_intersection(complex_: Complex, cores) -> list:
+    """Every simplex of the complex meeting every core, in canonical order."""
+    from polytower.complexes import simplex_sort_key
+
+    return sorted(
+        (s for s in complex_.simplices if all(set(s) & set(core) for core in cores)),
+        key=simplex_sort_key,
+    )
