@@ -1,149 +1,50 @@
-"""polytower: exact certification toolkit for towers of finite polyhedra."""
+"""polytower: exact certification toolkit for towers of finite polyhedra.
 
-from .complexes import (
-    Complex,
-    Point,
-    Subcomplex,
-    barycenter_point,
-    barycentric_subdivision,
-    distance,
-    flatten_point,
-    induced_subcomplex,
-    is_full_subcomplex,
-    lift_to_subdivision,
-    make_point,
-    subcomplex_from,
-    validate,
-    vertex_point,
-    whole_subcomplex,
-)
-from .connectivity import (
-    HomologySummary,
-    ae_verdict,
-    homology,
-    is_connected,
-    k_connected_verdict,
-    pi1_presentation,
-    pi1_verdict,
-)
-from .maps import (
-    QSMap,
-    VertexMap,
-    apply,
-    check_quasi_simplicial,
-    check_simplicial,
-    compose,
-    identity_qsmap,
-    induced_homology_map,
-    is_surjective,
-    lipschitz_constant,
-    preimage_subcomplex,
-)
-from .plmaps import PartialPLMap
-from .stars import (
-    IndexedCover,
-    OpenStarSet,
-    are_close,
-    barycentric_star,
-    barycentric_vertex_star,
-    closed_star_cover,
-    cover_B,
-    cover_O,
-    covers_isomorphic,
-    deformation_phi,
-    mesh,
-    nerve,
-    open_star,
-    open_vertex_star,
-    pullback_cover,
-)
-from .carriers import (
-    Carrier,
-    close_maps_homotopy,
-    extend_carried,
-    is_carried,
-    validate_carrier,
-)
-from .towers import (
-    RegularityReport,
-    ThreadApprox,
-    Tower,
-    TowerCertificate,
-    pullback_star_cover,
-    regularity_report,
-    restrict_tower,
-    single_lift,
-    tower_lift,
-    verify_tower,
-)
-from .verdicts import Budgets, DEFAULT_BUDGETS, Verdict
+Every public name resolves on first access (PEP 562), so importing the
+package or one of its modules loads only the modules actually used.
+"""
 
-__all__ = [
-    "Budgets",
-    "Carrier",
-    "Complex",
-    "DEFAULT_BUDGETS",
-    "HomologySummary",
-    "IndexedCover",
-    "OpenStarSet",
-    "PartialPLMap",
-    "Point",
-    "QSMap",
-    "RegularityReport",
-    "Subcomplex",
-    "ThreadApprox",
-    "Tower",
-    "TowerCertificate",
-    "Verdict",
-    "VertexMap",
-    "ae_verdict",
-    "apply",
-    "are_close",
-    "barycenter_point",
-    "barycentric_star",
-    "barycentric_subdivision",
-    "barycentric_vertex_star",
-    "check_quasi_simplicial",
-    "check_simplicial",
-    "close_maps_homotopy",
-    "closed_star_cover",
-    "compose",
-    "cover_B",
-    "cover_O",
-    "covers_isomorphic",
-    "deformation_phi",
-    "distance",
-    "extend_carried",
-    "flatten_point",
-    "homology",
-    "identity_qsmap",
-    "induced_homology_map",
-    "induced_subcomplex",
-    "is_carried",
-    "is_connected",
-    "is_full_subcomplex",
-    "is_surjective",
-    "k_connected_verdict",
-    "lift_to_subdivision",
-    "lipschitz_constant",
-    "make_point",
-    "mesh",
-    "nerve",
-    "open_star",
-    "open_vertex_star",
-    "pi1_presentation",
-    "pi1_verdict",
-    "preimage_subcomplex",
-    "pullback_cover",
-    "pullback_star_cover",
-    "regularity_report",
-    "restrict_tower",
-    "single_lift",
-    "subcomplex_from",
-    "tower_lift",
-    "validate",
-    "validate_carrier",
-    "verify_tower",
-    "vertex_point",
-    "whole_subcomplex",
-]
+_EXPORTS = {
+    "complexes": (
+        "Complex Point Subcomplex barycenter_point barycentric_subdivision distance flatten_point "
+        "induced_subcomplex is_full_subcomplex lift_to_subdivision make_point subcomplex_from "
+        "validate vertex_point whole_subcomplex"
+    ),
+    "connectivity": (
+        "HomologySummary ae_verdict homology is_connected k_connected_verdict pi1_presentation pi1_verdict"
+    ),
+    "maps": (
+        "QSMap VertexMap apply check_quasi_simplicial check_simplicial compose identity_qsmap "
+        "induced_homology_map is_surjective lipschitz_constant preimage_subcomplex"
+    ),
+    "plmaps": "PartialPLMap",
+    "stars": (
+        "IndexedCover OpenStarSet are_close barycentric_star barycentric_vertex_star closed_star_cover "
+        "cover_B cover_O covers_isomorphic deformation_phi mesh nerve open_star open_vertex_star "
+        "pullback_cover"
+    ),
+    "carriers": "Carrier close_maps_homotopy extend_carried is_carried validate_carrier",
+    "towers": (
+        "RegularityReport ThreadApprox Tower TowerCertificate pullback_star_cover regularity_report "
+        "restrict_tower single_lift tower_lift verify_tower"
+    ),
+    "verdicts": "Budgets DEFAULT_BUDGETS Verdict",
+}
+
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name):
+    if name not in _HOME:
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    from importlib import import_module
+
+    value = getattr(import_module("." + _HOME[name], __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -12,7 +12,6 @@ filler that runs out of budget reports the cell instead of guessing.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
@@ -33,6 +32,7 @@ from .complexes import (
 )
 from .connectivity import collapses_to_point, subcomplex_verdict
 from .plmaps import PartialPLMap
+from .records import Record
 from .stars import (
     IndexedCover,
     OpenStarSet,
@@ -42,8 +42,7 @@ from .stars import (
 from .verdicts import DEFAULT_BUDGETS, Budgets, Verdict
 
 
-@dataclass(frozen=True)
-class Carrier:
+class Carrier(Record, frozen=True):
     """An index-preserving assignment from a closed cover of a domain to
     subsets of a target, sending intersections into intersections."""
 
@@ -115,16 +114,19 @@ def is_carried(f: PartialPLMap, carrier: Carrier) -> Verdict:
 # regions: intersections of carrier targets
 
 
-@dataclass
-class Region:
+class Region(Record):
     """The target intersection constraining one domain cell."""
 
     kind: str  # "closed" | "open"
     pl_target: Complex
     sub: Subcomplex | None = None  # closed: intersection subcomplex (parent P)
     lifted: bool = False  # closed: True when P is the subdivision of pl_target
-    cores: list = field(default_factory=list)  # open: core vertex sets
+    cores: list = None  # open: core vertex sets (a fresh empty list when not given)
     ambient: Complex | None = None  # open: the pl_target itself
+
+    def __post_init__(self):
+        if self.cores is None:
+            self.cores = []
 
     def is_empty(self) -> bool:
         if self.kind == "closed":
@@ -294,8 +296,7 @@ def _region_for(carrier: Carrier, indices) -> Region:
 # the extension engine
 
 
-@dataclass
-class ExtensionResult:
+class ExtensionResult(Record):
     status: Verdict
     extended: PartialPLMap | None
     refined_domain: Complex | None
@@ -720,8 +721,7 @@ def prism_complex(base: Complex):
     return prism, bottom, top, per_cell
 
 
-@dataclass
-class HomotopyResult:
+class HomotopyResult(Record):
     status: Verdict
     prism: Complex | None
     map: PartialPLMap | None

@@ -13,10 +13,9 @@ import argparse
 import json
 import os
 import sys
-import traceback
 from fractions import Fraction
 
-from . import formats, generators
+from . import formats
 from .complexes import barycentric_subdivision, subcomplex_from
 from .connectivity import homology, is_connected, pi1_verdict
 from .maps import QSMap, is_surjective, lipschitz_constant
@@ -288,6 +287,8 @@ def cmd_lift(args) -> int:
 
 
 def cmd_gen(args) -> int:
+    from . import generators
+
     kind = args.kind
     if kind == "sphere":
         payload = formats.complex_to_obj(generators.sphere(args.dim if args.dim is not None else 2))
@@ -317,6 +318,8 @@ def cmd_gen(args) -> int:
 
 
 def _base_complex(args):
+    from . import generators
+
     base = args.base or "triangle"
     named = {
         "point": lambda: generators.simplex(0),
@@ -469,6 +472,8 @@ def main(argv=None) -> int:
         sys.stderr.write("input error: %s\n" % exc)
         return EXIT_INPUT
     except Exception as exc:
+        import traceback
+
         sys.stderr.write("internal error: %s: %s\n" % (type(exc).__name__, exc))
         traceback.print_exc(file=sys.stderr)
         return EXIT_INTERNAL

@@ -14,11 +14,12 @@ ever computed in floating point.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
 from typing import Iterable, Mapping
+
+from .records import Record
 
 
 class DuplicateVertexError(ValueError):
@@ -285,16 +286,11 @@ def chain_min(name_tuple) -> tuple:
     return min(name_tuple, key=len)
 
 
-def chain_max(name_tuple) -> tuple:
-    return max(name_tuple, key=len)
-
-
 # ---------------------------------------------------------------------------
 # subcomplexes
 
 
-@dataclass(frozen=True)
-class Subcomplex:
+class Subcomplex(Record, frozen=True):
     """A face-closed set of simplices of a parent complex."""
 
     parent: Complex
@@ -403,8 +399,7 @@ def beta_subcomplex(sub: Subcomplex, subdivided_parent: Complex | None = None) -
 ONE = Fraction(1)
 
 
-@dataclass(frozen=True)
-class Point:
+class Point(Record, frozen=True):
     """A point of a complex: finitely supported rational barycentric
     coordinates summing to one, with the support spanning a simplex."""
 

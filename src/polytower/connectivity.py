@@ -12,7 +12,6 @@ elementary collapses alone, before any of that is built.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from functools import lru_cache
 
 from . import snf
@@ -23,6 +22,7 @@ from .complexes import (
     vertex_key,
     vertex_label,
 )
+from .records import Record
 from .verdicts import DEFAULT_BUDGETS, Budgets, Verdict, conjoin
 
 
@@ -55,23 +55,7 @@ def boundary_columns(complex_: Complex, k: int) -> list:
     ]
 
 
-def boundary_matrix(complex_: Complex, k: int) -> list:
-    """Dense form of `boundary_columns`; rows index (k-1)-simplices."""
-    bases, _ = _chain_data(complex_)
-    rows = len(bases.get(k - 1, ()))
-    return snf.dense_rows(snf.transpose_sparse(boundary_columns(complex_, k), rows), len(bases.get(k, ())))
-
-
-def boundary_composition_is_zero(complex_: Complex) -> bool:
-    for k in range(2, complex_.dimension + 1):
-        prod = snf.matmul(boundary_matrix(complex_, k - 1), boundary_matrix(complex_, k))
-        if not snf.is_zero_matrix(prod):
-            return False
-    return True
-
-
-@dataclass(frozen=True)
-class HomologySummary:
+class HomologySummary(Record, frozen=True):
     degree: int
     betti: int
     torsion: tuple
@@ -88,8 +72,7 @@ class HomologySummary:
         }
 
 
-@dataclass
-class HomologyCoordinates:
+class HomologyCoordinates(Record):
     """H_k = Z_k / B_k from two sparse reductions, for mapping cycles into
     canonical (free, torsion) homology coordinates.
 
@@ -238,8 +221,7 @@ def is_connected(complex_: Complex) -> Verdict:
 # fundamental group via the edge-path presentation
 
 
-@dataclass
-class Presentation:
+class Presentation(Record):
     """Generators are the non-tree edges of a spanning tree of the
     1-skeleton; one relator per triangle."""
 

@@ -20,9 +20,9 @@ from .complexes import (
     sorted_simplex,
     subcomplex_from,
     vertex_label,
+    whole_subcomplex,
 )
 from .maps import QSMap, VertexMap, check_quasi_simplicial
-from .plmaps import PartialPLMap
 from .stars import IndexedCover, barycentric_vertex_stars, open_star, open_vertex_star
 from .towers import RegularityReport, Tower
 from .verdicts import Verdict
@@ -217,24 +217,6 @@ def parse_map(obj, source: Complex | None = None, target: Complex | None = None,
 # covers
 
 
-def cover_to_obj(cover: IndexedCover) -> dict:
-    elements = {}
-    star_of = dict(cover.star_of)
-    for i, e in cover.elements:
-        key = vertex_to_key(i)
-        if i in star_of:
-            elements[key] = {"star_of": vertex_to_obj(star_of[i])}
-        elif isinstance(e, Subcomplex):
-            elements[key] = subcomplex_to_obj(e)
-        else:
-            elements[key] = subcomplex_to_obj(e.core)
-    return {
-        "ambient": complex_to_obj(cover.base if cover.base is not None else cover.ambient),
-        "kind": cover.kind,
-        "elements": elements,
-    }
-
-
 def parse_cover(obj, context="cover") -> IndexedCover:
     if not isinstance(obj, dict):
         raise InputFormatError("a cover is an object", context)
@@ -378,8 +360,6 @@ def parse_plmap(obj, domain: Complex | None = None, target: Complex | None = Non
             [parse_vertex(v, context, names) for v in s] for s in obj["defined_on"]
         ])
     else:
-        from .complexes import whole_subcomplex
-
         defined = whole_subcomplex(domain)
     raw = obj.get("vertex_points")
     if not isinstance(raw, dict):
@@ -387,28 +367,12 @@ def parse_plmap(obj, domain: Complex | None = None, target: Complex | None = Non
     images = {}
     for key, value in raw.items():
         images[parse_vertex_key(key, context, names)] = parse_point(value, target, context, names)
+    from .plmaps import PartialPLMap
+
     try:
         return PartialPLMap.build(domain, defined, images, target)
     except ValueError as exc:
         raise InputFormatError(str(exc), context)
-
-
-def homotopy_to_obj(result) -> dict:
-    """Serialized homotopy certificate: the prism triangulation, its vertex
-    images, and the cover element tracking each domain point's path."""
-    out = {"status": verdict_to_obj(result.status)}
-    if result.prism is not None:
-        out["prism"] = complex_to_obj(result.prism)
-    if result.map is not None:
-        out["vertex_images"] = {
-            vertex_to_key(v): point_to_obj(p) for v, p in result.map.images
-        }
-    out["path_witnesses"] = {
-        vertex_to_key(s): vertex_to_key(w) for s, w in sorted(
-            result.path_witnesses.items(), key=lambda kv: str(kv[0])
-        )
-    }
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,6 @@ is simplicial; its vertex images are therefore chains of simplices of L.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
@@ -26,6 +25,7 @@ from .complexes import (
     vertex_label,
 )
 from .connectivity import homology_coordinates, _chain_data
+from .records import Record
 from .verdicts import Verdict
 
 
@@ -38,8 +38,7 @@ class NotSimplicialError(ValueError):
         )
 
 
-@dataclass(frozen=True)
-class VertexMap:
+class VertexMap(Record, frozen=True):
     source: Complex
     target: Complex
     assignment: tuple  # sorted tuple of (source vertex, target vertex)
@@ -106,8 +105,7 @@ def check_simplicial(f: VertexMap) -> Verdict:
     return Verdict.holds()
 
 
-@dataclass(frozen=True)
-class QSMap:
+class QSMap(Record, frozen=True):
     """A quasi-simplicial map: simplicial from `source` into the barycentric
     subdivision of `base_target`."""
 
@@ -190,7 +188,8 @@ def preimage_of_subdivided_subcomplex(p, sub: Subcomplex) -> Subcomplex:
         raise ValueError("subcomplex does not live in the map's target")
     fibers = vm.simplex_fibers
     kept = frozenset(s for t in sub.simplices for s in fibers.get(t, ()))
-    return Subcomplex(vm.source, kept)
+    # the faces of a kept simplex map into faces of its image, which sub holds
+    return Subcomplex._trusted(vm.source, kept)
 
 
 def preimage_of_base_subcomplex(p: QSMap, sub: Subcomplex) -> Subcomplex:

@@ -8,7 +8,6 @@ leaves the target polyhedron.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .complexes import (
@@ -27,10 +26,10 @@ from .complexes import (
     whole_subcomplex,
 )
 from .maps import QSMap, apply
+from .records import Record
 
 
-@dataclass(frozen=True)
-class PartialPLMap:
+class PartialPLMap(Record, frozen=True):
     domain: Complex
     defined_on: Subcomplex
     images: tuple  # sorted (vertex, Point) pairs
@@ -126,12 +125,6 @@ class PartialPLMap:
             raise ValueError("composition mismatch")
         images = {v: apply(p, point) for v, point in self.images}
         return PartialPLMap.build(self.domain, self.defined_on, images, p.base_target)
-
-
-def constant_pl_map(domain: Complex, target: Complex, point: Point) -> PartialPLMap:
-    return PartialPLMap.build(
-        domain, whole_subcomplex(domain), {v: point for v in domain.vertices}, target
-    )
 
 
 def equal_on(f: PartialPLMap, g: PartialPLMap, sub: Subcomplex) -> bool:

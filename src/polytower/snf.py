@@ -16,39 +16,15 @@ Python ints.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .records import Record
 
 
 def zeros(rows: int, cols: int) -> list:
     return [[0] * cols for _ in range(rows)]
 
 
-def matmul(a: list, b: list) -> list:
-    if not a or not b:
-        rows = len(a)
-        cols = len(b[0]) if b else 0
-        return zeros(rows, cols)
-    n, m, p = len(a), len(b), len(b[0])
-    out = zeros(n, p)
-    for i in range(n):
-        ai = a[i]
-        oi = out[i]
-        for k in range(m):
-            aik = ai[k]
-            if aik:
-                bk = b[k]
-                for j in range(p):
-                    if bk[j]:
-                        oi[j] += aik * bk[j]
-    return out
-
-
 def mat_vec(a: list, v: list) -> list:
     return [sum(ai[j] * v[j] for j in range(len(v)) if v[j]) for ai in a]
-
-
-def is_zero_matrix(a: list) -> bool:
-    return all(all(x == 0 for x in row) for row in a)
 
 
 # ---------------------------------------------------------------------------
@@ -100,8 +76,7 @@ def dense_rows(vectors: list, length: int) -> list:
 # elimination
 
 
-@dataclass
-class Reduction:
+class Reduction(Record):
     """U * A * V is zero except at the pivots (row, col, d), where it is d.
 
     Pivots are listed in the order found, with d > 0 and d1 | d2 | ...  A
@@ -248,8 +223,7 @@ def eliminate(columns: list, rows: int, right: bool = False, left: bool = False)
 # dense interface
 
 
-@dataclass
-class SmithForm:
+class SmithForm(Record):
     """S = U * A * V with U, V unimodular and S diagonal, d1 | d2 | ..."""
 
     diagonal: list

@@ -12,13 +12,13 @@ Conventions used throughout:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 
 from .complexes import (
     Complex,
+    ComplexMismatchError,
     Point,
     Subcomplex,
     UnknownVertexError,
@@ -38,7 +38,7 @@ from .complexes import (
     vertex_label,
 )
 from .maps import QSMap, VertexMap, preimage_of_base_subcomplex, preimage_of_subdivided_subcomplex, underlying_vertex_map
-from .plmaps import PartialPLMap
+from .records import Record
 from .verdicts import DEFAULT_BUDGETS, Budgets, Verdict
 
 
@@ -50,8 +50,7 @@ class IndexMismatchError(ValueError):
 # stars
 
 
-@dataclass(frozen=True)
-class OpenStarSet:
+class OpenStarSet(Record, frozen=True):
     """The open star of a core subcomplex: membership is support meeting the
     core's vertex set; the avoided subcomplex is everything induced on the
     remaining vertices."""
@@ -149,8 +148,7 @@ def barycentric_star_contains_point(base: Complex, sub: Subcomplex, point: Point
 # pulled-back vertex stars that are not subcomplexes of any fixed subdivision
 
 
-@dataclass(frozen=True)
-class VertexStarPreimage:
+class VertexStarPreimage(Record, frozen=True):
     """The inverse image of a vertex star of the target of a simplicial map.
 
     These sets are generally not subcomplexes of the source or of its first
@@ -180,8 +178,7 @@ class VertexStarPreimage:
 # indexed covers
 
 
-@dataclass(frozen=True)
-class IndexedCover:
+class IndexedCover(Record, frozen=True):
     """A family of star sets or subcomplexes of one ambient complex, indexed
     explicitly; pull-backs preserve the index set."""
 
@@ -246,10 +243,13 @@ class IndexedCover:
         elems = [self.element(i) for i in index_subset]
         if not all(isinstance(e, Subcomplex) for e in elems):
             raise ValueError("only closed covers have subcomplex intersections")
+        if any(e.parent != self.ambient for e in elems):
+            raise ComplexMismatchError("cover element does not live in the ambient complex")
         common = set(elems[0].simplices)
         for e in elems[1:]:
             common &= e.simplices
-        return Subcomplex(self.ambient, frozenset(common))
+        # an intersection of subcomplexes of the ambient is one
+        return Subcomplex._trusted(self.ambient, frozenset(common))
 
     def element_contains_point(self, index, point: Point) -> bool:
         return element_contains_point(self.element(index), point, self.base)
@@ -389,8 +389,7 @@ def pullback_cover(p, cover: IndexedCover) -> IndexedCover:
 # nerves and cover isomorphism
 
 
-@dataclass(frozen=True)
-class NerveResult:
+class NerveResult(Record, frozen=True):
     complex: Complex | None
     status: Verdict
     subsets_checked: int
@@ -465,8 +464,7 @@ def covers_isomorphic(f: IndexedCover, g: IndexedCover, budgets: Budgets = DEFAU
 # mesh
 
 
-@dataclass(frozen=True)
-class MeshResult:
+class MeshResult(Record, frozen=True):
     value: Fraction
     computed_on_closure: bool
 

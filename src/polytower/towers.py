@@ -23,7 +23,6 @@ the stagewise approximation gaps of the lifting construction.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
@@ -47,8 +46,7 @@ from .maps import (
     preimage_of_base_subcomplex,
     preimage_subcomplex,
 )
-from .plmaps import PartialPLMap, equal_on
-from .carriers import Carrier, extend_carried, is_carried, validate_carrier
+from .records import Record
 from .stars import (
     IndexedCover,
     OpenStarSet,
@@ -68,8 +66,7 @@ class MalformedTowerError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Tower:
+class Tower(Record, frozen=True):
     """Levels K_1..K_M with bonds p_i: K_{i+1} -> K_i and per-level scales."""
 
     levels: tuple
@@ -131,16 +128,14 @@ def _star_cover(kind: str, level: Complex) -> IndexedCover:
 # regularity of one bond
 
 
-@dataclass(frozen=True)
-class RegularityEntry:
+class RegularityEntry(Record, frozen=True):
     delta: tuple
     preimage_size: int
     verdict: Verdict
     nonsurjective: bool = False
 
 
-@dataclass(frozen=True)
-class RegularityReport:
+class RegularityReport(Record, frozen=True):
     n: int
     entries: tuple
     aggregate: Verdict
@@ -206,8 +201,7 @@ def regularity_report(p: QSMap, n: int, budgets: Budgets = DEFAULT_BUDGETS) -> R
 # tower certification
 
 
-@dataclass
-class TowerCertificate:
+class TowerCertificate(Record):
     n: int
     conditions: dict
     homology_evidence: dict
@@ -499,8 +493,7 @@ def open_intersection_verdict(cover: IndexedCover, subset, n: int, budgets: Budg
 # lifting along one bond
 
 
-@dataclass
-class LiftResult:
+class LiftResult(Record):
     status: Verdict
     lift: PartialPLMap | None
     closeness: Verdict | None
@@ -526,6 +519,9 @@ def single_lift(
     intersections, missing image witnesses after one subdivision) surface as
     inconclusive results naming the condition, never as fabricated lifts.
     """
+    from .carriers import Carrier, extend_carried, is_carried, validate_carrier
+    from .plmaps import PartialPLMap
+
     if f.domain != g0.domain:
         raise ValueError("the partial lift must live on the map's domain")
     if not f.is_total():
@@ -633,8 +629,7 @@ def _closeness_certificate(lift, descent, p, cover, witnesses) -> Verdict:
 # lifting through the whole tower
 
 
-@dataclass
-class ThreadApprox:
+class ThreadApprox(Record):
     """Exactly compatible points through the tower levels, per anchor
     vertex."""
 
@@ -654,12 +649,13 @@ class ThreadApprox:
         return self
 
     def level_map(self, domain: Complex, defined: Subcomplex, level_index: int) -> PartialPLMap:
+        from .plmaps import PartialPLMap
+
         images = {v: self.assignments[v][level_index] for v in defined.vertex_set()}
         return PartialPLMap.build(domain, defined, images, self.tower.levels[level_index])
 
 
-@dataclass
-class TowerLiftResult:
+class TowerLiftResult(Record):
     status: Verdict
     stages: list  # per-stage dicts: stage, lift, closeness, witnesses
     cauchy: dict
@@ -680,6 +676,8 @@ def tower_lift(
     """Stagewise lifts of a map into the first level through every bond,
     anchored exactly on the given thread values, with per-stage closeness
     certificates and the increment-bound tables."""
+    from .plmaps import equal_on
+
     g0.validate()
     seeds = [g0.level_map(f1.domain, defined, j) for j in range(tower.depth())]
     if not equal_on(f1, seeds[0], defined):
@@ -735,5 +733,7 @@ def _transport_defined(defined: Subcomplex, refined: Complex) -> Subcomplex:
 
 
 def _rebase(partial: PartialPLMap, new_domain: Complex, new_defined: Subcomplex) -> PartialPLMap:
+    from .plmaps import PartialPLMap
+
     images = {v: partial.image_of(v) for v in new_defined.vertex_set()}
     return PartialPLMap.build(new_domain, new_defined, images, partial.target)

@@ -6,16 +6,16 @@ general: ``holds``, ``fails`` (always with a finite witness), or
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any
+
+from .records import Record
 
 HOLDS = "holds"
 FAILS = "fails"
 INCONCLUSIVE = "inconclusive"
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(Record, frozen=True):
     status: str
     witness: Any = None
     reason: str | None = None
@@ -65,8 +65,7 @@ def conjoin(verdicts) -> Verdict:
     return Verdict.holds()
 
 
-@dataclass(frozen=True)
-class Budgets:
+class Budgets(Record, frozen=True):
     """Step limits for the searches that can blow up combinatorially."""
 
     pi1_steps: int = 10_000

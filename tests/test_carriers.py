@@ -20,7 +20,7 @@ from polytower.carriers import (
     validate_carrier,
 )
 from polytower.connectivity import collapses_to_point
-from polytower.plmaps import PartialPLMap, constant_pl_map, equal_on
+from polytower.plmaps import PartialPLMap, equal_on
 from polytower.stars import (
     IndexedCover,
     barycentric_vertex_star,
@@ -30,7 +30,7 @@ from polytower.stars import (
 )
 from polytower.verdicts import Budgets
 
-from util import simplex_complex, sphere_complex
+from util import constant_pl_map, simplex_complex, sphere_complex
 
 
 def closed_cover_of_maximal(domain: Complex) -> IndexedCover:

@@ -19,6 +19,8 @@ from polytower.generators import (
 )
 from polytower.stars import barycentric_vertex_star
 
+from util import cover_to_obj
+
 
 # golden-digest placeholders: switch the generated tower to open star
 # covers; stand for the path of a file holding LIFT_SPEC
@@ -147,7 +149,7 @@ class TestRoundTrips:
         }
         cover = formats.parse_cover(obj)
         assert cover.indices == ("a", "b", "c")
-        again = formats.parse_cover(json.loads(formats.dumps_canonical(formats.cover_to_obj(cover))))
+        again = formats.parse_cover(json.loads(formats.dumps_canonical(cover_to_obj(cover))))
         assert again.indices == cover.indices
         assert cover.ambient == barycentric_subdivision(k) and cover.base == k
         for v in "abc":
@@ -405,16 +407,51 @@ class TestDeterminism:
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
     def test_entry_point_runs(self, triangle_file):
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [os.path.join(os.path.dirname(__file__), "..", "src")]
-            + env.get("PYTHONPATH", "").split(os.pathsep)
-        )
-        proc = subprocess.run(
-            [sys.executable, "-m", "polytower.cli", "validate", triangle_file],
-            capture_output=True,
-            text=True,
-            env=env,
-        )
+        proc = run_fresh([sys.executable, "-m", "polytower.cli", "validate", triangle_file])
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["dimension"] == 2
+
+
+def run_fresh(argv) -> subprocess.CompletedProcess:
+    """Run argv in a new interpreter that imports the package from `src/`."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(os.path.dirname(__file__), "..", "src")]
+        + env.get("PYTHONPATH", "").split(os.pathsep)
+    )
+    return subprocess.run(argv, capture_output=True, text=True, env=env)
+
+
+# modules a command-line process must not pay for at start-up: record
+# classes need no code generation, and every command imports the lift,
+# generator and traceback code only when it runs it
+NOT_AT_START = ("dataclasses", "inspect", "traceback", "polytower.carriers", "polytower.plmaps", "polytower.generators")
+
+COLD_START_SCRIPT = """
+import json, sys
+import polytower.cli
+loaded = sorted(set(sys.argv[1:]) & set(sys.modules))
+import polytower
+missing = [name for name in polytower.__all__ if getattr(polytower, name, None) is None]
+unlisted = sorted(set(polytower.__all__) - set(dir(polytower)))
+print(json.dumps({"loaded": loaded, "missing": missing, "unlisted": unlisted, "count": len(polytower.__all__)}))
+"""
+
+
+class TestColdStart:
+    def test_cli_import_loads_only_what_commands_share(self):
+        proc = run_fresh([sys.executable, "-c", COLD_START_SCRIPT, *NOT_AT_START])
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(proc.stdout)
+        assert report["loaded"] == []
+        assert report["missing"] == [] and report["unlisted"] == []
+        assert report["count"] == 67
+
+    def test_package_names_resolve_on_first_access(self):
+        import polytower
+        from polytower.verdicts import Verdict
+
+        assert polytower.Verdict is Verdict
+        assert "Verdict" in dir(polytower) and "verify_tower" in dir(polytower)
+        with pytest.raises(AttributeError):
+            polytower.no_such_name

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from polytower.complexes import Complex, barycentric_subdivision, validate, whole_subcomplex
 from polytower.connectivity import (
-    boundary_composition_is_zero,
     collapses_to_point,
     components,
     homology,
@@ -24,6 +23,7 @@ from polytower.verdicts import Budgets, Verdict, conjoin
 
 from util import (
     betti_over_field,
+    boundary_composition_is_zero,
     cylinder_complex,
     dunce_hat_complex,
     random_complex,

@@ -4,7 +4,6 @@ from fractions import Fraction
 
 from polytower.complexes import (
     barycentric_subdivision,
-    chain_max,
     distance,
     flatten_point,
     lift_to_subdivision,
@@ -25,7 +24,7 @@ from polytower.maps import (
 from polytower.stars import barycentric_vertex_star, cover_B, mesh
 from polytower.generators import cylinder_map, simplex, sphere, subdivision_tower
 
-from util import random_complex, random_point, random_surjective_vertex_map, simplex_complex
+from util import chain_max, random_complex, random_point, random_surjective_vertex_map, simplex_complex
 
 
 class TestSurjectivitySoundness:

@@ -9,9 +9,9 @@ from polytower.complexes import (
     vertex_point,
     whole_subcomplex,
 )
-from polytower.plmaps import PartialPLMap, constant_pl_map, equal_on
+from polytower.plmaps import PartialPLMap, equal_on
 
-from util import cylinder_map, simplex_complex
+from util import constant_pl_map, cylinder_map, homotopy_to_obj, simplex_complex
 
 
 class TestBuild:
@@ -126,7 +126,7 @@ class TestHomotopySerialization:
         f = PartialPLMap.from_vertex_images(k, {v: v for v in k.vertices}, k)
         result = close_maps_homotopy(f, f, cover_O(k), n=2)
         assert result.status.is_holds
-        obj = formats.homotopy_to_obj(result)
+        obj = homotopy_to_obj(result)
         assert obj["status"] == {"status": "holds"}
         assert "prism" in obj and "vertex_images" in obj
         text = formats.dumps_canonical(obj)

@@ -4,11 +4,11 @@ from hypothesis import given, settings, strategies as st
 
 from polytower import snf
 
-from util import rational_rank
+from util import matmul, rational_rank
 
 
 def check_transforms(matrix, form):
-    product = snf.matmul(snf.matmul(form.left, matrix), form.right)
+    product = matmul(matmul(form.left, matrix), form.right)
     for i in range(form.rows):
         for j in range(form.cols):
             expected = form.diagonal[i] if i == j and i < len(form.diagonal) else 0

@@ -56,6 +56,7 @@ from util import (
     scan_induced,
     scan_nerve,
     scan_open_intersection,
+    scan_preimage_of_subdivided,
     simplex_complex,
     sphere_complex,
 )
@@ -305,6 +306,44 @@ def nerve_cross_check_covers() -> list:
                 (tag + " preimages", pullback_cover(vm, cover_B(vm.target))),
             ]
     return out
+
+
+class TestTrustedSubcomplexes:
+    """Intersections of closed cover elements and subdivided preimages are
+    built without the subcomplex checks; each must equal the checked
+    construction of the same set, computed by plain set operations and
+    whole-source scans."""
+
+    def test_intersections_and_preimages_pass_the_checks(self):
+        from itertools import combinations
+
+        from polytower.complexes import Subcomplex
+
+        for label, k in kernel_complexes():
+            if len(k.simplices) > 120:
+                continue
+            p = random_qsmap(k, 2)
+            stars = cover_B(k)
+            pulled = pullback_cover(p, stars)
+            for i, element in pulled.elements:
+                expected = scan_preimage_of_subdivided(p.vertex_map, stars.element(i))
+                assert element == Subcomplex(p.source, expected), (label, i)
+            for cover in (stars, closed_star_cover(k), pulled):
+                subsets = [(i,) for i in cover.indices] + list(combinations(cover.indices, 2))
+                subsets += [s for s in nerve(cover).complex.simplices if len(s) > 2]
+                for subset in subsets:
+                    common = frozenset.intersection(*(cover.element(i).simplices for i in subset))
+                    checked = Subcomplex(cover.ambient, common)
+                    assert cover.intersection_subcomplex(subset) == checked, (label, subset)
+
+    def test_intersection_needs_elements_of_the_ambient(self):
+        from polytower.complexes import ComplexMismatchError
+
+        k = simplex_complex(["a", "b", "c"])
+        other = cover_B(simplex_complex(["a", "b"]))
+        mixed = IndexedCover.build(k, "closed", {"a": other.element("a"), "b": whole_subcomplex(k)}, check=False)
+        with pytest.raises(ComplexMismatchError):
+            mixed.intersection_subcomplex(["a", "b"])
 
 
 class TestOpenIntersection:

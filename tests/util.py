@@ -99,8 +99,18 @@ def rank_mod_p(matrix, p: int) -> int:
     return rank
 
 
+def boundary_matrix(complex_: Complex, k: int) -> list:
+    """Dense form of `connectivity.boundary_columns`; rows index (k-1)-simplices."""
+    from polytower import snf
+    from polytower.connectivity import _chain_data, boundary_columns
+
+    bases, _ = _chain_data(complex_)
+    rows = len(bases.get(k - 1, ()))
+    return snf.dense_rows(snf.transpose_sparse(boundary_columns(complex_, k), rows), len(bases.get(k, ())))
+
+
 def betti_over_field(complex_, k, rank_fn) -> int:
-    from polytower.connectivity import boundary_matrix, _chain_data
+    from polytower.connectivity import _chain_data
 
     bases, _ = _chain_data(complex_)
     n_k = len(bases.get(k, ()))
@@ -430,3 +440,78 @@ def scan_open_intersection(complex_: Complex, cores) -> list:
         (s for s in complex_.simplices if all(set(s) & set(core) for core in cores)),
         key=simplex_sort_key,
     )
+
+
+# ---------------------------------------------------------------------------
+# helpers that only the tests call, kept out of the package
+
+
+def chain_max(name_tuple) -> tuple:
+    """The longest name of a chain of simplices: the top of the chain."""
+    return max(name_tuple, key=len)
+
+
+def matmul(a: list, b: list) -> list:
+    """Dense integer matrix product."""
+    if not a or not b:
+        return [[0] * (len(b[0]) if b else 0) for _ in a]
+    return [[sum(x * y for x, y in zip(row, col) if x) for col in zip(*b)] for row in a]
+
+
+def is_zero_matrix(a: list) -> bool:
+    return all(all(x == 0 for x in row) for row in a)
+
+
+def boundary_composition_is_zero(complex_: Complex) -> bool:
+    """d_{k-1} d_k = 0 in every degree, on the dense boundary matrices."""
+    for k in range(2, complex_.dimension + 1):
+        if not is_zero_matrix(matmul(boundary_matrix(complex_, k - 1), boundary_matrix(complex_, k))):
+            return False
+    return True
+
+
+def constant_pl_map(domain: Complex, target: Complex, point):
+    """The PL map sending every vertex of the domain to one point."""
+    from polytower.complexes import whole_subcomplex
+    from polytower.plmaps import PartialPLMap
+
+    return PartialPLMap.build(domain, whole_subcomplex(domain), {v: point for v in domain.vertices}, target)
+
+
+def cover_to_obj(cover) -> dict:
+    """A cover as the document `formats.parse_cover` reads."""
+    from polytower.complexes import Subcomplex
+    from polytower.formats import complex_to_obj, subcomplex_to_obj, vertex_to_key, vertex_to_obj
+
+    elements = {}
+    star_of = dict(cover.star_of)
+    for i, e in cover.elements:
+        key = vertex_to_key(i)
+        if i in star_of:
+            elements[key] = {"star_of": vertex_to_obj(star_of[i])}
+        elif isinstance(e, Subcomplex):
+            elements[key] = subcomplex_to_obj(e)
+        else:
+            elements[key] = subcomplex_to_obj(e.core)
+    return {
+        "ambient": complex_to_obj(cover.base if cover.base is not None else cover.ambient),
+        "kind": cover.kind,
+        "elements": elements,
+    }
+
+
+def homotopy_to_obj(result) -> dict:
+    """A homotopy certificate as a document: the prism triangulation, its
+    vertex images, and the cover element tracking each domain point's path."""
+    from polytower.formats import complex_to_obj, point_to_obj, verdict_to_obj, vertex_to_key
+
+    out = {"status": verdict_to_obj(result.status)}
+    if result.prism is not None:
+        out["prism"] = complex_to_obj(result.prism)
+    if result.map is not None:
+        out["vertex_images"] = {vertex_to_key(v): point_to_obj(p) for v, p in result.map.images}
+    out["path_witnesses"] = {
+        vertex_to_key(s): vertex_to_key(w)
+        for s, w in sorted(result.path_witnesses.items(), key=lambda kv: str(kv[0]))
+    }
+    return out
