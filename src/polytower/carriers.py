@@ -14,20 +14,20 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
+from itertools import combinations
 
 from .complexes import (
     Complex,
     Point,
     Subcomplex,
+    barycenter_point,
     barycentric_subdivision,
     convex_combination,
+    face_closure,
     faces,
     flatten_point,
-    lift_to_subdivision,
-    make_point,
     simplex_sort_key,
     vertex_key,
-    vertex_point,
     whole_subcomplex,
 )
 from .connectivity import collapses_to_point, subcomplex_verdict
@@ -36,6 +36,7 @@ from .records import Record
 from .stars import (
     IndexedCover,
     OpenStarSet,
+    align_point,
     element_contains_hull,
     open_intersection,
 )
@@ -53,6 +54,8 @@ class Carrier(Record, frozen=True):
 
     @staticmethod
     def build(source_cover: IndexedCover, targets: dict, pl_target: Complex, target_base=None) -> "Carrier":
+        if not all(isinstance(e, Subcomplex) for _, e in source_cover.elements):
+            raise ValueError("carrier source covers must be closed")
         if set(targets) != set(source_cover.indices):
             raise ValueError("carrier must assign a target to every index")
         pairs = tuple(sorted(targets.items(), key=lambda kv: vertex_key(kv[0])))
@@ -70,13 +73,7 @@ class Carrier(Record, frozen=True):
             raise ValueError("unknown carrier index %r" % (index,)) from None
 
     def indices_covering(self, simplex) -> list:
-        out = []
-        for i, element in self.source_cover.elements:
-            if not isinstance(element, Subcomplex):
-                raise ValueError("carrier source covers must be closed")
-            if simplex in element.simplices:
-                out.append(i)
-        return out
+        return [i for i, element in self.source_cover.elements if simplex in element.simplices]
 
 
 def validate_carrier(carrier: Carrier, budgets: Budgets = DEFAULT_BUDGETS) -> Verdict:
@@ -89,7 +86,7 @@ def validate_carrier(carrier: Carrier, budgets: Budgets = DEFAULT_BUDGETS) -> Ve
         return result.status
     for subset in sorted(result.complex.simplices, key=simplex_sort_key):
         region = _region_for(carrier, list(subset))
-        if region.is_empty():
+        if not region.simplices:
             return Verdict.fails(witness=list(subset), reason="target intersection empty")
     return Verdict.holds()
 
@@ -115,102 +112,66 @@ def is_carried(f: PartialPLMap, carrier: Carrier) -> Verdict:
 
 
 class Region(Record):
-    """The target intersection constraining one domain cell."""
+    """The target intersection constraining one domain cell, as a set of
+    simplices of one complex, `parent`: the map target, or its subdivision
+    when closed targets live there.  A closed intersection holds the
+    simplices of its subcomplex, an open one the simplices meeting every
+    core (`stars.open_intersection`).  Every test is one rule, `spans`: the
+    aligned supports, together, span a region simplex.  The node graph of
+    the fillers has the region's vertices as nodes (1-tuples) for closed
+    targets and every region simplex for open ones; a node stands for its
+    barycentre."""
 
-    kind: str  # "closed" | "open"
     pl_target: Complex
-    sub: Subcomplex | None = None  # closed: intersection subcomplex (parent P)
-    lifted: bool = False  # closed: True when P is the subdivision of pl_target
-    cores: list = None  # open: core vertex sets (a fresh empty list when not given)
-    ambient: Complex | None = None  # open: the pl_target itself
+    parent: Complex
+    simplices: frozenset
+    nodes: tuple  # in `simplex_sort_key` order
 
-    def __post_init__(self):
-        if self.cores is None:
-            self.cores = []
+    @cached_property
+    def node_set(self) -> frozenset:
+        return frozenset(self.nodes)
 
-    def is_empty(self) -> bool:
-        if self.kind == "closed":
-            return not self.sub.simplices
-        return self.first_witness() is None
+    def support(self, points) -> set:
+        """The union of the supports of the points, aligned with the parent."""
+        vertices = set()
+        for y in points:
+            vertices.update(align_point(y, self.parent, self.pl_target).support)
+        return vertices
 
-    # -- point conversions
+    def spans(self, vertices) -> bool:
+        return tuple(sorted(vertices, key=vertex_key)) in self.simplices
 
-    def _to_parent(self, y: Point) -> Point:
-        if self.kind != "closed" or not self.lifted:
-            return y
-        return lift_to_subdivision(y, self.sub.parent)
-
-    def _node_point(self, node, scale) -> Point:
-        if self.kind == "closed":
-            p = vertex_point(self.sub.parent, node, scale)
-            return flatten_point(p, self.pl_target) if self.lifted else p
-        share = Fraction(1, len(node))
-        return make_point(self.pl_target, {v: share for v in node}, scale)
-
-    # -- membership
-
-    def contains_point(self, y: Point) -> bool:
-        if self.kind == "closed":
-            return self._to_parent(y).support in self.sub.simplices
-        return all(set(y.support) & core for core in self.cores)
-
-    def hull_inside(self, points) -> bool:
-        """Certified containment of a hull: for closed regions the lifted
-        supports must span one simplex of the intersection; for open regions
-        corner membership is exact."""
-        if self.kind == "closed":
-            union = set()
-            for y in points:
-                union.update(self._to_parent(y).support)
-            return tuple(sorted(union, key=vertex_key)) in self.sub.simplices
-        return all(self.contains_point(y) for y in points)
-
-    # -- canonical choices
-
-    def canonical_point(self, scale) -> Point:
-        if self.kind == "closed":
-            v = min(self.sub.vertex_set(), key=vertex_key)
-            return self._node_point(v, scale)
-        return self._node_point(self.first_witness(), scale)
-
-    def first_witness(self):
-        if self.kind != "open":
-            raise ValueError("witness simplices exist for open regions only")
-        nodes = self.nodes()
-        return nodes[0] if nodes else None
-
-    # -- the node graph used by the one-dimensional filler
-
-    def nodes(self) -> list:
-        if self.kind == "closed":
-            return sorted(self.sub.vertex_set(), key=vertex_key)
-        return open_intersection(self.ambient, self.cores)
-
-    def adjacent(self, a, b) -> bool:
-        if self.kind == "closed":
-            return tuple(sorted((a, b), key=vertex_key)) in self.sub.simplices
-        merged = set(a) | set(b)
-        return tuple(sorted(merged, key=vertex_key)) in self.ambient.simplices
+    def node_point(self, node, scale) -> Point:
+        p = barycenter_point(self.parent, node, scale)
+        return p if self.parent == self.pl_target else flatten_point(p, self.pl_target)
 
     def entry_node(self, y: Point):
-        if self.kind == "closed":
-            support = self._to_parent(y).support
-            return min(support, key=vertex_key)
-        return y.support
+        """The node a point enters the node graph by: its aligned support
+        when that is a node (always, in an open region containing it), its
+        least vertex otherwise."""
+        support = align_point(y, self.parent, self.pl_target).support
+        return support if support in self.node_set else support[:1]
+
+    def apex(self, pieces):
+        """The first node whose join with every piece (a vertex set) spans a
+        region simplex, or None: the cone point of a fan over the pieces."""
+        for node in self.nodes:
+            if all(self.spans(piece.union(node)) for piece in pieces):
+                return node
+        return None
 
     def path(self, start: Point, end: Point):
         """Points of a polygonal path from start to end inside the region,
         endpoints included, or None when the node graph disconnects them."""
         a, b = self.entry_node(start), self.entry_node(end)
-        nodes = self.nodes()
         previous = {a: None}
         queue = [a]
         while queue:
             current = queue.pop(0)
             if current == b:
                 break
-            for nxt in nodes:
-                if nxt not in previous and nxt != current and self.adjacent(current, nxt):
+            for nxt in self.nodes:
+                if nxt not in previous and self.spans(set(current).union(nxt)):
                     previous[nxt] = current
                     queue.append(nxt)
         if b not in previous:
@@ -220,75 +181,27 @@ class Region(Record):
             chain.append(previous[chain[-1]])
         chain.reverse()
         scale = start.scale
-        points = [start] + [self._node_point(n, scale) for n in chain] + [end]
-        return points
-
-    # -- apex detection for the fan filler
-
-    def fan_apex(self, boundary_points: list):
-        """A vertex (closed) or witness simplex (open) whose join with every
-        boundary segment stays in the region, canonically least, or None."""
-        segments = []
-        m = len(boundary_points)
-        for j in range(m):
-            segments.append((boundary_points[j], boundary_points[(j + 1) % m]))
-        if self.kind == "closed":
-            lifted = [
-                (self._to_parent(p).support, self._to_parent(q).support) for p, q in segments
-            ]
-            for candidate in self.nodes():
-                ok = True
-                for sp, sq in lifted:
-                    joined = tuple(sorted(set(sp) | set(sq) | {candidate}, key=vertex_key))
-                    if joined not in self.sub.simplices:
-                        ok = False
-                        break
-                if ok:
-                    return candidate
-            return None
-        for candidate in self.nodes():
-            ok = True
-            for p, q in segments:
-                joined = tuple(
-                    sorted(set(p.support) | set(q.support) | set(candidate), key=vertex_key)
-                )
-                if joined not in self.ambient.simplices:
-                    ok = False
-                    break
-            if ok:
-                return candidate
-        return None
+        return [start] + [self.node_point(n, scale) for n in chain] + [end]
 
 
 def _region_for(carrier: Carrier, indices) -> Region:
     elements = [carrier.target(i) for i in indices]
+    pl_target = carrier.pl_target
     if all(isinstance(e, Subcomplex) for e in elements):
         parents = {e.parent for e in elements}
         if len(parents) != 1:
             raise ValueError("carrier targets live on different complexes")
-        parent = next(iter(parents))
-        common = set(elements[0].simplices)
-        for e in elements[1:]:
-            common &= e.simplices
-        lifted = parent != carrier.pl_target
-        if lifted and parent != barycentric_subdivision(carrier.pl_target):
+        parent = parents.pop()
+        if parent != pl_target and parent != barycentric_subdivision(pl_target):
             raise ValueError("carrier targets must live on the map target or its subdivision")
-        return Region(
-            kind="closed",
-            pl_target=carrier.pl_target,
-            sub=Subcomplex(parent, frozenset(common)),
-            lifted=lifted,
-        )
+        common = frozenset.intersection(*(e.simplices for e in elements))
+        nodes = sorted((s for s in common if len(s) == 1), key=simplex_sort_key)
+        return Region(pl_target, parent, common, tuple(nodes))
     if all(isinstance(e, OpenStarSet) for e in elements):
-        ambients = {e.ambient for e in elements}
-        if ambients != {carrier.pl_target}:
+        if {e.ambient for e in elements} != {pl_target}:
             raise ValueError("open targets must live on the map target")
-        return Region(
-            kind="open",
-            pl_target=carrier.pl_target,
-            cores=[e.core.vertex_set() for e in elements],
-            ambient=carrier.pl_target,
-        )
+        joint = open_intersection(pl_target, [e.core.vertex_set() for e in elements])
+        return Region(pl_target, pl_target, frozenset(joint), tuple(joint))
     raise ValueError("carrier mixes open and closed targets")
 
 
@@ -349,10 +262,10 @@ def extend_carried(
         if cell in defined:
             continue
         region = region_of(cell)
-        if region.is_empty():
+        if not region.simplices:
             failed.append(cell)
             continue
-        images[cell[0]] = region.canonical_point(scale)
+        images[cell[0]] = region.node_point(region.nodes[0], scale)
     if failed:
         return ExtensionResult(
             Verdict.fails(witness=failed[0], reason="empty target intersection"),
@@ -370,7 +283,7 @@ def extend_carried(
             continue
         region = region_of(cell)
         u, v = cell
-        if region.hull_inside([images[u], images[v]]):
+        if region.spans(region.support([images[u], images[v]])):
             edge_chains[cell] = [u, v]
             continue
         path_points = region.path(images[u], images[v])
@@ -410,7 +323,7 @@ def extend_carried(
             + edge_chains[(b, c)][:-1]
             + list(reversed(edge_chains[(a, c)]))[:-1]
         )
-        if len(boundary) == 3 and region.hull_inside([images[w] for w in boundary]):
+        if len(boundary) == 3 and region.spans(region.support([images[w] for w in boundary])):
             new_maximal.append(cell)
             descent[cell] = cell
             continue
@@ -419,6 +332,7 @@ def extend_carried(
             inconclusive_cells.append(cell)
             continue
         for tri in pieces:
+            tri = tuple(sorted(tri, key=vertex_key))  # the refined complex's own name for it
             new_maximal.append(tri)
             descent[tri] = cell
     if inconclusive_cells:
@@ -433,7 +347,7 @@ def extend_carried(
         )
 
     # maximal cells of lower dimension
-    covered_edges = {tuple(sorted(e, key=vertex_key)) for t in domain.simplices_of_dim(2) for e in _edges_of(t)}
+    covered_edges = {e for t in domain.simplices_of_dim(2) for e in combinations(t, 2)}
     for cell in domain.simplices_of_dim(1):
         if cell in covered_edges:
             continue
@@ -462,13 +376,6 @@ def extend_carried(
     return ExtensionResult(Verdict.holds(), total, refined, descent, [])
 
 
-def _edges_of(simplex):
-    n = len(simplex)
-    for i in range(n):
-        for j in range(i + 1, n):
-            yield (simplex[i], simplex[j])
-
-
 def _prune_path(points):
     """Drop consecutive duplicates (same coordinates)."""
     out = [points[0]]
@@ -481,25 +388,25 @@ def _prune_path(points):
 def _fill_two_cell(cell, boundary, images, region: Region, fresh: _FreshNames, scale, budgets: Budgets):
     boundary_points = [images[w] for w in boundary]
     # fan from the centroid when everything fits one simplex
-    if region.hull_inside(boundary_points):
+    if region.spans(region.support(boundary_points)):
         center = fresh.next("c")
         images[center] = convex_combination(
             boundary_points, [Fraction(1, len(boundary_points))] * len(boundary_points)
         )
         return _fan_triangles(center, boundary)
-    apex = region.fan_apex(boundary_points)
+    m = len(boundary_points)
+    apex = region.apex([region.support((boundary_points[j], boundary_points[(j + 1) % m])) for j in range(m)])
     if apex is not None:
         center = fresh.next("c")
-        images[center] = region._node_point(apex, scale)
+        images[center] = region.node_point(apex, scale)
         return _fan_triangles(center, boundary)
-    if region.kind != "closed":
-        return None
-    size = len(region.sub.simplices)
-    if size > 60 and not collapses_to_point(region.sub.simplices, size):
-        # a large region that does not collapse: do not spend the search
-        # budget (every collapse removes two simplices, so `size` steps
-        # never run out)
-        return None
+    if len(region.simplices) > 60:
+        # a large region that does not collapse (an open one is judged by its
+        # closure): do not spend the search budget (every collapse removes
+        # two simplices, so `len(closure)` steps never run out)
+        closure = face_closure(region.simplices)
+        if not collapses_to_point(closure, len(closure)):
+            return None
     return _contract_boundary_loop(boundary, images, region, fresh, scale, budgets)
 
 
@@ -514,27 +421,27 @@ def _fan_triangles(center, boundary):
 
 
 # ---------------------------------------------------------------------------
-# bounded loop contraction for two-cells in closed regions
+# bounded loop contraction for two-cells
 
 
 def _contract_boundary_loop(boundary, images, region: Region, fresh: _FreshNames, scale, budgets: Budgets):
     """Build a triangulated disc by contracting the boundary loop through the
-    region's one-skeleton: a collar routes boundary images to region
-    vertices, then a breadth-first search shrinks the vertex loop with
-    backtrack removals and triangle shortcuts until its vertex set spans a
-    region simplex, and a fan caps the final ring."""
+    region's node graph: a collar routes boundary images to their entry
+    nodes, then a breadth-first search shrinks the node loop with backtrack
+    removals and triangle shortcuts until one node cones it off, and a fan
+    caps the final ring."""
     m = len(boundary)
     node_loop = []
     for w in boundary:
         y = images[w]
-        if not region.contains_point(y):
+        if not region.spans(region.support([y])):
             return None
         node_loop.append(region.entry_node(y))
     ring0 = [fresh.next("r") for _ in range(m)]
     triangles = []
     for j in range(m):
         jn = (j + 1) % m
-        if not region.hull_inside([images[boundary[j]], images[boundary[jn]]]):
+        if not region.spans(region.support([images[boundary[j]], images[boundary[jn]]])):
             return None
         triangles.append((boundary[j], boundary[jn], ring0[jn]))
         triangles.append((boundary[j], ring0[j], ring0[jn]))
@@ -544,31 +451,32 @@ def _contract_boundary_loop(boundary, images, region: Region, fresh: _FreshNames
         return None
     rings = [ring0]
     loops = [list(node_loop)]
-    for _move, _before, after in moves:
-        rings.append([fresh.next("r") for _ in after])
+    for removed, after in moves:
+        inner = [fresh.next("r") for _ in after]
+        triangles.extend(_annulus(rings[-1], inner, removed))
+        rings.append(inner)
         loops.append(list(after))
-    for layer, move in enumerate(moves):
-        triangles.extend(_annulus(rings[layer], rings[layer + 1], move))
 
     final_ring, final_loop = rings[-1], loops[-1]
     apex = _loop_cap_apex(tuple(final_loop), region)
     if apex is None:
         return None
     cap_center = fresh.next("c")
-    images[cap_center] = region._node_point(apex, scale)
+    images[cap_center] = region.node_point(apex, scale)
     for j in range(len(final_ring)):
         a, b = final_ring[j], final_ring[(j + 1) % len(final_ring)]
         triangles.append((cap_center, a, b))
     for ring, loop in zip(rings, loops):
         for name, node in zip(ring, loop):
             if name not in images:
-                images[name] = region._node_point(node, scale)
+                images[name] = region.node_point(node, scale)
     return triangles
 
 
 def _loop_moves_to_cappable_state(start, region: Region, budget: int):
-    """Breadth-first search over cyclic vertex loops; returns the winning
-    move history (possibly empty) or None on exhaustion."""
+    """Breadth-first search over cyclic node loops; returns the winning
+    moves (possibly none) as (removed positions, next loop) pairs, or None
+    on exhaustion."""
     if _loop_cap_apex(start, region) is not None:
         return []
     seen = {_canonical_cycle(start)}
@@ -576,7 +484,7 @@ def _loop_moves_to_cappable_state(start, region: Region, budget: int):
     steps = 0
     while frontier:
         state, history = frontier.pop(0)
-        for move, nxt in _loop_successors(state, region):
+        for removed, nxt in _loop_successors(state, region):
             steps += 1
             if steps > budget:
                 return None
@@ -584,7 +492,7 @@ def _loop_moves_to_cappable_state(start, region: Region, budget: int):
             if key in seen:
                 continue
             seen.add(key)
-            new_history = history + [(move, state, nxt)]
+            new_history = history + [(removed, nxt)]
             if _loop_cap_apex(nxt, region) is not None:
                 return new_history
             frontier.append((nxt, new_history))
@@ -592,20 +500,9 @@ def _loop_moves_to_cappable_state(start, region: Region, budget: int):
 
 
 def _loop_cap_apex(loop, region: Region):
-    """The canonically least region vertex whose join with every loop edge
-    stays in the region, making a one-fan cap valid; None when there is
-    none."""
+    """The node coning off every loop edge, making a one-fan cap valid."""
     m = len(loop)
-    for candidate in region.nodes():
-        ok = True
-        for j in range(m):
-            joined = tuple(sorted({loop[j], loop[(j + 1) % m], candidate}, key=vertex_key))
-            if joined not in region.sub.simplices:
-                ok = False
-                break
-        if ok:
-            return candidate
-    return None
+    return region.apex([set(loop[j]).union(loop[(j + 1) % m]) for j in range(m)])
 
 
 def _canonical_cycle(loop):
@@ -614,8 +511,10 @@ def _canonical_cycle(loop):
 
 
 def _loop_successors(state, region: Region):
-    """Length-reducing moves keeping the loop at three or more entries and
-    the invariant that consecutive distinct entries span a region edge."""
+    """Length-reducing moves, as (removed positions, next loop) pairs, that
+    keep the loop at three or more entries and the invariant that
+    consecutive distinct entries span a region simplex: a repeated entry, a
+    backtrack a b a, and a shortcut past b when a, b, c span one."""
     m = len(state)
     out = []
     if m <= 3:
@@ -623,36 +522,24 @@ def _loop_successors(state, region: Region):
     for j in range(m):
         a, b, c = state[j], state[(j + 1) % m], state[(j + 2) % m]
         if a == b:
-            out.append(((("dup"), j), _drop(state, (j + 1) % m)))
+            out.append(_drop(state, {(j + 1) % m}))
             continue
         if a == c and m >= 5:
             # removing two entries must leave a ring of at least three
-            out.append((("backtrack", j), _drop_pair(state, (j + 1) % m, (j + 2) % m)))
-        tri = tuple(sorted({a, b, c}, key=vertex_key))
-        if len(tri) == 3 and tri in region.sub.simplices:
-            out.append((("shortcut", j), _drop(state, (j + 1) % m)))
+            out.append(_drop(state, {(j + 1) % m, (j + 2) % m}))
+        if len({a, b, c}) == 3 and region.spans(set(a).union(b, c)):
+            out.append(_drop(state, {(j + 1) % m}))
     return out
 
 
-def _drop(state, idx):
-    return tuple(x for i, x in enumerate(state) if i != idx)
+def _drop(state, removed):
+    return removed, tuple(x for i, x in enumerate(state) if i not in removed)
 
 
-def _drop_pair(state, i1, i2):
-    return tuple(x for i, x in enumerate(state) if i not in (i1, i2))
-
-
-def _annulus(outer_ring, inner_ring, move):
+def _annulus(outer_ring, inner_ring, removed):
     """Triangles between consecutive rings; removed positions fold onto the
     previous surviving position."""
-    (move_kind, j), before, _after = move
     m = len(outer_ring)
-    if move_kind in ("dup", "shortcut"):
-        removed = {(j + 1) % m}
-    elif move_kind == "backtrack":
-        removed = {(j + 1) % m, (j + 2) % m}
-    else:
-        raise AssertionError("unknown move %r" % (move_kind,))
     align = _fold_alignment(m, removed)
     triangles = []
     for idx in range(m):
@@ -684,11 +571,8 @@ def _check_extension(total: PartialPLMap, carrier: Carrier, descent: dict) -> Ve
     """Exact post-check: every refined simplex must land in the targets of
     every cover element containing its originating cell."""
     for s in sorted(total.domain.maximal, key=simplex_sort_key):
-        origin = descent.get(s)
-        if origin is None:
-            continue
         points = total.image_points(s)
-        for i in carrier.indices_covering(origin):
+        for i in carrier.indices_covering(descent[s]):
             ok = element_contains_hull(carrier.target(i), points, carrier.target_base)
             if ok is not True:
                 return Verdict.fails(
@@ -696,6 +580,25 @@ def _check_extension(total: PartialPLMap, carrier: Carrier, descent: dict) -> Ve
                     reason="refined cell leaves its carrier target",
                 )
     return Verdict.holds()
+
+
+def carried_extension(
+    seed: PartialPLMap,
+    source_cover: IndexedCover,
+    targets: dict,
+    target_base: Complex | None = None,
+    budgets: Budgets = DEFAULT_BUDGETS,
+) -> ExtensionResult:
+    """Extend a partial map over a closed source cover carried to the given
+    targets: build the carrier, validate it, check that the seed is
+    carried, then extend."""
+    carrier = Carrier.build(source_cover, targets, seed.target, target_base)
+    status = validate_carrier(carrier, budgets)
+    if status.is_holds:
+        status = is_carried(seed, carrier)
+    if not status.is_holds:
+        return ExtensionResult(status, None, None, {}, [])
+    return extend_carried(seed, carrier, budgets)
 
 
 # ---------------------------------------------------------------------------
@@ -794,16 +697,9 @@ def close_maps_homotopy(
         cover_elements[name] = Subcomplex(prism, frozenset(member_simplices))
         targets[name] = cover.element(witnesses[s])
     source_cover = IndexedCover.build(prism, "closed", cover_elements, check=False)
-    carrier = Carrier.build(source_cover, targets, used_f.target, cover.base)
-    valid = validate_carrier(carrier, budgets)
-    if not valid.is_holds:
-        return HomotopyResult(valid, None, None, {}, closeness)
-    carried = is_carried(seed, carrier)
-    if not carried.is_holds:
-        return HomotopyResult(carried, None, None, {}, closeness)
-    result = extend_carried(seed, carrier, budgets)
+    result = carried_extension(seed, source_cover, targets, cover.base, budgets)
     if not result.status.is_holds:
-        return HomotopyResult(result.status, result.refined_domain, result.extended, {}, closeness)
+        return HomotopyResult(result.status, None, None, {}, closeness)
     path_witnesses = {s: witnesses[s] for s in used_f.domain.maximal}
     return HomotopyResult(Verdict.holds(), result.refined_domain, result.extended, path_witnesses, closeness)
 

@@ -262,6 +262,10 @@ def cmd_lift(args) -> int:
     threads = {}
     for key, rows in spec.get("threads", {}).items():
         v = formats.parse_vertex_key(key, "lift.threads")
+        if len(rows) > len(tower.levels):
+            raise formats.InputFormatError(
+                "a thread lists more points than the tower has levels", "lift.threads[%s]" % key
+            )
         threads[v] = [
             formats.parse_point(row, tower.levels[i], "lift.threads[%s][%d]" % (key, i))
             for i, row in enumerate(rows)

@@ -288,10 +288,10 @@ def element_contains_point(element, point: Point, base: Complex | None = None) -
     the base complex are lifted into subdivision coordinates when the element
     lives in the subdivision."""
     if isinstance(element, OpenStarSet):
-        aligned = _align_point(point, element.ambient, base)
+        aligned = align_point(point, element.ambient, base)
         return element.contains_point(aligned)
     if isinstance(element, Subcomplex):
-        aligned = _align_point(point, element.parent, base)
+        aligned = align_point(point, element.parent, base)
         return aligned.support in element.simplices
     if isinstance(element, VertexStarPreimage):
         return element.contains_point(point)
@@ -310,7 +310,7 @@ def element_contains_hull(element, points, base: Complex | None = None):
         # contains some corner's support, so corner membership is exact
         return all(element_contains_point(element, p, base) for p in points)
     if isinstance(element, Subcomplex):
-        aligned = [_align_point(p, element.parent, base) for p in points]
+        aligned = [align_point(p, element.parent, base) for p in points]
         union = set()
         for p in aligned:
             union.update(p.support)
@@ -329,7 +329,9 @@ def element_contains_hull(element, points, base: Complex | None = None):
     raise TypeError("unknown element type %r" % (type(element),))
 
 
-def _align_point(point: Point, element_complex: Complex, base: Complex | None) -> Point:
+def align_point(point: Point, element_complex: Complex, base: Complex | None) -> Point:
+    """The point in the coordinates of the element's complex: itself, or
+    lifted into the subdivision when it lives on the base."""
     if point.complex == element_complex:
         return point
     if base is not None and point.complex == base:

@@ -519,7 +519,7 @@ def single_lift(
     intersections, missing image witnesses after one subdivision) surface as
     inconclusive results naming the condition, never as fabricated lifts.
     """
-    from .carriers import Carrier, extend_carried, is_carried, validate_carrier
+    from .carriers import carried_extension
     from .plmaps import PartialPLMap
 
     if f.domain != g0.domain:
@@ -586,17 +586,10 @@ def single_lift(
     cover_elements = {s: Subcomplex(domain, frozenset(faces(s))) for s in domain.maximal}
     targets = {s: pulled.element(witnesses[s]) for s in domain.maximal}
     source_cover = IndexedCover.build(domain, "closed", cover_elements, check=True)
-    carrier = Carrier.build(source_cover, targets, p.source)
-    valid = validate_carrier(carrier, budgets)
-    if not valid.is_holds:
-        return LiftResult(valid, None, None, witnesses)
     seed = PartialPLMap.build(
         domain, current_defined, {v: pt for v, pt in current_g0.images}, p.source
     )
-    carried = is_carried(seed, carrier)
-    if not carried.is_holds:
-        return LiftResult(carried, None, None, witnesses)
-    result = extend_carried(seed, carrier, budgets)
+    result = carried_extension(seed, source_cover, targets, budgets=budgets)
     if not result.status.is_holds:
         return LiftResult(result.status, None, None, witnesses)
     lift = result.extended

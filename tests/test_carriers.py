@@ -26,6 +26,7 @@ from polytower.stars import (
     barycentric_vertex_star,
     cover_B,
     cover_O,
+    open_star,
     open_vertex_star,
 )
 from polytower.verdicts import Budgets
@@ -81,6 +82,12 @@ class TestValidateCarrier:
         verdict = validate_carrier(carrier)
         assert verdict.is_fails
         assert sorted(verdict.witness) == ["l", "r"]
+
+    def test_open_source_cover_rejected(self):
+        k = simplex_complex(["a", "b"])
+        cov = cover_O(k)
+        with pytest.raises(ValueError, match="source covers must be closed"):
+            Carrier.build(cov, {i: cov.element(i) for i in cov.indices}, k)
 
     def test_cylinder_pullback_carrier(self):
         from polytower.stars import pullback_cover
@@ -170,6 +177,28 @@ class TestExtendCarried:
         assert result.status.is_holds
         assert len(result.refined_domain.simplices_of_dim(1)) <= 5
 
+    def test_open_region_edge_routes_through_star(self):
+        # both endpoints lie in the open star of v, but the segment between
+        # the midpoints of (a, v) and (v, b) spans no simplex: the edge must
+        # pass through the star
+        target = Complex.from_maximal([["a", "v"], ["v", "b"]])
+        domain = simplex_complex(["u", "w"])
+        cov = closed_cover_of_maximal(domain)
+        carrier = Carrier.build(cov, {("u", "w"): open_vertex_star(target, "v")}, target)
+        half = Fraction(1, 2)
+        ends = {
+            "u": make_point(target, {"a": half, "v": half}),
+            "w": make_point(target, {"v": half, "b": half}),
+        }
+        seed = PartialPLMap.build(domain, subcomplex_from(domain, [["u"], ["w"]]), ends, target)
+        assert is_carried(seed, carrier).is_holds
+        result = extend_carried(seed, carrier)
+        assert result.status.is_holds
+        assert is_carried(result.extended, carrier).is_holds
+        assert len(result.refined_domain.simplices_of_dim(1)) == 2
+        images = [p.coords for _, p in result.extended.images]
+        assert vertex_point(target, "v").coords in images
+
     def test_cone_filler_on_barycentric_star(self):
         # extend a triangle boundary loop inside a barycentric vertex star
         base = simplex_complex(["a", "b", "c"])
@@ -213,6 +242,9 @@ class TestExtendCarried:
         assert is_carried(result.extended, carrier).is_holds
         for v in ("x", "y", "z"):
             assert result.extended.image_of(v).coords == corners[v].coords
+        # every fan triangle is recorded under the refined complex's own
+        # name, so the post-check and the lift witnesses find it
+        assert set(result.descent) <= set(result.refined_domain.maximal)
 
     def test_loop_contraction_in_annulus_free_disc(self):
         # the target is a hexagonal disc; a boundary loop around the hexagon
@@ -281,6 +313,18 @@ class TestExtendCarried:
         assert is_connected(refined).is_holds
         assert homology(refined, 1).is_trivial()
         assert refined.euler_characteristic() == 1
+
+    def test_loop_contraction_in_open_region(self):
+        # the open star of every grid vertex holds every grid simplex as a
+        # node; still no node cones off the boundary, so the loop contracts
+        target = self._grid_disc()
+        seed, _ = self._grid_seed(target)
+        cov = closed_cover_of_maximal(seed.domain)
+        carrier = Carrier.build(cov, {("x", "y", "z"): open_star(target, whole_subcomplex(target))}, target)
+        result = extend_carried(seed, carrier, Budgets(filler_steps=20000))
+        assert result.status.is_holds
+        assert is_carried(result.extended, carrier).is_holds
+        assert result.refined_domain.euler_characteristic() == 1
 
     def test_budget_exhaustion_reports_cell(self):
         target = self._grid_disc()

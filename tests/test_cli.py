@@ -22,28 +22,34 @@ from polytower.stars import barycentric_vertex_star
 from util import cover_to_obj
 
 
-# golden-digest placeholders: switch the generated tower to open star
-# covers; stand for the path of a file holding LIFT_SPEC
+# golden-digest placeholder: switches the generated tower to open star covers
 OPEN_COVER = "<open-cover>"
-SPEC_FILE = "<lift-spec>"
+
+EDGE = [["x0", "x1"]]
+LOOP = [["x0", "x1"], ["x1", "x2"], ["x0", "x2"]]
+TRIANGLE = [["x0", "x1", "x2"]]
+
+
+def lift_spec(maximal, depth: int, names="abc") -> dict:
+    """Lift the map sending x_i to the vertex names[i] of the first level,
+    anchoring x0 on the thread a, (a,), ((a,),), ... of its image."""
+    used = sorted({x for s in maximal for x in s})
+    points = {x: {"coords": {names[int(x[1:])]: "1"}, "scale": "1"} for x in used}
+    thread, vertex = [], names[0]
+    for _ in range(depth):
+        key = vertex if isinstance(vertex, str) else json.dumps(vertex)
+        thread.append({"coords": {key: "1"}, "scale": "1"})
+        vertex = [vertex]
+    return {
+        "domain": {"vertices": [], "maximal": maximal},
+        "f1": {"vertex_points": points},
+        "anchor": [["x0"]],
+        "threads": {"x0": thread},
+    }
+
 
 # an edge from a to b in the first level, anchored at a through a thread
-LIFT_SPEC = {
-    "domain": {"vertices": [], "maximal": [["x0", "x1"]]},
-    "f1": {
-        "vertex_points": {
-            "x0": {"coords": {"a": "1"}, "scale": "1"},
-            "x1": {"coords": {"b": "1"}, "scale": "1"},
-        }
-    },
-    "anchor": [["x0"]],
-    "threads": {
-        "x0": [
-            {"coords": {"a": "1"}, "scale": "1"},
-            {"coords": {"[\"a\"]": "1"}, "scale": "1"},
-        ]
-    },
-}
+LIFT_SPEC = lift_spec(EDGE, 2)
 
 
 def run_cli(args, capsys):
@@ -332,6 +338,19 @@ class TestCommands:
         assert report["anchored_exactly"] is True
         assert len(report["stages"]) == 1
 
+    @pytest.mark.parametrize("names", ["abc", "qfo"])
+    def test_loop_lift_with_open_star_covers(self, tmp_path, capsys, names):
+        # open regions take the span rule too: with x0 on the last-named
+        # vertex, a straight edge between two points of one open star spans
+        # no simplex, so the edge must be routed through the star
+        base = write(tmp_path, "base.json", {"vertices": [], "maximal": [list(names)]})
+        _, generated = run_cli(["gen", "subdivision-tower", "--base", base, "--levels", "3"], capsys)
+        tower = write(tmp_path, "tower.json", dict(json.loads(generated), cover="O"))
+        spec = write(tmp_path, "spec.json", lift_spec(LOOP, 3, names))
+        code, out = run_cli(["lift", tower, "--spec", spec, "--n", "2"], capsys)
+        assert code == 0
+        assert json.loads(out)["status"]["status"] == "holds"
+
     def test_human_format_is_projection(self, triangle_file, capsys):
         code, human = run_cli(["validate", triangle_file, "--format", "human"], capsys)
         assert code == 0
@@ -386,9 +405,23 @@ class TestDeterminism:
             ),
             (
                 ["gen", "subdivision-tower", "--base", "triangle", "--levels", "2"],
-                ["lift", "--n", "2", "--spec", SPEC_FILE],
+                ["lift", "--n", "2", "--spec", LIFT_SPEC],
                 0,
                 "5cae152fead202fc0d59624a0769e9eeccac5ae949653511d1df83c446e7d8b3",
+            ),
+            (
+                # a loop: straight edges and edge paths inside closed regions
+                ["gen", "subdivision-tower", "--base", "triangle", "--levels", "3"],
+                ["lift", "--n", "2", "--spec", lift_spec(LOOP, 3)],
+                0,
+                "96491357fd24605fcf09ffa342abc62f8df7503474a7e47cf9942cf140879ef5",
+            ),
+            (
+                # a two-cell filled inside closed regions
+                ["gen", "subdivision-tower", "--base", "triangle", "--levels", "2"],
+                ["lift", "--n", "2", "--spec", lift_spec(TRIANGLE, 2)],
+                0,
+                "20cc80664fde6ee82a4b09b30aa44ae6c527cf0acc5197674b277302baa0778a",
             ),
         ],
     )
@@ -400,8 +433,7 @@ class TestDeterminism:
             generated = formats.dumps_canonical(dict(json.loads(generated), cover="O"))
         path = tmp_path / "input.json"
         path.write_text(generated, encoding="utf-8")
-        spec_path = write(tmp_path, "spec.json", LIFT_SPEC)
-        args = [spec_path if a == SPEC_FILE else a for a in command[1:]]
+        args = [write(tmp_path, "spec.json", a) if isinstance(a, dict) else a for a in command[1:]]
         code, out = run_cli([command[0], str(path)] + args, capsys)
         assert code == expected_code
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest

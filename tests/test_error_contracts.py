@@ -83,6 +83,39 @@ class TestCliInputErrors:
         assert main(["lift", "/nonexistent/t.json", "--spec", "/nonexistent/s.json", "--n", "1"]) == 3
 
 
+class TestLiftThreadErrors:
+    """A thread with a point count other than the tower's depth is
+    malformed input."""
+
+    @pytest.mark.parametrize("points", [1, 3])
+    def test_thread_length_exits_3(self, tmp_path, capsys, points):
+        from polytower import formats
+        from polytower.cli import main
+
+        tower = tmp_path / "tower.json"
+        tower.write_text(formats.dumps_canonical(formats.tower_to_obj(subdivision_tower(simplex(2), 2))))
+        # a, (a,), (a,): the third point has no level to live on
+        thread = [{"coords": {key: "1"}, "scale": "1"} for key in ("a", '["a"]', '["a"]')][:points]
+        spec = tmp_path / "spec.json"
+        spec.write_text(
+            json.dumps(
+                {
+                    "domain": {"vertices": [], "maximal": [["x0", "x1"]]},
+                    "f1": {
+                        "vertex_points": {
+                            "x0": {"coords": {"a": "1"}, "scale": "1"},
+                            "x1": {"coords": {"b": "1"}, "scale": "1"},
+                        }
+                    },
+                    "anchor": [["x0"]],
+                    "threads": {"x0": thread},
+                }
+            )
+        )
+        assert main(["lift", str(tower), "--spec", str(spec), "--n", "2"]) == 3
+        assert "input error" in capsys.readouterr().err
+
+
 class TestUsageErrors:
     """A command line argparse rejects is malformed input (3), never the
     code of an inconclusive check (2)."""

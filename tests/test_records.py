@@ -159,15 +159,6 @@ class TestConstruction:
         with pytest.raises(ValueError, match="ambient"):
             OpenStarSet(k, whole_subcomplex(other))
 
-    def test_regions_do_not_share_cores(self):
-        from polytower.carriers import Region
-
-        k = simplex_complex(["a", "b"])
-        first, second = Region("open", k), Region("open", k)
-        first.cores.append(frozenset("a"))
-        assert second.cores == [] and first.cores is not second.cores
-        assert Region("open", k, cores=[frozenset("b")]).cores == [frozenset("b")]
-
 
 class TestCachedProperties:
     def test_tower_vertex_map_and_cover(self):
