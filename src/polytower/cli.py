@@ -214,6 +214,8 @@ def cmd_verify_tower(args) -> int:
 def cmd_restrict(args) -> int:
     tower = formats.parse_tower(_load(args.input))
     raw = _load(args.complex)
+    if not 1 <= args.level <= tower.depth():
+        raise formats.InputFormatError("level out of range", "restrict.level")
     level = tower.levels[args.level - 1]
     try:
         sub = subcomplex_from(level, [

@@ -17,8 +17,9 @@ from .complexes import (
     Subcomplex,
     barycentre_distance,
     barycentric_subdivision,
+    beta_subcomplex,
+    faces,
     flatten_point,
-    induced_subcomplex,
     make_point,
     simplex_sort_key,
     vertex_key,
@@ -151,12 +152,11 @@ def underlying_vertex_map(p) -> VertexMap:
 
 def is_surjective(p) -> Verdict:
     """Combinatorial surjectivity: every maximal target simplex is the exact
-    image of some source simplex.  For simplicial maps this coincides with
-    geometric surjectivity."""
+    image of some source simplex, that is, a key of the simplex fibers.  For
+    simplicial maps this coincides with geometric surjectivity."""
     vm = underlying_vertex_map(p)
-    covered = {vm.image_simplex(s) for s in vm.source.simplices}
     for target_max in sorted(vm.target.maximal, key=simplex_sort_key):
-        if target_max not in covered:
+        if target_max not in vm.simplex_fibers:
             return Verdict.fails(witness=target_max, reason="maximal simplex not covered")
     return Verdict.holds()
 
@@ -165,19 +165,27 @@ def is_surjective(p) -> Verdict:
 # preimages
 
 
-def preimage_subcomplex(p: QSMap, delta) -> Subcomplex:
-    """Inverse image of a closed simplex of the subdivided target, as the
-    induced subcomplex on the vertices mapping into it.
+def _fiber_union(vm: VertexMap, targets) -> Subcomplex:
+    """The one preimage rule: over a face-closed set of target simplices lie
+    exactly the source simplices whose image simplex belongs to it, so the
+    preimage is the union of their fibers (face-closed, as the faces of a
+    source simplex map onto faces of its image)."""
+    fibers = vm.simplex_fibers
+    return Subcomplex._trusted(vm.source, frozenset(s for t in targets for s in fibers.get(t, ())))
 
-    The two agree geometrically: a point sits over delta exactly when its
-    whole support maps into delta's vertex set (no coordinate may survive
-    elsewhere)."""
+
+def preimage_subcomplex(p: QSMap, delta) -> Subcomplex:
+    """Inverse image of a closed simplex of the subdivided target: the
+    source simplices whose image is a face of delta.
+
+    This is the preimage as a point set too: a point sits over delta exactly
+    when its whole support maps into delta's vertex set (no coordinate may
+    survive elsewhere)."""
     target = p.subdivided_target
-    delta = [target.canon(v) for v in delta]
-    if tuple(sorted(delta, key=vertex_key)) not in target.simplices:
+    delta = tuple(sorted(map(target.canon, delta), key=vertex_key))
+    if delta not in target.simplices:
         raise ValueError("not a simplex of the subdivided target")
-    fibers = p.vertex_map.vertex_fibers
-    return induced_subcomplex(p.source, [v for d in delta for v in fibers.get(d, ())])
+    return _fiber_union(p.vertex_map, faces(delta))
 
 
 def preimage_of_subdivided_subcomplex(p, sub: Subcomplex) -> Subcomplex:
@@ -186,27 +194,16 @@ def preimage_of_subdivided_subcomplex(p, sub: Subcomplex) -> Subcomplex:
     vm = underlying_vertex_map(p)
     if sub.parent != vm.target:
         raise ValueError("subcomplex does not live in the map's target")
-    fibers = vm.simplex_fibers
-    kept = frozenset(s for t in sub.simplices for s in fibers.get(t, ()))
-    # the faces of a kept simplex map into faces of its image, which sub holds
-    return Subcomplex._trusted(vm.source, kept)
+    return _fiber_union(vm, sub.simplices)
 
 
 def preimage_of_base_subcomplex(p: QSMap, sub: Subcomplex) -> Subcomplex:
     """Inverse image of a subcomplex of the base target under a
-    quasi-simplicial map: a source simplex lies over it exactly when the top
-    of its image chain (the union of the named simplices) belongs to it."""
+    quasi-simplicial map: a source simplex lies over it exactly when its
+    whole image chain does, so this is the preimage of its subdivision."""
     if sub.parent != p.base_target:
         raise ValueError("subcomplex does not live in the base target")
-    mapping = p.as_dict()
-    kept = set()
-    for s in p.source.simplices:
-        top = set()
-        for v in s:
-            top.update(mapping[v])
-        if tuple(sorted(top, key=vertex_key)) in sub.simplices:
-            kept.add(s)
-    return Subcomplex(p.source, frozenset(kept))
+    return _fiber_union(p.vertex_map, beta_subcomplex(sub, p.subdivided_target).simplices)
 
 
 # ---------------------------------------------------------------------------
@@ -230,12 +227,6 @@ def apply(p: QSMap, x: Point, scale=None) -> Point:
     if scale is not None and Fraction(scale) != flat.scale:
         flat = make_point(p.base_target, flat.as_dict(), Fraction(scale))
     return flat
-
-
-def vertex_image_point(p: QSMap, vertex, scale=Fraction(1)) -> Point:
-    name = p(vertex)
-    share = Fraction(1, len(name))
-    return make_point(p.base_target, {v: share for v in name}, scale)
 
 
 def lipschitz_constant(p: QSMap, kappa, lam) -> Fraction:

@@ -24,7 +24,6 @@ from .complexes import (
     UnknownVertexError,
     barycentre_distance,
     barycentric_subdivision,
-    beta_subcomplex,
     canon_vertex,
     chain_min,
     face_closure,
@@ -73,10 +72,6 @@ class OpenStarSet(Record, frozen=True):
         core_vertices = self.core.vertex_set()
         return any(v in core_vertices for v in point.support)
 
-    def meets_simplex(self, simplex) -> bool:
-        core_vertices = self.core.vertex_set()
-        return any(v in core_vertices for v in simplex)
-
 
 def open_intersection(ambient: Complex, cores) -> list:
     """The simplices of the ambient meeting every core (vertex sets), in
@@ -95,13 +90,6 @@ def open_star(ambient: Complex, core: Subcomplex) -> OpenStarSet:
 def open_vertex_star(ambient: Complex, vertex) -> OpenStarSet:
     v = canon_vertex(vertex)
     return OpenStarSet(ambient, induced_subcomplex(ambient, [v]))
-
-
-def open_star_of_subdivided(base: Complex, sub: Subcomplex) -> OpenStarSet:
-    """The open star, inside the subdivision of the base, of a subcomplex of
-    the base (taken with its subdivided triangulation)."""
-    beta = barycentric_subdivision(base)
-    return OpenStarSet(beta, beta_subcomplex(sub, beta))
 
 
 def barycentric_star(base: Complex, sub: Subcomplex) -> Subcomplex:
@@ -132,16 +120,6 @@ def barycentric_vertex_stars(base: Complex) -> dict:
         for v in chain_min(c):
             chains[v].append(c)
     return {v: Subcomplex(beta, frozenset(kept)) for v, kept in chains.items()}
-
-
-def barycentric_star_contains_point(base: Complex, sub: Subcomplex, point: Point) -> bool:
-    """Point-level membership in the barycentric star: some vertex of the
-    subcomplex carries the maximal barycentric coordinate."""
-    if point.complex != base:
-        raise ValueError("point lives on a different complex")
-    top = max(c for _, c in point.coords)
-    argmax = {v for v, c in point.coords if c == top}
-    return bool(argmax & sub.vertex_set())
 
 
 # ---------------------------------------------------------------------------
@@ -348,43 +326,40 @@ def pullback_cover(p, cover: IndexedCover) -> IndexedCover:
 
     Three exact regimes: covers living on the map's own target complex pull
     back to subcomplexes or open stars of the source; covers on the base
-    target of a quasi-simplicial map pull back through the chain tops; vertex
-    star covers of the subdivided target pulled along a plain simplicial map
-    become preimage sets with exact membership and intersection rules.
+    target of a quasi-simplicial map pull back through the image chains;
+    vertex star covers of the subdivided target pulled along a plain
+    simplicial map become preimage sets with exact membership and
+    intersection rules.  In the first two, an open star pulls back to the
+    open star of the vertex fibers over the target vertices meeting its
+    core (on the base target: the simplices of the base meeting it).
     """
     vm = underlying_vertex_map(p)
-    elements: dict = {}
     star_of = dict(cover.star_of)
     if cover.ambient == vm.target:
-        for i, e in cover.elements:
-            if isinstance(e, Subcomplex):
-                elements[i] = preimage_of_subdivided_subcomplex(vm, e)
-            elif isinstance(e, OpenStarSet):
-                fibers = vm.vertex_fibers
-                w = [v for t in e.core.vertex_set() for v in fibers.get(t, ())]
-                elements[i] = OpenStarSet(vm.source, induced_subcomplex(vm.source, w))
-            else:
-                raise ValueError("cannot pull back this element representation")
-        return IndexedCover.build(vm.source, cover.kind, elements, base=None, star_of=star_of, check=False)
-    if isinstance(p, QSMap) and cover.ambient == p.base_target:
-        for i, e in cover.elements:
-            if isinstance(e, Subcomplex):
-                elements[i] = preimage_of_base_subcomplex(p, e)
-            elif isinstance(e, OpenStarSet):
-                core_targets = e.core.vertex_set()
-                w = [v for v in p.source.vertices if set(p(v)) & core_targets]
-                elements[i] = OpenStarSet(p.source, induced_subcomplex(p.source, w))
-            else:
-                raise ValueError("cannot pull back this element representation")
-        return IndexedCover.build(p.source, cover.kind, elements, base=None, star_of=star_of, check=False)
-    if not isinstance(p, QSMap) and cover.base == vm.target and star_of:
+        pull_closed = lambda sub: preimage_of_subdivided_subcomplex(vm, sub)
+        places = lambda core: core
+    elif isinstance(p, QSMap) and cover.ambient == p.base_target:
+        pull_closed = lambda sub: preimage_of_base_subcomplex(p, sub)
+        places = lambda core: open_intersection(p.base_target, [core])
+    elif not isinstance(p, QSMap) and cover.base == vm.target and star_of:
         # vertex star cover of the subdivided target, pulled along a plain
         # simplicial map: keep exact predicates instead of subcomplexes
         closed = cover.kind == "closed"
-        for i, _ in cover.elements:
-            elements[i] = VertexStarPreimage(vm, star_of[i], closed)
+        elements = {i: VertexStarPreimage(vm, star_of[i], closed) for i, _ in cover.elements}
         return IndexedCover.build(vm.source, cover.kind, elements, base=None, star_of=star_of, check=False)
-    raise ValueError("cover does not live on the map's target")
+    else:
+        raise ValueError("cover does not live on the map's target")
+    fibers = vm.vertex_fibers
+    elements: dict = {}
+    for i, e in cover.elements:
+        if isinstance(e, Subcomplex):
+            elements[i] = pull_closed(e)
+        elif isinstance(e, OpenStarSet):
+            w = [v for t in places(e.core.vertex_set()) for v in fibers.get(t, ())]
+            elements[i] = OpenStarSet(vm.source, induced_subcomplex(vm.source, w))
+        else:
+            raise ValueError("cannot pull back this element representation")
+    return IndexedCover.build(vm.source, cover.kind, elements, base=None, star_of=star_of, check=False)
 
 
 # ---------------------------------------------------------------------------

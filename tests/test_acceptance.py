@@ -27,18 +27,15 @@ from polytower.maps import (
     induced_homology_map,
     lipschitz_constant,
     preimage_subcomplex,
-    vertex_image_point,
 )
 from polytower.plmaps import PartialPLMap
 from polytower.stars import (
-    barycentric_star_contains_point,
     cover_B,
     cover_O,
     covers_isomorphic,
     deformation_phi,
     nerve,
     open_star,
-    open_star_of_subdivided,
     pullback_cover,
 )
 from polytower.towers import ThreadApprox, tower_lift, verify_tower
@@ -52,11 +49,14 @@ from polytower.generators import (
 )
 
 from util import (
+    barycentric_star_contains_point,
     chain_f_vector,
+    open_star_of_subdivided,
     random_complex,
     random_point,
     random_qsmap,
     random_surjective_vertex_map,
+    vertex_image_point,
 )
 
 

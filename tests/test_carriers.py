@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -31,7 +32,7 @@ from polytower.stars import (
 )
 from polytower.verdicts import Budgets
 
-from util import constant_pl_map, simplex_complex, sphere_complex
+from util import constant_pl_map, kernel_complexes, scan_validate_carrier, simplex_complex, sphere_complex
 
 
 def closed_cover_of_maximal(domain: Complex) -> IndexedCover:
@@ -104,6 +105,68 @@ class TestValidateCarrier:
             target_base=p.base_target,
         )
         assert validate_carrier(carrier).is_holds
+
+
+def open_star_carrier(domain: Complex, relabel: dict) -> Carrier:
+    """The barycentric vertex stars of the domain carried to the open vertex
+    stars of the domain itself, vertex v to the star of relabel.get(v, v)."""
+    cover = cover_B(domain)
+    targets = {v: open_vertex_star(domain, relabel.get(v, v)) for v in cover.indices}
+    return Carrier.build(cover, targets, domain)
+
+
+def carrier_cases() -> list:
+    """(label, carrier) pairs: the barycentric vertex stars of each kernel
+    complex of at most 60 simplices carried to its open vertex stars, to
+    themselves, and to the open stars of a seeded shuffle of its
+    vertices."""
+    cases = []
+    for label, k in kernel_complexes():
+        if len(k.simplices) > 60:
+            continue
+        cases.append((label, open_star_carrier(k, {})))
+        cb = cover_B(k)
+        cases.append((label + " closed", Carrier.build(cb, dict(cb.elements), k, target_base=k)))
+        shuffled = list(k.vertices)
+        random.Random(len(cases)).shuffle(shuffled)
+        cases.append((label + " shuffled", open_star_carrier(k, dict(zip(k.vertices, shuffled)))))
+    return cases
+
+
+class TestValidateCarrierMaximalFirst:
+    """`validate_carrier` decides on the maximal nerve simplices and keeps
+    the first empty subset as its witness."""
+
+    def test_matches_full_scan(self):
+        outcomes = set()
+        for label, carrier in carrier_cases():
+            verdict = validate_carrier(carrier)
+            assert verdict == scan_validate_carrier(carrier), label
+            outcomes.add(verdict.status)
+        assert outcomes == {"holds", "fails"}
+
+    def test_first_empty_subset_is_not_maximal(self):
+        # the triangle abc with the edge cd; c and d swap their targets, so
+        # ac meets a and d, which share no simplex, while abc is maximal
+        k = Complex.from_maximal([["a", "b", "c"], ["c", "d"]])
+        carrier = open_star_carrier(k, {"c": "d", "d": "c"})
+        verdict = validate_carrier(carrier)
+        assert verdict.is_fails
+        assert verdict.witness == ["a", "c"]
+        assert verdict == scan_validate_carrier(carrier)
+
+    def test_one_region_per_maximal_nerve_simplex(self, monkeypatch):
+        from polytower import carriers
+        from polytower.stars import nerve
+
+        calls = []
+        original = carriers._region_for
+        monkeypatch.setattr(carriers, "_region_for", lambda c, ids: calls.append(ids) or original(c, ids))
+        for label, carrier in carrier_cases():
+            calls.clear()
+            if validate_carrier(carrier).is_holds:
+                maximal = nerve(carrier.source_cover).complex.maximal
+                assert calls == [list(m) for m in maximal], label
 
 
 class TestIsCarried:

@@ -116,6 +116,23 @@ class TestLiftThreadErrors:
         assert "input error" in capsys.readouterr().err
 
 
+class TestRestrictLevelErrors:
+    """A restrict level outside 1..depth is malformed input, reported as
+    such before any level is read."""
+
+    @pytest.mark.parametrize("level", [0, 3])
+    def test_level_out_of_range_exits_3(self, tmp_path, capsys, level):
+        from polytower import formats
+        from polytower.cli import main
+
+        tower = tmp_path / "tower.json"
+        tower.write_text(formats.dumps_canonical(formats.tower_to_obj(subdivision_tower(simplex(2), 2))))
+        edge = tmp_path / "edge.json"
+        edge.write_text(json.dumps([["a", "b"]]))
+        assert main(["restrict", str(tower), "--level", str(level), "--complex", str(edge)]) == 3
+        assert "level out of range" in capsys.readouterr().err
+
+
 class TestUsageErrors:
     """A command line argparse rejects is malformed input (3), never the
     code of an inconclusive check (2)."""

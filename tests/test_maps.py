@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from polytower.complexes import (
+    Subcomplex,
     barycentric_subdivision,
     distance,
     induced_subcomplex,
@@ -31,7 +32,6 @@ from polytower.maps import (
     preimage_of_base_subcomplex,
     preimage_of_subdivided_subcomplex,
     preimage_subcomplex,
-    vertex_image_point,
 )
 from polytower.stars import cover_B
 from polytower import snf
@@ -46,10 +46,13 @@ from util import (
     random_surjective_vertex_map,
     random_vertex_subsets,
     rp2_complex,
+    scan_is_surjective,
     scan_preimage,
+    scan_preimage_of_base,
     scan_preimage_of_subdivided,
     simplex_complex,
     sphere_complex,
+    vertex_image_point,
 )
 
 
@@ -194,6 +197,34 @@ class TestFiberCrossCheck:
             for sub in subs:
                 expected = scan_preimage_of_subdivided(vm, sub)
                 assert preimage_of_subdivided_subcomplex(p, sub).simplices == expected, label
+
+    def test_preimage_of_base_subcomplex_matches_scan(self):
+        # induced subcomplexes, closed vertex stars and the 1-skeleton, which
+        # is not induced wherever the base has a triangle
+        for seed, (label, p) in enumerate(list(fiber_maps()) + [("cylinder", cylinder_map())]):
+            base = p.base_target
+            subs = [induced_subcomplex(base, w) for w in random_vertex_subsets(base, seed, count=4)]
+            subs += [Subcomplex(base, base.closed_star(v)) for v in base.vertices]
+            subs.append(Subcomplex(base, frozenset(s for s in base.simplices if len(s) <= 2)))
+            for sub in subs:
+                expected = scan_preimage_of_base(p, sub)
+                assert preimage_of_base_subcomplex(p, sub).simplices == expected, (label, len(sub.simplices))
+
+    def test_is_surjective_matches_scan(self):
+        maps = [p for _, p in fiber_maps()] + [cylinder_map()]
+        for seed in range(6):
+            k = random_complex(seed)
+            maps.append(random_surjective_vertex_map(k, seed))
+            # the inclusion of k without its last maximal simplex misses it
+            rest = validate(k.maximal[:-1])
+            maps.append(VertexMap.build(rest, k, {v: v for v in rest.vertices}))
+            maps.append(check_quasi_simplicial(k, k, {v: (k.vertices[0],) for v in k.vertices}))
+        failing = 0
+        for p in maps:
+            verdict = is_surjective(p)
+            assert verdict == scan_is_surjective(p), p.source
+            failing += verdict.is_fails
+        assert 0 < failing < len(maps)
 
 
 class TestApply:

@@ -24,7 +24,6 @@ from polytower.stars import (
     OpenStarSet,
     are_close,
     barycentric_star,
-    barycentric_star_contains_point,
     barycentric_vertex_star,
     closed_star_cover,
     cone_geodesic_diameter_bound,
@@ -37,7 +36,6 @@ from polytower.stars import (
     nerve,
     open_intersection,
     open_star,
-    open_star_of_subdivided,
     open_vertex_star,
     pullback_cover,
     star_cover_bounds,
@@ -45,8 +43,11 @@ from polytower.stars import (
 from polytower.verdicts import Budgets
 
 from util import (
+    barycentric_star_contains_point,
     cylinder_map,
     kernel_complexes,
+    meets_core,
+    open_star_of_subdivided,
     random_complex,
     random_point,
     random_qsmap,
@@ -85,7 +86,7 @@ class TestOpenStar:
                 if u == v:
                     continue
                 meets = any(
-                    stars[u].meets_simplex(s) and stars[v].meets_simplex(s)
+                    meets_core(stars[u], s) and meets_core(stars[v], s)
                     for s in beta.simplices
                 )
                 adjacent = beta.span([u, v]) is not None
@@ -444,13 +445,20 @@ class TestPullback:
         for label, base in kernel_complexes():
             if len(base.simplices) > 120:
                 continue
-            vm = random_qsmap(base, 1).vertex_map
+            p = random_qsmap(base, 1)
+            vm = p.vertex_map
             stars = cover_O(vm.target)
             pulled = pullback_cover(vm, stars)
             for i, e in pulled.elements:
                 core_targets = stars.element(i).core.vertex_set()
                 w = [v for v in vm.source.vertices if vm(v) in core_targets]
                 assert e.core.simplices == scan_induced(vm.source, w), (label, i)
+            # the open stars of the base target, pulled along the QSMap itself
+            base_stars = cover_O(p.base_target)
+            for i, e in pullback_cover(p, base_stars).elements:
+                core = base_stars.element(i).core.vertex_set()
+                w = [v for v in p.source.vertices if set(p(v)) & core]
+                assert e.core.simplices == scan_induced(p.source, w), (label, i)
 
     def test_star_preimage_predicates(self):
         base = sphere_complex(1)
@@ -507,7 +515,7 @@ def _reference_positions(cover, element):
     there."""
     if isinstance(element, OpenStarSet):
         ambient = element.ambient
-        vertices = {v for s in ambient.simplices if element.meets_simplex(s) for v in s}
+        vertices = {v for s in ambient.simplices if meets_core(element, s) for v in s}
     else:
         ambient = element.parent
         vertices = element.vertex_set()

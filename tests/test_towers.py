@@ -83,6 +83,19 @@ class TestRegularityReport:
         assert report.aggregate.is_fails
         assert any(e.nonsurjective for e in report.entries)
 
+    def test_preimages_read_the_fibers(self, monkeypatch):
+        # every preimage is a union of simplex fibers: no induced subcomplex
+        # of the source is built
+        from polytower import complexes
+
+        bonds = list(subdivision_tower(simplex(2), 3).bonds) + [cylinder_map()]
+        calls = []
+        original = complexes._induced_tops
+        monkeypatch.setattr(complexes, "_induced_tops", lambda k, w: calls.append(w) or original(k, w))
+        for bond in bonds:
+            regularity_report(bond, 2)
+        assert calls == []
+
 
 class TestVerifyTower:
     def test_subdivision_tower_holds(self):

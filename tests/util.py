@@ -317,7 +317,7 @@ def scan_first_uncovered(cover):
             if isinstance(e, Subcomplex):
                 hit = s in e.simplices
             elif isinstance(e, OpenStarSet):
-                hit = e.meets_simplex(s)
+                hit = meets_core(e, s)
             else:
                 hit = True
             if hit:
@@ -393,7 +393,7 @@ def scan_nerve(cover, budget: int = 100_000):
         if isinstance(e, Subcomplex):
             return e.simplices
         if isinstance(e, OpenStarSet):
-            return frozenset(s for s in e.ambient.simplices if e.meets_simplex(s))
+            return frozenset(s for s in e.ambient.simplices if meets_core(e, s))
         vm = e.vertex_map
         return frozenset(s for s in vm.source.simplices if e.star_vertex in vm.image_simplex(s))
 
@@ -515,3 +515,86 @@ def homotopy_to_obj(result) -> dict:
         for s, w in sorted(result.path_witnesses.items(), key=lambda kv: str(kv[0]))
     }
     return out
+
+
+def meets_core(element, simplex) -> bool:
+    """Whether a simplex meets the core of an open star element."""
+    return not element.core.vertex_set().isdisjoint(simplex)
+
+
+def open_star_of_subdivided(base: Complex, sub):
+    """The open star, inside the subdivision of the base, of a subcomplex of
+    the base (taken with its subdivided triangulation)."""
+    from polytower.complexes import barycentric_subdivision, beta_subcomplex
+    from polytower.stars import OpenStarSet
+
+    beta = barycentric_subdivision(base)
+    return OpenStarSet(beta, beta_subcomplex(sub, beta))
+
+
+def barycentric_star_contains_point(base: Complex, sub, point) -> bool:
+    """Point-level membership in the barycentric star: some vertex of the
+    subcomplex carries the maximal barycentric coordinate."""
+    if point.complex != base:
+        raise ValueError("point lives on a different complex")
+    top = max(c for _, c in point.coords)
+    argmax = {v for v, c in point.coords if c == top}
+    return bool(argmax & sub.vertex_set())
+
+
+def vertex_image_point(p, vertex, scale=Fraction(1)):
+    """The image of a source vertex of a quasi-simplicial map, as the
+    barycentre of its simplex in the base target."""
+    name = p(vertex)
+    share = Fraction(1, len(name))
+    return make_point(p.base_target, {v: share for v in name}, scale)
+
+
+# ---------------------------------------------------------------------------
+# whole-source scans: the reference versions of the fiber-indexed maps queries
+
+
+def scan_preimage_of_base(p, sub) -> frozenset:
+    """Every source simplex whose image chain has its top (the union of the
+    named simplices) in the subcomplex of the base target."""
+    mapping = p.as_dict()
+    kept = set()
+    for s in p.source.simplices:
+        top = set()
+        for v in s:
+            top.update(mapping[v])
+        if tuple(sorted(top, key=vertex_key)) in sub.simplices:
+            kept.add(s)
+    return frozenset(kept)
+
+
+def scan_is_surjective(p):
+    """Every source simplex's image, then the first maximal target simplex
+    (in `simplex_sort_key` order) that none of them is."""
+    from polytower.complexes import simplex_sort_key
+    from polytower.maps import underlying_vertex_map
+    from polytower.verdicts import Verdict
+
+    vm = underlying_vertex_map(p)
+    covered = {vm.image_simplex(s) for s in vm.source.simplices}
+    for target_max in sorted(vm.target.maximal, key=simplex_sort_key):
+        if target_max not in covered:
+            return Verdict.fails(witness=target_max, reason="maximal simplex not covered")
+    return Verdict.holds()
+
+
+def scan_validate_carrier(carrier):
+    """The region of every nerve simplex, in `simplex_sort_key` order, until
+    the first empty one."""
+    from polytower.carriers import _region_for
+    from polytower.complexes import simplex_sort_key
+    from polytower.stars import nerve
+    from polytower.verdicts import Verdict
+
+    result = nerve(carrier.source_cover)
+    if not result.status.is_holds:
+        return result.status
+    for subset in sorted(result.complex.simplices, key=simplex_sort_key):
+        if not _region_for(carrier, list(subset)).simplices:
+            return Verdict.fails(witness=list(subset), reason="target intersection empty")
+    return Verdict.holds()
