@@ -657,7 +657,7 @@ def close_maps_homotopy(
             None,
             {},
         )
-    closeness = are_close(f, g, cover, allow_subdivision=True)
+    closeness = are_close(f, g, cover)
     if not closeness.is_holds:
         status = closeness if closeness.is_fails else Verdict.inconclusive("maps are not certified close")
         return HomotopyResult(status, None, None, {}, closeness)

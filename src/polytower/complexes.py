@@ -188,9 +188,8 @@ class Complex:
 
     @property
     def dimension(self) -> int:
-        if not self.simplices:
-            return -1
-        return max(len(s) for s in self.simplices) - 1
+        """Read from the last maximal simplex: they are sorted by size first."""
+        return len(self.maximal[-1]) - 1 if self.maximal else -1
 
     def f_vector(self) -> tuple:
         counts = []
@@ -419,7 +418,7 @@ class Point(Record, frozen=True):
         return "Point({%s} @ %s)" % (parts, self.scale)
 
 
-def make_point(complex_: Complex, coords: Mapping, scale=ONE, validate_support: bool = True) -> Point:
+def make_point(complex_: Complex, coords: Mapping, scale=ONE) -> Point:
     scale = Fraction(scale)
     if scale <= 0:
         raise ValueError("scale must be positive")
@@ -440,7 +439,7 @@ def make_point(complex_: Complex, coords: Mapping, scale=ONE, validate_support: 
         raise ValueError("barycentric coordinates must sum to 1, got %s" % total)
     cleaned.sort(key=lambda p: vertex_key(p[0]))
     support = tuple(v for v, _ in cleaned)
-    if validate_support and support not in complex_.simplices:
+    if support not in complex_.simplices:
         raise ValueError("support does not span a simplex: %r" % (support,))
     return Point(complex_, tuple(cleaned), scale)
 
@@ -473,9 +472,10 @@ def distance(x: Point, y: Point) -> Fraction:
 
 def barycentre_distance(a: int, b: int, c: int) -> Fraction:
     """Exact l1 distance at scale 1 between the barycentres of two vertex
-    sets of sizes a and b sharing c vertices: c shared coordinates differ by
-    |1/a - 1/b|, the others contribute their whole mass."""
-    return c * abs(Fraction(1, a) - Fraction(1, b)) + Fraction(a - c, a) + Fraction(b - c, b)
+    sets of sizes a and b sharing c vertices: the c shared coordinates differ
+    by |1/a - 1/b| and the others contribute their whole mass, which sums to
+    2 - 2c/max(a, b)."""
+    return 2 - Fraction(2 * c, max(a, b))
 
 
 def convex_combination(points, weights) -> Point:

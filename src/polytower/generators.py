@@ -5,8 +5,8 @@ from __future__ import annotations
 import random
 from itertools import combinations
 
-from .complexes import Complex, barycentric_subdivision
-from .maps import QSMap, check_quasi_simplicial
+from .complexes import Complex
+from .maps import QSMap, check_quasi_simplicial, identity_qsmap
 from .towers import Tower
 
 
@@ -85,13 +85,6 @@ def cylinder_tower(scales=None) -> Tower:
     return Tower.build([base, bond.source], [bond], scales)
 
 
-def subdivision_bond(base: Complex) -> QSMap:
-    """The identity of the subdivision as a quasi-simplicial map onto the
-    base."""
-    subdivided = barycentric_subdivision(base)
-    return check_quasi_simplicial(subdivided, base, {v: v for v in subdivided.vertices})
-
-
 def subdivision_tower(base: Complex, levels: int, scales=None) -> Tower:
     """base <- beta(base) <- beta^2(base) <- ... with identity bonds."""
     if levels < 1:
@@ -99,7 +92,7 @@ def subdivision_tower(base: Complex, levels: int, scales=None) -> Tower:
     complexes = [base]
     bonds = []
     for _ in range(levels - 1):
-        bonds.append(subdivision_bond(complexes[-1]))
+        bonds.append(identity_qsmap(complexes[-1]))
         complexes.append(bonds[-1].source)
     return Tower.build(complexes, bonds, scales)
 

@@ -93,33 +93,33 @@ def open_vertex_star(ambient: Complex, vertex) -> OpenStarSet:
 
 
 def barycentric_star(base: Complex, sub: Subcomplex) -> Subcomplex:
-    """All simplices of the subdivision meeting the subcomplex: the chains
-    whose minimal element touches a vertex of it."""
+    """All simplices of the subdivision meeting the subcomplex: the union of
+    the barycentric stars of its vertices."""
     if sub.parent != base:
         raise ValueError("subcomplex of a different complex")
-    beta = barycentric_subdivision(base)
-    core_vertices = sub.vertex_set()
-    kept = frozenset(
-        c for c in beta.simplices if any(v in core_vertices for v in chain_min(c))
-    )
-    return Subcomplex(beta, kept)
+    stars = barycentric_vertex_stars(base)
+    kept = frozenset().union(*(stars[v].simplices for v in sub.vertex_set()))
+    return Subcomplex._trusted(barycentric_subdivision(base), kept)
 
 
 def barycentric_vertex_star(base: Complex, vertex) -> Subcomplex:
     v = canon_vertex(vertex)
-    return barycentric_star(base, induced_subcomplex(base, [v]))
+    if not base.has_vertex(v):
+        raise UnknownVertexError(vertex_label(v))
+    return barycentric_vertex_stars(base)[v]
 
 
 def barycentric_vertex_stars(base: Complex) -> dict:
     """The barycentric star of every vertex of the base, in one pass over the
     subdivision: each chain joins the star of every vertex of its minimal
-    element, the rule of `barycentric_star` for a one-vertex core."""
+    element.  A face of a chain is a sub-chain, whose minimal element
+    contains the chain's, so every star is face-closed as built."""
     beta = barycentric_subdivision(base)
     chains = {v: [] for v in base.vertices}
     for c in beta.simplices:
         for v in chain_min(c):
             chains[v].append(c)
-    return {v: Subcomplex(beta, frozenset(kept)) for v, kept in chains.items()}
+    return {v: Subcomplex._trusted(beta, frozenset(kept)) for v, kept in chains.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -193,9 +193,6 @@ class IndexedCover(Record, frozen=True):
             return self._by_index[index]
         except (KeyError, TypeError):
             raise IndexMismatchError("unknown cover index %r" % (index,)) from None
-
-    def as_dict(self) -> dict:
-        return dict(self.elements)
 
     def first_uncovered(self):
         """The first maximal simplex (in `simplex_sort_key` order) that no
@@ -452,9 +449,8 @@ def _element_vertex_sets(cover: IndexedCover, element) -> set:
     name when the element lives in the subdivision of the metric base, the
     vertex alone otherwise."""
     if isinstance(element, OpenStarSet):
-        core = element.core.vertex_set()
         ambient = element.ambient
-        vertices = {v for s in ambient.simplices if not core.isdisjoint(s) for v in s}
+        vertices = {v for c in element.core.vertex_set() for m in ambient.maximal_at(c) for v in m}
     elif isinstance(element, Subcomplex):
         ambient = element.parent
         vertices = element.vertex_set()
@@ -515,21 +511,24 @@ def cone_geodesic_diameter_bound(cover: IndexedCover, scale=Fraction(1)) -> Frac
 
 def star_cover_bounds(kind: str, base: Complex, scale=Fraction(1)) -> tuple:
     """`mesh(cover).value` and `cone_geodesic_diameter_bound(cover)` of the
-    vertex-star cover of the given kind ("B" or "O") of a complex, read from
-    the complex alone: the barycentric star of v has the simplices through
-    v as its vertices, and the closure of the open star of v the vertices of
-    the maximal simplices through v."""
+    vertex-star cover of the given kind ("B" or "O") of a complex, r and 2r
+    at scale 1, in closed form from its dimension d.  The barycentres of
+    vertex sets of sizes a and b sharing c vertices lie 2 - 2c/max(a, b)
+    apart (`barycentre_distance`).  The vertex sets of the barycentric star
+    of v are the simplices through v, so they share v and the farthest pair
+    is {v} and a largest simplex through v: r = 2 - 2/(d + 1), also the
+    farthest reach from the apex v.  Two distinct vertices of the closure of
+    an open star lie 2 apart, as does one from the apex: r = 2.  Without an
+    edge (d <= 0) every element is one point: r = 0."""
+    d = base.dimension
+    if d <= 0:
+        r = Fraction(0)
+    elif kind == "B":
+        r = barycentre_distance(1, d + 1, 1)
+    else:
+        r = barycentre_distance(1, 1, 0)
     scale = Fraction(scale)
-    elements = []
-    for v in base.vertices:
-        tops = base.maximal_at(v)
-        if kind == "B":
-            vertex_sets = {frozenset(f) for m in tops for f in faces(m) if v in f}
-        else:
-            vertex_sets = {frozenset([u]) for m in tops for u in m}
-        elements.append((v, vertex_sets))
-    pair, reach = _diameter_bounds(elements)
-    return pair * scale, 2 * reach * scale
+    return r * scale, 2 * r * scale
 
 
 # ---------------------------------------------------------------------------
@@ -564,7 +563,7 @@ def deformation_phi(x: Point, t, core: Subcomplex) -> Point:
 # closeness of PL maps relative to a cover
 
 
-def are_close(f: PartialPLMap, g: PartialPLMap, cover: IndexedCover, allow_subdivision: bool = True) -> Verdict:
+def are_close(f: PartialPLMap, g: PartialPLMap, cover: IndexedCover) -> Verdict:
     """Certified cover-closeness of two PL maps on one triangulated domain.
 
     Holds with a per-simplex witness table when every domain simplex has an
@@ -576,21 +575,19 @@ def are_close(f: PartialPLMap, g: PartialPLMap, cover: IndexedCover, allow_subdi
         raise ValueError("maps must share a domain triangulation")
     if f.target != g.target:
         raise ValueError("maps must share a target")
-    current_f, current_g = f, g
     for round_ in range(2):
-        pointwise = _pointwise_violation(current_f, current_g, cover)
+        if round_:
+            f, g = f.subdivided(), g.subdivided()
+        pointwise = _pointwise_violation(f, g, cover)
         if pointwise is not None:
             return Verdict.fails(
                 witness={"vertex": pointwise}, reason="no common element at a domain point"
             )
         # witnesses on maximal simplices restrict to faces
-        maximal = current_f.defined_on.as_complex().maximal
-        witnesses = hull_witnesses([current_f, current_g], maximal, cover)
+        maximal = f.defined_on.as_complex().maximal
+        witnesses = hull_witnesses([f, g], maximal, cover)
         if witnesses is not None:
             return Verdict.holds(witness=witnesses)
-        if not allow_subdivision or round_ == 1:
-            break
-        current_f, current_g = current_f.subdivided(), current_g.subdivided()
     return Verdict.inconclusive("no per-simplex witness after one subdivision")
 
 

@@ -335,8 +335,8 @@ def verify_tower(tower: Tower, n: int, budgets: Budgets = DEFAULT_BUDGETS) -> To
 def summability_report(tower: Tower) -> dict:
     """Exact meshes, per-bond Lipschitz constants, increment-bound tables for
     every starting level, and the geometric tail data.  The meshes and cone
-    bounds of the star covers are read from the levels, so no level is
-    subdivided here."""
+    bounds of the star covers are closed forms in each level's dimension
+    (`star_cover_bounds`), so no level is subdivided or searched here."""
     depth = tower.depth()
     meshes = []
     cone_meshes = []

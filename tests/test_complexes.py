@@ -10,6 +10,7 @@ from polytower.complexes import (
     ScaleMismatchError,
     UnknownVertexError,
     barycenter_point,
+    barycentre_distance,
     barycentric_subdivision,
     beta_subcomplex,
     canon_vertex,
@@ -39,6 +40,7 @@ from util import (
     scan_closed_star,
     scan_induced,
     scan_is_full,
+    shape_distance,
     simplex_complex,
     sphere_complex,
     subdivision_flags,
@@ -146,6 +148,11 @@ class TestMaximalSimplices:
             rebuilt = Complex._from_closed(set(k.simplices))
             assert set(rebuilt.maximal) == brute_force_maximal(k.simplices), label
             assert list(rebuilt.maximal) == sorted(rebuilt.maximal, key=simplex_sort_key), label
+
+    def test_dimension_is_the_largest_simplex(self):
+        for label, k in kernel_complexes() + [("mixed", validate([["a"], ["b", "c"], ["d", "e", "f"]]))]:
+            assert k.dimension == max(len(s) for s in k.simplices) - 1, label
+        assert Complex._from_closed(set()).dimension == -1
 
 
 class TestLocalQueries:
@@ -326,6 +333,18 @@ class TestMetric:
         small = barycenter_point(k, ["a"])
         large = barycenter_point(k, ["a", "b", "c"])
         assert distance(small, large) == 2 * (1 - Fraction(1, 3))
+
+    def test_barycentre_distance_closed_form(self):
+        # 2 - 2c/max(a, b) against the term-by-term sum and the Point metric
+        names = ["v%d" % i for i in range(16)]
+        k = simplex_complex(names)
+        for a in range(1, 9):
+            for b in range(1, 9):
+                for c in range(min(a, b) + 1):
+                    x = barycenter_point(k, names[:a])
+                    y = barycenter_point(k, names[a - c : a - c + b])
+                    expected = shape_distance(a, b, c)
+                    assert barycentre_distance(a, b, c) == expected == distance(x, y), (a, b, c)
 
     def test_scale_mismatch(self):
         k = simplex_complex(["a", "b"])

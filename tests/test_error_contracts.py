@@ -76,6 +76,14 @@ class TestCliInputErrors:
         monkeypatch.setenv("POLYTOWER_BUDGETS", "pi1=0")
         assert main(["pi1", str(path)]) == 3
 
+    def test_stars_of_an_unknown_vertex(self, tmp_path, capsys):
+        from polytower import formats
+        from polytower.cli import main
+
+        path = tmp_path / "c.json"
+        path.write_text(formats.dumps_canonical(formats.complex_to_obj(simplex(2))))
+        assert main(["stars", str(path), "--vertex", "z"]) == 3
+
     def test_missing_files(self, capsys):
         from polytower.cli import main
 

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from polytower.complexes import (
+    Complex,
     barycenter_point,
     barycentric_subdivision,
     chain_min,
@@ -16,7 +17,7 @@ from polytower.complexes import (
     vertex_point,
     whole_subcomplex,
 )
-from polytower.generators import cylinder_tower, projective_plane, random_tower, subdivision_tower
+from polytower.generators import cylinder_tower, projective_plane, random_tower, simplex, subdivision_tower
 from polytower.plmaps import PartialPLMap
 from polytower.stars import (
     IndexMismatchError,
@@ -133,6 +134,31 @@ class TestBarycentricStar:
                 lifted = lift_to_subdivision(x, beta)
                 by_chains = lifted.support in star.simplices
                 assert by_points == by_chains
+
+    def test_stars_pass_the_checks_and_match_the_chain_scan(self):
+        # trusted stars equal the checked subcomplex of the chains whose
+        # minimal element touches the core, scanned over the whole subdivision
+        from polytower.complexes import Subcomplex
+
+        for label, k in kernel_complexes():
+            if len(k.simplices) > 400:
+                continue
+            beta = barycentric_subdivision(k)
+            for core in random_vertex_subsets(k, 5):
+                scan = frozenset(c for c in beta.simplices if not set(core).isdisjoint(chain_min(c)))
+                checked = Subcomplex(beta, scan)
+                assert barycentric_star(k, induced_subcomplex(k, core)) == checked, (label, core)
+                if len(core) == 1:
+                    assert barycentric_vertex_star(k, core[0]) == checked, (label, core)
+
+    def test_unknown_vertex_and_foreign_subcomplex(self):
+        from polytower.complexes import UnknownVertexError
+
+        k = simplex_complex(["a", "b"])
+        with pytest.raises(UnknownVertexError):
+            barycentric_vertex_star(k, "z")
+        with pytest.raises(ValueError):
+            barycentric_star(k, whole_subcomplex(simplex_complex(["a", "c"])))
 
 
 class TestCovers:
@@ -579,18 +605,44 @@ class TestMeshCrossCheck:
 
 
 class TestStarCoverBoundsFromK:
-    """The meshes and cone bounds read from the complex equal those of the
-    built covers and of the Point-distance references."""
+    """The closed-form meshes and cone bounds read from the complex's
+    dimension equal those of the built covers and of the Point-distance
+    references."""
+
+    MIXED = Complex.from_maximal([["a"], ["b", "c"], ["d", "e", "f"]])
+
+    def check(self, label, k, references=True):
+        for kind, build in (("B", cover_B), ("O", cover_O)):
+            cover = build(k)
+            for scale in (Fraction(1), Fraction(3, 8)):
+                value, cone = star_cover_bounds(kind, k, scale)
+                where = (label, kind, scale)
+                assert value == mesh(cover, scale).value, where
+                assert cone == cone_geodesic_diameter_bound(cover, scale), where
+                if references:
+                    assert value == _reference_mesh(cover, scale), where
+                    assert cone == _reference_cone(cover, scale), where
 
     def test_matches_covers_and_references(self):
         for label, k in kernel_complexes():
-            for kind, build in (("B", cover_B), ("O", cover_O)):
-                cover = build(k)
-                for scale in (Fraction(1), Fraction(3, 8)):
-                    value, cone = star_cover_bounds(kind, k, scale)
-                    where = (label, kind, scale)
-                    assert value == mesh(cover, scale).value == _reference_mesh(cover, scale), where
-                    assert cone == cone_geodesic_diameter_bound(cover, scale) == _reference_cone(cover, scale), where
+            self.check(label, k)
+
+    def test_mixed_dimension(self):
+        # the largest simplex sets the bound, whatever the smaller ones
+        self.check("mixed", self.MIXED)
+        assert star_cover_bounds("B", self.MIXED) == (Fraction(4, 3), Fraction(8, 3))
+        assert star_cover_bounds("O", self.MIXED) == (2, 4)
+
+    def test_zero_dimensional(self):
+        k = Complex.from_maximal([["p"], ["q"], ["r"]])
+        self.check("points", k)
+        for kind in ("B", "O"):
+            assert star_cover_bounds(kind, k, Fraction(1, 3)) == (0, 0)
+
+    def test_tetrahedron_tower_levels(self):
+        for i, level in enumerate(subdivision_tower(simplex(3), 3).levels):
+            self.check("tetrahedron level %d" % i, level, references=i == 0)
+            assert star_cover_bounds("B", level) == (Fraction(3, 2), 3)
 
 
 class TestStarIntersectionIdentity:

@@ -208,6 +208,23 @@ class TestSummability:
         sums = [report["tables"][k]["partial_sum"] for k in (1, 2, 3)]
         assert sums[0] >= sums[1] >= sums[2]
 
+    def test_bounds_read_each_level_dimension(self, monkeypatch):
+        # the star-cover bounds are closed forms in each level's dimension:
+        # no maximal-simplex index and no pair shape is consulted
+        from polytower import stars
+        from polytower.complexes import Complex
+
+        towers = [subdivision_tower(simplex(2), 3), subdivision_tower(simplex(3), 2)]
+        towers += [Tower.build(t.levels, t.bonds, cover_kind="O") for t in towers]
+        calls = []
+        maximal_at, diameter_bounds = Complex.maximal_at, stars._diameter_bounds
+        monkeypatch.setattr(Complex, "maximal_at", lambda k, v: calls.append(v) or maximal_at(k, v))
+        monkeypatch.setattr(stars, "_diameter_bounds", lambda e: calls.append("shapes") or diameter_bounds(e))
+        for tower in towers:
+            report = summability_report(tower)
+            assert report["mesh"][-1] > 0
+        assert calls == []
+
     def test_point_tower_all_zero(self):
         t = subdivision_tower(simplex(0, ["p"]), 3)
         report = summability_report(t)

@@ -253,6 +253,13 @@ def brute_force_maximal(simplices) -> set:
     return {s for s in simplices if not any(set(s) < t for t in sets)}
 
 
+def shape_distance(a: int, b: int, c: int) -> Fraction:
+    """The l1 distance between the barycentres of vertex sets of sizes a and
+    b sharing c vertices, term by term: the c shared coordinates differ by
+    |1/a - 1/b|, the others contribute their whole mass."""
+    return c * abs(Fraction(1, a) - Fraction(1, b)) + Fraction(a - c, a) + Fraction(b - c, b)
+
+
 def kernel_complexes() -> list:
     """(label, complex) pairs for the complex-kernel cross-checks: random
     complexes, rp2, the cylinder, and every level of the 3-level triangle
