@@ -25,7 +25,7 @@ _EXPORTS = {
     ),
     "carriers": "Carrier close_maps_homotopy extend_carried is_carried validate_carrier",
     "towers": (
-        "RegularityReport ThreadApprox Tower TowerCertificate pullback_star_cover regularity_report "
+        "ThreadApprox Tower TowerCertificate pullback_star_cover regularity_report "
         "restrict_tower single_lift tower_lift verify_tower"
     ),
     "verdicts": "Budgets DEFAULT_BUDGETS Verdict",

@@ -186,15 +186,15 @@ def cmd_check_map(args) -> int:
         raise formats.InputFormatError("check-map expects a quasi-simplicial map (subdivide_target true)")
     surjective = is_surjective(parsed)
     constant = lipschitz_constant(parsed, Fraction(1), Fraction(1))
-    report_data = regularity_report(parsed, args.n, budgets)
-    overall = conjoin([surjective, report_data.aggregate])
+    regularity = regularity_report(parsed, args.n, budgets)
+    overall = conjoin([surjective, regularity["aggregate"]])
     report = {
         "command": "check-map",
         "n": args.n,
         "quasi_simplicial": formats.verdict_to_obj(Verdict.holds()),
         "surjective": formats.verdict_to_obj(surjective),
         "lipschitz_constant_at_unit_scales": formats.fraction_to_str(constant),
-        "regularity": report_data.to_obj(),
+        "regularity": regularity,
         "status": formats.verdict_to_obj(overall),
     }
     _emit(report, args)
@@ -217,12 +217,10 @@ def cmd_restrict(args) -> int:
     if not 1 <= args.level <= tower.depth():
         raise formats.InputFormatError("level out of range", "restrict.level")
     level = tower.levels[args.level - 1]
+    raw = raw.get("maximal", []) if isinstance(raw, dict) else raw
+    simplices = formats.parse_simplices(raw, "restrict.complex")
     try:
-        sub = subcomplex_from(level, [
-            [formats.parse_vertex(v) for v in s] for s in raw
-        ] if isinstance(raw, list) else [
-            [formats.parse_vertex(v) for v in s] for s in raw.get("maximal", [])
-        ])
+        sub = subcomplex_from(level, simplices)
     except ValueError as exc:
         raise formats.InputFormatError(str(exc), "restrict.complex")
     restricted = restrict_tower(tower, args.level, sub)
@@ -259,10 +257,12 @@ def cmd_lift(args) -> int:
         target=tower.levels[0],
         context="lift.f1",
     )
-    anchor_raw = spec.get("anchor", [])
-    defined = subcomplex_from(domain, [[formats.parse_vertex(v) for v in s] for s in anchor_raw])
+    defined = subcomplex_from(domain, formats.parse_simplices(spec.get("anchor", []), "lift.anchor"))
+    raw_threads = spec.get("threads", {})
+    if not isinstance(raw_threads, dict) or not all(isinstance(rows, list) for rows in raw_threads.values()):
+        raise formats.InputFormatError("threads map vertex keys to lists of points", "lift.threads")
     threads = {}
-    for key, rows in spec.get("threads", {}).items():
+    for key, rows in raw_threads.items():
         v = formats.parse_vertex_key(key, "lift.threads")
         if len(rows) > len(tower.levels):
             raise formats.InputFormatError(

@@ -456,7 +456,15 @@ def collapses_to_point(simplices, budget: int) -> bool:
     `simplex_sort_key` order first and then in the order the collapses free
     them, so the outcome does not depend on hashing.  Greedy collapse can
     stall on a contractible set (the dunce hat), so False proves nothing.
+
+    A set of 2^k - 1 simplices whose largest has k vertices is exactly that
+    closed simplex, a cone on any of its vertices, and every collapse removes
+    two simplices: it reaches a vertex in (size - 1) / 2 steps, answered
+    without a search.
     """
+    size = len(simplices)
+    if size and size == (1 << max(map(len, simplices))) - 1:
+        return size // 2 <= budget
     cofaces: dict = {}  # facet -> its cofaces still present
     for s in simplices:
         if len(s) > 1:
@@ -470,7 +478,6 @@ def collapses_to_point(simplices, budget: int) -> bool:
     # coface sets only shrink, so a face joins the queue at most once, when
     # its count reaches one; it is stale when that coface left with another
     free = deque(sorted((f for f, over in cofaces.items() if len(over) == 1), key=simplex_sort_key))
-    size = len(simplices)
     steps = 0
     while free and size > 1:
         face = free.popleft()
@@ -496,12 +503,17 @@ def collapses_to_point(simplices, budget: int) -> bool:
 # k-connectedness and extensor verdicts
 
 
+def check_degree(n: int) -> None:
+    """The extensor degree n is at least 1; callers check it before any work."""
+    if n < 1:
+        raise ValueError("n must be at least 1")
+
+
 def k_connected_verdict(complex_: Complex, n: int, budgets: Budgets = DEFAULT_BUDGETS) -> Verdict:
     """Certify vanishing homotopy in all dimensions below n by the rule:
     connected, trivialised fundamental group, and vanishing homology in
     degrees 2..n-1."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    check_degree(n)
     checks = [is_connected(complex_)]
     if checks[0].is_fails:
         return checks[0]

@@ -24,7 +24,7 @@ from .complexes import (
 )
 from .maps import QSMap, VertexMap, check_quasi_simplicial
 from .stars import IndexedCover, barycentric_vertex_stars, open_star, open_vertex_star
-from .towers import RegularityReport, Tower
+from .towers import Tower
 from .verdicts import Verdict
 
 
@@ -139,14 +139,25 @@ def parse_complex(obj, context="complex", names=None) -> Complex:
         if not isinstance(raw, list):
             raise InputFormatError("simplices are arrays", "%s.maximal[%d]" % (context, idx))
         simplices.append([parse_vertex(v, "%s.maximal[%d]" % (context, idx), names) for v in raw])
+    raw_vertices = obj.get("vertices", [])
+    if not isinstance(raw_vertices, list):
+        raise InputFormatError("'vertices' is a list", context)
     extra = []
-    for idx, raw in enumerate(obj.get("vertices", [])):
+    for idx, raw in enumerate(raw_vertices):
         extra.append(parse_vertex(raw, "%s.vertices[%d]" % (context, idx), names))
     try:
         # parsed names are canonical: only the simplices need checking
         return Complex.closure_of(map(sorted_simplex, simplices), extra)
     except ValueError as exc:
         raise InputFormatError(str(exc), context)
+
+
+def parse_simplices(obj, context="simplices", names=None) -> list:
+    """Simplices given as a list of vertex-name arrays."""
+    if not isinstance(obj, list) or not all(isinstance(s, list) for s in obj):
+        raise InputFormatError("simplices are a list of vertex arrays", context)
+    names = {} if names is None else names
+    return [[parse_vertex(v, context, names) for v in s] for s in obj]
 
 
 def subcomplex_to_obj(sub: Subcomplex) -> list:
@@ -255,9 +266,7 @@ def parse_cover(obj, context="cover") -> IndexedCover:
             else:
                 elements[index] = open_vertex_star(ambient, v)
         elif isinstance(value, list):
-            sub = subcomplex_from(ambient, [
-                [parse_vertex(w, context, names) for w in simplex] for simplex in value
-            ])
+            sub = subcomplex_from(ambient, parse_simplices(value, context, names))
             if kind == "closed":
                 elements[index] = sub
             else:
@@ -294,6 +303,8 @@ def parse_tower(obj, context="tower") -> Tower:
     names: dict = {}
     levels = [parse_complex(l, "%s.levels[%d]" % (context, i), names) for i, l in enumerate(raw_levels)]
     raw_bonds = obj.get("bonds", [])
+    if not isinstance(raw_bonds, list):
+        raise InputFormatError("'bonds' is a list", context)
     if len(raw_bonds) != len(levels) - 1:
         raise InputFormatError("a tower with M levels needs M-1 bonds", context)
     bonds = []
@@ -304,6 +315,8 @@ def parse_tower(obj, context="tower") -> Tower:
         bonds.append(bond)
     scales = None
     if "scales" in obj:
+        if not isinstance(obj["scales"], list):
+            raise InputFormatError("'scales' is a list", context)
         scales = [parse_fraction(s, "%s.scales[%d]" % (context, i)) for i, s in enumerate(obj["scales"])]
     cover_kind = obj.get("cover", "B")
     try:
@@ -324,7 +337,7 @@ def point_to_obj(point: Point) -> dict:
 
 
 def parse_point(obj, complex_: Complex, context="point", names=None) -> Point:
-    if not isinstance(obj, dict) or "coords" not in obj:
+    if not isinstance(obj, dict) or not isinstance(obj.get("coords"), dict):
         raise InputFormatError("a point is {'coords': {...}, 'scale': 'p/q'}", context)
     coords = {}
     for key, value in obj["coords"].items():
@@ -356,9 +369,7 @@ def parse_plmap(obj, domain: Complex | None = None, target: Complex | None = Non
     if target is None:
         target = parse_complex(obj.get("target"), context + ".target", names)
     if "defined_on" in obj:
-        defined = subcomplex_from(domain, [
-            [parse_vertex(v, context, names) for v in s] for s in obj["defined_on"]
-        ])
+        defined = subcomplex_from(domain, parse_simplices(obj["defined_on"], context, names))
     else:
         defined = whole_subcomplex(domain)
     raw = obj.get("vertex_points")
@@ -393,8 +404,6 @@ def _plain(value):
         return fraction_to_str(value)
     if isinstance(value, Verdict):
         return verdict_to_obj(value)
-    if isinstance(value, RegularityReport):
-        return value.to_obj()
     if isinstance(value, tuple):
         return [_plain(v) for v in value]
     if isinstance(value, (list, set, frozenset)):

@@ -35,7 +35,7 @@ from .complexes import (
     vertex_key,
     vertex_label,
 )
-from .connectivity import subcomplex_verdict
+from .connectivity import check_degree, subcomplex_verdict
 from .maps import (
     QSMap,
     apply,
@@ -128,73 +128,40 @@ def _star_cover(kind: str, level: Complex) -> IndexedCover:
 # regularity of one bond
 
 
-class RegularityEntry(Record, frozen=True):
-    delta: tuple
-    preimage_size: int
-    verdict: Verdict
-    nonsurjective: bool = False
-
-
-class RegularityReport(Record, frozen=True):
-    n: int
-    entries: tuple
-    aggregate: Verdict
-
-    def failing_entries(self) -> list:
-        return [e for e in self.entries if e.verdict.is_fails]
-
-    def to_obj(self) -> dict:
-        from .formats import verdict_to_obj
-
-        return {
-            "n": self.n,
-            "aggregate": verdict_to_obj(self.aggregate),
-            "entries": [
-                {
-                    "delta": [list(v) if isinstance(v, tuple) else v for v in e.delta],
-                    "preimage_size": e.preimage_size,
-                    "verdict": verdict_to_obj(e.verdict),
-                    "nonsurjective": e.nonsurjective,
-                }
-                for e in self.entries
-                if not e.verdict.is_holds
-            ],
-            "checked": len(self.entries),
-        }
-
-
-def regularity_report(p: QSMap, n: int, budgets: Budgets = DEFAULT_BUDGETS) -> RegularityReport:
+def regularity_report(p: QSMap, n: int, budgets: Budgets = DEFAULT_BUDGETS) -> dict:
     """Per simplex of the subdivided target: the preimage subcomplex and its
-    k-connectedness verdict below n.  Empty preimages are surjectivity
-    failures, never vacuous passes."""
+    k-connectedness verdict below n.  Only simplices whose verdict is not
+    `holds` get an entry; `checked` counts them all.  Empty preimages are
+    surjectivity failures, never vacuous passes."""
+    check_degree(n)
+    simplices = p.subdivided_target.sorted_simplices()
     entries = []
-    for delta in p.subdivided_target.sorted_simplices():
+    for delta in simplices:
         pre = preimage_subcomplex(p, delta)
         if pre.is_empty():
-            entries.append(
-                RegularityEntry(
-                    delta,
-                    0,
-                    Verdict.fails(
-                        witness={"delta": delta},
-                        reason="empty preimage: map is not onto this simplex",
-                    ),
-                    nonsurjective=True,
-                )
+            verdict = Verdict.fails(
+                witness={"delta": delta},
+                reason="empty preimage: map is not onto this simplex",
             )
-            continue
-        verdict = subcomplex_verdict(pre, n, budgets)
-        entries.append(RegularityEntry(delta, len(pre.simplices), verdict))
-    aggregate = conjoin(e.verdict for e in entries)
+        else:
+            verdict = subcomplex_verdict(pre, n, budgets)
+        if not verdict.is_holds:
+            entries.append(
+                {
+                    "delta": delta,
+                    "preimage_size": len(pre.simplices),
+                    "verdict": verdict,
+                    "nonsurjective": pre.is_empty(),
+                }
+            )
+    aggregate = conjoin(e["verdict"] for e in entries)
     if aggregate.is_fails:
-        for e in entries:
-            if e.verdict.is_fails:
-                aggregate = Verdict.fails(
-                    witness={"delta": e.delta, "detail": e.verdict.witness},
-                    reason=e.verdict.reason,
-                )
-                break
-    return RegularityReport(n, tuple(entries), aggregate)
+        first = next(e for e in entries if e["verdict"].is_fails)
+        aggregate = Verdict.fails(
+            witness={"delta": first["delta"], "detail": aggregate.witness},
+            reason=aggregate.reason,
+        )
+    return {"n": n, "aggregate": aggregate, "entries": entries, "checked": len(simplices)}
 
 
 # ---------------------------------------------------------------------------
@@ -222,6 +189,7 @@ class TowerCertificate(Record):
 
 def verify_tower(tower: Tower, n: int, budgets: Budgets = DEFAULT_BUDGETS) -> TowerCertificate:
     """Run every hypothesis check on the supplied finite truncation."""
+    check_degree(n)
     conditions: dict = {}
     verdicts: list = []
 
@@ -245,7 +213,7 @@ def verify_tower(tower: Tower, n: int, budgets: Budgets = DEFAULT_BUDGETS) -> To
                 "regularity": report,
             }
         )
-        bond_verdicts.append(conjoin([surjective, report.aggregate]))
+        bond_verdicts.append(conjoin([surjective, report["aggregate"]]))
     bond_status = conjoin(bond_verdicts)
     conditions["bond_regularity"] = {"status": bond_status, "bonds": bond_entries}
     verdicts.append(bond_status)
@@ -671,6 +639,7 @@ def tower_lift(
     certificates and the increment-bound tables."""
     from .plmaps import equal_on
 
+    check_degree(n)
     g0.validate()
     seeds = [g0.level_map(f1.domain, defined, j) for j in range(tower.depth())]
     if not equal_on(f1, seeds[0], defined):

@@ -51,6 +51,15 @@ def lift_spec(maximal, depth: int, names="abc") -> dict:
 # an edge from a to b in the first level, anchored at a through a thread
 LIFT_SPEC = lift_spec(EDGE, 2)
 
+# the triangle abc sent onto the vertex u of the edge uv: every simplex of
+# the subdivided edge but u has an empty preimage
+CONSTANT_MAP = {
+    "source": {"vertices": ["a", "b", "c"], "maximal": [["a", "b", "c"]]},
+    "target": {"vertices": ["u", "v"], "maximal": [["u", "v"]]},
+    "subdivide_target": True,
+    "vertex_images": {"a": ["u"], "b": ["u"], "c": ["u"]},
+}
+
 
 def run_cli(args, capsys):
     code = main(args)
@@ -423,12 +432,30 @@ class TestDeterminism:
                 0,
                 "20cc80664fde6ee82a4b09b30aa44ae6c527cf0acc5197674b277302baa0778a",
             ),
+            (
+                # nonsurjective regularity entries, each with its empty-preimage witness
+                CONSTANT_MAP,
+                ["check-map", "--n", "1"],
+                1,
+                "d6230cf9f8b6d8fdae7664c2466eb53e76caf42d1c7a6aa97a3b973e698f66c0",
+            ),
+            (
+                # inconclusive regularity entries: a closed tetrahedron piece
+                # needs seven collapses, more than the budget of one
+                ["gen", "subdivision-tower", "--base", "tetrahedron", "--levels", "2"],
+                ["verify-tower", "--n", "2", "--budget-pi1", "1"],
+                2,
+                "f0ad39dfa503d2407b920e98080b374ea01946db832a26da100f380279830884",
+            ),
         ],
     )
     def test_golden_digest(self, tmp_path, capsys, gen, command, expected_code, digest):
         # certificates are canonical JSON, so a changed digest is a changed
         # certificate, whatever engine computed it
-        _, generated = run_cli([a for a in gen if a != OPEN_COVER], capsys)
+        if isinstance(gen, dict):
+            generated = formats.dumps_canonical(gen)
+        else:
+            _, generated = run_cli([a for a in gen if a != OPEN_COVER], capsys)
         if OPEN_COVER in gen:
             generated = formats.dumps_canonical(dict(json.loads(generated), cover="O"))
         path = tmp_path / "input.json"
@@ -477,7 +504,7 @@ class TestColdStart:
         report = json.loads(proc.stdout)
         assert report["loaded"] == []
         assert report["missing"] == [] and report["unlisted"] == []
-        assert report["count"] == 67
+        assert report["count"] == 66
 
     def test_package_names_resolve_on_first_access(self):
         import polytower

@@ -26,6 +26,7 @@ from util import (
     boundary_composition_is_zero,
     cylinder_complex,
     dunce_hat_complex,
+    greedy_collapse,
     random_complex,
     rank_mod_p,
     rational_rank,
@@ -309,6 +310,34 @@ class TestCollapse:
             assert collapses_to_point(k.simplices, needed)
             if needed:
                 assert not collapses_to_point(k.simplices, needed - 1)
+
+    def test_closed_simplices_match_the_search(self):
+        # a closed simplex is answered in closed form: (|S| - 1) / 2 steps
+        for size in range(1, 11):
+            k = simplex_complex(["v%d" % i for i in range(size)])
+            needed = (len(k.simplices) - 1) // 2
+            assert collapses_to_point(k.simplices, needed) is greedy_collapse(k.simplices, needed) is True
+            if needed:
+                assert collapses_to_point(k.simplices, needed - 1) is greedy_collapse(k.simplices, needed - 1) is False
+
+    def test_other_sets_match_the_search(self):
+        for k in CROSS_CHECKED + [cone(k) for k in CROSS_CHECKED]:
+            for budget in (1, 4, 10, 100, len(k.simplices)):
+                assert collapses_to_point(k.simplices, budget) == greedy_collapse(k.simplices, budget)
+
+    def test_closed_simplex_needs_no_search(self, monkeypatch):
+        import polytower.connectivity as connectivity
+
+        def no_search(simplex):
+            raise AssertionError("a closed simplex is answered in closed form")
+
+        monkeypatch.setattr(connectivity, "simplex_sort_key", no_search)
+        tetrahedron = simplex_complex(["a", "b", "c", "d"]).simplices
+        assert collapses_to_point(tetrahedron, 7)
+        assert not collapses_to_point(tetrahedron, 6)
+        path = Complex.from_maximal([["a", "b"], ["b", "c"]]).simplices
+        with pytest.raises(AssertionError):
+            collapses_to_point(path, 10)
 
     def test_vertex_empty_set_and_solid_cone(self):
         # a simplex, a barycentric star and the circle are in test_carriers

@@ -225,3 +225,122 @@ class TestInternalErrors:
         assert code == cli.EXIT_INTERNAL
         assert code not in (0, 1, 2, 3)
         assert "internal error: RuntimeError" in capsys.readouterr().err
+
+
+def _write_json(tmp_path, name, payload) -> str:
+    path = tmp_path / name
+    path.write_text(json.dumps(payload))
+    return str(path)
+
+
+def _tower_obj(levels: int) -> dict:
+    from polytower import formats
+
+    return formats.tower_to_obj(subdivision_tower(simplex(2), levels))
+
+
+# an edge x0 x1 onto a b of the first level, anchored at x0 through the
+# thread a, (a,) of its image
+LIFT_SPEC = {
+    "domain": {"vertices": [], "maximal": [["x0", "x1"]]},
+    "f1": {
+        "vertex_points": {
+            "x0": {"coords": {"a": "1"}, "scale": "1"},
+            "x1": {"coords": {"b": "1"}, "scale": "1"},
+        }
+    },
+    "anchor": [["x0"]],
+    "threads": {"x0": [{"coords": {"a": "1"}, "scale": "1"}, {"coords": {'["a"]': "1"}, "scale": "1"}]},
+}
+
+
+class TestDegreeErrors:
+    """A degree below 1 is malformed input, rejected before any work, even
+    where no piece would be judged."""
+
+    @pytest.mark.parametrize(
+        "command, levels, n",
+        [("verify-tower", 1, "0"), ("verify-tower", 1, "-3"), ("lift", 1, "0"), ("lift", 2, "0")],
+    )
+    def test_cli_exits_3(self, tmp_path, capsys, command, levels, n):
+        from polytower.cli import main
+
+        tower = _write_json(tmp_path, "tower.json", _tower_obj(levels))
+        spec = _with(LIFT_SPEC, threads={"x0": LIFT_SPEC["threads"]["x0"][:levels]})
+        extra = ["--spec", _write_json(tmp_path, "spec.json", spec)] if command == "lift" else []
+        assert main([command, tower, "--n", n] + extra) == 3
+        assert "input error: n must be at least 1" in capsys.readouterr().err
+
+    def test_library_calls_raise_first(self):
+        from polytower.generators import cylinder_map
+        from polytower.towers import Tower, regularity_report, tower_lift, verify_tower
+
+        one_level = Tower.build([simplex(2)], [])
+        for call in (
+            lambda: verify_tower(one_level, 0),
+            lambda: regularity_report(cylinder_map(), 0),
+            lambda: tower_lift(one_level, None, None, None, 0),
+        ):
+            with pytest.raises(ValueError, match="n must be at least 1"):
+                call()
+
+
+def _with(obj: dict, **changes) -> dict:
+    return dict(obj, **changes)
+
+
+def _cover(element) -> dict:
+    return {"ambient": {"vertices": [], "maximal": [["a", "b"]]}, "kind": "closed", "elements": {"e": element}}
+
+
+class TestMalformedContainers:
+    """A field holding the wrong kind of container is malformed input (3),
+    never an internal error (4)."""
+
+    @pytest.mark.parametrize(
+        "command, document, extra",
+        [
+            ("validate", {"vertices": 5, "maximal": [["a"]]}, {}),
+            ("verify-tower", _with(_tower_obj(2), bonds=5), {}),
+            ("verify-tower", _with(_tower_obj(2), scales=5), {}),
+            ("restrict", _tower_obj(2), {"--complex": 42}),
+            ("lift", _tower_obj(2), {"--spec": _with(LIFT_SPEC, threads=[1])}),
+            ("lift", _tower_obj(2), {"--spec": _with(LIFT_SPEC, anchor=7)}),
+            (
+                "lift",
+                _tower_obj(2),
+                {"--spec": _with(LIFT_SPEC, threads={"x0": [{"coords": [1], "scale": "1"}]})},
+            ),
+            (
+                "lift",
+                _tower_obj(2),
+                {"--spec": _with(LIFT_SPEC, f1=dict(LIFT_SPEC["f1"], defined_on=5))},
+            ),
+            ("nerve", _cover([5]), {}),
+            ("mesh", _cover([5]), {}),
+        ],
+        ids=[
+            "complex-vertices",
+            "tower-bonds",
+            "tower-scales",
+            "restrict-complex",
+            "lift-threads",
+            "lift-anchor",
+            "point-coords",
+            "plmap-defined-on",
+            "nerve-element",
+            "mesh-element",
+        ],
+    )
+    def test_exits_3(self, tmp_path, capsys, command, document, extra):
+        from polytower.cli import main
+
+        argv = [command, _write_json(tmp_path, "input.json", document)]
+        for flag, payload in extra.items():
+            argv += [flag, _write_json(tmp_path, flag.strip("-") + ".json", payload)]
+        if command in ("verify-tower", "lift"):
+            argv += ["--n", "2"]
+        if command == "restrict":
+            argv += ["--level", "1"]
+        assert main(argv) == 3
+        assert "input error" in capsys.readouterr().err

@@ -165,7 +165,7 @@ class TestRandomMapSweeps:
         for seed in range(5):
             tower = subdivision_tower(random_complex(seed), 2)
             report = regularity_report(tower.bonds[0], 1)
-            assert report.aggregate.is_holds
+            assert report["aggregate"].is_holds
 
 
 class TestLiftPreconditions:

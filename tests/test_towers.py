@@ -56,22 +56,24 @@ class TestRegularityReport:
         p = identity_qsmap(simplex(1))
         for n in (1, 2, 3):
             report = regularity_report(p, n)
-            assert report.aggregate.is_holds
-            assert all(e.preimage_size > 0 for e in report.entries)
+            assert report["aggregate"].is_holds
+            # entries list only the simplices that do not hold
+            assert report["entries"] == []
+            assert report["checked"] == len(p.subdivided_target.simplices)
 
     def test_cylinder_holds_at_one(self):
-        assert regularity_report(cylinder_map(), 1).aggregate.is_holds
+        assert regularity_report(cylinder_map(), 1)["aggregate"].is_holds
 
     def test_cylinder_fails_at_two_on_circle_fibers(self):
         report = regularity_report(cylinder_map(), 2)
-        assert report.aggregate.is_fails
+        assert report["aggregate"].is_fails
         # every vertex fiber is a circle; the headline witness is the
         # canonically first one and the midpoint fiber is among the failures
-        assert report.aggregate.witness["delta"] == (("u",),)
-        failing = {e.delta: e for e in report.failing_entries()}
+        assert report["aggregate"].witness["delta"] == (("u",),)
+        failing = {e["delta"]: e for e in report["entries"] if e["verdict"].is_fails}
         middle = failing[((("u", "v")),)]
-        assert middle.verdict.witness == {"betti": 1, "torsion": []}
-        assert middle.preimage_size == 6  # three vertices and three edges
+        assert middle["verdict"].witness == {"betti": 1, "torsion": []}
+        assert middle["preimage_size"] == 6  # three vertices and three edges
 
     def test_constant_map_reports_nonsurjectivity(self):
         from polytower.maps import check_quasi_simplicial
@@ -80,8 +82,8 @@ class TestRegularityReport:
         base = simplex(1, ["u", "v"])
         p = check_quasi_simplicial(k, base, {v: ("u",) for v in k.vertices})
         report = regularity_report(p, 1)
-        assert report.aggregate.is_fails
-        assert any(e.nonsurjective for e in report.entries)
+        assert report["aggregate"].is_fails
+        assert any(e["nonsurjective"] for e in report["entries"])
 
     def test_preimages_read_the_fibers(self, monkeypatch):
         # every preimage is a union of simplex fibers: no induced subcomplex
@@ -119,9 +121,9 @@ class TestVerifyTower:
         assert cert.conclusion.is_fails
         bond = cert.conditions["bond_regularity"]["bonds"][0]
         report = bond["regularity"]
-        assert report.aggregate.is_fails
-        failing = {e.delta: e for e in report.failing_entries()}
-        assert failing[(("u", "v"),)].verdict.witness == {"betti": 1, "torsion": []}
+        assert report["aggregate"].is_fails
+        failing = {e["delta"]: e for e in report["entries"] if e["verdict"].is_fails}
+        assert failing[(("u", "v"),)]["verdict"].witness == {"betti": 1, "torsion": []}
 
     def test_cylinder_tower_holds_at_one(self):
         cert = verify_tower(cylinder_tower(), 1)
@@ -266,7 +268,7 @@ class TestRestrict:
         restricted = restrict_tower(t, 1, edge)
         for bond in restricted.bonds:
             assert is_surjective(bond).is_holds
-            assert regularity_report(bond, 2).aggregate.is_holds
+            assert regularity_report(bond, 2)["aggregate"].is_holds
 
 
 class TestPullbackStarCover:

@@ -382,6 +382,43 @@ def dunce_hat_complex() -> Complex:
     return Complex.from_maximal([[labels[v] for v in tri] for tri in twice.maximal])
 
 
+def greedy_collapse(simplices, budget: int) -> bool:
+    """Whether at most `budget` elementary collapses, free faces taken in
+    `simplex_sort_key` order and then in the order the collapses free them,
+    reduce a face-closed set to a single vertex: the coface-queue search
+    with no closed-form shortcut, as a reference."""
+    from collections import deque
+
+    from polytower.complexes import simplex_sort_key
+
+    cofaces: dict = {}  # facet -> its cofaces still present
+    for s in simplices:
+        if len(s) > 1:
+            for k in range(len(s)):
+                cofaces.setdefault(s[:k] + s[k + 1 :], set()).add(s)
+    free = deque(sorted((f for f, over in cofaces.items() if len(over) == 1), key=simplex_sort_key))
+    size = len(simplices)
+    steps = 0
+    while free and size > 1:
+        face = free.popleft()
+        over = cofaces[face]
+        if not over:
+            continue
+        if steps == budget:
+            return False
+        steps += 1
+        top = over.pop()
+        size -= 2
+        for removed in (top, face) if len(face) > 1 else (top,):
+            for k in range(len(removed)):
+                facet = removed[:k] + removed[k + 1 :]
+                rest = cofaces[facet]
+                rest.discard(removed)
+                if len(rest) == 1:
+                    free.append(facet)
+    return size == 1
+
+
 def scan_nerve(cover, budget: int = 100_000):
     """The nerve grown level by level: every index tested for a non-empty
     element, then every subset whose facets all meet tested for a common
