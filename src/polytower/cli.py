@@ -363,14 +363,90 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_INPUT, "%s: error: %s\n" % (self.prog, message))
 
 
+def _arg(*flags, **kwargs):
+    return flags, kwargs
+
+
+_INPUT = _arg("input")
+
+# name -> (help, handler, whether --n is required, the command's own arguments)
+_COMMANDS = {
+    "validate": ("validate a complex file and report its shape", cmd_validate, False, [_INPUT]),
+    "subdivide": ("barycentric subdivision of a complex file", cmd_subdivide, False, [_INPUT]),
+    "stars": ("open and barycentric star of a vertex", cmd_stars, False, [_INPUT, _arg("--vertex", required=True)]),
+    "nerve": ("nerve of a cover file", cmd_nerve, False, [_INPUT]),
+    "homology": (
+        "integral homology of a complex file",
+        cmd_homology,
+        False,
+        [_INPUT, _arg("--degree", type=int), _arg("--reduced", action="store_true")],
+    ),
+    "pi1": ("fundamental group triviality verdict", cmd_pi1, False, [_INPUT]),
+    "check-map": ("quasi-simpliciality, surjectivity, regularity", cmd_check_map, True, [_INPUT]),
+    "verify-tower": ("full certificate for a tower file", cmd_verify_tower, True, [_INPUT]),
+    "restrict": (
+        "restrict a tower to a subcomplex of one level",
+        cmd_restrict,
+        False,
+        [
+            _INPUT,
+            _arg("--level", type=int, required=True),
+            _arg("--complex", required=True, help="file with the subcomplex's maximal simplices"),
+        ],
+    ),
+    "mesh": ("mesh of a cover file", cmd_mesh, False, [_INPUT, _arg("--scale")]),
+    "lift": (
+        "stagewise lift of a PL map through a tower",
+        cmd_lift,
+        True,
+        [_arg("input", help="tower file"), _arg("--spec", required=True, help="lift specification file")],
+    ),
+    "gen": (
+        "deterministic example inputs",
+        cmd_gen,
+        False,
+        [
+            _arg(
+                "kind",
+                choices=(
+                    "simplex",
+                    "circle",
+                    "sphere",
+                    "rp2",
+                    "cylinder",
+                    "cylinder-tower",
+                    "subdivision-tower",
+                    "random-tower",
+                ),
+            ),
+            _arg("--dim", type=int),
+            _arg("--base"),
+            _arg("--levels", type=int, default=3),
+            _arg("--seed", type=int, default=0),
+            _arg("--scale-base"),
+        ],
+    ),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
+    return _parser(_COMMANDS)
+
+
+def _parser(names) -> argparse.ArgumentParser:
+    """The parser with the subparsers of the named commands only; its usage
+    line lists every command whichever are built."""
     parser = _Parser(
         prog="polytower",
         description="exact checks and certificates for towers of finite polyhedra",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, needs_n=False):
+    every = None if len(names) == len(_COMMANDS) else "{%s}" % ",".join(_COMMANDS)
+    sub = parser.add_subparsers(dest="command", required=True, metavar=every)
+    for name in names:
+        help_, handler, needs_n, arguments = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_)
+        for flags, kwargs in arguments:
+            p.add_argument(*flags, **kwargs)
         p.add_argument("--format", choices=("json", "human"), default="json")
         p.add_argument("--output", "-o", default=None)
         p.add_argument("--budget-pi1", type=int, default=None)
@@ -378,96 +454,14 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--budget-nerve", type=int, default=None)
         if needs_n:
             p.add_argument("--n", type=int, required=True)
-
-    p = sub.add_parser("validate", help="validate a complex file and report its shape")
-    p.add_argument("input")
-    common(p)
-    p.set_defaults(handler=cmd_validate)
-
-    p = sub.add_parser("subdivide", help="barycentric subdivision of a complex file")
-    p.add_argument("input")
-    common(p)
-    p.set_defaults(handler=cmd_subdivide)
-
-    p = sub.add_parser("stars", help="open and barycentric star of a vertex")
-    p.add_argument("input")
-    p.add_argument("--vertex", required=True)
-    common(p)
-    p.set_defaults(handler=cmd_stars)
-
-    p = sub.add_parser("nerve", help="nerve of a cover file")
-    p.add_argument("input")
-    common(p)
-    p.set_defaults(handler=cmd_nerve)
-
-    p = sub.add_parser("homology", help="integral homology of a complex file")
-    p.add_argument("input")
-    p.add_argument("--degree", type=int, default=None)
-    p.add_argument("--reduced", action="store_true")
-    common(p)
-    p.set_defaults(handler=cmd_homology)
-
-    p = sub.add_parser("pi1", help="fundamental group triviality verdict")
-    p.add_argument("input")
-    common(p)
-    p.set_defaults(handler=cmd_pi1)
-
-    p = sub.add_parser("check-map", help="quasi-simpliciality, surjectivity, regularity")
-    p.add_argument("input")
-    common(p, needs_n=True)
-    p.set_defaults(handler=cmd_check_map)
-
-    p = sub.add_parser("verify-tower", help="full certificate for a tower file")
-    p.add_argument("input")
-    common(p, needs_n=True)
-    p.set_defaults(handler=cmd_verify_tower)
-
-    p = sub.add_parser("restrict", help="restrict a tower to a subcomplex of one level")
-    p.add_argument("input")
-    p.add_argument("--level", type=int, required=True)
-    p.add_argument("--complex", required=True, help="file with the subcomplex's maximal simplices")
-    common(p)
-    p.set_defaults(handler=cmd_restrict)
-
-    p = sub.add_parser("mesh", help="mesh of a cover file")
-    p.add_argument("input")
-    p.add_argument("--scale", default=None)
-    common(p)
-    p.set_defaults(handler=cmd_mesh)
-
-    p = sub.add_parser("lift", help="stagewise lift of a PL map through a tower")
-    p.add_argument("input", help="tower file")
-    p.add_argument("--spec", required=True, help="lift specification file")
-    common(p, needs_n=True)
-    p.set_defaults(handler=cmd_lift)
-
-    p = sub.add_parser("gen", help="deterministic example inputs")
-    p.add_argument(
-        "kind",
-        choices=(
-            "simplex",
-            "circle",
-            "sphere",
-            "rp2",
-            "cylinder",
-            "cylinder-tower",
-            "subdivision-tower",
-            "random-tower",
-        ),
-    )
-    p.add_argument("--dim", type=int, default=None)
-    p.add_argument("--base", default=None)
-    p.add_argument("--levels", type=int, default=3)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--scale-base", default=None)
-    common(p)
-    p.set_defaults(handler=cmd_gen)
-
+        p.set_defaults(handler=handler)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # a process runs one command, so only its subparser is built
+    parser = _parser(argv[:1]) if argv and argv[0] in _COMMANDS else build_parser()
     args = parser.parse_args(argv)
     try:
         return args.handler(args)

@@ -134,17 +134,25 @@ class Complex:
 
     __slots__ = ("vertices", "simplices", "maximal", "_vertex_set", "_hash", "_by_dim", "_maximal_at")
 
-    def __init__(self, simplices: frozenset, vertices: tuple, maximal: tuple):
+    def __init__(self, simplices: frozenset, vertices: tuple, tops):
+        """`vertices` in `vertex_key` order and `tops` the maximal simplices.
+        Simplices are sorted by the ranks of their vertices in that order,
+        which compare as `simplex_sort_key` does, a prefix first."""
+        rank = {v: i for i, v in enumerate(vertices)}.__getitem__
+
+        def ranks(s):
+            return tuple(map(rank, s))
+
         object.__setattr__(self, "simplices", simplices)
         object.__setattr__(self, "vertices", vertices)
-        object.__setattr__(self, "maximal", maximal)
+        object.__setattr__(self, "maximal", tuple(sorted(tops, key=lambda s: (len(s), ranks(s)))))
         object.__setattr__(self, "_vertex_set", frozenset(vertices))
         object.__setattr__(self, "_hash", hash((vertices, simplices)))
         by_dim = {}
         for s in simplices:
             by_dim.setdefault(len(s) - 1, []).append(s)
         for group in by_dim.values():
-            group.sort(key=simplex_sort_key)
+            group.sort(key=ranks)
         object.__setattr__(self, "_by_dim", by_dim)
         object.__setattr__(self, "_maximal_at", None)
 
@@ -181,10 +189,9 @@ class Complex:
     def _from_closed(closure: set) -> "Complex":
         """The closure is face-closed, so a simplex is maximal exactly when it
         is no facet of another simplex of it."""
-        vertices = tuple(sorted({v for s in closure for v in s}, key=vertex_key))
+        vertices = tuple(sorted([s[0] for s in closure if len(s) == 1], key=vertex_key))
         facets = {s[:k] + s[k + 1 :] for s in closure if len(s) > 1 for k in range(len(s))}
-        maximal = sorted(closure - facets, key=simplex_sort_key)
-        return Complex(frozenset(closure), vertices, tuple(maximal))
+        return Complex(frozenset(closure), vertices, closure - facets)
 
     @property
     def dimension(self) -> int:
@@ -270,15 +277,22 @@ def barycentric_subdivision(complex_: Complex) -> Complex:
     """
     flags = []
     for top in complex_.maximal:
-        for order in permutations(top):
-            chain = []
-            prefix = []
-            for v in order:
-                prefix.append(v)
-                chain.append(tuple(sorted(prefix, key=vertex_key)))
-            flags.append(tuple(sorted(chain, key=vertex_key)))
+        # a simplex is sorted, so positions in it are ranks, and chains of
+        # position tuples sort as `vertex_key` sorts the named chains
+        for chain in _position_flags(len(top)):
+            flags.append(tuple(tuple(top[i] for i in face) for face in chain))
     # built from canonical names, so the flags are canonical simplices
     return Complex.closure_of(flags)
+
+
+@lru_cache(maxsize=16)
+def _position_flags(k: int) -> tuple:
+    """The flags of the standard k-vertex simplex 0..k-1, one per vertex
+    order, each as its sorted tuple of sorted position tuples."""
+    flags = []
+    for order in permutations(range(k)):
+        flags.append(tuple(sorted(tuple(sorted(order[:j])) for j in range(1, k + 1))))
+    return tuple(flags)
 
 
 def chain_min(name_tuple) -> tuple:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _encode_str
 
 from .complexes import (
     Complex,
@@ -48,7 +49,7 @@ def fraction_to_str(value: Fraction) -> str:
 
 
 def parse_fraction(text, context="rational") -> Fraction:
-    if isinstance(text, int):
+    if isinstance(text, int) and not isinstance(text, bool):
         return Fraction(text)
     if not isinstance(text, str):
         raise InputFormatError("rationals are 'p/q' strings", context)
@@ -62,9 +63,23 @@ def parse_fraction(text, context="rational") -> Fraction:
 
 
 def vertex_to_obj(name):
+    return _shared_obj(name, {})
+
+
+def _shared_obj(name, lists: dict):
+    """`vertex_to_obj` within one document: `lists` holds one list per nested
+    name, shared by all its occurrences, so `dumps_canonical` renders it once
+    per depth."""
     if isinstance(name, str):
         return name
-    return [vertex_to_obj(part) for part in name]
+    obj = lists.get(name)
+    if obj is None:
+        obj = lists[name] = [_shared_obj(part, lists) for part in name]
+    return obj
+
+
+# compact JSON text from the C encoder: vertex keys and the reader's name memo
+_compact = json.JSONEncoder(separators=(",", ":")).encode
 
 
 # deepest nesting of a vertex name in an input document; names made by
@@ -73,10 +88,23 @@ MAX_NAME_DEPTH = 100
 
 
 def parse_vertex(obj, context="vertex", names=None):
-    """A vertex name from its JSON form.  `names` memoises the nested names
-    met so far in one document (the caller's dict, fresh when omitted), so
-    each distinct name is sorted and checked once."""
-    return _parse_name(obj, context, {} if names is None else names, 0)
+    """A vertex name from its JSON form.  `names` memoises the names met so
+    far in one document (the caller's dict, fresh when omitted): a nested
+    name by its compact JSON text, so a name met again costs one encoding
+    and one lookup, and each distinct tuple of parts is sorted and checked
+    once."""
+    if names is None:
+        names = {}
+    if not isinstance(obj, list):
+        return _parse_name(obj, context, names, 0)
+    try:
+        key = _compact(obj)
+    except RecursionError:  # far deeper than MAX_NAME_DEPTH, which _parse_name reports
+        return _parse_name(obj, context, names, 0)
+    name = names.get(key)
+    if name is None:
+        name = names[key] = _parse_name(obj, context, names, 0)
+    return name
 
 
 def _parse_name(obj, context, names: dict, depth: int):
@@ -100,13 +128,15 @@ def vertex_to_key(name) -> str:
     """Stable string form usable as a JSON object key."""
     if isinstance(name, str):
         return name
-    return json.dumps(vertex_to_obj(name), separators=(",", ":"))
+    return _compact(name)
 
 
 def parse_vertex_key(text, context="vertex key", names=None):
     if not isinstance(text, str):
         raise InputFormatError("object keys must be strings", context)
     if text.startswith("["):
+        if names is not None and text in names:  # compact text already read
+            return names[text]
         try:
             return parse_vertex(json.loads(text), context, names)
         except json.JSONDecodeError as exc:
@@ -121,9 +151,14 @@ def parse_vertex_key(text, context="vertex key", names=None):
 
 
 def complex_to_obj(complex_: Complex) -> dict:
+    return _complex_obj(complex_, {})
+
+
+def _complex_obj(complex_: Complex, lists: dict) -> dict:
+    objs = {v: _shared_obj(v, lists) for v in complex_.vertices}
     return {
-        "vertices": [vertex_to_obj(v) for v in complex_.vertices],
-        "maximal": [[vertex_to_obj(v) for v in s] for s in complex_.maximal],
+        "vertices": list(objs.values()),
+        "maximal": [list(map(objs.__getitem__, s)) for s in complex_.maximal],
     }
 
 
@@ -169,6 +204,10 @@ def subcomplex_to_obj(sub: Subcomplex) -> list:
 
 
 def map_to_obj(m, include_complexes: bool = True) -> dict:
+    return _map_obj(m, include_complexes, {})
+
+
+def _map_obj(m, include_complexes: bool, lists: dict) -> dict:
     if isinstance(m, QSMap):
         vm = m.vertex_map
         subdivide = True
@@ -182,12 +221,12 @@ def map_to_obj(m, include_complexes: bool = True) -> dict:
     out = {
         "subdivide_target": subdivide,
         "vertex_images": {
-            vertex_to_key(v): vertex_to_obj(w) for v, w in vm.assignment
+            vertex_to_key(v): _shared_obj(w, lists) for v, w in vm.assignment
         },
     }
     if include_complexes:
-        out["source"] = complex_to_obj(vm.source)
-        out["target"] = complex_to_obj(target)
+        out["source"] = _complex_obj(vm.source, lists)
+        out["target"] = _complex_obj(target, lists)
     return out
 
 
@@ -286,9 +325,10 @@ def parse_cover(obj, context="cover") -> IndexedCover:
 
 
 def tower_to_obj(tower: Tower) -> dict:
+    lists: dict = {}
     return {
-        "levels": [complex_to_obj(level) for level in tower.levels],
-        "bonds": [map_to_obj(bond, include_complexes=False) for bond in tower.bonds],
+        "levels": [_complex_obj(level, lists) for level in tower.levels],
+        "bonds": [_map_obj(bond, False, lists) for bond in tower.bonds],
         "scales": [fraction_to_str(s) for s in tower.scales],
         "cover": tower.cover_kind,
     }
@@ -417,7 +457,77 @@ def _plain(value):
 
 
 def dumps_canonical(obj) -> str:
-    return json.dumps(_plain(obj), indent=2, sort_keys=True, ensure_ascii=True) + "\n"
+    """`json.dumps(_plain(obj), indent=2, sort_keys=True, ensure_ascii=True)`
+    and a newline, rendered in one pass.  A list or tuple whose leaves are
+    all strings, such as a vertex name, is rendered once per nesting depth:
+    a tuple is remembered by value, a list by identity, and the entry holds
+    the list so that its id cannot pass to another object."""
+    tuples: dict = {}  # (tuple, depth) -> text
+    lists: dict = {}  # (id(list), depth) -> (list, text)
+
+    def render(value, depth):
+        if isinstance(value, str):
+            return _encode_str(value)
+        if isinstance(value, (list, tuple)):
+            return sequence(value, depth)[0]
+        if isinstance(value, dict):
+            if not value:
+                return "{}"
+            items = {k if isinstance(k, str) else str(_plain(k)): v for k, v in value.items()}
+            sep = ",\n" + "  " * (depth + 1)
+            out = []
+            for k, v in sorted(items.items()):
+                out += (sep, _encode_str(k), ": ", render(v, depth + 1))
+            out[0] = "{" + sep[1:]
+            out.append("\n" + "  " * depth + "}")
+            return "".join(out)
+        if value is None or isinstance(value, (int, float)):
+            return json.dumps(value)
+        plain = _plain(value)
+        # what _plain leaves as it is, json.dumps renders or refuses
+        return json.dumps(value) if plain is value else render(plain, depth)
+
+    def sequence(seq, depth):
+        """The text of a list or tuple, and whether its leaves are all strings."""
+        if not seq:
+            return "[]", True
+        if isinstance(seq, tuple):
+            key = (seq, depth)
+            try:
+                text = tuples.get(key)
+            except TypeError:  # it holds a list or another unhashable value
+                key = text = None
+            if text is not None:
+                return text, True
+        else:
+            hit = lists.get((id(seq), depth))
+            if hit is not None and hit[0] is seq:
+                return hit[1], True
+        sep = ",\n" + "  " * (depth + 1)
+        pure = True
+        out = []
+        for item in seq:
+            out.append(sep)
+            if isinstance(item, str):
+                out.append(_encode_str(item))
+            elif isinstance(item, (list, tuple)):
+                text, item_pure = sequence(item, depth + 1)
+                out.append(text)
+                pure = pure and item_pure
+            else:
+                out.append(render(item, depth + 1))
+                pure = False
+        out[0] = "[" + sep[1:]
+        out.append("\n" + "  " * depth + "]")
+        text = "".join(out)
+        if pure:
+            if isinstance(seq, list):
+                lists[id(seq), depth] = (seq, text)
+            elif key is not None:
+                tuples[key] = text
+        return text, pure
+
+    return render(obj, 0) + "\n"
 
 
 def render_human(obj, indent: int = 0) -> str:

@@ -154,6 +154,9 @@ class TestRoundTrips:
         assert formats.parse_fraction("5") == Fraction(5)
         with pytest.raises(formats.InputFormatError):
             formats.parse_fraction("1/0")
+        for boolean in (True, False):
+            with pytest.raises(formats.InputFormatError, match="rationals are 'p/q' strings"):
+                formats.parse_fraction(boolean)
 
     def test_cover_round_trip_stars(self):
         k = simplex(2)

@@ -155,6 +155,45 @@ class TestMaximalSimplices:
         assert Complex._from_closed(set()).dimension == -1
 
 
+def rank_order_cases() -> list:
+    """Complexes for the rank-keyed orders: the kernel complexes, larger
+    random ones, and complexes whose names mix atoms and tuples, with
+    tuples that are prefixes of one another."""
+    cases = kernel_complexes()
+    cases += [("random %d" % seed, random_complex(seed, max_vertices=9, max_simplices=60)) for seed in range(12, 40)]
+    for raw in (
+        [["a", ("b", "c")], [("b", "c"), ("a",)], ["z", ("a",)]],
+        [[("a",), ("a", "b"), ("b",)], [("a", "b"), "b", "c"], ["c", ("a", "b", "c")]],
+        [[(("a",), ("a", "b")), ("a",), "a"], [("a", "b", "c"), ("a", "c"), "b"], [("a",), ("a", "c")]],
+    ):
+        k = Complex.from_maximal(raw)
+        cases += [("mixed %r" % (k.vertices,), k), ("beta of mixed %r" % (k.vertices,), barycentric_subdivision(k))]
+    return cases
+
+
+class TestRankOrder:
+    """Orders read from vertex ranks against the `vertex_key` and
+    `simplex_sort_key` sorts they replace."""
+
+    def test_complex_orders(self):
+        for label, k in rank_order_cases():
+            assert k.vertices == tuple(sorted({v for s in k.simplices for v in s}, key=vertex_key)), label
+            assert k.maximal == tuple(sorted(brute_force_maximal(k.simplices), key=simplex_sort_key)), label
+            assert k.sorted_simplices() == sorted(k.simplices, key=simplex_sort_key), label
+            for d in range(k.dimension + 1):
+                assert k.simplices_of_dim(d) == sorted((s for s in k.simplices if len(s) == d + 1), key=simplex_sort_key)
+
+    def test_subdivision_orders(self):
+        for label, k in rank_order_cases():
+            beta = barycentric_subdivision(k)
+            flags = {tuple(sorted(flag, key=vertex_key)) for flag in subdivision_flags(k)}
+            closure = brute_force_closure(flags)
+            assert beta.simplices == frozenset(closure), label
+            assert beta.vertices == tuple(sorted(k.simplices, key=vertex_key)), label
+            assert beta.maximal == tuple(sorted(flags, key=simplex_sort_key)), label
+            assert beta.sorted_simplices() == sorted(closure, key=simplex_sort_key), label
+
+
 class TestLocalQueries:
     """The vertex-indexed queries against whole-complex scans."""
 

@@ -141,6 +141,33 @@ class TestRestrictLevelErrors:
         assert "level out of range" in capsys.readouterr().err
 
 
+COMMANDS = ["validate", "subdivide", "stars", "nerve", "homology", "pi1", "check-map", "verify-tower", "restrict", "mesh", "lift", "gen"]
+
+# help, usage errors before and after a command name, and errors the
+# top-level parser reports after the command's own parser has run
+PARSER_ARGVS = (
+    [["--help"], ["-h", "gen"], [], ["bogus"], ["verify"], ["--format", "json"]]
+    + [[c, "--help"] for c in COMMANDS]
+    + [[c] for c in COMMANDS]
+    + [
+        ["verify-tower", "tower.json"],
+        ["lift", "tower.json", "--spec", "spec.json"],
+        ["validate", "complex.json", "--bogus"],
+        ["gen", "nosuchkind"],
+        ["homology", "complex.json", "--degree", "two"],
+        ["gen", "simplex", "--format", "xml"],
+        ["restrict", "tower.json", "--level", "1"],
+    ]
+)
+
+
+def _exit_and_output(run, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run()
+    out = capsys.readouterr()
+    return exc.value.code, out.out, out.err
+
+
 class TestUsageErrors:
     """A command line argparse rejects is malformed input (3), never the
     code of an inconclusive check (2)."""
@@ -169,6 +196,35 @@ class TestUsageErrors:
             main(argv)
         assert exc.value.code == 0
         assert "usage:" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv", PARSER_ARGVS, ids=[" ".join(a) or "(none)" for a in PARSER_ARGVS])
+    def test_same_text_as_the_full_parser(self, capsys, argv):
+        """`main` builds only the named command's subparser; help and usage
+        errors read as they do from the parser of all twelve."""
+        from polytower import cli
+
+        expected = _exit_and_output(lambda: cli.build_parser().parse_args(argv), capsys)
+        assert _exit_and_output(lambda: cli.main(argv), capsys) == expected
+        assert expected[0] == (0 if "--help" in argv or "-h" in argv else 3)
+
+    def test_builds_only_the_named_command(self, capsys, monkeypatch):
+        import argparse
+
+        from polytower.cli import main
+
+        built = []
+        add_parser = argparse._SubParsersAction.add_parser
+
+        def counting(self, name, **kwargs):
+            built.append(name)
+            return add_parser(self, name, **kwargs)
+
+        monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting)
+        for argv, names in ((["verify-tower", "--help"], 1), (["gen", "--help"], 1), (["--help"], 12), (["bogus"], 12)):
+            built.clear()
+            _exit_and_output(lambda: main(argv), capsys)
+            assert len(built) == names, argv
+
 
 
 def _deep_name(depth: int) -> str:
@@ -289,13 +345,18 @@ def _with(obj: dict, **changes) -> dict:
     return dict(obj, **changes)
 
 
+def _with_point(**points) -> dict:
+    return _with(LIFT_SPEC, f1={"vertex_points": dict(LIFT_SPEC["f1"]["vertex_points"], **points)})
+
+
 def _cover(element) -> dict:
     return {"ambient": {"vertices": [], "maximal": [["a", "b"]]}, "kind": "closed", "elements": {"e": element}}
 
 
 class TestMalformedContainers:
-    """A field holding the wrong kind of container is malformed input (3),
-    never an internal error (4)."""
+    """A field holding the wrong kind of container, or a JSON boolean where
+    a rational belongs, is malformed input (3), never an internal error (4)
+    or a verdict."""
 
     @pytest.mark.parametrize(
         "command, document, extra",
@@ -318,6 +379,9 @@ class TestMalformedContainers:
             ),
             ("nerve", _cover([5]), {}),
             ("mesh", _cover([5]), {}),
+            ("verify-tower", _with(_tower_obj(2), scales=[True, "1/2"]), {}),
+            ("lift", _tower_obj(2), {"--spec": _with_point(x0={"coords": {"a": "1"}, "scale": True})}),
+            ("lift", _tower_obj(2), {"--spec": _with_point(x0={"coords": {"a": True}, "scale": "1"})}),
         ],
         ids=[
             "complex-vertices",
@@ -330,6 +394,9 @@ class TestMalformedContainers:
             "plmap-defined-on",
             "nerve-element",
             "mesh-element",
+            "tower-scale-boolean",
+            "point-scale-boolean",
+            "point-coordinate-boolean",
         ],
     )
     def test_exits_3(self, tmp_path, capsys, command, document, extra):

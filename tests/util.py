@@ -7,6 +7,7 @@ elimination, closures from raw powerset enumeration.
 """
 from __future__ import annotations
 
+import json
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -642,3 +643,38 @@ def scan_validate_carrier(carrier):
         if not _region_for(carrier, list(subset)).simplices:
             return Verdict.fails(witness=list(subset), reason="target intersection empty")
     return Verdict.holds()
+
+
+# ---------------------------------------------------------------------------
+# canonical JSON through json.dumps: the reference for the one-pass writer
+
+
+def plain_reference(value):
+    """A document as JSON values: rationals as "p/q" strings, verdicts as
+    objects, tuples as lists, sets as lists sorted by their JSON text and
+    non-string keys by the string of their plain form."""
+    from polytower.verdicts import Verdict
+
+    if isinstance(value, Fraction):
+        return str(value.numerator) if value.denominator == 1 else "%d/%d" % (value.numerator, value.denominator)
+    if isinstance(value, Verdict):
+        out = {"status": value.status}
+        if value.witness is not None:
+            out["witness"] = plain_reference(value.witness)
+        if value.reason is not None:
+            out["reason"] = value.reason
+        return out
+    if isinstance(value, tuple):
+        return [plain_reference(v) for v in value]
+    if isinstance(value, (list, set, frozenset)):
+        items = [plain_reference(v) for v in value]
+        if isinstance(value, (set, frozenset)):
+            items.sort(key=json.dumps)
+        return items
+    if isinstance(value, dict):
+        return {str(plain_reference(k)) if not isinstance(k, str) else k: plain_reference(v) for k, v in value.items()}
+    return value
+
+
+def dumps_reference(obj) -> str:
+    return json.dumps(plain_reference(obj), indent=2, sort_keys=True, ensure_ascii=True) + "\n"
