@@ -71,9 +71,11 @@ def join_parts(parts: tuple, name) -> tuple:
 def vertex_key(name):
     """Total order key: atoms first (by string), then tuples componentwise.
 
-    Memoised with a fixed bound: names are hashable and every sort in the
-    package keys on them, while a complex holds far fewer distinct names
-    than sort comparisons; an evicted key is only recomputed."""
+    Memoised with a fixed bound: names are hashable and the name sorts of
+    the package (a complex's vertices among them) key on them, while a
+    complex holds far fewer distinct names than sort comparisons; an
+    evicted key is only recomputed.  Other orders of a complex compare the
+    ranks of their vertices in that vertex order."""
     if isinstance(name, str):
         return (0, name)
     return (1, tuple(vertex_key(p) for p in name))
