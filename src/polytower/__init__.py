@@ -6,27 +6,25 @@ package or one of its modules loads only the modules actually used.
 
 _EXPORTS = {
     "complexes": (
-        "Complex Point Subcomplex barycenter_point barycentric_subdivision distance flatten_point "
-        "induced_subcomplex is_full_subcomplex lift_to_subdivision make_point subcomplex_from "
-        "validate vertex_point whole_subcomplex"
+        "Complex Point Subcomplex barycenter_point barycentric_subdivision flatten_point "
+        "induced_subcomplex lift_to_subdivision make_point subcomplex_from whole_subcomplex"
     ),
     "connectivity": (
-        "HomologySummary ae_verdict homology is_connected k_connected_verdict pi1_presentation pi1_verdict"
+        "HomologySummary ae_verdict homology is_connected pi1_presentation pi1_verdict"
     ),
     "maps": (
-        "QSMap VertexMap apply check_quasi_simplicial check_simplicial compose identity_qsmap "
+        "QSMap VertexMap apply check_quasi_simplicial check_simplicial identity_qsmap "
         "induced_homology_map is_surjective lipschitz_constant preimage_subcomplex"
     ),
     "plmaps": "PartialPLMap",
     "stars": (
-        "IndexedCover OpenStarSet are_close barycentric_star barycentric_vertex_star closed_star_cover "
-        "cover_B cover_O covers_isomorphic deformation_phi mesh nerve open_star open_vertex_star "
+        "IndexedCover OpenStarSet barycentric_vertex_star cover_B cover_O mesh nerve open_vertex_star "
         "pullback_cover"
     ),
-    "carriers": "Carrier close_maps_homotopy extend_carried is_carried validate_carrier",
+    "carriers": "Carrier extend_carried is_carried validate_carrier",
     "towers": (
-        "ThreadApprox Tower TowerCertificate pullback_star_cover regularity_report "
-        "restrict_tower single_lift tower_lift verify_tower"
+        "ThreadApprox Tower TowerCertificate regularity_report restrict_tower single_lift "
+        "tower_lift verify_tower"
     ),
     "verdicts": "Budgets DEFAULT_BUDGETS Verdict",
 }

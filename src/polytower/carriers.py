@@ -1,5 +1,5 @@
 """Carriers, carried maps, and constructive extension over skeleta of
-dimension at most two.
+dimension at most two: the extension step of the lifts in `towers`.
 
 The extension engine fills cells in dimension order.  A vertex takes the
 canonically least point of its required target intersection; an edge is
@@ -24,13 +24,12 @@ from .complexes import (
     barycentric_subdivision,
     convex_combination,
     face_closure,
-    faces,
     flatten_point,
     simplex_sort_key,
     vertex_key,
     whole_subcomplex,
 )
-from .connectivity import collapses_to_point, subcomplex_verdict
+from .connectivity import collapses_to_point
 from .plmaps import PartialPLMap
 from .records import Record
 from .stars import (
@@ -575,7 +574,7 @@ def _fold_alignment(m, removed):
 def _check_extension(total: PartialPLMap, carrier: Carrier, descent: dict) -> Verdict:
     """Exact post-check: every refined simplex must land in the targets of
     every cover element containing its originating cell."""
-    for s in sorted(total.domain.maximal, key=simplex_sort_key):
+    for s in total.domain.maximal:
         points = total.image_points(s)
         for i in carrier.indices_covering(descent[s]):
             ok = element_contains_hull(carrier.target(i), points, carrier.target_base)
@@ -605,120 +604,3 @@ def carried_extension(
         return ExtensionResult(status, None, None, {}, [])
     return extend_carried(seed, carrier, budgets)
 
-
-# ---------------------------------------------------------------------------
-# prisms and cover-tracked homotopies
-
-
-def prism_complex(base: Complex):
-    """The staircase triangulation of base x [0,1]; returns the prism, the
-    bottom/top embeddings of the base vertices, and the per-cell prisms."""
-    bottom = {v: ("0", v) for v in base.vertices}
-    top = {v: ("1", v) for v in base.vertices}
-    maximal = []
-    per_cell: dict = {}
-    for s in base.maximal:
-        cells = []
-        k = len(s)
-        for i in range(k):
-            prism_cell = tuple([bottom[v] for v in s[: i + 1]] + [top[v] for v in s[i:]])
-            cells.append(prism_cell)
-            maximal.append(prism_cell)
-        per_cell[s] = cells
-    prism = Complex.from_maximal(maximal)
-    return prism, bottom, top, per_cell
-
-
-class HomotopyResult(Record):
-    status: Verdict
-    prism: Complex | None
-    map: PartialPLMap | None
-    path_witnesses: dict  # original domain simplex -> cover index
-    closeness: Verdict | None = None
-
-
-def close_maps_homotopy(
-    f: PartialPLMap,
-    g: PartialPLMap,
-    cover: IndexedCover,
-    n: int,
-    budgets: Budgets = DEFAULT_BUDGETS,
-) -> HomotopyResult:
-    """A PL homotopy between cover-close maps whose tracks each stay inside a
-    single cover element, built by carried extension over a prism."""
-    from .stars import are_close
-
-    if f.domain != g.domain or f.target != g.target:
-        raise ValueError("maps must share domain and target")
-    if f.domain.dimension >= n:
-        return HomotopyResult(
-            Verdict.inconclusive("domain dimension must stay below the extensor degree"),
-            None,
-            None,
-            {},
-        )
-    closeness = are_close(f, g, cover)
-    if not closeness.is_holds:
-        status = closeness if closeness.is_fails else Verdict.inconclusive("maps are not certified close")
-        return HomotopyResult(status, None, None, {}, closeness)
-    for i in cover.indices:
-        element_ae = _element_extensor_verdict(cover.element(i), n, budgets)
-        if not element_ae.is_holds:
-            return HomotopyResult(
-                Verdict.inconclusive("cover element %s lacks an extensor certificate" % (i,)),
-                None,
-                None,
-                {},
-                closeness,
-            )
-    witnesses = closeness.witness
-    used_f, used_g = f, g
-    if witnesses and not all(s in used_f.defined_on.simplices for s in witnesses):
-        # the certificate was found on the subdivided maps
-        used_f, used_g = f.subdivided(), g.subdivided()
-    prism, bottom, top, per_cell = prism_complex(used_f.domain)
-    ends = [tuple(sorted((bottom[v] for v in s), key=vertex_key)) for s in used_f.domain.maximal]
-    ends += [tuple(sorted((top[v] for v in s), key=vertex_key)) for s in used_f.domain.maximal]
-    defined = Subcomplex(
-        prism,
-        frozenset(
-            face
-            for s in ends
-            for face in faces(s)
-        ),
-    )
-    images = {}
-    for v in used_f.domain.vertices:
-        images[bottom[v]] = used_f.image_of(v)
-        images[top[v]] = used_g.image_of(v)
-    seed = PartialPLMap.build(prism, defined, images, used_f.target)
-    cover_elements = {}
-    targets = {}
-    for s in used_f.domain.maximal:
-        name = s
-        member_simplices = set()
-        for cell in per_cell[s]:
-            member_simplices.update(faces(cell))
-        cover_elements[name] = Subcomplex(prism, frozenset(member_simplices))
-        targets[name] = cover.element(witnesses[s])
-    source_cover = IndexedCover.build(prism, "closed", cover_elements, check=False)
-    result = carried_extension(seed, source_cover, targets, cover.base, budgets)
-    if not result.status.is_holds:
-        return HomotopyResult(result.status, None, None, {}, closeness)
-    path_witnesses = {s: witnesses[s] for s in used_f.domain.maximal}
-    return HomotopyResult(Verdict.holds(), result.refined_domain, result.extended, path_witnesses, closeness)
-
-
-def _element_extensor_verdict(element, n: int, budgets: Budgets) -> Verdict:
-    """Extensor verdict for a single cover element: subcomplexes directly,
-    open stars through their full cores (onto which the straight-line
-    deformation retracts them)."""
-    from .complexes import is_full_subcomplex
-
-    if isinstance(element, Subcomplex):
-        return subcomplex_verdict(element, n, budgets)
-    if isinstance(element, OpenStarSet):
-        if not is_full_subcomplex(element.core):
-            return Verdict.inconclusive("open star core is not full")
-        return subcomplex_verdict(element.core, n, budgets)
-    return Verdict.inconclusive("no extensor rule for this element representation")

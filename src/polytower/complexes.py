@@ -34,10 +34,6 @@ class UnknownVertexError(ValueError):
     """A vertex name does not belong to the complex at hand."""
 
 
-class ScaleMismatchError(ValueError):
-    """Two points with different scales were combined."""
-
-
 class ComplexMismatchError(ValueError):
     """Two points living on different complexes were combined."""
 
@@ -250,24 +246,6 @@ class Complex:
     def euler_characteristic(self) -> int:
         return sum((-1) ** k * n for k, n in enumerate(self.f_vector()))
 
-    def span(self, names) -> tuple | None:
-        """The simplex spanned by the given vertices, or None."""
-        s = tuple(sorted({canon_vertex(v) for v in names}, key=vertex_key))
-        return s if s in self.simplices else None
-
-    def closed_star(self, vertex) -> frozenset:
-        """Simplices of every closed simplex containing the vertex: the faces
-        of the maximal simplices through it."""
-        v = self.canon(vertex)
-        if v not in self._vertex_set:
-            raise UnknownVertexError(vertex_label(v))
-        return frozenset(face_closure(self.maximal_at(v)))
-
-
-def validate(raw_simplices: Iterable, extra_vertices: Iterable = ()) -> Complex:
-    """Build a complex from a raw list of simplices (face closure applied)."""
-    return Complex.from_maximal(raw_simplices, extra_vertices)
-
 
 @lru_cache(maxsize=32)
 def barycentric_subdivision(complex_: Complex) -> Complex:
@@ -390,16 +368,6 @@ def induced_subcomplex(complex_: Complex, vertex_subset: Iterable) -> Subcomplex
     return _induced(complex_, w)
 
 
-def is_full_subcomplex(sub: Subcomplex, ambient: Complex | None = None) -> bool:
-    """Whether every ambient simplex spanned by the subcomplex's vertices is
-    already in the subcomplex: the subcomplex is face-closed, so it is enough
-    that it holds every intersection of its vertex set with a maximal
-    simplex."""
-    if ambient is not None and ambient != sub.parent:
-        raise ComplexMismatchError("subcomplex does not live in the given complex")
-    return _induced_tops(sub.parent, sub.vertex_set()) <= sub.simplices
-
-
 def beta_subcomplex(sub: Subcomplex, subdivided_parent: Complex | None = None) -> Subcomplex:
     """The barycentric subdivision of a subcomplex, inside the subdivision of
     its parent: the induced subcomplex on the names of the sub's simplices."""
@@ -460,10 +428,6 @@ def make_point(complex_: Complex, coords: Mapping, scale=ONE) -> Point:
     return Point(complex_, tuple(cleaned), scale)
 
 
-def vertex_point(complex_: Complex, vertex, scale=ONE) -> Point:
-    return make_point(complex_, {vertex: ONE}, scale)
-
-
 def barycenter_point(complex_: Complex, simplex, scale=ONE) -> Point:
     """Uniform coordinates on the vertices of a simplex of the complex."""
     s = canon_simplex(simplex)
@@ -471,19 +435,6 @@ def barycenter_point(complex_: Complex, simplex, scale=ONE) -> Point:
         raise UnknownVertexError("not a simplex of the complex: %r" % (s,))
     w = Fraction(1, len(s))
     return make_point(complex_, {v: w for v in s}, scale)
-
-
-def distance(x: Point, y: Point) -> Fraction:
-    """Scaled l1 distance of barycentric coordinate vectors."""
-    if not (x.complex is y.complex or x.complex == y.complex):
-        raise ComplexMismatchError("points on different complexes")
-    if x.scale != y.scale:
-        raise ScaleMismatchError("points at different scales: %s vs %s" % (x.scale, y.scale))
-    xd, yd = x.as_dict(), y.as_dict()
-    total = Fraction(0)
-    for v in set(xd) | set(yd):
-        total += abs(xd.get(v, Fraction(0)) - yd.get(v, Fraction(0)))
-    return x.scale * total
 
 
 def barycentre_distance(a: int, b: int, c: int) -> Fraction:

@@ -1,7 +1,7 @@
 """Integral simplicial homology, fundamental-group presentations, and the
 three-valued connectivity verdicts built on them.
 
-The rule implemented by `k_connected_verdict` is the sound substitute for
+The rule implemented by `ae_verdict` is the sound substitute for
 homotopy-group vanishing: connected, plus a trivialised edge-path
 presentation of the fundamental group, plus vanishing integral homology in
 the intermediate degrees.  Whenever the bounded simplification cannot decide
@@ -229,9 +229,6 @@ class Presentation(Record):
     generators: list  # list of edges (u, v)
     relators: list  # list of tuples of signed generator indices (1-based)
     transcript: list
-
-    def generator_count(self) -> int:
-        return len(self.generators)
 
     def is_empty(self) -> bool:
         return not self.generators
@@ -509,10 +506,14 @@ def check_degree(n: int) -> None:
         raise ValueError("n must be at least 1")
 
 
-def k_connected_verdict(complex_: Complex, n: int, budgets: Budgets = DEFAULT_BUDGETS) -> Verdict:
-    """Certify vanishing homotopy in all dimensions below n by the rule:
-    connected, trivialised fundamental group, and vanishing homology in
-    degrees 2..n-1."""
+def ae_verdict(complex_: Complex, n: int, budgets: Budgets = DEFAULT_BUDGETS) -> Verdict:
+    """Extensor verdict for a finite polyhedron in dimension n.
+
+    A finite polyhedron is a complete metric neighbourhood extensor in every
+    dimension, so being an absolute extensor in dimension n reduces to
+    k-connectedness for k < n, certified by the rule: connected,
+    trivialised fundamental group, and vanishing homology in degrees 2..n-1.
+    """
     check_degree(n)
     checks = [is_connected(complex_)]
     if checks[0].is_fails:
@@ -531,16 +532,6 @@ def k_connected_verdict(complex_: Complex, n: int, budgets: Budgets = DEFAULT_BU
                 )
             )
     return conjoin(checks)
-
-
-def ae_verdict(complex_: Complex, n: int, budgets: Budgets = DEFAULT_BUDGETS) -> Verdict:
-    """Extensor verdict for a finite polyhedron in dimension n.
-
-    A finite polyhedron is a complete metric neighbourhood extensor in every
-    dimension, so being an absolute extensor in dimension n reduces to
-    k-connectedness for k < n.
-    """
-    return k_connected_verdict(complex_, n, budgets)
 
 
 def subcomplex_verdict(sub: Subcomplex, n: int, budgets: Budgets = DEFAULT_BUDGETS) -> Verdict:

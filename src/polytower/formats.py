@@ -24,7 +24,7 @@ from .complexes import (
     whole_subcomplex,
 )
 from .maps import QSMap, VertexMap, check_quasi_simplicial
-from .stars import IndexedCover, barycentric_vertex_stars, open_star, open_vertex_star
+from .stars import IndexedCover, OpenStarSet, barycentric_vertex_stars, open_vertex_star
 from .towers import Tower
 from .verdicts import Verdict
 
@@ -309,7 +309,7 @@ def parse_cover(obj, context="cover") -> IndexedCover:
             if kind == "closed":
                 elements[index] = sub
             else:
-                elements[index] = open_star(ambient, sub)
+                elements[index] = OpenStarSet(ambient, sub)
         else:
             raise InputFormatError("elements are simplex lists or {'star_of': v}", context)
     try:

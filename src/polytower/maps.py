@@ -4,6 +4,8 @@ A VertexMap is a total assignment on vertices whose simpliciality (images of
 simplices span simplices) is a checkable verdict.  A quasi-simplicial map
 from K to L is a vertex map of K into the barycentric subdivision of L that
 is simplicial; its vertex images are therefore chains of simplices of L.
+Both kinds answer surjectivity, preimages, evaluation, Lipschitz constants
+and induced maps on homology.
 """
 from __future__ import annotations
 
@@ -21,7 +23,6 @@ from .complexes import (
     faces,
     flatten_point,
     make_point,
-    simplex_sort_key,
     vertex_key,
     vertex_label,
 )
@@ -99,8 +100,10 @@ class VertexMap(Record, frozen=True):
 
 
 def check_simplicial(f: VertexMap) -> Verdict:
-    """Holds iff every simplex maps onto a simplex of the target."""
-    for s in sorted(f.source.maximal, key=simplex_sort_key):
+    """Holds iff every simplex maps onto a simplex of the target; the witness
+    is the first failing maximal simplex, in the `simplex_sort_key` order a
+    complex keeps them in."""
+    for s in f.source.maximal:
         if f.image_simplex(s) not in f.target.simplices:
             return Verdict.fails(witness=s, reason="image spans no target simplex")
     return Verdict.holds()
@@ -155,7 +158,7 @@ def is_surjective(p) -> Verdict:
     image of some source simplex, that is, a key of the simplex fibers.  For
     simplicial maps this coincides with geometric surjectivity."""
     vm = underlying_vertex_map(p)
-    for target_max in sorted(vm.target.maximal, key=simplex_sort_key):
+    for target_max in vm.target.maximal:
         if target_max not in vm.simplex_fibers:
             return Verdict.fails(witness=target_max, reason="maximal simplex not covered")
     return Verdict.holds()
@@ -250,76 +253,6 @@ def lipschitz_constant(p: QSMap, kappa, lam) -> Fraction:
         shapes.add((len(a), len(b), len(set(a) & set(b))))
     best = max([Fraction(0)] + [barycentre_distance(*shape) for shape in shapes])
     return lam * best / (2 * kappa)
-
-
-# ---------------------------------------------------------------------------
-# composition
-
-
-def _beta_extension(vm: VertexMap) -> VertexMap:
-    """The subdivision of a simplicial map: the vertex named by a simplex maps
-    to the vertex named by its image simplex."""
-    src = barycentric_subdivision(vm.source)
-    dst = barycentric_subdivision(vm.target)
-    images = {name: vm.image_simplex(name) for name in src.vertices}
-    return VertexMap.build(src, dst, images)
-
-
-def compose(outer, inner) -> VertexMap:
-    """Vertex-level composition (outer after inner).
-
-    Plain simplicial maps compose directly.  When maps land in subdivisions
-    the outer map is first subdivided so that its action on chain names is
-    simplicial; the result is a vertex map into an iterated subdivision.
-    Images are flattened back to coarser vertices only when every image is a
-    singleton chain.
-    """
-    inner_vm = underlying_vertex_map(inner)
-    outer_vm = underlying_vertex_map(outer)
-    if inner_vm.target == outer_vm.source:
-        extended = outer_vm
-    else:
-        extended = _beta_extension(outer_vm)
-        if inner_vm.target != extended.source:
-            raise ValueError("maps do not compose: target/source mismatch")
-    mapping = {v: extended(inner_vm(v)) for v in inner_vm.source.vertices}
-    composed = VertexMap.build(inner_vm.source, extended.target, mapping)
-    return flatten_vertex_map(composed)
-
-
-def flatten_vertex_map(vm: VertexMap) -> VertexMap:
-    """Strip one level of singleton chains from every image, repeatedly, as
-    long as every image is a singleton tuple naming a coarser vertex."""
-    current = vm
-    while True:
-        images = current.as_dict()
-        if not images:
-            return current
-        if not all(isinstance(w, tuple) and len(w) == 1 for w in images.values()):
-            return current
-        stripped = {v: w[0] for v, w in images.items()}
-        candidates = set(stripped.values())
-        target = _flattening_target(current.target, candidates)
-        if target is None:
-            return current
-        current = VertexMap.build(current.source, target, stripped)
-
-
-def _flattening_target(subdivided: Complex, needed) -> Complex | None:
-    """Reconstruct the complex whose subdivision the given complex is, when
-    its vertex names are simplices of that coarser complex."""
-    names = subdivided.vertices
-    if not all(isinstance(n, tuple) for n in names):
-        return None
-    try:
-        coarse = Complex.from_maximal(list(names))
-    except Exception:
-        return None
-    if barycentric_subdivision(coarse).simplices >= subdivided.simplices and all(
-        w in coarse.vertex_set() for w in needed
-    ):
-        return coarse
-    return None
 
 
 # ---------------------------------------------------------------------------

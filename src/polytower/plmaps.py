@@ -22,8 +22,6 @@ from .complexes import (
     simplex_sort_key,
     vertex_key,
     vertex_label,
-    vertex_point,
-    whole_subcomplex,
 )
 from .maps import QSMap, apply
 from .records import Record
@@ -62,12 +60,6 @@ class PartialPLMap(Record, frozen=True):
                 % (tuple(vertex_label(v) for v in bad),)
             )
         return pl
-
-    @staticmethod
-    def from_vertex_images(domain: Complex, images: dict, target: Complex, scale=Fraction(1)) -> "PartialPLMap":
-        """Total PL map sending vertices to vertices of the target."""
-        pts = {v: vertex_point(target, w, scale) for v, w in images.items()}
-        return PartialPLMap.build(domain, whole_subcomplex(domain), pts, target)
 
     def as_dict(self) -> dict:
         return dict(self.images)

@@ -1,5 +1,5 @@
-"""Open stars, barycentric stars, indexed covers, nerves, and the explicit
-straight-line deformation onto a full subcomplex.
+"""Open stars, barycentric stars, indexed covers, pull-backs, nerves, and
+the meshes and cone bounds of vertex-star covers.
 
 Conventions used throughout:
 
@@ -29,9 +29,7 @@ from .complexes import (
     face_closure,
     faces,
     induced_subcomplex,
-    is_full_subcomplex,
     lift_to_subdivision,
-    make_point,
     simplex_sort_key,
     vertex_key,
     vertex_label,
@@ -42,7 +40,8 @@ from .verdicts import DEFAULT_BUDGETS, Budgets, Verdict
 
 
 class IndexMismatchError(ValueError):
-    """Covers compared without a shared index set."""
+    """An index outside a cover's index set, or covers compared without a
+    shared one."""
 
 
 # ---------------------------------------------------------------------------
@@ -83,23 +82,9 @@ def open_intersection(ambient: Complex, cores) -> list:
     return sorted(joint, key=simplex_sort_key)
 
 
-def open_star(ambient: Complex, core: Subcomplex) -> OpenStarSet:
-    return OpenStarSet(ambient, core)
-
-
 def open_vertex_star(ambient: Complex, vertex) -> OpenStarSet:
     v = canon_vertex(vertex)
     return OpenStarSet(ambient, induced_subcomplex(ambient, [v]))
-
-
-def barycentric_star(base: Complex, sub: Subcomplex) -> Subcomplex:
-    """All simplices of the subdivision meeting the subcomplex: the union of
-    the barycentric stars of its vertices."""
-    if sub.parent != base:
-        raise ValueError("subcomplex of a different complex")
-    stars = barycentric_vertex_stars(base)
-    kept = frozenset().union(*(stars[v].simplices for v in sub.vertex_set()))
-    return Subcomplex._trusted(barycentric_subdivision(base), kept)
 
 
 def barycentric_vertex_star(base: Complex, vertex) -> Subcomplex:
@@ -209,7 +194,7 @@ class IndexedCover(Record, frozen=True):
                 touched.update(e.core.vertex_set())
             else:
                 return None
-        for s in sorted(self.ambient.maximal, key=simplex_sort_key):
+        for s in self.ambient.maximal:
             if s not in covered and touched.isdisjoint(s):
                 return s
         return None
@@ -226,9 +211,6 @@ class IndexedCover(Record, frozen=True):
         # an intersection of subcomplexes of the ambient is one
         return Subcomplex._trusted(self.ambient, frozenset(common))
 
-    def element_contains_point(self, index, point: Point) -> bool:
-        return element_contains_point(self.element(index), point, self.base)
-
 
 def cover_O(base: Complex) -> IndexedCover:
     """The open cover by vertex stars, indexed by the vertices."""
@@ -243,15 +225,6 @@ def cover_B(base: Complex) -> IndexedCover:
     beta = barycentric_subdivision(base)
     elements = barycentric_vertex_stars(base)
     return IndexedCover.build(beta, "closed", elements, base=base, star_of={v: v for v in base.vertices})
-
-
-def closed_star_cover(complex_: Complex) -> IndexedCover:
-    """The closed cover of a complex by the closed stars of its own vertices
-    in its own triangulation."""
-    elements = {}
-    for v in complex_.vertices:
-        elements[v] = Subcomplex(complex_, complex_.closed_star(v))
-    return IndexedCover.build(complex_, "closed", elements, star_of={v: v for v in complex_.vertices})
 
 
 # ---------------------------------------------------------------------------
@@ -302,6 +275,24 @@ def element_contains_hull(element, points, base: Complex | None = None):
             return None  # the region is not simplexwise convex in general
         return True
     raise TypeError("unknown element type %r" % (type(element),))
+
+
+def hull_witnesses(maps, simplices, cover: IndexedCover):
+    """For each of the given simplices, the first cover index whose element
+    certifiably contains its image hull under every one of the maps, or None
+    when some simplex has no such element."""
+    witnesses = {}
+    for s in simplices:
+        hulls = [f.image_points(s) for f in maps]
+        found = None
+        for i, e in cover.elements:
+            if all(element_contains_hull(e, pts, cover.base) is True for pts in hulls):
+                found = i
+                break
+        if found is None:
+            return None
+        witnesses[s] = found
+    return witnesses
 
 
 def align_point(point: Point, element_complex: Complex, base: Complex | None) -> Point:
@@ -360,7 +351,7 @@ def pullback_cover(p, cover: IndexedCover) -> IndexedCover:
 
 
 # ---------------------------------------------------------------------------
-# nerves and cover isomorphism
+# nerves
 
 
 class NerveResult(Record, frozen=True):
@@ -415,23 +406,6 @@ def nerve(cover: IndexedCover, budgets: Budgets = DEFAULT_BUDGETS) -> NerveResul
                 if len(closure) > budget:
                     return NerveResult(None, Verdict.inconclusive("nerve budget exhausted"), len(closure))
     return NerveResult(Complex._from_closed(closure), Verdict.holds(), len(closure))
-
-
-def covers_isomorphic(f: IndexedCover, g: IndexedCover, budgets: Budgets = DEFAULT_BUDGETS) -> Verdict:
-    """Holds when both covers have the same index set and identical nerves;
-    a distinguishing index subset is the witness otherwise."""
-    if set(f.indices) != set(g.indices):
-        raise IndexMismatchError("covers are indexed by different sets")
-    nf, ng = nerve(f, budgets), nerve(g, budgets)
-    if not nf.status.is_holds:
-        return nf.status
-    if not ng.status.is_holds:
-        return ng.status
-    sf, sg = nf.complex.simplices, ng.complex.simplices
-    if sf == sg:
-        return Verdict.holds()
-    difference = sorted(sf ^ sg, key=simplex_sort_key)
-    return Verdict.fails(witness=difference[0], reason="nerves differ")
 
 
 # ---------------------------------------------------------------------------
@@ -530,94 +504,3 @@ def star_cover_bounds(kind: str, base: Complex, scale=Fraction(1)) -> tuple:
     scale = Fraction(scale)
     return r * scale, 2 * r * scale
 
-
-# ---------------------------------------------------------------------------
-# the straight-line deformation
-
-
-def deformation_phi(x: Point, t, core: Subcomplex) -> Point:
-    """The convex slide t*q(x) + (1-t)*x toward the renormalised projection
-    onto a full subcomplex; defined on the open star of the core."""
-    t = Fraction(t)
-    if not 0 <= t <= 1:
-        raise ValueError("t must lie in [0, 1]")
-    if core.parent != x.complex:
-        raise ValueError("point and subcomplex live on different complexes")
-    if not is_full_subcomplex(core):
-        raise ValueError("deformation needs a full subcomplex")
-    core_vertices = core.vertex_set()
-    norm = sum((c for v, c in x.coords if v in core_vertices), Fraction(0))
-    if norm == 0:
-        raise ValueError("point is outside the open star of the core")
-    out: dict = {}
-    for v, c in x.coords:
-        value = (1 - t) * c
-        if v in core_vertices:
-            value += t * (c / norm)
-        if value:
-            out[v] = value
-    return make_point(x.complex, out, x.scale)
-
-
-# ---------------------------------------------------------------------------
-# closeness of PL maps relative to a cover
-
-
-def are_close(f: PartialPLMap, g: PartialPLMap, cover: IndexedCover) -> Verdict:
-    """Certified cover-closeness of two PL maps on one triangulated domain.
-
-    Holds with a per-simplex witness table when every domain simplex has an
-    element containing both image hulls; fails with an exact point witness
-    when some evaluated domain point has no common element at all; otherwise
-    inconclusive after one domain subdivision.
-    """
-    if f.domain != g.domain:
-        raise ValueError("maps must share a domain triangulation")
-    if f.target != g.target:
-        raise ValueError("maps must share a target")
-    for round_ in range(2):
-        if round_:
-            f, g = f.subdivided(), g.subdivided()
-        pointwise = _pointwise_violation(f, g, cover)
-        if pointwise is not None:
-            return Verdict.fails(
-                witness={"vertex": pointwise}, reason="no common element at a domain point"
-            )
-        # witnesses on maximal simplices restrict to faces
-        maximal = f.defined_on.as_complex().maximal
-        witnesses = hull_witnesses([f, g], maximal, cover)
-        if witnesses is not None:
-            return Verdict.holds(witness=witnesses)
-    return Verdict.inconclusive("no per-simplex witness after one subdivision")
-
-
-def _pointwise_violation(f, g, cover):
-    for v in sorted(f.defined_on.vertex_set(), key=vertex_key):
-        fp, gp = f.image_of(v), g.image_of(v)
-        found = False
-        for i in cover.indices:
-            e = cover.element(i)
-            if element_contains_point(e, fp, cover.base) and element_contains_point(e, gp, cover.base):
-                found = True
-                break
-        if not found:
-            return v
-    return None
-
-
-def hull_witnesses(maps, simplices, cover: IndexedCover):
-    """For each of the given simplices, the first cover index whose element
-    certifiably contains its image hull under every one of the maps, or None
-    when some simplex has no such element."""
-    witnesses = {}
-    for s in simplices:
-        hulls = [f.image_points(s) for f in maps]
-        found = None
-        for i, e in cover.elements:
-            if all(element_contains_hull(e, pts, cover.base) is True for pts in hulls):
-                found = i
-                break
-        if found is None:
-            return None
-        witnesses[s] = found
-    return witnesses

@@ -389,31 +389,7 @@ def restrict_tower(tower: Tower, m: int, sub: Subcomplex) -> Tower:
 
 
 # ---------------------------------------------------------------------------
-# pulled-back star covers through several levels
-
-
-def pullback_star_cover(
-    tower: Tower,
-    i: int,
-    m: int,
-    kind: str = "B",
-    n: int | None = None,
-    budgets: Budgets = DEFAULT_BUDGETS,
-):
-    """The level-i vertex star cover pulled back to level m through the
-    bonds, indexed by the level-i vertices, with per-intersection verdicts
-    when a degree is supplied."""
-    if not 1 <= i <= m <= tower.depth():
-        raise MalformedTowerError("levels out of range")
-    current = _star_cover(kind, tower.levels[i - 1])
-    for idx in range(i - 1, m - 1):
-        current = pullback_cover(tower.bonds[idx], current)
-    if n is None:
-        return current, {}
-    nerve_status, intersections = intersection_verdicts(current, n, budgets)
-    if not nerve_status.is_holds:
-        return current, {"status": nerve_status}
-    return current, {tuple(indices): verdict for indices, verdict, _ in intersections}
+# pulled-back cover intersections
 
 
 def intersection_verdicts(pulled: IndexedCover, n: int, budgets: Budgets):
@@ -575,7 +551,7 @@ def _closeness_certificate(lift, descent, p, cover, witnesses) -> Verdict:
     lift's hull over every refined piece sits there too (re-checked here),
     so every point has both values inside the witness element."""
     projected = lift.after(p)
-    for s in sorted(lift.domain.maximal, key=simplex_sort_key):
+    for s in lift.domain.maximal:
         origin = descent.get(s, s)
         witness = witnesses.get(origin)
         if witness is None:

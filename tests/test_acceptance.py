@@ -13,11 +13,9 @@ from polytower import formats
 from polytower.cli import main as cli_main
 from polytower.complexes import (
     barycentric_subdivision,
-    distance,
     induced_subcomplex,
     make_point,
     subcomplex_from,
-    vertex_point,
 )
 from polytower.connectivity import homology
 from polytower.maps import (
@@ -28,14 +26,11 @@ from polytower.maps import (
     lipschitz_constant,
     preimage_subcomplex,
 )
-from polytower.plmaps import PartialPLMap
 from polytower.stars import (
+    OpenStarSet,
     cover_B,
     cover_O,
-    covers_isomorphic,
-    deformation_phi,
     nerve,
-    open_star,
     pullback_cover,
 )
 from polytower.towers import ThreadApprox, tower_lift, verify_tower
@@ -51,12 +46,17 @@ from polytower.generators import (
 from util import (
     barycentric_star_contains_point,
     chain_f_vector,
+    covers_isomorphic,
+    deformation_phi,
+    distance,
+    from_vertex_images,
     open_star_of_subdivided,
     random_complex,
     random_point,
     random_qsmap,
     random_surjective_vertex_map,
     vertex_image_point,
+    vertex_point,
 )
 
 
@@ -169,7 +169,7 @@ def test_ac05_deformation():
     assert len(instances) == 5
     checks = 0
     for base, core in instances:
-        star = open_star(base, core)
+        star = OpenStarSet(base, core)
         while_budget = 0
         per_instance = 0
         while per_instance < 200 and while_budget < 20000:
@@ -286,7 +286,7 @@ def test_ac10_weak_equivalence_consequence():
 def test_ac11_lifting():
     tower = subdivision_tower(simplex(2), 3)
     domain = formats.parse_complex({"vertices": [], "maximal": [["x0", "x1"]]})
-    f1 = PartialPLMap.from_vertex_images(domain, {"x0": "a", "x1": "b"}, tower.levels[0])
+    f1 = from_vertex_images(domain, {"x0": "a", "x1": "b"}, tower.levels[0])
     anchor = subcomplex_from(domain, [["x0"]])
     assignments = {"x0": []}
     name = "a"

@@ -9,30 +9,38 @@ from polytower.complexes import (
     induced_subcomplex,
     make_point,
     subcomplex_from,
-    vertex_point,
     whole_subcomplex,
 )
 from polytower.carriers import (
     Carrier,
-    close_maps_homotopy,
     extend_carried,
     is_carried,
-    prism_complex,
     validate_carrier,
 )
 from polytower.connectivity import collapses_to_point
 from polytower.plmaps import PartialPLMap, equal_on
 from polytower.stars import (
     IndexedCover,
+    OpenStarSet,
     barycentric_vertex_star,
     cover_B,
     cover_O,
-    open_star,
     open_vertex_star,
 )
 from polytower.verdicts import Budgets
 
-from util import constant_pl_map, kernel_complexes, scan_validate_carrier, simplex_complex, sphere_complex
+from util import (
+    close_maps_homotopy,
+    constant_pl_map,
+    deformation_phi,
+    from_vertex_images,
+    kernel_complexes,
+    prism_complex,
+    scan_validate_carrier,
+    simplex_complex,
+    sphere_complex,
+    vertex_point,
+)
 
 
 def closed_cover_of_maximal(domain: Complex) -> IndexedCover:
@@ -182,7 +190,7 @@ class TestIsCarried:
         k = simplex_complex(["a", "b", "c"])
         cov = closed_cover_of_maximal(k)
         carrier = Carrier.build(cov, {i: cov.element(i) for i in cov.indices}, k)
-        f = PartialPLMap.from_vertex_images(k, {v: v for v in k.vertices}, k)
+        f = from_vertex_images(k, {v: v for v in k.vertices}, k)
         assert is_carried(f, carrier).is_holds
 
     def test_escaping_map_fails(self):
@@ -190,7 +198,7 @@ class TestIsCarried:
         t = simplex_complex(["u", "v", "w"])
         cov = closed_cover_of_maximal(k)
         carrier = Carrier.build(cov, {("a", "b"): subcomplex_from(t, [["u", "v"]])}, t)
-        f = PartialPLMap.from_vertex_images(k, {"a": "u", "b": "w"}, t)
+        f = from_vertex_images(k, {"a": "u", "b": "w"}, t)
         verdict = is_carried(f, carrier)
         assert verdict.is_fails
         assert verdict.witness["index"] == ("a", "b")
@@ -201,7 +209,7 @@ class TestExtendCarried:
         k = simplex_complex(["a", "b", "c"])
         cov = closed_cover_of_maximal(k)
         carrier = Carrier.build(cov, {i: cov.element(i) for i in cov.indices}, k)
-        f = PartialPLMap.from_vertex_images(k, {v: v for v in k.vertices}, k)
+        f = from_vertex_images(k, {v: v for v in k.vertices}, k)
         result = extend_carried(f, carrier)
         assert result.status.is_holds
         assert result.refined_domain == k
@@ -383,7 +391,7 @@ class TestExtendCarried:
         target = self._grid_disc()
         seed, _ = self._grid_seed(target)
         cov = closed_cover_of_maximal(seed.domain)
-        carrier = Carrier.build(cov, {("x", "y", "z"): open_star(target, whole_subcomplex(target))}, target)
+        carrier = Carrier.build(cov, {("x", "y", "z"): OpenStarSet(target, whole_subcomplex(target))}, target)
         result = extend_carried(seed, carrier, Budgets(filler_steps=20000))
         assert result.status.is_holds
         assert is_carried(result.extended, carrier).is_holds
@@ -434,7 +442,7 @@ class TestCloseMapsHomotopy:
         # the identity of a closed edge fits no single open vertex star, so
         # the certificate appears after one domain subdivision
         k = simplex_complex(["a", "b"])
-        f = PartialPLMap.from_vertex_images(k, {v: v for v in k.vertices}, k)
+        f = from_vertex_images(k, {v: v for v in k.vertices}, k)
         result = close_maps_homotopy(f, f, cover_O(k), n=2)
         assert result.status.is_holds
         beta = barycentric_subdivision(k)
@@ -447,8 +455,6 @@ class TestCloseMapsHomotopy:
             assert bottom_img.coords == top_img.coords
 
     def test_deformation_segment_single_star(self):
-        from polytower.stars import deformation_phi
-
         base = simplex_complex(["a", "b"])
         core = induced_subcomplex(base, ["a"])
         domain = simplex_complex(["x0", "x1"])
@@ -470,14 +476,14 @@ class TestCloseMapsHomotopy:
         domain = sphere_complex(1)
         base = sphere_complex(1)
         rotate = {"s0": "s1", "s1": "s2", "s2": "s0"}
-        f = PartialPLMap.from_vertex_images(domain, {v: v for v in domain.vertices}, base)
-        g = PartialPLMap.from_vertex_images(domain, rotate, base)
+        f = from_vertex_images(domain, {v: v for v in domain.vertices}, base)
+        g = from_vertex_images(domain, rotate, base)
         result = close_maps_homotopy(f, g, cover_O(base), n=2)
         assert not result.status.is_holds
         assert result.status.is_fails or result.status.is_inconclusive
 
     def test_domain_dimension_guard(self):
         k = simplex_complex(["a", "b"])
-        f = PartialPLMap.from_vertex_images(k, {v: v for v in k.vertices}, k)
+        f = from_vertex_images(k, {v: v for v in k.vertices}, k)
         result = close_maps_homotopy(f, f, cover_O(k), n=1)
         assert result.status.is_inconclusive

@@ -507,7 +507,7 @@ class TestColdStart:
         report = json.loads(proc.stdout)
         assert report["loaded"] == []
         assert report["missing"] == [] and report["unlisted"] == []
-        assert report["count"] == 66
+        assert report["count"] == 52
 
     def test_package_names_resolve_on_first_access(self):
         import polytower

@@ -7,31 +7,30 @@ from polytower.complexes import (
     Complex,
     DuplicateVertexError,
     EmptySimplexError,
-    ScaleMismatchError,
     UnknownVertexError,
     barycenter_point,
     barycentre_distance,
     barycentric_subdivision,
     beta_subcomplex,
     canon_vertex,
-    distance,
     flatten_point,
     induced_subcomplex,
-    is_full_subcomplex,
     lift_to_subdivision,
     make_point,
     simplex_sort_key,
     subcomplex_from,
-    validate,
     vertex_key,
-    vertex_point,
 )
 
 from util import (
+    ScaleMismatchError,
     brute_force_closure,
     brute_force_maximal,
     chain_f_vector,
+    closed_star,
     cylinder_complex,
+    distance,
+    is_full_subcomplex,
     kernel_complexes,
     random_complex,
     random_point,
@@ -44,23 +43,24 @@ from util import (
     simplex_complex,
     sphere_complex,
     subdivision_flags,
+    vertex_point,
 )
 
 
 class TestValidate:
     def test_triangle_closure(self):
-        k = validate([["a", "b", "c"]])
+        k = Complex.from_maximal([["a", "b", "c"]])
         assert k.dimension == 2
         assert len(k.simplices) == 7
         assert k.f_vector() == (3, 3, 1)
 
     def test_duplicate_vertex_rejected(self):
         with pytest.raises(DuplicateVertexError):
-            validate([["a", "a"]])
+            Complex.from_maximal([["a", "a"]])
 
     def test_empty_simplex_rejected(self):
         with pytest.raises(EmptySimplexError):
-            validate([[]])
+            Complex.from_maximal([[]])
 
     def test_boundary_of_tetrahedron(self):
         k = sphere_complex(2)
@@ -75,13 +75,13 @@ class TestValidate:
         assert ("z",) in k.simplices
 
     def test_maximal_recomputed(self):
-        k = validate([["a", "b"], ["a", "b", "c"]])
+        k = Complex.from_maximal([["a", "b"], ["a", "b", "c"]])
         assert k.maximal == (("a", "b", "c"),)
 
     @given(st.lists(st.lists(st.sampled_from("abcdef"), min_size=1, max_size=4, unique=True), min_size=1, max_size=5))
     @settings(max_examples=60, deadline=None)
     def test_face_closure_property(self, raw):
-        k = validate(raw)
+        k = Complex.from_maximal(raw)
         for s in k.simplices:
             for drop in range(len(s)):
                 face = s[:drop] + s[drop + 1 :]
@@ -150,7 +150,7 @@ class TestMaximalSimplices:
             assert list(rebuilt.maximal) == sorted(rebuilt.maximal, key=simplex_sort_key), label
 
     def test_dimension_is_the_largest_simplex(self):
-        for label, k in kernel_complexes() + [("mixed", validate([["a"], ["b", "c"], ["d", "e", "f"]]))]:
+        for label, k in kernel_complexes() + [("mixed", Complex.from_maximal([["a"], ["b", "c"], ["d", "e", "f"]]))]:
             assert k.dimension == max(len(s) for s in k.simplices) - 1, label
         assert Complex._from_closed(set()).dimension == -1
 
@@ -215,9 +215,9 @@ class TestLocalQueries:
     def test_closed_star_matches_scan(self):
         for label, k in kernel_complexes():
             for v in k.vertices:
-                assert k.closed_star(v) == scan_closed_star(k, v), (label, v)
+                assert closed_star(k, v) == scan_closed_star(k, v), (label, v)
         with pytest.raises(UnknownVertexError):
-            simplex_complex(["a", "b"]).closed_star("z")
+            closed_star(simplex_complex(["a", "b"]), "z")
 
     def test_is_full_subcomplex_matches_scan(self):
         for seed, (label, k) in enumerate(kernel_complexes()):

@@ -6,13 +6,12 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from polytower.complexes import Complex, barycentric_subdivision, validate, whole_subcomplex
+from polytower.complexes import Complex, barycentric_subdivision, whole_subcomplex
 from polytower.connectivity import (
     collapses_to_point,
     components,
     homology,
     is_connected,
-    k_connected_verdict,
     ae_verdict,
     pi1_presentation,
     pi1_verdict,
@@ -111,7 +110,7 @@ class TestConnectedness:
         assert is_connected(simplex_complex(["a", "b", "c"])).is_holds
 
     def test_two_vertices(self):
-        v = is_connected(validate([["a"], ["b"]]))
+        v = is_connected(Complex.from_maximal([["a"], ["b"]]))
         assert v.is_fails
         assert v.witness == ["a", "b"]
 
@@ -123,7 +122,7 @@ class TestConnectedness:
         assert v.is_fails and v.witness == "empty"
 
     def test_components_sorted(self):
-        comps = components(validate([["c", "d"], ["a", "b"]]))
+        comps = components(Complex.from_maximal([["c", "d"], ["a", "b"]]))
         assert comps[0][0] == "a"
 
 
@@ -155,7 +154,7 @@ class TestPi1:
 
     def test_presentation_shape_on_circle(self):
         pres = pi1_presentation(sphere_complex(1))
-        assert pres.generator_count() == 1
+        assert len(pres.generators) == 1
         assert pres.relators == []
 
     def test_transcript_empties_boundary_of_tetrahedron(self):
@@ -166,7 +165,7 @@ class TestPi1:
         assert steps >= 3
 
     def test_disconnected_complex_conjoins_components(self):
-        k = validate([["a", "b", "c"], ["x", "y"], ["y", "z"], ["x", "z"]])
+        k = Complex.from_maximal([["a", "b", "c"], ["x", "y"], ["y", "z"], ["x", "z"]])
         v = pi1_verdict(k)
         assert v.is_fails  # the triangle component is fine, the circle is not
 
@@ -205,7 +204,7 @@ class TestPi1:
                 )
                 pres = pi1_presentation(piece)
                 before = invariants(
-                    pres.relators, set(range(1, pres.generator_count() + 1))
+                    pres.relators, set(range(1, len(pres.generators) + 1))
                 )
                 simplified, _, _ = tietze_simplify(pres, 10_000)
                 # simplified relators keep the original generator numbering
@@ -221,7 +220,7 @@ class TestPi1:
 
         for k in (sphere_complex(1), sphere_complex(2), rp2_complex(), cylinder_complex()):
             pres = pi1_presentation(k)
-            gens = pres.generator_count()
+            gens = len(pres.generators)
             columns = []
             for word in pres.relators:
                 col = [0] * gens
@@ -238,15 +237,15 @@ class TestPi1:
 
 class TestKConnected:
     def test_sphere2_at_n3_fails_at_h2(self):
-        v = k_connected_verdict(sphere_complex(2), 3)
+        v = ae_verdict(sphere_complex(2), 3)
         assert v.is_fails
         assert v.witness["degree"] == 2
 
     def test_sphere2_at_n2_holds(self):
-        assert k_connected_verdict(sphere_complex(2), 2).is_holds
+        assert ae_verdict(sphere_complex(2), 2).is_holds
 
     def test_empty_fails(self):
-        assert k_connected_verdict(Complex.from_maximal([]), 1).is_fails
+        assert ae_verdict(Complex.from_maximal([]), 1).is_fails
 
     def test_circle_at_n2_fails(self):
         assert ae_verdict(sphere_complex(1), 2).is_fails
@@ -257,7 +256,7 @@ class TestKConnected:
 
     def test_invalid_n(self):
         with pytest.raises(ValueError):
-            k_connected_verdict(simplex_complex(["a"]), 0)
+            ae_verdict(simplex_complex(["a"]), 0)
 
 
 class TestVerdictAlgebra:

@@ -6,16 +6,13 @@ import pytest
 
 from polytower.complexes import (
     ComplexMismatchError,
-    ScaleMismatchError,
-    distance,
     subcomplex_from,
-    vertex_point,
 )
-from polytower.maps import VertexMap, compose
+from polytower.maps import VertexMap
 from polytower.towers import MalformedTowerError, restrict_tower
 from polytower.generators import simplex, subdivision_tower
 
-from util import simplex_complex
+from util import ScaleMismatchError, compose, distance, simplex_complex, vertex_point
 
 
 class TestMetricErrors:

@@ -4,18 +4,15 @@ from fractions import Fraction
 
 from polytower.complexes import (
     barycentric_subdivision,
-    distance,
     flatten_point,
     lift_to_subdivision,
     make_point,
     subcomplex_from,
-    vertex_point,
     whole_subcomplex,
 )
 from polytower.connectivity import ae_verdict
 from polytower.maps import (
     apply_subdivision,
-    compose,
     identity_qsmap,
     induced_homology_map,
     is_surjective,
@@ -24,7 +21,18 @@ from polytower.maps import (
 from polytower.stars import barycentric_vertex_star, cover_B, mesh
 from polytower.generators import cylinder_map, simplex, sphere, subdivision_tower
 
-from util import chain_max, random_complex, random_point, random_surjective_vertex_map, simplex_complex
+from util import (
+    chain_max,
+    compose,
+    distance,
+    from_vertex_images,
+    pullback_star_cover,
+    random_complex,
+    random_point,
+    random_surjective_vertex_map,
+    simplex_complex,
+    vertex_point,
+)
 
 
 class TestSurjectivitySoundness:
@@ -177,7 +185,7 @@ class TestLiftPreconditions:
 
         t = subdivision_tower(simplex(2), 2)
         domain = simplex_complex(["x"])
-        f = PartialPLMap.from_vertex_images(domain, {"x": "a"}, t.levels[0])
+        f = from_vertex_images(domain, {"x": "a"}, t.levels[0])
         anchor = subcomplex_from(domain, [["x"]])
         bad_seed = PartialPLMap.build(
             domain, anchor, {"x": vertex_point(t.levels[1], ("b",))}, t.levels[1]
@@ -188,7 +196,7 @@ class TestLiftPreconditions:
 
 class TestPulledOpenStarCover:
     def test_depth_two_open_kind(self):
-        from polytower.towers import Tower, pullback_star_cover
+        from polytower.towers import Tower
 
         t = subdivision_tower(simplex(2), 2)
         t_open = Tower.build(t.levels, t.bonds, t.scales, cover_kind="O")

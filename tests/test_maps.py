@@ -4,14 +4,12 @@ from fractions import Fraction
 import pytest
 
 from polytower.complexes import (
+    Complex,
     Subcomplex,
     barycentric_subdivision,
-    distance,
     induced_subcomplex,
     make_point,
     subcomplex_from,
-    validate,
-    vertex_point,
 )
 from polytower.connectivity import homology_coordinates
 from polytower.generators import subdivision_tower
@@ -24,7 +22,6 @@ from polytower.maps import (
     check_quasi_simplicial,
     check_simplicial,
     chain_map_columns,
-    compose,
     identity_qsmap,
     induced_homology_map,
     is_surjective,
@@ -37,8 +34,11 @@ from polytower.stars import cover_B
 from polytower import snf
 
 from util import (
+    closed_star,
+    compose,
     cylinder_complex,
     cylinder_map,
+    distance,
     kernel_complexes,
     random_complex,
     random_point,
@@ -53,6 +53,7 @@ from util import (
     simplex_complex,
     sphere_complex,
     vertex_image_point,
+    vertex_point,
 )
 
 
@@ -64,7 +65,7 @@ class TestCheckSimplicial:
 
     def test_edge_to_disjoint_vertices_fails(self):
         src = simplex_complex(["a", "b"])
-        dst = validate([["u"], ["v"]])
+        dst = Complex.from_maximal([["u"], ["v"]])
         vm = VertexMap.build(src, dst, {"a": "u", "b": "v"})
         v = check_simplicial(vm)
         assert v.is_fails and v.witness == ("a", "b")
@@ -204,7 +205,7 @@ class TestFiberCrossCheck:
         for seed, (label, p) in enumerate(list(fiber_maps()) + [("cylinder", cylinder_map())]):
             base = p.base_target
             subs = [induced_subcomplex(base, w) for w in random_vertex_subsets(base, seed, count=4)]
-            subs += [Subcomplex(base, base.closed_star(v)) for v in base.vertices]
+            subs += [Subcomplex(base, closed_star(base, v)) for v in base.vertices]
             subs.append(Subcomplex(base, frozenset(s for s in base.simplices if len(s) <= 2)))
             for sub in subs:
                 expected = scan_preimage_of_base(p, sub)
@@ -216,7 +217,7 @@ class TestFiberCrossCheck:
             k = random_complex(seed)
             maps.append(random_surjective_vertex_map(k, seed))
             # the inclusion of k without its last maximal simplex misses it
-            rest = validate(k.maximal[:-1])
+            rest = Complex.from_maximal(k.maximal[:-1])
             maps.append(VertexMap.build(rest, k, {v: v for v in rest.vertices}))
             maps.append(check_quasi_simplicial(k, k, {v: (k.vertices[0],) for v in k.vertices}))
         failing = 0

@@ -6,12 +6,19 @@ from polytower.complexes import (
     barycenter_point,
     make_point,
     subcomplex_from,
-    vertex_point,
     whole_subcomplex,
 )
 from polytower.plmaps import PartialPLMap, equal_on
 
-from util import constant_pl_map, cylinder_map, homotopy_to_obj, simplex_complex
+from util import (
+    close_maps_homotopy,
+    constant_pl_map,
+    cylinder_map,
+    from_vertex_images,
+    homotopy_to_obj,
+    simplex_complex,
+    vertex_point,
+)
 
 
 class TestBuild:
@@ -51,7 +58,7 @@ class TestEvaluate:
     def test_affine_on_edges(self):
         domain = simplex_complex(["x", "y"])
         target = simplex_complex(["u", "v", "w"])
-        f = PartialPLMap.from_vertex_images(domain, {"x": "u", "y": "v"}, target)
+        f = from_vertex_images(domain, {"x": "u", "y": "v"}, target)
         mid = make_point(domain, {"x": Fraction(1, 3), "y": Fraction(2, 3)})
         out = f.evaluate(mid)
         assert out.as_dict() == {"u": Fraction(1, 3), "v": Fraction(2, 3)}
@@ -73,7 +80,7 @@ class TestSubdivided:
     def test_same_map_on_finer_pieces(self):
         domain = simplex_complex(["x", "y", "z"])
         target = simplex_complex(["u", "v", "w"])
-        f = PartialPLMap.from_vertex_images(domain, {"x": "u", "y": "v", "z": "w"}, target)
+        f = from_vertex_images(domain, {"x": "u", "y": "v", "z": "w"}, target)
         fine = f.subdivided()
         # subdivision vertices take the evaluated barycenter values
         assert fine.image_of(("x", "y")).as_dict() == {
@@ -88,7 +95,7 @@ class TestSubdivided:
 
     def test_composition_with_quasi_simplicial(self):
         p = cylinder_map()
-        identity = PartialPLMap.from_vertex_images(
+        identity = from_vertex_images(
             p.source, {v: v for v in p.source.vertices}, p.source
         )
         projected = identity.after(p)
@@ -103,8 +110,8 @@ class TestEquality:
     def test_equal_on_subcomplex(self):
         domain = simplex_complex(["x", "y"])
         target = simplex_complex(["u", "v"])
-        f = PartialPLMap.from_vertex_images(domain, {"x": "u", "y": "v"}, target)
-        g = PartialPLMap.from_vertex_images(domain, {"x": "u", "y": "u"}, target)
+        f = from_vertex_images(domain, {"x": "u", "y": "v"}, target)
+        g = from_vertex_images(domain, {"x": "u", "y": "u"}, target)
         assert equal_on(f, g, subcomplex_from(domain, [["x"]]))
         assert not equal_on(f, g, whole_subcomplex(domain))
 
@@ -118,12 +125,11 @@ class TestEquality:
 
 class TestHomotopySerialization:
     def test_certificate_shape(self):
-        from polytower.carriers import close_maps_homotopy
         from polytower.stars import cover_O
         from polytower import formats
 
         k = simplex_complex(["a", "b"])
-        f = PartialPLMap.from_vertex_images(k, {v: v for v in k.vertices}, k)
+        f = from_vertex_images(k, {v: v for v in k.vertices}, k)
         result = close_maps_homotopy(f, f, cover_O(k), n=2)
         assert result.status.is_holds
         obj = homotopy_to_obj(result)

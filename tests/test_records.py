@@ -49,12 +49,14 @@ MUTABLE = {
 
 
 def record_classes() -> list:
+    """The record classes of the package and of the test oracles in `util`
+    (`HomotopyResult`)."""
     for info in pkgutil.iter_modules(polytower.__path__):
         importlib.import_module("polytower." + info.name)
     out, todo = [], list(Record.__subclasses__())
     while todo:
         cls = todo.pop()
-        if cls.__module__.startswith("polytower."):
+        if cls.__module__.startswith("polytower.") or cls.__module__ == "util":
             out.append(cls)
         todo.extend(cls.__subclasses__())
     return sorted(out, key=lambda cls: cls.__name__)

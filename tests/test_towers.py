@@ -5,10 +5,8 @@ import pytest
 
 from polytower.complexes import (
     Complex,
-    distance,
     make_point,
     subcomplex_from,
-    vertex_point,
     whole_subcomplex,
 )
 from polytower.maps import apply, identity_qsmap, is_surjective
@@ -17,7 +15,6 @@ from polytower.towers import (
     MalformedTowerError,
     ThreadApprox,
     Tower,
-    pullback_star_cover,
     regularity_report,
     restrict_tower,
     single_lift,
@@ -33,6 +30,8 @@ from polytower.generators import (
 )
 from polytower.stars import cover_B
 from polytower.verdicts import Budgets
+
+from util import distance, from_vertex_images, pullback_star_cover, vertex_point
 
 
 class TestTowerBuild:
@@ -314,7 +313,7 @@ def renamed(domain, name):
 
 def inclusion_of_edge(tower) -> PartialPLMap:
     base = tower.levels[0]
-    return PartialPLMap.from_vertex_images(
+    return from_vertex_images(
         edge_domain(), {"x0": "a", "x1": "b"}, base, scale=Fraction(1)
     )
 
@@ -333,7 +332,7 @@ class TestSingleLift:
         t = cylinder_tower()
         bond = t.bonds[0]
         domain = Complex.from_maximal([["x"]])
-        f = PartialPLMap.from_vertex_images(domain, {"x": "u"}, t.levels[0])
+        f = from_vertex_images(domain, {"x": "u"}, t.levels[0])
         empty = subcomplex_from(domain, [])
         g0 = PartialPLMap.build(domain, empty, {}, t.levels[1])
         result = single_lift(bond, cover_B(t.levels[0]), f, empty, g0, 1)
@@ -345,7 +344,7 @@ class TestSingleLift:
         t = cylinder_tower()
         bond = t.bonds[0]
         domain = edge_domain()
-        f = PartialPLMap.from_vertex_images(domain, {"x0": "u", "x1": "v"}, t.levels[0])
+        f = from_vertex_images(domain, {"x0": "u", "x1": "v"}, t.levels[0])
         anchor = subcomplex_from(domain, [["x0"]])
         g0 = PartialPLMap.build(
             domain, anchor, {"x0": vertex_point(t.levels[1], "b0")}, t.levels[1]
@@ -363,7 +362,7 @@ class TestSingleLift:
         t = subdivision_tower(simplex(2), 2)
         bond = t.bonds[0]
         domain = Complex.from_maximal([["x"]])
-        f = PartialPLMap.from_vertex_images(domain, {"x": "a"}, t.levels[0])
+        f = from_vertex_images(domain, {"x": "a"}, t.levels[0])
         empty = subcomplex_from(domain, [])
         g0 = PartialPLMap.build(domain, empty, {}, t.levels[1])
         result = single_lift(bond, cover_O(t.levels[0]), f, empty, g0, 2)
@@ -404,7 +403,7 @@ class TestTowerLift:
     def test_constant_lift_through_point_tower(self):
         t = subdivision_tower(simplex(0, ["p"]), 3)
         domain = edge_domain()
-        f1 = PartialPLMap.from_vertex_images(domain, {"x0": "p", "x1": "p"}, t.levels[0])
+        f1 = from_vertex_images(domain, {"x0": "p", "x1": "p"}, t.levels[0])
         anchor = subcomplex_from(domain, [["x0"]])
         threads = ThreadApprox(
             t, {"x0": [vertex_point(level, level.vertices[0]) for level in t.levels]}
@@ -451,7 +450,7 @@ class TestTowerLift:
         # condition at degree two, so the lift is not fabricated
         t = cylinder_tower()
         domain = Complex.from_maximal([["y0", "y1"], ["y1", "y2"], ["y0", "y2"]])
-        f1 = PartialPLMap.from_vertex_images(
+        f1 = from_vertex_images(
             domain, {"y0": "u", "y1": "v", "y2": "u"}, t.levels[0]
         )
         anchor = subcomplex_from(domain, [["y0"]])
@@ -471,7 +470,7 @@ class TestTowerLift:
     def test_loop_lifts_at_one(self):
         t = cylinder_tower()
         domain = Complex.from_maximal([["y0", "y1"], ["y1", "y2"], ["y0", "y2"]])
-        f1 = PartialPLMap.from_vertex_images(
+        f1 = from_vertex_images(
             domain, {"y0": "u", "y1": "v", "y2": "u"}, t.levels[0]
         )
         anchor = subcomplex_from(domain, [["y0"]])

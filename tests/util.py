@@ -1,9 +1,15 @@
 """Shared oracles and generators for the test suite.
 
-Everything here is deliberately independent of the implementation paths it
-cross-checks: subdivision counts come from a DFS chain enumerator over the
-face poset, homology cross-checks from rational and mod-p Gaussian
+The reference checks are deliberately independent of the implementation
+paths they cross-check: subdivision counts come from a DFS chain enumerator
+over the face poset, homology cross-checks from rational and mod-p Gaussian
 elimination, closures from raw powerset enumeration.
+
+The last sections hold the paper's lemmas that no command runs, built on the
+library: the l1 distance and full subcomplexes, the straight-line
+deformation, cover-closeness and "close maps are homotopic", composition of
+quasi-simplicial maps, cover isomorphism and star covers pulled back through
+several levels.
 """
 from __future__ import annotations
 
@@ -12,11 +18,40 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
+from polytower.carriers import carried_extension
 from polytower.complexes import (
+    ONE,
     Complex,
+    ComplexMismatchError,
+    Point,
+    Subcomplex,
+    UnknownVertexError,
+    _induced_tops,
+    barycentric_subdivision,
+    face_closure,
+    faces,
     make_point,
+    simplex_sort_key,
     vertex_key,
+    vertex_label,
+    whole_subcomplex,
 )
+from polytower.connectivity import subcomplex_verdict
+from polytower.maps import VertexMap, underlying_vertex_map
+from polytower.plmaps import PartialPLMap
+from polytower.records import Record
+from polytower.stars import (
+    IndexedCover,
+    IndexMismatchError,
+    OpenStarSet,
+    barycentric_vertex_stars,
+    element_contains_point,
+    hull_witnesses,
+    nerve,
+    pullback_cover,
+)
+from polytower.towers import MalformedTowerError, Tower, _star_cover, intersection_verdicts
+from polytower.verdicts import DEFAULT_BUDGETS, Budgets, Verdict
 
 
 def brute_force_closure(simplices) -> set:
@@ -153,9 +188,6 @@ def random_surjective_vertex_map(base: Complex, seed: int):
     """A surjective simplicial map from the subdivision onto the base: send
     the vertex named by a simplex to its least vertex under a random total
     order of the base vertices."""
-    from polytower.complexes import barycentric_subdivision
-    from polytower.maps import VertexMap
-
     rng = random.Random(seed)
     order = list(base.vertices)
     rng.shuffle(order)
@@ -169,7 +201,7 @@ def random_qsmap(base: Complex, seed: int):
     """A random quasi-simplicial self-map of the subdivision: each simplex
     name maps to a face of itself containing the faces chosen lower down, so
     chains map to chains."""
-    from polytower.complexes import barycentric_subdivision, vertex_key as vk
+    from polytower.complexes import vertex_key as vk
     from polytower.maps import QSMap
 
     rng = random.Random(seed)
@@ -265,7 +297,6 @@ def kernel_complexes() -> list:
     """(label, complex) pairs for the complex-kernel cross-checks: random
     complexes, rp2, the cylinder, and every level of the 3-level triangle
     subdivision tower together with its subdivision."""
-    from polytower.complexes import barycentric_subdivision
     from polytower.generators import simplex, subdivision_tower
 
     out = [("random %d" % seed, random_complex(seed)) for seed in range(12)]
@@ -316,9 +347,6 @@ def scan_preimage_of_subdivided(vm, sub) -> frozenset:
 
 def scan_first_uncovered(cover):
     """Every element tested against every maximal simplex of the ambient."""
-    from polytower.complexes import Subcomplex, simplex_sort_key
-    from polytower.stars import OpenStarSet
-
     for s in sorted(cover.ambient.maximal, key=simplex_sort_key):
         hit = False
         for _, e in cover.elements:
@@ -364,8 +392,6 @@ def dunce_hat_complex() -> Complex:
     on an edge gets the label of its parameter t along that edge (every
     corner is "v", t = 1/4, 1/2, 3/4 give "e1", "e2", "e3"), and an inner
     vertex keeps a name of its own.  Contractible, with no free face."""
-    from polytower.complexes import barycentric_subdivision, vertex_label
-
     twice = barycentric_subdivision(barycentric_subdivision(Complex.from_maximal([["a", "b", "c"]])))
     labels = {}
     for name in twice.vertices:
@@ -389,8 +415,6 @@ def greedy_collapse(simplices, budget: int) -> bool:
     reduce a face-closed set to a single vertex: the coface-queue search
     with no closed-form shortcut, as a reference."""
     from collections import deque
-
-    from polytower.complexes import simplex_sort_key
 
     cofaces: dict = {}  # facet -> its cofaces still present
     for s in simplices:
@@ -426,9 +450,6 @@ def scan_nerve(cover, budget: int = 100_000):
     simplex, each element read as the simplices it holds or touches by a
     scan of the whole complex.  Returns (simplices, subsets checked), or
     (None, checked) once more than `budget` subsets have been checked."""
-    from polytower.complexes import Subcomplex
-    from polytower.stars import OpenStarSet
-
     if len({type(e) for _, e in cover.elements}) > 1:
         raise ValueError("cover mixes element representations")
     if len({getattr(e, "vertex_map", None) for _, e in cover.elements}) > 1:
@@ -479,8 +500,6 @@ def scan_nerve(cover, budget: int = 100_000):
 
 def scan_open_intersection(complex_: Complex, cores) -> list:
     """Every simplex of the complex meeting every core, in canonical order."""
-    from polytower.complexes import simplex_sort_key
-
     return sorted(
         (s for s in complex_.simplices if all(set(s) & set(core) for core in cores)),
         key=simplex_sort_key,
@@ -517,15 +536,11 @@ def boundary_composition_is_zero(complex_: Complex) -> bool:
 
 def constant_pl_map(domain: Complex, target: Complex, point):
     """The PL map sending every vertex of the domain to one point."""
-    from polytower.complexes import whole_subcomplex
-    from polytower.plmaps import PartialPLMap
-
     return PartialPLMap.build(domain, whole_subcomplex(domain), {v: point for v in domain.vertices}, target)
 
 
 def cover_to_obj(cover) -> dict:
     """A cover as the document `formats.parse_cover` reads."""
-    from polytower.complexes import Subcomplex
     from polytower.formats import complex_to_obj, subcomplex_to_obj, vertex_to_key, vertex_to_obj
 
     elements = {}
@@ -570,8 +585,7 @@ def meets_core(element, simplex) -> bool:
 def open_star_of_subdivided(base: Complex, sub):
     """The open star, inside the subdivision of the base, of a subcomplex of
     the base (taken with its subdivided triangulation)."""
-    from polytower.complexes import barycentric_subdivision, beta_subcomplex
-    from polytower.stars import OpenStarSet
+    from polytower.complexes import beta_subcomplex
 
     beta = barycentric_subdivision(base)
     return OpenStarSet(beta, beta_subcomplex(sub, beta))
@@ -616,10 +630,6 @@ def scan_preimage_of_base(p, sub) -> frozenset:
 def scan_is_surjective(p):
     """Every source simplex's image, then the first maximal target simplex
     (in `simplex_sort_key` order) that none of them is."""
-    from polytower.complexes import simplex_sort_key
-    from polytower.maps import underlying_vertex_map
-    from polytower.verdicts import Verdict
-
     vm = underlying_vertex_map(p)
     covered = {vm.image_simplex(s) for s in vm.source.simplices}
     for target_max in sorted(vm.target.maximal, key=simplex_sort_key):
@@ -632,9 +642,6 @@ def scan_validate_carrier(carrier):
     """The region of every nerve simplex, in `simplex_sort_key` order, until
     the first empty one."""
     from polytower.carriers import _region_for
-    from polytower.complexes import simplex_sort_key
-    from polytower.stars import nerve
-    from polytower.verdicts import Verdict
 
     result = nerve(carrier.source_cover)
     if not result.status.is_holds:
@@ -653,8 +660,6 @@ def plain_reference(value):
     """A document as JSON values: rationals as "p/q" strings, verdicts as
     objects, tuples as lists, sets as lists sorted by their JSON text and
     non-string keys by the string of their plain form."""
-    from polytower.verdicts import Verdict
-
     if isinstance(value, Fraction):
         return str(value.numerator) if value.denominator == 1 else "%d/%d" % (value.numerator, value.denominator)
     if isinstance(value, Verdict):
@@ -678,3 +683,376 @@ def plain_reference(value):
 
 def dumps_reference(obj) -> str:
     return json.dumps(plain_reference(obj), indent=2, sort_keys=True, ensure_ascii=True) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# points, fullness and closed stars
+
+
+class ScaleMismatchError(ValueError):
+    """Two points with different scales were combined."""
+
+
+def distance(x: Point, y: Point) -> Fraction:
+    """Scaled l1 distance of barycentric coordinate vectors."""
+    if not (x.complex is y.complex or x.complex == y.complex):
+        raise ComplexMismatchError("points on different complexes")
+    if x.scale != y.scale:
+        raise ScaleMismatchError("points at different scales: %s vs %s" % (x.scale, y.scale))
+    xd, yd = x.as_dict(), y.as_dict()
+    total = Fraction(0)
+    for v in set(xd) | set(yd):
+        total += abs(xd.get(v, Fraction(0)) - yd.get(v, Fraction(0)))
+    return x.scale * total
+
+
+def vertex_point(complex_: Complex, vertex, scale=ONE) -> Point:
+    return make_point(complex_, {vertex: ONE}, scale)
+
+
+def is_full_subcomplex(sub: Subcomplex, ambient: Complex | None = None) -> bool:
+    """Whether every ambient simplex spanned by the subcomplex's vertices is
+    already in the subcomplex: the subcomplex is face-closed, so it is enough
+    that it holds every intersection of its vertex set with a maximal
+    simplex."""
+    if ambient is not None and ambient != sub.parent:
+        raise ComplexMismatchError("subcomplex does not live in the given complex")
+    return _induced_tops(sub.parent, sub.vertex_set()) <= sub.simplices
+
+
+def closed_star(complex_: Complex, vertex) -> frozenset:
+    """Simplices of every closed simplex containing the vertex: the faces
+    of the maximal simplices through it."""
+    v = complex_.canon(vertex)
+    if not complex_.has_vertex(v):
+        raise UnknownVertexError(vertex_label(v))
+    return frozenset(face_closure(complex_.maximal_at(v)))
+
+
+# ---------------------------------------------------------------------------
+# PL maps sending vertices to vertices
+
+
+def from_vertex_images(domain: Complex, images: dict, target: Complex, scale=Fraction(1)) -> PartialPLMap:
+    """Total PL map sending vertices to vertices of the target."""
+    pts = {v: vertex_point(target, w, scale) for v, w in images.items()}
+    return PartialPLMap.build(domain, whole_subcomplex(domain), pts, target)
+
+
+# ---------------------------------------------------------------------------
+# stars and covers: the barycentric star of a subcomplex, closed star covers,
+# cover isomorphism, the straight-line deformation and cover-closeness
+
+
+def barycentric_star(base: Complex, sub: Subcomplex) -> Subcomplex:
+    """All simplices of the subdivision meeting the subcomplex: the union of
+    the barycentric stars of its vertices."""
+    if sub.parent != base:
+        raise ValueError("subcomplex of a different complex")
+    stars = barycentric_vertex_stars(base)
+    kept = frozenset().union(*(stars[v].simplices for v in sub.vertex_set()))
+    return Subcomplex._trusted(barycentric_subdivision(base), kept)
+
+
+def closed_star_cover(complex_: Complex) -> IndexedCover:
+    """The closed cover of a complex by the closed stars of its own vertices
+    in its own triangulation."""
+    elements = {}
+    for v in complex_.vertices:
+        elements[v] = Subcomplex(complex_, closed_star(complex_, v))
+    return IndexedCover.build(complex_, "closed", elements, star_of={v: v for v in complex_.vertices})
+
+
+def covers_isomorphic(f: IndexedCover, g: IndexedCover, budgets: Budgets = DEFAULT_BUDGETS) -> Verdict:
+    """Holds when both covers have the same index set and identical nerves;
+    a distinguishing index subset is the witness otherwise."""
+    if set(f.indices) != set(g.indices):
+        raise IndexMismatchError("covers are indexed by different sets")
+    nf, ng = nerve(f, budgets), nerve(g, budgets)
+    if not nf.status.is_holds:
+        return nf.status
+    if not ng.status.is_holds:
+        return ng.status
+    sf, sg = nf.complex.simplices, ng.complex.simplices
+    if sf == sg:
+        return Verdict.holds()
+    difference = sorted(sf ^ sg, key=simplex_sort_key)
+    return Verdict.fails(witness=difference[0], reason="nerves differ")
+
+
+def deformation_phi(x: Point, t, core: Subcomplex) -> Point:
+    """The convex slide t*q(x) + (1-t)*x toward the renormalised projection
+    onto a full subcomplex; defined on the open star of the core."""
+    t = Fraction(t)
+    if not 0 <= t <= 1:
+        raise ValueError("t must lie in [0, 1]")
+    if core.parent != x.complex:
+        raise ValueError("point and subcomplex live on different complexes")
+    if not is_full_subcomplex(core):
+        raise ValueError("deformation needs a full subcomplex")
+    core_vertices = core.vertex_set()
+    norm = sum((c for v, c in x.coords if v in core_vertices), Fraction(0))
+    if norm == 0:
+        raise ValueError("point is outside the open star of the core")
+    out: dict = {}
+    for v, c in x.coords:
+        value = (1 - t) * c
+        if v in core_vertices:
+            value += t * (c / norm)
+        if value:
+            out[v] = value
+    return make_point(x.complex, out, x.scale)
+
+
+def are_close(f: PartialPLMap, g: PartialPLMap, cover: IndexedCover) -> Verdict:
+    """Certified cover-closeness of two PL maps on one triangulated domain.
+
+    Holds with a per-simplex witness table when every domain simplex has an
+    element containing both image hulls; fails with an exact point witness
+    when some evaluated domain point has no common element at all; otherwise
+    inconclusive after one domain subdivision.
+    """
+    if f.domain != g.domain:
+        raise ValueError("maps must share a domain triangulation")
+    if f.target != g.target:
+        raise ValueError("maps must share a target")
+    for round_ in range(2):
+        if round_:
+            f, g = f.subdivided(), g.subdivided()
+        pointwise = _pointwise_violation(f, g, cover)
+        if pointwise is not None:
+            return Verdict.fails(
+                witness={"vertex": pointwise}, reason="no common element at a domain point"
+            )
+        # witnesses on maximal simplices restrict to faces
+        maximal = f.defined_on.as_complex().maximal
+        witnesses = hull_witnesses([f, g], maximal, cover)
+        if witnesses is not None:
+            return Verdict.holds(witness=witnesses)
+    return Verdict.inconclusive("no per-simplex witness after one subdivision")
+
+
+def _pointwise_violation(f, g, cover):
+    for v in sorted(f.defined_on.vertex_set(), key=vertex_key):
+        fp, gp = f.image_of(v), g.image_of(v)
+        found = False
+        for i in cover.indices:
+            e = cover.element(i)
+            if element_contains_point(e, fp, cover.base) and element_contains_point(e, gp, cover.base):
+                found = True
+                break
+        if not found:
+            return v
+    return None
+
+
+# ---------------------------------------------------------------------------
+# composition of (quasi-)simplicial maps
+
+
+def _beta_extension(vm: VertexMap) -> VertexMap:
+    """The subdivision of a simplicial map: the vertex named by a simplex maps
+    to the vertex named by its image simplex."""
+    src = barycentric_subdivision(vm.source)
+    dst = barycentric_subdivision(vm.target)
+    images = {name: vm.image_simplex(name) for name in src.vertices}
+    return VertexMap.build(src, dst, images)
+
+
+def compose(outer, inner) -> VertexMap:
+    """Vertex-level composition (outer after inner).
+
+    Plain simplicial maps compose directly.  When maps land in subdivisions
+    the outer map is first subdivided so that its action on chain names is
+    simplicial; the result is a vertex map into an iterated subdivision.
+    Images are flattened back to coarser vertices only when every image is a
+    singleton chain.
+    """
+    inner_vm = underlying_vertex_map(inner)
+    outer_vm = underlying_vertex_map(outer)
+    if inner_vm.target == outer_vm.source:
+        extended = outer_vm
+    else:
+        extended = _beta_extension(outer_vm)
+        if inner_vm.target != extended.source:
+            raise ValueError("maps do not compose: target/source mismatch")
+    mapping = {v: extended(inner_vm(v)) for v in inner_vm.source.vertices}
+    composed = VertexMap.build(inner_vm.source, extended.target, mapping)
+    return flatten_vertex_map(composed)
+
+
+def flatten_vertex_map(vm: VertexMap) -> VertexMap:
+    """Strip one level of singleton chains from every image, repeatedly, as
+    long as every image is a singleton tuple naming a coarser vertex."""
+    current = vm
+    while True:
+        images = current.as_dict()
+        if not images:
+            return current
+        if not all(isinstance(w, tuple) and len(w) == 1 for w in images.values()):
+            return current
+        stripped = {v: w[0] for v, w in images.items()}
+        candidates = set(stripped.values())
+        target = _flattening_target(current.target, candidates)
+        if target is None:
+            return current
+        current = VertexMap.build(current.source, target, stripped)
+
+
+def _flattening_target(subdivided: Complex, needed) -> Complex | None:
+    """Reconstruct the complex whose subdivision the given complex is, when
+    its vertex names are simplices of that coarser complex."""
+    names = subdivided.vertices
+    if not all(isinstance(n, tuple) for n in names):
+        return None
+    try:
+        coarse = Complex.from_maximal(list(names))
+    except Exception:
+        return None
+    if barycentric_subdivision(coarse).simplices >= subdivided.simplices and all(
+        w in coarse.vertex_set() for w in needed
+    ):
+        return coarse
+    return None
+
+
+# ---------------------------------------------------------------------------
+# star covers pulled back through several tower levels
+
+
+def pullback_star_cover(
+    tower: Tower,
+    i: int,
+    m: int,
+    kind: str = "B",
+    n: int | None = None,
+    budgets: Budgets = DEFAULT_BUDGETS,
+):
+    """The level-i vertex star cover pulled back to level m through the
+    bonds, indexed by the level-i vertices, with per-intersection verdicts
+    when a degree is supplied."""
+    if not 1 <= i <= m <= tower.depth():
+        raise MalformedTowerError("levels out of range")
+    current = _star_cover(kind, tower.levels[i - 1])
+    for idx in range(i - 1, m - 1):
+        current = pullback_cover(tower.bonds[idx], current)
+    if n is None:
+        return current, {}
+    nerve_status, intersections = intersection_verdicts(current, n, budgets)
+    if not nerve_status.is_holds:
+        return current, {"status": nerve_status}
+    return current, {tuple(indices): verdict for indices, verdict, _ in intersections}
+
+
+# ---------------------------------------------------------------------------
+# close maps are homotopic: prisms and cover-tracked homotopies
+
+
+def prism_complex(base: Complex):
+    """The staircase triangulation of base x [0,1]; returns the prism, the
+    bottom/top embeddings of the base vertices, and the per-cell prisms."""
+    bottom = {v: ("0", v) for v in base.vertices}
+    top = {v: ("1", v) for v in base.vertices}
+    maximal = []
+    per_cell: dict = {}
+    for s in base.maximal:
+        cells = []
+        k = len(s)
+        for i in range(k):
+            prism_cell = tuple([bottom[v] for v in s[: i + 1]] + [top[v] for v in s[i:]])
+            cells.append(prism_cell)
+            maximal.append(prism_cell)
+        per_cell[s] = cells
+    prism = Complex.from_maximal(maximal)
+    return prism, bottom, top, per_cell
+
+
+class HomotopyResult(Record):
+    status: Verdict
+    prism: Complex | None
+    map: PartialPLMap | None
+    path_witnesses: dict  # original domain simplex -> cover index
+    closeness: Verdict | None = None
+
+
+def close_maps_homotopy(
+    f: PartialPLMap,
+    g: PartialPLMap,
+    cover: IndexedCover,
+    n: int,
+    budgets: Budgets = DEFAULT_BUDGETS,
+) -> HomotopyResult:
+    """A PL homotopy between cover-close maps whose tracks each stay inside a
+    single cover element, built by carried extension over a prism."""
+    if f.domain != g.domain or f.target != g.target:
+        raise ValueError("maps must share domain and target")
+    if f.domain.dimension >= n:
+        return HomotopyResult(
+            Verdict.inconclusive("domain dimension must stay below the extensor degree"),
+            None,
+            None,
+            {},
+        )
+    closeness = are_close(f, g, cover)
+    if not closeness.is_holds:
+        status = closeness if closeness.is_fails else Verdict.inconclusive("maps are not certified close")
+        return HomotopyResult(status, None, None, {}, closeness)
+    for i in cover.indices:
+        element_ae = _element_extensor_verdict(cover.element(i), n, budgets)
+        if not element_ae.is_holds:
+            return HomotopyResult(
+                Verdict.inconclusive("cover element %s lacks an extensor certificate" % (i,)),
+                None,
+                None,
+                {},
+                closeness,
+            )
+    witnesses = closeness.witness
+    used_f, used_g = f, g
+    if witnesses and not all(s in used_f.defined_on.simplices for s in witnesses):
+        # the certificate was found on the subdivided maps
+        used_f, used_g = f.subdivided(), g.subdivided()
+    prism, bottom, top, per_cell = prism_complex(used_f.domain)
+    ends = [tuple(sorted((bottom[v] for v in s), key=vertex_key)) for s in used_f.domain.maximal]
+    ends += [tuple(sorted((top[v] for v in s), key=vertex_key)) for s in used_f.domain.maximal]
+    defined = Subcomplex(
+        prism,
+        frozenset(
+            face
+            for s in ends
+            for face in faces(s)
+        ),
+    )
+    images = {}
+    for v in used_f.domain.vertices:
+        images[bottom[v]] = used_f.image_of(v)
+        images[top[v]] = used_g.image_of(v)
+    seed = PartialPLMap.build(prism, defined, images, used_f.target)
+    cover_elements = {}
+    targets = {}
+    for s in used_f.domain.maximal:
+        name = s
+        member_simplices = set()
+        for cell in per_cell[s]:
+            member_simplices.update(faces(cell))
+        cover_elements[name] = Subcomplex(prism, frozenset(member_simplices))
+        targets[name] = cover.element(witnesses[s])
+    source_cover = IndexedCover.build(prism, "closed", cover_elements, check=False)
+    result = carried_extension(seed, source_cover, targets, cover.base, budgets)
+    if not result.status.is_holds:
+        return HomotopyResult(result.status, None, None, {}, closeness)
+    path_witnesses = {s: witnesses[s] for s in used_f.domain.maximal}
+    return HomotopyResult(Verdict.holds(), result.refined_domain, result.extended, path_witnesses, closeness)
+
+
+def _element_extensor_verdict(element, n: int, budgets: Budgets) -> Verdict:
+    """Extensor verdict for a single cover element: subcomplexes directly,
+    open stars through their full cores (onto which the straight-line
+    deformation retracts them)."""
+    if isinstance(element, Subcomplex):
+        return subcomplex_verdict(element, n, budgets)
+    if isinstance(element, OpenStarSet):
+        if not is_full_subcomplex(element.core):
+            return Verdict.inconclusive("open star core is not full")
+        return subcomplex_verdict(element.core, n, budgets)
+    return Verdict.inconclusive("no extensor rule for this element representation")
