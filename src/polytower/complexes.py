@@ -130,7 +130,7 @@ class Complex:
     have the same vertices and the same simplex set.
     """
 
-    __slots__ = ("vertices", "simplices", "maximal", "_vertex_set", "_hash", "_by_dim", "_maximal_at")
+    __slots__ = ("vertices", "simplices", "maximal", "_vertex_set", "_hash", "_by_dim", "_maximal_at", "_subdivision")
 
     def __init__(self, simplices: frozenset, vertices: tuple, tops):
         """`vertices` in `vertex_key` order and `tops` the maximal simplices.
@@ -153,6 +153,7 @@ class Complex:
             group.sort(key=ranks)
         object.__setattr__(self, "_by_dim", by_dim)
         object.__setattr__(self, "_maximal_at", None)
+        object.__setattr__(self, "_subdivision", None)
 
     def __setattr__(self, *_):
         raise AttributeError("Complex is immutable")
@@ -247,22 +248,24 @@ class Complex:
         return sum((-1) ** k * n for k, n in enumerate(self.f_vector()))
 
 
-@lru_cache(maxsize=32)
 def barycentric_subdivision(complex_: Complex) -> Complex:
     """The complex whose vertices are the simplices of the input and whose
-    simplices are the strictly nested chains of the face poset.
+    simplices are the strictly nested chains of the face poset, built on the
+    first call and kept with the complex.
 
     Maximal chains are emitted as vertex-orderings of maximal simplices, one
     flag per permutation; the geometric realisation is unchanged.
     """
-    flags = []
-    for top in complex_.maximal:
-        # a simplex is sorted, so positions in it are ranks, and chains of
-        # position tuples sort as `vertex_key` sorts the named chains
-        for chain in _position_flags(len(top)):
-            flags.append(tuple(tuple(top[i] for i in face) for face in chain))
-    # built from canonical names, so the flags are canonical simplices
-    return Complex.closure_of(flags)
+    if complex_._subdivision is None:
+        flags = []
+        for top in complex_.maximal:
+            # a simplex is sorted, so positions in it are ranks, and chains
+            # of position tuples sort as `vertex_key` sorts the named chains
+            for chain in _position_flags(len(top)):
+                flags.append(tuple(tuple(top[i] for i in face) for face in chain))
+        # built from canonical names, so the flags are canonical simplices
+        object.__setattr__(complex_, "_subdivision", Complex.closure_of(flags))
+    return complex_._subdivision
 
 
 @lru_cache(maxsize=16)
@@ -368,10 +371,10 @@ def induced_subcomplex(complex_: Complex, vertex_subset: Iterable) -> Subcomplex
     return _induced(complex_, w)
 
 
-def beta_subcomplex(sub: Subcomplex, subdivided_parent: Complex | None = None) -> Subcomplex:
+def beta_subcomplex(sub: Subcomplex) -> Subcomplex:
     """The barycentric subdivision of a subcomplex, inside the subdivision of
     its parent: the induced subcomplex on the names of the sub's simplices."""
-    beta_parent = subdivided_parent or barycentric_subdivision(sub.parent)
+    beta_parent = barycentric_subdivision(sub.parent)
     return _induced(beta_parent, {s for s in sub.simplices if beta_parent.has_vertex(s)})
 
 

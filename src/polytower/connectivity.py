@@ -11,8 +11,7 @@ elementary collapses alone, before any of that is built.
 """
 from __future__ import annotations
 
-from collections import deque
-from functools import lru_cache
+from collections import Counter, deque
 
 from . import snf
 from .complexes import (
@@ -30,25 +29,14 @@ from .verdicts import DEFAULT_BUDGETS, Budgets, Verdict, conjoin
 # chain complexes and homology
 
 
-@lru_cache(maxsize=32)
-def _chain_data(complex_: Complex):
-    """Ordered simplex bases and their index maps per degree."""
-    bases = {}
-    index = {}
-    for k in range(complex_.dimension + 1):
-        bases[k] = sorted(complex_.simplices_of_dim(k), key=simplex_sort_key)
-        index[k] = {s: i for i, s in enumerate(bases[k])}
-    return bases, index
-
-
 def boundary_columns(complex_: Complex, k: int) -> list:
     """Sparse columns {face index: sign} of the boundary map from k-chains to
-    (k-1)-chains with the fixed vertex-order orientation."""
-    bases, index = _chain_data(complex_)
-    simplices = bases.get(k, ())
+    (k-1)-chains with the fixed vertex-order orientation; each degree's basis
+    is the complex's own `simplex_sort_key` order of its simplices."""
+    simplices = complex_.simplices_of_dim(k)
     if k <= 0 or not simplices:
         return [{} for _ in simplices]
-    face_index = index[k - 1]
+    face_index = {s: i for i, s in enumerate(complex_.simplices_of_dim(k - 1))}
     return [
         {face_index[s[:drop] + s[drop + 1 :]]: 1 - 2 * (drop & 1) for drop in range(len(s))}
         for s in simplices
@@ -122,12 +110,10 @@ def _cycle_coordinates(inverse_columns: list, position: dict, chain: dict):
     return coords
 
 
-@lru_cache(maxsize=128)
 def homology_coordinates(complex_: Complex, k: int) -> HomologyCoordinates:
     if k < 0:
         raise ValueError("homology degree must be non-negative")
-    bases, _ = _chain_data(complex_)
-    cycles = snf.eliminate(boundary_columns(complex_, k), len(bases.get(k - 1, ())), right=True)
+    cycles = snf.eliminate(boundary_columns(complex_, k), len(complex_.simplices_of_dim(k - 1)), right=True)
     position = {j: p for p, j in enumerate(cycles.free_columns())}
     inverse_columns = snf.transpose_sparse(cycles.right_inverse, cycles.cols)
     # relations[p] is row p of the relation matrix of H_k, whose columns are
@@ -270,7 +256,7 @@ def pi1_presentation(complex_: Complex, basepoint=None) -> Presentation:
         frontier = nxt
     generators = []
     gen_index = {}
-    for edge in sorted(complex_.edges(), key=simplex_sort_key):
+    for edge in complex_.edges():  # in `simplex_sort_key` order
         if edge[0] in comp_set and edge not in tree:
             gen_index[edge] = len(generators) + 1
             generators.append(edge)
@@ -454,13 +440,15 @@ def collapses_to_point(simplices, budget: int) -> bool:
     them, so the outcome does not depend on hashing.  Greedy collapse can
     stall on a contractible set (the dunce hat), so False proves nothing.
 
-    A set of 2^k - 1 simplices whose largest has k vertices is exactly that
-    closed simplex, a cone on any of its vertices, and every collapse removes
-    two simplices: it reaches a vertex in (size - 1) / 2 steps, answered
-    without a search.
+    Every collapse removes two simplices, so reaching a vertex takes exactly
+    size // 2 steps.  Dropping a vertex a sends the simplices through a one
+    to one onto the others and the empty face, so a lies in at most
+    (size + 1) / 2 of them, and in exactly that many when the set is a cone
+    on a (with every σ ∌ a it holds σ ∪ {a}).  Pairing σ with σ ∪ {a}
+    collapses such a cone, the closed simplex among them, without a search.
     """
     size = len(simplices)
-    if size and size == (1 << max(map(len, simplices))) - 1:
+    if size % 2 and 2 * max(Counter(v for s in simplices for v in s).values()) == size + 1:
         return size // 2 <= budget
     cofaces: dict = {}  # facet -> its cofaces still present
     for s in simplices:

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from json.encoder import encode_basestring_ascii as _encode_str
+from json.encoder import c_make_encoder, encode_basestring_ascii as _encode_str
 
 from .complexes import (
     Complex,
@@ -78,8 +78,14 @@ def _shared_obj(name, lists: dict):
     return obj
 
 
-# compact JSON text from the C encoder: vertex keys and the reader's name memo
-_compact = json.JSONEncoder(separators=(",", ":")).encode
+# compact JSON text of a name from one C encoder, built once with no
+# circular-reference markers (a name is a tree): vertex keys and the
+# reader's name memo
+_compact_chunks = c_make_encoder(None, json.JSONEncoder().default, _encode_str, None, ":", ",", False, False, True)
+
+
+def _compact(name) -> str:
+    return "".join(_compact_chunks(name, 0))
 
 
 # deepest nesting of a vertex name in an input document; names made by

@@ -26,7 +26,7 @@ from .complexes import (
     vertex_key,
     vertex_label,
 )
-from .connectivity import homology_coordinates, _chain_data
+from .connectivity import homology_coordinates
 from .records import Record
 from .verdicts import Verdict
 
@@ -206,7 +206,7 @@ def preimage_of_base_subcomplex(p: QSMap, sub: Subcomplex) -> Subcomplex:
     whole image chain does, so this is the preimage of its subdivision."""
     if sub.parent != p.base_target:
         raise ValueError("subcomplex does not live in the base target")
-    return _fiber_union(p.vertex_map, beta_subcomplex(sub, p.subdivided_target).simplices)
+    return _fiber_union(p.vertex_map, beta_subcomplex(sub).simplices)
 
 
 # ---------------------------------------------------------------------------
@@ -263,18 +263,17 @@ def chain_map_columns(vm: VertexMap, k: int) -> list:
     """Sparse columns {target simplex index: sign} of the degree-k chain map;
     simplices collapsed by the map give empty columns, non-degenerate images
     carry the sorting sign."""
-    src_bases, _ = _chain_data(vm.source)
-    _, dst_index = _chain_data(vm.target)
+    dst_index = {s: i for i, s in enumerate(vm.target.simplices_of_dim(k))}
     mapping = vm.as_dict()
     columns = []
-    for s in src_bases.get(k, ()):
+    for s in vm.source.simplices_of_dim(k):
         images = [mapping[v] for v in s]
         if len(set(images)) != len(images):
             columns.append({})
             continue
         order = sorted(range(len(images)), key=lambda i: vertex_key(images[i]))
         target_simplex = tuple(images[i] for i in order)
-        columns.append({dst_index[k][target_simplex]: _permutation_sign(order)})
+        columns.append({dst_index[target_simplex]: _permutation_sign(order)})
     return columns
 
 
@@ -305,7 +304,8 @@ def induced_homology_map(p, k: int) -> tuple:
     """
     vm = underlying_vertex_map(p)
     src = homology_coordinates(vm.source, k)
-    dst = homology_coordinates(vm.target, k)
+    # a map onto an equal complex (an identity bond) reduces it once
+    dst = src if vm.target == vm.source else homology_coordinates(vm.target, k)
     chain = chain_map_columns(vm, k)
     src_group = (src.betti, src.torsion)
     dst_group = (dst.betti, dst.torsion)

@@ -105,7 +105,7 @@ class PartialPLMap(Record, frozen=True):
         """The same map presented on the barycentric subdivision of its
         domain: subdivision vertices take the evaluated barycenter images."""
         beta_dom = barycentric_subdivision(self.domain)
-        beta_def = beta_subcomplex(self.defined_on, beta_dom)
+        beta_def = beta_subcomplex(self.defined_on)
         images = {}
         for name in beta_def.vertex_set():
             images[name] = self.evaluate(barycenter_point(self.domain, name))

@@ -124,19 +124,25 @@ def test_kernel_caches_are_bounded():
     from functools import cached_property
 
     import polytower
-    from polytower.connectivity import _chain_data, homology_coordinates
+    from polytower.complexes import _position_flags
+    from polytower.connectivity import homology_coordinates
     from polytower.maps import VertexMap
 
-    for cached in (vertex_key, barycentric_subdivision, _chain_data, homology_coordinates):
-        assert cached.cache_info().maxsize is not None, cached.__name__
-    # every module-level memo of the package has a fixed bound
+    # the package's only module-level memos are the name key and the flags
+    # of a standard simplex, each with a fixed bound
+    memos = set()
     for info in pkgutil.iter_modules(polytower.__path__):
         module = importlib.import_module("polytower." + info.name)
         for name, value in vars(module).items():
             if hasattr(value, "cache_info"):
                 assert value.cache_info().maxsize is not None, (info.name, name)
-    # the vertex and fiber indexes live on their object and die with it
+                memos.add(value)
+    assert memos == {vertex_key, _position_flags}
+    # a level's reductions live for one call
+    assert not hasattr(homology_coordinates, "cache_info")
+    # the subdivision, vertex and fiber indexes live on their object and die with it
     k = simplex_complex(["a", "b", "c"])
+    assert barycentric_subdivision(k) is barycentric_subdivision(k)
     assert k.maximal_at("a") is k.maximal_at("a")
     for index in ("vertex_fibers", "simplex_fibers"):
         assert isinstance(vars(VertexMap)[index], cached_property), index
@@ -260,10 +266,11 @@ class TestSubdivision:
             calls.append(name)
             return canon_vertex(name)
 
-        inputs = kernel_complexes()
+        # built here, so no subdivision of them is kept yet
+        inputs = [Complex.closure_of(k.maximal) for _, k in kernel_complexes()]
         monkeypatch.setattr(complexes, "canon_vertex", counted)
-        for label, k in inputs:
-            barycentric_subdivision.__wrapped__(k)
+        for k in inputs:
+            barycentric_subdivision(k)
         assert calls == []
 
     def test_edge(self):

@@ -1,12 +1,13 @@
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from polytower.complexes import Complex, barycentric_subdivision, whole_subcomplex
+from polytower.complexes import Complex, barycentric_subdivision, vertex_key, whole_subcomplex
 from polytower.connectivity import (
     collapses_to_point,
     components,
@@ -18,6 +19,8 @@ from polytower.connectivity import (
     subcomplex_verdict,
     tietze_simplify,
 )
+from polytower.generators import circle, cylinder_tower, projective_plane, random_tower, simplex, subdivision_tower
+from polytower.towers import verify_tower
 from polytower.verdicts import Budgets, Verdict, conjoin
 
 from util import (
@@ -26,6 +29,7 @@ from util import (
     cylinder_complex,
     dunce_hat_complex,
     greedy_collapse,
+    kernel_complexes,
     random_complex,
     rank_mod_p,
     rational_rank,
@@ -279,6 +283,12 @@ def cone(k: Complex) -> Complex:
     return Complex.from_maximal([list(m) + ["apex"] for m in k.maximal])
 
 
+def near_cone(k: Complex) -> Complex:
+    """The cone on k with the apex missing from its first maximal simplex."""
+    first, *rest = k.maximal
+    return Complex.from_maximal([list(first)] + [list(m) + ["apex"] for m in rest])
+
+
 class TestCollapse:
     """Elementary collapses decide contractible pieces; a stuck collapse
     proves nothing and leaves the verdict to the full path."""
@@ -334,9 +344,54 @@ class TestCollapse:
         tetrahedron = simplex_complex(["a", "b", "c", "d"]).simplices
         assert collapses_to_point(tetrahedron, 7)
         assert not collapses_to_point(tetrahedron, 6)
+        # the path a-b-c is a cone on b; the path a-b-c-d is no cone
         path = Complex.from_maximal([["a", "b"], ["b", "c"]]).simplices
+        assert collapses_to_point(path, 2)
+        assert not collapses_to_point(path, 1)
+        path = Complex.from_maximal([["a", "b"], ["b", "c"], ["c", "d"]]).simplices
         with pytest.raises(AssertionError):
             collapses_to_point(path, 10)
+
+    def test_cone_rule_matches_the_search(self, monkeypatch):
+        # dropping a vertex sends the simplices through it one to one onto
+        # the others and the empty face: it lies in at most (s + 1) / 2 of s
+        # simplices, in exactly that many on a cone on it, and a cone
+        # collapses in s // 2 steps
+        import polytower.towers as towers
+
+        pieces = []
+
+        def recording(sub, n, budgets):
+            pieces.append(sub.simplices)
+            return subcomplex_verdict(sub, n, budgets)
+
+        monkeypatch.setattr(towers, "subcomplex_verdict", recording)
+        for base, depth in ((simplex(2), 3), (simplex(3), 2), (projective_plane(), 2), (circle(), 3)):
+            verify_tower(subdivision_tower(base, depth), 2)
+        for seed in range(3):
+            verify_tower(random_tower(seed), 2)
+        verify_tower(cylinder_tower(), 2)
+        kernel = [k for _, k in kernel_complexes()]
+        sets = [k.simplices for k in kernel + [cone(k) for k in kernel] + [near_cone(k) for k in kernel]]
+        sets += set(pieces)
+        outcomes = set()
+        for simplices in sets:
+            size = len(simplices)
+            counts = Counter(v for s in simplices for v in s)
+            most = max(counts.values())
+            assert 2 * most <= size + 1
+            is_cone = any(
+                all(tuple(sorted(set(s) | {a}, key=vertex_key)) in simplices for s in simplices)
+                for a, count in counts.items()
+                if count == most
+            )
+            assert is_cone == (2 * most == size + 1)
+            for budget in (size // 2, size // 2 - 1):
+                if budget >= 0:
+                    assert collapses_to_point(simplices, budget) == greedy_collapse(simplices, budget)
+            outcomes.add((is_cone, greedy_collapse(simplices, size)))
+        # cones, collapsible sets that are no cones, and stuck sets all occur
+        assert outcomes == {(True, True), (False, True), (False, False)}
 
     def test_vertex_empty_set_and_solid_cone(self):
         # a simplex, a barycentric star and the circle are in test_carriers

@@ -13,7 +13,7 @@ from polytower.generators import cylinder_map, cylinder_tower, simplex, subdivis
 from polytower.towers import verify_tower
 from polytower.verdicts import Verdict
 
-from util import dumps_reference
+from util import dumps_reference, kernel_complexes
 
 ATOMS = ["a", "b", "1", "['a']", "é", "☃", 'q"\\', "new\nline"]
 
@@ -147,6 +147,13 @@ class TestReader:
             for _ in range(2):
                 with pytest.raises(formats.InputFormatError):
                     formats.parse_vertex(bad, names=names)
+
+    def test_compact_text_is_json_dumps(self):
+        # the text of the vertex keys and of the reader's memo keys
+        names = [v for _, k in kernel_complexes() for v in k.vertices] + ATOMS + [tuple(ATOMS), (("é",), "☃")]
+        for name in names:
+            for obj in (name, formats.vertex_to_obj(name)):
+                assert formats._compact(obj) == json.dumps(obj, separators=(",", ":")), obj
 
     def test_depth_bound_holds_after_a_memoised_name(self):
         names: dict = {}

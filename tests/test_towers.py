@@ -193,6 +193,29 @@ class TestVerifyTower:
         assert subdivided or kind == "O"  # the B covers of the bond targets pass through the spy
         assert len(t.covers) == t.depth() - 1
 
+    def test_a_verified_tower_leaves_no_live_memory(self):
+        # the bounded `vertex_key` memo keeps the names it has keyed, so a
+        # first build of the tower keys them before the reading is taken
+        import gc
+        import tracemalloc
+
+        def triangle():
+            return Complex.from_maximal([["live0", "live1", "live2"]])
+
+        subdivision_tower(triangle(), 4)
+        tracemalloc.start()
+        try:
+            gc.collect()
+            before = tracemalloc.get_traced_memory()[0]
+            tower = subdivision_tower(triangle(), 4)
+            assert verify_tower(tower, 2).conclusion.is_holds
+            del tower
+            gc.collect()
+            after = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert after - before <= 250_000
+
 
 class TestSummability:
     def test_monotone_tail(self):

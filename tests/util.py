@@ -138,18 +138,14 @@ def rank_mod_p(matrix, p: int) -> int:
 def boundary_matrix(complex_: Complex, k: int) -> list:
     """Dense form of `connectivity.boundary_columns`; rows index (k-1)-simplices."""
     from polytower import snf
-    from polytower.connectivity import _chain_data, boundary_columns
+    from polytower.connectivity import boundary_columns
 
-    bases, _ = _chain_data(complex_)
-    rows = len(bases.get(k - 1, ()))
-    return snf.dense_rows(snf.transpose_sparse(boundary_columns(complex_, k), rows), len(bases.get(k, ())))
+    rows = len(complex_.simplices_of_dim(k - 1))
+    return snf.dense_rows(snf.transpose_sparse(boundary_columns(complex_, k), rows), len(complex_.simplices_of_dim(k)))
 
 
 def betti_over_field(complex_, k, rank_fn) -> int:
-    from polytower.connectivity import _chain_data
-
-    bases, _ = _chain_data(complex_)
-    n_k = len(bases.get(k, ()))
+    n_k = len(complex_.simplices_of_dim(k))
     if n_k == 0:
         return 0
     d_k = boundary_matrix(complex_, k)
@@ -588,7 +584,7 @@ def open_star_of_subdivided(base: Complex, sub):
     from polytower.complexes import beta_subcomplex
 
     beta = barycentric_subdivision(base)
-    return OpenStarSet(beta, beta_subcomplex(sub, beta))
+    return OpenStarSet(beta, beta_subcomplex(sub))
 
 
 def barycentric_star_contains_point(base: Complex, sub, point) -> bool:
