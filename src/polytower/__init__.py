@@ -13,7 +13,7 @@ _EXPORTS = {
         "HomologySummary ae_verdict homology is_connected pi1_presentation pi1_verdict"
     ),
     "maps": (
-        "QSMap VertexMap apply check_quasi_simplicial check_simplicial identity_qsmap "
+        "QSMap Tower VertexMap apply check_quasi_simplicial check_simplicial identity_qsmap "
         "induced_homology_map is_surjective lipschitz_constant preimage_subcomplex"
     ),
     "plmaps": "PartialPLMap",
@@ -23,7 +23,7 @@ _EXPORTS = {
     ),
     "carriers": "Carrier extend_carried is_carried validate_carrier",
     "towers": (
-        "ThreadApprox Tower TowerCertificate regularity_report restrict_tower single_lift "
+        "ThreadApprox TowerCertificate regularity_report restrict_tower single_lift "
         "tower_lift verify_tower"
     ),
     "verdicts": "Budgets DEFAULT_BUDGETS Verdict",

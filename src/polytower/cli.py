@@ -17,16 +17,6 @@ from fractions import Fraction
 
 from . import formats
 from .complexes import barycentric_subdivision, subcomplex_from
-from .connectivity import homology, is_connected, pi1_verdict
-from .maps import QSMap, is_surjective, lipschitz_constant
-from .stars import barycentric_vertex_star, mesh, nerve, open_vertex_star
-from .towers import (
-    ThreadApprox,
-    regularity_report,
-    restrict_tower,
-    tower_lift,
-    verify_tower,
-)
 from .verdicts import DEFAULT_BUDGETS, Budgets, Verdict, conjoin
 
 EXIT_HOLDS = 0
@@ -93,7 +83,7 @@ def _exit_for(status: str) -> int:
 
 
 # ---------------------------------------------------------------------------
-# commands
+# commands: each imports the layers it runs, so a process compiles only those
 
 
 def cmd_validate(args) -> int:
@@ -118,6 +108,8 @@ def cmd_subdivide(args) -> int:
 
 
 def cmd_stars(args) -> int:
+    from .stars import barycentric_vertex_star, open_vertex_star
+
     complex_ = formats.parse_complex(_load(args.input))
     vertex = formats.parse_vertex_key(args.vertex)
     ost = open_vertex_star(complex_, vertex)
@@ -139,6 +131,8 @@ def cmd_stars(args) -> int:
 
 
 def cmd_nerve(args) -> int:
+    from .stars import nerve
+
     cover = formats.parse_cover(_load(args.input))
     budgets = _budgets_from(args)
     result = nerve(cover, budgets)
@@ -153,6 +147,8 @@ def cmd_nerve(args) -> int:
 
 
 def cmd_homology(args) -> int:
+    from .connectivity import homology
+
     complex_ = formats.parse_complex(_load(args.input))
     top = complex_.dimension if args.degree is None else args.degree
     degrees = range(0, top + 1) if args.degree is None else [args.degree]
@@ -166,6 +162,8 @@ def cmd_homology(args) -> int:
 
 
 def cmd_pi1(args) -> int:
+    from .connectivity import is_connected, pi1_verdict
+
     complex_ = formats.parse_complex(_load(args.input))
     budgets = _budgets_from(args)
     connected = is_connected(complex_)
@@ -180,6 +178,9 @@ def cmd_pi1(args) -> int:
 
 
 def cmd_check_map(args) -> int:
+    from .maps import QSMap, is_surjective, lipschitz_constant
+    from .towers import regularity_report
+
     budgets = _budgets_from(args)
     parsed = formats.parse_map(_load(args.input))
     if not isinstance(parsed, QSMap):
@@ -202,6 +203,8 @@ def cmd_check_map(args) -> int:
 
 
 def cmd_verify_tower(args) -> int:
+    from .towers import verify_tower
+
     budgets = _budgets_from(args)
     tower = formats.parse_tower(_load(args.input))
     certificate = verify_tower(tower, args.n, budgets)
@@ -212,6 +215,8 @@ def cmd_verify_tower(args) -> int:
 
 
 def cmd_restrict(args) -> int:
+    from .towers import restrict_tower
+
     tower = formats.parse_tower(_load(args.input))
     raw = _load(args.complex)
     if not 1 <= args.level <= tower.depth():
@@ -229,6 +234,8 @@ def cmd_restrict(args) -> int:
 
 
 def cmd_mesh(args) -> int:
+    from .stars import mesh
+
     cover = formats.parse_cover(_load(args.input))
     scale = formats.parse_fraction(args.scale) if args.scale else Fraction(1)
     result = mesh(cover, scale)
@@ -243,6 +250,8 @@ def cmd_mesh(args) -> int:
 
 
 def cmd_lift(args) -> int:
+    from .towers import ThreadApprox, tower_lift
+
     budgets = _budgets_from(args)
     tower = formats.parse_tower(_load(args.input))
     spec = _load(args.spec)
@@ -346,6 +355,8 @@ def _tower_scales(args):
     if args.scale_base is None:
         return None
     ratio = formats.parse_fraction(args.scale_base, "scale-base")
+    if ratio <= 0:
+        raise formats.InputFormatError("the scale base must be positive", "scale-base")
     return [Fraction(1) / ratio ** (i + 1) for i in range(args.levels)]
 
 

@@ -23,9 +23,7 @@ from .complexes import (
     vertex_label,
     whole_subcomplex,
 )
-from .maps import QSMap, VertexMap, check_quasi_simplicial
-from .stars import IndexedCover, OpenStarSet, barycentric_vertex_stars, open_vertex_star
-from .towers import Tower
+from .maps import QSMap, Tower, VertexMap, check_quasi_simplicial
 from .verdicts import Verdict
 
 
@@ -274,6 +272,8 @@ def parse_map(obj, source: Complex | None = None, target: Complex | None = None,
 
 
 def parse_cover(obj, context="cover") -> IndexedCover:
+    from .stars import IndexedCover, OpenStarSet, barycentric_vertex_stars, open_vertex_star
+
     if not isinstance(obj, dict):
         raise InputFormatError("a cover is an object", context)
     names: dict = {}

@@ -6,11 +6,12 @@ import random
 from itertools import combinations
 
 from .complexes import Complex
-from .maps import QSMap, check_quasi_simplicial, identity_qsmap
-from .towers import Tower
+from .maps import QSMap, Tower, check_quasi_simplicial, identity_qsmap
 
 
 def simplex(dim: int, names=None) -> Complex:
+    if dim < 0:
+        raise ValueError("simplex dimension must be non-negative")
     if names is None:
         names = DEFAULT_NAMES[: dim + 1] if dim + 1 <= len(DEFAULT_NAMES) else [
             "v%d" % i for i in range(dim + 1)

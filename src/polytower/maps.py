@@ -5,14 +5,15 @@ simplices span simplices) is a checkable verdict.  A quasi-simplicial map
 from K to L is a vertex map of K into the barycentric subdivision of L that
 is simplicial; its vertex images are therefore chains of simplices of L.
 Both kinds answer surjectivity, preimages, evaluation, Lipschitz constants
-and induced maps on homology.
+and induced maps on homology.  A Tower is a chain of levels joined by
+quasi-simplicial bonds; it is the record the generators build, so it lives
+here and not with the certificate pipeline of `towers`.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
 
-from . import snf
 from .complexes import (
     Complex,
     Point,
@@ -26,7 +27,6 @@ from .complexes import (
     vertex_key,
     vertex_label,
 )
-from .connectivity import homology_coordinates
 from .records import Record
 from .verdicts import Verdict
 
@@ -256,6 +256,71 @@ def lipschitz_constant(p: QSMap, kappa, lam) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
+# towers
+
+
+class MalformedTowerError(ValueError):
+    pass
+
+
+class Tower(Record, frozen=True):
+    """Levels K_1..K_M with bonds p_i: K_{i+1} -> K_i and per-level scales."""
+
+    levels: tuple
+    bonds: tuple
+    scales: tuple
+    cover_kind: str = "B"
+
+    @staticmethod
+    def build(levels, bonds, scales=None, cover_kind="B") -> "Tower":
+        levels = tuple(levels)
+        bonds = tuple(bonds)
+        if not levels:
+            raise MalformedTowerError("a tower needs at least one level")
+        if len(bonds) != len(levels) - 1:
+            raise MalformedTowerError("a tower with M levels needs M-1 bonds")
+        for i, bond in enumerate(bonds):
+            if not isinstance(bond, QSMap):
+                raise MalformedTowerError("bonds must be quasi-simplicial maps")
+            if bond.source != levels[i + 1] or bond.base_target != levels[i]:
+                raise MalformedTowerError(
+                    "bond %d does not map level %d onto level %d" % (i + 1, i + 2, i + 1)
+                )
+        if scales is None:
+            scales = tuple(Fraction(1, 2 ** (i + 1)) for i in range(len(levels)))
+        else:
+            scales = tuple(Fraction(s) for s in scales)
+            if len(scales) != len(levels):
+                raise MalformedTowerError("one scale per level")
+            if any(s <= 0 for s in scales):
+                raise MalformedTowerError("scales must be positive")
+        if cover_kind not in ("B", "O"):
+            raise MalformedTowerError("cover kind must be B or O")
+        return Tower(levels, bonds, scales, cover_kind)
+
+    def depth(self) -> int:
+        return len(self.levels)
+
+    @cached_property
+    def covers(self) -> tuple:
+        """The vertex-star cover of every level but the last, built once per
+        tower: the pull-backs and lifts read a cover only at a bond's target,
+        and the summability bounds come from the levels themselves."""
+        from .stars import cover_B, cover_O  # stars imports this module
+
+        star_cover = cover_B if self.cover_kind == "B" else cover_O
+        return tuple(star_cover(level) for level in self.levels[:-1])
+
+    @cached_property
+    def lipschitz(self) -> tuple:
+        """Each bond's Lipschitz constant at its levels' scales, computed once."""
+        return tuple(
+            lipschitz_constant(bond, self.scales[idx + 1], self.scales[idx])
+            for idx, bond in enumerate(self.bonds)
+        )
+
+
+# ---------------------------------------------------------------------------
 # induced maps on homology
 
 
@@ -302,6 +367,10 @@ def induced_homology_map(p, k: int) -> tuple:
     exactly when both groups share invariants and the induced map is onto,
     which for finitely generated abelian groups forces bijectivity.
     """
+    # the homology layers load with the first induced map, not with maps
+    from .connectivity import homology_coordinates
+    from .snf import combine
+
     vm = underlying_vertex_map(p)
     src = homology_coordinates(vm.source, k)
     # a map onto an equal complex (an identity bond) reduces it once
@@ -312,7 +381,7 @@ def induced_homology_map(p, k: int) -> tuple:
 
     generator_images = []
     for cycle in _homology_generator_cycles(src):
-        coords = dst.coords_of_cycle(snf.combine(chain, cycle))
+        coords = dst.coords_of_cycle(combine(chain, cycle))
         if coords is None:
             raise AssertionError("image of a cycle is not a cycle")
         generator_images.append(coords)
@@ -336,14 +405,18 @@ def _homology_generator_cycles(data) -> list:
     """Cycle representatives {simplex index: coefficient} of the canonical
     free and torsion generators of H_k: the columns of P^-1 at those
     positions, carried from cycle coordinates to chains by V."""
+    from .snf import combine
+
     basis = [data.cycles.right[j] for j in data.position]
     positions = data.free_positions + [p for p, _ in data.torsion_entries]
-    return [snf.combine(basis, data.quotient.right_inverse[p]) for p in positions]
+    return [combine(basis, data.quotient.right_inverse[p]) for p in positions]
 
 
 def _onto_verdict(generator_images, dst) -> Verdict:
     """Cokernel test: the images of the source generators together with the
     target torsion relations must generate the whole target group."""
+    from .snf import invariant_factors
+
     free_rank = dst.betti
     torsion_orders = [order for _, order in dst.torsion_entries]
     rows = free_rank + len(torsion_orders)
@@ -357,7 +430,7 @@ def _onto_verdict(generator_images, dst) -> Verdict:
     if rows == 0:
         return Verdict.holds()
     matrix = [[col[i] for col in cols] for i in range(rows)]
-    factors = snf.invariant_factors(matrix, cols=len(cols))
+    factors = invariant_factors(matrix, cols=len(cols))
     if len(factors) == rows and all(abs(d) == 1 for d in factors):
         return Verdict.holds()
     return Verdict.fails(

@@ -24,7 +24,6 @@ the stagewise approximation gaps of the lifting construction.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
 
 from .complexes import (
     Complex,
@@ -37,12 +36,13 @@ from .complexes import (
 )
 from .connectivity import check_degree, subcomplex_verdict
 from .maps import (
+    MalformedTowerError,
     QSMap,
+    Tower,
     apply,
     check_quasi_simplicial,
     induced_homology_map,
     is_surjective,
-    lipschitz_constant,
     preimage_of_base_subcomplex,
     preimage_subcomplex,
 )
@@ -50,8 +50,6 @@ from .records import Record
 from .stars import (
     IndexedCover,
     OpenStarSet,
-    cover_B,
-    cover_O,
     element_contains_hull,
     hull_witnesses,
     nerve,
@@ -60,68 +58,6 @@ from .stars import (
     star_cover_bounds,
 )
 from .verdicts import DEFAULT_BUDGETS, Budgets, Verdict, conjoin
-
-
-class MalformedTowerError(ValueError):
-    pass
-
-
-class Tower(Record, frozen=True):
-    """Levels K_1..K_M with bonds p_i: K_{i+1} -> K_i and per-level scales."""
-
-    levels: tuple
-    bonds: tuple
-    scales: tuple
-    cover_kind: str = "B"
-
-    @staticmethod
-    def build(levels, bonds, scales=None, cover_kind="B") -> "Tower":
-        levels = tuple(levels)
-        bonds = tuple(bonds)
-        if not levels:
-            raise MalformedTowerError("a tower needs at least one level")
-        if len(bonds) != len(levels) - 1:
-            raise MalformedTowerError("a tower with M levels needs M-1 bonds")
-        for i, bond in enumerate(bonds):
-            if not isinstance(bond, QSMap):
-                raise MalformedTowerError("bonds must be quasi-simplicial maps")
-            if bond.source != levels[i + 1] or bond.base_target != levels[i]:
-                raise MalformedTowerError(
-                    "bond %d does not map level %d onto level %d" % (i + 1, i + 2, i + 1)
-                )
-        if scales is None:
-            scales = tuple(Fraction(1, 2 ** (i + 1)) for i in range(len(levels)))
-        else:
-            scales = tuple(Fraction(s) for s in scales)
-            if len(scales) != len(levels):
-                raise MalformedTowerError("one scale per level")
-            if any(s <= 0 for s in scales):
-                raise MalformedTowerError("scales must be positive")
-        if cover_kind not in ("B", "O"):
-            raise MalformedTowerError("cover kind must be B or O")
-        return Tower(levels, bonds, scales, cover_kind)
-
-    def depth(self) -> int:
-        return len(self.levels)
-
-    @cached_property
-    def covers(self) -> tuple:
-        """The vertex-star cover of every level but the last, built once per
-        tower: the pull-backs and lifts read a cover only at a bond's target,
-        and the summability bounds come from the levels themselves."""
-        return tuple(_star_cover(self.cover_kind, level) for level in self.levels[:-1])
-
-    @cached_property
-    def lipschitz(self) -> tuple:
-        """Each bond's Lipschitz constant at its levels' scales, computed once."""
-        return tuple(
-            lipschitz_constant(bond, self.scales[idx + 1], self.scales[idx])
-            for idx, bond in enumerate(self.bonds)
-        )
-
-
-def _star_cover(kind: str, level: Complex) -> IndexedCover:
-    return cover_B(level) if kind == "B" else cover_O(level)
 
 
 # ---------------------------------------------------------------------------

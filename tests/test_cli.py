@@ -500,7 +500,41 @@ print(json.dumps({"loaded": loaded, "missing": missing, "unlisted": unlisted, "c
 """
 
 
+# runs one command in its own process, then prints the package modules loaded
+COMMAND_SCRIPT = """
+import json, sys
+from polytower.cli import main
+code = main(sys.argv[1:])
+loaded = sorted(name for name in sys.modules if name.startswith("polytower."))
+print(json.dumps({"code": code, "loaded": loaded}))
+"""
+
+# command -> the package modules its process must not load: `gen` compiles
+# only the generator path, and neither certificate command the other's code
+NOT_LOADED_BY = {
+    "gen": ("connectivity", "snf", "stars", "towers", "carriers", "plmaps"),
+    "verify-tower": ("carriers", "plmaps", "generators"),
+    "lift": ("generators",),
+}
+
+
 class TestColdStart:
+    @pytest.mark.parametrize("command", sorted(NOT_LOADED_BY))
+    def test_command_loads_only_its_modules(self, tmp_path, command):
+        tower = write(tmp_path, "tower.json", formats.tower_to_obj(subdivision_tower(simplex(2), 2)))
+        argv = {
+            "gen": ["gen", "random-tower", "--seed", "103", "--levels", "2"],
+            "verify-tower": ["verify-tower", tower, "--n", "2"],
+            "lift": ["lift", tower, "--spec", write(tmp_path, "spec.json", LIFT_SPEC), "--n", "2"],
+        }[command]
+        out = str(tmp_path / "out.json")
+        proc = run_fresh([sys.executable, "-c", COMMAND_SCRIPT, *argv, "-o", out])
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(proc.stdout)
+        assert report["code"] == 0 and os.path.getsize(out) > 0
+        assert "polytower.cli" in report["loaded"]
+        assert sorted(set(report["loaded"]) & {"polytower." + m for m in NOT_LOADED_BY[command]}) == []
+
     def test_cli_import_loads_only_what_commands_share(self):
         proc = run_fresh([sys.executable, "-c", COLD_START_SCRIPT, *NOT_AT_START])
         assert proc.returncode == 0, proc.stderr

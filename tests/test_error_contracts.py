@@ -263,9 +263,35 @@ class TestDeeplyNestedNames:
             formats.parse_vertex_key(_deep_name(2000))
 
 
+class TestGenArgumentErrors:
+    """A generator argument out of range is malformed input: exit 3 and
+    nothing on standard output, never a generated document or exit 4."""
+
+    @pytest.mark.parametrize("dim", ["-1", "-2", "-5"])
+    def test_negative_simplex_dimension(self, capsys, dim):
+        from polytower.cli import main
+
+        assert main(["gen", "simplex", "--dim", dim]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "simplex dimension must be non-negative" in captured.err
+        with pytest.raises(ValueError):
+            simplex(int(dim))
+
+    @pytest.mark.parametrize("kind", ["subdivision-tower", "random-tower"])
+    @pytest.mark.parametrize("ratio", ["0", "-2"])
+    def test_non_positive_scale_base(self, capsys, kind, ratio):
+        from polytower.cli import main
+
+        assert main(["gen", kind, "--scale-base", ratio]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "input error: the scale base must be positive" in captured.err
+
+
 class TestInternalErrors:
     def test_uncaught_exception_is_no_verdict(self, tmp_path, capsys, monkeypatch):
-        from polytower import cli, formats
+        from polytower import cli, formats, towers
 
         path = tmp_path / "tower.json"
         path.write_text(formats.dumps_canonical(formats.tower_to_obj(subdivision_tower(simplex(2), 2))))
@@ -273,7 +299,7 @@ class TestInternalErrors:
         def broken(*args, **kwargs):
             raise RuntimeError("simulated fault")
 
-        monkeypatch.setattr(cli, "verify_tower", broken)
+        monkeypatch.setattr(towers, "verify_tower", broken)
         code = cli.main(["verify-tower", str(path), "--n", "1"])
         assert code == cli.EXIT_INTERNAL
         assert code not in (0, 1, 2, 3)

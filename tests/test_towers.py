@@ -152,17 +152,17 @@ class TestVerifyTower:
     def test_covers_and_lipschitz_constants_built_once(self, monkeypatch):
         # one cover per bond target and one constant per bond, shared by
         # the pull-backs, the lipschitz condition and the summability report
-        from polytower import towers
+        from polytower import maps, stars
 
         calls = {"cover_B": 0, "lipschitz_constant": 0}
-        for name in calls:
-            original = getattr(towers, name)
+        for module, name in ((stars, "cover_B"), (maps, "lipschitz_constant")):
+            original = getattr(module, name)
 
             def counted(*args, _original=original, _name=name, **kwargs):
                 calls[_name] += 1
                 return _original(*args, **kwargs)
 
-            monkeypatch.setattr(towers, name, counted)
+            monkeypatch.setattr(module, name, counted)
         cert = verify_tower(subdivision_tower(simplex(2), 3), 1)
         assert cert.conclusion.is_holds
         assert calls == {"cover_B": 2, "lipschitz_constant": 2}

@@ -45,12 +45,14 @@ from polytower.stars import (
     IndexMismatchError,
     OpenStarSet,
     barycentric_vertex_stars,
+    cover_B,
+    cover_O,
     element_contains_point,
     hull_witnesses,
     nerve,
     pullback_cover,
 )
-from polytower.towers import MalformedTowerError, Tower, _star_cover, intersection_verdicts
+from polytower.towers import MalformedTowerError, Tower, intersection_verdicts
 from polytower.verdicts import DEFAULT_BUDGETS, Budgets, Verdict
 
 
@@ -929,7 +931,7 @@ def pullback_star_cover(
     when a degree is supplied."""
     if not 1 <= i <= m <= tower.depth():
         raise MalformedTowerError("levels out of range")
-    current = _star_cover(kind, tower.levels[i - 1])
+    current = (cover_B if kind == "B" else cover_O)(tower.levels[i - 1])
     for idx in range(i - 1, m - 1):
         current = pullback_cover(tower.bonds[idx], current)
     if n is None:
