@@ -178,13 +178,11 @@ def cmd_pi1(args) -> int:
 
 
 def cmd_check_map(args) -> int:
-    from .maps import QSMap, is_surjective, lipschitz_constant
+    from .maps import is_surjective, lipschitz_constant
     from .towers import regularity_report
 
     budgets = _budgets_from(args)
     parsed = formats.parse_map(_load(args.input))
-    if not isinstance(parsed, QSMap):
-        raise formats.InputFormatError("check-map expects a quasi-simplicial map (subdivide_target true)")
     surjective = is_surjective(parsed)
     constant = lipschitz_constant(parsed, Fraction(1), Fraction(1))
     regularity = regularity_report(parsed, args.n, budgets)

@@ -327,11 +327,6 @@ class Subcomplex(Record, frozen=True):
     def contains_point(self, point: "Point") -> bool:
         return point.support in self.simplices
 
-    def intersection(self, other: "Subcomplex") -> "Subcomplex":
-        if self.parent != other.parent:
-            raise ComplexMismatchError("subcomplexes of different parents")
-        return Subcomplex(self.parent, self.simplices & other.simplices)
-
     def sorted_simplices(self) -> list:
         return sorted(self.simplices, key=simplex_sort_key)
 

@@ -23,7 +23,7 @@ from .complexes import (
     vertex_label,
     whole_subcomplex,
 )
-from .maps import QSMap, Tower, VertexMap, check_quasi_simplicial
+from .maps import QSMap, Tower, check_quasi_simplicial
 from .verdicts import Verdict
 
 
@@ -211,33 +211,27 @@ def map_to_obj(m, include_complexes: bool = True) -> dict:
     return _map_obj(m, include_complexes, {})
 
 
-def _map_obj(m, include_complexes: bool, lists: dict) -> dict:
-    if isinstance(m, QSMap):
-        vm = m.vertex_map
-        subdivide = True
-        target = m.base_target
-    elif isinstance(m, VertexMap):
-        vm = m
-        subdivide = False
-        target = m.target
-    else:
-        raise TypeError("not a map")
+def _map_obj(m: QSMap, include_complexes: bool, lists: dict) -> dict:
     out = {
-        "subdivide_target": subdivide,
+        "subdivide_target": True,
         "vertex_images": {
-            vertex_to_key(v): _shared_obj(w, lists) for v, w in vm.assignment
+            vertex_to_key(v): _shared_obj(w, lists) for v, w in m.vertex_map.assignment
         },
     }
     if include_complexes:
-        out["source"] = _complex_obj(vm.source, lists)
-        out["target"] = _complex_obj(target, lists)
+        out["source"] = _complex_obj(m.source, lists)
+        out["target"] = _complex_obj(m.base_target, lists)
     return out
 
 
-def parse_map(obj, source: Complex | None = None, target: Complex | None = None, context="map", names=None):
+def parse_map(obj, source: Complex | None = None, target: Complex | None = None, context="map", names=None) -> QSMap:
+    """A quasi-simplicial map onto the subdivision of the target; the
+    optional `subdivide_target` field may only say so (JSON true)."""
     names = {} if names is None else names
     if not isinstance(obj, dict):
         raise InputFormatError("a map is an object", context)
+    if obj.get("subdivide_target", True) is not True:
+        raise InputFormatError("'subdivide_target' must be true: maps are quasi-simplicial", context)
     if source is None:
         if "source" not in obj:
             raise InputFormatError("missing 'source'", context)
@@ -257,12 +251,8 @@ def parse_map(obj, source: Complex | None = None, target: Complex | None = None,
     for key, value in raw_images.items():
         v = parse_vertex_key(key, context + ".vertex_images", names)
         images[v] = parse_vertex(value, context + ".vertex_images[%s]" % key, names)
-    subdivide = obj.get("subdivide_target", True)
     try:
-        if subdivide:
-            return check_quasi_simplicial(source, target, images)
-        vm = VertexMap.build(source, target, images)
-        return vm
+        return check_quasi_simplicial(source, target, images)
     except ValueError as exc:
         raise InputFormatError(str(exc), context)
 
@@ -355,10 +345,7 @@ def parse_tower(obj, context="tower") -> Tower:
         raise InputFormatError("a tower with M levels needs M-1 bonds", context)
     bonds = []
     for i, raw in enumerate(raw_bonds):
-        bond = parse_map(raw, levels[i + 1], levels[i], "%s.bonds[%d]" % (context, i), names)
-        if not isinstance(bond, QSMap):
-            raise InputFormatError("bonds must be quasi-simplicial (subdivide_target true)", context)
-        bonds.append(bond)
+        bonds.append(parse_map(raw, levels[i + 1], levels[i], "%s.bonds[%d]" % (context, i), names))
     scales = None
     if "scales" in obj:
         if not isinstance(obj["scales"], list):

@@ -34,7 +34,7 @@ from .complexes import (
     vertex_key,
     vertex_label,
 )
-from .maps import QSMap, VertexMap, preimage_of_base_subcomplex, preimage_of_subdivided_subcomplex, underlying_vertex_map
+from .maps import QSMap, preimage_of_base_subcomplex, preimage_of_subdivided_subcomplex, underlying_vertex_map
 from .records import Record
 from .verdicts import DEFAULT_BUDGETS, Budgets, Verdict
 
@@ -108,36 +108,6 @@ def barycentric_vertex_stars(base: Complex) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# pulled-back vertex stars that are not subcomplexes of any fixed subdivision
-
-
-class VertexStarPreimage(Record, frozen=True):
-    """The inverse image of a vertex star of the target of a simplicial map.
-
-    These sets are generally not subcomplexes of the source or of its first
-    subdivision, but point membership and joint intersection emptiness have
-    exact combinatorial rules, which is all the cover calculus needs.
-    """
-
-    vertex_map: VertexMap
-    star_vertex: object
-    closed: bool  # barycentric star when True, open star when False
-
-    def contains_point(self, point: Point) -> bool:
-        if point.complex != self.vertex_map.source:
-            raise ValueError("point lives on a different complex")
-        mapping = self.vertex_map.as_dict()
-        pushed: dict = {}
-        for v, c in point.coords:
-            w = mapping[v]
-            pushed[w] = pushed.get(w, Fraction(0)) + c
-        if self.closed:
-            top = max(pushed.values())
-            return pushed.get(self.star_vertex, Fraction(0)) == top
-        return self.star_vertex in pushed
-
-
-# ---------------------------------------------------------------------------
 # indexed covers
 
 
@@ -182,18 +152,14 @@ class IndexedCover(Record, frozen=True):
     def first_uncovered(self):
         """The first maximal simplex (in `simplex_sort_key` order) that no
         element accounts for, or None.  A subcomplex accounts for its own
-        simplices, an open star for every simplex meeting its core, and a
-        preimage predicate for everything (it covers whenever the original
-        cover does)."""
+        simplices, an open star for every simplex meeting its core."""
         covered = set()
         touched = set()
         for _, e in self.elements:
             if isinstance(e, Subcomplex):
                 covered.update(e.simplices)
-            elif isinstance(e, OpenStarSet):
-                touched.update(e.core.vertex_set())
             else:
-                return None
+                touched.update(e.core.vertex_set())
         for s in self.ambient.maximal:
             if s not in covered and touched.isdisjoint(s):
                 return s
@@ -241,8 +207,6 @@ def element_contains_point(element, point: Point, base: Complex | None = None) -
     if isinstance(element, Subcomplex):
         aligned = align_point(point, element.parent, base)
         return aligned.support in element.simplices
-    if isinstance(element, VertexStarPreimage):
-        return element.contains_point(point)
     raise TypeError("unknown element type %r" % (type(element),))
 
 
@@ -268,12 +232,6 @@ def element_contains_hull(element, points, base: Complex | None = None):
         if any(p.support not in element.simplices for p in aligned):
             return False
         return None
-    if isinstance(element, VertexStarPreimage):
-        if not all(element.contains_point(p) for p in points):
-            return False
-        if element.closed:
-            return None  # the region is not simplexwise convex in general
-        return True
     raise TypeError("unknown element type %r" % (type(element),))
 
 
@@ -312,14 +270,12 @@ def align_point(point: Point, element_complex: Complex, base: Complex | None) ->
 def pullback_cover(p, cover: IndexedCover) -> IndexedCover:
     """Elementwise preimage, keeping the index set.
 
-    Three exact regimes: covers living on the map's own target complex pull
+    Two exact regimes: covers living on the map's own target complex pull
     back to subcomplexes or open stars of the source; covers on the base
-    target of a quasi-simplicial map pull back through the image chains;
-    vertex star covers of the subdivided target pulled along a plain
-    simplicial map become preimage sets with exact membership and
-    intersection rules.  In the first two, an open star pulls back to the
-    open star of the vertex fibers over the target vertices meeting its
-    core (on the base target: the simplices of the base meeting it).
+    target of a quasi-simplicial map pull back through the image chains.  An
+    open star pulls back to the open star of the vertex fibers over the
+    target vertices meeting its core (on the base target: the simplices of
+    the base meeting it).
     """
     vm = underlying_vertex_map(p)
     star_of = dict(cover.star_of)
@@ -329,12 +285,6 @@ def pullback_cover(p, cover: IndexedCover) -> IndexedCover:
     elif isinstance(p, QSMap) and cover.ambient == p.base_target:
         pull_closed = lambda sub: preimage_of_base_subcomplex(p, sub)
         places = lambda core: open_intersection(p.base_target, [core])
-    elif not isinstance(p, QSMap) and cover.base == vm.target and star_of:
-        # vertex star cover of the subdivided target, pulled along a plain
-        # simplicial map: keep exact predicates instead of subcomplexes
-        closed = cover.kind == "closed"
-        elements = {i: VertexStarPreimage(vm, star_of[i], closed) for i, _ in cover.elements}
-        return IndexedCover.build(vm.source, cover.kind, elements, base=None, star_of=star_of, check=False)
     else:
         raise ValueError("cover does not live on the map's target")
     fibers = vm.vertex_fibers
@@ -342,11 +292,9 @@ def pullback_cover(p, cover: IndexedCover) -> IndexedCover:
     for i, e in cover.elements:
         if isinstance(e, Subcomplex):
             elements[i] = pull_closed(e)
-        elif isinstance(e, OpenStarSet):
+        else:
             w = [v for t in places(e.core.vertex_set()) for v in fibers.get(t, ())]
             elements[i] = OpenStarSet(vm.source, induced_subcomplex(vm.source, w))
-        else:
-            raise ValueError("cannot pull back this element representation")
     return IndexedCover.build(vm.source, cover.kind, elements, base=None, star_of=star_of, check=False)
 
 
@@ -363,33 +311,20 @@ class NerveResult(Record, frozen=True):
 def _meeting_sets(cover: IndexedCover):
     """The indices of the elements that meet at each place: a subcomplex at
     each of its vertices, an open star at each maximal simplex through its
-    core, and a preimage predicate at each maximal source simplex whose
-    image holds its star vertex.  Elements of one kind have a common point
-    exactly when they all meet at one place (a common simplex has a common
-    vertex; a simplex meeting every core, or whose image holds every star
-    vertex, lies in a maximal one), so the nerve is the face closure of
-    these sets."""
+    core.  Elements of one kind have a common point exactly when they all
+    meet at one place (a common simplex has a common vertex; a simplex
+    meeting every core lies in a maximal one), so the nerve is the face
+    closure of these sets."""
     if len({type(e) for _, e in cover.elements}) > 1:
         raise ValueError("cover mixes element representations")
     meets: dict = {}
-    by_star: dict = {}
     for i, e in cover.elements:
         if isinstance(e, Subcomplex):
             places = e.vertex_set()
-        elif isinstance(e, OpenStarSet):
-            places = {m for c in e.core.vertex_set() for m in e.ambient.maximal_at(c)}
         else:
-            by_star.setdefault(e.star_vertex, []).append(i)
-            continue
+            places = {m for c in e.core.vertex_set() for m in e.ambient.maximal_at(c)}
         for place in places:
             meets.setdefault(place, []).append(i)
-    if by_star:
-        vms = {e.vertex_map for _, e in cover.elements}
-        if len(vms) != 1:
-            raise ValueError("joint rule needs a single underlying map")
-        vm = vms.pop()
-        for m in vm.source.maximal:
-            meets[m] = [i for w in vm.image_simplex(m) for i in by_star.get(w, ())]
     return meets.values()
 
 
@@ -425,11 +360,9 @@ def _element_vertex_sets(cover: IndexedCover, element) -> set:
     if isinstance(element, OpenStarSet):
         ambient = element.ambient
         vertices = {v for c in element.core.vertex_set() for m in ambient.maximal_at(c) for v in m}
-    elif isinstance(element, Subcomplex):
+    else:
         ambient = element.parent
         vertices = element.vertex_set()
-    else:
-        raise ValueError("mesh is not defined for preimage predicates")
     if cover.base is not None and cover.base != ambient:
         return {frozenset(v) for v in vertices}
     return {frozenset([v]) for v in vertices}
@@ -474,8 +407,8 @@ def cone_geodesic_diameter_bound(cover: IndexedCover, scale=Fraction(1)) -> Frac
     scale = Fraction(scale)
     star_of = dict(cover.star_of)
     base = cover.base if cover.base is not None else cover.ambient
-    for i, e in cover.elements:
-        if i not in star_of or not isinstance(e, (Subcomplex, OpenStarSet)):
+    for i in cover.indices:
+        if i not in star_of:
             return None
         if not base.has_vertex(star_of[i]):
             raise UnknownVertexError(vertex_label(star_of[i]))

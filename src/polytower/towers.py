@@ -534,9 +534,6 @@ class TowerLiftResult(Record):
     cauchy: dict
     anchored_exactly: bool
 
-    def lifts(self) -> list:
-        return [s["lift"] for s in self.stages]
-
 
 def tower_lift(
     tower: Tower,

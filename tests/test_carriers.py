@@ -104,7 +104,7 @@ class TestValidateCarrier:
 
         p = cylinder_map()
         cb = cover_B(p.base_target)
-        pulled = pullback_cover(p.vertex_map, cb)
+        pulled = pullback_cover(p, cb)
         cov = IndexedCover.build(p.source, "closed", dict(pulled.elements), check=True)
         carrier = Carrier.build(
             cov,

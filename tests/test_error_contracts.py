@@ -434,3 +434,64 @@ class TestMalformedContainers:
             argv += ["--level", "1"]
         assert main(argv) == 3
         assert "input error" in capsys.readouterr().err
+
+
+def _map_document(command: str) -> dict:
+    """The `gen cylinder` map for `check-map`; a 2-level triangle tower with
+    its one bond for `verify-tower`."""
+    from polytower import formats
+    from polytower.generators import cylinder_map
+
+    return formats.map_to_obj(cylinder_map()) if command == "check-map" else _tower_obj(2)
+
+
+_ABSENT = object()
+
+
+def _set_subdivide_target(command: str, document: dict, value) -> dict:
+    """The document with `subdivide_target` of its map (for `verify-tower`,
+    of its one bond) set to the value, or removed when the value is
+    `_ABSENT`."""
+    document = json.loads(json.dumps(document))
+    target = document["bonds"][0] if command == "verify-tower" else document
+    if value is _ABSENT:
+        del target["subdivide_target"]
+    else:
+        target["subdivide_target"] = value
+    return document
+
+
+class TestSubdivideTarget:
+    """Every map file is quasi-simplicial: `subdivide_target` may be absent
+    or JSON true, and any other value is malformed input (3) with nothing
+    on standard output, whether the map is a `check-map` input or a bond of
+    a `verify-tower` file."""
+
+    @pytest.mark.parametrize("command", ["check-map", "verify-tower"])
+    @pytest.mark.parametrize(
+        "value",
+        ["false", "no", 1, False, 0, None, []],
+        ids=["string-false", "string-no", "one", "false", "zero", "null", "empty-list"],
+    )
+    def test_anything_but_true_exits_3(self, tmp_path, capsys, command, value):
+        from polytower.cli import main
+
+        document = _set_subdivide_target(command, _map_document(command), value)
+        assert main([command, _write_json(tmp_path, "input.json", document), "--n", "1"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "'subdivide_target' must be true" in captured.err
+
+    @pytest.mark.parametrize("command", ["check-map", "verify-tower"])
+    def test_true_and_absent_parse(self, tmp_path, capsys, command):
+        from polytower.cli import main
+
+        document = _map_document(command)
+        outputs = []
+        for value in (True, _ABSENT):
+            changed = _set_subdivide_target(command, document, value)
+            assert main([command, _write_json(tmp_path, "input.json", changed), "--n", "1"]) == 0
+            captured = capsys.readouterr()
+            assert json.loads(captured.out)
+            outputs.append(captured.out)
+        assert outputs[0] == outputs[1]

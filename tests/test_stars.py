@@ -16,6 +16,7 @@ from polytower.complexes import (
     whole_subcomplex,
 )
 from polytower.generators import cylinder_tower, projective_plane, random_tower, simplex, subdivision_tower
+from polytower.maps import is_surjective
 from polytower.plmaps import PartialPLMap
 from polytower.stars import (
     IndexMismatchError,
@@ -25,6 +26,7 @@ from polytower.stars import (
     cone_geodesic_diameter_bound,
     cover_B,
     cover_O,
+    element_contains_hull,
     element_contains_point,
     mesh,
     nerve,
@@ -229,13 +231,16 @@ class TestCovers:
                         # barycentric star alone
                         assert missing is not None, (label, dropped)
 
-    def test_first_uncovered_of_preimage_predicates(self):
-        vm = random_surjective_vertex_map(sphere_complex(1), 5)
-        pulled = pullback_cover(vm, cover_B(sphere_complex(1)))
-        assert pulled.first_uncovered() is None
-        assert scan_first_uncovered(pulled) is None
-        empty = IndexedCover.build(vm.source, "closed", {}, check=False)
-        assert empty.first_uncovered() == scan_first_uncovered(empty) == vm.source.maximal[0]
+    def test_first_uncovered_of_bond_pullbacks(self):
+        for label, bond, _, pulled in bond_pullbacks():
+            assert pulled.first_uncovered() is None, label
+            assert scan_first_uncovered(pulled) is None, label
+            for dropped in pulled.indices[:3]:
+                elements = {i: e for i, e in pulled.elements if i != dropped}
+                partial = IndexedCover.build(pulled.ambient, pulled.kind, elements, check=False)
+                assert partial.first_uncovered() == scan_first_uncovered(partial), (label, dropped)
+            empty = IndexedCover.build(bond.source, pulled.kind, {}, check=False)
+            assert empty.first_uncovered() == scan_first_uncovered(empty) == bond.source.maximal[0], label
 
     def test_unknown_index_rejected(self):
         cb = cover_B(simplex_complex(["u", "v"]))
@@ -309,17 +314,31 @@ class TestNerve:
             nerve(cover)
 
 
+def bond_pullbacks() -> list:
+    """(label, bond, cover, pull-back) for the barycentric and open star
+    covers of each level pulled along the bond onto it, in the rp2
+    subdivision tower of depth 3 and the cylinder tower: the covers that
+    `verify-tower` builds, the barycentric ones on the subdivided target
+    and the open ones on the base target."""
+    out = []
+    for name, tower in (("rp2", subdivision_tower(projective_plane(), 3)), ("cylinder", cylinder_tower())):
+        for idx, bond in enumerate(tower.bonds):
+            for kind, build in (("B", cover_B), ("O", cover_O)):
+                cover = build(tower.levels[idx])
+                label = "%s tower bond %d %s" % (name, idx + 1, kind)
+                out.append((label, bond, cover, pullback_cover(bond, cover)))
+    return out
+
+
 def nerve_cross_check_covers() -> list:
     """(label, cover) pairs holding every element kind: the star covers of
-    the kernel complexes, preimage predicates along surjections onto them,
-    and pull-backs along the bonds of random towers and along their vertex
-    maps (subcomplexes, open stars through chain tops and through vertex
-    fibers, preimage predicates)."""
+    the kernel complexes, and pull-backs along the bonds of random towers,
+    of the rp2 tower and of the cylinder tower, and along their vertex maps
+    (subcomplexes, open stars through chain tops and through vertex
+    fibers)."""
     out = []
     for label, k in kernel_complexes():
         out += [(label + " B", cover_B(k)), (label + " O", cover_O(k)), (label + " closed stars", closed_star_cover(k))]
-        vm = random_surjective_vertex_map(k, 3)
-        out.append((label + " preimages", pullback_cover(vm, cover_B(k))))
     for seed in range(6):
         tower = random_tower(seed, 3)
         for idx, bond in enumerate(tower.bonds):
@@ -329,8 +348,8 @@ def nerve_cross_check_covers() -> list:
                 (tag + " B", pullback_cover(bond, cover_B(level))),
                 (tag + " O", pullback_cover(bond, cover_O(level))),
                 (tag + " O on the map", pullback_cover(vm, cover_O(vm.target))),
-                (tag + " preimages", pullback_cover(vm, cover_B(vm.target))),
             ]
+    out += [(label, pulled) for label, _, _, pulled in bond_pullbacks()]
     return out
 
 
@@ -345,22 +364,31 @@ class TestTrustedSubcomplexes:
 
         from polytower.complexes import Subcomplex
 
-        for label, k in kernel_complexes():
-            if len(k.simplices) > 120:
-                continue
-            p = random_qsmap(k, 2)
-            stars = cover_B(k)
+        def check(label, p, stars):
             pulled = pullback_cover(p, stars)
             for i, element in pulled.elements:
                 expected = scan_preimage_of_subdivided(p.vertex_map, stars.element(i))
                 assert element == Subcomplex(p.source, expected), (label, i)
+            return pulled
+
+        def check_intersections(label, cover):
+            subsets = [(i,) for i in cover.indices] + list(combinations(cover.indices, 2))
+            subsets += [s for s in nerve(cover).complex.simplices if len(s) > 2]
+            for subset in subsets:
+                common = frozenset.intersection(*(cover.element(i).simplices for i in subset))
+                checked = Subcomplex(cover.ambient, common)
+                assert cover.intersection_subcomplex(subset) == checked, (label, subset)
+
+        for label, k in kernel_complexes():
+            if len(k.simplices) > 120:
+                continue
+            stars = cover_B(k)
+            pulled = check(label, random_qsmap(k, 2), stars)
             for cover in (stars, closed_star_cover(k), pulled):
-                subsets = [(i,) for i in cover.indices] + list(combinations(cover.indices, 2))
-                subsets += [s for s in nerve(cover).complex.simplices if len(s) > 2]
-                for subset in subsets:
-                    common = frozenset.intersection(*(cover.element(i).simplices for i in subset))
-                    checked = Subcomplex(cover.ambient, common)
-                    assert cover.intersection_subcomplex(subset) == checked, (label, subset)
+                check_intersections(label, cover)
+        for label, bond, cover, _ in bond_pullbacks():
+            if cover.kind == "closed":
+                check_intersections(label, check(label, bond, cover))
 
     def test_intersection_needs_elements_of_the_ambient(self):
         from polytower.complexes import ComplexMismatchError
@@ -405,9 +433,10 @@ class TestCoverIsomorphism:
     def test_pullback_along_surjection_isomorphic(self):
         for seed in range(6):
             base = random_complex(seed)
-            vm = random_surjective_vertex_map(base, seed + 21)
+            p = random_qsmap(base, seed + 21)
+            assert is_surjective(p).is_holds
             cb = cover_B(base)
-            pulled = pullback_cover(vm, cb)
+            pulled = pullback_cover(p, cb)
             assert pulled.indices == cb.indices
             assert covers_isomorphic(pulled, cb).is_holds
 
@@ -433,7 +462,7 @@ class TestPullback:
 
     def test_cylinder_pullback_of_segment_stars(self):
         p = cylinder_map()
-        pulled = pullback_cover(p.vertex_map, cover_B(p.base_target))
+        pulled = pullback_cover(p, cover_B(p.base_target))
         bottom = pulled.element("u")
         top = pulled.element("v")
         assert {v[0] for v in (tuple(b)[:1] for b in bottom.vertex_set())}  # non-empty
@@ -447,7 +476,7 @@ class TestPullback:
         # vertices yields three tube-shaped subcomplexes
         p = cylinder_map()
         stars = closed_star_cover(p.subdivided_target)
-        pulled = pullback_cover(p.vertex_map, stars)
+        pulled = pullback_cover(p, stars)
         assert len(pulled.indices) == 3
         sizes = [len(pulled.element(i).vertex_set()) for i in pulled.indices]
         assert sorted(sizes) == [6, 6, 9]
@@ -485,25 +514,45 @@ class TestPullback:
                 w = [v for v in p.source.vertices if set(p(v)) & core]
                 assert e.core.simplices == scan_induced(p.source, w), (label, i)
 
-    def test_star_preimage_predicates(self):
-        base = sphere_complex(1)
-        vm = random_surjective_vertex_map(base, 5)
-        cb = cover_B(base)
-        pulled = pullback_cover(vm, cb)
+    def test_closed_cover_pullback_membership(self):
+        p = random_qsmap(sphere_complex(1), 5)
+        cb = cover_B(p.base_target)
+        pulled = pullback_cover(p, cb)
         rng = random.Random(7)
+        from polytower.maps import apply
 
         for _ in range(120):
-            x = random_point(vm.source, rng)
-            # the affine image of x under the simplicial map
-            pushed: dict = {}
-            for v, c in x.coords:
-                w = vm(v)
-                pushed[w] = pushed.get(w, Fraction(0)) + c
-            image = make_point(base, pushed)
+            x = random_point(p.source, rng)
             for i in cb.indices:
-                direct = element_contains_point(cb.element(i), image, cb.base)
+                direct = element_contains_point(cb.element(i), apply(p, x), cb.base)
                 back = element_contains_point(pulled.element(i), x, pulled.base)
                 assert direct == back
+
+    def test_bond_pullback_containment(self):
+        """A point or a simplex hull lies in a pulled-back element exactly
+        when its image lies in the element it came from."""
+        from polytower.maps import apply
+
+        rng = random.Random(5)
+        for label, bond, cover, pulled in bond_pullbacks():
+            for s in rng.sample(bond.source.maximal, min(12, len(bond.source.maximal))):
+                corners = [vertex_point(bond.source, v) for v in s]
+                points = corners + [random_point(bond.source, rng)]
+                for i, e in cover.elements:
+                    back = pulled.element(i)
+                    for x in points:
+                        where = (label, s, i, x)
+                        assert element_contains_point(back, x) == element_contains_point(e, apply(bond, x), cover.base), where
+                    images = [apply(bond, x) for x in corners]
+                    forward = element_contains_hull(e, images, cover.base)
+                    assert element_contains_hull(back, corners) == forward, (label, s, i)
+
+    def test_plain_map_onto_the_base_of_a_subdivided_cover_rejected(self):
+        base = sphere_complex(1)
+        vm = random_surjective_vertex_map(base, 5)
+        assert vm.target == base
+        with pytest.raises(ValueError, match="does not live on the map's target"):
+            pullback_cover(vm, cover_B(vm.target))
 
 
 class TestMesh:

@@ -348,12 +348,7 @@ def scan_first_uncovered(cover):
     for s in sorted(cover.ambient.maximal, key=simplex_sort_key):
         hit = False
         for _, e in cover.elements:
-            if isinstance(e, Subcomplex):
-                hit = s in e.simplices
-            elif isinstance(e, OpenStarSet):
-                hit = meets_core(e, s)
-            else:
-                hit = True
+            hit = s in e.simplices if isinstance(e, Subcomplex) else meets_core(e, s)
             if hit:
                 break
         if not hit:
@@ -450,16 +445,11 @@ def scan_nerve(cover, budget: int = 100_000):
     (None, checked) once more than `budget` subsets have been checked."""
     if len({type(e) for _, e in cover.elements}) > 1:
         raise ValueError("cover mixes element representations")
-    if len({getattr(e, "vertex_map", None) for _, e in cover.elements}) > 1:
-        raise ValueError("joint rule needs a single underlying map")
 
     def held(e) -> frozenset:
         if isinstance(e, Subcomplex):
             return e.simplices
-        if isinstance(e, OpenStarSet):
-            return frozenset(s for s in e.ambient.simplices if meets_core(e, s))
-        vm = e.vertex_map
-        return frozenset(s for s in vm.source.simplices if e.star_vertex in vm.image_simplex(s))
+        return frozenset(s for s in e.ambient.simplices if meets_core(e, s))
 
     sets = {i: held(e) for i, e in cover.elements}
     checked = 0
