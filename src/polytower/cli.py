@@ -16,7 +16,7 @@ import sys
 from fractions import Fraction
 
 from . import formats
-from .complexes import barycentric_subdivision, subcomplex_from
+from .complexes import barycentric_subdivision, subcomplex_from, vertex_label
 from .verdicts import DEFAULT_BUDGETS, Budgets, Verdict, conjoin
 
 EXIT_HOLDS = 0
@@ -279,6 +279,9 @@ def cmd_lift(args) -> int:
             formats.parse_point(row, tower.levels[i], "lift.threads[%s][%d]" % (key, i))
             for i, row in enumerate(rows)
         ]
+    for v in defined.vertices:
+        if v not in threads:
+            raise formats.InputFormatError("no thread for anchored vertex %s" % vertex_label(v), "lift.threads")
     g0 = ThreadApprox(tower, threads)
     result = tower_lift(tower, f1, defined, g0, args.n, budgets)
     report = {

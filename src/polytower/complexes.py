@@ -84,13 +84,9 @@ def vertex_label(name) -> str:
     return "(" + " ".join(vertex_label(p) for p in name) + ")"
 
 
-def canon_simplex(vertices) -> tuple:
-    """Sorted tuple of canonical names; rejects empty and duplicated input."""
-    return sorted_simplex([canon_vertex(v) for v in vertices])
-
-
 def sorted_simplex(names) -> tuple:
-    """`canon_simplex` of names that are canonical already."""
+    """The simplex of canonical names, as a sorted tuple; rejects empty and
+    duplicated input."""
     names = sorted(names, key=vertex_key)
     if not names:
         raise EmptySimplexError("a simplex needs at least one vertex")
@@ -173,8 +169,11 @@ class Complex:
 
     @staticmethod
     def from_maximal(maximal: Iterable, extra_vertices: Iterable = ()) -> "Complex":
-        """Validate raw simplex input and compute its downward closure."""
-        return Complex.closure_of(map(canon_simplex, maximal), map(canon_vertex, extra_vertices))
+        """Validate raw simplex input and compute its downward closure: the
+        one place besides the readers of `formats` where a name is made
+        canonical."""
+        simplices = (sorted_simplex([canon_vertex(v) for v in s]) for s in maximal)
+        return Complex.closure_of(simplices, map(canon_vertex, extra_vertices))
 
     @staticmethod
     def closure_of(simplices: Iterable, vertices: Iterable = ()) -> "Complex":
@@ -213,7 +212,19 @@ class Complex:
         return out
 
     def has_vertex(self, name) -> bool:
-        return name in self._vertex_set
+        """Whether the name is a vertex in the form the complex holds it; a
+        list, or a tuple holding one, never is."""
+        try:
+            return name in self._vertex_set
+        except TypeError:  # unhashable
+            return False
+
+    def has_simplex(self, simplex) -> bool:
+        """`has_vertex` for a simplex: a sorted tuple of vertices."""
+        try:
+            return simplex in self.simplices
+        except TypeError:  # unhashable
+            return False
 
     def maximal_at(self, vertex) -> list:
         """The maximal simplices containing a vertex, from an index over all
@@ -226,17 +237,6 @@ class Complex:
                     index[v].append(m)
             object.__setattr__(self, "_maximal_at", index)
         return index[vertex]
-
-    def canon(self, name):
-        """`canon_vertex(name)`, skipped for a string or tuple that already
-        is a vertex of this complex (vertex names are canonical)."""
-        if isinstance(name, (str, tuple)):
-            try:
-                if name in self._vertex_set:
-                    return name
-            except TypeError:  # a tuple holding a list
-                pass
-        return canon_vertex(name)
 
     def vertex_set(self) -> frozenset:
         return self._vertex_set
@@ -332,7 +332,15 @@ class Subcomplex(Record, frozen=True):
 
 
 def subcomplex_from(parent: Complex, simplices: Iterable) -> Subcomplex:
-    return Subcomplex(parent, frozenset(face_closure(map(canon_simplex, simplices))))
+    """The subcomplex generated by simplices of vertices of the parent, in
+    any vertex order."""
+    tops = []
+    for s in simplices:
+        for v in s:
+            if not parent.has_vertex(v):
+                raise UnknownVertexError(vertex_label(v))
+        tops.append(sorted_simplex(s))
+    return Subcomplex(parent, frozenset(face_closure(tops)))
 
 
 def whole_subcomplex(parent: Complex) -> Subcomplex:
@@ -359,10 +367,9 @@ def induced_subcomplex(complex_: Complex, vertex_subset: Iterable) -> Subcomplex
     """All simplices of the complex with every vertex in the given set."""
     w = set()
     for v in vertex_subset:
-        cv = complex_.canon(v)
-        if not complex_.has_vertex(cv):
-            raise UnknownVertexError(vertex_label(cv))
-        w.add(cv)
+        if not complex_.has_vertex(v):
+            raise UnknownVertexError(vertex_label(v))
+        w.add(v)
     return _induced(complex_, w)
 
 
@@ -412,10 +419,9 @@ def make_point(complex_: Complex, coords: Mapping, scale=ONE) -> Point:
             raise ValueError("negative barycentric coordinate")
         if c == 0:
             continue
-        cv = complex_.canon(v)
-        if not complex_.has_vertex(cv):
-            raise UnknownVertexError(vertex_label(cv))
-        cleaned.append((cv, c))
+        if not complex_.has_vertex(v):
+            raise UnknownVertexError(vertex_label(v))
+        cleaned.append((v, c))
         total += c
     if total != 1:
         raise ValueError("barycentric coordinates must sum to 1, got %s" % total)
@@ -428,11 +434,10 @@ def make_point(complex_: Complex, coords: Mapping, scale=ONE) -> Point:
 
 def barycenter_point(complex_: Complex, simplex, scale=ONE) -> Point:
     """Uniform coordinates on the vertices of a simplex of the complex."""
-    s = canon_simplex(simplex)
-    if s not in complex_.simplices:
-        raise UnknownVertexError("not a simplex of the complex: %r" % (s,))
-    w = Fraction(1, len(s))
-    return make_point(complex_, {v: w for v in s}, scale)
+    if not complex_.has_simplex(simplex):
+        raise UnknownVertexError("not a simplex of the complex: %r" % (simplex,))
+    w = Fraction(1, len(simplex))
+    return make_point(complex_, {v: w for v in simplex}, scale)
 
 
 def barycentre_distance(a: int, b: int, c: int) -> Fraction:

@@ -214,7 +214,6 @@ class Presentation(Record):
     basepoint: object
     generators: list  # list of edges (u, v)
     relators: list  # list of tuples of signed generator indices (1-based)
-    transcript: list
 
     def is_empty(self) -> bool:
         return not self.generators
@@ -228,7 +227,6 @@ def pi1_presentation(complex_: Complex, basepoint=None) -> Presentation:
         comp = comps[0]
         basepoint = comp[0]
     else:
-        basepoint = complex_.canon(basepoint)
         comp = next((c for c in comps if basepoint in c), None)
         if comp is None:
             raise ValueError("basepoint not in the complex")
@@ -276,7 +274,7 @@ def pi1_presentation(complex_: Complex, basepoint=None) -> Presentation:
         a, b, c = tri
         word = tuple(x for x in (letter(a, b), letter(b, c), letter(c, a)) if x)
         relators.append(word)
-    return Presentation(basepoint, generators, relators, transcript=[])
+    return Presentation(basepoint, generators, relators)
 
 
 def _free_reduce(word: tuple) -> tuple:
@@ -310,7 +308,6 @@ def tietze_simplify(presentation: Presentation, budget: int) -> tuple:
     preserved and an emptied presentation certifies triviality."""
     gens = set(range(1, len(presentation.generators) + 1))
     relators = [_free_reduce(w) for w in presentation.relators]
-    transcript = list(presentation.transcript)
     steps = 0
 
     def spend(n=1):
@@ -332,7 +329,6 @@ def tietze_simplify(presentation: Presentation, budget: int) -> tuple:
                 relators = [_free_reduce(_substitute(r, g, ())) for r in relators]
                 relators = [r for r in relators if r]
                 gens.discard(g)
-                transcript.append("trivial:%d" % g)
                 changed = True
                 break
         if changed:
@@ -357,7 +353,6 @@ def tietze_simplify(presentation: Presentation, budget: int) -> tuple:
                 ]
                 relators = [r for r in relators if r]
                 gens.discard(g)
-                transcript.append("equate:%d" % g)
                 changed = True
                 break
         if changed:
@@ -376,7 +371,6 @@ def tietze_simplify(presentation: Presentation, budget: int) -> tuple:
                 idx = where[0]
                 relators = [r for i, r in enumerate(relators) if i != idx]
                 gens.discard(g)
-                transcript.append("free_face:%d" % g)
                 changed = True
                 break
     exhausted = steps > budget
@@ -384,7 +378,6 @@ def tietze_simplify(presentation: Presentation, budget: int) -> tuple:
         presentation.basepoint,
         [presentation.generators[g - 1] for g in sorted(gens)],
         relators,
-        transcript,
     )
     return simplified, min(steps, budget), exhausted
 
@@ -396,10 +389,9 @@ def pi1_verdict(complex_: Complex, basepoint=None, budgets: Budgets = DEFAULT_BU
     if not comps:
         return Verdict.fails(witness="empty", reason="empty complex")
     if basepoint is not None:
-        bp = complex_.canon(basepoint)
-        matching = [c for c in comps if bp in c]
+        matching = [c for c in comps if basepoint in c]
         if not matching:
-            raise ValueError("basepoint %s not in the complex" % vertex_label(bp))
+            raise ValueError("basepoint %s not in the complex" % vertex_label(basepoint))
         comps = matching
     per_component = []
     for comp in comps:

@@ -47,20 +47,15 @@ class VertexMap(Record, frozen=True):
 
     @staticmethod
     def build(source: Complex, target: Complex, images: dict) -> "VertexMap":
-        pairs = []
-        assigned = {source.canon(k) for k in images}
         for v in source.vertices:
-            if v not in assigned:
+            if v not in images:
                 raise ValueError("no image for vertex %s" % vertex_label(v))
         for k, w in images.items():
-            ck, cw = source.canon(k), target.canon(w)
-            if not source.has_vertex(ck):
-                raise ValueError("unknown source vertex %s" % vertex_label(ck))
-            if not target.has_vertex(cw):
-                raise ValueError("unknown target vertex %s" % vertex_label(cw))
-            pairs.append((ck, cw))
-        pairs.sort(key=lambda p: vertex_key(p[0]))
-        return VertexMap(source, target, tuple(pairs))
+            if not source.has_vertex(k):
+                raise ValueError("unknown source vertex %s" % vertex_label(k))
+            if not target.has_vertex(w):
+                raise ValueError("unknown target vertex %s" % vertex_label(w))
+        return VertexMap(source, target, tuple((v, images[v]) for v in source.vertices))
 
     @cached_property
     def _lookup(self) -> dict:
@@ -71,10 +66,10 @@ class VertexMap(Record, frozen=True):
         return dict(self.assignment)
 
     def __call__(self, vertex):
-        v = self.source.canon(vertex)
-        if v not in self._lookup:
-            raise ValueError("unknown vertex %s" % vertex_label(v))
-        return self._lookup[v]
+        try:
+            return self._lookup[vertex]
+        except (KeyError, TypeError):  # TypeError: an unhashable name
+            raise ValueError("unknown vertex %s" % vertex_label(vertex)) from None
 
     def image_simplex(self, simplex) -> tuple:
         lookup = self._lookup
@@ -133,9 +128,6 @@ class QSMap(Record, frozen=True):
     def as_dict(self) -> dict:
         return self.vertex_map.as_dict()
 
-    def image_simplex(self, simplex) -> tuple:
-        return self.vertex_map.image_simplex(simplex)
-
 
 def check_quasi_simplicial(source: Complex, base_target: Complex, images: dict) -> QSMap:
     """Validate a vertex assignment into subdivision names as a QSMap."""
@@ -184,9 +176,7 @@ def preimage_subcomplex(p: QSMap, delta) -> Subcomplex:
     This is the preimage as a point set too: a point sits over delta exactly
     when its whole support maps into delta's vertex set (no coordinate may
     survive elsewhere)."""
-    target = p.subdivided_target
-    delta = tuple(sorted(map(target.canon, delta), key=vertex_key))
-    if delta not in target.simplices:
+    if not p.subdivided_target.has_simplex(delta):
         raise ValueError("not a simplex of the subdivided target")
     return _fiber_union(p.vertex_map, faces(delta))
 

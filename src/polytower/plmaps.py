@@ -9,15 +9,16 @@ leaves the target polyhedron.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 
 from .complexes import (
     Complex,
     Point,
     Subcomplex,
+    UnknownVertexError,
     barycenter_point,
     barycentric_subdivision,
     beta_subcomplex,
-    canon_vertex,
     convex_combination,
     simplex_sort_key,
     vertex_key,
@@ -37,21 +38,20 @@ class PartialPLMap(Record, frozen=True):
     def build(domain: Complex, defined_on: Subcomplex, images: dict, target: Complex) -> "PartialPLMap":
         if defined_on.parent != domain:
             raise ValueError("defined_on must be a subcomplex of the domain")
-        table = {}
         for v, point in images.items():
-            cv = canon_vertex(v)
+            if not domain.has_vertex(v):
+                raise UnknownVertexError(vertex_label(v))
             if not isinstance(point, Point):
                 raise TypeError("images must be Points")
             if point.complex != target:
                 raise ValueError("image point lives on the wrong complex")
-            table[cv] = point
-        scales = {p.scale for p in table.values()}
+        scales = {p.scale for p in images.values()}
         if len(scales) > 1:
             raise ValueError("image points disagree on scale")
         for v in defined_on.vertex_set():
-            if v not in table:
+            if v not in images:
                 raise ValueError("no image for vertex %s" % vertex_label(v))
-        pairs = tuple(sorted(table.items(), key=lambda kv: vertex_key(kv[0])))
+        pairs = tuple(sorted(images.items(), key=lambda kv: vertex_key(kv[0])))
         pl = PartialPLMap(domain, defined_on, pairs, target)
         bad = pl.first_invalid_simplex()
         if bad is not None:
@@ -61,15 +61,16 @@ class PartialPLMap(Record, frozen=True):
             )
         return pl
 
-    def as_dict(self) -> dict:
+    @cached_property
+    def _lookup(self) -> dict:
+        """The images as a dict, built once per map for the lookups."""
         return dict(self.images)
 
     def image_of(self, vertex) -> Point:
-        v = canon_vertex(vertex)
-        for a, p in self.images:
-            if a == v:
-                return p
-        raise ValueError("map not defined at %s" % vertex_label(v))
+        try:
+            return self._lookup[vertex]
+        except (KeyError, TypeError):  # TypeError: an unhashable name
+            raise ValueError("map not defined at %s" % vertex_label(vertex)) from None
 
     @property
     def scale(self) -> Fraction:
@@ -79,7 +80,7 @@ class PartialPLMap(Record, frozen=True):
         return self.defined_on.simplices == self.domain.simplices
 
     def first_invalid_simplex(self):
-        table = self.as_dict()
+        table = self._lookup
         for s in sorted(self.defined_on.simplices, key=simplex_sort_key):
             union = set()
             for v in s:

@@ -24,7 +24,6 @@ from .complexes import (
     UnknownVertexError,
     barycentre_distance,
     barycentric_subdivision,
-    canon_vertex,
     chain_min,
     face_closure,
     faces,
@@ -83,15 +82,13 @@ def open_intersection(ambient: Complex, cores) -> list:
 
 
 def open_vertex_star(ambient: Complex, vertex) -> OpenStarSet:
-    v = canon_vertex(vertex)
-    return OpenStarSet(ambient, induced_subcomplex(ambient, [v]))
+    return OpenStarSet(ambient, induced_subcomplex(ambient, [vertex]))
 
 
 def barycentric_vertex_star(base: Complex, vertex) -> Subcomplex:
-    v = canon_vertex(vertex)
-    if not base.has_vertex(v):
-        raise UnknownVertexError(vertex_label(v))
-    return barycentric_vertex_stars(base)[v]
+    if not base.has_vertex(vertex):
+        raise UnknownVertexError(vertex_label(vertex))
+    return barycentric_vertex_stars(base)[vertex]
 
 
 def barycentric_vertex_stars(base: Complex) -> dict:

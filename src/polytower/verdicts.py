@@ -44,9 +44,6 @@ class Verdict(Record, frozen=True):
     def is_inconclusive(self) -> bool:
         return self.status == INCONCLUSIVE
 
-    def __bool__(self) -> bool:
-        return self.is_holds
-
 
 def conjoin(verdicts) -> Verdict:
     """Monotone conjunction: fails dominates inconclusive dominates holds.

@@ -231,6 +231,20 @@ class TestCommands:
         report = json.loads(out)
         assert report["open_star"]["avoided"] == [["b"], ["c"], ["b", "c"]]
 
+    def test_stars_reads_nested_names_canonically(self, tmp_path, capsys):
+        # a file and a --vertex naming subdivision vertices with their parts
+        # out of order give the bytes of the canonical names
+        beta = formats.complex_to_obj(barycentric_subdivision(simplex(2)))
+        path = write(tmp_path, "beta.json", beta)
+        shuffled = json.loads(json.dumps(beta).replace('["a", "b"]', '["b", "a"]'))
+        assert shuffled != beta
+        shuffled_path = write(tmp_path, "shuffled.json", shuffled)
+        code, expected = run_cli(["stars", path, "--vertex", '["a","b"]'], capsys)
+        assert code == 0
+        for file in (path, shuffled_path):
+            for vertex in ('["a","b"]', '["b","a"]'):
+                assert run_cli(["stars", file, "--vertex", vertex], capsys) == (0, expected)
+
     def test_nerve(self, tmp_path, capsys):
         cover_obj = {
             "ambient": formats.complex_to_obj(simplex(2)),

@@ -210,13 +210,11 @@ class TestLocalQueries:
 
     def test_induced_subcomplex_names(self):
         k = barycentric_subdivision(simplex_complex(["a", "b"]))
-        # raw lists are canonicalised, known names are taken as they are
-        assert induced_subcomplex(k, [["b", "a"]]).simplices == {(("a", "b"),)}
+        # names are taken as the complex holds them, and nothing else is one
         assert induced_subcomplex(k, [("a", "b")]).simplices == {(("a", "b"),)}
-        with pytest.raises(UnknownVertexError):
-            induced_subcomplex(k, [("b", "c")])
-        with pytest.raises(DuplicateVertexError):
-            induced_subcomplex(k, [["a", "a"]])
+        for name in (["a", "b"], ("b", "a"), ("b", "c"), ["a", "a"]):
+            with pytest.raises(UnknownVertexError):
+                induced_subcomplex(k, [name])
 
     def test_closed_star_matches_scan(self):
         for label, k in kernel_complexes():
@@ -365,19 +363,19 @@ class TestMetric:
 
     def test_barycenter_to_vertex(self):
         k = simplex_complex(["a", "b", "c"])
-        b = barycenter_point(k, ["a", "b", "c"])
+        b = barycenter_point(k, ("a", "b", "c"))
         assert distance(b, vertex_point(k, "a")) == Fraction(4, 3)
 
     def test_barycenter_coordinates(self):
         k = simplex_complex(["a", "b"])
-        b = barycenter_point(k, ["a", "b"])
+        b = barycenter_point(k, ("a", "b"))
         assert b.as_dict() == {"a": Fraction(1, 2), "b": Fraction(1, 2)}
 
     def test_nested_barycenter_distance_formula(self):
         # comparable barycenters at unit scale: 2 * (1 - small/large)
         k = simplex_complex(["a", "b", "c"])
-        small = barycenter_point(k, ["a"])
-        large = barycenter_point(k, ["a", "b", "c"])
+        small = barycenter_point(k, ("a",))
+        large = barycenter_point(k, ("a", "b", "c"))
         assert distance(small, large) == 2 * (1 - Fraction(1, 3))
 
     def test_barycentre_distance_closed_form(self):
@@ -387,8 +385,8 @@ class TestMetric:
         for a in range(1, 9):
             for b in range(1, 9):
                 for c in range(min(a, b) + 1):
-                    x = barycenter_point(k, names[:a])
-                    y = barycenter_point(k, names[a - c : a - c + b])
+                    x = barycenter_point(k, tuple(sorted(names[:a])))
+                    y = barycenter_point(k, tuple(sorted(names[a - c : a - c + b])))
                     expected = shape_distance(a, b, c)
                     assert barycentre_distance(a, b, c) == expected == distance(x, y), (a, b, c)
 

@@ -1,18 +1,105 @@
 """The error rows of the operation contracts: wrong inputs raise the named
 exceptions instead of producing verdicts."""
 import json
+from collections.abc import Mapping
 
 import pytest
 
 from polytower.complexes import (
     ComplexMismatchError,
+    UnknownVertexError,
+    barycenter_point,
+    barycentric_subdivision,
+    induced_subcomplex,
+    make_point,
     subcomplex_from,
+    whole_subcomplex,
 )
-from polytower.maps import VertexMap
+from polytower.connectivity import pi1_presentation, pi1_verdict
+from polytower.maps import VertexMap, identity_qsmap, preimage_subcomplex
+from polytower.plmaps import PartialPLMap
+from polytower.stars import barycentric_vertex_star, open_vertex_star
 from polytower.towers import MalformedTowerError, restrict_tower
 from polytower.generators import simplex, subdivision_tower
 
 from util import ScaleMismatchError, compose, distance, simplex_complex, vertex_point
+
+
+# the subdivided edge: its vertices are ("a",), ("b",) and ("a", "b")
+EDGE = simplex_complex(["a", "b"])
+BETA = barycentric_subdivision(EDGE)
+IDENTITY = {v: v for v in BETA.vertices}
+
+
+class PairMapping(Mapping):
+    """A mapping that can hold an unhashable key, such as a list name."""
+
+    def __init__(self, pairs):
+        self.pairs = pairs
+
+    def __getitem__(self, key):
+        for k, value in self.pairs:
+            if k == key:
+                return value
+        raise KeyError(key)
+
+    def __iter__(self):
+        return (k for k, _ in self.pairs)
+
+    def __len__(self):
+        return len(self.pairs)
+
+
+def _with_key(table: dict, name, value) -> PairMapping:
+    return PairMapping(list(table.items()) + [(name, value)])
+
+
+def _plmap(images) -> PartialPLMap:
+    return PartialPLMap.build(BETA, whole_subcomplex(BETA), images, EDGE)
+
+
+A = vertex_point(EDGE, "a")
+ALL_TO_A = {v: A for v in BETA.vertices}
+
+# each library entry point that takes a vertex name, called with `name`,
+# and the error it raises for a name that is no vertex
+NAME_ENTRY_POINTS = {
+    "induced_subcomplex": (lambda name: induced_subcomplex(BETA, [name]), UnknownVertexError),
+    "make_point": (lambda name: make_point(BETA, PairMapping([(name, 1)])), UnknownVertexError),
+    "barycenter_point": (lambda name: barycenter_point(BETA, (name,)), UnknownVertexError),
+    "subcomplex_from": (lambda name: subcomplex_from(BETA, [[name]]), UnknownVertexError),
+    "VertexMap.build source": (lambda name: VertexMap.build(BETA, BETA, _with_key(IDENTITY, name, ("a",))), ValueError),
+    "VertexMap.build target": (lambda name: VertexMap.build(BETA, BETA, {**IDENTITY, ("a",): name}), ValueError),
+    "VertexMap.__call__": (lambda name: VertexMap.build(BETA, BETA, IDENTITY)(name), ValueError),
+    "preimage_subcomplex": (lambda name: preimage_subcomplex(identity_qsmap(EDGE), (name,)), ValueError),
+    "open_vertex_star": (lambda name: open_vertex_star(BETA, name), UnknownVertexError),
+    "barycentric_vertex_star": (lambda name: barycentric_vertex_star(BETA, name), UnknownVertexError),
+    "PartialPLMap.build": (lambda name: _plmap(_with_key(ALL_TO_A, name, A)), UnknownVertexError),
+    "PartialPLMap.image_of": (lambda name: _plmap(ALL_TO_A).image_of(name), ValueError),
+    "pi1_presentation": (lambda name: pi1_presentation(BETA, name), ValueError),
+    "pi1_verdict": (lambda name: pi1_verdict(BETA, name), ValueError),
+}
+
+# a list, an unsorted tuple and an unknown string: none is a vertex of BETA
+NON_VERTICES = {"list": ["a", "b"], "unsorted tuple": ("b", "a"), "unknown string": "z"}
+
+
+class TestNamesAreTakenAsHeld:
+    """A name is made canonical only where it is read; every other entry
+    point takes it as the complex holds it and rejects anything else as an
+    unknown vertex, never with a TypeError."""
+
+    @pytest.mark.parametrize("entry", sorted(NAME_ENTRY_POINTS))
+    def test_vertex_is_accepted(self, entry):
+        call, _ = NAME_ENTRY_POINTS[entry]
+        call(("a", "b"))
+
+    @pytest.mark.parametrize("kind", sorted(NON_VERTICES))
+    @pytest.mark.parametrize("entry", sorted(NAME_ENTRY_POINTS))
+    def test_non_vertex_is_unknown(self, entry, kind):
+        call, error = NAME_ENTRY_POINTS[entry]
+        with pytest.raises(error):
+            call(NON_VERTICES[kind])
 
 
 class TestMetricErrors:
@@ -89,36 +176,47 @@ class TestCliInputErrors:
 
 
 class TestLiftThreadErrors:
-    """A thread with a point count other than the tower's depth is
-    malformed input."""
+    """A thread with a point count other than the tower's depth, and an
+    anchored vertex without a thread, are malformed input."""
 
-    @pytest.mark.parametrize("points", [1, 3])
-    def test_thread_length_exits_3(self, tmp_path, capsys, points):
+    @staticmethod
+    def run_lift(tmp_path, threads) -> int:
         from polytower import formats
         from polytower.cli import main
 
         tower = tmp_path / "tower.json"
         tower.write_text(formats.dumps_canonical(formats.tower_to_obj(subdivision_tower(simplex(2), 2))))
+        spec = {
+            "domain": {"vertices": [], "maximal": [["x0", "x1"]]},
+            "f1": {
+                "vertex_points": {
+                    "x0": {"coords": {"a": "1"}, "scale": "1"},
+                    "x1": {"coords": {"b": "1"}, "scale": "1"},
+                }
+            },
+            "anchor": [["x0"]],
+        }
+        if threads is not None:
+            spec["threads"] = threads
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        return main(["lift", str(tower), "--spec", str(path), "--n", "2"])
+
+    @pytest.mark.parametrize("points", [1, 3])
+    def test_thread_length_exits_3(self, tmp_path, capsys, points):
         # a, (a,), (a,): the third point has no level to live on
         thread = [{"coords": {key: "1"}, "scale": "1"} for key in ("a", '["a"]', '["a"]')][:points]
-        spec = tmp_path / "spec.json"
-        spec.write_text(
-            json.dumps(
-                {
-                    "domain": {"vertices": [], "maximal": [["x0", "x1"]]},
-                    "f1": {
-                        "vertex_points": {
-                            "x0": {"coords": {"a": "1"}, "scale": "1"},
-                            "x1": {"coords": {"b": "1"}, "scale": "1"},
-                        }
-                    },
-                    "anchor": [["x0"]],
-                    "threads": {"x0": thread},
-                }
-            )
-        )
-        assert main(["lift", str(tower), "--spec", str(spec), "--n", "2"]) == 3
+        assert self.run_lift(tmp_path, {"x0": thread}) == 3
         assert "input error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("threads", [None, "x1"], ids=["no threads", "thread of another vertex"])
+    def test_anchored_vertex_without_thread_exits_3(self, tmp_path, capsys, threads):
+        if threads is not None:
+            threads = {threads: [{"coords": {key: "1"}, "scale": "1"} for key in ("b", '["b"]')]}
+        assert self.run_lift(tmp_path, threads) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "no thread for anchored vertex x0" in err and "lift.threads" in err
 
 
 class TestRestrictLevelErrors:

@@ -133,13 +133,13 @@ class TestPreimage:
 
     def test_cylinder_middle_circle(self):
         p = cylinder_map()
-        sub = preimage_subcomplex(p, [("u", "v")])
+        sub = preimage_subcomplex(p, (("u", "v"),))
         assert sorted(sub.vertices) == ["m0", "m1", "m2"]
         assert sorted(len(s) for s in sub.simplices) == [1, 1, 1, 2, 2, 2]
 
     def test_cylinder_bottom_tube(self):
         p = cylinder_map()
-        sub = preimage_subcomplex(p, [("u",), ("u", "v")])
+        sub = preimage_subcomplex(p, (("u",), ("u", "v")))
         assert len(sub.vertices) == 6
         dims = [len([s for s in sub.simplices if len(s) == k]) for k in (1, 2, 3)]
         assert dims == [6, 12, 6]
@@ -185,10 +185,10 @@ class TestFiberCrossCheck:
 
     def test_preimage_subcomplex_names(self):
         p = cylinder_map()
-        middle = preimage_subcomplex(p, [("u", "v")]).simplices
-        assert preimage_subcomplex(p, [["v", "u"]]).simplices == middle
-        with pytest.raises(ValueError):
-            preimage_subcomplex(p, [("u", "w")])
+        # a simplex is a sorted tuple of names as the target holds them
+        for delta in ([("u", "v")], (["u", "v"],), (("v", "u"),), (("u", "w"),), (("u",), ("u", "v"))[::-1]):
+            with pytest.raises(ValueError):
+                preimage_subcomplex(p, delta)
 
     def test_preimage_of_subdivided_subcomplex_matches_scan(self):
         for seed, (label, p) in enumerate(fiber_maps()):

@@ -76,6 +76,23 @@ class TestEvaluate:
             partial.evaluate(make_point(domain, {"x": Fraction(1, 2), "y": Fraction(1, 2)}))
 
 
+class TestImageOf:
+    def test_every_image_reads_back(self):
+        domain = simplex_complex(["x", "y", "z"])
+        target = simplex_complex(["u", "v", "w"])
+        images = {"x": vertex_point(target, "u"), "y": vertex_point(target, "v"), "z": vertex_point(target, "w")}
+        f = PartialPLMap.build(domain, whole_subcomplex(domain), images, target)
+        for v, point in images.items():
+            assert f.image_of(v) is point
+
+    def test_unmapped_vertex_rejected(self):
+        domain = simplex_complex(["x", "y"])
+        target = simplex_complex(["u"])
+        partial = PartialPLMap.build(domain, subcomplex_from(domain, [["x"]]), {"x": vertex_point(target, "u")}, target)
+        with pytest.raises(ValueError, match="map not defined at y"):
+            partial.image_of("y")
+
+
 class TestSubdivided:
     def test_same_map_on_finer_pieces(self):
         domain = simplex_complex(["x", "y", "z"])
@@ -118,7 +135,7 @@ class TestEquality:
     def test_constant_map(self):
         domain = simplex_complex(["x", "y"])
         target = simplex_complex(["u", "v", "w"])
-        center = barycenter_point(target, ["u", "v", "w"])
+        center = barycenter_point(target, ("u", "v", "w"))
         f = constant_pl_map(domain, target, center)
         assert f.evaluate(vertex_point(domain, "x")).coords == center.coords
 

@@ -71,7 +71,7 @@ class TestOpenStar:
         k = simplex_complex(["a", "b", "c"])
         star = open_vertex_star(k, "a")
         assert star.avoided.simplices == frozenset({("b",), ("c",), ("b", "c")})
-        assert star.contains_point(barycenter_point(k, ["a", "b", "c"]))
+        assert star.contains_point(barycenter_point(k, ("a", "b", "c")))
         assert not star.contains_point(vertex_point(k, "b"))
 
     def test_membership_is_support_meets_core(self):
@@ -176,7 +176,7 @@ class TestCovers:
         k = simplex_complex(["a", "b", "c"])
         co = cover_O(k)
         assert ("a", "b", "c") in nerve(co).complex.simplices
-        center = barycenter_point(k, ["a", "b", "c"])
+        center = barycenter_point(k, ("a", "b", "c"))
         assert all(element_contains_point(co.element(v), center, co.base) for v in "abc")
 
     def test_single_vertex_cover(self):
@@ -772,7 +772,7 @@ class TestDeformation:
     def test_non_full_core_rejected(self):
         k = simplex_complex(["a", "b", "c"])
         core = subcomplex_from(k, [["a"], ["b"]])
-        x = barycenter_point(k, ["a", "b", "c"])
+        x = barycenter_point(k, ("a", "b", "c"))
         with pytest.raises(ValueError):
             deformation_phi(x, Fraction(1, 2), core)
 

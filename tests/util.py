@@ -711,10 +711,9 @@ def is_full_subcomplex(sub: Subcomplex, ambient: Complex | None = None) -> bool:
 def closed_star(complex_: Complex, vertex) -> frozenset:
     """Simplices of every closed simplex containing the vertex: the faces
     of the maximal simplices through it."""
-    v = complex_.canon(vertex)
-    if not complex_.has_vertex(v):
-        raise UnknownVertexError(vertex_label(v))
-    return frozenset(face_closure(complex_.maximal_at(v)))
+    if not complex_.has_vertex(vertex):
+        raise UnknownVertexError(vertex_label(vertex))
+    return frozenset(face_closure(complex_.maximal_at(vertex)))
 
 
 # ---------------------------------------------------------------------------
