@@ -154,40 +154,47 @@ def homology(complex_: Complex, k: int, reduced: bool = False) -> HomologySummar
 # connectedness
 
 
-class UnionFind:
-    def __init__(self, items):
-        self.parent = {x: x for x in items}
+def _adjacency(complex_: Complex) -> dict:
+    """Each vertex's neighbours in `vertex_key` order: the edges come sorted
+    by the ranks of their ends, so a vertex meets its lesser neighbours, in
+    order, before its greater ones."""
+    adjacency: dict = {v: [] for v in complex_.vertices}
+    for u, v in complex_.edges():
+        adjacency[u].append(v)
+        adjacency[v].append(u)
+    return adjacency
 
-    def find(self, x):
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
 
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            # keep the canonically least name as representative
-            if vertex_key(rb) < vertex_key(ra):
-                ra, rb = rb, ra
-            self.parent[rb] = ra
+def _search(adjacency: dict, root) -> tuple:
+    """Breadth-first search from `root`, level by level and each level in
+    `vertex_key` order: (the vertices reached, the edges of its tree)."""
+    seen = {root}
+    tree = set()
+    frontier = [root]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for w in adjacency[u]:
+                if w not in seen:
+                    seen.add(w)
+                    tree.add(tuple(sorted((u, w), key=vertex_key)))
+                    nxt.append(w)
+        nxt.sort(key=vertex_key)
+        frontier = nxt
+    return seen, tree
 
 
 def components(complex_: Complex) -> list:
     """Vertex sets of connected components, each sorted, listed by their
     least representative."""
-    if not complex_.vertices:
-        return []
-    uf = UnionFind(complex_.vertices)
-    for u, v in complex_.edges():
-        uf.union(u, v)
-    groups: dict = {}
+    adjacency = _adjacency(complex_)
+    out: list = []
+    placed: set = set()
     for v in complex_.vertices:
-        groups.setdefault(uf.find(v), []).append(v)
-    out = [sorted(g, key=vertex_key) for g in groups.values()]
-    out.sort(key=lambda g: vertex_key(g[0]))
+        if v not in placed:
+            reached, _ = _search(adjacency, v)
+            placed |= reached
+            out.append(sorted(reached, key=vertex_key))
     return out
 
 
@@ -211,7 +218,6 @@ class Presentation(Record):
     """Generators are the non-tree edges of a spanning tree of the
     1-skeleton; one relator per triangle."""
 
-    basepoint: object
     generators: list  # list of edges (u, v)
     relators: list  # list of tuples of signed generator indices (1-based)
 
@@ -219,62 +225,22 @@ class Presentation(Record):
         return not self.generators
 
 
-def pi1_presentation(complex_: Complex, basepoint=None) -> Presentation:
-    comps = components(complex_)
-    if not comps:
+def pi1_presentation(complex_: Complex) -> Presentation:
+    """The edge-path presentation of a connected complex at its least
+    vertex, over the breadth-first tree of `_search`."""
+    if not complex_.vertices:
         raise ValueError("empty complex has no fundamental group")
-    if basepoint is None:
-        comp = comps[0]
-        basepoint = comp[0]
-    else:
-        comp = next((c for c in comps if basepoint in c), None)
-        if comp is None:
-            raise ValueError("basepoint not in the complex")
-    comp_set = set(comp)
-    adjacency: dict = {v: [] for v in comp}
-    for u, v in complex_.edges():
-        if u in comp_set:
-            adjacency[u].append(v)
-            adjacency[v].append(u)
-    for v in adjacency:
-        adjacency[v].sort(key=vertex_key)
-    # breadth-first spanning tree in canonical order
-    tree = set()
-    seen = {basepoint}
-    frontier = [basepoint]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for w in adjacency[u]:
-                if w not in seen:
-                    seen.add(w)
-                    tree.add(tuple(sorted((u, w), key=vertex_key)))
-                    nxt.append(w)
-        nxt.sort(key=vertex_key)
-        frontier = nxt
-    generators = []
-    gen_index = {}
-    for edge in complex_.edges():  # in `simplex_sort_key` order
-        if edge[0] in comp_set and edge not in tree:
-            gen_index[edge] = len(generators) + 1
-            generators.append(edge)
-
-    def letter(u, v):
-        """Signed generator of the oriented edge u -> v (0 when in the tree)."""
-        edge = tuple(sorted((u, v), key=vertex_key))
-        g = gen_index.get(edge, 0)
-        if g == 0:
-            return 0
-        return g if (u, v) == edge else -g
-
-    relators = []
-    for tri in complex_.simplices_of_dim(2):
-        if tri[0] not in comp_set:
-            continue
-        a, b, c = tri
-        word = tuple(x for x in (letter(a, b), letter(b, c), letter(c, a)) if x)
-        relators.append(word)
-    return Presentation(basepoint, generators, relators)
+    reached, tree = _search(_adjacency(complex_), complex_.vertices[0])
+    if len(reached) != len(complex_.vertices):
+        raise ValueError("complex is not connected")
+    generators = [edge for edge in complex_.edges() if edge not in tree]  # in `simplex_sort_key` order
+    index = {edge: g for g, edge in enumerate(generators, 1)}
+    # each triangle a < b < c read along a -> b -> c -> a, tree edges dropped
+    relators = [
+        tuple(x for x in (index.get((a, b), 0), index.get((b, c), 0), -index.get((a, c), 0)) if x)
+        for a, b, c in complex_.simplices_of_dim(2)
+    ]
+    return Presentation(generators, relators)
 
 
 def _free_reduce(word: tuple) -> tuple:
@@ -374,47 +340,24 @@ def tietze_simplify(presentation: Presentation, budget: int) -> tuple:
                 changed = True
                 break
     exhausted = steps > budget
-    simplified = Presentation(
-        presentation.basepoint,
-        [presentation.generators[g - 1] for g in sorted(gens)],
-        relators,
-    )
+    simplified = Presentation([presentation.generators[g - 1] for g in sorted(gens)], relators)
     return simplified, min(steps, budget), exhausted
 
 
-def pi1_verdict(complex_: Complex, basepoint=None, budgets: Budgets = DEFAULT_BUDGETS) -> Verdict:
-    """Holds when bounded simplification empties the presentation; fails when
-    the abelianisation is non-trivial; inconclusive otherwise."""
-    comps = components(complex_)
-    if not comps:
-        return Verdict.fails(witness="empty", reason="empty complex")
-    if basepoint is not None:
-        matching = [c for c in comps if basepoint in c]
-        if not matching:
-            raise ValueError("basepoint %s not in the complex" % vertex_label(basepoint))
-        comps = matching
-    per_component = []
-    for comp in comps:
-        members = set(comp)
-        sub = {s for s in complex_.simplices if s[0] in members}
-        piece = Complex._from_closed(sub)
-        pres = pi1_presentation(piece, comp[0])
-        simplified, _steps, exhausted = tietze_simplify(pres, budgets.pi1_steps)
-        if simplified.is_empty():
-            per_component.append(Verdict.holds())
-            continue
-        h1 = homology(piece, 1)
-        if not h1.is_trivial():
-            per_component.append(
-                Verdict.fails(
-                    witness={"betti": h1.betti, "torsion": list(h1.torsion)},
-                    reason="non-trivial first homology",
-                )
-            )
-            continue
-        reason = "rewrite budget exhausted" if exhausted else "presentation not emptied"
-        per_component.append(Verdict.inconclusive(reason))
-    return conjoin(per_component)
+def pi1_verdict(complex_: Complex, budgets: Budgets = DEFAULT_BUDGETS) -> Verdict:
+    """For a connected complex: holds when bounded simplification empties
+    the presentation; fails when the abelianisation is non-trivial;
+    inconclusive otherwise."""
+    simplified, _steps, exhausted = tietze_simplify(pi1_presentation(complex_), budgets.pi1_steps)
+    if simplified.is_empty():
+        return Verdict.holds()
+    h1 = homology(complex_, 1)
+    if not h1.is_trivial():
+        return Verdict.fails(
+            witness={"betti": h1.betti, "torsion": list(h1.torsion)},
+            reason="non-trivial first homology",
+        )
+    return Verdict.inconclusive("rewrite budget exhausted" if exhausted else "presentation not emptied")
 
 
 # ---------------------------------------------------------------------------

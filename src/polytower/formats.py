@@ -215,7 +215,7 @@ def _map_obj(m: QSMap, include_complexes: bool, lists: dict) -> dict:
     out = {
         "subdivide_target": True,
         "vertex_images": {
-            vertex_to_key(v): _shared_obj(w, lists) for v, w in m.vertex_map.assignment
+            vertex_to_key(v): _shared_obj(w, lists) for v, w in m.assignment
         },
     }
     if include_complexes:

@@ -104,54 +104,36 @@ def check_simplicial(f: VertexMap) -> Verdict:
     return Verdict.holds()
 
 
-class QSMap(Record, frozen=True):
-    """A quasi-simplicial map: simplicial from `source` into the barycentric
-    subdivision of `base_target`."""
+class QSMap(VertexMap, frozen=True):
+    """A quasi-simplicial map: a simplicial vertex map from `source` into
+    `target`, the barycentric subdivision of `base_target`."""
 
-    vertex_map: VertexMap  # source -> subdivided_target
-    source: Complex
     base_target: Complex
-    subdivided_target: Complex
-
-    @staticmethod
-    def build(source: Complex, base_target: Complex, images: dict) -> "QSMap":
-        subdivided = barycentric_subdivision(base_target)
-        vm = VertexMap.build(source, subdivided, images)
-        check = check_simplicial(vm)
-        if not check.is_holds:
-            raise NotSimplicialError(check.witness)
-        return QSMap(vm, source, base_target, subdivided)
-
-    def __call__(self, vertex):
-        return self.vertex_map(vertex)
-
-    def as_dict(self) -> dict:
-        return self.vertex_map.as_dict()
 
 
 def check_quasi_simplicial(source: Complex, base_target: Complex, images: dict) -> QSMap:
     """Validate a vertex assignment into subdivision names as a QSMap."""
-    return QSMap.build(source, base_target, images)
+    vm = VertexMap.build(source, barycentric_subdivision(base_target), images)
+    p = QSMap(source, vm.target, vm.assignment, base_target)
+    check = check_simplicial(p)
+    if not check.is_holds:
+        raise NotSimplicialError(check.witness)
+    return p
 
 
 def identity_qsmap(base: Complex) -> QSMap:
     """The identity of the subdivision, as a quasi-simplicial map onto the
     base complex."""
     subdivided = barycentric_subdivision(base)
-    return QSMap.build(subdivided, base, {v: v for v in subdivided.vertices})
-
-
-def underlying_vertex_map(p) -> VertexMap:
-    return p.vertex_map if isinstance(p, QSMap) else p
+    return check_quasi_simplicial(subdivided, base, {v: v for v in subdivided.vertices})
 
 
 def is_surjective(p) -> Verdict:
     """Combinatorial surjectivity: every maximal target simplex is the exact
     image of some source simplex, that is, a key of the simplex fibers.  For
     simplicial maps this coincides with geometric surjectivity."""
-    vm = underlying_vertex_map(p)
-    for target_max in vm.target.maximal:
-        if target_max not in vm.simplex_fibers:
+    for target_max in p.target.maximal:
+        if target_max not in p.simplex_fibers:
             return Verdict.fails(witness=target_max, reason="maximal simplex not covered")
     return Verdict.holds()
 
@@ -176,18 +158,17 @@ def preimage_subcomplex(p: QSMap, delta) -> Subcomplex:
     This is the preimage as a point set too: a point sits over delta exactly
     when its whole support maps into delta's vertex set (no coordinate may
     survive elsewhere)."""
-    if not p.subdivided_target.has_simplex(delta):
+    if not p.target.has_simplex(delta):
         raise ValueError("not a simplex of the subdivided target")
-    return _fiber_union(p.vertex_map, faces(delta))
+    return _fiber_union(p, faces(delta))
 
 
 def preimage_of_subdivided_subcomplex(p, sub: Subcomplex) -> Subcomplex:
     """Inverse image of a subcomplex of the map's (subdivided) target under a
     simplicial map: all source simplices whose image simplex lies in it."""
-    vm = underlying_vertex_map(p)
-    if sub.parent != vm.target:
+    if sub.parent != p.target:
         raise ValueError("subcomplex does not live in the map's target")
-    return _fiber_union(vm, sub.simplices)
+    return _fiber_union(p, sub.simplices)
 
 
 def preimage_of_base_subcomplex(p: QSMap, sub: Subcomplex) -> Subcomplex:
@@ -196,7 +177,7 @@ def preimage_of_base_subcomplex(p: QSMap, sub: Subcomplex) -> Subcomplex:
     whole image chain does, so this is the preimage of its subdivision."""
     if sub.parent != p.base_target:
         raise ValueError("subcomplex does not live in the base target")
-    return _fiber_union(p.vertex_map, beta_subcomplex(sub).simplices)
+    return _fiber_union(p, beta_subcomplex(sub).simplices)
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +191,7 @@ def apply_subdivision(p: QSMap, x: Point) -> Point:
     for v, c in x.coords:
         w = mapping[v]
         acc[w] = acc.get(w, Fraction(0)) + c
-    return make_point(p.subdivided_target, acc, x.scale)
+    return make_point(p.target, acc, x.scale)
 
 
 def apply(p: QSMap, x: Point, scale=None) -> Point:
@@ -361,11 +342,10 @@ def induced_homology_map(p, k: int) -> tuple:
     from .connectivity import homology_coordinates
     from .snf import combine
 
-    vm = underlying_vertex_map(p)
-    src = homology_coordinates(vm.source, k)
+    src = homology_coordinates(p.source, k)
     # a map onto an equal complex (an identity bond) reduces it once
-    dst = src if vm.target == vm.source else homology_coordinates(vm.target, k)
-    chain = chain_map_columns(vm, k)
+    dst = src if p.target == p.source else homology_coordinates(p.target, k)
+    chain = chain_map_columns(p, k)
     src_group = (src.betti, src.torsion)
     dst_group = (dst.betti, dst.torsion)
 

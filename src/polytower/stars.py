@@ -33,7 +33,7 @@ from .complexes import (
     vertex_key,
     vertex_label,
 )
-from .maps import QSMap, preimage_of_base_subcomplex, preimage_of_subdivided_subcomplex, underlying_vertex_map
+from .maps import QSMap, preimage_of_base_subcomplex, preimage_of_subdivided_subcomplex
 from .records import Record
 from .verdicts import DEFAULT_BUDGETS, Budgets, Verdict
 
@@ -274,25 +274,24 @@ def pullback_cover(p, cover: IndexedCover) -> IndexedCover:
     target vertices meeting its core (on the base target: the simplices of
     the base meeting it).
     """
-    vm = underlying_vertex_map(p)
     star_of = dict(cover.star_of)
-    if cover.ambient == vm.target:
-        pull_closed = lambda sub: preimage_of_subdivided_subcomplex(vm, sub)
+    if cover.ambient == p.target:
+        pull_closed = lambda sub: preimage_of_subdivided_subcomplex(p, sub)
         places = lambda core: core
     elif isinstance(p, QSMap) and cover.ambient == p.base_target:
         pull_closed = lambda sub: preimage_of_base_subcomplex(p, sub)
         places = lambda core: open_intersection(p.base_target, [core])
     else:
         raise ValueError("cover does not live on the map's target")
-    fibers = vm.vertex_fibers
+    fibers = p.vertex_fibers
     elements: dict = {}
     for i, e in cover.elements:
         if isinstance(e, Subcomplex):
             elements[i] = pull_closed(e)
         else:
             w = [v for t in places(e.core.vertex_set()) for v in fibers.get(t, ())]
-            elements[i] = OpenStarSet(vm.source, induced_subcomplex(vm.source, w))
-    return IndexedCover.build(vm.source, cover.kind, elements, base=None, star_of=star_of, check=False)
+            elements[i] = OpenStarSet(p.source, induced_subcomplex(p.source, w))
+    return IndexedCover.build(p.source, cover.kind, elements, base=None, star_of=star_of, check=False)
 
 
 # ---------------------------------------------------------------------------

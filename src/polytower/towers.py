@@ -70,7 +70,7 @@ def regularity_report(p: QSMap, n: int, budgets: Budgets = DEFAULT_BUDGETS) -> d
     `holds` get an entry; `checked` counts them all.  Empty preimages are
     surjectivity failures, never vacuous passes."""
     check_degree(n)
-    simplices = p.subdivided_target.sorted_simplices()
+    simplices = p.target.sorted_simplices()
     entries = []
     for delta in simplices:
         pre = preimage_subcomplex(p, delta)

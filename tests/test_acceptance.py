@@ -108,7 +108,7 @@ def test_ac03_preimage_correctness():
     with Timer() as t:
         rng = random.Random(2024)
         for p in (cylinder_map(), identity_qsmap(simplex(2))):
-            deltas = p.subdivided_target.sorted_simplices()
+            deltas = p.target.sorted_simplices()
             preimages = {delta: preimage_subcomplex(p, delta) for delta in deltas}
             for _ in range(1000):
                 x = random_point(p.source, rng)

@@ -130,7 +130,7 @@ class TestRoundTrips:
                     yield from nested(part)
 
         names = {n for level in t.levels for v in level.vertices for n in nested(v)}
-        names |= {n for bond in t.bonds for _, w in bond.vertex_map.assignment for n in nested(w)}
+        names |= {n for bond in t.bonds for _, w in bond.assignment for n in nested(w)}
         # generated files list every name in canonical order, so one join
         # per distinct name
         assert len(joined) == len(names)

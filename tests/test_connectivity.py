@@ -168,10 +168,32 @@ class TestPi1:
         assert not exhausted
         assert steps >= 3
 
-    def test_disconnected_complex_conjoins_components(self):
+    def test_disconnected_complex_is_refused(self):
+        # π1 is asked of a connected complex only: connectedness fails first,
+        # naming the least vertex of each of the first two components
         k = Complex.from_maximal([["a", "b", "c"], ["x", "y"], ["y", "z"], ["x", "z"]])
-        v = pi1_verdict(k)
-        assert v.is_fails  # the triangle component is fine, the circle is not
+        v = is_connected(k)
+        assert v.is_fails and v.witness == ["a", "x"]
+        with pytest.raises(ValueError, match="not connected"):
+            pi1_presentation(k)
+        with pytest.raises(ValueError, match="not connected"):
+            pi1_verdict(k)
+
+    def test_verdict_builds_no_complex(self, monkeypatch):
+        # the presentation and H_1 are read off the complex itself
+        built = []
+        init = Complex.__init__
+
+        def counting_init(self, *args):
+            built.append(args)
+            init(self, *args)
+
+        for k in (rp2_complex(), sphere_complex(1)):
+            monkeypatch.setattr(Complex, "__init__", counting_init)
+            v = pi1_verdict(k)
+            monkeypatch.undo()
+            assert v.is_fails
+        assert built == []
 
     def test_never_holds_with_nontrivial_h1(self):
         for seed in range(8):

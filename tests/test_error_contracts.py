@@ -15,7 +15,6 @@ from polytower.complexes import (
     subcomplex_from,
     whole_subcomplex,
 )
-from polytower.connectivity import pi1_presentation, pi1_verdict
 from polytower.maps import VertexMap, identity_qsmap, preimage_subcomplex
 from polytower.plmaps import PartialPLMap
 from polytower.stars import barycentric_vertex_star, open_vertex_star
@@ -76,8 +75,6 @@ NAME_ENTRY_POINTS = {
     "barycentric_vertex_star": (lambda name: barycentric_vertex_star(BETA, name), UnknownVertexError),
     "PartialPLMap.build": (lambda name: _plmap(_with_key(ALL_TO_A, name, A)), UnknownVertexError),
     "PartialPLMap.image_of": (lambda name: _plmap(ALL_TO_A).image_of(name), ValueError),
-    "pi1_presentation": (lambda name: pi1_presentation(BETA, name), ValueError),
-    "pi1_verdict": (lambda name: pi1_verdict(BETA, name), ValueError),
 }
 
 # a list, an unsorted tuple and an unknown string: none is a vertex of BETA

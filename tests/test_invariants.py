@@ -48,32 +48,25 @@ class TestSurjectivitySoundness:
         for p in maps:
             verdict = is_surjective(p)
             assert verdict.is_holds
-            source, target = _source_target(p)
             for _ in range(60):
-                y = random_point(target, rng)
+                y = random_point(p.target, rng)
                 assert _affine_preimage(p, y) is not None, (p, y)
 
     def test_preimage_actually_maps_onto_sample(self):
         rng = random.Random(23)
         p = cylinder_map()
         for _ in range(60):
-            y = random_point(p.subdivided_target, rng)
+            y = random_point(p.target, rng)
             x = _affine_preimage(p, y)
             assert x is not None
             assert apply_subdivision(p, x).coords == y.coords
-
-
-def _source_target(p):
-    if hasattr(p, "subdivided_target"):
-        return p.source, p.subdivided_target
-    return p.source, p.target
 
 
 def _affine_preimage(p, y):
     """Invert the affine extension over one maximal source simplex: spread
     each target coordinate uniformly over the fiber inside the simplex."""
     mapping = p.as_dict()
-    source, _ = _source_target(p)
+    source = p.source
     y_coords = y.as_dict()
     for s in source.maximal:
         fibers = {}
@@ -157,7 +150,7 @@ class TestRandomMapSweeps:
         for seed in range(5):
             base = random_complex(seed)
             p = random_qsmap(base, seed + 60)
-            deltas = p.subdivided_target.sorted_simplices()
+            deltas = p.target.sorted_simplices()
             for _ in range(40):
                 x = random_point(p.source, rng)
                 pushed = apply_subdivision(p, x)

@@ -73,7 +73,7 @@ class TestCheckSimplicial:
     def test_cylinder_map_all_twelve_triangles(self):
         p = cylinder_map()
         assert len(p.source.simplices_of_dim(2)) == 12
-        assert check_simplicial(p.vertex_map).is_holds
+        assert check_simplicial(p).is_holds
 
 
 class TestQuasiSimplicial:
@@ -81,6 +81,13 @@ class TestQuasiSimplicial:
         base = simplex_complex(["u", "v"])
         p = identity_qsmap(base)
         assert p.source == barycentric_subdivision(base)
+
+    def test_identity_is_a_vertex_map_into_the_subdivision(self):
+        base = simplex_complex(["u", "v", "w"])
+        p = identity_qsmap(base)
+        assert isinstance(p, VertexMap)
+        assert p.target == barycentric_subdivision(base) and p.base_target == base
+        assert p(("u", "w")) == ("u", "w")
 
     def test_constant_map(self):
         k = simplex_complex(["a", "b", "c"])
@@ -124,7 +131,7 @@ class TestPreimage:
     def test_identity_gives_back_simplex(self):
         base = simplex_complex(["u", "v"])
         p = identity_qsmap(base)
-        for delta in p.subdivided_target.sorted_simplices():
+        for delta in p.target.sorted_simplices():
             sub = preimage_subcomplex(p, delta)
             assert set(delta) == set(sub.vertices)
             assert tuple(sorted(delta, key=lambda x: (len(x), x))) in {
@@ -147,7 +154,7 @@ class TestPreimage:
     def test_membership_agreement_sampled(self):
         p = cylinder_map()
         rng = random.Random(0)
-        deltas = p.subdivided_target.sorted_simplices()
+        deltas = p.target.sorted_simplices()
         for _ in range(300):
             x = random_point(p.source, rng)
             pushed = apply_subdivision(p, x)
@@ -180,7 +187,7 @@ class TestFiberCrossCheck:
 
     def test_preimage_subcomplex_matches_scan(self):
         for label, p in fiber_maps():
-            for delta in p.subdivided_target.simplices:
+            for delta in p.target.simplices:
                 assert preimage_subcomplex(p, delta).simplices == scan_preimage(p, delta), (label, delta)
 
     def test_preimage_subcomplex_names(self):
@@ -192,11 +199,10 @@ class TestFiberCrossCheck:
 
     def test_preimage_of_subdivided_subcomplex_matches_scan(self):
         for seed, (label, p) in enumerate(fiber_maps()):
-            vm = p.vertex_map
-            subs = [induced_subcomplex(vm.target, w) for w in random_vertex_subsets(vm.target, seed, count=4)]
+            subs = [induced_subcomplex(p.target, w) for w in random_vertex_subsets(p.target, seed, count=4)]
             subs += [e for _, e in cover_B(p.base_target).elements]
             for sub in subs:
-                expected = scan_preimage_of_subdivided(vm, sub)
+                expected = scan_preimage_of_subdivided(p, sub)
                 assert preimage_of_subdivided_subcomplex(p, sub).simplices == expected, label
 
     def test_preimage_of_base_subcomplex_matches_scan(self):
@@ -325,7 +331,7 @@ def _point_in(complex_, simplex, rng):
 class TestCompose:
     def test_identity_neutral(self):
         p = cylinder_map()
-        left = compose(identity_qsmap(p.base_target).vertex_map, p)
+        left = compose(identity_qsmap(p.base_target), p)
         hmm = left  # composition with the subdivision identity keeps images
         assert hmm.as_dict() == p.as_dict()
 

@@ -166,7 +166,7 @@ class TestCachedProperties:
         tower = subdivision_tower(simplex(2), 2)
         assert tower.covers is tower.covers and tower.lipschitz is tower.lipschitz
         assert tower == subdivision_tower(simplex(2), 2)  # cached values are no fields
-        vm = random_qsmap(simplex_complex(["a", "b", "c"]), 1).vertex_map
+        vm = random_qsmap(simplex_complex(["a", "b", "c"]), 1)
         assert vm.vertex_fibers is vm.vertex_fibers and vm.simplex_fibers is vm.simplex_fibers
         assert hash(vm) == hash(fields_of(vm))
         cover = cover_B(simplex_complex(["a", "b"]))

@@ -342,12 +342,12 @@ def nerve_cross_check_covers() -> list:
     for seed in range(6):
         tower = random_tower(seed, 3)
         for idx, bond in enumerate(tower.bonds):
-            level, vm = tower.levels[idx], bond.vertex_map
+            level = tower.levels[idx]
             tag = "random tower %d bond %d" % (seed, idx + 1)
             out += [
                 (tag + " B", pullback_cover(bond, cover_B(level))),
                 (tag + " O", pullback_cover(bond, cover_O(level))),
-                (tag + " O on the map", pullback_cover(vm, cover_O(vm.target))),
+                (tag + " O on the map", pullback_cover(bond, cover_O(bond.target))),
             ]
     out += [(label, pulled) for label, _, _, pulled in bond_pullbacks()]
     return out
@@ -367,7 +367,7 @@ class TestTrustedSubcomplexes:
         def check(label, p, stars):
             pulled = pullback_cover(p, stars)
             for i, element in pulled.elements:
-                expected = scan_preimage_of_subdivided(p.vertex_map, stars.element(i))
+                expected = scan_preimage_of_subdivided(p, stars.element(i))
                 assert element == Subcomplex(p.source, expected), (label, i)
             return pulled
 
@@ -475,7 +475,7 @@ class TestPullback:
         # pulling back the closed stars of the subdivided segment's three
         # vertices yields three tube-shaped subcomplexes
         p = cylinder_map()
-        stars = closed_star_cover(p.subdivided_target)
+        stars = closed_star_cover(p.target)
         pulled = pullback_cover(p, stars)
         assert len(pulled.indices) == 3
         sizes = [len(pulled.element(i).vertex_set()) for i in pulled.indices]
@@ -500,13 +500,12 @@ class TestPullback:
             if len(base.simplices) > 120:
                 continue
             p = random_qsmap(base, 1)
-            vm = p.vertex_map
-            stars = cover_O(vm.target)
-            pulled = pullback_cover(vm, stars)
+            stars = cover_O(p.target)
+            pulled = pullback_cover(p, stars)
             for i, e in pulled.elements:
                 core_targets = stars.element(i).core.vertex_set()
-                w = [v for v in vm.source.vertices if vm(v) in core_targets]
-                assert e.core.simplices == scan_induced(vm.source, w), (label, i)
+                w = [v for v in p.source.vertices if p(v) in core_targets]
+                assert e.core.simplices == scan_induced(p.source, w), (label, i)
             # the open stars of the base target, pulled along the QSMap itself
             base_stars = cover_O(p.base_target)
             for i, e in pullback_cover(p, base_stars).elements:

@@ -58,7 +58,7 @@ class TestRegularityReport:
             assert report["aggregate"].is_holds
             # entries list only the simplices that do not hold
             assert report["entries"] == []
-            assert report["checked"] == len(p.subdivided_target.simplices)
+            assert report["checked"] == len(p.target.simplices)
 
     def test_cylinder_holds_at_one(self):
         assert regularity_report(cylinder_map(), 1)["aggregate"].is_holds

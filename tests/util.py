@@ -37,7 +37,7 @@ from polytower.complexes import (
     whole_subcomplex,
 )
 from polytower.connectivity import subcomplex_verdict
-from polytower.maps import VertexMap, underlying_vertex_map
+from polytower.maps import VertexMap, check_quasi_simplicial
 from polytower.plmaps import PartialPLMap
 from polytower.records import Record
 from polytower.stars import (
@@ -200,7 +200,6 @@ def random_qsmap(base: Complex, seed: int):
     name maps to a face of itself containing the faces chosen lower down, so
     chains map to chains."""
     from polytower.complexes import vertex_key as vk
-    from polytower.maps import QSMap
 
     rng = random.Random(seed)
     subdivided = barycentric_subdivision(base)
@@ -218,7 +217,7 @@ def random_qsmap(base: Complex, seed: int):
         ]
         candidates = sorted({c for c in candidates if c}, key=lambda s: (len(s), vk(s)))
         chosen[name] = rng.choice(candidates)
-    return QSMap.build(subdivided, base, chosen)
+    return check_quasi_simplicial(subdivided, base, chosen)
 
 
 def cylinder_complex() -> Complex:
@@ -236,8 +235,6 @@ def cylinder_complex() -> Complex:
 def cylinder_map():
     """The stacked cylinder collapsing onto the edge [u, v]: bottom circle to
     u, middle circle to the edge midpoint, top circle to v."""
-    from polytower.maps import QSMap
-
     base = Complex.from_maximal([["u", "v"]])
     cyl = cylinder_complex()
     images = {}
@@ -248,7 +245,7 @@ def cylinder_map():
             images[v] = ("u", "v")
         else:
             images[v] = ("v",)
-    return QSMap.build(cyl, base, images)
+    return check_quasi_simplicial(cyl, base, images)
 
 
 def simplex_complex(names) -> Complex:
@@ -335,7 +332,7 @@ def scan_beta_subcomplex(sub, beta) -> frozenset:
 def scan_preimage(p, delta) -> frozenset:
     """`preimage_subcomplex`: induced on the source vertices mapped into delta."""
     allowed = set(delta)
-    return scan_induced(p.source, [v for v, img in p.vertex_map.assignment if img in allowed])
+    return scan_induced(p.source, [v for v, img in p.assignment if img in allowed])
 
 
 def scan_preimage_of_subdivided(vm, sub) -> frozenset:
@@ -618,9 +615,8 @@ def scan_preimage_of_base(p, sub) -> frozenset:
 def scan_is_surjective(p):
     """Every source simplex's image, then the first maximal target simplex
     (in `simplex_sort_key` order) that none of them is."""
-    vm = underlying_vertex_map(p)
-    covered = {vm.image_simplex(s) for s in vm.source.simplices}
-    for target_max in sorted(vm.target.maximal, key=simplex_sort_key):
+    covered = {p.image_simplex(s) for s in p.source.simplices}
+    for target_max in sorted(p.target.maximal, key=simplex_sort_key):
         if target_max not in covered:
             return Verdict.fails(witness=target_max, reason="maximal simplex not covered")
     return Verdict.holds()
@@ -855,16 +851,14 @@ def compose(outer, inner) -> VertexMap:
     Images are flattened back to coarser vertices only when every image is a
     singleton chain.
     """
-    inner_vm = underlying_vertex_map(inner)
-    outer_vm = underlying_vertex_map(outer)
-    if inner_vm.target == outer_vm.source:
-        extended = outer_vm
+    if inner.target == outer.source:
+        extended = outer
     else:
-        extended = _beta_extension(outer_vm)
-        if inner_vm.target != extended.source:
+        extended = _beta_extension(outer)
+        if inner.target != extended.source:
             raise ValueError("maps do not compose: target/source mismatch")
-    mapping = {v: extended(inner_vm(v)) for v in inner_vm.source.vertices}
-    composed = VertexMap.build(inner_vm.source, extended.target, mapping)
+    mapping = {v: extended(inner(v)) for v in inner.source.vertices}
+    composed = VertexMap.build(inner.source, extended.target, mapping)
     return flatten_vertex_map(composed)
 
 
