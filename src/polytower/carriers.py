@@ -21,10 +21,8 @@ from .complexes import (
     Point,
     Subcomplex,
     barycenter_point,
-    barycentric_subdivision,
     convex_combination,
     face_closure,
-    flatten_point,
     simplex_sort_key,
     vertex_key,
     whole_subcomplex,
@@ -32,13 +30,7 @@ from .complexes import (
 from .connectivity import collapses_to_point
 from .plmaps import PartialPLMap
 from .records import Record
-from .stars import (
-    IndexedCover,
-    OpenStarSet,
-    align_point,
-    element_contains_hull,
-    open_intersection,
-)
+from .stars import IndexedCover, OpenStarSet, element_contains_hull, open_intersection
 from .verdicts import DEFAULT_BUDGETS, Budgets, Verdict
 
 
@@ -48,17 +40,16 @@ class Carrier(Record, frozen=True):
 
     source_cover: IndexedCover  # closed cover of the domain by subcomplexes
     targets: tuple  # (index, element) pairs over the same index set
-    pl_target: Complex  # the complex PL map images live on
-    target_base: Complex | None = None  # set when targets live in its subdivision
+    map_target: Complex  # the complex PL map images and the targets live on
 
     @staticmethod
-    def build(source_cover: IndexedCover, targets: dict, pl_target: Complex, target_base=None) -> "Carrier":
+    def build(source_cover: IndexedCover, targets: dict, map_target: Complex) -> "Carrier":
         if not all(isinstance(e, Subcomplex) for _, e in source_cover.elements):
             raise ValueError("carrier source covers must be closed")
         if set(targets) != set(source_cover.indices):
             raise ValueError("carrier must assign a target to every index")
         pairs = tuple(sorted(targets.items(), key=lambda kv: vertex_key(kv[0])))
-        return Carrier(source_cover, pairs, pl_target, target_base)
+        return Carrier(source_cover, pairs, map_target)
 
     @cached_property
     def _by_index(self) -> dict:
@@ -100,7 +91,7 @@ def is_carried(f: PartialPLMap, carrier: Carrier) -> Verdict:
     for i, element in carrier.source_cover.elements:
         for s in sorted(element.simplices & f.defined_on.simplices, key=simplex_sort_key):
             points = f.image_points(s)
-            verdict = element_contains_hull(carrier.target(i), points, carrier.target_base)
+            verdict = element_contains_hull(carrier.target(i), points)
             if verdict is True:
                 continue
             if verdict is False:
@@ -117,16 +108,14 @@ def is_carried(f: PartialPLMap, carrier: Carrier) -> Verdict:
 
 class Region(Record):
     """The target intersection constraining one domain cell, as a set of
-    simplices of one complex, `parent`: the map target, or its subdivision
-    when closed targets live there.  A closed intersection holds the
+    simplices of the map target, `parent`.  A closed intersection holds the
     simplices of its subcomplex, an open one the simplices meeting every
     core (`stars.open_intersection`).  Every test is one rule, `spans`: the
-    aligned supports, together, span a region simplex.  The node graph of
-    the fillers has the region's vertices as nodes (1-tuples) for closed
+    supports, together, span a region simplex.  The node graph of the
+    fillers has the region's vertices as nodes (1-tuples) for closed
     targets and every region simplex for open ones; a node stands for its
     barycentre."""
 
-    pl_target: Complex
     parent: Complex
     simplices: frozenset
     nodes: tuple  # in `simplex_sort_key` order
@@ -136,25 +125,20 @@ class Region(Record):
         return frozenset(self.nodes)
 
     def support(self, points) -> set:
-        """The union of the supports of the points, aligned with the parent."""
-        vertices = set()
-        for y in points:
-            vertices.update(align_point(y, self.parent, self.pl_target).support)
-        return vertices
+        """The union of the supports of the points."""
+        return set().union(*(y.support for y in points))
 
     def spans(self, vertices) -> bool:
         return tuple(sorted(vertices, key=vertex_key)) in self.simplices
 
     def node_point(self, node, scale) -> Point:
-        p = barycenter_point(self.parent, node, scale)
-        return p if self.parent == self.pl_target else flatten_point(p, self.pl_target)
+        return barycenter_point(self.parent, node, scale)
 
     def entry_node(self, y: Point):
-        """The node a point enters the node graph by: its aligned support
-        when that is a node (always, in an open region containing it), its
-        least vertex otherwise."""
-        support = align_point(y, self.parent, self.pl_target).support
-        return support if support in self.node_set else support[:1]
+        """The node a point enters the node graph by: its support when that
+        is a node (always, in an open region containing it), its least vertex
+        otherwise."""
+        return y.support if y.support in self.node_set else y.support[:1]
 
     def apex(self, pieces):
         """The first node whose join with every piece (a vertex set) spans a
@@ -190,22 +174,18 @@ class Region(Record):
 
 def _region_for(carrier: Carrier, indices) -> Region:
     elements = [carrier.target(i) for i in indices]
-    pl_target = carrier.pl_target
+    map_target = carrier.map_target
     if all(isinstance(e, Subcomplex) for e in elements):
-        parents = {e.parent for e in elements}
-        if len(parents) != 1:
-            raise ValueError("carrier targets live on different complexes")
-        parent = parents.pop()
-        if parent != pl_target and parent != barycentric_subdivision(pl_target):
-            raise ValueError("carrier targets must live on the map target or its subdivision")
+        if {e.parent for e in elements} != {map_target}:
+            raise ValueError("carrier targets must live on the map target")
         common = frozenset.intersection(*(e.simplices for e in elements))
         nodes = sorted((s for s in common if len(s) == 1), key=simplex_sort_key)
-        return Region(pl_target, parent, common, tuple(nodes))
+        return Region(map_target, common, tuple(nodes))
     if all(isinstance(e, OpenStarSet) for e in elements):
-        if {e.ambient for e in elements} != {pl_target}:
+        if {e.ambient for e in elements} != {map_target}:
             raise ValueError("open targets must live on the map target")
-        joint = open_intersection(pl_target, [e.core.vertex_set() for e in elements])
-        return Region(pl_target, pl_target, frozenset(joint), tuple(joint))
+        joint = open_intersection(map_target, [e.core.vertex_set() for e in elements])
+        return Region(map_target, frozenset(joint), tuple(joint))
     raise ValueError("carrier mixes open and closed targets")
 
 
@@ -245,6 +225,8 @@ def extend_carried(
         raise ValueError("constructive extension handles domains of dimension at most 2")
     if carrier.source_cover.ambient != domain:
         raise ValueError("carrier covers a different domain")
+    if f.target != carrier.map_target:
+        raise ValueError("the map and the carrier targets live on different complexes")
     defined = f.defined_on.simplices
     images = {v: p for v, p in f.images}
     scale = f.scale
@@ -577,7 +559,7 @@ def _check_extension(total: PartialPLMap, carrier: Carrier, descent: dict) -> Ve
     for s in total.domain.maximal:
         points = total.image_points(s)
         for i in carrier.indices_covering(descent[s]):
-            ok = element_contains_hull(carrier.target(i), points, carrier.target_base)
+            ok = element_contains_hull(carrier.target(i), points)
             if ok is not True:
                 return Verdict.fails(
                     witness={"index": i, "simplex": s},
@@ -590,13 +572,12 @@ def carried_extension(
     seed: PartialPLMap,
     source_cover: IndexedCover,
     targets: dict,
-    target_base: Complex | None = None,
     budgets: Budgets = DEFAULT_BUDGETS,
 ) -> ExtensionResult:
     """Extend a partial map over a closed source cover carried to the given
     targets: build the carrier, validate it, check that the seed is
     carried, then extend."""
-    carrier = Carrier.build(source_cover, targets, seed.target, target_base)
+    carrier = Carrier.build(source_cover, targets, seed.target)
     status = validate_carrier(carrier, budgets)
     if status.is_holds:
         status = is_carried(seed, carrier)

@@ -256,14 +256,7 @@ def cmd_lift(args) -> int:
     if not isinstance(spec, dict):
         raise formats.InputFormatError("a lift specification is an object", "lift")
     domain = formats.parse_complex(spec.get("domain"), "lift.domain")
-    f1 = formats.parse_plmap(
-        {"vertex_points": spec.get("map", {}), "defined_on": [[formats.vertex_to_obj(v) for v in s] for s in domain.maximal]}
-        if "map" in spec
-        else spec.get("f1"),
-        domain=domain,
-        target=tower.levels[0],
-        context="lift.f1",
-    )
+    f1 = formats.parse_plmap(spec.get("f1"), domain=domain, target=tower.levels[0], context="lift.f1")
     defined = subcomplex_from(domain, formats.parse_simplices(spec.get("anchor", []), "lift.anchor"))
     raw_threads = spec.get("threads", {})
     if not isinstance(raw_threads, dict) or not all(isinstance(rows, list) for rows in raw_threads.values()):

@@ -324,9 +324,6 @@ class Subcomplex(Record, frozen=True):
     def as_complex(self) -> Complex:
         return Complex._from_closed(set(self.simplices))
 
-    def contains_point(self, point: "Point") -> bool:
-        return point.support in self.simplices
-
     def sorted_simplices(self) -> list:
         return sorted(self.simplices, key=simplex_sort_key)
 

@@ -308,12 +308,7 @@ def parse_cover(obj, context="cover") -> IndexedCover:
                 elements[index] = OpenStarSet(ambient, sub)
         else:
             raise InputFormatError("elements are simplex lists or {'star_of': v}", context)
-    try:
-        return IndexedCover.build(
-            target_complex, kind, elements, base=base, star_of=star_of, check=False
-        )
-    except ValueError as exc:
-        raise InputFormatError(str(exc), context)
+    return IndexedCover.build(target_complex, kind, elements, base=base, star_of=star_of)
 
 
 # ---------------------------------------------------------------------------

@@ -397,8 +397,6 @@ def _onto_verdict(generator_images, dst) -> Verdict:
         col = [0] * rows
         col[free_rank + idx] = order
         cols.append(col)
-    if rows == 0:
-        return Verdict.holds()
     matrix = [[col[i] for col in cols] for i in range(rows)]
     factors = invariant_factors(matrix, cols=len(cols))
     if len(factors) == rows and all(abs(d) == 1 for d in factors):

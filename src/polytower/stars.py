@@ -64,12 +64,6 @@ class OpenStarSet(Record, frozen=True):
         rest = [v for v in self.ambient.vertices if v not in self.core.vertex_set()]
         return induced_subcomplex(self.ambient, rest)
 
-    def contains_point(self, point: Point) -> bool:
-        if point.complex != self.ambient:
-            raise ValueError("point lives on a different complex")
-        core_vertices = self.core.vertex_set()
-        return any(v in core_vertices for v in point.support)
-
 
 def open_intersection(ambient: Complex, cores) -> list:
     """The simplices of the ambient meeting every core (vertex sets), in
@@ -119,17 +113,10 @@ class IndexedCover(Record, frozen=True):
     star_of: tuple = ()
 
     @staticmethod
-    def build(ambient, kind, elements: dict, base=None, star_of=None, check=True) -> "IndexedCover":
+    def build(ambient, kind, elements: dict, base=None, star_of=None) -> "IndexedCover":
         pairs = tuple(sorted(elements.items(), key=lambda kv: vertex_key(kv[0])))
         stars = tuple(sorted((star_of or {}).items(), key=lambda kv: vertex_key(kv[0])))
-        cover = IndexedCover(ambient, kind, pairs, base, stars)
-        if check:
-            missing = cover.first_uncovered()
-            if missing is not None:
-                raise ValueError(
-                    "cover misses simplex %s" % (tuple(vertex_label(v) for v in missing),)
-                )
-        return cover
+        return IndexedCover(ambient, kind, pairs, base, stars)
 
     @property
     def indices(self) -> tuple:
@@ -145,22 +132,6 @@ class IndexedCover(Record, frozen=True):
             return self._by_index[index]
         except (KeyError, TypeError):
             raise IndexMismatchError("unknown cover index %r" % (index,)) from None
-
-    def first_uncovered(self):
-        """The first maximal simplex (in `simplex_sort_key` order) that no
-        element accounts for, or None.  A subcomplex accounts for its own
-        simplices, an open star for every simplex meeting its core."""
-        covered = set()
-        touched = set()
-        for _, e in self.elements:
-            if isinstance(e, Subcomplex):
-                covered.update(e.simplices)
-            else:
-                touched.update(e.core.vertex_set())
-        for s in self.ambient.maximal:
-            if s not in covered and touched.isdisjoint(s):
-                return s
-        return None
 
     def intersection_subcomplex(self, index_subset) -> Subcomplex:
         elems = [self.element(i) for i in index_subset]
@@ -191,42 +162,29 @@ def cover_B(base: Complex) -> IndexedCover:
 
 
 # ---------------------------------------------------------------------------
-# point and hull containment in elements
-
-
-def element_contains_point(element, point: Point, base: Complex | None = None) -> bool:
-    """Exact membership of a point in a cover element.  Points expressed on
-    the base complex are lifted into subdivision coordinates when the element
-    lives in the subdivision."""
-    if isinstance(element, OpenStarSet):
-        aligned = align_point(point, element.ambient, base)
-        return element.contains_point(aligned)
-    if isinstance(element, Subcomplex):
-        aligned = align_point(point, element.parent, base)
-        return aligned.support in element.simplices
-    raise TypeError("unknown element type %r" % (type(element),))
+# hull containment in elements
 
 
 def element_contains_hull(element, points, base: Complex | None = None):
-    """Containment of the convex hull of finitely many points.
+    """Containment of the convex hull of finitely many points, read off the
+    supports of the points aligned with the element's complex (lifted into
+    the subdivision when they live on the base).
 
-    Returns True on a certificate, False on an exact pointwise violation at
-    one of the given points, None when undecided (the hull certificate needs
-    the lifted supports to sit in one simplex of the element's complex).
+    An open star holds the hull when every support meets its core: every
+    hull point's support contains some corner's support, so this is exact.
+    A subcomplex holds it when the supports together span one of its
+    simplices, and refutes it when some corner's support is missing; it
+    leaves it undecided (None) otherwise.
     """
     if isinstance(element, OpenStarSet):
-        # membership only looks at supports, and every hull point's support
-        # contains some corner's support, so corner membership is exact
-        return all(element_contains_point(element, p, base) for p in points)
+        core = element.core.vertex_set()
+        return all(not core.isdisjoint(align_point(p, element.ambient, base).support) for p in points)
     if isinstance(element, Subcomplex):
-        aligned = [align_point(p, element.parent, base) for p in points]
-        union = set()
-        for p in aligned:
-            union.update(p.support)
-        span = tuple(sorted(union, key=vertex_key))
+        supports = [align_point(p, element.parent, base).support for p in points]
+        span = tuple(sorted(set().union(*supports), key=vertex_key))
         if span in element.simplices:
             return True
-        if any(p.support not in element.simplices for p in aligned):
+        if any(s not in element.simplices for s in supports):
             return False
         return None
     raise TypeError("unknown element type %r" % (type(element),))
@@ -235,13 +193,14 @@ def element_contains_hull(element, points, base: Complex | None = None):
 def hull_witnesses(maps, simplices, cover: IndexedCover):
     """For each of the given simplices, the first cover index whose element
     certifiably contains its image hull under every one of the maps, or None
-    when some simplex has no such element."""
+    when some simplex has no such element.  Each hull is aligned with the
+    cover's ambient once, before the elements are tried."""
     witnesses = {}
     for s in simplices:
-        hulls = [f.image_points(s) for f in maps]
+        hulls = [[align_point(x, cover.ambient, cover.base) for x in f.image_points(s)] for f in maps]
         found = None
         for i, e in cover.elements:
-            if all(element_contains_hull(e, pts, cover.base) is True for pts in hulls):
+            if all(element_contains_hull(e, pts) is True for pts in hulls):
                 found = i
                 break
         if found is None:
@@ -291,7 +250,7 @@ def pullback_cover(p, cover: IndexedCover) -> IndexedCover:
         else:
             w = [v for t in places(e.core.vertex_set()) for v in fibers.get(t, ())]
             elements[i] = OpenStarSet(p.source, induced_subcomplex(p.source, w))
-    return IndexedCover.build(p.source, cover.kind, elements, base=None, star_of=star_of, check=False)
+    return IndexedCover.build(p.source, cover.kind, elements, base=None, star_of=star_of)
 
 
 # ---------------------------------------------------------------------------

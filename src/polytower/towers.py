@@ -49,7 +49,6 @@ from .maps import (
 from .records import Record
 from .stars import (
     IndexedCover,
-    OpenStarSet,
     element_contains_hull,
     hull_witnesses,
     nerve,
@@ -354,17 +353,15 @@ def open_intersection_verdict(cover: IndexedCover, subset, n: int, budgets: Budg
     intersection coincides setwise with the star of the common core (then
     the straight-line deformation retracts it there), else inconclusive."""
     elements = [cover.element(i) for i in subset]
-    if not all(isinstance(e, OpenStarSet) for e in elements):
-        return Verdict.inconclusive("intersection verdicts need open star elements")
     cores = [e.core.vertex_set() for e in elements]
     ambient = elements[0].ambient
     common_core = frozenset.intersection(*cores)
     # a simplex through the common core meets every core; the converse is
-    # what makes the intersection the open star of the common core
+    # what makes the intersection the open star of the common core (the
+    # intersection of a nerve simplex is not empty, so an empty common core
+    # fails it too)
     if any(common_core.isdisjoint(s) for s in open_intersection(ambient, cores)):
         return Verdict.inconclusive("open intersection is not a star of the common core")
-    if not common_core:
-        return Verdict.inconclusive("open intersection has no common core")
     piece = induced_subcomplex(ambient, sorted(common_core, key=vertex_key))
     return subcomplex_verdict(piece, n, budgets)
 
@@ -465,7 +462,7 @@ def single_lift(
     domain = current_f.domain
     cover_elements = {s: Subcomplex(domain, frozenset(faces(s))) for s in domain.maximal}
     targets = {s: pulled.element(witnesses[s]) for s in domain.maximal}
-    source_cover = IndexedCover.build(domain, "closed", cover_elements, check=True)
+    source_cover = IndexedCover.build(domain, "closed", cover_elements)
     seed = PartialPLMap.build(
         domain, current_defined, {v: pt for v, pt in current_g0.images}, p.source
     )

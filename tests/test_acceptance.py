@@ -51,6 +51,7 @@ from util import (
     deformation_phi,
     distance,
     from_vertex_images,
+    in_element,
     open_star_of_subdivided,
     random_complex,
     random_point,
@@ -115,7 +116,7 @@ def test_ac03_preimage_correctness():
                 pushed = apply_subdivision(p, x)
                 support = set(pushed.support)
                 for delta in deltas:
-                    by_subcomplex = preimages[delta].contains_point(x)
+                    by_subcomplex = x.support in preimages[delta].simplices
                     by_image = support <= set(delta)
                     assert by_subcomplex == by_image
     assert t.elapsed < 10.0
@@ -141,8 +142,8 @@ def test_ac04_star_intersection_identity():
                 common = induced_subcomplex(base, [])
                 star_common = open_star_of_subdivided(base, common)
                 for x in samples:
-                    lhs = all(s.contains_point(x) for s in stars)
-                    assert lhs == star_common.contains_point(x)
+                    lhs = all(in_element(s, x) for s in stars)
+                    assert lhs == in_element(star_common, x)
         # overlapping subcomplex cores, where the intersection is non-trivial
         half = induced_subcomplex(base, vertices[: len(vertices) // 2 + 1])
         tail = induced_subcomplex(base, vertices[len(vertices) // 3 :])
@@ -151,7 +152,7 @@ def test_ac04_star_intersection_identity():
         shared = [v for v in vertices if v in half.vertex_set() and v in tail.vertex_set()]
         star_shared = open_star_of_subdivided(base, induced_subcomplex(base, shared))
         for x in samples:
-            assert (star_half.contains_point(x) and star_tail.contains_point(x)) == star_shared.contains_point(x)
+            assert (in_element(star_half, x) and in_element(star_tail, x)) == in_element(star_shared, x)
     passed(4, "intersections of subdivided open stars equal the star of the intersection")
 
 
@@ -175,7 +176,7 @@ def test_ac05_deformation():
         while per_instance < 200 and while_budget < 20000:
             while_budget += 1
             x = random_point(base, rng)
-            if not star.contains_point(x):
+            if not in_element(star, x):
                 continue
             per_instance += 1
             t = Fraction(rng.randint(0, 16), 16)

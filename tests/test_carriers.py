@@ -7,6 +7,7 @@ from polytower.complexes import (
     Complex,
     barycentric_subdivision,
     induced_subcomplex,
+    lift_to_subdivision,
     make_point,
     subcomplex_from,
     whole_subcomplex,
@@ -47,7 +48,7 @@ def closed_cover_of_maximal(domain: Complex) -> IndexedCover:
     elements = {}
     for s in domain.maximal:
         elements[s] = subcomplex_from(domain, [list(s)])
-    return IndexedCover.build(domain, "closed", elements, check=True)
+    return IndexedCover.build(domain, "closed", elements)
 
 
 class TestValidateCarrier:
@@ -76,7 +77,6 @@ class TestValidateCarrier:
                 "l": subcomplex_from(k, [["a", "b"]]),
                 "r": subcomplex_from(k, [["a", "b"]]),
             },
-            check=False,
         )
         target = simplex_complex(["u", "v"])  # two vertices share no simplex? they do:
         target = Complex.from_maximal([["u"], ["v"]])
@@ -105,13 +105,8 @@ class TestValidateCarrier:
         p = cylinder_map()
         cb = cover_B(p.base_target)
         pulled = pullback_cover(p, cb)
-        cov = IndexedCover.build(p.source, "closed", dict(pulled.elements), check=True)
-        carrier = Carrier.build(
-            cov,
-            {i: cb.element(i) for i in cb.indices},
-            p.base_target,
-            target_base=p.base_target,
-        )
+        cov = IndexedCover.build(p.source, "closed", dict(pulled.elements))
+        carrier = Carrier.build(cov, {i: cb.element(i) for i in cb.indices}, cb.ambient)
         assert validate_carrier(carrier).is_holds
 
 
@@ -134,7 +129,7 @@ def carrier_cases() -> list:
             continue
         cases.append((label, open_star_carrier(k, {})))
         cb = cover_B(k)
-        cases.append((label + " closed", Carrier.build(cb, dict(cb.elements), k, target_base=k)))
+        cases.append((label + " closed", Carrier.build(cb, dict(cb.elements), cb.ambient)))
         shuffled = list(k.vertices)
         random.Random(len(cases)).shuffle(shuffled)
         cases.append((label + " shuffled", open_star_carrier(k, dict(zip(k.vertices, shuffled)))))
@@ -205,6 +200,17 @@ class TestIsCarried:
 
 
 class TestExtendCarried:
+    def test_map_onto_another_complex_rejected(self):
+        k = simplex_complex(["a", "b", "c"])
+        other = simplex_complex(["p", "q", "r"])
+        domain = simplex_complex(["x", "y"])
+        cov = closed_cover_of_maximal(domain)
+        carrier = Carrier.build(cov, {("x", "y"): whole_subcomplex(k)}, k)
+        ends = {"x": vertex_point(other, "p"), "y": vertex_point(other, "q")}
+        seed = PartialPLMap.build(domain, subcomplex_from(domain, [["x"], ["y"]]), ends, other)
+        with pytest.raises(ValueError):
+            extend_carried(seed, carrier)
+
     def test_total_map_unchanged(self):
         k = simplex_complex(["a", "b", "c"])
         cov = closed_cover_of_maximal(k)
@@ -276,14 +282,15 @@ class TestExtendCarried:
         star = barycentric_vertex_star(base, "a")
         domain = simplex_complex(["x", "y", "z"])
         cov = closed_cover_of_maximal(domain)
-        carrier = Carrier.build(cov, {("x", "y", "z"): star}, base, target_base=base)
+        carrier = Carrier.build(cov, {("x", "y", "z"): star}, star.parent)
         corners = {
             "x": vertex_point(base, "a"),
             "y": make_point(base, {"a": Fraction(1, 2), "b": Fraction(1, 2)}),
             "z": make_point(base, {"a": Fraction(1, 3), "b": Fraction(1, 3), "c": Fraction(1, 3)}),
         }
+        corners = {v: lift_to_subdivision(x, star.parent) for v, x in corners.items()}
         boundary = subcomplex_from(domain, [["x", "y"], ["y", "z"], ["x", "z"]])
-        seed = PartialPLMap.build(domain, boundary, corners, base)
+        seed = PartialPLMap.build(domain, boundary, corners, star.parent)
         assert is_carried(seed, carrier).is_holds
         result = extend_carried(seed, carrier)
         assert result.status.is_holds
@@ -299,14 +306,15 @@ class TestExtendCarried:
         star = barycentric_vertex_star(base, "a")
         domain = simplex_complex(["x", "y", "z"])
         cov = closed_cover_of_maximal(domain)
-        carrier = Carrier.build(cov, {("x", "y", "z"): star}, base, target_base=base)
+        carrier = Carrier.build(cov, {("x", "y", "z"): star}, star.parent)
         corners = {
             "x": make_point(base, {"a": Fraction(1, 2), "b": Fraction(1, 2)}),
             "y": make_point(base, {"a": Fraction(1, 2), "c": Fraction(1, 2)}),
             "z": vertex_point(base, "a"),
         }
+        corners = {v: lift_to_subdivision(x, star.parent) for v, x in corners.items()}
         seed = PartialPLMap.build(
-            domain, subcomplex_from(domain, [["x"], ["y"], ["z"]]), corners, base
+            domain, subcomplex_from(domain, [["x"], ["y"], ["z"]]), corners, star.parent
         )
         result = extend_carried(seed, carrier)
         assert result.status.is_holds
@@ -465,9 +473,7 @@ class TestCloseMapsHomotopy:
         end = {w: deformation_phi(p, 1, core) for w, p in start.items()}
         f = PartialPLMap.build(domain, whole_subcomplex(domain), start, base)
         g = PartialPLMap.build(domain, whole_subcomplex(domain), end, base)
-        one_star = IndexedCover.build(
-            base, "open", {"a": open_vertex_star(base, "a")}, base=base, check=False
-        )
+        one_star = IndexedCover.build(base, "open", {"a": open_vertex_star(base, "a")}, base=base)
         result = close_maps_homotopy(f, g, one_star, n=2)
         assert result.status.is_holds
         assert result.path_witnesses == {("x0", "x1"): "a"}

@@ -67,6 +67,10 @@ def run_cli(args, capsys):
     return code, out
 
 
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
 def write(tmp_path, name, payload):
     path = tmp_path / name
     path.write_text(formats.dumps_canonical(payload), encoding="utf-8")
@@ -309,6 +313,18 @@ class TestCommands:
         code, out = run_cli(["verify-tower", path, "--n", "2", "--budget-pi1", "1"], capsys)
         assert code == 2
 
+    def test_verify_tower_nerve_budget_exhaustion(self, tmp_path, capsys):
+        # three nerve simplices are fewer than any pulled-back star cover
+        # of the tetrahedron tower has
+        _, generated = run_cli(["gen", "subdivision-tower", "--base", "tetrahedron", "--levels", "2"], capsys)
+        assert sha256(generated) == "f98acea24d61b706112ecea5f3d85f7f4adb26b32aa7c7ae9f9e73de328a63a3"
+        path = tmp_path / "tower.json"
+        path.write_text(generated, encoding="utf-8")
+        code, out = run_cli(["verify-tower", str(path), "--n", "3", "--budget-nerve", "3"], capsys)
+        assert code == 2
+        assert json.loads(out)["conclusion"] == {"status": "inconclusive", "reason": "nerve budget exhausted"}
+        assert sha256(out) == "a6be5d49db3d28e73f18805a0427821d97bb0bc9673d9d4a865d240130dd4235"
+
     def test_budgets_env(self, tmp_path, capsys, monkeypatch):
         t = subdivision_tower(simplex(2), 2)
         path = write(tmp_path, "tower.json", formats.tower_to_obj(t))
@@ -363,6 +379,35 @@ class TestCommands:
         report = json.loads(out)
         assert report["anchored_exactly"] is True
         assert len(report["stages"]) == 1
+
+    def test_lift_spec_takes_f1_only(self, tmp_path, capsys):
+        # a bare vertex-point object under "map" is not a PL map
+        t = subdivision_tower(simplex(2), 2)
+        tower_path = write(tmp_path, "tower.json", formats.tower_to_obj(t))
+        spec = dict(LIFT_SPEC)
+        spec["map"] = spec.pop("f1")["vertex_points"]
+        spec_path = write(tmp_path, "spec.json", spec)
+        code = main(["lift", tower_path, "--spec", spec_path, "--n", "2"])
+        assert code == 3
+        assert "a PL map is an object (at lift.f1)" in capsys.readouterr().err
+
+    def test_lift_inconclusive_after_one_subdivision(self, tmp_path, capsys):
+        # the triangle sent onto the first level's triangle qfo: some image
+        # hull lies in no element of a cover, even after the domain is
+        # subdivided once
+        base = write(tmp_path, "base.json", {"vertices": [], "maximal": [["q", "f", "o"]]})
+        _, generated = run_cli(["gen", "subdivision-tower", "--base", base, "--levels", "3"], capsys)
+        assert sha256(generated) == "30f13b1b5330327dfe9d8c6ac21f49b5e5e40627c445de9fb644dfa3491cf6b7"
+        tower = tmp_path / "tower.json"
+        tower.write_text(generated, encoding="utf-8")
+        spec = write(tmp_path, "spec.json", lift_spec(TRIANGLE, 3, "qfo"))
+        code, out = run_cli(["lift", str(tower), "--spec", spec, "--n", "2"], capsys)
+        assert code == 2
+        assert json.loads(out)["status"] == {
+            "status": "inconclusive",
+            "reason": "no cover element contains some image hull after one subdivision",
+        }
+        assert sha256(out) == "3079dcf396a469ef1b6593b918e4f2a7e52cf6cc5ba4592ff4826b0769486d6c"
 
     @pytest.mark.parametrize("names", ["abc", "qfo"])
     def test_loop_lift_with_open_star_covers(self, tmp_path, capsys, names):

@@ -14,6 +14,7 @@ from polytower.connectivity import (
     homology,
     is_connected,
     ae_verdict,
+    Presentation,
     pi1_presentation,
     pi1_verdict,
     subcomplex_verdict,
@@ -167,6 +168,12 @@ class TestPi1:
         assert simplified.is_empty()
         assert not exhausted
         assert steps >= 3
+
+    def test_generator_in_one_relator_is_solved_for(self):
+        # no generator is trivial and no relator has length two, so the
+        # third move drops the first generator used once, with its relator
+        pres = Presentation([("a", "b"), ("b", "c"), ("a", "c")], [(1, 2, 3)])
+        assert tietze_simplify(pres, 100) == (Presentation([("b", "c"), ("a", "c")], []), 1, False)
 
     def test_disconnected_complex_is_refused(self):
         # π1 is asked of a connected complex only: connectedness fails first,

@@ -31,6 +31,7 @@ from polytower.maps import (
     preimage_subcomplex,
 )
 from polytower.stars import cover_B
+from polytower.verdicts import Verdict
 from polytower import snf
 
 from util import (
@@ -159,7 +160,7 @@ class TestPreimage:
             x = random_point(p.source, rng)
             pushed = apply_subdivision(p, x)
             for delta in deltas:
-                in_sub = preimage_subcomplex(p, delta).contains_point(x)
+                in_sub = x.support in preimage_subcomplex(p, delta).simplices
                 in_delta = set(pushed.support) <= set(delta)
                 assert in_sub == in_delta
 
@@ -418,6 +419,28 @@ class TestInducedHomology:
             for k in range(dim + 1):
                 _, verdict = induced_homology_map(vm, k)
                 assert verdict.is_holds
+
+    def test_reflection_bond_reverses_the_circle(self):
+        # β(C) onto the circle C by the reflection swapping a and b: edges
+        # of β(C) land reversed, so the chain map carries the odd sign and
+        # degree 1 is multiplication by -1, an isomorphism
+        circle = Complex.from_maximal([["a", "b"], ["b", "c"], ["a", "c"]])
+        swap = {"a": "b", "b": "a", "c": "c"}
+        beta = barycentric_subdivision(circle)
+        p = check_quasi_simplicial(beta, circle, {v: tuple(sorted(swap[x] for x in v)) for v in beta.vertices})
+        assert induced_homology_map(p, 1) == ([((-1,), ())], Verdict.holds())
+        assert -1 in [sign for column in chain_map_columns(p, 1) for sign in column.values()]
+
+    def test_degree_two_bond_is_not_onto(self):
+        # the 12-cycle wound twice around β(C): H1 goes to twice a generator
+        circle = Complex.from_maximal([["a", "b"], ["b", "c"], ["a", "c"]])
+        around = [("a",), ("a", "b"), ("b",), ("b", "c"), ("c",), ("a", "c")]
+        names = ["x%02d" % j for j in range(12)]
+        cycle = Complex.from_maximal([[names[j], names[(j + 1) % 12]] for j in range(12)])
+        p = check_quasi_simplicial(cycle, circle, {x: around[j % 6] for j, x in enumerate(names)})
+        images, verdict = induced_homology_map(p, 1)
+        assert images == [((2,), ())]
+        assert verdict == Verdict.fails(witness={"invariant_factors": [2]}, reason="induced map is not onto")
 
     def test_functoriality_on_chains(self):
         base = sphere_complex(1)

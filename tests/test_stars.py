@@ -27,7 +27,6 @@ from polytower.stars import (
     cover_B,
     cover_O,
     element_contains_hull,
-    element_contains_point,
     mesh,
     nerve,
     open_intersection,
@@ -47,6 +46,7 @@ from util import (
     deformation_phi,
     distance,
     from_vertex_images,
+    in_element,
     kernel_complexes,
     meets_core,
     open_star_of_subdivided,
@@ -71,15 +71,15 @@ class TestOpenStar:
         k = simplex_complex(["a", "b", "c"])
         star = open_vertex_star(k, "a")
         assert star.avoided.simplices == frozenset({("b",), ("c",), ("b", "c")})
-        assert star.contains_point(barycenter_point(k, ("a", "b", "c")))
-        assert not star.contains_point(vertex_point(k, "b"))
+        assert in_element(star, barycenter_point(k, ("a", "b", "c")))
+        assert not in_element(star, vertex_point(k, "b"))
 
     def test_membership_is_support_meets_core(self):
         k = simplex_complex(["a", "b", "c"])
         star = OpenStarSet(k, induced_subcomplex(k, ["a", "b"]))
         x = make_point(k, {"b": Fraction(1, 2), "c": Fraction(1, 2)})
-        assert star.contains_point(x)
-        assert not star.contains_point(vertex_point(k, "c"))
+        assert in_element(star, x)
+        assert not in_element(star, vertex_point(k, "c"))
 
     def test_subdivided_vertex_stars_intersect_iff_adjacent(self):
         beta = barycentric_subdivision(simplex_complex(["a", "b", "c"]))
@@ -177,7 +177,7 @@ class TestCovers:
         co = cover_O(k)
         assert ("a", "b", "c") in nerve(co).complex.simplices
         center = barycenter_point(k, ("a", "b", "c"))
-        assert all(element_contains_point(co.element(v), center, co.base) for v in "abc")
+        assert all(in_element(co.element(v), center, co.base) for v in "abc")
 
     def test_single_vertex_cover(self):
         k = simplex_complex(["p"])
@@ -188,11 +188,11 @@ class TestCovers:
         for seed in range(4):
             k = random_complex(seed)
             cb = cover_B(k)
-            assert cb.first_uncovered() is None
+            assert scan_first_uncovered(cb) is None
 
     def test_cover_O_is_a_cover(self):
         for seed in range(4):
-            assert cover_O(random_complex(seed)).first_uncovered() is None
+            assert scan_first_uncovered(cover_O(random_complex(seed))) is None
 
     def test_cover_B_elements_are_barycentric_vertex_stars(self):
         for label, k in kernel_complexes():
@@ -215,32 +215,23 @@ class TestCovers:
         cover_B(k)
         assert len(calls) == len(barycentric_subdivision(k).simplices)
 
-    def test_first_uncovered_matches_scan(self):
+    def test_star_covers_cover_and_each_barycentric_star_is_needed(self):
         for label, k in kernel_complexes():
             cb = cover_B(k)
             for cover in (cb, cover_O(k), closed_star_cover(k)):
-                assert cover.first_uncovered() is None, label
                 assert scan_first_uncovered(cover) is None, label
-                for dropped in k.vertices[:3]:
-                    elements = {i: e for i, e in cover.elements if i != dropped}
-                    partial = IndexedCover.build(cover.ambient, cover.kind, elements, check=False)
-                    missing = partial.first_uncovered()
-                    assert missing == scan_first_uncovered(partial), (label, cover.kind, dropped)
-                    if cover is cb:
-                        # the flags starting at a vertex lie in its
-                        # barycentric star alone
-                        assert missing is not None, (label, dropped)
+            for dropped in k.vertices[:3]:
+                elements = {i: e for i, e in cb.elements if i != dropped}
+                partial = IndexedCover.build(cb.ambient, cb.kind, elements)
+                # the flags starting at a vertex lie in its barycentric star
+                # alone
+                assert scan_first_uncovered(partial) is not None, (label, dropped)
 
-    def test_first_uncovered_of_bond_pullbacks(self):
+    def test_bond_pullbacks_cover(self):
         for label, bond, _, pulled in bond_pullbacks():
-            assert pulled.first_uncovered() is None, label
             assert scan_first_uncovered(pulled) is None, label
-            for dropped in pulled.indices[:3]:
-                elements = {i: e for i, e in pulled.elements if i != dropped}
-                partial = IndexedCover.build(pulled.ambient, pulled.kind, elements, check=False)
-                assert partial.first_uncovered() == scan_first_uncovered(partial), (label, dropped)
-            empty = IndexedCover.build(bond.source, pulled.kind, {}, check=False)
-            assert empty.first_uncovered() == scan_first_uncovered(empty) == bond.source.maximal[0], label
+            empty = IndexedCover.build(bond.source, pulled.kind, {})
+            assert scan_first_uncovered(empty) == bond.source.maximal[0], label
 
     def test_unknown_index_rejected(self):
         cb = cover_B(simplex_complex(["u", "v"]))
@@ -309,7 +300,7 @@ class TestNerve:
         k = simplex_complex(["a", "b", "c"])
         elements = dict(cover_O(k).elements)
         elements["a"] = subcomplex_from(k, [["a"]])
-        cover = IndexedCover.build(k, "open", elements, check=False)
+        cover = IndexedCover.build(k, "open", elements)
         with pytest.raises(ValueError):
             nerve(cover)
 
@@ -395,7 +386,7 @@ class TestTrustedSubcomplexes:
 
         k = simplex_complex(["a", "b", "c"])
         other = cover_B(simplex_complex(["a", "b"]))
-        mixed = IndexedCover.build(k, "closed", {"a": other.element("a"), "b": whole_subcomplex(k)}, check=False)
+        mixed = IndexedCover.build(k, "closed", {"a": other.element("a"), "b": whole_subcomplex(k)})
         with pytest.raises(ComplexMismatchError):
             mixed.intersection_subcomplex(["a", "b"])
 
@@ -491,8 +482,8 @@ class TestPullback:
         for _ in range(150):
             x = random_point(p.source, rng)
             for i in co.indices:
-                forward = element_contains_point(co.element(i), apply(p, x), co.base)
-                back = element_contains_point(pulled.element(i), x, pulled.base)
+                forward = in_element(co.element(i), apply(p, x), co.base)
+                back = in_element(pulled.element(i), x, pulled.base)
                 assert forward == back
 
     def test_open_star_pullback_matches_scan(self):
@@ -523,8 +514,8 @@ class TestPullback:
         for _ in range(120):
             x = random_point(p.source, rng)
             for i in cb.indices:
-                direct = element_contains_point(cb.element(i), apply(p, x), cb.base)
-                back = element_contains_point(pulled.element(i), x, pulled.base)
+                direct = in_element(cb.element(i), apply(p, x), cb.base)
+                back = in_element(pulled.element(i), x, pulled.base)
                 assert direct == back
 
     def test_bond_pullback_containment(self):
@@ -541,7 +532,7 @@ class TestPullback:
                     back = pulled.element(i)
                     for x in points:
                         where = (label, s, i, x)
-                        assert element_contains_point(back, x) == element_contains_point(e, apply(bond, x), cover.base), where
+                        assert in_element(back, x) == in_element(e, apply(bond, x), cover.base), where
                     images = [apply(bond, x) for x in corners]
                     forward = element_contains_hull(e, images, cover.base)
                     assert element_contains_hull(back, corners) == forward, (label, s, i)
@@ -711,8 +702,8 @@ class TestStarIntersectionIdentity:
                     for _ in range(10):
                         samples.append(random_point(beta, rng))
                     for x in samples:
-                        lhs = all(s.contains_point(x) for s in stars)
-                        rhs = star_common.contains_point(x)
+                        lhs = all(in_element(s, x) for s in stars)
+                        rhs = in_element(star_common, x)
                         assert lhs == rhs
 
     def test_identity_with_overlapping_subcomplexes(self):
@@ -731,7 +722,7 @@ class TestStarIntersectionIdentity:
             for _ in range(15):
                 samples.append(random_point(beta, rng))
             for x in samples:
-                assert (star_a.contains_point(x) and star_b.contains_point(x)) == star_ab.contains_point(x)
+                assert (in_element(star_a, x) and in_element(star_b, x)) == in_element(star_ab, x)
 
 
 def _combos(items, size, limit):
@@ -782,13 +773,13 @@ class TestDeformation:
         star = OpenStarSet(k, core)
         for _ in range(120):
             x = random_point(k, rng)
-            if not star.contains_point(x):
+            if not in_element(star, x):
                 continue
             t = Fraction(rng.randint(0, 8), 8)
             out = deformation_phi(x, t, core)
             assert deformation_phi(x, 0, core).coords == x.coords
             assert set(out.support) <= set(x.support)
-            assert star.contains_point(out)
+            assert in_element(star, out)
             end = deformation_phi(x, 1, core)
             assert end.support in core.simplices
             if barycentric_star_contains_point(k, core, x):
@@ -817,9 +808,7 @@ class TestAreClose:
         }
         f = PartialPLMap.build(domain, whole_subcomplex(domain), start, base)
         g = PartialPLMap.build(domain, whole_subcomplex(domain), end, base)
-        one_star = IndexedCover.build(
-            base, "open", {"a": open_vertex_star(base, "a")}, base=base, check=False
-        )
+        one_star = IndexedCover.build(base, "open", {"a": open_vertex_star(base, "a")}, base=base)
         verdict = are_close(f, g, one_star)
         assert verdict.is_holds
 

@@ -47,7 +47,7 @@ from polytower.stars import (
     barycentric_vertex_stars,
     cover_B,
     cover_O,
-    element_contains_point,
+    element_contains_hull,
     hull_witnesses,
     nerve,
     pullback_cover,
@@ -586,6 +586,12 @@ def barycentric_star_contains_point(base: Complex, sub, point) -> bool:
     return bool(argmax & sub.vertex_set())
 
 
+def in_element(element, point, base=None) -> bool:
+    """Exact membership of one point in a cover element: the hull of the
+    point alone."""
+    return element_contains_hull(element, [point], base) is True
+
+
 def vertex_image_point(p, vertex, scale=Fraction(1)):
     """The image of a source vertex of a quasi-simplicial map, as the
     barycentre of its simplex in the base target."""
@@ -821,7 +827,7 @@ def _pointwise_violation(f, g, cover):
         found = False
         for i in cover.indices:
             e = cover.element(i)
-            if element_contains_point(e, fp, cover.base) and element_contains_point(e, gp, cover.base):
+            if in_element(e, fp, cover.base) and in_element(e, gp, cover.base):
                 found = True
                 break
         if not found:
@@ -1018,8 +1024,8 @@ def close_maps_homotopy(
             member_simplices.update(faces(cell))
         cover_elements[name] = Subcomplex(prism, frozenset(member_simplices))
         targets[name] = cover.element(witnesses[s])
-    source_cover = IndexedCover.build(prism, "closed", cover_elements, check=False)
-    result = carried_extension(seed, source_cover, targets, cover.base, budgets)
+    source_cover = IndexedCover.build(prism, "closed", cover_elements)
+    result = carried_extension(seed, source_cover, targets, budgets=budgets)
     if not result.status.is_holds:
         return HomotopyResult(result.status, None, None, {}, closeness)
     path_witnesses = {s: witnesses[s] for s in used_f.domain.maximal}
