@@ -184,7 +184,7 @@ def _region_for(carrier: Carrier, indices) -> Region:
     if all(isinstance(e, OpenStarSet) for e in elements):
         if {e.ambient for e in elements} != {map_target}:
             raise ValueError("open targets must live on the map target")
-        joint = open_intersection(map_target, [e.core.vertex_set() for e in elements])
+        joint = open_intersection(map_target, [e.core for e in elements])
         return Region(map_target, frozenset(joint), tuple(joint))
     raise ValueError("carrier mixes open and closed targets")
 

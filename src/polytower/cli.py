@@ -118,7 +118,7 @@ def cmd_stars(args) -> int:
         "command": "stars",
         "vertex": formats.vertex_to_obj(vertex),
         "open_star": {
-            "core": formats.subcomplex_to_obj(ost.core),
+            "core": [[formats.vertex_to_obj(vertex)]],
             "avoided": formats.subcomplex_to_obj(ost.avoided),
         },
         "barycentric_star": {
@@ -285,7 +285,7 @@ def cmd_lift(args) -> int:
             {
                 "stage": s["stage"],
                 "closeness": formats.verdict_to_obj(s["closeness"]),
-                "lift": formats.plmap_to_obj(s["lift"], include_complexes=False),
+                "lift": formats.plmap_to_obj(s["lift"]),
             }
             for s in result.stages
         ],
@@ -316,12 +316,10 @@ def cmd_gen(args) -> int:
         payload = formats.tower_to_obj(
             generators.subdivision_tower(base, args.levels, _tower_scales(args))
         )
-    elif kind == "random-tower":
+    else:  # random-tower: the parser admits no other kind
         payload = formats.tower_to_obj(
             generators.random_tower(args.seed, args.levels, _tower_scales(args))
         )
-    else:
-        raise formats.InputFormatError("unknown generator kind %r" % kind)
     _emit(payload, args)
     return EXIT_HOLDS
 
@@ -470,10 +468,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except formats.InputFormatError as exc:
-        sys.stderr.write("input error: %s\n" % exc)
-        return EXIT_INPUT
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError) as exc:  # formats.InputFormatError is a ValueError
         sys.stderr.write("input error: %s\n" % exc)
         return EXIT_INPUT
     except Exception as exc:

@@ -207,8 +207,8 @@ def subcomplex_to_obj(sub: Subcomplex) -> list:
 # maps
 
 
-def map_to_obj(m, include_complexes: bool = True) -> dict:
-    return _map_obj(m, include_complexes, {})
+def map_to_obj(m) -> dict:
+    return _map_obj(m, True, {})
 
 
 def _map_obj(m: QSMap, include_complexes: bool, lists: dict) -> dict:
@@ -302,10 +302,7 @@ def parse_cover(obj, context="cover") -> IndexedCover:
                 elements[index] = open_vertex_star(ambient, v)
         elif isinstance(value, list):
             sub = subcomplex_from(ambient, parse_simplices(value, context, names))
-            if kind == "closed":
-                elements[index] = sub
-            else:
-                elements[index] = OpenStarSet(ambient, sub)
+            elements[index] = sub if kind == "closed" else OpenStarSet(ambient, sub.vertex_set())
         else:
             raise InputFormatError("elements are simplex lists or {'star_of': v}", context)
     return IndexedCover.build(target_complex, kind, elements, base=base, star_of=star_of)
@@ -377,25 +374,17 @@ def parse_point(obj, complex_: Complex, context="point", names=None) -> Point:
         raise InputFormatError(str(exc), context)
 
 
-def plmap_to_obj(f: PartialPLMap, include_complexes: bool = True) -> dict:
-    out = {
+def plmap_to_obj(f: PartialPLMap) -> dict:
+    return {
         "defined_on": subcomplex_to_obj(f.defined_on),
         "vertex_points": {vertex_to_key(v): point_to_obj(p) for v, p in f.images},
     }
-    if include_complexes:
-        out["domain"] = complex_to_obj(f.domain)
-        out["target"] = complex_to_obj(f.target)
-    return out
 
 
-def parse_plmap(obj, domain: Complex | None = None, target: Complex | None = None, context="plmap") -> PartialPLMap:
+def parse_plmap(obj, domain: Complex, target: Complex, context="plmap") -> PartialPLMap:
     if not isinstance(obj, dict):
         raise InputFormatError("a PL map is an object", context)
     names: dict = {}
-    if domain is None:
-        domain = parse_complex(obj.get("domain"), context + ".domain", names)
-    if target is None:
-        target = parse_complex(obj.get("target"), context + ".target", names)
     if "defined_on" in obj:
         defined = subcomplex_from(domain, parse_simplices(obj["defined_on"], context, names))
     else:

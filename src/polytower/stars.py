@@ -3,11 +3,12 @@ the meshes and cone bounds of vertex-star covers.
 
 Conventions used throughout:
 
-* the open star of a subcomplex L in K is the complement of the simplices
-  missing L; a point belongs exactly when its support touches a vertex of L;
-* a simplex of the subdivision (a chain of simplices of K) meets L exactly
-  when its minimal element has a vertex in L, so the barycentric star is the
-  set of chains whose minimal element touches L;
+* the open star of a core, a set C of vertices of K, is the complement of
+  the simplices missing C; a point belongs exactly when its support touches
+  C;
+* a simplex of the subdivision (a chain of simplices of K) meets a
+  subcomplex L exactly when its minimal element has a vertex in L, so the
+  barycentric star is the set of chains whose minimal element touches L;
 * covers carry an explicit index set which every pull-back preserves.
 """
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .complexes import (
     vertex_key,
     vertex_label,
 )
-from .maps import QSMap, preimage_of_base_subcomplex, preimage_of_subdivided_subcomplex
+from .maps import QSMap, preimage_of_subdivided_subcomplex
 from .records import Record
 from .verdicts import DEFAULT_BUDGETS, Budgets, Verdict
 
@@ -48,21 +49,20 @@ class IndexMismatchError(ValueError):
 
 
 class OpenStarSet(Record, frozen=True):
-    """The open star of a core subcomplex: membership is support meeting the
-    core's vertex set; the avoided subcomplex is everything induced on the
-    remaining vertices."""
+    """The open star of a core, a set of ambient vertices: membership is
+    support meeting the core; the avoided subcomplex is everything induced
+    on the remaining vertices."""
 
     ambient: Complex
-    core: Subcomplex
+    core: frozenset
 
     def __post_init__(self):
-        if self.core.parent != self.ambient:
-            raise ValueError("core must be a subcomplex of the ambient complex")
+        if not self.core <= self.ambient.vertex_set():
+            raise ValueError("core vertices must be vertices of the ambient complex")
 
     @property
     def avoided(self) -> Subcomplex:
-        rest = [v for v in self.ambient.vertices if v not in self.core.vertex_set()]
-        return induced_subcomplex(self.ambient, rest)
+        return induced_subcomplex(self.ambient, [v for v in self.ambient.vertices if v not in self.core])
 
 
 def open_intersection(ambient: Complex, cores) -> list:
@@ -76,7 +76,9 @@ def open_intersection(ambient: Complex, cores) -> list:
 
 
 def open_vertex_star(ambient: Complex, vertex) -> OpenStarSet:
-    return OpenStarSet(ambient, induced_subcomplex(ambient, [vertex]))
+    if not ambient.has_vertex(vertex):
+        raise UnknownVertexError(vertex_label(vertex))
+    return OpenStarSet(ambient, frozenset([vertex]))
 
 
 def barycentric_vertex_star(base: Complex, vertex) -> Subcomplex:
@@ -165,10 +167,10 @@ def cover_B(base: Complex) -> IndexedCover:
 # hull containment in elements
 
 
-def element_contains_hull(element, points, base: Complex | None = None):
-    """Containment of the convex hull of finitely many points, read off the
-    supports of the points aligned with the element's complex (lifted into
-    the subdivision when they live on the base).
+def element_contains_hull(element, points):
+    """Containment of the convex hull of finitely many points of the
+    element's complex, read off their supports (`aligned_images` brings a
+    map's images there).
 
     An open star holds the hull when every support meets its core: every
     hull point's support contains some corner's support, so this is exact.
@@ -177,10 +179,9 @@ def element_contains_hull(element, points, base: Complex | None = None):
     leaves it undecided (None) otherwise.
     """
     if isinstance(element, OpenStarSet):
-        core = element.core.vertex_set()
-        return all(not core.isdisjoint(align_point(p, element.ambient, base).support) for p in points)
+        return all(not element.core.isdisjoint(s) for s in _supports(points, element.ambient))
     if isinstance(element, Subcomplex):
-        supports = [align_point(p, element.parent, base).support for p in points]
+        supports = _supports(points, element.parent)
         span = tuple(sorted(set().union(*supports), key=vertex_key))
         if span in element.simplices:
             return True
@@ -190,14 +191,21 @@ def element_contains_hull(element, points, base: Complex | None = None):
     raise TypeError("unknown element type %r" % (type(element),))
 
 
+def _supports(points, complex_: Complex) -> list:
+    """The supports of hull points, which must live on the given complex."""
+    if any(p.complex != complex_ for p in points):
+        raise ValueError("hull points must live on the element's complex")
+    return [p.support for p in points]
+
+
 def hull_witnesses(maps, simplices, cover: IndexedCover):
     """For each of the given simplices, the first cover index whose element
     certifiably contains its image hull under every one of the maps, or None
-    when some simplex has no such element.  Each hull is aligned with the
-    cover's ambient once, before the elements are tried."""
+    when some simplex has no such element."""
+    images = [aligned_images(f, cover) for f in maps]
     witnesses = {}
     for s in simplices:
-        hulls = [[align_point(x, cover.ambient, cover.base) for x in f.image_points(s)] for f in maps]
+        hulls = [[table[v] for v in s] for table in images]
         found = None
         for i, e in cover.elements:
             if all(element_contains_hull(e, pts) is True for pts in hulls):
@@ -207,6 +215,12 @@ def hull_witnesses(maps, simplices, cover: IndexedCover):
             return None
         witnesses[s] = found
     return witnesses
+
+
+def aligned_images(f, cover: IndexedCover) -> dict:
+    """Vertex -> its image under a PL map, aligned with the cover's ambient
+    once (lifted into the subdivision when the images live on its base)."""
+    return {v: align_point(x, cover.ambient, cover.base) for v, x in f.images}
 
 
 def align_point(point: Point, element_complex: Complex, base: Complex | None) -> Point:
@@ -224,33 +238,23 @@ def align_point(point: Point, element_complex: Complex, base: Complex | None) ->
 
 
 def pullback_cover(p, cover: IndexedCover) -> IndexedCover:
-    """Elementwise preimage, keeping the index set.
-
-    Two exact regimes: covers living on the map's own target complex pull
-    back to subcomplexes or open stars of the source; covers on the base
-    target of a quasi-simplicial map pull back through the image chains.  An
-    open star pulls back to the open star of the vertex fibers over the
-    target vertices meeting its core (on the base target: the simplices of
-    the base meeting it).
+    """Elementwise preimage, keeping the index set, in the two regimes of a
+    tower's covers: a closed cover of the map's own (subdivided) target
+    pulls back to the preimage subcomplexes; an open cover of a
+    quasi-simplicial map's base target pulls back to the open stars of the
+    source vertices whose image simplex meets the core.
     """
-    star_of = dict(cover.star_of)
-    if cover.ambient == p.target:
-        pull_closed = lambda sub: preimage_of_subdivided_subcomplex(p, sub)
-        places = lambda core: core
-    elif isinstance(p, QSMap) and cover.ambient == p.base_target:
-        pull_closed = lambda sub: preimage_of_base_subcomplex(p, sub)
-        places = lambda core: open_intersection(p.base_target, [core])
+    if cover.kind == "closed" and cover.ambient == p.target:
+        elements = {i: preimage_of_subdivided_subcomplex(p, e) for i, e in cover.elements}
+    elif cover.kind == "open" and isinstance(p, QSMap) and cover.ambient == p.base_target:
+        fibers = p.vertex_fibers
+        elements = {}
+        for i, e in cover.elements:
+            over = open_intersection(p.base_target, [e.core])
+            elements[i] = OpenStarSet(p.source, frozenset(v for t in over for v in fibers.get(t, ())))
     else:
-        raise ValueError("cover does not live on the map's target")
-    fibers = p.vertex_fibers
-    elements: dict = {}
-    for i, e in cover.elements:
-        if isinstance(e, Subcomplex):
-            elements[i] = pull_closed(e)
-        else:
-            w = [v for t in places(e.core.vertex_set()) for v in fibers.get(t, ())]
-            elements[i] = OpenStarSet(p.source, induced_subcomplex(p.source, w))
-    return IndexedCover.build(p.source, cover.kind, elements, base=None, star_of=star_of)
+        raise ValueError("cover does not live on the map's target (closed) or base target (open)")
+    return IndexedCover.build(p.source, cover.kind, elements, base=None, star_of=dict(cover.star_of))
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +281,7 @@ def _meeting_sets(cover: IndexedCover):
         if isinstance(e, Subcomplex):
             places = e.vertex_set()
         else:
-            places = {m for c in e.core.vertex_set() for m in e.ambient.maximal_at(c)}
+            places = {m for c in e.core for m in e.ambient.maximal_at(c)}
         for place in places:
             meets.setdefault(place, []).append(i)
     return meets.values()
@@ -314,7 +318,7 @@ def _element_vertex_sets(cover: IndexedCover, element) -> set:
     vertex alone otherwise."""
     if isinstance(element, OpenStarSet):
         ambient = element.ambient
-        vertices = {v for c in element.core.vertex_set() for m in ambient.maximal_at(c) for v in m}
+        vertices = {v for c in element.core for m in ambient.maximal_at(c) for v in m}
     else:
         ambient = element.parent
         vertices = element.vertex_set()

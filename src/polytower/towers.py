@@ -49,10 +49,10 @@ from .maps import (
 from .records import Record
 from .stars import (
     IndexedCover,
+    aligned_images,
     element_contains_hull,
     hull_witnesses,
     nerve,
-    open_intersection,
     pullback_cover,
     star_cover_bounds,
 )
@@ -349,21 +349,17 @@ def intersection_verdicts(pulled: IndexedCover, n: int, budgets: Budgets):
 
 
 def open_intersection_verdict(cover: IndexedCover, subset, n: int, budgets: Budgets) -> Verdict:
-    """Extensor verdict for an intersection of open stars: exact when the
-    intersection coincides setwise with the star of the common core (then
-    the straight-line deformation retracts it there), else inconclusive."""
+    """Extensor verdict for an intersection of open stars pulled back from a
+    quasi-simplicial map's base target (`pullback_cover`), judged on the
+    subcomplex induced on the common core: the intersection is the open star
+    of that core, which the straight-line deformation retracts onto it.  A
+    source simplex s maps onto a chain whose top τ is the image of one of
+    its vertices, u*; s meets the pulled-back star of a core C exactly when
+    τ meets C, that is, when u* lies in it; so s meets every star of the
+    subset exactly when u* lies in the common core."""
     elements = [cover.element(i) for i in subset]
-    cores = [e.core.vertex_set() for e in elements]
-    ambient = elements[0].ambient
-    common_core = frozenset.intersection(*cores)
-    # a simplex through the common core meets every core; the converse is
-    # what makes the intersection the open star of the common core (the
-    # intersection of a nerve simplex is not empty, so an empty common core
-    # fails it too)
-    if any(common_core.isdisjoint(s) for s in open_intersection(ambient, cores)):
-        return Verdict.inconclusive("open intersection is not a star of the common core")
-    piece = induced_subcomplex(ambient, sorted(common_core, key=vertex_key))
-    return subcomplex_verdict(piece, n, budgets)
+    common_core = frozenset.intersection(*(e.core for e in elements))
+    return subcomplex_verdict(induced_subcomplex(elements[0].ambient, common_core), n, budgets)
 
 
 # ---------------------------------------------------------------------------
@@ -483,13 +479,13 @@ def _closeness_certificate(lift, descent, p, cover, witnesses) -> Verdict:
     element (established when the witnesses were found) and the projected
     lift's hull over every refined piece sits there too (re-checked here),
     so every point has both values inside the witness element."""
-    projected = lift.after(p)
+    images = aligned_images(lift.after(p), cover)
     for s in lift.domain.maximal:
         origin = descent.get(s, s)
         witness = witnesses.get(origin)
         if witness is None:
             return Verdict.inconclusive("refined cell lost its witness")
-        ok = element_contains_hull(cover.element(witness), projected.image_points(s), cover.base)
+        ok = element_contains_hull(cover.element(witness), [images[v] for v in s])
         if ok is not True:
             return Verdict.inconclusive("projected lift leaves the witness element")
     return Verdict.holds(witness=dict(sorted(witnesses.items(), key=lambda kv: simplex_sort_key(kv[0]))))
@@ -575,7 +571,7 @@ def tower_lift(
                 "witnesses": result.witnesses,
             }
         )
-        anchored = anchored and _anchored_exactly(lift, seeds[idx + 1], current_defined)
+        anchored = anchored and equal_on(lift, seeds[idx + 1], current_defined)
         # move everything onto the lift's (possibly refined) domain
         current_defined = _transport_defined(current_defined, lift.domain)
         for j in range(idx + 2, len(seeds)):
@@ -584,13 +580,6 @@ def tower_lift(
     cauchy = summability_report(tower)
     overall = conjoin([status, cauchy["status"]])
     return TowerLiftResult(overall, stages, cauchy, anchored)
-
-
-def _anchored_exactly(lift: PartialPLMap, seed: PartialPLMap, defined: Subcomplex) -> bool:
-    for v in defined.vertex_set():
-        if lift.image_of(v).coords != seed.image_of(v).coords:
-            return False
-    return True
 
 
 def _transport_defined(defined: Subcomplex, refined: Complex) -> Subcomplex:

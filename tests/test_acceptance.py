@@ -170,7 +170,7 @@ def test_ac05_deformation():
     assert len(instances) == 5
     checks = 0
     for base, core in instances:
-        star = OpenStarSet(base, core)
+        star = OpenStarSet(base, core.vertex_set())
         while_budget = 0
         per_instance = 0
         while per_instance < 200 and while_budget < 20000:

@@ -399,7 +399,7 @@ class TestExtendCarried:
         target = self._grid_disc()
         seed, _ = self._grid_seed(target)
         cov = closed_cover_of_maximal(seed.domain)
-        carrier = Carrier.build(cov, {("x", "y", "z"): OpenStarSet(target, whole_subcomplex(target))}, target)
+        carrier = Carrier.build(cov, {("x", "y", "z"): OpenStarSet(target, target.vertex_set())}, target)
         result = extend_carried(seed, carrier, Budgets(filler_steps=20000))
         assert result.status.is_holds
         assert is_carried(result.extended, carrier).is_holds

@@ -590,3 +590,155 @@ class TestSubdivideTarget:
             assert json.loads(captured.out)
             outputs.append(captured.out)
         assert outputs[0] == outputs[1]
+
+
+def _without(obj: dict, key) -> dict:
+    return {k: v for k, v in obj.items() if k != key}
+
+
+def _cylinder_map_obj() -> dict:
+    from polytower import formats
+    from polytower.generators import cylinder_map
+
+    return formats.map_to_obj(cylinder_map())
+
+
+def _with_bond(tower: dict, **changes) -> dict:
+    return _with(tower, bonds=[_with(tower["bonds"][0], **changes)])
+
+
+def _circle_tower_obj() -> dict:
+    from polytower import formats
+    from polytower.generators import circle
+
+    return formats.tower_to_obj(subdivision_tower(circle(), 1))
+
+
+TRIANGLE = {"vertices": [], "maximal": [["a", "b", "c"]]}
+EDGE_UV = {"vertices": [], "maximal": [["u", "v"]]}
+
+
+class TestReaderErrors:
+    """Each reader's own refusals: malformed input exits 3 with the reader's
+    message on standard error and nothing on standard output."""
+
+    @pytest.mark.parametrize(
+        "command, document, options, message",
+        [
+            ("validate", [1], {}, "a complex is an object"),
+            ("validate", {"vertices": []}, {}, "missing 'maximal' list"),
+            ("validate", {"maximal": ["a"]}, {}, "simplices are arrays"),
+            ("stars", TRIANGLE, {"--vertex": "[p0"}, "bad vertex key '[p0'"),
+            ("check-map", [], {}, "a map is an object"),
+            ("check-map", _without(_cylinder_map_obj(), "source"), {}, "missing 'source'"),
+            ("check-map", _without(_cylinder_map_obj(), "target"), {}, "missing 'target'"),
+            ("check-map", _without(_cylinder_map_obj(), "vertex_images"), {}, "missing 'vertex_images' object"),
+            ("verify-tower", _with_bond(_tower_obj(2), source=TRIANGLE), {}, "embedded source disagrees"),
+            ("verify-tower", _with_bond(_tower_obj(2), target=EDGE_UV), {}, "embedded target disagrees"),
+            ("nerve", [], {}, "a cover is an object"),
+            ("nerve", _with(_cover([["a"]]), kind="half-open"), {}, "kind must be 'open' or 'closed'"),
+            ("nerve", _without(_cover([["a"]]), "elements"), {}, "missing 'elements' object"),
+            (
+                "mesh",
+                _with(_cover([["a"]]), elements={"e": [["a"]], "f": {"star_of": "b"}}),
+                {},
+                "closed covers cannot mix star elements",
+            ),
+            ("nerve", _cover(5), {}, "elements are simplex lists or {'star_of': v}"),
+            ("verify-tower", [], {}, "a tower is an object"),
+            ("verify-tower", {"bonds": []}, {}, "missing 'levels' list"),
+            ("verify-tower", _with(_tower_obj(2), bonds=[]), {}, "a tower with M levels needs M-1 bonds"),
+            ("verify-tower", _with(_tower_obj(2), cover="X"), {}, "cover kind must be B or O"),
+            ("lift", _tower_obj(2), {"--spec": []}, "a lift specification is an object"),
+            (
+                "lift",
+                _tower_obj(2),
+                {"--spec": _with(LIFT_SPEC, threads={"x0": [{"coords": {"a": "1/2"}, "scale": "1"}]})},
+                "barycentric coordinates must sum to 1",
+            ),
+            ("lift", _tower_obj(2), {"--spec": _with(LIFT_SPEC, f1={})}, "missing 'vertex_points'"),
+            (
+                "lift",
+                _circle_tower_obj(),
+                {
+                    "--spec": {
+                        "domain": {"vertices": [], "maximal": [["x0", "x1", "x2"]]},
+                        "f1": {
+                            "vertex_points": {
+                                x: {"coords": {s: "1"}, "scale": "1"} for x, s in (("x0", "s0"), ("x1", "s1"), ("x2", "s2"))
+                            }
+                        },
+                    }
+                },
+                "span no target simplex",
+            ),
+        ],
+        ids=[
+            "complex-not-object",
+            "complex-no-maximal",
+            "complex-simplex-not-array",
+            "stars-bad-vertex-key",
+            "map-not-object",
+            "map-no-source",
+            "map-no-target",
+            "map-no-vertex-images",
+            "bond-source-disagrees",
+            "bond-target-disagrees",
+            "cover-not-object",
+            "cover-bad-kind",
+            "cover-no-elements",
+            "cover-mixes-star-and-list",
+            "cover-element-neither",
+            "tower-not-object",
+            "tower-no-levels",
+            "tower-bond-count",
+            "tower-cover-kind",
+            "lift-spec-not-object",
+            "thread-point-sum",
+            "f1-no-vertex-points",
+            "f1-spans-no-simplex",
+        ],
+    )
+    def test_exits_3(self, tmp_path, capsys, command, document, options, message):
+        from polytower.cli import main
+
+        argv = [command, _write_json(tmp_path, "input.json", document)]
+        for flag, payload in options.items():
+            argv += [flag, payload if isinstance(payload, str) else _write_json(tmp_path, "option.json", payload)]
+        if command in ("check-map", "verify-tower", "lift"):
+            argv += ["--n", "2"]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("input error: ") and message in captured.err
+
+
+class TestEquivalentInputs:
+    """Spellings the readers accept as the same input give the same exit
+    code and the same bytes."""
+
+    def test_integer_scales_read_as_their_strings(self, tmp_path, capsys):
+        from polytower.cli import main
+
+        runs = []
+        for scales in (["2", "1"], [2, 1]):
+            code = main(["verify-tower", _write_json(tmp_path, "tower.json", _with(_tower_obj(2), scales=scales)), "--n", "1"])
+            runs.append((code, capsys.readouterr().out))
+        assert runs[0] == runs[1]
+        assert json.loads(runs[0][1])["command"] == "verify-tower"
+
+    def test_empty_budget_entries_are_skipped(self, tmp_path, capsys, monkeypatch):
+        from polytower import formats
+        from polytower.cli import main
+        from polytower.generators import sphere
+
+        # five rewrite steps leave the 3-sphere's presentation unfinished
+        path = _write_json(tmp_path, "s3.json", formats.complex_to_obj(sphere(3)))
+        runs = []
+        for env in (",pi1=5,", "pi1=5"):
+            monkeypatch.setenv("POLYTOWER_BUDGETS", env)
+            code = main(["pi1", path])
+            runs.append((code, capsys.readouterr().out))
+        assert runs[0] == runs[1]
+        assert runs[0][0] == 2
+        assert json.loads(runs[0][1])["trivial"]["reason"] == "rewrite budget exhausted"

@@ -8,7 +8,7 @@ import pkgutil
 import pytest
 
 import polytower
-from polytower.complexes import Subcomplex, UnknownVertexError, whole_subcomplex
+from polytower.complexes import Subcomplex, UnknownVertexError
 from polytower.connectivity import HomologySummary
 from polytower.records import Record
 from polytower.stars import OpenStarSet, cover_B
@@ -68,7 +68,7 @@ def field_values(cls, tag=0) -> tuple:
     if cls is Subcomplex:
         return (k, k.simplices)
     if cls is OpenStarSet:
-        return (k, whole_subcomplex(k))
+        return (k, k.vertex_set())
     return tuple("%s-%d" % (name, tag) for name in cls._fields)
 
 
@@ -156,7 +156,7 @@ class TestConstruction:
             Subcomplex(k, frozenset({("z",)}))
         other = simplex_complex(["a", "b"])
         with pytest.raises(ValueError, match="ambient"):
-            OpenStarSet(k, whole_subcomplex(other))
+            OpenStarSet(other, k.vertex_set())
 
 
 class TestCachedProperties:

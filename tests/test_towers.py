@@ -23,15 +23,25 @@ from polytower.towers import (
     verify_tower,
 )
 from polytower.generators import (
+    circle,
     cylinder_map,
     cylinder_tower,
+    projective_plane,
+    random_tower,
     simplex,
     subdivision_tower,
 )
-from polytower.stars import cover_B
+from polytower.stars import cover_B, cover_O, nerve, open_intersection, pullback_cover
 from polytower.verdicts import Budgets
 
-from util import distance, from_vertex_images, pullback_star_cover, vertex_point
+from util import (
+    distance,
+    from_vertex_images,
+    open_pullback_by_fibers,
+    pullback_star_cover,
+    scan_open_intersection,
+    vertex_point,
+)
 
 
 class TestTowerBuild:
@@ -320,6 +330,59 @@ class TestPullbackStarCover:
         t = cylinder_tower()
         _, verdicts = pullback_star_cover(t, 1, 2, "B", n=1)
         assert all(v.is_holds for v in verdicts.values())
+
+
+def common_core_misses(cover) -> tuple:
+    """(the nerve simplices of an open cover whose intersection is not the
+    set of simplices meeting the common core, every nerve simplex)."""
+    subsets = nerve(cover).complex.simplices
+    misses = 0
+    for subset in subsets:
+        cores = [cover.element(i).core for i in subset]
+        common = frozenset.intersection(*cores)
+        misses += open_intersection(cover.ambient, cores) != scan_open_intersection(cover.ambient, [common])
+    return misses, len(subsets)
+
+
+class TestCommonCoreDecides:
+    """An intersection of open stars pulled back from a bond's base target
+    is the open star of the common core, so `open_intersection_verdict`
+    judges the subcomplex induced on that core."""
+
+    @staticmethod
+    def towers():
+        out = [("random tower %d" % seed, random_tower(seed)) for seed in range(16)]
+        out += [
+            ("triangle", subdivision_tower(simplex(2), 4)),
+            ("tetrahedron", subdivision_tower(simplex(3), 3)),
+            ("rp2", subdivision_tower(projective_plane(), 3)),
+            ("circle", subdivision_tower(circle(), 4)),
+            ("cylinder", cylinder_tower()),
+        ]
+        return out
+
+    def test_pulled_back_intersections_are_stars_of_the_common_core(self):
+        checked = 0
+        for label, tower in self.towers():
+            pulled = [
+                ("bond %d" % (idx + 1), pullback_cover(bond, cover_O(tower.levels[idx])))
+                for idx, bond in enumerate(tower.bonds)
+            ]
+            for i in range(1, tower.depth() + 1):
+                for m in range(i + 2, tower.depth() + 1):
+                    pulled.append(("levels %d to %d" % (i, m), pullback_star_cover(tower, i, m, "O")[0]))
+            for where, cover in pulled:
+                misses, subsets = common_core_misses(cover)
+                assert misses == 0, (label, where)
+                checked += subsets
+        assert checked == 1290
+
+    def test_the_check_fails_on_a_pullback_from_the_subdivided_target(self):
+        # stars of the subdivided target pulled back through their vertex
+        # fibers: here the common core does not decide
+        tower = subdivision_tower(simplex(2), 3)
+        counts = [common_core_misses(open_pullback_by_fibers(bond, cover_O(bond.target))) for bond in tower.bonds]
+        assert tuple(map(sum, zip(*counts))) == (114, 146)
 
 
 def edge_domain():

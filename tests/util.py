@@ -30,6 +30,7 @@ from polytower.complexes import (
     barycentric_subdivision,
     face_closure,
     faces,
+    induced_subcomplex,
     make_point,
     simplex_sort_key,
     vertex_key,
@@ -44,6 +45,7 @@ from polytower.stars import (
     IndexedCover,
     IndexMismatchError,
     OpenStarSet,
+    align_point,
     barycentric_vertex_stars,
     cover_B,
     cover_O,
@@ -483,6 +485,16 @@ def scan_nerve(cover, budget: int = 100_000):
     return frozenset(simplices), checked
 
 
+def open_pullback_by_fibers(p, cover: IndexedCover) -> IndexedCover:
+    """An open cover of a map's own (subdivided) target pulled back by
+    hand, each core to the source vertices mapped into it: the regime
+    `pullback_cover` refuses, since there an intersection of pulled-back
+    stars need not be the star of the common core."""
+    fibers = p.vertex_fibers
+    elements = {i: OpenStarSet(p.source, frozenset(v for t in e.core for v in fibers.get(t, ()))) for i, e in cover.elements}
+    return IndexedCover.build(p.source, "open", elements, star_of=dict(cover.star_of))
+
+
 def scan_open_intersection(complex_: Complex, cores) -> list:
     """Every simplex of the complex meeting every core, in canonical order."""
     return sorted(
@@ -537,7 +549,7 @@ def cover_to_obj(cover) -> dict:
         elif isinstance(e, Subcomplex):
             elements[key] = subcomplex_to_obj(e)
         else:
-            elements[key] = subcomplex_to_obj(e.core)
+            elements[key] = [[vertex_to_obj(v)] for v in sorted(e.core, key=vertex_key)]
     return {
         "ambient": complex_to_obj(cover.base if cover.base is not None else cover.ambient),
         "kind": cover.kind,
@@ -564,7 +576,7 @@ def homotopy_to_obj(result) -> dict:
 
 def meets_core(element, simplex) -> bool:
     """Whether a simplex meets the core of an open star element."""
-    return not element.core.vertex_set().isdisjoint(simplex)
+    return not element.core.isdisjoint(simplex)
 
 
 def open_star_of_subdivided(base: Complex, sub):
@@ -573,7 +585,7 @@ def open_star_of_subdivided(base: Complex, sub):
     from polytower.complexes import beta_subcomplex
 
     beta = barycentric_subdivision(base)
-    return OpenStarSet(beta, beta_subcomplex(sub))
+    return OpenStarSet(beta, beta_subcomplex(sub).vertex_set())
 
 
 def barycentric_star_contains_point(base: Complex, sub, point) -> bool:
@@ -588,8 +600,10 @@ def barycentric_star_contains_point(base: Complex, sub, point) -> bool:
 
 def in_element(element, point, base=None) -> bool:
     """Exact membership of one point in a cover element: the hull of the
-    point alone."""
-    return element_contains_hull(element, [point], base) is True
+    point alone, aligned with the element's complex first (lifted into it
+    when the point lives on its base)."""
+    home = element.ambient if isinstance(element, OpenStarSet) else element.parent
+    return element_contains_hull(element, [align_point(point, home, base)]) is True
 
 
 def vertex_image_point(p, vertex, scale=Fraction(1)):
@@ -1034,12 +1048,10 @@ def close_maps_homotopy(
 
 def _element_extensor_verdict(element, n: int, budgets: Budgets) -> Verdict:
     """Extensor verdict for a single cover element: subcomplexes directly,
-    open stars through their full cores (onto which the straight-line
-    deformation retracts them)."""
+    open stars through the subcomplex induced on their cores (onto which
+    the straight-line deformation retracts them)."""
     if isinstance(element, Subcomplex):
         return subcomplex_verdict(element, n, budgets)
     if isinstance(element, OpenStarSet):
-        if not is_full_subcomplex(element.core):
-            return Verdict.inconclusive("open star core is not full")
-        return subcomplex_verdict(element.core, n, budgets)
+        return subcomplex_verdict(induced_subcomplex(element.ambient, element.core), n, budgets)
     return Verdict.inconclusive("no extensor rule for this element representation")
