@@ -3,9 +3,10 @@
 Exit codes: 0 the check holds (or the command produced its output), 1 a
 check was refuted, 2 a check was inconclusive, 3 malformed input or a
 command-line usage error, 4 an internal error (a fault of the program, never
-a verdict).  Budgets come from flags, the POLYTOWER_BUDGETS environment
-variable ("pi1=N,filler=N,nerve=N"), or the defaults, in that order of
-precedence.
+a verdict); running out of memory is an internal error too.  Budgets come
+from flags, the POLYTOWER_BUDGETS environment variable
+("pi1=N,filler=N,nerve=N"), or the defaults, in that order of precedence.
+A command accepts the flags of the budgets it reads, and no others.
 """
 from __future__ import annotations
 
@@ -26,6 +27,9 @@ EXIT_INPUT = 3
 EXIT_INTERNAL = 4
 
 _STATUS_EXIT = {"holds": EXIT_HOLDS, "fails": EXIT_FAILS, "inconclusive": EXIT_INCONCLUSIVE}
+
+# written when memory runs out, where formatting a message could fail too
+_OUT_OF_MEMORY = b"internal error: out of memory\n"
 
 
 def _budgets_from(args) -> Budgets:
@@ -372,42 +376,53 @@ def _arg(*flags, **kwargs):
 
 _INPUT = _arg("input")
 
-# name -> (help, handler, whether --n is required, the command's own arguments)
+# name -> (help, handler, whether --n is required, the budgets it reads, the
+# command's own arguments); a budget b is set with --budget-b
 _COMMANDS = {
-    "validate": ("validate a complex file and report its shape", cmd_validate, False, [_INPUT]),
-    "subdivide": ("barycentric subdivision of a complex file", cmd_subdivide, False, [_INPUT]),
-    "stars": ("open and barycentric star of a vertex", cmd_stars, False, [_INPUT, _arg("--vertex", required=True)]),
-    "nerve": ("nerve of a cover file", cmd_nerve, False, [_INPUT]),
+    "validate": ("validate a complex file and report its shape", cmd_validate, False, (), [_INPUT]),
+    "subdivide": ("barycentric subdivision of a complex file", cmd_subdivide, False, (), [_INPUT]),
+    "stars": (
+        "open and barycentric star of a vertex",
+        cmd_stars,
+        False,
+        (),
+        [_INPUT, _arg("--vertex", required=True)],
+    ),
+    "nerve": ("nerve of a cover file", cmd_nerve, False, ("nerve",), [_INPUT]),
     "homology": (
         "integral homology of a complex file",
         cmd_homology,
         False,
+        (),
         [_INPUT, _arg("--degree", type=int), _arg("--reduced", action="store_true")],
     ),
-    "pi1": ("fundamental group triviality verdict", cmd_pi1, False, [_INPUT]),
-    "check-map": ("quasi-simpliciality, surjectivity, regularity", cmd_check_map, True, [_INPUT]),
-    "verify-tower": ("full certificate for a tower file", cmd_verify_tower, True, [_INPUT]),
+    "pi1": ("fundamental group triviality verdict", cmd_pi1, False, ("pi1",), [_INPUT]),
+    "check-map": ("quasi-simpliciality, surjectivity, regularity", cmd_check_map, True, ("pi1",), [_INPUT]),
+    "verify-tower": ("full certificate for a tower file", cmd_verify_tower, True, ("pi1", "nerve"), [_INPUT]),
     "restrict": (
         "restrict a tower to a subcomplex of one level",
         cmd_restrict,
         False,
+        (),
         [
             _INPUT,
             _arg("--level", type=int, required=True),
             _arg("--complex", required=True, help="file with the subcomplex's maximal simplices"),
         ],
     ),
-    "mesh": ("mesh of a cover file", cmd_mesh, False, [_INPUT, _arg("--scale")]),
+    "mesh": ("mesh of a cover file", cmd_mesh, False, (), [_INPUT, _arg("--scale")]),
     "lift": (
         "stagewise lift of a PL map through a tower",
         cmd_lift,
         True,
+        ("pi1", "filler", "nerve"),
         [_arg("input", help="tower file"), _arg("--spec", required=True, help="lift specification file")],
     ),
     "gen": (
         "deterministic example inputs",
         cmd_gen,
         False,
+        (),
         [
             _arg(
                 "kind",
@@ -446,15 +461,14 @@ def _parser(names) -> argparse.ArgumentParser:
     every = None if len(names) == len(_COMMANDS) else "{%s}" % ",".join(_COMMANDS)
     sub = parser.add_subparsers(dest="command", required=True, metavar=every)
     for name in names:
-        help_, handler, needs_n, arguments = _COMMANDS[name]
+        help_, handler, needs_n, budgets, arguments = _COMMANDS[name]
         p = sub.add_parser(name, help=help_)
         for flags, kwargs in arguments:
             p.add_argument(*flags, **kwargs)
         p.add_argument("--format", choices=("json", "human"), default="json")
         p.add_argument("--output", "-o", default=None)
-        p.add_argument("--budget-pi1", type=int, default=None)
-        p.add_argument("--budget-filler", type=int, default=None)
-        p.add_argument("--budget-nerve", type=int, default=None)
+        for budget in budgets:
+            p.add_argument("--budget-" + budget, type=int, default=None)
         if needs_n:
             p.add_argument("--n", type=int, required=True)
         p.set_defaults(handler=handler)
@@ -468,6 +482,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
+    except MemoryError:
+        # the report below allocates; when that fails too the interpreter
+        # exits 1, the refutation code
+        os.write(2, _OUT_OF_MEMORY)
+        os._exit(EXIT_INTERNAL)
     except (ValueError, KeyError) as exc:  # formats.InputFormatError is a ValueError
         sys.stderr.write("input error: %s\n" % exc)
         return EXIT_INPUT

@@ -61,88 +61,46 @@ class HomologySummary(Record, frozen=True):
 
 
 class HomologyCoordinates(Record):
-    """H_k = Z_k / B_k from two sparse reductions, for mapping cycles into
-    canonical (free, torsion) homology coordinates.
+    """H_k read off the ranks of the boundary maps around degree k.
 
-    `cycles` reduces the boundary matrix of degree k and records V and V^-1:
-    the columns of V without a pivot are a basis of the cycles, and a chain c
-    is a cycle exactly when V^-1 c vanishes at the pivot columns.  `quotient`
-    reduces the boundaries written in that basis, transposed, and records W
-    and W^-1: P = W^T takes cycle coordinates to canonical ones, and the rows
-    of W^-1 are the columns of P^-1.
+    With n_k simplices of degree k, the cycles Z_k have rank n_k - rank ∂_k
+    and the boundaries B_k rank ∂_{k+1}, so betti = n_k - rank ∂_k -
+    rank ∂_{k+1}.  C_k / Z_k embeds in C_{k-1}, so it is free and Z_k is a
+    direct summand of C_k: the invariant factors of ∂_{k+1} into C_k are
+    those into Z_k, and the ones above 1 are the torsion of Z_k / B_k.
     """
 
     degree: int
-    cycles: snf.Reduction
-    position: dict  # cycle coordinate of each V column without a pivot
-    inverse_columns: list  # V^-1 as columns, one per k-simplex
-    quotient: snf.Reduction
-    torsion_entries: list  # (position, order) with order > 1
-    free_positions: list
     betti: int
     torsion: tuple
-
-    def coords_of_cycle(self, chain: dict):
-        """Canonical (free, torsion) coordinates of a chain {simplex index:
-        coefficient}, or None if it is not a cycle."""
-        z = _cycle_coordinates(self.inverse_columns, self.position, chain)
-        if z is None:
-            return None
-        change = self.quotient.right
-
-        def coordinate(p):
-            column = change[p]
-            return sum(a * column[s] for s, a in z.items() if s in column)
-
-        free = tuple(coordinate(p) for p in self.free_positions)
-        tor = tuple(coordinate(p) % order for p, order in self.torsion_entries)
-        return (free, tor)
-
-
-def _cycle_coordinates(inverse_columns: list, position: dict, chain: dict):
-    """V^-1 c read in cycle coordinates, or None when it has a pivot part."""
-    coords = {}
-    for j, a in snf.combine(inverse_columns, chain).items():
-        p = position.get(j)
-        if p is None:
-            return None
-        coords[p] = a
-    return coords
+    boundary_rank: int  # rank of ∂_k
 
 
 def homology_coordinates(complex_: Complex, k: int) -> HomologyCoordinates:
+    """The invariants of H_k from two eliminations that record no transform."""
     if k < 0:
         raise ValueError("homology degree must be non-negative")
-    cycles = snf.eliminate(boundary_columns(complex_, k), len(complex_.simplices_of_dim(k - 1)), right=True)
-    position = {j: p for p, j in enumerate(cycles.free_columns())}
-    inverse_columns = snf.transpose_sparse(cycles.right_inverse, cycles.cols)
-    # relations[p] is row p of the relation matrix of H_k, whose columns are
-    # the boundaries in cycle coordinates; reducing the rows as columns
-    # reduces its transpose
-    d_next = boundary_columns(complex_, k + 1)
-    relations: list = [{} for _ in position]
-    for s, column in enumerate(d_next):
-        for p, a in _cycle_coordinates(inverse_columns, position, column).items():
-            relations[p][s] = a
-    quotient = snf.eliminate(relations, len(d_next), right=True)
-    torsion_entries = [(p, d) for _, p, d in quotient.pivots if d > 1]
+    n = len(complex_.simplices_of_dim(k))
+    rank = snf.eliminate(boundary_columns(complex_, k), len(complex_.simplices_of_dim(k - 1))).rank
+    factors = [d for _, _, d in snf.eliminate(boundary_columns(complex_, k + 1), n).pivots]
     return HomologyCoordinates(
         degree=k,
-        cycles=cycles,
-        position=position,
-        inverse_columns=inverse_columns,
-        quotient=quotient,
-        torsion_entries=torsion_entries,
-        free_positions=quotient.free_columns(),
-        betti=len(position) - quotient.rank,
-        torsion=tuple(d for _, d in torsion_entries),
+        betti=n - rank - len(factors),
+        torsion=tuple(d for d in factors if d > 1),
+        boundary_rank=rank,
     )
+
+
+def cycle_basis(complex_: Complex, k: int) -> list:
+    """A basis of the k-cycles Z_k, as chains {simplex index: coefficient}:
+    the columns of the unimodular V that hold no pivot, which span Z_k
+    itself and not just a sublattice of finite index."""
+    reduction = snf.eliminate(boundary_columns(complex_, k), len(complex_.simplices_of_dim(k - 1)), right=True)
+    return [reduction.right[j] for j in reduction.free_columns()]
 
 
 def homology(complex_: Complex, k: int, reduced: bool = False) -> HomologySummary:
     """Exact betti number and torsion coefficients in one degree."""
-    if k < 0:
-        raise ValueError("homology degree must be non-negative")
     data = homology_coordinates(complex_, k)
     betti = data.betti
     if reduced and k == 0 and complex_.simplices:

@@ -58,21 +58,19 @@ class VertexMap(Record, frozen=True):
         return VertexMap(source, target, tuple((v, images[v]) for v in source.vertices))
 
     @cached_property
-    def _lookup(self) -> dict:
-        """The assignment as a dict, built once per map for the lookups."""
-        return dict(self.assignment)
-
-    def as_dict(self) -> dict:
+    def lookup(self) -> dict:
+        """The assignment as a dict, built once per map; callers read it and
+        never change it."""
         return dict(self.assignment)
 
     def __call__(self, vertex):
         try:
-            return self._lookup[vertex]
+            return self.lookup[vertex]
         except (KeyError, TypeError):  # TypeError: an unhashable name
             raise ValueError("unknown vertex %s" % vertex_label(vertex)) from None
 
     def image_simplex(self, simplex) -> tuple:
-        lookup = self._lookup
+        lookup = self.lookup
         return tuple(sorted({lookup[v] for v in simplex}, key=vertex_key))
 
     @cached_property
@@ -187,7 +185,7 @@ def preimage_of_base_subcomplex(p: QSMap, sub: Subcomplex) -> Subcomplex:
 def apply_subdivision(p: QSMap, x: Point) -> Point:
     """Push a point forward into subdivision coordinates of the target."""
     acc: dict = {}
-    mapping = p.as_dict()
+    mapping = p.lookup
     for v, c in x.coords:
         w = mapping[v]
         acc[w] = acc.get(w, Fraction(0)) + c
@@ -217,7 +215,7 @@ def lipschitz_constant(p: QSMap, kappa, lam) -> Fraction:
     kappa, lam = Fraction(kappa), Fraction(lam)
     if kappa <= 0 or lam <= 0:
         raise ValueError("scales must be positive")
-    mapping = p.as_dict()
+    mapping = p.lookup
     shapes = set()
     for u, v in p.source.simplices_of_dim(1):
         a, b = mapping[u], mapping[v]
@@ -300,7 +298,7 @@ def chain_map_columns(vm: VertexMap, k: int) -> list:
     simplices collapsed by the map give empty columns, non-degenerate images
     carry the sorting sign."""
     dst_index = {s: i for i, s in enumerate(vm.target.simplices_of_dim(k))}
-    mapping = vm.as_dict()
+    mapping = vm.lookup
     columns = []
     for s in vm.source.simplices_of_dim(k):
         images = [mapping[v] for v in s]
@@ -330,78 +328,54 @@ def _permutation_sign(order) -> int:
     return sign
 
 
-def induced_homology_map(p, k: int) -> tuple:
-    """The degree-k map on integral homology induced by a (quasi-)simplicial
-    map, with a verdict on whether it is an isomorphism.
+def induced_homology_map(p, k: int) -> Verdict:
+    """Whether the degree-k map on integral homology induced by a
+    (quasi-)simplicial map is an isomorphism.
 
-    Returns (matrix over canonical generators, Verdict).  The verdict holds
-    exactly when both groups share invariants and the induced map is onto,
-    which for finitely generated abelian groups forces bijectivity.
+    It holds exactly when both groups share invariants and the induced map
+    is onto, which for finitely generated abelian groups forces bijectivity.
+    Onto-ness is read off one elimination of the boundaries of the target
+    together with the images of a basis of the source cycles: C_k of the
+    target modulo their span is coker f_* ⊕ Z^(rank ∂_k), as the cycles are
+    a direct summand of C_k with free quotient.  A witness lists the
+    invariant factors of a presentation of coker f_* with one generator per
+    invariant factor of the target group: the units first, then the
+    factors of the cokernel.
     """
     # the homology layers load with the first induced map, not with maps
-    from .connectivity import homology_coordinates
-    from .snf import combine
+    from .connectivity import boundary_columns, cycle_basis, homology_coordinates
+    from .snf import combine, eliminate
 
     src = homology_coordinates(p.source, k)
     # a map onto an equal complex (an identity bond) reduces it once
     dst = src if p.target == p.source else homology_coordinates(p.target, k)
-    chain = chain_map_columns(p, k)
-    src_group = (src.betti, src.torsion)
-    dst_group = (dst.betti, dst.torsion)
-
-    generator_images = []
-    for cycle in _homology_generator_cycles(src):
-        coords = dst.coords_of_cycle(combine(chain, cycle))
-        if coords is None:
-            raise AssertionError("image of a cycle is not a cycle")
-        generator_images.append(coords)
-
-    if src_group != dst_group:
-        return generator_images, Verdict.fails(
+    if (src.betti, src.torsion) != (dst.betti, dst.torsion):
+        return Verdict.fails(
             witness={"source": _group_obj(src), "target": _group_obj(dst)},
             reason="homology groups differ in degree %d" % k,
         )
     if dst.betti == 0 and not dst.torsion:
-        return generator_images, Verdict.holds()
-    surj = _onto_verdict(generator_images, dst)
-    return generator_images, surj
+        return Verdict.holds()
+    chain = chain_map_columns(p, k)
+    boundary = boundary_columns(p.target, k)
+    images = []
+    for cycle in cycle_basis(p.source, k):
+        image = combine(chain, cycle)
+        if combine(boundary, image):
+            raise AssertionError("image of a cycle is not a cycle")
+        images.append(image)
+    n = len(p.target.simplices_of_dim(k))
+    span = eliminate(boundary_columns(p.target, k + 1) + images, n)
+    factors = [d for _, _, d in span.pivots if d > 1]
+    free = n - span.rank - dst.boundary_rank
+    if not factors and not free:
+        return Verdict.holds()
+    units = dst.betti + len(dst.torsion) - free - len(factors)
+    return Verdict.fails(
+        witness={"invariant_factors": [1] * units + factors},
+        reason="induced map is not onto",
+    )
 
 
 def _group_obj(data) -> dict:
     return {"betti": data.betti, "torsion": list(data.torsion)}
-
-
-def _homology_generator_cycles(data) -> list:
-    """Cycle representatives {simplex index: coefficient} of the canonical
-    free and torsion generators of H_k: the columns of P^-1 at those
-    positions, carried from cycle coordinates to chains by V."""
-    from .snf import combine
-
-    basis = [data.cycles.right[j] for j in data.position]
-    positions = data.free_positions + [p for p, _ in data.torsion_entries]
-    return [combine(basis, data.quotient.right_inverse[p]) for p in positions]
-
-
-def _onto_verdict(generator_images, dst) -> Verdict:
-    """Cokernel test: the images of the source generators together with the
-    target torsion relations must generate the whole target group."""
-    from .snf import invariant_factors
-
-    free_rank = dst.betti
-    torsion_orders = [order for _, order in dst.torsion_entries]
-    rows = free_rank + len(torsion_orders)
-    cols = []
-    for free, tor in generator_images:
-        cols.append(list(free) + list(tor))
-    for idx, order in enumerate(torsion_orders):
-        col = [0] * rows
-        col[free_rank + idx] = order
-        cols.append(col)
-    matrix = [[col[i] for col in cols] for i in range(rows)]
-    factors = invariant_factors(matrix, cols=len(cols))
-    if len(factors) == rows and all(abs(d) == 1 for d in factors):
-        return Verdict.holds()
-    return Verdict.fails(
-        witness={"invariant_factors": factors},
-        reason="induced map is not onto",
-    )

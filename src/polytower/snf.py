@@ -6,10 +6,12 @@ of `{row: value}` dicts with an index of the columns meeting each row, takes
 unit pivots first (choosing the row with fewest entries, to limit fill) and
 falls back to Euclid steps on a least-magnitude entry only when no unit is
 left.  The pivots it finds are the invariant factors, in the divisibility
-chain d1 | d2 | ...  It can record the column transform V together with its
-inverse, and the row transform U, so callers read inverses off the
-reduction instead of solving for them (Dumas, Saunders and Villard, On
-efficient sparse integer matrix Smith normal form computations, 2001).
+chain d1 | d2 | ...  It records only the transforms a caller reads: by
+default none, so a rank or the invariant factors cost no fill-in of a
+transform; the column transform V on request, whose columns without a pivot
+are a basis of the kernel; and the row transform U for the dense Smith
+normal form (Dumas, Saunders and Villard, On efficient sparse integer
+matrix Smith normal form computations, 2001).
 
 Dense matrices elsewhere in the package are lists of lists of unbounded
 Python ints.
@@ -79,14 +81,14 @@ def dense_rows(vectors: list, length: int) -> list:
 class Reduction(Record):
     """U * A * V is zero except at the pivots (row, col, d), where it is d.
 
-    Pivots are listed in the order found, with d > 0 and d1 | d2 | ...  A
-    column that holds no pivot is a kernel vector of A when multiplied by V.
+    Pivots are listed in the order found, with d > 0 and d1 | d2 | ...  V
+    and U are recorded only on request, and no inverse is.  A column that
+    holds no pivot is a kernel vector of A when multiplied by V.
     """
 
     pivots: list
     cols: int
     right: list | None  # V, as columns
-    right_inverse: list | None  # V^-1, as rows
     left: list | None  # U, as rows
 
     @property
@@ -102,7 +104,7 @@ class Reduction(Record):
 def eliminate(columns: list, rows: int, right: bool = False, left: bool = False) -> Reduction:
     """Reduce the matrix whose j-th column is the sparse dict columns[j].
 
-    `right` records V and V^-1, `left` records U.  Every pivot is isolated
+    `right` records V, `left` records U.  Every pivot is isolated
     by column operations (clearing its row) and row operations (clearing its
     column); a row operation only has to be applied for real when a pivot
     does not divide its column, because a cleared pivot row touches no other
@@ -115,7 +117,6 @@ def eliminate(columns: list, rows: int, right: bool = False, left: bool = False)
         for i in col:
             meets[i].add(j)
     v = [{j: 1} for j in range(n)] if right else None
-    v_inv = [{j: 1} for j in range(n)] if right else None
     u = [{i: 1} for i in range(rows)] if left else None
     pivots: list = []
 
@@ -133,7 +134,6 @@ def eliminate(columns: list, rows: int, right: bool = False, left: bool = False)
                 meets[i].discard(dst)
         if right:
             axpy(v[dst], c, v[src])
-            axpy(v_inv[src], -c, v_inv[dst])
 
     def add_row(src, dst, c):
         for j in list(meets[src]):
@@ -165,7 +165,6 @@ def eliminate(columns: list, rows: int, right: bool = False, left: bool = False)
         if a < 0:
             if right:
                 v[j] = {r: -x for r, x in v[j].items()}
-                v_inv[j] = {r: -x for r, x in v_inv[j].items()}
             elif left:
                 u[i] = {r: -x for r, x in u[i].items()}
         pivots.append((i, j, abs(a)))
@@ -216,7 +215,7 @@ def eliminate(columns: list, rows: int, right: bool = False, left: bool = False)
             _, j, i = min((abs(a), j, i) for j in pending for i, a in cols[j].items())
             retire(*isolate(i, j, pending))
             pending = [j for j in pending if cols[j]]
-    return Reduction(pivots, n, v, v_inv, u)
+    return Reduction(pivots, n, v, u)
 
 
 # ---------------------------------------------------------------------------
@@ -250,11 +249,6 @@ def smith_normal_form(matrix: list, cols: int | None = None) -> SmithForm:
     right = dense_rows(transpose_sparse([red.right[j] for j in col_order], n), n)
     diagonal = [d for _, _, d in red.pivots] + [0] * (min(m, n) - red.rank)
     return SmithForm(diagonal=diagonal, rank=red.rank, left=left, right=right, rows=m, cols=n)
-
-
-def invariant_factors(matrix: list, cols: int | None = None) -> list:
-    red = eliminate(sparse_columns(matrix, _width(matrix, cols)), len(matrix))
-    return [d for _, _, d in red.pivots]
 
 
 def solve_matrix(matrix: list, rhs_columns: list, cols: int | None = None) -> list | None:

@@ -213,7 +213,7 @@ def verify_tower(tower: Tower, n: int, budgets: Budgets = DEFAULT_BUDGETS) -> To
     for idx, bond in enumerate(tower.bonds):
         degrees = {}
         for k in range(n):
-            _, verdict = induced_homology_map(bond, k)
+            verdict = induced_homology_map(bond, k)
             degrees[k] = verdict
             evidence_verdicts.append(verdict)
         evidence_entries.append({"bond": idx + 1, "degrees": degrees})
@@ -314,8 +314,7 @@ def restrict_tower(tower: Tower, m: int, sub: Subcomplex) -> Tower:
         if pre.is_empty():
             raise MalformedTowerError("restriction emptied level %d" % (idx + 2,))
         new_level = pre.as_complex()
-        mapping = bond.as_dict()
-        images = {v: mapping[v] for v in new_level.vertices}
+        images = {v: bond.lookup[v] for v in new_level.vertices}
         new_bond = check_quasi_simplicial(new_level, new_levels[-1], images)
         new_levels.append(new_level)
         new_bonds.append(new_bond)

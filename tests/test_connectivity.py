@@ -8,9 +8,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from polytower.complexes import Complex, barycentric_subdivision, vertex_key, whole_subcomplex
+from polytower import snf
 from polytower.connectivity import (
+    boundary_columns,
     collapses_to_point,
     components,
+    cycle_basis,
     homology,
     is_connected,
     ae_verdict,
@@ -27,13 +30,17 @@ from polytower.verdicts import Budgets, Verdict, conjoin
 from util import (
     betti_over_field,
     boundary_composition_is_zero,
+    boundary_matrix,
+    corpus_towers,
     cylinder_complex,
     dunce_hat_complex,
     greedy_collapse,
+    invariant_factors,
     kernel_complexes,
     random_complex,
     rank_mod_p,
     rational_rank,
+    reference_homology,
     rp2_complex,
     simplex_complex,
     sphere_complex,
@@ -108,6 +115,29 @@ class TestHomology:
             for deg in range(k.dimension + 1):
                 ours, theirs = homology(k, deg), homology(b, deg)
                 assert (ours.betti, ours.torsion) == (theirs.betti, theirs.torsion)
+
+    def test_ranks_agree_with_the_reference_reductions(self):
+        # betti numbers and torsion read off ranks equal those of the
+        # reference, which reduces the boundaries written in a cycle basis
+        levels = [level for _, tower in corpus_towers() for level in tower.levels]
+        for k in [k for _, k in kernel_complexes()] + levels:
+            for deg in range(k.dimension + 2):
+                ours, theirs = homology(k, deg), reference_homology(k, deg)
+                assert (ours.betti, ours.torsion) == (theirs.betti, theirs.torsion), deg
+
+    def test_cycle_basis_is_a_basis_of_the_cycles(self):
+        # n_k - rank ∂_k cycles whose invariant factors are all 1: they span
+        # a direct summand of the chains of the cycles' rank, so all of Z_k
+        for label, k in kernel_complexes():
+            for deg in range(k.dimension + 1):
+                basis = cycle_basis(k, deg)
+                boundary = boundary_columns(k, deg)
+                rank = rational_rank(boundary_matrix(k, deg)) if deg else 0
+                assert len(basis) == len(k.simplices_of_dim(deg)) - rank, (label, deg)
+                assert all(snf.combine(boundary, z) == {} for z in basis), (label, deg)
+                n = len(k.simplices_of_dim(deg))
+                matrix = snf.dense_rows(snf.transpose_sparse(basis, n), len(basis))
+                assert invariant_factors(matrix, cols=len(basis)) == [1] * len(basis), (label, deg)
 
 
 class TestConnectedness:
@@ -214,8 +244,6 @@ class TestPi1:
     def test_tietze_moves_preserve_abelianization(self):
         # the rewriting engine may only apply group-preserving moves, so the
         # abelian invariants of the presentation must never change
-        from polytower import snf
-
         def invariants(relators, alive):
             index = {g: i for i, g in enumerate(sorted(alive))}
             cols = []
@@ -226,7 +254,7 @@ class TestPi1:
                         col[index[abs(letter)]] += 1 if letter > 0 else -1
                 cols.append(col)
             matrix = [[c[i] for c in cols] for i in range(len(alive))]
-            factors = snf.invariant_factors(matrix, cols=len(cols)) if alive else []
+            factors = invariant_factors(matrix, cols=len(cols)) if alive else []
             return len(alive) - len(factors), tuple(d for d in factors if d > 1)
 
         for seed in range(12):
@@ -249,8 +277,6 @@ class TestPi1:
     def test_presentation_abelianization_matches_h1(self):
         # exponent-sum matrix of the relators presents the same abelian group
         # as the first homology of the (connected) complex
-        from polytower import snf
-
         for k in (sphere_complex(1), sphere_complex(2), rp2_complex(), cylinder_complex()):
             pres = pi1_presentation(k)
             gens = len(pres.generators)
@@ -261,7 +287,7 @@ class TestPi1:
                     col[abs(letter) - 1] += 1 if letter > 0 else -1
                 columns.append(col)
             matrix = [[col[i] for col in columns] for i in range(gens)]
-            factors = snf.invariant_factors(matrix, cols=len(columns)) if gens else []
+            factors = invariant_factors(matrix, cols=len(columns)) if gens else []
             betti = gens - len(factors)
             torsion = tuple(d for d in factors if d > 1)
             h1 = homology(k, 1)

@@ -1,6 +1,7 @@
 """The error rows of the operation contracts: wrong inputs raise the named
 exceptions instead of producing verdicts."""
 import json
+import sys
 from collections.abc import Mapping
 
 import pytest
@@ -319,6 +320,43 @@ class TestUsageErrors:
 
 
 
+# command -> the budgets it reads, each set by its --budget-<name> flag
+BUDGETS_READ = {"nerve": ["nerve"], "pi1": ["pi1"], "check-map": ["pi1"], "verify-tower": ["pi1", "nerve"], "lift": ["pi1", "filler", "nerve"]}
+
+
+class TestBudgetFlags:
+    """A command accepts the flag of each budget it reads and of no other,
+    so a budget that would be ignored is a usage error."""
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_flags_name_the_budgets_read(self, capsys, command):
+        from polytower.cli import main
+
+        _, out, _ = _exit_and_output(lambda: main([command, "--help"]), capsys)
+        flags = sorted({word.strip("[],") for word in out.split() if word.startswith("--budget-")})
+        assert flags == sorted("--budget-" + name for name in BUDGETS_READ.get(command, []))
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["validate", "complex.json", "--budget-pi1", "5"],
+            ["homology", "complex.json", "--budget-nerve", "5"],
+            ["gen", "simplex", "--budget-filler", "5"],
+            ["nerve", "cover.json", "--budget-pi1", "5"],
+            ["pi1", "complex.json", "--budget-nerve", "5"],
+            ["check-map", "map.json", "--n", "1", "--budget-filler", "5"],
+            ["verify-tower", "tower.json", "--n", "2", "--budget-filler", "1"],
+        ],
+    )
+    def test_unread_budget_is_a_usage_error(self, capsys, argv):
+        from polytower.cli import EXIT_INPUT, main
+
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_INPUT
+        assert "unrecognized arguments: %s" % argv[-2] in capsys.readouterr().err
+
+
 def _deep_name(depth: int) -> str:
     # built as text: json.dumps itself cannot nest this deep
     return "[" * depth + '"x"' + "]" * depth
@@ -399,6 +437,32 @@ class TestInternalErrors:
         assert code == cli.EXIT_INTERNAL
         assert code not in (0, 1, 2, 3)
         assert "internal error: RuntimeError" in capsys.readouterr().err
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="address-space limits are Linux's")
+    def test_out_of_memory_is_no_verdict(self, tmp_path):
+        # the subdivision of the 11-simplex has 12! top simplices; under a
+        # 400 MB address-space limit the child runs out of memory
+        import os
+        import resource
+        import subprocess
+
+        from polytower import formats
+
+        path = tmp_path / "simplex11.json"
+        path.write_text(formats.dumps_canonical(formats.complex_to_obj(simplex(11))))
+        limit = 400 * 2**20
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [os.path.join(os.path.dirname(__file__), "..", "src")] + env.get("PYTHONPATH", "").split(os.pathsep)
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "polytower.cli", "subdivide", str(path)],
+            capture_output=True,
+            env=env,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+            timeout=300,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (4, b"", b"internal error: out of memory\n")
 
 
 def _write_json(tmp_path, name, payload) -> str:

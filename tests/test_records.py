@@ -39,6 +39,8 @@ MUTABLE = {
     "LiftResult",
     "Presentation",
     "Reduction",
+    "ReferenceHomology",
+    "ReferenceReduction",
     "Region",
     "SmithForm",
     "ThreadApprox",
@@ -49,7 +51,7 @@ MUTABLE = {
 
 def record_classes() -> list:
     """The record classes of the package and of the test oracles in `util`
-    (`HomotopyResult`)."""
+    (`HomotopyResult` and the reference homology records)."""
     for info in pkgutil.iter_modules(polytower.__path__):
         importlib.import_module("polytower." + info.name)
     out, todo = [], list(Record.__subclasses__())
@@ -78,7 +80,7 @@ def fields_of(record) -> tuple:
 
 def test_every_record_class_is_classified():
     names = [cls.__name__ for cls in record_classes()]
-    assert len(names) == len(set(names)) == 25
+    assert len(names) == len(set(names)) == 27
     assert set(names) == FROZEN | MUTABLE
 
 

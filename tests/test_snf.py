@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from polytower import snf
 
-from util import matmul, rational_rank
+from util import invariant_factors, matmul, rational_rank
 
 
 def check_transforms(matrix, form):
@@ -79,8 +79,8 @@ def test_transforms_are_unimodular(matrix):
     form = snf.smith_normal_form(matrix)
     check_transforms(matrix, form)
     n = len(form.left)
-    left_factors = snf.invariant_factors(form.left, cols=n)
+    left_factors = invariant_factors(form.left, cols=n)
     assert left_factors == [1] * n
     m = len(form.right)
-    right_factors = snf.invariant_factors(form.right, cols=m)
+    right_factors = invariant_factors(form.right, cols=m)
     assert right_factors == [1] * m

@@ -159,6 +159,271 @@ def betti_over_field(complex_, k, rank_fn) -> int:
     return n_k - rank_k - rank_next
 
 
+def invariant_factors(matrix: list, cols: int | None = None) -> list:
+    """The invariant factors of a dense integer matrix, by `snf.eliminate`."""
+    from polytower import snf
+
+    width = cols if cols is not None else (len(matrix[0]) if matrix else 0)
+    return [d for _, _, d in snf.eliminate(snf.sparse_columns(matrix, width), len(matrix)).pivots]
+
+
+# ---------------------------------------------------------------------------
+# reference induced maps: canonical homology coordinates from recorded
+# transforms and their inverses, sharing no elimination with the library
+
+
+class ReferenceReduction(Record):
+    """U * A * V is zero except at the pivots (row, col, d); V and V^-1 are
+    recorded, U is not."""
+
+    pivots: list
+    cols: int
+    right: list  # V, as columns
+    right_inverse: list  # V^-1, as rows
+
+    @property
+    def rank(self) -> int:
+        return len(self.pivots)
+
+    def free_columns(self) -> list:
+        used = {j for _, j, _ in self.pivots}
+        return [j for j in range(self.cols) if j not in used]
+
+
+def _axpy(target: dict, c: int, source: dict) -> None:
+    for i, a in source.items():
+        v = target.get(i, 0) + c * a
+        if v:
+            target[i] = v
+        else:
+            del target[i]
+
+
+def _combine(vectors: list, coefficients: dict) -> dict:
+    out: dict = {}
+    for j, c in coefficients.items():
+        _axpy(out, c, vectors[j])
+    return out
+
+
+def _transpose(vectors: list, length: int) -> list:
+    out: list = [{} for _ in range(length)]
+    for j, vec in enumerate(vectors):
+        for i, a in vec.items():
+            out[i][j] = a
+    return out
+
+
+def reference_eliminate(columns: list, rows: int) -> ReferenceReduction:
+    """Sparse Smith elimination that tracks V and V^-1 through every column
+    operation: unit pivots first, Euclid steps on a least entry otherwise."""
+    cols = [dict(c) for c in columns]
+    n = len(cols)
+    meets: list = [set() for _ in range(rows)]
+    for j, col in enumerate(cols):
+        for i in col:
+            meets[i].add(j)
+    v = [{j: 1} for j in range(n)]
+    v_inv = [{j: 1} for j in range(n)]
+    pivots: list = []
+
+    def add_col(src, dst, c):
+        target = cols[dst]
+        for i, a in cols[src].items():
+            value = target.get(i, 0) + c * a
+            if value:
+                if i not in target:
+                    meets[i].add(dst)
+                target[i] = value
+            else:
+                del target[i]
+                meets[i].discard(dst)
+        _axpy(v[dst], c, v[src])
+        _axpy(v_inv[src], -c, v_inv[dst])
+
+    def add_row(src, dst, c):
+        for j in list(meets[src]):
+            col = cols[j]
+            value = col.get(dst, 0) + c * col[src]
+            if value:
+                if dst not in col:
+                    meets[dst].add(j)
+                col[dst] = value
+            else:
+                del col[dst]
+                meets[dst].discard(j)
+
+    def retire(i, j):
+        a = cols[j][i]
+        for l in list(meets[i]):
+            if l != j:
+                add_col(j, l, -(cols[l][i] // a))
+        for t in cols[j]:
+            meets[t].discard(j)
+        cols[j] = {}
+        if a < 0:
+            v[j] = {r: -x for r, x in v[j].items()}
+            v_inv[j] = {r: -x for r, x in v_inv[j].items()}
+        pivots.append((i, j, abs(a)))
+
+    def isolate(i, j, pending):
+        while True:
+            a = cols[j][i]
+            for l in list(meets[i]):
+                if l != j and cols[l][i] // a:
+                    add_col(j, l, -(cols[l][i] // a))
+            rest = [l for l in meets[i] if l != j]
+            if rest:
+                j = min(rest, key=lambda l: (abs(cols[l][i]), l))
+                continue
+            for t in [t for t in cols[j] if t != i]:
+                if cols[j][t] // a:
+                    add_row(i, t, -(cols[j][t] // a))
+            rest = [t for t in cols[j] if t != i]
+            if rest:
+                i = min(rest, key=lambda t: (abs(cols[j][t]), t))
+                continue
+            bad = next((t for l in pending if l != j for t, b in cols[l].items() if b % a), None)
+            if bad is None:
+                return i, j
+            add_row(bad, i, 1)
+
+    pending = [j for j in range(n) if cols[j]]
+    while pending:
+        found = False
+        for j in pending:
+            best = None
+            for i, a in cols[j].items():
+                if a in (1, -1) and (best is None or len(meets[i]) < len(meets[best])):
+                    best = i
+            if best is not None:
+                retire(best, j)
+                found = True
+        pending = [j for j in pending if cols[j]]
+        if pending and not found:
+            _, j, i = min((abs(a), j, i) for j in pending for i, a in cols[j].items())
+            retire(*isolate(i, j, pending))
+            pending = [j for j in pending if cols[j]]
+    return ReferenceReduction(pivots, n, v, v_inv)
+
+
+class ReferenceHomology(Record):
+    """H_k = Z_k / B_k from two reductions, with canonical (free, torsion)
+    coordinates.
+
+    `cycles` reduces ∂_k: the columns of V without a pivot are a basis of
+    the cycles, and a chain c is a cycle exactly when V^-1 c vanishes at the
+    pivot columns.  `quotient` reduces the boundaries written in that
+    basis, transposed: P = W^T takes cycle coordinates to canonical ones,
+    and the rows of W^-1 are the columns of P^-1.
+    """
+
+    degree: int
+    cycles: ReferenceReduction
+    position: dict  # cycle coordinate of each V column without a pivot
+    inverse_columns: list  # V^-1 as columns, one per k-simplex
+    quotient: ReferenceReduction
+    torsion_entries: list  # (position, order) with order > 1
+    free_positions: list
+    betti: int
+    torsion: tuple
+
+    def coords_of_cycle(self, chain: dict):
+        """Canonical (free, torsion) coordinates of a chain, or None if it
+        is not a cycle."""
+        z = _cycle_coordinates(self.inverse_columns, self.position, chain)
+        if z is None:
+            return None
+        change = self.quotient.right
+
+        def coordinate(p):
+            column = change[p]
+            return sum(a * column[s] for s, a in z.items() if s in column)
+
+        free = tuple(coordinate(p) for p in self.free_positions)
+        tor = tuple(coordinate(p) % order for p, order in self.torsion_entries)
+        return (free, tor)
+
+    def generator_cycles(self) -> list:
+        """Cycles of the canonical free and torsion generators: the columns
+        of P^-1 at those positions, carried to chains by V."""
+        basis = [self.cycles.right[j] for j in self.position]
+        positions = self.free_positions + [p for p, _ in self.torsion_entries]
+        return [_combine(basis, self.quotient.right_inverse[p]) for p in positions]
+
+
+def _cycle_coordinates(inverse_columns: list, position: dict, chain: dict):
+    coords = {}
+    for j, a in _combine(inverse_columns, chain).items():
+        p = position.get(j)
+        if p is None:
+            return None
+        coords[p] = a
+    return coords
+
+
+def reference_homology(complex_: Complex, k: int) -> ReferenceHomology:
+    from polytower.connectivity import boundary_columns
+
+    cycles = reference_eliminate(boundary_columns(complex_, k), len(complex_.simplices_of_dim(k - 1)))
+    position = {j: p for p, j in enumerate(cycles.free_columns())}
+    inverse_columns = _transpose(cycles.right_inverse, cycles.cols)
+    d_next = boundary_columns(complex_, k + 1)
+    relations: list = [{} for _ in position]
+    for s, column in enumerate(d_next):
+        for p, a in _cycle_coordinates(inverse_columns, position, column).items():
+            relations[p][s] = a
+    quotient = reference_eliminate(relations, len(d_next))
+    torsion_entries = [(p, d) for _, p, d in quotient.pivots if d > 1]
+    return ReferenceHomology(
+        degree=k,
+        cycles=cycles,
+        position=position,
+        inverse_columns=inverse_columns,
+        quotient=quotient,
+        torsion_entries=torsion_entries,
+        free_positions=quotient.free_columns(),
+        betti=len(position) - quotient.rank,
+        torsion=tuple(d for _, d in torsion_entries),
+    )
+
+
+def reference_induced_homology_map(p, k: int) -> tuple:
+    """(matrix over canonical generators, Verdict) of the degree-k induced
+    map: the images of the source generators in target coordinates, and
+    the cokernel test on them together with the target torsion relations."""
+    from polytower.maps import chain_map_columns
+
+    src = reference_homology(p.source, k)
+    dst = reference_homology(p.target, k)
+    chain = chain_map_columns(p, k)
+    images = []
+    for cycle in src.generator_cycles():
+        coords = dst.coords_of_cycle(_combine(chain, cycle))
+        if coords is None:
+            raise AssertionError("image of a cycle is not a cycle")
+        images.append(coords)
+    if (src.betti, src.torsion) != (dst.betti, dst.torsion):
+        return images, Verdict.fails(
+            witness={
+                "source": {"betti": src.betti, "torsion": list(src.torsion)},
+                "target": {"betti": dst.betti, "torsion": list(dst.torsion)},
+            },
+            reason="homology groups differ in degree %d" % k,
+        )
+    if dst.betti == 0 and not dst.torsion:
+        return images, Verdict.holds()
+    orders = [order for _, order in dst.torsion_entries]
+    rows = dst.betti + len(orders)
+    columns = [list(free) + list(tor) for free, tor in images]
+    columns += [[order if i == dst.betti + t else 0 for i in range(rows)] for t, order in enumerate(orders)]
+    presentation = [{i: a for i, a in enumerate(column) if a} for column in columns]
+    factors = [d for _, _, d in reference_eliminate(presentation, rows).pivots]
+    if len(factors) == rows and all(d == 1 for d in factors):
+        return images, Verdict.holds()
+    return images, Verdict.fails(witness={"invariant_factors": factors}, reason="induced map is not onto")
+
+
 def random_point(complex_, rng: random.Random, scale=Fraction(1), max_num=20):
     """A random rational point supported on a random simplex."""
     simplices = sorted(complex_.simplices, key=lambda s: (len(s), s))
@@ -301,6 +566,22 @@ def kernel_complexes() -> list:
     for i, level in enumerate(subdivision_tower(simplex(2), 3).levels):
         out += [("triangle level %d" % i, level), ("beta of triangle level %d" % i, barycentric_subdivision(level))]
     return out
+
+
+def corpus_towers() -> list:
+    """(label, tower) pairs of the kinds the command-line corpus verifies:
+    subdivision towers of the triangle, tetrahedron, rp2 and circle, the
+    cylinder tower, whose bond is not an identity, and random towers."""
+    from polytower.generators import circle, cylinder_tower, projective_plane, random_tower, simplex, subdivision_tower
+
+    out = [
+        ("triangle", subdivision_tower(simplex(2), 3)),
+        ("tetrahedron", subdivision_tower(simplex(3), 2)),
+        ("rp2", subdivision_tower(projective_plane(), 2)),
+        ("circle", subdivision_tower(circle(), 3)),
+        ("cylinder", cylinder_tower()),
+    ]
+    return out + [("random %d" % seed, random_tower(seed, 3)) for seed in range(6)]
 
 
 # ---------------------------------------------------------------------------
@@ -621,7 +902,7 @@ def vertex_image_point(p, vertex, scale=Fraction(1)):
 def scan_preimage_of_base(p, sub) -> frozenset:
     """Every source simplex whose image chain has its top (the union of the
     named simplices) in the subcomplex of the base target."""
-    mapping = p.as_dict()
+    mapping = p.lookup
     kept = set()
     for s in p.source.simplices:
         top = set()
@@ -887,7 +1168,7 @@ def flatten_vertex_map(vm: VertexMap) -> VertexMap:
     long as every image is a singleton tuple naming a coarser vertex."""
     current = vm
     while True:
-        images = current.as_dict()
+        images = current.lookup
         if not images:
             return current
         if not all(isinstance(w, tuple) and len(w) == 1 for w in images.values()):
