@@ -79,7 +79,7 @@ def validate_carrier(carrier: Carrier, budgets: Budgets = DEFAULT_BUDGETS) -> Ve
         return result.status
     if all(_region_for(carrier, list(m)).simplices for m in result.complex.maximal):
         return Verdict.holds()
-    for subset in sorted(result.complex.simplices, key=simplex_sort_key):
+    for subset in result.complex.sorted_simplices():
         region = _region_for(carrier, list(subset))
         if not region.simplices:
             return Verdict.fails(witness=list(subset), reason="target intersection empty")
@@ -196,7 +196,6 @@ def _region_for(carrier: Carrier, indices) -> Region:
 class ExtensionResult(Record):
     status: Verdict
     extended: PartialPLMap | None
-    refined_domain: Complex | None
     descent: dict  # refined maximal simplex -> original cell
     failed_cells: list
 
@@ -256,7 +255,6 @@ def extend_carried(
         return ExtensionResult(
             Verdict.fails(witness=failed[0], reason="empty target intersection"),
             None,
-            None,
             {},
             failed,
         )
@@ -287,7 +285,6 @@ def extend_carried(
     if failed:
         return ExtensionResult(
             Verdict.inconclusive("edge fillers found no path"),
-            None,
             None,
             {},
             failed,
@@ -327,7 +324,6 @@ def extend_carried(
                 "two-cell filler budget exhausted at %d cell(s)" % len(inconclusive_cells)
             ),
             None,
-            None,
             descent,
             inconclusive_cells,
         )
@@ -358,8 +354,8 @@ def extend_carried(
     )
     check = _check_extension(total, carrier, descent)
     if not check.is_holds:
-        return ExtensionResult(check, None, None, descent, [check.witness])
-    return ExtensionResult(Verdict.holds(), total, refined, descent, [])
+        return ExtensionResult(check, None, descent, [check.witness])
+    return ExtensionResult(Verdict.holds(), total, descent, [])
 
 
 def _prune_path(points):
@@ -582,6 +578,6 @@ def carried_extension(
     if status.is_holds:
         status = is_carried(seed, carrier)
     if not status.is_holds:
-        return ExtensionResult(status, None, None, {}, [])
+        return ExtensionResult(status, None, {}, [])
     return extend_carried(seed, carrier, budgets)
 

@@ -44,23 +44,6 @@ def boundary_columns(complex_: Complex, k: int) -> list:
 
 
 class HomologySummary(Record, frozen=True):
-    degree: int
-    betti: int
-    torsion: tuple
-    reduced: bool = False
-
-    def is_trivial(self) -> bool:
-        return self.betti == 0 and not self.torsion
-
-    def to_obj(self) -> dict:
-        return {
-            "degree": self.degree,
-            "betti": self.betti,
-            "torsion": list(self.torsion),
-        }
-
-
-class HomologyCoordinates(Record):
     """H_k read off the ranks of the boundary maps around degree k.
 
     With n_k simplices of degree k, the cycles Z_k have rank n_k - rank ∂_k
@@ -75,15 +58,25 @@ class HomologyCoordinates(Record):
     torsion: tuple
     boundary_rank: int  # rank of ∂_k
 
+    def is_trivial(self) -> bool:
+        return self.betti == 0 and not self.torsion
 
-def homology_coordinates(complex_: Complex, k: int) -> HomologyCoordinates:
+    def to_obj(self) -> dict:
+        return {
+            "degree": self.degree,
+            "betti": self.betti,
+            "torsion": list(self.torsion),
+        }
+
+
+def homology_coordinates(complex_: Complex, k: int) -> HomologySummary:
     """The invariants of H_k from two eliminations that record no transform."""
     if k < 0:
         raise ValueError("homology degree must be non-negative")
     n = len(complex_.simplices_of_dim(k))
     rank = snf.eliminate(boundary_columns(complex_, k), len(complex_.simplices_of_dim(k - 1))).rank
     factors = [d for _, _, d in snf.eliminate(boundary_columns(complex_, k + 1), n).pivots]
-    return HomologyCoordinates(
+    return HomologySummary(
         degree=k,
         betti=n - rank - len(factors),
         torsion=tuple(d for d in factors if d > 1),
@@ -100,12 +93,13 @@ def cycle_basis(complex_: Complex, k: int) -> list:
 
 
 def homology(complex_: Complex, k: int, reduced: bool = False) -> HomologySummary:
-    """Exact betti number and torsion coefficients in one degree."""
+    """Exact betti number and torsion coefficients in one degree; reduced
+    homology drops one from the betti number of a non-empty complex in
+    degree 0."""
     data = homology_coordinates(complex_, k)
-    betti = data.betti
-    if reduced and k == 0 and complex_.simplices:
-        betti -= 1
-    return HomologySummary(k, betti, data.torsion, reduced)
+    if not (reduced and k == 0 and complex_.simplices):
+        return data
+    return HomologySummary(k, data.betti - 1, data.torsion, data.boundary_rank)
 
 
 # ---------------------------------------------------------------------------

@@ -74,15 +74,6 @@ class VertexMap(Record, frozen=True):
         return tuple(sorted({lookup[v] for v in simplex}, key=vertex_key))
 
     @cached_property
-    def vertex_fibers(self) -> dict:
-        """Target vertex -> the source vertices mapped to it (hit vertices
-        only), built once per map."""
-        fibers: dict = {}
-        for v, w in self.assignment:
-            fibers.setdefault(w, []).append(v)
-        return fibers
-
-    @cached_property
     def simplex_fibers(self) -> dict:
         """Image simplex -> the source simplices mapped onto it exactly,
         built once per map."""
@@ -272,13 +263,13 @@ class Tower(Record, frozen=True):
 
     @cached_property
     def covers(self) -> tuple:
-        """The vertex-star cover of every level but the last, built once per
-        tower: the pull-backs and lifts read a cover only at a bond's target,
-        and the summability bounds come from the levels themselves."""
-        from .stars import cover_B, cover_O  # stars imports this module
+        """The barycentric vertex-star cover of every level but the last,
+        for either cover kind (`towers.intersection_verdicts`), built once
+        per tower: the pull-backs and lifts read a cover only at a bond's
+        target, and the summability bounds come from the levels themselves."""
+        from .stars import cover_B  # stars imports this module
 
-        star_cover = cover_B if self.cover_kind == "B" else cover_O
-        return tuple(star_cover(level) for level in self.levels[:-1])
+        return tuple(cover_B(level) for level in self.levels[:-1])
 
     @cached_property
     def lipschitz(self) -> tuple:

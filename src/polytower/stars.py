@@ -242,16 +242,20 @@ def pullback_cover(p, cover: IndexedCover) -> IndexedCover:
     tower's covers: a closed cover of the map's own (subdivided) target
     pulls back to the preimage subcomplexes; an open cover of a
     quasi-simplicial map's base target pulls back to the open stars of the
-    source vertices whose image simplex meets the core.
+    source vertices whose image simplex meets the core, read off the
+    assignment once as the source vertices over each base vertex.
     """
     if cover.kind == "closed" and cover.ambient == p.target:
         elements = {i: preimage_of_subdivided_subcomplex(p, e) for i, e in cover.elements}
     elif cover.kind == "open" and isinstance(p, QSMap) and cover.ambient == p.base_target:
-        fibers = p.vertex_fibers
-        elements = {}
-        for i, e in cover.elements:
-            over = open_intersection(p.base_target, [e.core])
-            elements[i] = OpenStarSet(p.source, frozenset(v for t in over for v in fibers.get(t, ())))
+        over: dict = {}
+        for u, image in p.assignment:
+            for v in image:
+                over.setdefault(v, []).append(u)
+        elements = {
+            i: OpenStarSet(p.source, frozenset(u for v in e.core for u in over.get(v, ())))
+            for i, e in cover.elements
+        }
     else:
         raise ValueError("cover does not live on the map's target (closed) or base target (open)")
     return IndexedCover.build(p.source, cover.kind, elements, base=None, star_of=dict(cover.star_of))

@@ -29,7 +29,6 @@ from .complexes import (
     Complex,
     Subcomplex,
     faces,
-    induced_subcomplex,
     simplex_sort_key,
     vertex_key,
     vertex_label,
@@ -50,6 +49,8 @@ from .records import Record
 from .stars import (
     IndexedCover,
     aligned_images,
+    cover_B,
+    cover_O,
     element_contains_hull,
     hull_witnesses,
     nerve,
@@ -196,9 +197,8 @@ def verify_tower(tower: Tower, n: int, budgets: Budgets = DEFAULT_BUDGETS) -> To
             level_entry["intersections"].append({"status": nerve_status, "indices": None})
         for indices, verdict, size in intersections:
             pullback_verdicts.append(verdict)
-            level_entry["intersections"].append(
-                {"indices": indices, "status": verdict, "simplices": size}
-            )
+            size = size if tower.cover_kind == "B" else None  # an open intersection has no simplex count
+            level_entry["intersections"].append({"indices": indices, "status": verdict, "simplices": size})
         pullback_entries.append(level_entry)
     pullback_status = conjoin(pullback_verdicts)
     conditions["pullback_extensors"] = {"status": pullback_status, "levels": pullback_entries}
@@ -327,38 +327,34 @@ def restrict_tower(tower: Tower, m: int, sub: Subcomplex) -> Tower:
 
 
 def intersection_verdicts(pulled: IndexedCover, n: int, budgets: Budgets):
-    """The nerve status of a pulled-back cover and, lazily and in simplex
-    order, (indices, extensor verdict, size) for each non-empty intersection:
-    size is the simplex count of a closed intersection, None for an open one."""
+    """The nerve status of a pulled-back closed cover and, lazily and in
+    simplex order, (indices, extensor verdict, simplex count) for each
+    non-empty intersection.
+
+    Open towers are certified here too, on the barycentric stars: the open
+    vertex stars pull back along a quasi-simplicial bond p to the same nerve
+    and pieces.  A source vertex u lies in the pulled-back star of v, closed
+    or open, exactly when v ∈ p(u), a simplex of the base.  A source simplex
+    s maps onto a chain, so it lies in the closed star exactly when v lies
+    in the chain's least element ∩_{u∈s} p(u): the closed intersection over
+    σ is the subcomplex induced on W(σ) = {u : σ ⊆ p(u)}.  W(σ) is the
+    common core of the open stars; their intersection is its open star (s
+    meets every star exactly when the vertex with the top image does),
+    which retracts onto that same subcomplex.  Both covers meet exactly
+    where some p(u) holds the indices, the closed one at u and the open one
+    at the top image of each maximal simplex, so their nerves are equal, as
+    are the subsets a nerve budget counts.
+    """
     nerve_result = nerve(pulled, budgets)
-    subsets = []
-    if nerve_result.status.is_holds:
-        subsets = sorted(nerve_result.complex.simplices, key=simplex_sort_key)
+    subsets = nerve_result.complex.sorted_simplices() if nerve_result.status.is_holds else []
 
     def verdicts():
         for subset in subsets:
             indices = list(subset)
-            if pulled.kind == "closed":
-                piece = pulled.intersection_subcomplex(indices)
-                yield indices, subcomplex_verdict(piece, n, budgets), len(piece.simplices)
-            else:
-                yield indices, open_intersection_verdict(pulled, indices, n, budgets), None
+            piece = pulled.intersection_subcomplex(indices)
+            yield indices, subcomplex_verdict(piece, n, budgets), len(piece.simplices)
 
     return nerve_result.status, verdicts()
-
-
-def open_intersection_verdict(cover: IndexedCover, subset, n: int, budgets: Budgets) -> Verdict:
-    """Extensor verdict for an intersection of open stars pulled back from a
-    quasi-simplicial map's base target (`pullback_cover`), judged on the
-    subcomplex induced on the common core: the intersection is the open star
-    of that core, which the straight-line deformation retracts onto it.  A
-    source simplex s maps onto a chain whose top τ is the image of one of
-    its vertices, u*; s meets the pulled-back star of a core C exactly when
-    τ meets C, that is, when u* lies in it; so s meets every star of the
-    subset exactly when u* lies in the common core."""
-    elements = [cover.element(i) for i in subset]
-    common_core = frozenset.intersection(*(e.core for e in elements))
-    return subcomplex_verdict(induced_subcomplex(elements[0].ambient, common_core), n, budgets)
 
 
 # ---------------------------------------------------------------------------
@@ -387,6 +383,8 @@ def single_lift(
     lift exactly, and its projection is cover-close to the input with a
     per-simplex certificate.
 
+    An open cover must be the vertex stars of the base target, as its
+    pulled-back intersections are certified on the barycentric ones.
     Hypothesis failures (non-surjective bond, uncertified pull-back
     intersections, missing image witnesses after one subdivision) surface as
     inconclusive results naming the condition, never as fabricated lifts.
@@ -394,6 +392,8 @@ def single_lift(
     from .carriers import carried_extension
     from .plmaps import PartialPLMap
 
+    if cover.kind == "open" and cover != cover_O(p.base_target):
+        raise ValueError("an open cover must be the open vertex-star cover of the base target")
     if f.domain != g0.domain:
         raise ValueError("the partial lift must live on the map's domain")
     if not f.is_total():
@@ -423,7 +423,8 @@ def single_lift(
             )
 
     pulled = pullback_cover(p, cover)
-    nerve_status, intersections = intersection_verdicts(pulled, n, budgets)
+    certified = pulled if cover.kind == "closed" else pullback_cover(p, cover_B(p.base_target))
+    nerve_status, intersections = intersection_verdicts(certified, n, budgets)
     if not nerve_status.is_holds:
         return LiftResult(nerve_status, None, None, {})
     for indices, verdict, _ in intersections:
@@ -550,9 +551,8 @@ def tower_lift(
     status = Verdict.holds()
     anchored = True
     for idx, bond in enumerate(tower.bonds):
-        result = single_lift(
-            bond, tower.covers[idx], current_f, current_defined, seeds[idx + 1], n, budgets
-        )
+        cover = tower.covers[idx] if tower.cover_kind == "B" else cover_O(tower.levels[idx])
+        result = single_lift(bond, cover, current_f, current_defined, seeds[idx + 1], n, budgets)
         if not result.status.is_holds:
             status = result.status
             break

@@ -218,7 +218,7 @@ class TestExtendCarried:
         f = from_vertex_images(k, {v: v for v in k.vertices}, k)
         result = extend_carried(f, carrier)
         assert result.status.is_holds
-        assert result.refined_domain == k
+        assert result.extended.domain == k
         assert equal_on(result.extended, f, whole_subcomplex(k))
 
     def test_edge_filler_uses_path(self):
@@ -236,7 +236,7 @@ class TestExtendCarried:
         result = extend_carried(seed, carrier)
         assert result.status.is_holds
         # the refined segment has one piece per path edge
-        assert len(result.refined_domain.simplices_of_dim(1)) == 3
+        assert len(result.extended.domain.simplices_of_dim(1)) == 3
         assert is_carried(result.extended, carrier).is_holds
 
     def test_edge_filler_respects_graph_diameter(self):
@@ -252,7 +252,7 @@ class TestExtendCarried:
         )
         result = extend_carried(seed, carrier)
         assert result.status.is_holds
-        assert len(result.refined_domain.simplices_of_dim(1)) <= 5
+        assert len(result.extended.domain.simplices_of_dim(1)) <= 5
 
     def test_open_region_edge_routes_through_star(self):
         # both endpoints lie in the open star of v, but the segment between
@@ -272,7 +272,7 @@ class TestExtendCarried:
         result = extend_carried(seed, carrier)
         assert result.status.is_holds
         assert is_carried(result.extended, carrier).is_holds
-        assert len(result.refined_domain.simplices_of_dim(1)) == 2
+        assert len(result.extended.domain.simplices_of_dim(1)) == 2
         images = [p.coords for _, p in result.extended.images]
         assert vertex_point(target, "v").coords in images
 
@@ -323,7 +323,7 @@ class TestExtendCarried:
             assert result.extended.image_of(v).coords == corners[v].coords
         # every fan triangle is recorded under the refined complex's own
         # name, so the post-check and the lift witnesses find it
-        assert set(result.descent) <= set(result.refined_domain.maximal)
+        assert set(result.descent) <= set(result.extended.domain.maximal)
 
     def test_loop_contraction_in_annulus_free_disc(self):
         # the target is a hexagonal disc; a boundary loop around the hexagon
@@ -388,7 +388,7 @@ class TestExtendCarried:
         # the refined triangle is still a contractible surface piece
         from polytower.connectivity import homology, is_connected
 
-        refined = result.refined_domain
+        refined = result.extended.domain
         assert is_connected(refined).is_holds
         assert homology(refined, 1).is_trivial()
         assert refined.euler_characteristic() == 1
@@ -403,7 +403,7 @@ class TestExtendCarried:
         result = extend_carried(seed, carrier, Budgets(filler_steps=20000))
         assert result.status.is_holds
         assert is_carried(result.extended, carrier).is_holds
-        assert result.refined_domain.euler_characteristic() == 1
+        assert result.extended.domain.euler_characteristic() == 1
 
     def test_budget_exhaustion_reports_cell(self):
         target = self._grid_disc()

@@ -269,7 +269,7 @@ class TestExtensionDeterminism:
         )
         results = [extend_carried(seed, carrier) for _ in range(2)]
         assert results[0].extended.images == results[1].extended.images
-        assert results[0].refined_domain == results[1].refined_domain
+        assert results[0].extended.domain == results[1].extended.domain
 
     def test_tower_certificates_identical(self):
         from polytower import formats

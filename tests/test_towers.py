@@ -7,9 +7,10 @@ from polytower.complexes import (
     Complex,
     make_point,
     subcomplex_from,
+    vertex_key,
     whole_subcomplex,
 )
-from polytower.maps import apply, identity_qsmap, is_surjective
+from polytower.maps import VertexMap, apply, identity_qsmap, is_surjective
 from polytower.plmaps import PartialPLMap
 from polytower.towers import (
     MalformedTowerError,
@@ -31,10 +32,20 @@ from polytower.generators import (
     simplex,
     subdivision_tower,
 )
-from polytower.stars import cover_B, cover_O, nerve, open_intersection, pullback_cover
+from polytower.stars import (
+    IndexedCover,
+    OpenStarSet,
+    cover_B,
+    cover_O,
+    nerve,
+    open_intersection,
+    pullback_cover,
+)
 from polytower.verdicts import Budgets
 
 from util import (
+    barycentric_core_stars,
+    cover_rule_mismatches,
     distance,
     from_vertex_images,
     open_pullback_by_fibers,
@@ -158,6 +169,28 @@ class TestVerifyTower:
         cert = verify_tower(t_open, 2)
         assert cert.conclusion.is_holds
         assert cert.conditions["mesh_summability"]["contraction_quotient"] < 1
+
+    def test_open_tower_builds_no_open_cover(self, monkeypatch):
+        # its pulled-back intersections are certified on the barycentric
+        # stars, and an open intersection records no simplex count
+        from polytower import stars, towers
+
+        calls = {"cover_B": 0, "cover_O": 0}
+        for name in calls:
+            original = getattr(stars, name)
+
+            def counted(*args, _original=original, _name=name, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(stars, name, counted)
+            monkeypatch.setattr(towers, name, counted, raising=False)
+        t = subdivision_tower(simplex(2), 3)
+        cert = verify_tower(Tower.build(t.levels, t.bonds, t.scales, cover_kind="O"), 2)
+        assert cert.conclusion.is_holds
+        assert calls == {"cover_B": 2, "cover_O": 0}
+        entries = [e for level in cert.conditions["pullback_extensors"]["levels"] for e in level["intersections"]]
+        assert entries and all(e["simplices"] is None for e in entries)
 
     def test_covers_and_lipschitz_constants_built_once(self, monkeypatch):
         # one cover per bond target and one constant per bond, shared by
@@ -346,8 +379,11 @@ def common_core_misses(cover) -> tuple:
 
 class TestCommonCoreDecides:
     """An intersection of open stars pulled back from a bond's base target
-    is the open star of the common core, so `open_intersection_verdict`
-    judges the subcomplex induced on that core."""
+    is the open star of the common core, which retracts onto the subcomplex
+    induced on that core (`util.common_core_piece`).  Both pulled-back
+    covers, open and barycentric, must give that piece and the same nerve,
+    as `towers.intersection_verdicts` certifies open towers on the
+    barycentric stars."""
 
     @staticmethod
     def towers():
@@ -383,6 +419,54 @@ class TestCommonCoreDecides:
         tower = subdivision_tower(simplex(2), 3)
         counts = [common_core_misses(open_pullback_by_fibers(bond, cover_O(bond.target))) for bond in tower.bonds]
         assert tuple(map(sum, zip(*counts))) == (114, 146)
+
+    def test_pullback_by_fibers_reads_the_assignment(self):
+        assert not hasattr(VertexMap, "vertex_fibers")
+        for bond in subdivision_tower(simplex(2), 3).bonds:
+            cover = cover_O(bond.target)
+            for i, element in open_pullback_by_fibers(bond, cover).elements:
+                expected = frozenset(u for u in bond.source.vertices if bond(u) in cover.element(i).core)
+                assert element.core == expected, i
+
+    @staticmethod
+    def open_covers_on_bonds(tower) -> list:
+        """(where, bond, open cover of the bond's base target): the vertex
+        stars of each level, and the stars of every higher level pulled back
+        to it, whose cores hold several vertices."""
+        out = []
+        for idx, bond in enumerate(tower.bonds):
+            out.append(("bond %d" % (idx + 1), bond, cover_O(tower.levels[idx])))
+            for i in range(1, idx + 1):
+                out.append(("levels %d to %d" % (i, idx + 2), bond, pullback_star_cover(tower, i, idx + 1, "O")[0]))
+        return out
+
+    def test_open_and_barycentric_pull_backs_agree(self):
+        checked = 0
+        for label, tower in self.towers():
+            # the tower's own covers are the barycentric counterparts of its
+            # open vertex stars
+            for level, cover in zip(tower.levels, tower.covers):
+                assert barycentric_core_stars(cover_O(level)).elements == cover.elements, label
+            for where, bond, cover in self.open_covers_on_bonds(tower):
+                pulled_open = pullback_cover(bond, cover)
+                pulled_closed = pullback_cover(bond, barycentric_core_stars(cover))
+                assert cover_rule_mismatches(pulled_open, pulled_closed) == [], (label, where)
+                subsets = nerve(pulled_open).subsets_checked
+                short = Budgets(nerve_subsets=subsets - 1)
+                assert cover_rule_mismatches(pulled_open, pulled_closed, short) == [], (label, where)
+                checked += subsets
+        assert checked == 1290
+
+    def test_dropping_a_core_vertex_fails_the_cross_check(self):
+        for label, tower in self.towers():
+            for where, bond, cover in self.open_covers_on_bonds(tower):
+                pulled_open = pullback_cover(bond, cover)
+                pulled_closed = pullback_cover(bond, barycentric_core_stars(cover))
+                i, element = next((i, e) for i, e in pulled_open.elements if e.core)
+                elements = dict(pulled_open.elements)
+                elements[i] = OpenStarSet(element.ambient, element.core - {min(element.core, key=vertex_key)})
+                mutated = IndexedCover.build(pulled_open.ambient, "open", elements, star_of=dict(pulled_open.star_of))
+                assert cover_rule_mismatches(mutated, pulled_closed), (label, where)
 
 
 def edge_domain():
@@ -454,6 +538,23 @@ class TestSingleLift:
         result = single_lift(bond, cover_O(t.levels[0]), f, empty, g0, 2)
         assert result.status.is_holds
         assert apply(bond, result.lift.image_of("x")).as_dict() == {"a": Fraction(1)}
+
+    def test_open_cover_must_be_the_vertex_stars_of_the_base_target(self):
+        # an open cover's pulled-back intersections are certified on the
+        # barycentric vertex stars, which stand in for open vertex stars only
+        t = subdivision_tower(simplex(2), 2)
+        bond, level = t.bonds[0], t.levels[0]
+        domain = Complex.from_maximal([["x"]])
+        f = from_vertex_images(domain, {"x": "a"}, level)
+        empty = subcomplex_from(domain, [])
+        g0 = PartialPLMap.build(domain, empty, {}, t.levels[1])
+        stars = cover_O(level)
+        wide = dict(stars.elements, a=OpenStarSet(level, frozenset(["a", "b"])))
+        renamed_index = {("star", v): e for v, e in stars.elements}
+        for elements in (wide, renamed_index):
+            cover = IndexedCover.build(level, "open", elements, base=level)
+            with pytest.raises(ValueError, match="open vertex-star cover"):
+                single_lift(bond, cover, f, empty, g0, 2)
 
     def test_anchor_equal_to_domain_returns_seed(self):
         t = subdivision_tower(simplex(2), 2)

@@ -771,9 +771,58 @@ def open_pullback_by_fibers(p, cover: IndexedCover) -> IndexedCover:
     hand, each core to the source vertices mapped into it: the regime
     `pullback_cover` refuses, since there an intersection of pulled-back
     stars need not be the star of the common core."""
-    fibers = p.vertex_fibers
+    fibers: dict = {}
+    for v, w in p.assignment:
+        fibers.setdefault(w, []).append(v)
     elements = {i: OpenStarSet(p.source, frozenset(v for t in e.core for v in fibers.get(t, ()))) for i, e in cover.elements}
     return IndexedCover.build(p.source, "open", elements, star_of=dict(cover.star_of))
+
+
+def common_core_piece(cover: IndexedCover, subset) -> Subcomplex:
+    """The reference rule for an intersection of pulled-back open stars: the
+    subcomplex induced on the common core, onto which the straight-line
+    deformation retracts the intersection, the open star of that core."""
+    common = frozenset.intersection(*(cover.element(i).core for i in subset))
+    return induced_subcomplex(cover.ambient, common)
+
+
+def common_core_verdicts(cover: IndexedCover, n: int, budgets: Budgets = DEFAULT_BUDGETS):
+    """The nerve status of a pulled-back open cover and, in simplex order,
+    (indices, extensor verdict of the common-core piece) per nerve simplex."""
+    result = nerve(cover, budgets)
+    if not result.status.is_holds:
+        return result.status, []
+    subsets = result.complex.sorted_simplices()
+    return result.status, [(list(s), subcomplex_verdict(common_core_piece(cover, s), n, budgets)) for s in subsets]
+
+
+def barycentric_core_stars(cover: IndexedCover) -> IndexedCover:
+    """The closed counterpart of an open cover: per index, the chains of the
+    subdivision whose minimal element meets the core, the union of the
+    barycentric stars of the core's vertices."""
+    beta = barycentric_subdivision(cover.ambient)
+    stars = barycentric_vertex_stars(cover.ambient)
+    elements = {
+        i: Subcomplex(beta, frozenset().union(*(stars[v].simplices for v in e.core))) for i, e in cover.elements
+    }
+    return IndexedCover.build(beta, "closed", elements)
+
+
+def cover_rule_mismatches(pulled_open: IndexedCover, pulled_closed: IndexedCover, budgets: Budgets = DEFAULT_BUDGETS) -> list:
+    """Where an open cover and its barycentric counterpart, pulled back along
+    one bond, part: ["nerve"] when the nerve results differ (their subset
+    counts included), else the nerve simplices whose common-core piece is
+    not the closed intersection."""
+    open_nerve = nerve(pulled_open, budgets)
+    if open_nerve != nerve(pulled_closed, budgets):
+        return ["nerve"]
+    if not open_nerve.status.is_holds:
+        return []
+    return [
+        s
+        for s in open_nerve.complex.sorted_simplices()
+        if common_core_piece(pulled_open, s) != pulled_closed.intersection_subcomplex(s)
+    ]
 
 
 def scan_open_intersection(complex_: Complex, cores) -> list:
@@ -1212,7 +1261,8 @@ def pullback_star_cover(
 ):
     """The level-i vertex star cover pulled back to level m through the
     bonds, indexed by the level-i vertices, with per-intersection verdicts
-    when a degree is supplied."""
+    when a degree is supplied: an open cover's are judged by the
+    common-core rule (`common_core_verdicts`)."""
     if not 1 <= i <= m <= tower.depth():
         raise MalformedTowerError("levels out of range")
     current = (cover_B if kind == "B" else cover_O)(tower.levels[i - 1])
@@ -1220,10 +1270,14 @@ def pullback_star_cover(
         current = pullback_cover(tower.bonds[idx], current)
     if n is None:
         return current, {}
-    nerve_status, intersections = intersection_verdicts(current, n, budgets)
+    if kind == "B":
+        nerve_status, intersections = intersection_verdicts(current, n, budgets)
+        intersections = [(indices, verdict) for indices, verdict, _ in intersections]
+    else:
+        nerve_status, intersections = common_core_verdicts(current, n, budgets)
     if not nerve_status.is_holds:
         return current, {"status": nerve_status}
-    return current, {tuple(indices): verdict for indices, verdict, _ in intersections}
+    return current, {tuple(indices): verdict for indices, verdict in intersections}
 
 
 # ---------------------------------------------------------------------------
@@ -1324,7 +1378,7 @@ def close_maps_homotopy(
     if not result.status.is_holds:
         return HomotopyResult(result.status, None, None, {}, closeness)
     path_witnesses = {s: witnesses[s] for s in used_f.domain.maximal}
-    return HomotopyResult(Verdict.holds(), result.refined_domain, result.extended, path_witnesses, closeness)
+    return HomotopyResult(Verdict.holds(), result.extended.domain, result.extended, path_witnesses, closeness)
 
 
 def _element_extensor_verdict(element, n: int, budgets: Budgets) -> Verdict:
