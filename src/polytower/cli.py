@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from . import formats
 from .complexes import barycentric_subdivision, subcomplex_from, vertex_label
-from .verdicts import DEFAULT_BUDGETS, Budgets, Verdict, conjoin
+from .verdicts import DEFAULT_BUDGETS, HOLDS, Budgets, Verdict, conjoin
 
 EXIT_HOLDS = 0
 EXIT_FAILS = 1
@@ -28,34 +28,29 @@ EXIT_INTERNAL = 4
 
 _STATUS_EXIT = {"holds": EXIT_HOLDS, "fails": EXIT_FAILS, "inconclusive": EXIT_INCONCLUSIVE}
 
+# budget name -> its Budgets field: a POLYTOWER_BUDGETS entry name=N and the
+# flag --budget-name of the commands that read it
+_BUDGETS = {"pi1": "pi1_steps", "filler": "filler_steps", "nerve": "nerve_subsets"}
+
 # written when memory runs out, where formatting a message could fail too
 _OUT_OF_MEMORY = b"internal error: out of memory\n"
 
 
 def _budgets_from(args) -> Budgets:
-    budgets = DEFAULT_BUDGETS
-    env = os.environ.get("POLYTOWER_BUDGETS")
-    if env:
-        overrides = {}
-        for part in env.split(","):
-            part = part.strip()
-            if not part:
-                continue
-            if "=" not in part:
-                raise formats.InputFormatError("POLYTOWER_BUDGETS entries look like name=N")
-            name, value = part.split("=", 1)
-            key = {"pi1": "pi1_steps", "filler": "filler_steps", "nerve": "nerve_subsets"}.get(
-                name.strip()
-            )
-            if key is None:
-                raise formats.InputFormatError("unknown budget %r in POLYTOWER_BUDGETS" % name)
-            overrides[key] = int(value)
-        budgets = budgets.with_overrides(**overrides)
-    return budgets.with_overrides(
-        pi1_steps=getattr(args, "budget_pi1", None),
-        filler_steps=getattr(args, "budget_filler", None),
-        nerve_subsets=getattr(args, "budget_nerve", None),
-    )
+    overrides = {}
+    for part in os.environ.get("POLYTOWER_BUDGETS", "").split(","):
+        part = part.strip()
+        if not part:
+            continue
+        if "=" not in part:
+            raise formats.InputFormatError("POLYTOWER_BUDGETS entries look like name=N")
+        name, value = part.split("=", 1)
+        key = _BUDGETS.get(name.strip())
+        if key is None:
+            raise formats.InputFormatError("unknown budget %r in POLYTOWER_BUDGETS" % name)
+        overrides[key] = int(value)
+    flags = {key: getattr(args, "budget_" + name, None) for name, key in _BUDGETS.items()}
+    return DEFAULT_BUDGETS.with_overrides(**overrides).with_overrides(**flags)
 
 
 def _load(path: str):
@@ -72,46 +67,39 @@ def _load(path: str):
 
 def _emit(report, args) -> None:
     text = formats.dumps_canonical(report)
-    if getattr(args, "format", "json") == "human":
+    if args.format == "human":
         text = formats.render_human(json.loads(text)) + "\n"
-    out = getattr(args, "output", None)
-    if out:
-        with open(out, "w", encoding="utf-8") as handle:
+    if args.output:
+        with open(args.output, "w", encoding="utf-8") as handle:
             handle.write(text)
     else:
         sys.stdout.write(text)
 
 
-def _exit_for(status: str) -> int:
-    return _STATUS_EXIT[status]
-
-
 # ---------------------------------------------------------------------------
-# commands: each imports the layers it runs, so a process compiles only those
+# commands: each imports the layers it runs, so a process compiles only
+# those, and returns its report and status, which `main` emits and exits on
 
 
-def cmd_validate(args) -> int:
+def cmd_validate(args) -> tuple:
     complex_ = formats.parse_complex(_load(args.input))
     report = {
         "command": "validate",
         "dimension": complex_.dimension,
-        "f_vector": list(complex_.f_vector()),
+        "f_vector": complex_.f_vector(),
         "simplices": len(complex_.simplices),
         "vertices": len(complex_.vertices),
         "euler_characteristic": complex_.euler_characteristic(),
     }
-    _emit(report, args)
-    return EXIT_HOLDS
+    return report, HOLDS
 
 
-def cmd_subdivide(args) -> int:
+def cmd_subdivide(args) -> tuple:
     complex_ = formats.parse_complex(_load(args.input))
-    result = barycentric_subdivision(complex_)
-    _emit(formats.complex_to_obj(result), args)
-    return EXIT_HOLDS
+    return formats.complex_to_obj(barycentric_subdivision(complex_)), HOLDS
 
 
-def cmd_stars(args) -> int:
+def cmd_stars(args) -> tuple:
     from .stars import barycentric_vertex_star, open_vertex_star
 
     complex_ = formats.parse_complex(_load(args.input))
@@ -120,68 +108,47 @@ def cmd_stars(args) -> int:
     bst = barycentric_vertex_star(complex_, vertex)
     report = {
         "command": "stars",
-        "vertex": formats.vertex_to_obj(vertex),
-        "open_star": {
-            "core": [[formats.vertex_to_obj(vertex)]],
-            "avoided": formats.subcomplex_to_obj(ost.avoided),
-        },
-        "barycentric_star": {
-            "simplices": formats.subcomplex_to_obj(bst),
-            "is_cone_with_apex": formats.vertex_to_obj((vertex,)),
-        },
+        "vertex": vertex,
+        "open_star": {"core": [[vertex]], "avoided": ost.avoided.sorted_simplices()},
+        "barycentric_star": {"simplices": bst.sorted_simplices(), "is_cone_with_apex": (vertex,)},
     }
-    _emit(report, args)
-    return EXIT_HOLDS
+    return report, HOLDS
 
 
-def cmd_nerve(args) -> int:
+def cmd_nerve(args) -> tuple:
     from .stars import nerve
 
     cover = formats.parse_cover(_load(args.input))
-    budgets = _budgets_from(args)
-    result = nerve(cover, budgets)
+    result = nerve(cover, _budgets_from(args))
     report = {
         "command": "nerve",
-        "status": formats.verdict_to_obj(result.status),
+        "status": result.status,
         "subsets_checked": result.subsets_checked,
         "nerve": formats.complex_to_obj(result.complex) if result.complex else None,
     }
-    _emit(report, args)
-    return _exit_for(result.status.status)
+    return report, result.status.status
 
 
-def cmd_homology(args) -> int:
+def cmd_homology(args) -> tuple:
     from .connectivity import homology
 
     complex_ = formats.parse_complex(_load(args.input))
-    top = complex_.dimension if args.degree is None else args.degree
-    degrees = range(0, top + 1) if args.degree is None else [args.degree]
-    entries = []
-    for k in degrees:
-        summary = homology(complex_, k, reduced=args.reduced)
-        entries.append(summary.to_obj())
-    report = {"command": "homology", "reduced": args.reduced, "groups": entries}
-    _emit(report, args)
-    return EXIT_HOLDS
+    degrees = range(0, complex_.dimension + 1) if args.degree is None else [args.degree]
+    groups = [homology(complex_, k, reduced=args.reduced).to_obj() for k in degrees]
+    return {"command": "homology", "reduced": args.reduced, "groups": groups}, HOLDS
 
 
-def cmd_pi1(args) -> int:
+def cmd_pi1(args) -> tuple:
     from .connectivity import is_connected, pi1_verdict
 
     complex_ = formats.parse_complex(_load(args.input))
     budgets = _budgets_from(args)
     connected = is_connected(complex_)
     verdict = pi1_verdict(complex_, budgets=budgets) if not connected.is_fails else connected
-    report = {
-        "command": "pi1",
-        "connected": formats.verdict_to_obj(connected),
-        "trivial": formats.verdict_to_obj(verdict),
-    }
-    _emit(report, args)
-    return _exit_for(verdict.status)
+    return {"command": "pi1", "connected": connected, "trivial": verdict}, verdict.status
 
 
-def cmd_check_map(args) -> int:
+def cmd_check_map(args) -> tuple:
     from .maps import is_surjective, lipschitz_constant
     from .towers import regularity_report
 
@@ -194,29 +161,24 @@ def cmd_check_map(args) -> int:
     report = {
         "command": "check-map",
         "n": args.n,
-        "quasi_simplicial": formats.verdict_to_obj(Verdict.holds()),
-        "surjective": formats.verdict_to_obj(surjective),
-        "lipschitz_constant_at_unit_scales": formats.fraction_to_str(constant),
+        "quasi_simplicial": Verdict.holds(),
+        "surjective": surjective,
+        "lipschitz_constant_at_unit_scales": constant,
         "regularity": regularity,
-        "status": formats.verdict_to_obj(overall),
+        "status": overall,
     }
-    _emit(report, args)
-    return _exit_for(overall.status)
+    return report, overall.status
 
 
-def cmd_verify_tower(args) -> int:
+def cmd_verify_tower(args) -> tuple:
     from .towers import verify_tower
 
     budgets = _budgets_from(args)
-    tower = formats.parse_tower(_load(args.input))
-    certificate = verify_tower(tower, args.n, budgets)
-    report = {"command": "verify-tower"}
-    report.update(certificate.to_obj())
-    _emit(report, args)
-    return _exit_for(certificate.conclusion.status)
+    certificate = verify_tower(formats.parse_tower(_load(args.input)), args.n, budgets)
+    return {"command": "verify-tower", **certificate.to_obj()}, certificate.conclusion.status
 
 
-def cmd_restrict(args) -> int:
+def cmd_restrict(args) -> tuple:
     from .towers import restrict_tower
 
     tower = formats.parse_tower(_load(args.input))
@@ -230,12 +192,10 @@ def cmd_restrict(args) -> int:
         sub = subcomplex_from(level, simplices)
     except ValueError as exc:
         raise formats.InputFormatError(str(exc), "restrict.complex")
-    restricted = restrict_tower(tower, args.level, sub)
-    _emit(formats.tower_to_obj(restricted), args)
-    return EXIT_HOLDS
+    return formats.tower_to_obj(restrict_tower(tower, args.level, sub)), HOLDS
 
 
-def cmd_mesh(args) -> int:
+def cmd_mesh(args) -> tuple:
     from .stars import mesh
 
     cover = formats.parse_cover(_load(args.input))
@@ -243,15 +203,14 @@ def cmd_mesh(args) -> int:
     result = mesh(cover, scale)
     report = {
         "command": "mesh",
-        "mesh": formats.fraction_to_str(result.value),
+        "mesh": result.value,
         "computed_on_closure": result.computed_on_closure,
-        "scale": formats.fraction_to_str(scale),
+        "scale": scale,
     }
-    _emit(report, args)
-    return EXIT_HOLDS
+    return report, HOLDS
 
 
-def cmd_lift(args) -> int:
+def cmd_lift(args) -> tuple:
     from .towers import ThreadApprox, tower_lift
 
     budgets = _budgets_from(args)
@@ -283,23 +242,18 @@ def cmd_lift(args) -> int:
     result = tower_lift(tower, f1, defined, g0, args.n, budgets)
     report = {
         "command": "lift",
-        "status": formats.verdict_to_obj(result.status),
+        "status": result.status,
         "anchored_exactly": result.anchored_exactly,
         "stages": [
-            {
-                "stage": s["stage"],
-                "closeness": formats.verdict_to_obj(s["closeness"]),
-                "lift": formats.plmap_to_obj(s["lift"]),
-            }
+            {"stage": s["stage"], "closeness": s["closeness"], "lift": formats.plmap_to_obj(s["lift"])}
             for s in result.stages
         ],
         "cauchy": result.cauchy,
     }
-    _emit(report, args)
-    return _exit_for(result.status.status)
+    return report, result.status.status
 
 
-def cmd_gen(args) -> int:
+def cmd_gen(args) -> tuple:
     from . import generators
 
     kind = args.kind
@@ -324,8 +278,7 @@ def cmd_gen(args) -> int:
         payload = formats.tower_to_obj(
             generators.random_tower(args.seed, args.levels, _tower_scales(args))
         )
-    _emit(payload, args)
-    return EXIT_HOLDS
+    return payload, HOLDS
 
 
 def _base_complex(args):
@@ -481,7 +434,9 @@ def main(argv=None) -> int:
     parser = _parser(argv[:1]) if argv and argv[0] in _COMMANDS else build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        report, status = args.handler(args)
+        _emit(report, args)
+        return _STATUS_EXIT[status]
     except MemoryError:
         # the report below allocates; when that fails too the interpreter
         # exits 1, the refutation code

@@ -45,10 +45,19 @@ class ComplexMismatchError(ValueError):
 def canon_vertex(name):
     """Normalise a raw vertex name: atoms stay, sequences become sorted tuples."""
     if isinstance(name, str):
-        return name
+        return check_atom(name)
     if isinstance(name, (list, tuple)):
         return join_parts(tuple(canon_vertex(p) for p in name), name)
     raise TypeError("vertex names are strings or nested tuples, got %r" % (name,))
+
+
+def check_atom(name: str) -> str:
+    """An atom as it stands.  One that begins with '[' is refused: an object
+    key spells a nested name as its compact JSON, so the key of such an atom
+    would read back as a nested name."""
+    if name.startswith("["):
+        raise ValueError("vertex name %r begins with '[', as only the key of a nested name does" % name)
+    return name
 
 
 def join_parts(parts: tuple, name) -> tuple:

@@ -3,6 +3,9 @@
 Rationals serialize as "p/q" strings (just "p" for integers), vertex names
 as strings or nested arrays, and every emitted document uses sorted keys and
 two-space indentation so that equal inputs give byte-identical output.
+Reports and certificates hold plain values (verdicts, rationals, vertex names
+and simplex tuples), and `dumps_canonical` is the one place that converts
+them.
 """
 from __future__ import annotations
 
@@ -13,9 +16,9 @@ from json.encoder import c_make_encoder, encode_basestring_ascii as _encode_str
 from .complexes import (
     Complex,
     Point,
-    Subcomplex,
     UnknownVertexError,
     barycentric_subdivision,
+    check_atom,
     join_parts,
     make_point,
     sorted_simplex,
@@ -60,14 +63,10 @@ def parse_fraction(text, context="rational") -> Fraction:
         raise InputFormatError("bad rational %r: %s" % (text, exc), context)
 
 
-def vertex_to_obj(name):
-    return _shared_obj(name, {})
-
-
 def _shared_obj(name, lists: dict):
-    """`vertex_to_obj` within one document: `lists` holds one list per nested
-    name, shared by all its occurrences, so `dumps_canonical` renders it once
-    per depth."""
+    """The JSON form of a vertex name within one document: `lists` holds one
+    list per nested name, shared by all its occurrences, so
+    `dumps_canonical` renders it once per depth."""
     if isinstance(name, str):
         return name
     obj = lists.get(name)
@@ -113,7 +112,10 @@ def parse_vertex(obj, context="vertex", names=None):
 
 def _parse_name(obj, context, names: dict, depth: int):
     if isinstance(obj, str):
-        return obj
+        try:
+            return check_atom(obj)
+        except ValueError as exc:
+            raise InputFormatError(str(exc), context)
     if not isinstance(obj, list):
         raise InputFormatError("vertex names are strings or nested arrays", context)
     if depth == MAX_NAME_DEPTH:
@@ -197,10 +199,6 @@ def parse_simplices(obj, context="simplices", names=None) -> list:
         raise InputFormatError("simplices are a list of vertex arrays", context)
     names = {} if names is None else names
     return [[parse_vertex(v, context, names) for v in s] for s in obj]
-
-
-def subcomplex_to_obj(sub: Subcomplex) -> list:
-    return [[vertex_to_obj(v) for v in s] for s in sub.sorted_simplices()]
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +374,7 @@ def parse_point(obj, complex_: Complex, context="point", names=None) -> Point:
 
 def plmap_to_obj(f: PartialPLMap) -> dict:
     return {
-        "defined_on": subcomplex_to_obj(f.defined_on),
+        "defined_on": f.defined_on.sorted_simplices(),
         "vertex_points": {vertex_to_key(v): point_to_obj(p) for v, p in f.images},
     }
 

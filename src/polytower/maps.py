@@ -262,16 +262,6 @@ class Tower(Record, frozen=True):
         return len(self.levels)
 
     @cached_property
-    def covers(self) -> tuple:
-        """The barycentric vertex-star cover of every level but the last,
-        for either cover kind (`towers.intersection_verdicts`), built once
-        per tower: the pull-backs and lifts read a cover only at a bond's
-        target, and the summability bounds come from the levels themselves."""
-        from .stars import cover_B  # stars imports this module
-
-        return tuple(cover_B(level) for level in self.levels[:-1])
-
-    @cached_property
     def lipschitz(self) -> tuple:
         """Each bond's Lipschitz constant at its levels' scales, computed once."""
         return tuple(

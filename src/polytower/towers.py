@@ -124,41 +124,36 @@ class TowerCertificate(Record):
 
 
 def verify_tower(tower: Tower, n: int, budgets: Budgets = DEFAULT_BUDGETS) -> TowerCertificate:
-    """Run every hypothesis check on the supplied finite truncation."""
+    """Run every hypothesis check on the supplied finite truncation.  A
+    section's status is read off the verdicts of its entries and the
+    conclusion off the section statuses, so a certificate's reader can
+    recompute both from what it prints."""
     check_degree(n)
     conditions: dict = {}
-    verdicts: list = []
 
     level_entries = [
         {"level": idx + 1, "dimension": level.dimension}
         for idx, level in enumerate(tower.levels)
     ]
-    conditions["level_dimension"] = {"status": Verdict.holds(), "levels": level_entries}
-    verdicts.append(Verdict.holds())
+    conditions["level_dimension"] = _section("levels", level_entries)
 
-    bond_entries = []
-    bond_verdicts = []
-    for idx, bond in enumerate(tower.bonds):
-        surjective = is_surjective(bond)
-        report = regularity_report(bond, n, budgets)
-        bond_entries.append(
-            {
-                "bond": idx + 1,
-                "quasi_simplicial": Verdict.holds(),
-                "surjective": surjective,
-                "regularity": report,
-            }
-        )
-        bond_verdicts.append(conjoin([surjective, report["aggregate"]]))
-    bond_status = conjoin(bond_verdicts)
-    conditions["bond_regularity"] = {"status": bond_status, "bonds": bond_entries}
-    verdicts.append(bond_status)
+    bond_entries = [
+        {
+            "bond": idx + 1,
+            "quasi_simplicial": Verdict.holds(),
+            "surjective": is_surjective(bond),
+            "regularity": regularity_report(bond, n, budgets),
+        }
+        for idx, bond in enumerate(tower.bonds)
+    ]
+    # a regularity report's aggregate precedes its entries, so a failure's
+    # witness names its simplex
+    conditions["bond_regularity"] = _section("bonds", bond_entries)
 
     conditions["completeness"] = {
         "status": Verdict.holds(),
         "note": "finite polyhedra are complete in the scaled l1 metric",
     }
-    verdicts.append(Verdict.holds())
 
     lipschitz_entries = []
     for idx, computed in enumerate(tower.lipschitz):
@@ -171,8 +166,7 @@ def verify_tower(tower: Tower, n: int, budgets: Budgets = DEFAULT_BUDGETS) -> To
                 "within_halved_scale_ratio": computed <= lam / (2 * kappa),
             }
         )
-    conditions["lipschitz"] = {"status": Verdict.holds(), "bonds": lipschitz_entries}
-    verdicts.append(Verdict.holds())
+    conditions["lipschitz"] = _section("bonds", lipschitz_entries)
 
     cover_note = (
         "closed, finite, finite-dimensional vertex-star covers"
@@ -184,44 +178,30 @@ def verify_tower(tower: Tower, n: int, budgets: Budgets = DEFAULT_BUDGETS) -> To
         "note": cover_note,
         "kind": tower.cover_kind,
     }
-    verdicts.append(Verdict.holds())
 
     pullback_entries = []
-    pullback_verdicts = []
     for idx, bond in enumerate(tower.bonds):
-        pulled = pullback_cover(bond, tower.covers[idx])
+        pulled = pullback_cover(bond, cover_B(tower.levels[idx]))
         level_entry = {"level": idx + 1, "intersections": []}
         nerve_status, intersections = intersection_verdicts(pulled, n, budgets)
         if not nerve_status.is_holds:
-            pullback_verdicts.append(nerve_status)
             level_entry["intersections"].append({"status": nerve_status, "indices": None})
         for indices, verdict, size in intersections:
-            pullback_verdicts.append(verdict)
             size = size if tower.cover_kind == "B" else None  # an open intersection has no simplex count
             level_entry["intersections"].append({"indices": indices, "status": verdict, "simplices": size})
         pullback_entries.append(level_entry)
-    pullback_status = conjoin(pullback_verdicts)
-    conditions["pullback_extensors"] = {"status": pullback_status, "levels": pullback_entries}
-    verdicts.append(pullback_status)
+    conditions["pullback_extensors"] = _section("levels", pullback_entries)
 
-    summability = summability_report(tower)
-    conditions["mesh_summability"] = summability
-    verdicts.append(summability["status"])
+    conditions["mesh_summability"] = summability_report(tower)
 
-    evidence_entries = []
-    evidence_verdicts = []
-    for idx, bond in enumerate(tower.bonds):
-        degrees = {}
-        for k in range(n):
-            verdict = induced_homology_map(bond, k)
-            degrees[k] = verdict
-            evidence_verdicts.append(verdict)
-        evidence_entries.append({"bond": idx + 1, "degrees": degrees})
-    evidence_status = conjoin(evidence_verdicts)
-    homology_evidence = {"status": evidence_status, "bonds": evidence_entries}
-    verdicts.append(evidence_status)
+    evidence_entries = [
+        {"bond": idx + 1, "degrees": {k: induced_homology_map(bond, k) for k in range(n)}}
+        for idx, bond in enumerate(tower.bonds)
+    ]
+    homology_evidence = _section("bonds", evidence_entries)
 
-    conclusion = conjoin(verdicts)
+    sections = [*conditions.values(), homology_evidence]
+    conclusion = conjoin(section["status"] for section in sections)
     if conclusion.is_holds:
         statement = (
             "the supplied truncation satisfies every hypothesis at n=%d: finite-stage "
@@ -233,6 +213,25 @@ def verify_tower(tower: Tower, n: int, budgets: Budgets = DEFAULT_BUDGETS) -> To
     else:
         statement = "certification incomplete at n=%d; see the recorded reason" % n
     return TowerCertificate(n, conditions, homology_evidence, conclusion, statement)
+
+
+def _section(key: str, entries: list) -> dict:
+    """A certificate section: its entries under `key` and its status, the
+    conjunction of every verdict in them in the order they were recorded."""
+    return {"status": conjoin(_verdicts_in(entries)), key: entries}
+
+
+def _verdicts_in(value):
+    """The verdicts in a report's dicts and lists, depth first in order; a
+    verdict's own witness is not searched."""
+    if isinstance(value, Verdict):
+        yield value
+    elif isinstance(value, dict):
+        for item in value.values():
+            yield from _verdicts_in(item)
+    elif isinstance(value, list):
+        for item in value:
+            yield from _verdicts_in(item)
 
 
 def summability_report(tower: Tower) -> dict:
@@ -551,7 +550,7 @@ def tower_lift(
     status = Verdict.holds()
     anchored = True
     for idx, bond in enumerate(tower.bonds):
-        cover = tower.covers[idx] if tower.cover_kind == "B" else cover_O(tower.levels[idx])
+        cover = (cover_B if tower.cover_kind == "B" else cover_O)(tower.levels[idx])
         result = single_lift(bond, cover, current_f, current_defined, seeds[idx + 1], n, budgets)
         if not result.status.is_holds:
             status = result.status

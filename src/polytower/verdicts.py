@@ -70,11 +70,7 @@ class Budgets(Record, frozen=True):
     nerve_subsets: int = 100_000
 
     def with_overrides(self, **kw) -> "Budgets":
-        fields = {
-            "pi1_steps": self.pi1_steps,
-            "filler_steps": self.filler_steps,
-            "nerve_subsets": self.nerve_subsets,
-        }
+        fields = {name: getattr(self, name) for name in self._fields}
         for key, value in kw.items():
             if value is not None:
                 if key not in fields:

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from polytower import formats
+from polytower import cli, formats
 from polytower.cli import main
 from polytower.complexes import UnknownVertexError, barycentric_subdivision
 from polytower.generators import (
@@ -17,7 +17,8 @@ from polytower.generators import (
     sphere,
     subdivision_tower,
 )
-from polytower.stars import barycentric_vertex_star
+from polytower.stars import barycentric_vertex_star, cover_B
+from polytower.verdicts import DEFAULT_BUDGETS
 
 from util import cover_to_obj
 
@@ -427,6 +428,82 @@ class TestCommands:
         assert code == 0
         assert "f_vector" in human
         assert "{" not in human
+
+
+# command -> a run of it on small inputs written to a directory; the runs
+# exit 0, 1 and 2
+EMISSION_RUNS = {
+    "validate": lambda d: ["validate", write(d, "rp2.json", formats.complex_to_obj(projective_plane()))],
+    "subdivide": lambda d: ["subdivide", write(d, "edge.json", formats.complex_to_obj(simplex(1)))],
+    "stars": lambda d: [
+        "stars",
+        write(d, "beta.json", formats.complex_to_obj(barycentric_subdivision(simplex(2)))),
+        "--vertex",
+        '["a","b"]',
+    ],
+    "nerve": lambda d: ["nerve", write(d, "cover.json", cover_to_obj(cover_B(simplex(2))))],
+    "homology": lambda d: ["homology", write(d, "rp2.json", formats.complex_to_obj(projective_plane()))],
+    "pi1": lambda d: ["pi1", write(d, "s3.json", formats.complex_to_obj(sphere(3))), "--budget-pi1", "5"],
+    "check-map": lambda d: ["check-map", write(d, "cyl.json", formats.map_to_obj(cylinder_map())), "--n", "2"],
+    "verify-tower": lambda d: ["verify-tower", write(d, "tower.json", formats.tower_to_obj(cylinder_tower())), "--n", "2"],
+    "restrict": lambda d: [
+        "restrict",
+        write(d, "tower.json", formats.tower_to_obj(subdivision_tower(simplex(2), 2))),
+        "--level",
+        "1",
+        "--complex",
+        write(d, "edge.json", [["a", "b"]]),
+    ],
+    "mesh": lambda d: ["mesh", write(d, "cover.json", cover_to_obj(cover_B(simplex(2)))), "--scale", "1/3"],
+    "lift": lambda d: [
+        "lift",
+        write(d, "tower.json", formats.tower_to_obj(subdivision_tower(simplex(2), 2))),
+        "--spec",
+        write(d, "spec.json", LIFT_SPEC),
+        "--n",
+        "2",
+    ],
+    "gen": lambda d: ["gen", "cylinder-tower"],
+}
+
+
+class TestEmission:
+    def test_every_command_has_a_run(self):
+        assert sorted(EMISSION_RUNS) == sorted(cli._COMMANDS)
+
+    @pytest.mark.parametrize("command", sorted(EMISSION_RUNS))
+    def test_human_and_output_file_render_the_json_report(self, tmp_path, capsys, command):
+        argv = EMISSION_RUNS[command](tmp_path)
+        code, json_out = run_cli(argv, capsys)
+        assert json.loads(json_out)
+        human = formats.render_human(json.loads(json_out)) + "\n"
+        assert run_cli(argv + ["--format", "human"], capsys) == (code, human)
+        output = tmp_path / "report.out"
+        assert run_cli(argv + ["-o", str(output)], capsys) == (code, "")
+        assert output.read_text(encoding="utf-8") == json_out
+
+
+# a command that reads every budget, and that reads them before its input
+EVERY_BUDGET = ["lift", "no-tower.json", "--spec", "no-spec.json", "--n", "2"]
+
+
+class TestBudgetTable:
+    @pytest.mark.parametrize("name", sorted(cli._BUDGETS))
+    def test_environment_sets_and_flag_overrides(self, monkeypatch, name):
+        field = cli._BUDGETS[name]
+        monkeypatch.setenv("POLYTOWER_BUDGETS", "%s=7" % name)
+        from_env = cli._budgets_from(cli.build_parser().parse_args(EVERY_BUDGET))
+        assert from_env == DEFAULT_BUDGETS.with_overrides(**{field: 7})
+        flagged = cli.build_parser().parse_args(EVERY_BUDGET + ["--budget-" + name, "9"])
+        assert cli._budgets_from(flagged) == DEFAULT_BUDGETS.with_overrides(**{field: 9})
+
+    @pytest.mark.parametrize("name", sorted(cli._BUDGETS))
+    def test_unreadable_value_is_malformed_input(self, monkeypatch, capsys, name):
+        monkeypatch.setenv("POLYTOWER_BUDGETS", name + "=abc")
+        assert main(EVERY_BUDGET) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "input error: invalid literal for int() with base 10: 'abc'\n"
 
 
 class TestDeterminism:

@@ -22,7 +22,7 @@ from polytower.stars import barycentric_vertex_star, open_vertex_star
 from polytower.towers import MalformedTowerError, restrict_tower
 from polytower.generators import simplex, subdivision_tower
 
-from util import ScaleMismatchError, compose, distance, simplex_complex, vertex_point
+from util import ScaleMismatchError, compose, distance, simplex_complex, vertex_point, vertex_to_obj
 
 
 # the subdivided edge: its vertices are ("a",), ("b",) and ("a", "b")
@@ -389,7 +389,7 @@ class TestDeeplyNestedNames:
         from polytower import formats
 
         name = formats.parse_vertex(json.loads(_deep_name(formats.MAX_NAME_DEPTH)))
-        assert formats.vertex_to_obj(name) == json.loads(_deep_name(formats.MAX_NAME_DEPTH))
+        assert vertex_to_obj(name) == json.loads(_deep_name(formats.MAX_NAME_DEPTH))
         with pytest.raises(formats.InputFormatError):
             formats.parse_vertex(json.loads(_deep_name(formats.MAX_NAME_DEPTH + 1)))
         with pytest.raises(formats.InputFormatError):

@@ -9,11 +9,12 @@ from hypothesis import given, settings, strategies as st
 
 from polytower import formats
 from polytower.cli import main
+from polytower.complexes import Complex
 from polytower.generators import cylinder_map, cylinder_tower, simplex, subdivision_tower
 from polytower.towers import verify_tower
 from polytower.verdicts import Verdict
 
-from util import dumps_reference, kernel_complexes
+from util import dumps_reference, kernel_complexes, vertex_to_obj
 
 ATOMS = ["a", "b", "1", "['a']", "é", "☃", 'q"\\', "new\nline"]
 
@@ -35,6 +36,9 @@ NAMES = [
     (),
     [],
 ]
+
+# atoms for the readers: some begin with a bracket, some only look nested
+READ_ATOMS = ["a", "b", "", "[", '["a"]', "[]", "a]", ' ["a"]', "é", 'q"\\']
 
 # 1 and "1" stringify alike, and so do ("a",) and "['a']"
 KEYS = ATOMS + [0, 1, None, 1.5, Fraction(1, 2), ("a",), ("a", "b")]
@@ -148,11 +152,41 @@ class TestReader:
                 with pytest.raises(formats.InputFormatError):
                     formats.parse_vertex(bad, names=names)
 
+    def test_atom_beginning_with_a_bracket_is_refused(self, tmp_path, capsys):
+        # its key would read back as the nested name ("a",)
+        path = tmp_path / "bracket.json"
+        path.write_text(json.dumps({"maximal": [['["a"]', "b"]]}), encoding="utf-8")
+        assert main(["validate", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "input error: vertex name '[\"a\"]' begins with '[', as only the key of a nested name "
+            "does (at complex.maximal[0])\n"
+        )
+        with pytest.raises(ValueError, match="begins with"):
+            Complex.from_maximal([['["a"]', "b"]])
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.recursive(st.sampled_from(READ_ATOMS), lambda parts: st.lists(parts, max_size=3), max_leaves=8))
+    def test_vertex_key_reads_back_every_accepted_name(self, raw):
+        # both readers accept the same names, and the key of one reads back
+        # as the name
+        try:
+            name = formats.parse_vertex(raw)
+        except formats.InputFormatError:
+            with pytest.raises(ValueError):
+                Complex.from_maximal([[raw]])
+            return
+        assert Complex.from_maximal([[raw]]).vertices == (name,)
+        key = formats.vertex_to_key(name)
+        assert formats.parse_vertex_key(key) == name
+        assert formats.parse_vertex_key(key, names={}) == name
+
     def test_compact_text_is_json_dumps(self):
         # the text of the vertex keys and of the reader's memo keys
         names = [v for _, k in kernel_complexes() for v in k.vertices] + ATOMS + [tuple(ATOMS), (("é",), "☃")]
         for name in names:
-            for obj in (name, formats.vertex_to_obj(name)):
+            for obj in (name, vertex_to_obj(name)):
                 assert formats._compact(obj) == json.dumps(obj, separators=(",", ":")), obj
 
     def test_depth_bound_holds_after_a_memoised_name(self):

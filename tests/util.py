@@ -866,9 +866,20 @@ def constant_pl_map(domain: Complex, target: Complex, point):
     return PartialPLMap.build(domain, whole_subcomplex(domain), {v: point for v in domain.vertices}, target)
 
 
+def vertex_to_obj(name):
+    """The JSON form of a vertex name: an atom as it stands, a nested name as
+    nested arrays (`formats.dumps_canonical` renders a name so)."""
+    return name if isinstance(name, str) else [vertex_to_obj(part) for part in name]
+
+
+def subcomplex_to_obj(sub: Subcomplex) -> list:
+    """A subcomplex as the vertex arrays of its simplices, in simplex order."""
+    return [[vertex_to_obj(v) for v in s] for s in sub.sorted_simplices()]
+
+
 def cover_to_obj(cover) -> dict:
     """A cover as the document `formats.parse_cover` reads."""
-    from polytower.formats import complex_to_obj, subcomplex_to_obj, vertex_to_key, vertex_to_obj
+    from polytower.formats import complex_to_obj, vertex_to_key
 
     elements = {}
     star_of = dict(cover.star_of)
