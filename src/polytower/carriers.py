@@ -30,37 +30,42 @@ from .complexes import (
 from .connectivity import collapses_to_point
 from .plmaps import PartialPLMap
 from .records import Record
-from .stars import IndexedCover, OpenStarSet, element_contains_hull, open_intersection
+from .stars import IndexedCover, OpenStarSet, element_contains_hull, nerve, open_intersection
 from .verdicts import DEFAULT_BUDGETS, Budgets, Verdict
 
 
 class Carrier(Record, frozen=True):
-    """An index-preserving assignment from a closed cover of a domain to
-    subsets of a target, sending intersections into intersections."""
+    """An index-preserving assignment from a closed cover of a domain to a
+    cover of the map target, sending intersections into intersections."""
 
     source_cover: IndexedCover  # closed cover of the domain by subcomplexes
-    targets: tuple  # (index, element) pairs over the same index set
-    map_target: Complex  # the complex PL map images and the targets live on
+    targets: IndexedCover  # on the map target, over the same index set
 
     @staticmethod
     def build(source_cover: IndexedCover, targets: dict, map_target: Complex) -> "Carrier":
+        """The carrier of the given targets, checked once here: they are
+        all subcomplexes or all open stars, and all live on the map
+        target."""
         if not all(isinstance(e, Subcomplex) for _, e in source_cover.elements):
             raise ValueError("carrier source covers must be closed")
         if set(targets) != set(source_cover.indices):
             raise ValueError("carrier must assign a target to every index")
-        pairs = tuple(sorted(targets.items(), key=lambda kv: vertex_key(kv[0])))
-        return Carrier(source_cover, pairs, map_target)
+        if all(isinstance(e, Subcomplex) for e in targets.values()):
+            kind, homes = "closed", {e.parent for e in targets.values()}
+        elif all(isinstance(e, OpenStarSet) for e in targets.values()):
+            kind, homes = "open", {e.ambient for e in targets.values()}
+        else:
+            raise ValueError("carrier mixes open and closed targets")
+        if homes - {map_target}:
+            raise ValueError("carrier targets must live on the map target")
+        return Carrier(source_cover, IndexedCover.build(map_target, kind, targets))
 
-    @cached_property
-    def _by_index(self) -> dict:
-        """The targets as a dict, built once per carrier for the lookups."""
-        return dict(self.targets)
+    @property
+    def map_target(self) -> Complex:
+        return self.targets.ambient
 
     def target(self, index):
-        try:
-            return self._by_index[index]
-        except (KeyError, TypeError):
-            raise ValueError("unknown carrier index %r" % (index,)) from None
+        return self.targets.element(index)
 
     def indices_covering(self, simplex) -> list:
         return [i for i, element in self.source_cover.elements if simplex in element.simplices]
@@ -72,18 +77,14 @@ def validate_carrier(carrier: Carrier, budgets: Budgets = DEFAULT_BUDGETS) -> Ve
     region only shrinks as the subset grows, so the maximal nerve simplices
     decide; the witness is the first empty subset in `simplex_sort_key`
     order."""
-    from .stars import nerve
-
     result = nerve(carrier.source_cover, budgets)
     if not result.status.is_holds:
         return result.status
     if all(_region_for(carrier, list(m)).simplices for m in result.complex.maximal):
         return Verdict.holds()
-    for subset in result.complex.sorted_simplices():
-        region = _region_for(carrier, list(subset))
-        if not region.simplices:
-            return Verdict.fails(witness=list(subset), reason="target intersection empty")
-    return Verdict.holds()
+    # some maximal subset is empty, so the scan stops at it at the latest
+    empty = next(s for s in result.complex.sorted_simplices() if not _region_for(carrier, list(s)).simplices)
+    return Verdict.fails(witness=list(empty), reason="target intersection empty")
 
 
 def is_carried(f: PartialPLMap, carrier: Carrier) -> Verdict:
@@ -173,20 +174,13 @@ class Region(Record):
 
 
 def _region_for(carrier: Carrier, indices) -> Region:
-    elements = [carrier.target(i) for i in indices]
-    map_target = carrier.map_target
-    if all(isinstance(e, Subcomplex) for e in elements):
-        if {e.parent for e in elements} != {map_target}:
-            raise ValueError("carrier targets must live on the map target")
-        common = frozenset.intersection(*(e.simplices for e in elements))
+    targets = carrier.targets
+    if targets.kind == "closed":
+        common = targets.intersection_subcomplex(indices).simplices
         nodes = sorted((s for s in common if len(s) == 1), key=simplex_sort_key)
-        return Region(map_target, common, tuple(nodes))
-    if all(isinstance(e, OpenStarSet) for e in elements):
-        if {e.ambient for e in elements} != {map_target}:
-            raise ValueError("open targets must live on the map target")
-        joint = open_intersection(map_target, [e.core for e in elements])
-        return Region(map_target, frozenset(joint), tuple(joint))
-    raise ValueError("carrier mixes open and closed targets")
+        return Region(targets.ambient, common, tuple(nodes))
+    joint = open_intersection(targets.ambient, [targets.element(i).core for i in indices])
+    return Region(targets.ambient, frozenset(joint), tuple(joint))
 
 
 # ---------------------------------------------------------------------------
@@ -219,6 +213,10 @@ def extend_carried(
     carrier: Carrier,
     budgets: Budgets = DEFAULT_BUDGETS,
 ) -> ExtensionResult:
+    """Extend a carried partial map over the skeleta of its domain, cell by
+    cell inside each cell's region.  `carried_extension` checks that the
+    seed is carried; the fillers rely on it, and the exact post-check
+    (`_check_extension`) refuses any extension that leaves a target."""
     domain = f.domain
     if domain.dimension > 2:
         raise ValueError("constructive extension handles domains of dimension at most 2")
@@ -392,14 +390,9 @@ def _fill_two_cell(cell, boundary, images, region: Region, fresh: _FreshNames, s
     return _contract_boundary_loop(boundary, images, region, fresh, scale, budgets)
 
 
-def _fan_triangles(center, boundary):
-    out = []
-    m = len(boundary)
-    for j in range(m):
-        a, b = boundary[j], boundary[(j + 1) % m]
-        if a != b and center not in (a, b):
-            out.append((center, a, b))
-    return out
+def _fan_triangles(center, ring):
+    """The cone from a fresh center over a ring of distinct names."""
+    return [(center, ring[j], ring[(j + 1) % len(ring)]) for j in range(len(ring))]
 
 
 # ---------------------------------------------------------------------------
@@ -411,48 +404,38 @@ def _contract_boundary_loop(boundary, images, region: Region, fresh: _FreshNames
     region's node graph: a collar routes boundary images to their entry
     nodes, then a breadth-first search shrinks the node loop with backtrack
     removals and triangle shortcuts until one node cones it off, and a fan
-    caps the final ring."""
+    caps the final ring.
+
+    Every boundary point and every consecutive pair spans a region simplex
+    for a carried seed: a vertex image lies in its vertex's region, which
+    sits inside the cell's (every element holding the cell holds its
+    vertices); edge-path points are nodes of the edge's region joined by
+    `spans`; and a defined edge's images span a target simplex lying in
+    each covering target."""
     m = len(boundary)
-    node_loop = []
-    for w in boundary:
-        y = images[w]
-        if not region.spans(region.support([y])):
-            return None
-        node_loop.append(region.entry_node(y))
+    node_loop = tuple(region.entry_node(images[w]) for w in boundary)
     ring0 = [fresh.next("r") for _ in range(m)]
     triangles = []
     for j in range(m):
         jn = (j + 1) % m
-        if not region.spans(region.support([images[boundary[j]], images[boundary[jn]]])):
-            return None
         triangles.append((boundary[j], boundary[jn], ring0[jn]))
         triangles.append((boundary[j], ring0[j], ring0[jn]))
 
-    moves = _loop_moves_to_cappable_state(tuple(node_loop), region, budgets.filler_steps)
+    moves = _loop_moves_to_cappable_state(node_loop, region, budgets.filler_steps)
     if moves is None:
         return None
-    rings = [ring0]
-    loops = [list(node_loop)]
+    rings, loops = [ring0], [node_loop]
     for removed, after in moves:
         inner = [fresh.next("r") for _ in after]
         triangles.extend(_annulus(rings[-1], inner, removed))
         rings.append(inner)
-        loops.append(list(after))
-
-    final_ring, final_loop = rings[-1], loops[-1]
-    apex = _loop_cap_apex(tuple(final_loop), region)
-    if apex is None:
-        return None
+        loops.append(after)
     cap_center = fresh.next("c")
-    images[cap_center] = region.node_point(apex, scale)
-    for j in range(len(final_ring)):
-        a, b = final_ring[j], final_ring[(j + 1) % len(final_ring)]
-        triangles.append((cap_center, a, b))
+    # the search stops at a loop with a cap apex
+    images[cap_center] = region.node_point(_loop_cap_apex(loops[-1], region), scale)
     for ring, loop in zip(rings, loops):
-        for name, node in zip(ring, loop):
-            if name not in images:
-                images[name] = region.node_point(node, scale)
-    return triangles
+        images.update((name, region.node_point(node, scale)) for name, node in zip(ring, loop))
+    return triangles + _fan_triangles(cap_center, rings[-1])
 
 
 def _loop_moves_to_cappable_state(start, region: Region, budget: int):

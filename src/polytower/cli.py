@@ -130,11 +130,11 @@ def cmd_nerve(args) -> tuple:
 
 
 def cmd_homology(args) -> tuple:
-    from .connectivity import homology
+    from .connectivity import homology_run
 
     complex_ = formats.parse_complex(_load(args.input))
-    degrees = range(0, complex_.dimension + 1) if args.degree is None else [args.degree]
-    groups = [homology(complex_, k, reduced=args.reduced).to_obj() for k in degrees]
+    degrees = range(0, complex_.dimension + 1) if args.degree is None else range(args.degree, args.degree + 1)
+    groups = [summary.to_obj() for summary in homology_run(complex_, degrees, reduced=args.reduced)]
     return {"command": "homology", "reduced": args.reduced, "groups": groups}, HOLDS
 
 

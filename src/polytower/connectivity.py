@@ -69,19 +69,33 @@ class HomologySummary(Record, frozen=True):
         }
 
 
+def homology_run(complex_: Complex, degrees: range, reduced: bool = False) -> list:
+    """The invariants of H_k for each k of a run of consecutive degrees.
+    Each boundary map ∂_j of the run, ∂_lo to ∂_{hi+1}, is built and
+    eliminated once, recording no transform: its pivots give rank ∂_j for
+    degree j and the invariant factors for degree j - 1.  Reduced homology
+    drops one from the betti number of a non-empty complex in degree 0."""
+    if not degrees:
+        return []
+    if degrees[0] < 0:
+        raise ValueError("homology degree must be non-negative")
+    factors = {
+        j: [d for _, _, d in snf.eliminate(boundary_columns(complex_, j), len(complex_.simplices_of_dim(j - 1))).pivots]
+        for j in range(degrees[0], degrees[-1] + 2)
+    }
+    out = []
+    for k in degrees:
+        rank, top = len(factors[k]), factors[k + 1]
+        betti = len(complex_.simplices_of_dim(k)) - rank - len(top)
+        if reduced and k == 0 and complex_.simplices:
+            betti -= 1
+        out.append(HomologySummary(degree=k, betti=betti, torsion=tuple(d for d in top if d > 1), boundary_rank=rank))
+    return out
+
+
 def homology_coordinates(complex_: Complex, k: int) -> HomologySummary:
     """The invariants of H_k from two eliminations that record no transform."""
-    if k < 0:
-        raise ValueError("homology degree must be non-negative")
-    n = len(complex_.simplices_of_dim(k))
-    rank = snf.eliminate(boundary_columns(complex_, k), len(complex_.simplices_of_dim(k - 1))).rank
-    factors = [d for _, _, d in snf.eliminate(boundary_columns(complex_, k + 1), n).pivots]
-    return HomologySummary(
-        degree=k,
-        betti=n - rank - len(factors),
-        torsion=tuple(d for d in factors if d > 1),
-        boundary_rank=rank,
-    )
+    return homology_run(complex_, range(k, k + 1))[0]
 
 
 def cycle_basis(complex_: Complex, k: int) -> list:
@@ -93,13 +107,8 @@ def cycle_basis(complex_: Complex, k: int) -> list:
 
 
 def homology(complex_: Complex, k: int, reduced: bool = False) -> HomologySummary:
-    """Exact betti number and torsion coefficients in one degree; reduced
-    homology drops one from the betti number of a non-empty complex in
-    degree 0."""
-    data = homology_coordinates(complex_, k)
-    if not (reduced and k == 0 and complex_.simplices):
-        return data
-    return HomologySummary(k, data.betti - 1, data.torsion, data.boundary_rank)
+    """Exact betti number and torsion coefficients in one degree."""
+    return homology_run(complex_, range(k, k + 1), reduced)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -395,11 +404,11 @@ def ae_verdict(complex_: Complex, n: int, budgets: Budgets = DEFAULT_BUDGETS) ->
         return checks[0]
     if n >= 2:
         checks.append(pi1_verdict(complex_, budgets=budgets))
-    for k in range(2, n):
-        summary = homology(complex_, k)
+    for summary in homology_run(complex_, range(2, n)):
         if summary.is_trivial():
             checks.append(Verdict.holds())
         else:
+            k = summary.degree
             checks.append(
                 Verdict.fails(
                     witness={"degree": k, "betti": summary.betti, "torsion": list(summary.torsion)},

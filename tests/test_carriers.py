@@ -5,7 +5,10 @@ import pytest
 
 from polytower.complexes import (
     Complex,
+    Subcomplex,
+    barycenter_point,
     barycentric_subdivision,
+    convex_combination,
     induced_subcomplex,
     lift_to_subdivision,
     make_point,
@@ -14,6 +17,7 @@ from polytower.complexes import (
 )
 from polytower.carriers import (
     Carrier,
+    carried_extension,
     extend_carried,
     is_carried,
     validate_carrier,
@@ -91,6 +95,44 @@ class TestValidateCarrier:
         verdict = validate_carrier(carrier)
         assert verdict.is_fails
         assert sorted(verdict.witness) == ["l", "r"]
+
+    def test_every_index_needs_a_target(self):
+        k = simplex_complex(["a", "b"])
+        cov = IndexedCover.build(k, "closed", {"l": whole_subcomplex(k), "r": whole_subcomplex(k)})
+        with pytest.raises(ValueError, match="a target to every index"):
+            Carrier.build(cov, {"l": whole_subcomplex(k)}, k)
+
+    def test_targets_are_an_indexed_cover_on_the_map_target(self):
+        k = simplex_complex(["a", "b", "c"])
+        cb = cover_B(k)
+        closed = Carrier.build(cb, dict(cb.elements), cb.ambient)
+        assert closed.targets == IndexedCover.build(cb.ambient, "closed", dict(cb.elements))
+        assert closed.map_target == cb.ambient
+        opened = open_star_carrier(k, {})
+        assert opened.targets.kind == "open" and opened.map_target == k
+        assert Carrier._fields == ("source_cover", "targets")
+
+    def test_targets_are_checked_at_build(self):
+        # one kind, one complex: refused when built, before any region
+        k = simplex_complex(["a", "b"])
+        other = simplex_complex(["p", "q"])
+        cov = IndexedCover.build(k, "closed", {"l": whole_subcomplex(k), "r": whole_subcomplex(k)})
+        mixed = {"l": whole_subcomplex(k), "r": open_vertex_star(k, "a")}
+        with pytest.raises(ValueError, match="mixes open and closed"):
+            Carrier.build(cov, mixed, k)
+        with pytest.raises(ValueError, match="mixes open and closed"):
+            Carrier.build(cov, {"l": "a", "r": "b"}, k)
+        for elsewhere in (whole_subcomplex(other), open_vertex_star(other, "p")):
+            at_home = whole_subcomplex(k) if isinstance(elsewhere, Subcomplex) else open_vertex_star(k, "b")
+            with pytest.raises(ValueError, match="live on the map target"):
+                Carrier.build(cov, {"l": at_home, "r": elsewhere}, k)
+
+    def test_nerve_budget_is_reported(self):
+        k = simplex_complex(["a", "b", "c"])
+        cb = cover_B(k)
+        carrier = Carrier.build(cb, dict(cb.elements), cb.ambient)
+        verdict = validate_carrier(carrier, Budgets(nerve_subsets=2))
+        assert verdict.is_inconclusive and verdict.reason == "nerve budget exhausted"
 
     def test_open_source_cover_rejected(self):
         k = simplex_complex(["a", "b"])
@@ -199,7 +241,224 @@ class TestIsCarried:
         assert verdict.witness["index"] == ("a", "b")
 
 
+    def test_undecided_hull_is_inconclusive(self):
+        # every corner lies on the hollow triangle, their span does not
+        t = simplex_complex(["a", "b", "c"])
+        hollow = subcomplex_from(t, [["a", "b"], ["b", "c"], ["a", "c"]])
+        k = simplex_complex(["x", "y", "z"])
+        carrier = Carrier.build(closed_cover_of_maximal(k), {("x", "y", "z"): hollow}, t)
+        f = from_vertex_images(k, {"x": "a", "y": "b", "z": "c"}, t)
+        verdict = is_carried(f, carrier)
+        assert verdict.is_inconclusive and "undecided" in verdict.reason
+
+
+def triangle_seed(target: Complex, images: dict, target_element) -> tuple:
+    """The triangle xyz defined on its vertices, sent to the given points of
+    the target, and the carrier of the one element onto target_element."""
+    domain = simplex_complex(["x", "y", "z"])
+    carrier = Carrier.build(closed_cover_of_maximal(domain), {("x", "y", "z"): target_element}, target)
+    seed = PartialPLMap.build(domain, subcomplex_from(domain, [["x"], ["y"], ["z"]]), images, target)
+    return seed, carrier
+
+
+def loop_search_log(monkeypatch) -> dict:
+    """Record the moves the loop search generates, as (loop, removed
+    positions) pairs, and the move lists it returns."""
+    from polytower import carriers
+
+    log: dict = {"moves": [], "found": []}
+    successors, search = carriers._loop_successors, carriers._loop_moves_to_cappable_state
+
+    def spy_successors(state, region):
+        out = successors(state, region)
+        log["moves"].extend((state, removed) for removed, _ in out)
+        return out
+
+    def spy_search(start, region, budget):
+        log["found"].append(search(start, region, budget))
+        return log["found"][-1]
+
+    monkeypatch.setattr(carriers, "_loop_successors", spy_successors)
+    monkeypatch.setattr(carriers, "_loop_moves_to_cappable_state", spy_search)
+    return log
+
+
+def move_kind(state, removed) -> str:
+    """A loop move by what it drops: a repeated entry, a backtrack a b a (two
+    entries) or the middle of a shortcut a b c."""
+    if len(removed) == 2:
+        return "backtrack"
+    (j,) = removed
+    return "repeat" if state[j - 1] == state[j] else "shortcut"
+
+
 class TestExtendCarried:
+    def test_domains_above_dimension_two_rejected(self):
+        k = simplex_complex(["a", "b", "c", "d"])
+        cov = closed_cover_of_maximal(k)
+        carrier = Carrier.build(cov, {i: cov.element(i) for i in cov.indices}, k)
+        f = from_vertex_images(k, {v: v for v in k.vertices}, k)
+        with pytest.raises(ValueError, match="dimension at most 2"):
+            extend_carried(f, carrier)
+
+    def test_carrier_of_another_domain_rejected(self):
+        k = simplex_complex(["a", "b"])
+        cov = closed_cover_of_maximal(simplex_complex(["x", "y"]))
+        carrier = Carrier.build(cov, {("x", "y"): whole_subcomplex(k)}, k)
+        f = from_vertex_images(k, {v: v for v in k.vertices}, k)
+        with pytest.raises(ValueError, match="different domain"):
+            extend_carried(f, carrier)
+
+    def test_uncovered_cell_rejected(self):
+        domain = simplex_complex(["x", "y"])
+        cov = IndexedCover.build(domain, "closed", {"x": subcomplex_from(domain, [["x"]])})
+        target = simplex_complex(["a"])
+        carrier = Carrier.build(cov, {"x": whole_subcomplex(target)}, target)
+        seed = PartialPLMap.build(domain, subcomplex_from(domain, []), {}, target)
+        with pytest.raises(ValueError, match="is not covered"):
+            extend_carried(seed, carrier)
+
+    def test_empty_vertex_region_fails(self):
+        # an unvalidated carrier whose two targets share nothing
+        domain = simplex_complex(["x", "y"])
+        cov = IndexedCover.build(domain, "closed", {"l": whole_subcomplex(domain), "r": whole_subcomplex(domain)})
+        target = Complex.from_maximal([["u"], ["v"]])
+        carrier = Carrier.build(cov, {"l": subcomplex_from(target, [["u"]]), "r": subcomplex_from(target, [["v"]])}, target)
+        assert validate_carrier(carrier).is_fails
+        seed = PartialPLMap.build(domain, subcomplex_from(domain, []), {}, target)
+        result = extend_carried(seed, carrier)
+        assert result.status.is_fails and result.status.reason == "empty target intersection"
+        assert result.failed_cells == [("x",), ("y",)] and result.extended is None
+
+    def test_failed_validation_is_returned(self):
+        domain = simplex_complex(["x", "y"])
+        cov = IndexedCover.build(domain, "closed", {"l": whole_subcomplex(domain), "r": whole_subcomplex(domain)})
+        target = Complex.from_maximal([["u"], ["v"]])
+        targets = {"l": subcomplex_from(target, [["u"]]), "r": subcomplex_from(target, [["v"]])}
+        seed = PartialPLMap.build(domain, subcomplex_from(domain, []), {}, target)
+        result = carried_extension(seed, cov, targets)
+        assert result.status.is_fails and result.status.witness == ["l", "r"]
+        assert result.extended is None and result.failed_cells == []
+
+    def test_edge_without_path_is_inconclusive(self):
+        # the region holds both endpoint images but no path joins them
+        domain = simplex_complex(["x", "y"])
+        target = Complex.from_maximal([["u"], ["v"]])
+        ends = {"x": vertex_point(target, "u"), "y": vertex_point(target, "v")}
+        seed = PartialPLMap.build(domain, subcomplex_from(domain, [["x"], ["y"]]), ends, target)
+        result = carried_extension(seed, closed_cover_of_maximal(domain), {("x", "y"): whole_subcomplex(target)})
+        assert result.status.is_inconclusive and result.status.reason == "edge fillers found no path"
+        assert result.failed_cells == [("x", "y")]
+
+    def test_centroid_fan_in_the_larger_cell_region(self):
+        # the edge xy is also covered by L, whose target misses the edge ab,
+        # so it is routed through c; the triangle's own region is the whole
+        # triangle, where the four boundary points span abc
+        t = simplex_complex(["a", "b", "c"])
+        domain = simplex_complex(["x", "y", "z"])
+        cov = IndexedCover.build(
+            domain, "closed", {"T": whole_subcomplex(domain), "L": subcomplex_from(domain, [["x", "y"]])}
+        )
+        targets = {"T": whole_subcomplex(t), "L": subcomplex_from(t, [["a", "c"], ["b", "c"]])}
+        images = {v: vertex_point(t, w) for v, w in zip("xyz", "abc")}
+        seed = PartialPLMap.build(domain, subcomplex_from(domain, [["x"], ["y"], ["z"]]), images, t)
+        result = carried_extension(seed, cov, targets)
+        assert result.status.is_holds
+        refined = result.extended.domain
+        assert len(refined.maximal) == 4  # the fan over x, the routed point, y and z
+        (center,) = [v for v in refined.vertices if v.startswith("~c")]
+        assert result.extended.image_of(center).as_dict() == {"a": Fraction(1, 4), "b": Fraction(1, 4), "c": Fraction(1, 2)}
+
+    def test_large_region_that_does_not_collapse_is_skipped(self, monkeypatch):
+        # a 31-gon holds 62 simplices and no disc: the loop search is not run
+        n = 31
+        target = Complex.from_maximal([["c%02d" % j, "c%02d" % ((j + 1) % n)] for j in range(n)])
+        images = {v: vertex_point(target, "c%02d" % j) for v, j in zip("xyz", (0, 10, 20))}
+        seed, carrier = triangle_seed(target, images, whole_subcomplex(target))
+        log = loop_search_log(monkeypatch)
+        result = extend_carried(seed, carrier)
+        assert result.status.is_inconclusive and result.failed_cells == [("x", "y", "z")]
+        assert log["found"] == []
+
+    def test_loop_search_exhausts_on_a_hollow_triangle(self, monkeypatch):
+        # a three-entry loop has no move, and no vertex cones it off
+        t = simplex_complex(["a", "b", "c"])
+        hollow = subcomplex_from(t, [["a", "b"], ["b", "c"], ["a", "c"]])
+        images = {v: vertex_point(t, w) for v, w in zip("xyz", "abc")}
+        seed, carrier = triangle_seed(t, images, hollow)
+        log = loop_search_log(monkeypatch)
+        result = extend_carried(seed, carrier)
+        assert result.status.is_inconclusive and result.failed_cells == [("x", "y", "z")]
+        assert log == {"moves": [], "found": [None]}
+
+    LOOP_CASES = {
+        # closed: four triangles joined at vertices; the loop repeats an
+        # entry and the search meets a loop twice
+        "repeat": (
+            [["g00", "g01", "g11"], ["g00", "g10", "g11"], ["g01", "g02", "g12"], ["g12", "g21", "g22"]],
+            "closed",
+            [("g00",), ("g00", "g11"), ("g22",)],
+        ),
+        # open: a backtrack and a shortcut
+        "backtrack": (
+            [["g01", "g02", "g12"], ["g11", "g12", "g22"], ["g11", "g20", "g21"], ["g11", "g21", "g22"]],
+            "open",
+            [("g12", "g22"), ("g02", "g12"), ("g20", "g21")],
+        ),
+        # closed: the entry nodes are coned off at once, the boundary is not
+        "cappable": (
+            [["g01", "g10", "g11"], ["g01", "g11", "g12"], ["g10", "g20", "g21"], ["g11", "g21", "g22"]],
+            "closed",
+            [("g20",), ("g01", "g11", "g12"), ("g21",)],
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(LOOP_CASES))
+    def test_loop_contraction_moves(self, case, monkeypatch):
+        maximal, kind, corners = self.LOOP_CASES[case]
+        target = Complex.from_maximal(maximal)
+        element = whole_subcomplex(target) if kind == "closed" else OpenStarSet(target, target.vertex_set())
+        images = {v: barycenter_point(target, corner) for v, corner in zip("xyz", corners)}
+        seed, carrier = triangle_seed(target, images, element)
+        assert is_carried(seed, carrier).is_holds
+        log = loop_search_log(monkeypatch)
+        result = extend_carried(seed, carrier)
+        assert result.status.is_holds
+        assert is_carried(result.extended, carrier).is_holds
+        assert result.extended.domain.euler_characteristic() == 1
+        kinds = {move_kind(state, removed) for state, removed in log["moves"]}
+        if case == "repeat":
+            assert "repeat" in kinds
+            from polytower.carriers import _canonical_cycle
+
+            generated = [_canonical_cycle(tuple(s[i] for i in range(len(s)) if i not in r)) for s, r in log["moves"]]
+            assert len(set(generated)) < len(generated)  # a loop met twice is not searched again
+        elif case == "backtrack":
+            assert {"backtrack", "shortcut"} <= kinds
+        else:
+            assert log == {"moves": [], "found": [[]]}
+
+    def test_post_check_refuses_a_triangle_outside_its_region(self, monkeypatch):
+        # a filler that fans from the centroid without asking the region
+        from polytower import carriers
+
+        def centroid_fan(cell, boundary, images, region, fresh, scale, budgets):
+            center = fresh.next("c")
+            points = [images[w] for w in boundary]
+            images[center] = convex_combination(points, [Fraction(1, len(points))] * len(points))
+            return carriers._fan_triangles(center, boundary)
+
+        monkeypatch.setattr(carriers, "_fill_two_cell", centroid_fan)
+        t = simplex_complex(["a", "b", "c"])
+        hollow = subcomplex_from(t, [["a", "b"], ["b", "c"], ["a", "c"]])
+        images = {v: vertex_point(t, w) for v, w in zip("xyz", "abc")}
+        seed, carrier = triangle_seed(t, images, hollow)
+        result = extend_carried(seed, carrier)
+        assert result.status.is_fails and result.status.reason == "refined cell leaves its carrier target"
+        assert result.extended is None
+        assert result.failed_cells == [result.status.witness]
+        assert result.status.witness["index"] == ("x", "y", "z")
+
     def test_map_onto_another_complex_rejected(self):
         k = simplex_complex(["a", "b", "c"])
         other = simplex_complex(["p", "q", "r"])

@@ -15,6 +15,7 @@ from polytower.connectivity import (
     components,
     cycle_basis,
     homology,
+    homology_run,
     is_connected,
     ae_verdict,
     Presentation,
@@ -52,6 +53,13 @@ CROSS_CHECKED = [random_complex(seed) for seed in range(12)] + [rp2_complex()]
 
 def groups(k: Complex, up_to: int):
     return [(homology(k, d).betti, homology(k, d).torsion) for d in range(up_to + 1)]
+
+
+def kernel_and_corpus_complexes() -> list:
+    """(label, complex) pairs: the kernel complexes and every level of the
+    corpus towers."""
+    levels = [("%s level %d" % (label, i + 1), level) for label, t in corpus_towers() for i, level in enumerate(t.levels)]
+    return kernel_complexes() + levels
 
 
 class TestHomology:
@@ -104,10 +112,12 @@ class TestHomology:
         assert betti_over_field(k, 1, lambda m: rank_mod_p(m, 2)) == 1
 
     def test_euler_characteristic_consistency(self):
-        for k in (sphere_complex(1), sphere_complex(2), cylinder_complex(), *CROSS_CHECKED):
+        # χ counts simplices; the betti numbers come from the eliminations
+        spheres = [("sphere %d" % d, sphere_complex(d)) for d in (1, 2)]
+        for label, k in spheres + kernel_and_corpus_complexes():
             chi = k.euler_characteristic()
             alt = sum((-1) ** d * homology(k, d).betti for d in range(k.dimension + 1))
-            assert chi == alt
+            assert chi == alt, label
 
     def test_invariant_under_subdivision(self):
         for k in (sphere_complex(1), rp2_complex(), cylinder_complex()):
@@ -138,6 +148,31 @@ class TestHomology:
                 n = len(k.simplices_of_dim(deg))
                 matrix = snf.dense_rows(snf.transpose_sparse(basis, n), len(basis))
                 assert invariant_factors(matrix, cols=len(basis)) == [1] * len(basis), (label, deg)
+
+
+class TestHomologyRun:
+    def test_run_equals_each_degree_alone(self):
+        for label, k in kernel_and_corpus_complexes():
+            degrees = range(0, k.dimension + 2)
+            for reduced in (False, True):
+                run = homology_run(k, degrees, reduced)
+                assert run == [homology(k, d, reduced) for d in degrees], (label, reduced)
+            assert homology_run(k, range(1, k.dimension + 1)) == [homology(k, d) for d in range(1, k.dimension + 1)]
+
+    def test_each_boundary_map_is_eliminated_once(self, monkeypatch):
+        # degrees lo..hi read ∂_lo .. ∂_{hi+1}, one elimination each
+        sizes = []
+        eliminate = snf.eliminate
+        monkeypatch.setattr(snf, "eliminate", lambda columns, rows, **kw: sizes.append(rows) or eliminate(columns, rows, **kw))
+        k = rp2_complex()
+        homology_run(k, range(0, 3))
+        assert sizes == [len(k.simplices_of_dim(j - 1)) for j in range(0, 4)]
+        sizes.clear()
+        assert homology_run(k, range(2, 2)) == [] and sizes == []
+
+    def test_negative_degree_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            homology_run(simplex_complex(["a"]), range(-1, 1))
 
 
 class TestConnectedness:

@@ -39,6 +39,18 @@ class TestBuild:
                 target,
             )
 
+    def test_defined_on_another_domain_rejected(self):
+        domain = simplex_complex(["x", "y"])
+        target = simplex_complex(["u"])
+        with pytest.raises(ValueError, match="subcomplex of the domain"):
+            PartialPLMap.build(domain, whole_subcomplex(simplex_complex(["x"])), {"x": vertex_point(target, "u")}, target)
+
+    def test_image_that_is_no_point_rejected(self):
+        domain = simplex_complex(["x"])
+        target = simplex_complex(["u"])
+        with pytest.raises(TypeError, match="images must be Points"):
+            PartialPLMap.build(domain, whole_subcomplex(domain), {"x": "u"}, target)
+
     def test_scale_mismatch_rejected(self):
         domain = simplex_complex(["x", "y"])
         target = simplex_complex(["u", "v"])
@@ -74,6 +86,12 @@ class TestEvaluate:
         )
         with pytest.raises(ValueError):
             partial.evaluate(make_point(domain, {"x": Fraction(1, 2), "y": Fraction(1, 2)}))
+
+    def test_point_off_the_domain_rejected(self):
+        domain = simplex_complex(["x", "y"])
+        f = from_vertex_images(domain, {"x": "x", "y": "y"}, domain)
+        with pytest.raises(ValueError, match="not on the domain"):
+            f.evaluate(vertex_point(simplex_complex(["x"]), "x"))
 
 
 class TestImageOf:
@@ -121,6 +139,12 @@ class TestSubdivided:
             "u": Fraction(1, 2),
             "v": Fraction(1, 2),
         }
+
+    def test_composition_needs_the_map_source(self):
+        p = cylinder_map()
+        f = from_vertex_images(p.base_target, {v: v for v in p.base_target.vertices}, p.base_target)
+        with pytest.raises(ValueError, match="composition mismatch"):
+            f.after(p)
 
 
 class TestEquality:

@@ -106,6 +106,36 @@ class TestOpenStar:
                 assert meets == adjacent
 
 
+class TestHullContainment:
+    def test_subcomplex_holds_refutes_or_leaves_undecided(self):
+        k = simplex_complex(["a", "b", "c"])
+        hollow = subcomplex_from(k, [["a", "b"], ["b", "c"], ["a", "c"]])
+        corners = [vertex_point(k, v) for v in "abc"]
+        assert element_contains_hull(hollow, corners[:2]) is True
+        assert element_contains_hull(subcomplex_from(k, [["a", "b"]]), corners) is False
+        assert element_contains_hull(hollow, corners) is None
+
+    def test_unknown_element_type_rejected(self):
+        k = simplex_complex(["a"])
+        with pytest.raises(TypeError, match="unknown element type"):
+            element_contains_hull(frozenset(["a"]), [vertex_point(k, "a")])
+
+    def test_hull_points_on_another_complex_rejected(self):
+        k, other = simplex_complex(["a", "b"]), simplex_complex(["a"])
+        for element in (open_vertex_star(k, "a"), whole_subcomplex(k)):
+            with pytest.raises(ValueError, match="live on the element's complex"):
+                element_contains_hull(element, [vertex_point(other, "a")])
+
+    def test_point_that_cannot_be_aligned_rejected(self):
+        k = simplex_complex(["a", "b"])
+        beta = barycentric_subdivision(k)
+        stray = vertex_point(simplex_complex(["a"]), "a")
+        assert align_point(vertex_point(k, "a"), beta, k) == vertex_point(beta, ("a",))
+        for base in (k, None):
+            with pytest.raises(ValueError, match="cannot be aligned"):
+                align_point(stray, beta, base)
+
+
 class TestBarycentricStar:
     def test_segment_star(self):
         k = simplex_complex(["a", "b"])

@@ -260,7 +260,63 @@ class TestVerifyTower:
         assert after - before <= 250_000
 
 
+class TestNerveTheorem:
+    def test_certified_pull_backs_keep_the_low_homology(self):
+        # where every pulled-back intersection is certified (n - 1)-connected,
+        # the nerve theorem gives H_k(nerve) = H_k(source) for k < n; the
+        # homology is computed afresh, apart from the intersection verdicts
+        from polytower.connectivity import homology
+        from polytower.towers import intersection_verdicts
+        from util import corpus_towers
+
+        checked, refused = 0, []
+        for label, tower in corpus_towers():
+            for idx, bond in enumerate(tower.bonds):
+                pulled = pullback_cover(bond, cover_B(tower.levels[idx]))
+                for n in (1, 2):
+                    status, verdicts = intersection_verdicts(pulled, n, Budgets())
+                    if not (status.is_holds and all(v.is_holds for _, v, _ in verdicts)):
+                        refused.append((label, idx + 1, n))
+                        continue
+                    complex_ = nerve(pulled).complex
+                    for k in range(n):
+                        ours, theirs = homology(complex_, k), homology(bond.source, k)
+                        assert (ours.betti, ours.torsion) == (theirs.betti, theirs.torsion), (label, idx + 1, n, k)
+                    checked += 1
+        assert refused == [("cylinder", 1, 2)]
+        assert checked == 2 * sum(t.depth() - 1 for _, t in corpus_towers()) - 1
+
+
+def summability_cases() -> list:
+    """(tower label, cover kind, tower) triples over both cover kinds: every
+    corpus tower, and the 3-level random towers 0-39 at the default scales
+    and at the scale bases 3, 8/7 and 5."""
+    from util import corpus_towers
+
+    towers = corpus_towers()
+    for seed in range(40):
+        towers.append(("random %d" % seed, random_tower(seed, 3)))
+        for base in (Fraction(3), Fraction(8, 7), Fraction(5)):
+            scales = [1 / base ** (i + 1) for i in range(3)]
+            towers.append(("random %d" % seed, random_tower(seed, 3, scales)))
+    return [(label, kind, Tower.build(t.levels, t.bonds, t.scales, kind)) for label, t in towers for kind in "BO"]
+
+
 class TestSummability:
+    def test_vertex_star_covers_always_contract(self):
+        # the docstring's bound: each ratio is best_m·r(d_{m+1})/(2·r(d_m)),
+        # whatever the scales, and at most r_B(d)/2 < 1
+        cases = summability_cases()
+        assert len(cases) == 342
+        quotients: dict = {}
+        for label, kind, tower in cases:
+            report = summability_report(tower)
+            assert report["status"].is_holds, (label, kind)
+            assert report["contraction_quotient"] < 1, (label, kind)
+            quotients.setdefault((label, kind), set()).add(report["contraction_quotient"])
+        assert all(len(q) == 1 for q in quotients.values())  # the scales cancel
+        assert max(q for qs in quotients.values() for q in qs) == Fraction(3, 4)
+
     def test_monotone_tail(self):
         t = subdivision_tower(simplex(2), 4)
         report = summability_report(t)
@@ -585,8 +641,110 @@ class TestSingleLift:
             name = renamed(result.lift.domain, v)
             assert result.lift.image_of(name).coords == g0.image_of(v).coords
 
+    @staticmethod
+    def _point_lift():
+        t = subdivision_tower(simplex(2), 2)
+        domain = Complex.from_maximal([["x"]])
+        f = from_vertex_images(domain, {"x": "a"}, t.levels[0])
+        empty = subcomplex_from(domain, [])
+        g0 = PartialPLMap.build(domain, empty, {}, t.levels[1])
+        return t, f, empty, g0
+
+    def test_inputs_must_agree(self):
+        t, f, empty, g0 = self._point_lift()
+        bond, cover = t.bonds[0], cover_B(t.levels[0])
+        edge = edge_domain()
+        other_g0 = PartialPLMap.build(edge, subcomplex_from(edge, []), {}, t.levels[1])
+        with pytest.raises(ValueError, match="live on the map's domain"):
+            single_lift(bond, cover, f, empty, other_g0, 2)
+        partial = PartialPLMap.build(f.domain, empty, {}, t.levels[0])
+        with pytest.raises(ValueError, match="must be total"):
+            single_lift(bond, cover, partial, empty, g0, 2)
+        with pytest.raises(ValueError, match="exactly on the given subcomplex"):
+            single_lift(bond, cover, f, whole_subcomplex(f.domain), g0, 2)
+
+    def test_domain_above_the_constructive_range_is_inconclusive(self):
+        # a triangle is two-dimensional, more than n = 1 asks for
+        t = subdivision_tower(simplex(2), 2)
+        domain = Complex.from_maximal([["x", "y", "z"]])
+        f = from_vertex_images(domain, {"x": "a", "y": "b", "z": "c"}, t.levels[0])
+        empty = subcomplex_from(domain, [])
+        g0 = PartialPLMap.build(domain, empty, {}, t.levels[1])
+        result = single_lift(t.bonds[0], cover_B(t.levels[0]), f, empty, g0, 1)
+        assert result.status.is_inconclusive and result.lift is None
+        assert result.status.reason == "domain dimension exceeds the constructive range"
+
+    def test_non_surjective_bond_is_inconclusive(self):
+        from polytower.maps import check_quasi_simplicial
+
+        base = Complex.from_maximal([["a", "b"]])
+        bond = check_quasi_simplicial(Complex.from_maximal([["p"]]), base, {"p": ("a",)})
+        domain = Complex.from_maximal([["x"]])
+        f = from_vertex_images(domain, {"x": "a"}, base)
+        empty = subcomplex_from(domain, [])
+        g0 = PartialPLMap.build(domain, empty, {}, bond.source)
+        result = single_lift(bond, cover_B(base), f, empty, g0, 1)
+        assert result.status.is_inconclusive and result.status.reason.startswith("bond is not surjective")
+
+    def test_nerve_budget_is_reported(self):
+        t, f, empty, g0 = self._point_lift()
+        result = single_lift(t.bonds[0], cover_B(t.levels[0]), f, empty, g0, 2, Budgets(nerve_subsets=2))
+        assert result.status.is_inconclusive and result.status.reason == "nerve budget exhausted"
+        assert result.lift is None and result.witnesses == {}
+
+    @staticmethod
+    def _triangle_lift():
+        # the two-level random tower 35, whose triangle lift uses the
+        # two-cell filler
+        t = random_tower(35, 2)
+        domain = Complex.from_maximal([["x", "y", "z"]])
+        f = from_vertex_images(domain, {"x": "v1", "y": "v2", "z": "v3"}, t.levels[0])
+        empty = subcomplex_from(domain, [])
+        g0 = PartialPLMap.build(domain, empty, {}, t.levels[1])
+        return t, f, empty, g0
+
+    def test_failed_extension_is_returned(self, monkeypatch):
+        from polytower import carriers
+
+        monkeypatch.setattr(carriers, "_fill_two_cell", lambda *args: None)
+        t, f, empty, g0 = self._triangle_lift()
+        result = single_lift(t.bonds[0], cover_B(t.levels[0]), f, empty, g0, 2)
+        assert result.status.is_inconclusive and "filler budget exhausted" in result.status.reason
+        assert result.lift is None and result.witnesses
+
+    def test_closeness_certificate_rechecks_the_projected_lift(self, monkeypatch):
+        # carry every cell into the element of the first cell's witness: the
+        # extension holds on those targets, and the closeness certificate,
+        # which reads each cell's own witness, refuses the lift
+        from polytower import carriers
+        from polytower.complexes import simplex_sort_key
+
+        real = carriers.carried_extension
+
+        def one_target(seed, source_cover, targets, budgets):
+            first = targets[min(targets, key=simplex_sort_key)]
+            return real(seed, source_cover, dict.fromkeys(targets, first), budgets)
+
+        monkeypatch.setattr(carriers, "carried_extension", one_target)
+        t = subdivision_tower(simplex(2), 2)
+        f = inclusion_of_edge(t)
+        empty = subcomplex_from(f.domain, [])
+        g0 = PartialPLMap.build(f.domain, empty, {}, t.levels[1])
+        result = single_lift(t.bonds[0], cover_B(t.levels[0]), f, empty, g0, 2)
+        assert result.status.is_inconclusive
+        assert result.status.reason == "projected lift leaves the witness element"
+        assert result.closeness == result.status and result.lift is not None
+        assert set(result.witnesses.values()) == {"a", "b"}
+
 
 class TestTowerLift:
+    def test_thread_must_agree_with_the_map_at_the_first_level(self):
+        t = subdivision_tower(simplex(2), 2)
+        f1 = inclusion_of_edge(t)
+        anchor = subcomplex_from(f1.domain, [["x0"]])
+        with pytest.raises(ValueError, match="disagree with the map"):
+            tower_lift(t, f1, anchor, anchor_thread(t, base_vertex="b"), 2)
+
     def test_constant_lift_through_point_tower(self):
         t = subdivision_tower(simplex(0, ["p"]), 3)
         domain = edge_domain()
