@@ -6,26 +6,24 @@ package or one of its modules loads only the modules actually used.
 
 _EXPORTS = {
     "complexes": (
-        "Complex Point Subcomplex barycenter_point barycentric_subdivision flatten_point "
-        "induced_subcomplex lift_to_subdivision make_point subcomplex_from whole_subcomplex"
+        "Complex Subcomplex barycentric_subdivision induced_subcomplex subcomplex_from whole_subcomplex"
     ),
-    "connectivity": (
-        "HomologySummary ae_verdict homology is_connected pi1_presentation pi1_verdict"
-    ),
+    "points": "Point apply barycenter_point flatten_point lift_to_subdivision make_point",
+    "connectivity": "HomologySummary ae_verdict homology is_connected",
+    "pi1": "pi1_presentation pi1_verdict",
     "maps": (
-        "QSMap Tower VertexMap apply check_quasi_simplicial check_simplicial identity_qsmap "
-        "induced_homology_map is_surjective lipschitz_constant preimage_subcomplex"
+        "QSMap Tower VertexMap check_quasi_simplicial check_simplicial identity_qsmap "
+        "is_surjective lipschitz_constant preimage_subcomplex"
     ),
+    "induced": "induced_homology_map",
     "plmaps": "PartialPLMap",
     "stars": (
         "IndexedCover OpenStarSet barycentric_vertex_star cover_B cover_O mesh nerve open_vertex_star "
         "pullback_cover"
     ),
     "carriers": "Carrier extend_carried is_carried validate_carrier",
-    "towers": (
-        "ThreadApprox TowerCertificate regularity_report restrict_tower single_lift "
-        "tower_lift verify_tower"
-    ),
+    "towers": "TowerCertificate regularity_report restrict_tower verify_tower",
+    "lifts": "ThreadApprox single_lift tower_lift",
     "verdicts": "Budgets DEFAULT_BUDGETS Verdict",
 }
 

@@ -1,5 +1,6 @@
-"""Carriers, carried maps, and constructive extension over skeleta of
-dimension at most two: the extension step of the lifts in `towers`.
+"""Carriers, carried maps, hull containment in cover elements, and
+constructive extension over skeleta of dimension at most two: the extension
+step of the lifts in `lifts`.
 
 The extension engine fills cells in dimension order.  A vertex takes the
 canonically least point of its required target intersection; an edge is
@@ -18,10 +19,7 @@ from itertools import combinations
 
 from .complexes import (
     Complex,
-    Point,
     Subcomplex,
-    barycenter_point,
-    convex_combination,
     face_closure,
     simplex_sort_key,
     vertex_key,
@@ -29,8 +27,9 @@ from .complexes import (
 )
 from .connectivity import collapses_to_point
 from .plmaps import PartialPLMap
+from .points import Point, barycenter_point, convex_combination, lift_to_subdivision
 from .records import Record
-from .stars import IndexedCover, OpenStarSet, element_contains_hull, nerve, open_intersection
+from .stars import IndexedCover, OpenStarSet, nerve, open_intersection
 from .verdicts import DEFAULT_BUDGETS, Budgets, Verdict
 
 
@@ -101,6 +100,85 @@ def is_carried(f: PartialPLMap, carrier: Carrier) -> Verdict:
                 "hull containment undecided for index %r" % (i,)
             )
     return Verdict.holds()
+
+
+# ---------------------------------------------------------------------------
+# hull containment in cover elements
+
+
+def element_contains_hull(element, points):
+    """Containment of the convex hull of finitely many points of the
+    element's complex, read off their supports (`AlignedImages` brings a
+    map's images there).
+
+    An open star holds the hull when every support meets its core: every
+    hull point's support contains some corner's support, so this is exact.
+    A subcomplex holds it when the supports together span one of its
+    simplices, and refutes it when some corner's support is missing; it
+    leaves it undecided (None) otherwise.
+    """
+    if isinstance(element, OpenStarSet):
+        return all(not element.core.isdisjoint(s) for s in _supports(points, element.ambient))
+    if isinstance(element, Subcomplex):
+        supports = _supports(points, element.parent)
+        span = tuple(sorted(set().union(*supports), key=vertex_key))
+        if span in element.simplices:
+            return True
+        if any(s not in element.simplices for s in supports):
+            return False
+        return None
+    raise TypeError("unknown element type %r" % (type(element),))
+
+
+def _supports(points, complex_: Complex) -> list:
+    """The supports of hull points, which must live on the given complex."""
+    if any(p.complex != complex_ for p in points):
+        raise ValueError("hull points must live on the element's complex")
+    return [p.support for p in points]
+
+
+def hull_witnesses(maps, simplices, cover: IndexedCover):
+    """For each of the given simplices, the first cover index whose element
+    certifiably contains its image hull under every one of the maps, or None
+    when some simplex has no such element.  A search that stops at an
+    uncovered simplex aligns no image it did not read (`AlignedImages`)."""
+    images = [AlignedImages(f, cover) for f in maps]
+    witnesses = {}
+    for s in simplices:
+        hulls = [[table[v] for v in s] for table in images]
+        found = None
+        for i, e in cover.elements:
+            if all(element_contains_hull(e, pts) is True for pts in hulls):
+                found = i
+                break
+        if found is None:
+            return None
+        witnesses[s] = found
+    return witnesses
+
+
+class AlignedImages(dict):
+    """Vertex -> its image under a PL map, aligned with the cover's ambient
+    (lifted into the subdivision when the images live on its base) when it
+    is first read."""
+
+    def __init__(self, f, cover: IndexedCover):
+        super().__init__()
+        self.f, self.cover = f, cover
+
+    def __missing__(self, v):
+        point = self[v] = align_point(self.f.image_of(v), self.cover.ambient, self.cover.base)
+        return point
+
+
+def align_point(point: Point, element_complex: Complex, base: Complex | None) -> Point:
+    """The point in the coordinates of the element's complex: itself, or
+    lifted into the subdivision when it lives on the base."""
+    if point.complex == element_complex:
+        return point
+    if base is not None and point.complex == base:
+        return lift_to_subdivision(point, element_complex)
+    raise ValueError("point cannot be aligned with the element's complex")
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,11 @@ a verdict); running out of memory is an internal error too.  Budgets come
 from flags, the POLYTOWER_BUDGETS environment variable
 ("pi1=N,filler=N,nerve=N"), or the defaults, in that order of precedence.
 A command accepts the flags of the budgets it reads, and no others.
+
+The one command table, `_COMMANDS`, names each command's flags, budgets and
+handler module (`cli_gen`, `cli_towers`, `cli_lift`, `cli_complexes`); a
+process imports only the module of the command it runs, and its handler
+returns the report and status that `main` emits and exits on.
 """
 from __future__ import annotations
 
@@ -14,11 +19,10 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
+from importlib import import_module
 
 from . import formats
-from .complexes import barycentric_subdivision, subcomplex_from, vertex_label
-from .verdicts import DEFAULT_BUDGETS, HOLDS, Budgets, Verdict, conjoin
+from .verdicts import DEFAULT_BUDGETS, Budgets
 
 EXIT_HOLDS = 0
 EXIT_FAILS = 1
@@ -53,18 +57,6 @@ def _budgets_from(args) -> Budgets:
     return DEFAULT_BUDGETS.with_overrides(**overrides).with_overrides(**flags)
 
 
-def _load(path: str):
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
-    except FileNotFoundError:
-        raise formats.InputFormatError("no such file: %s" % path)
-    except json.JSONDecodeError as exc:
-        raise formats.InputFormatError("not JSON: %s (%s)" % (path, exc))
-    except RecursionError:
-        raise formats.InputFormatError("not JSON: %s (nested too deep to read)" % path) from None
-
-
 def _emit(report, args) -> None:
     text = formats.dumps_canonical(report)
     if args.format == "human":
@@ -74,239 +66,6 @@ def _emit(report, args) -> None:
             handle.write(text)
     else:
         sys.stdout.write(text)
-
-
-# ---------------------------------------------------------------------------
-# commands: each imports the layers it runs, so a process compiles only
-# those, and returns its report and status, which `main` emits and exits on
-
-
-def cmd_validate(args) -> tuple:
-    complex_ = formats.parse_complex(_load(args.input))
-    report = {
-        "command": "validate",
-        "dimension": complex_.dimension,
-        "f_vector": complex_.f_vector(),
-        "simplices": len(complex_.simplices),
-        "vertices": len(complex_.vertices),
-        "euler_characteristic": complex_.euler_characteristic(),
-    }
-    return report, HOLDS
-
-
-def cmd_subdivide(args) -> tuple:
-    complex_ = formats.parse_complex(_load(args.input))
-    return formats.complex_to_obj(barycentric_subdivision(complex_)), HOLDS
-
-
-def cmd_stars(args) -> tuple:
-    from .stars import barycentric_vertex_star, open_vertex_star
-
-    complex_ = formats.parse_complex(_load(args.input))
-    vertex = formats.parse_vertex_key(args.vertex)
-    ost = open_vertex_star(complex_, vertex)
-    bst = barycentric_vertex_star(complex_, vertex)
-    report = {
-        "command": "stars",
-        "vertex": vertex,
-        "open_star": {"core": [[vertex]], "avoided": ost.avoided.sorted_simplices()},
-        "barycentric_star": {"simplices": bst.sorted_simplices(), "is_cone_with_apex": (vertex,)},
-    }
-    return report, HOLDS
-
-
-def cmd_nerve(args) -> tuple:
-    from .stars import nerve
-
-    cover = formats.parse_cover(_load(args.input))
-    result = nerve(cover, _budgets_from(args))
-    report = {
-        "command": "nerve",
-        "status": result.status,
-        "subsets_checked": result.subsets_checked,
-        "nerve": formats.complex_to_obj(result.complex) if result.complex else None,
-    }
-    return report, result.status.status
-
-
-def cmd_homology(args) -> tuple:
-    from .connectivity import homology_run
-
-    complex_ = formats.parse_complex(_load(args.input))
-    degrees = range(0, complex_.dimension + 1) if args.degree is None else range(args.degree, args.degree + 1)
-    groups = [summary.to_obj() for summary in homology_run(complex_, degrees, reduced=args.reduced)]
-    return {"command": "homology", "reduced": args.reduced, "groups": groups}, HOLDS
-
-
-def cmd_pi1(args) -> tuple:
-    from .connectivity import is_connected, pi1_verdict
-
-    complex_ = formats.parse_complex(_load(args.input))
-    budgets = _budgets_from(args)
-    connected = is_connected(complex_)
-    verdict = pi1_verdict(complex_, budgets=budgets) if not connected.is_fails else connected
-    return {"command": "pi1", "connected": connected, "trivial": verdict}, verdict.status
-
-
-def cmd_check_map(args) -> tuple:
-    from .maps import is_surjective, lipschitz_constant
-    from .towers import regularity_report
-
-    budgets = _budgets_from(args)
-    parsed = formats.parse_map(_load(args.input))
-    surjective = is_surjective(parsed)
-    constant = lipschitz_constant(parsed, Fraction(1), Fraction(1))
-    regularity = regularity_report(parsed, args.n, budgets)
-    overall = conjoin([surjective, regularity["aggregate"]])
-    report = {
-        "command": "check-map",
-        "n": args.n,
-        "quasi_simplicial": Verdict.holds(),
-        "surjective": surjective,
-        "lipschitz_constant_at_unit_scales": constant,
-        "regularity": regularity,
-        "status": overall,
-    }
-    return report, overall.status
-
-
-def cmd_verify_tower(args) -> tuple:
-    from .towers import verify_tower
-
-    budgets = _budgets_from(args)
-    certificate = verify_tower(formats.parse_tower(_load(args.input)), args.n, budgets)
-    return {"command": "verify-tower", **certificate.to_obj()}, certificate.conclusion.status
-
-
-def cmd_restrict(args) -> tuple:
-    from .towers import restrict_tower
-
-    tower = formats.parse_tower(_load(args.input))
-    raw = _load(args.complex)
-    if not 1 <= args.level <= tower.depth():
-        raise formats.InputFormatError("level out of range", "restrict.level")
-    level = tower.levels[args.level - 1]
-    raw = raw.get("maximal", []) if isinstance(raw, dict) else raw
-    simplices = formats.parse_simplices(raw, "restrict.complex")
-    try:
-        sub = subcomplex_from(level, simplices)
-    except ValueError as exc:
-        raise formats.InputFormatError(str(exc), "restrict.complex")
-    return formats.tower_to_obj(restrict_tower(tower, args.level, sub)), HOLDS
-
-
-def cmd_mesh(args) -> tuple:
-    from .stars import mesh
-
-    cover = formats.parse_cover(_load(args.input))
-    scale = formats.parse_fraction(args.scale) if args.scale else Fraction(1)
-    result = mesh(cover, scale)
-    report = {
-        "command": "mesh",
-        "mesh": result.value,
-        "computed_on_closure": result.computed_on_closure,
-        "scale": scale,
-    }
-    return report, HOLDS
-
-
-def cmd_lift(args) -> tuple:
-    from .towers import ThreadApprox, tower_lift
-
-    budgets = _budgets_from(args)
-    tower = formats.parse_tower(_load(args.input))
-    spec = _load(args.spec)
-    if not isinstance(spec, dict):
-        raise formats.InputFormatError("a lift specification is an object", "lift")
-    domain = formats.parse_complex(spec.get("domain"), "lift.domain")
-    f1 = formats.parse_plmap(spec.get("f1"), domain=domain, target=tower.levels[0], context="lift.f1")
-    defined = subcomplex_from(domain, formats.parse_simplices(spec.get("anchor", []), "lift.anchor"))
-    raw_threads = spec.get("threads", {})
-    if not isinstance(raw_threads, dict) or not all(isinstance(rows, list) for rows in raw_threads.values()):
-        raise formats.InputFormatError("threads map vertex keys to lists of points", "lift.threads")
-    threads = {}
-    for key, rows in raw_threads.items():
-        v = formats.parse_vertex_key(key, "lift.threads")
-        if len(rows) > len(tower.levels):
-            raise formats.InputFormatError(
-                "a thread lists more points than the tower has levels", "lift.threads[%s]" % key
-            )
-        threads[v] = [
-            formats.parse_point(row, tower.levels[i], "lift.threads[%s][%d]" % (key, i))
-            for i, row in enumerate(rows)
-        ]
-    for v in defined.vertices:
-        if v not in threads:
-            raise formats.InputFormatError("no thread for anchored vertex %s" % vertex_label(v), "lift.threads")
-    g0 = ThreadApprox(tower, threads)
-    result = tower_lift(tower, f1, defined, g0, args.n, budgets)
-    report = {
-        "command": "lift",
-        "status": result.status,
-        "anchored_exactly": result.anchored_exactly,
-        "stages": [
-            {"stage": s["stage"], "closeness": s["closeness"], "lift": formats.plmap_to_obj(s["lift"])}
-            for s in result.stages
-        ],
-        "cauchy": result.cauchy,
-    }
-    return report, result.status.status
-
-
-def cmd_gen(args) -> tuple:
-    from . import generators
-
-    kind = args.kind
-    if kind == "sphere":
-        payload = formats.complex_to_obj(generators.sphere(args.dim if args.dim is not None else 2))
-    elif kind == "circle":
-        payload = formats.complex_to_obj(generators.circle())
-    elif kind == "rp2":
-        payload = formats.complex_to_obj(generators.projective_plane())
-    elif kind == "simplex":
-        payload = formats.complex_to_obj(generators.simplex(args.dim if args.dim is not None else 2))
-    elif kind == "cylinder":
-        payload = formats.map_to_obj(generators.cylinder_map())
-    elif kind == "cylinder-tower":
-        payload = formats.tower_to_obj(generators.cylinder_tower())
-    elif kind == "subdivision-tower":
-        base = _base_complex(args)
-        payload = formats.tower_to_obj(
-            generators.subdivision_tower(base, args.levels, _tower_scales(args))
-        )
-    else:  # random-tower: the parser admits no other kind
-        payload = formats.tower_to_obj(
-            generators.random_tower(args.seed, args.levels, _tower_scales(args))
-        )
-    return payload, HOLDS
-
-
-def _base_complex(args):
-    from . import generators
-
-    base = args.base or "triangle"
-    named = {
-        "point": lambda: generators.simplex(0),
-        "edge": lambda: generators.simplex(1),
-        "triangle": lambda: generators.simplex(2),
-        "tetrahedron": lambda: generators.simplex(3),
-        "circle": generators.circle,
-        "rp2": generators.projective_plane,
-    }
-    if base in named:
-        return named[base]()
-    if base.startswith("sphere:"):
-        return generators.sphere(int(base.split(":", 1)[1]))
-    return formats.parse_complex(_load(base), "gen.base")
-
-
-def _tower_scales(args):
-    if args.scale_base is None:
-        return None
-    ratio = formats.parse_fraction(args.scale_base, "scale-base")
-    if ratio <= 0:
-        raise formats.InputFormatError("the scale base must be positive", "scale-base")
-    return [Fraction(1) / ratio ** (i + 1) for i in range(args.levels)]
 
 
 # ---------------------------------------------------------------------------
@@ -329,32 +88,33 @@ def _arg(*flags, **kwargs):
 
 _INPUT = _arg("input")
 
-# name -> (help, handler, whether --n is required, the budgets it reads, the
-# command's own arguments); a budget b is set with --budget-b
+# name -> (help, the module of its handler cmd_<name>, whether --n is
+# required, the budgets it reads, the command's own arguments); a budget b
+# is set with --budget-b
 _COMMANDS = {
-    "validate": ("validate a complex file and report its shape", cmd_validate, False, (), [_INPUT]),
-    "subdivide": ("barycentric subdivision of a complex file", cmd_subdivide, False, (), [_INPUT]),
+    "validate": ("validate a complex file and report its shape", "cli_complexes", False, (), [_INPUT]),
+    "subdivide": ("barycentric subdivision of a complex file", "cli_complexes", False, (), [_INPUT]),
     "stars": (
         "open and barycentric star of a vertex",
-        cmd_stars,
+        "cli_complexes",
         False,
         (),
         [_INPUT, _arg("--vertex", required=True)],
     ),
-    "nerve": ("nerve of a cover file", cmd_nerve, False, ("nerve",), [_INPUT]),
+    "nerve": ("nerve of a cover file", "cli_complexes", False, ("nerve",), [_INPUT]),
     "homology": (
         "integral homology of a complex file",
-        cmd_homology,
+        "cli_complexes",
         False,
         (),
         [_INPUT, _arg("--degree", type=int), _arg("--reduced", action="store_true")],
     ),
-    "pi1": ("fundamental group triviality verdict", cmd_pi1, False, ("pi1",), [_INPUT]),
-    "check-map": ("quasi-simpliciality, surjectivity, regularity", cmd_check_map, True, ("pi1",), [_INPUT]),
-    "verify-tower": ("full certificate for a tower file", cmd_verify_tower, True, ("pi1", "nerve"), [_INPUT]),
+    "pi1": ("fundamental group triviality verdict", "cli_complexes", False, ("pi1",), [_INPUT]),
+    "check-map": ("quasi-simpliciality, surjectivity, regularity", "cli_towers", True, ("pi1",), [_INPUT]),
+    "verify-tower": ("full certificate for a tower file", "cli_towers", True, ("pi1", "nerve"), [_INPUT]),
     "restrict": (
         "restrict a tower to a subcomplex of one level",
-        cmd_restrict,
+        "cli_towers",
         False,
         (),
         [
@@ -363,17 +123,17 @@ _COMMANDS = {
             _arg("--complex", required=True, help="file with the subcomplex's maximal simplices"),
         ],
     ),
-    "mesh": ("mesh of a cover file", cmd_mesh, False, (), [_INPUT, _arg("--scale")]),
+    "mesh": ("mesh of a cover file", "cli_complexes", False, (), [_INPUT, _arg("--scale")]),
     "lift": (
         "stagewise lift of a PL map through a tower",
-        cmd_lift,
+        "cli_lift",
         True,
         ("pi1", "filler", "nerve"),
         [_arg("input", help="tower file"), _arg("--spec", required=True, help="lift specification file")],
     ),
     "gen": (
         "deterministic example inputs",
-        cmd_gen,
+        "cli_gen",
         False,
         (),
         [
@@ -414,7 +174,7 @@ def _parser(names) -> argparse.ArgumentParser:
     every = None if len(names) == len(_COMMANDS) else "{%s}" % ",".join(_COMMANDS)
     sub = parser.add_subparsers(dest="command", required=True, metavar=every)
     for name in names:
-        help_, handler, needs_n, budgets, arguments = _COMMANDS[name]
+        help_, _, needs_n, budgets, arguments = _COMMANDS[name]
         p = sub.add_parser(name, help=help_)
         for flags, kwargs in arguments:
             p.add_argument(*flags, **kwargs)
@@ -424,7 +184,6 @@ def _parser(names) -> argparse.ArgumentParser:
             p.add_argument("--budget-" + budget, type=int, default=None)
         if needs_n:
             p.add_argument("--n", type=int, required=True)
-        p.set_defaults(handler=handler)
     return parser
 
 
@@ -434,7 +193,11 @@ def main(argv=None) -> int:
     parser = _parser(argv[:1]) if argv and argv[0] in _COMMANDS else build_parser()
     args = parser.parse_args(argv)
     try:
-        report, status = args.handler(args)
+        _, module, _, budgets, _ = _COMMANDS[args.command]
+        if budgets:
+            args.budgets = _budgets_from(args)
+        handler = getattr(import_module("." + module, __package__), "cmd_" + args.command.replace("-", "_"))
+        report, status = handler(args)
         _emit(report, args)
         return _STATUS_EXIT[status]
     except MemoryError:

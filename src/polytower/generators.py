@@ -2,7 +2,6 @@
 the stacked cylinder, and towers built from iterated subdivision."""
 from __future__ import annotations
 
-import random
 from itertools import combinations
 
 from .complexes import Complex
@@ -99,6 +98,8 @@ def subdivision_tower(base: Complex, levels: int, scales=None) -> Tower:
 
 
 def random_base_complex(seed: int, max_vertices: int = 6, max_faces: int = 4) -> Complex:
+    import random  # only the random generators pay for it
+
     rng = random.Random(seed)
     nv = rng.randint(3, max_vertices)
     names = ["v%d" % i for i in range(nv)]

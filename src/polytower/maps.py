@@ -4,8 +4,9 @@ A VertexMap is a total assignment on vertices whose simpliciality (images of
 simplices span simplices) is a checkable verdict.  A quasi-simplicial map
 from K to L is a vertex map of K into the barycentric subdivision of L that
 is simplicial; its vertex images are therefore chains of simplices of L.
-Both kinds answer surjectivity, preimages, evaluation, Lipschitz constants
-and induced maps on homology.  A Tower is a chain of levels joined by
+Both kinds answer surjectivity, preimages and Lipschitz constants; their
+evaluation at points is in `points` and their induced maps on homology are
+in `induced`.  A Tower is a chain of levels joined by
 quasi-simplicial bonds; it is the record the generators build, so it lives
 here and not with the certificate pipeline of `towers`.
 """
@@ -16,14 +17,11 @@ from functools import cached_property
 
 from .complexes import (
     Complex,
-    Point,
     Subcomplex,
     barycentre_distance,
     barycentric_subdivision,
     beta_subcomplex,
     faces,
-    flatten_point,
-    make_point,
     vertex_key,
     vertex_label,
 )
@@ -170,26 +168,7 @@ def preimage_of_base_subcomplex(p: QSMap, sub: Subcomplex) -> Subcomplex:
 
 
 # ---------------------------------------------------------------------------
-# evaluation and metric constants
-
-
-def apply_subdivision(p: QSMap, x: Point) -> Point:
-    """Push a point forward into subdivision coordinates of the target."""
-    acc: dict = {}
-    mapping = p.lookup
-    for v, c in x.coords:
-        w = mapping[v]
-        acc[w] = acc.get(w, Fraction(0)) + c
-    return make_point(p.target, acc, x.scale)
-
-
-def apply(p: QSMap, x: Point, scale=None) -> Point:
-    """Evaluate the affine extension, expressed in base target coordinates."""
-    pushed = apply_subdivision(p, x)
-    flat = flatten_point(pushed, p.base_target)
-    if scale is not None and Fraction(scale) != flat.scale:
-        flat = make_point(p.base_target, flat.as_dict(), Fraction(scale))
-    return flat
+# metric constants
 
 
 def lipschitz_constant(p: QSMap, kappa, lam) -> Fraction:
@@ -270,93 +249,11 @@ class Tower(Record, frozen=True):
         )
 
 
-# ---------------------------------------------------------------------------
-# induced maps on homology
+def __getattr__(name):
+    # `bench/trace_cli.py` looks this up here, where it lived before the
+    # induced maps on homology moved to `induced`
+    if name == "induced_homology_map":
+        from . import induced
 
-
-def chain_map_columns(vm: VertexMap, k: int) -> list:
-    """Sparse columns {target simplex index: sign} of the degree-k chain map;
-    simplices collapsed by the map give empty columns, non-degenerate images
-    carry the sorting sign."""
-    dst_index = {s: i for i, s in enumerate(vm.target.simplices_of_dim(k))}
-    mapping = vm.lookup
-    columns = []
-    for s in vm.source.simplices_of_dim(k):
-        images = [mapping[v] for v in s]
-        if len(set(images)) != len(images):
-            columns.append({})
-            continue
-        order = sorted(range(len(images)), key=lambda i: vertex_key(images[i]))
-        target_simplex = tuple(images[i] for i in order)
-        columns.append({dst_index[target_simplex]: _permutation_sign(order)})
-    return columns
-
-
-def _permutation_sign(order) -> int:
-    sign = 1
-    seen = [False] * len(order)
-    for i in range(len(order)):
-        if seen[i]:
-            continue
-        length = 0
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = order[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
-
-
-def induced_homology_map(p, k: int) -> Verdict:
-    """Whether the degree-k map on integral homology induced by a
-    (quasi-)simplicial map is an isomorphism.
-
-    It holds exactly when both groups share invariants and the induced map
-    is onto, which for finitely generated abelian groups forces bijectivity.
-    Onto-ness is read off one elimination of the boundaries of the target
-    together with the images of a basis of the source cycles: C_k of the
-    target modulo their span is coker f_* ⊕ Z^(rank ∂_k), as the cycles are
-    a direct summand of C_k with free quotient.  A witness lists the
-    invariant factors of a presentation of coker f_* with one generator per
-    invariant factor of the target group: the units first, then the
-    factors of the cokernel.
-    """
-    # the homology layers load with the first induced map, not with maps
-    from .connectivity import boundary_columns, cycle_basis, homology_coordinates
-    from .snf import combine, eliminate
-
-    src = homology_coordinates(p.source, k)
-    # a map onto an equal complex (an identity bond) reduces it once
-    dst = src if p.target == p.source else homology_coordinates(p.target, k)
-    if (src.betti, src.torsion) != (dst.betti, dst.torsion):
-        return Verdict.fails(
-            witness={"source": _group_obj(src), "target": _group_obj(dst)},
-            reason="homology groups differ in degree %d" % k,
-        )
-    if dst.betti == 0 and not dst.torsion:
-        return Verdict.holds()
-    chain = chain_map_columns(p, k)
-    boundary = boundary_columns(p.target, k)
-    images = []
-    for cycle in cycle_basis(p.source, k):
-        image = combine(chain, cycle)
-        if combine(boundary, image):
-            raise AssertionError("image of a cycle is not a cycle")
-        images.append(image)
-    n = len(p.target.simplices_of_dim(k))
-    span = eliminate(boundary_columns(p.target, k + 1) + images, n)
-    factors = [d for _, _, d in span.pivots if d > 1]
-    free = n - span.rank - dst.boundary_rank
-    if not factors and not free:
-        return Verdict.holds()
-    units = dst.betti + len(dst.torsion) - free - len(factors)
-    return Verdict.fails(
-        witness={"invariant_factors": [1] * units + factors},
-        reason="induced map is not onto",
-    )
-
-
-def _group_obj(data) -> dict:
-    return {"betti": data.betti, "torsion": list(data.torsion)}
+        return induced.induced_homology_map
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))

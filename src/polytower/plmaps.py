@@ -13,18 +13,16 @@ from functools import cached_property
 
 from .complexes import (
     Complex,
-    Point,
     Subcomplex,
     UnknownVertexError,
-    barycenter_point,
     barycentric_subdivision,
     beta_subcomplex,
-    convex_combination,
     simplex_sort_key,
     vertex_key,
     vertex_label,
 )
-from .maps import QSMap, apply
+from .maps import QSMap
+from .points import Point, apply, barycenter_point, convex_combination
 from .records import Record
 
 

@@ -20,7 +20,6 @@ from itertools import combinations
 from .complexes import (
     Complex,
     ComplexMismatchError,
-    Point,
     Subcomplex,
     UnknownVertexError,
     barycentre_distance,
@@ -29,7 +28,6 @@ from .complexes import (
     face_closure,
     faces,
     induced_subcomplex,
-    lift_to_subdivision,
     simplex_sort_key,
     vertex_key,
     vertex_label,
@@ -161,76 +159,6 @@ def cover_B(base: Complex) -> IndexedCover:
     beta = barycentric_subdivision(base)
     elements = barycentric_vertex_stars(base)
     return IndexedCover.build(beta, "closed", elements, base=base, star_of={v: v for v in base.vertices})
-
-
-# ---------------------------------------------------------------------------
-# hull containment in elements
-
-
-def element_contains_hull(element, points):
-    """Containment of the convex hull of finitely many points of the
-    element's complex, read off their supports (`aligned_images` brings a
-    map's images there).
-
-    An open star holds the hull when every support meets its core: every
-    hull point's support contains some corner's support, so this is exact.
-    A subcomplex holds it when the supports together span one of its
-    simplices, and refutes it when some corner's support is missing; it
-    leaves it undecided (None) otherwise.
-    """
-    if isinstance(element, OpenStarSet):
-        return all(not element.core.isdisjoint(s) for s in _supports(points, element.ambient))
-    if isinstance(element, Subcomplex):
-        supports = _supports(points, element.parent)
-        span = tuple(sorted(set().union(*supports), key=vertex_key))
-        if span in element.simplices:
-            return True
-        if any(s not in element.simplices for s in supports):
-            return False
-        return None
-    raise TypeError("unknown element type %r" % (type(element),))
-
-
-def _supports(points, complex_: Complex) -> list:
-    """The supports of hull points, which must live on the given complex."""
-    if any(p.complex != complex_ for p in points):
-        raise ValueError("hull points must live on the element's complex")
-    return [p.support for p in points]
-
-
-def hull_witnesses(maps, simplices, cover: IndexedCover):
-    """For each of the given simplices, the first cover index whose element
-    certifiably contains its image hull under every one of the maps, or None
-    when some simplex has no such element."""
-    images = [aligned_images(f, cover) for f in maps]
-    witnesses = {}
-    for s in simplices:
-        hulls = [[table[v] for v in s] for table in images]
-        found = None
-        for i, e in cover.elements:
-            if all(element_contains_hull(e, pts) is True for pts in hulls):
-                found = i
-                break
-        if found is None:
-            return None
-        witnesses[s] = found
-    return witnesses
-
-
-def aligned_images(f, cover: IndexedCover) -> dict:
-    """Vertex -> its image under a PL map, aligned with the cover's ambient
-    once (lifted into the subdivision when the images live on its base)."""
-    return {v: align_point(x, cover.ambient, cover.base) for v, x in f.images}
-
-
-def align_point(point: Point, element_complex: Complex, base: Complex | None) -> Point:
-    """The point in the coordinates of the element's complex: itself, or
-    lifted into the subdivision when it lives on the base."""
-    if point.complex == element_complex:
-        return point
-    if base is not None and point.complex == base:
-        return lift_to_subdivision(point, element_complex)
-    raise ValueError("point cannot be aligned with the element's complex")
 
 
 # ---------------------------------------------------------------------------
@@ -400,3 +328,12 @@ def star_cover_bounds(kind: str, base: Complex, scale=Fraction(1)) -> tuple:
     scale = Fraction(scale)
     return r * scale, 2 * r * scale
 
+
+def __getattr__(name):
+    # `bench/trace_cli.py` looks this up here, where it lived before hull
+    # containment moved to `carriers`, next to the lift code that reads it
+    if name == "element_contains_hull":
+        from . import carriers
+
+        return carriers.element_contains_hull
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))

@@ -6,8 +6,6 @@ general: ``holds``, ``fails`` (always with a finite witness), or
 """
 from __future__ import annotations
 
-from typing import Any
-
 from .records import Record
 
 HOLDS = "holds"
@@ -17,15 +15,15 @@ INCONCLUSIVE = "inconclusive"
 
 class Verdict(Record, frozen=True):
     status: str
-    witness: Any = None
+    witness: object = None
     reason: str | None = None
 
     @classmethod
-    def holds(cls, witness: Any = None, reason: str | None = None) -> "Verdict":
+    def holds(cls, witness=None, reason: str | None = None) -> "Verdict":
         return cls(HOLDS, witness, reason)
 
     @classmethod
-    def fails(cls, witness: Any, reason: str | None = None) -> "Verdict":
+    def fails(cls, witness, reason: str | None = None) -> "Verdict":
         return cls(FAILS, witness, reason)
 
     @classmethod

@@ -9,24 +9,13 @@ import random
 import time
 from fractions import Fraction
 
-from polytower import formats
+from polytower import formats, readers
 from polytower.cli import main as cli_main
-from polytower.complexes import (
-    barycentric_subdivision,
-    induced_subcomplex,
-    make_point,
-    subcomplex_from,
-)
+from polytower.complexes import barycentric_subdivision, induced_subcomplex, subcomplex_from
 from polytower.connectivity import homology
-from polytower.maps import (
-    apply,
-    apply_subdivision,
-    identity_qsmap,
-    induced_homology_map,
-    is_surjective,
-    lipschitz_constant,
-    preimage_subcomplex,
-)
+from polytower.induced import induced_homology_map
+from polytower.maps import identity_qsmap, is_surjective, lipschitz_constant, preimage_subcomplex
+from polytower.points import apply, apply_subdivision, make_point
 from polytower.stars import (
     OpenStarSet,
     cover_B,
@@ -34,7 +23,8 @@ from polytower.stars import (
     nerve,
     pullback_cover,
 )
-from polytower.towers import ThreadApprox, tower_lift, verify_tower
+from polytower.lifts import ThreadApprox, tower_lift
+from polytower.towers import verify_tower
 from polytower.generators import (
     cylinder_map,
     cylinder_tower,
@@ -286,7 +276,7 @@ def test_ac10_weak_equivalence_consequence():
 
 def test_ac11_lifting():
     tower = subdivision_tower(simplex(2), 3)
-    domain = formats.parse_complex({"vertices": [], "maximal": [["x0", "x1"]]})
+    domain = readers.parse_complex({"vertices": [], "maximal": [["x0", "x1"]]})
     f1 = from_vertex_images(domain, {"x0": "a", "x1": "b"}, tower.levels[0])
     anchor = subcomplex_from(domain, [["x0"]])
     assignments = {"x0": []}

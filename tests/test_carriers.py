@@ -6,15 +6,12 @@ import pytest
 from polytower.complexes import (
     Complex,
     Subcomplex,
-    barycenter_point,
     barycentric_subdivision,
-    convex_combination,
     induced_subcomplex,
-    lift_to_subdivision,
-    make_point,
     subcomplex_from,
     whole_subcomplex,
 )
+from polytower.points import barycenter_point, convex_combination, lift_to_subdivision, make_point
 from polytower.carriers import (
     Carrier,
     carried_extension,

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from polytower import cli, formats
+from polytower import cli, formats, readers
 from polytower.cli import main
 from polytower.complexes import UnknownVertexError, barycentric_subdivision
 from polytower.generators import (
@@ -87,20 +87,20 @@ class TestRoundTrips:
     def test_complex_round_trip(self):
         for complex_ in (simplex(2), sphere(2), projective_plane()):
             obj = formats.complex_to_obj(complex_)
-            again = formats.parse_complex(json.loads(json.dumps(obj)))
+            again = readers.parse_complex(json.loads(json.dumps(obj)))
             assert again == complex_
 
     def test_nested_names_round_trip(self):
         from polytower.complexes import barycentric_subdivision
 
         b2 = barycentric_subdivision(barycentric_subdivision(simplex(1)))
-        again = formats.parse_complex(formats.complex_to_obj(b2))
+        again = readers.parse_complex(formats.complex_to_obj(b2))
         assert again == b2
 
     def test_map_round_trip(self):
         p = cylinder_map()
         obj = formats.map_to_obj(p)
-        again = formats.parse_map(json.loads(json.dumps(obj)))
+        again = readers.parse_map(json.loads(json.dumps(obj)))
         assert again.assignment == p.assignment
         assert again.source == p.source
         assert again.base_target == p.base_target
@@ -108,7 +108,7 @@ class TestRoundTrips:
     def test_tower_round_trip(self):
         t = subdivision_tower(simplex(2), 3)
         obj = formats.tower_to_obj(t)
-        again = formats.parse_tower(json.loads(json.dumps(obj)))
+        again = readers.parse_tower(json.loads(json.dumps(obj)))
         assert again.levels == t.levels
         assert again.scales == t.scales
         assert [b.assignment for b in again.bonds] == [b.assignment for b in t.bonds]
@@ -124,8 +124,8 @@ class TestRoundTrips:
             joined.append(parts)
             return join_parts(parts, name)
 
-        monkeypatch.setattr(formats, "join_parts", counting_join)
-        again = formats.parse_tower(obj)
+        monkeypatch.setattr(readers, "join_parts", counting_join)
+        again = readers.parse_tower(obj)
         assert again.levels == t.levels
 
         def nested(name):
@@ -143,25 +143,25 @@ class TestRoundTrips:
     def test_name_checks_kept(self):
         for bad, error in ((["a", "a"], "duplicate"), ([], "empty"), ([["a"], ["a"]], "duplicate")):
             with pytest.raises(formats.InputFormatError, match=error):
-                formats.parse_complex({"vertices": [], "maximal": [[bad, "b"]]})
+                readers.parse_complex({"vertices": [], "maximal": [[bad, "b"]]})
             with pytest.raises(formats.InputFormatError, match=error):
-                formats.parse_complex({"vertices": [], "maximal": [[["c", "d"], ["d", "c"]], [bad]]})
+                readers.parse_complex({"vertices": [], "maximal": [[["c", "d"], ["d", "c"]], [bad]]})
         with pytest.raises(formats.InputFormatError, match="duplicate vertex"):
-            formats.parse_complex({"vertices": [], "maximal": [[["c", "d"], ["d", "c"]]]})
-        assert formats.parse_vertex(["b", ["c", "a"]]) == ("b", ("a", "c"))
+            readers.parse_complex({"vertices": [], "maximal": [[["c", "d"], ["d", "c"]]]})
+        assert readers.parse_vertex(["b", ["c", "a"]]) == ("b", ("a", "c"))
 
     def test_fraction_forms(self):
         from fractions import Fraction
 
         assert formats.fraction_to_str(Fraction(1, 2)) == "1/2"
         assert formats.fraction_to_str(Fraction(3)) == "3"
-        assert formats.parse_fraction("7/4") == Fraction(7, 4)
-        assert formats.parse_fraction("5") == Fraction(5)
+        assert readers.parse_fraction("7/4") == Fraction(7, 4)
+        assert readers.parse_fraction("5") == Fraction(5)
         with pytest.raises(formats.InputFormatError):
-            formats.parse_fraction("1/0")
+            readers.parse_fraction("1/0")
         for boolean in (True, False):
             with pytest.raises(formats.InputFormatError, match="rationals are 'p/q' strings"):
-                formats.parse_fraction(boolean)
+                readers.parse_fraction(boolean)
 
     def test_cover_round_trip_stars(self):
         k = simplex(2)
@@ -170,16 +170,16 @@ class TestRoundTrips:
             "kind": "closed",
             "elements": {v: {"star_of": v} for v in "abc"},
         }
-        cover = formats.parse_cover(obj)
+        cover = readers.parse_cover(obj)
         assert cover.indices == ("a", "b", "c")
-        again = formats.parse_cover(json.loads(formats.dumps_canonical(cover_to_obj(cover))))
+        again = readers.parse_cover(json.loads(formats.dumps_canonical(cover_to_obj(cover))))
         assert again.indices == cover.indices
         assert cover.ambient == barycentric_subdivision(k) and cover.base == k
         for v in "abc":
             assert cover.element(v) == barycentric_vertex_star(k, v)
         obj["elements"]["d"] = {"star_of": "z"}
         with pytest.raises(UnknownVertexError):
-            formats.parse_cover(obj)
+            readers.parse_cover(obj)
 
 
 class TestCommands:
@@ -206,7 +206,7 @@ class TestCommands:
         assert code == 0
         report = json.loads(out)
         assert len(report["vertices"]) == 7
-        parsed = formats.parse_complex(report)
+        parsed = readers.parse_complex(report)
         assert parsed.f_vector() == (7, 12, 6)
 
     def test_homology_sphere(self, tmp_path, capsys):
@@ -344,27 +344,33 @@ class TestCommands:
             ["restrict", tower_path, "--level", "1", "--complex", sub_path], capsys
         )
         assert code == 0
-        restricted = formats.parse_tower(json.loads(out))
+        restricted = readers.parse_tower(json.loads(out))
         assert restricted.levels[0].f_vector() == (2, 1)
         assert restricted.levels[1].f_vector() == (3, 2)
 
     def test_gen_sphere(self, capsys):
         code, out = run_cli(["gen", "sphere", "--dim", "2"], capsys)
         assert code == 0
-        parsed = formats.parse_complex(json.loads(out))
+        parsed = readers.parse_complex(json.loads(out))
         assert len(parsed.simplices) == 14
 
     def test_gen_cylinder(self, capsys):
         code, out = run_cli(["gen", "cylinder"], capsys)
         assert code == 0
-        parsed = formats.parse_map(json.loads(out))
+        parsed = readers.parse_map(json.loads(out))
         assert len(parsed.source.vertices) == 9
 
     def test_gen_subdivision_tower(self, capsys):
         code, out = run_cli(["gen", "subdivision-tower", "--base", "triangle", "--levels", "3"], capsys)
         assert code == 0
-        tower = formats.parse_tower(json.loads(out))
+        tower = readers.parse_tower(json.loads(out))
         assert tower.depth() == 3
+
+    def test_gen_tower_on_a_sphere_base(self, capsys):
+        code, out = run_cli(["gen", "subdivision-tower", "--base", "sphere:1", "--levels", "2"], capsys)
+        assert code == 0
+        tower = readers.parse_tower(json.loads(out))
+        assert tower.levels[0] == sphere(1)
 
     def test_gen_random_tower_reproducible(self, capsys):
         _, first = run_cli(["gen", "random-tower", "--seed", "5", "--levels", "2"], capsys)
@@ -621,9 +627,26 @@ def run_fresh(argv) -> subprocess.CompletedProcess:
 
 
 # modules a command-line process must not pay for at start-up: record
-# classes need no code generation, and every command imports the lift,
-# generator and traceback code only when it runs it
-NOT_AT_START = ("dataclasses", "inspect", "traceback", "polytower.carriers", "polytower.plmaps", "polytower.generators")
+# classes need no code generation, and every command imports its handler
+# and the lift, π1, reader, point, generator and traceback code only when it
+# runs it
+NOT_AT_START = (
+    "dataclasses",
+    "inspect",
+    "traceback",
+    "polytower.carriers",
+    "polytower.plmaps",
+    "polytower.generators",
+    "polytower.lifts",
+    "polytower.pi1",
+    "polytower.points",
+    "polytower.readers",
+    "polytower.induced",
+    "polytower.cli_gen",
+    "polytower.cli_towers",
+    "polytower.cli_lift",
+    "polytower.cli_complexes",
+)
 
 COLD_START_SCRIPT = """
 import json, sys
@@ -646,12 +669,28 @@ print(json.dumps({"code": code, "loaded": loaded}))
 """
 
 # command -> the package modules its process must not load: `gen` compiles
-# only the generator path, and neither certificate command the other's code
+# only the generator path, neither certificate command the other's code,
+# and no command another command's handler; `verify-tower` runs on a tower
+# whose pieces all collapse, so it never needs π1
 NOT_LOADED_BY = {
-    "gen": ("connectivity", "snf", "stars", "towers", "carriers", "plmaps"),
-    "verify-tower": ("carriers", "plmaps", "generators"),
-    "lift": ("generators",),
+    "gen": (
+        "connectivity", "snf", "stars", "towers", "carriers", "plmaps", "readers", "induced", "points", "lifts",
+        "pi1", "cli_towers", "cli_lift", "cli_complexes",
+    ),
+    "verify-tower": ("carriers", "plmaps", "generators", "lifts", "pi1", "points", "cli_gen", "cli_lift", "cli_complexes"),
+    "lift": ("generators", "induced", "cli_gen", "cli_towers", "cli_complexes"),
 }
+
+
+def loaded_by(tmp_path, argv, expected_code=0) -> list:
+    """The package modules a fresh process loads to run one command."""
+    out = str(tmp_path / "out.json")
+    proc = run_fresh([sys.executable, "-c", COMMAND_SCRIPT, *argv, "-o", out])
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["code"] == expected_code and os.path.getsize(out) > 0
+    assert "polytower.cli" in report["loaded"]
+    return report["loaded"]
 
 
 class TestColdStart:
@@ -663,13 +702,14 @@ class TestColdStart:
             "verify-tower": ["verify-tower", tower, "--n", "2"],
             "lift": ["lift", tower, "--spec", write(tmp_path, "spec.json", LIFT_SPEC), "--n", "2"],
         }[command]
-        out = str(tmp_path / "out.json")
-        proc = run_fresh([sys.executable, "-c", COMMAND_SCRIPT, *argv, "-o", out])
-        assert proc.returncode == 0, proc.stderr
-        report = json.loads(proc.stdout)
-        assert report["code"] == 0 and os.path.getsize(out) > 0
-        assert "polytower.cli" in report["loaded"]
-        assert sorted(set(report["loaded"]) & {"polytower." + m for m in NOT_LOADED_BY[command]}) == []
+        loaded = loaded_by(tmp_path, argv)
+        assert sorted(set(loaded) & {"polytower." + m for m in NOT_LOADED_BY[command]}) == []
+
+    def test_pi1_loads_for_a_piece_that_does_not_collapse(self, tmp_path):
+        # the cylinder's fibers are circles, which no collapse reduces
+        tower = write(tmp_path, "cylinder.json", formats.tower_to_obj(cylinder_tower()))
+        loaded = loaded_by(tmp_path, ["verify-tower", tower, "--n", "2"], expected_code=1)
+        assert "polytower.pi1" in loaded and "polytower.lifts" not in loaded
 
     def test_cli_import_loads_only_what_commands_share(self):
         proc = run_fresh([sys.executable, "-c", COLD_START_SCRIPT, *NOT_AT_START])
@@ -678,6 +718,14 @@ class TestColdStart:
         assert report["loaded"] == []
         assert report["missing"] == [] and report["unlisted"] == []
         assert report["count"] == 52
+
+    def test_cli_import_loads_no_typing(self):
+        # annotations are never evaluated, so no module imports `typing`
+        # for them; -S keeps `site` from loading it through a .pth hook
+        script = "import sys, polytower.cli; print('typing' in sys.modules)"
+        proc = run_fresh([sys.executable, "-S", "-c", script])
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"
 
     def test_package_names_resolve_on_first_access(self):
         import polytower

@@ -8,19 +8,16 @@ from polytower.complexes import (
     DuplicateVertexError,
     EmptySimplexError,
     UnknownVertexError,
-    barycenter_point,
     barycentre_distance,
     barycentric_subdivision,
     beta_subcomplex,
     canon_vertex,
-    flatten_point,
     induced_subcomplex,
-    lift_to_subdivision,
-    make_point,
     simplex_sort_key,
     subcomplex_from,
     vertex_key,
 )
+from polytower.points import barycenter_point, flatten_point, lift_to_subdivision, make_point
 
 from util import (
     ScaleMismatchError,

@@ -10,20 +10,17 @@ from hypothesis import given, settings, strategies as st
 from polytower.complexes import Complex, barycentric_subdivision, vertex_key, whole_subcomplex
 from polytower import snf
 from polytower.connectivity import (
+    ae_verdict,
     boundary_columns,
     collapses_to_point,
     components,
-    cycle_basis,
     homology,
     homology_run,
     is_connected,
-    ae_verdict,
-    Presentation,
-    pi1_presentation,
-    pi1_verdict,
     subcomplex_verdict,
-    tietze_simplify,
 )
+from polytower.induced import cycle_basis
+from polytower.pi1 import Presentation, pi1_presentation, pi1_verdict, tietze_simplify
 from polytower.generators import circle, cylinder_tower, projective_plane, random_tower, simplex, subdivision_tower
 from polytower.towers import verify_tower
 from polytower.verdicts import Budgets, Verdict, conjoin

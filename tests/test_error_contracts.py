@@ -9,13 +9,12 @@ import pytest
 from polytower.complexes import (
     ComplexMismatchError,
     UnknownVertexError,
-    barycenter_point,
     barycentric_subdivision,
     induced_subcomplex,
-    make_point,
     subcomplex_from,
     whole_subcomplex,
 )
+from polytower.points import barycenter_point, make_point
 from polytower.maps import VertexMap, identity_qsmap, preimage_subcomplex
 from polytower.plmaps import PartialPLMap
 from polytower.stars import barycentric_vertex_star, open_vertex_star
@@ -233,6 +232,18 @@ class TestRestrictLevelErrors:
         assert main(["restrict", str(tower), "--level", str(level), "--complex", str(edge)]) == 3
         assert "level out of range" in capsys.readouterr().err
 
+    def test_simplex_off_the_level_exits_3(self, tmp_path, capsys):
+        from polytower import formats
+        from polytower.cli import main
+
+        tower = tmp_path / "tower.json"
+        tower.write_text(formats.dumps_canonical(formats.tower_to_obj(subdivision_tower(simplex(2), 2))))
+        edge = tmp_path / "edge.json"
+        edge.write_text(json.dumps([["a", "z"]]))
+        assert main(["restrict", str(tower), "--level", "1", "--complex", str(edge)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and "(at restrict.complex)" in captured.err
+
 
 COMMANDS = ["validate", "subdivide", "stars", "nerve", "homology", "pi1", "check-map", "verify-tower", "restrict", "mesh", "lift", "gen"]
 
@@ -386,14 +397,14 @@ class TestDeeplyNestedNames:
         assert "input error" in capsys.readouterr().err
 
     def test_deepest_accepted_name(self):
-        from polytower import formats
+        from polytower import formats, readers
 
-        name = formats.parse_vertex(json.loads(_deep_name(formats.MAX_NAME_DEPTH)))
-        assert vertex_to_obj(name) == json.loads(_deep_name(formats.MAX_NAME_DEPTH))
+        name = readers.parse_vertex(json.loads(_deep_name(readers.MAX_NAME_DEPTH)))
+        assert vertex_to_obj(name) == json.loads(_deep_name(readers.MAX_NAME_DEPTH))
         with pytest.raises(formats.InputFormatError):
-            formats.parse_vertex(json.loads(_deep_name(formats.MAX_NAME_DEPTH + 1)))
+            readers.parse_vertex(json.loads(_deep_name(readers.MAX_NAME_DEPTH + 1)))
         with pytest.raises(formats.InputFormatError):
-            formats.parse_vertex_key(_deep_name(2000))
+            readers.parse_vertex_key(_deep_name(2000))
 
 
 class TestGenArgumentErrors:
@@ -511,7 +522,8 @@ class TestDegreeErrors:
 
     def test_library_calls_raise_first(self):
         from polytower.generators import cylinder_map
-        from polytower.towers import Tower, regularity_report, tower_lift, verify_tower
+        from polytower.lifts import tower_lift
+        from polytower.towers import Tower, regularity_report, verify_tower
 
         one_level = Tower.build([simplex(2)], [])
         for call in (

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from polytower import formats
+from polytower import formats, readers
 from polytower.cli import main
 from polytower.complexes import Complex
 from polytower.generators import cylinder_map, cylinder_tower, simplex, subdivision_tower
@@ -131,26 +131,26 @@ class TestReader:
     def test_repeated_malformed_name_reports_its_first_occurrence(self):
         document = {"vertices": [], "maximal": [["c", ["b", "b"]], [["b", "b"], "d"]]}
         with pytest.raises(formats.InputFormatError) as first:
-            formats.parse_complex(document)
+            readers.parse_complex(document)
         assert first.value.context == "complex.maximal[0]"
         assert str(first.value) == "duplicate part in vertex name ['b', 'b'] (at complex.maximal[0])"
         document["maximal"].insert(0, [["a", "b"], "c"])
         with pytest.raises(formats.InputFormatError) as again:
-            formats.parse_complex(document)
+            readers.parse_complex(document)
         assert again.value.context == "complex.maximal[1]"
 
     def test_a_name_met_again_is_the_first_one(self):
         names: dict = {}
-        first = formats.parse_vertex([["b", "a"], "c"], names=names)
+        first = readers.parse_vertex([["b", "a"], "c"], names=names)
         assert first == ("c", ("a", "b"))
-        assert formats.parse_vertex([["b", "a"], "c"], names=names) is first
-        assert formats.parse_vertex_key('[["b","a"],"c"]', names=names) is first
-        assert formats.parse_vertex_key('[["b", "a"], "c"]', names=names) == first
-        assert formats.parse_vertex(["c", ["a", "b"]], names=names) == first
+        assert readers.parse_vertex([["b", "a"], "c"], names=names) is first
+        assert readers.parse_vertex_key('[["b","a"],"c"]', names=names) is first
+        assert readers.parse_vertex_key('[["b", "a"], "c"]', names=names) == first
+        assert readers.parse_vertex(["c", ["a", "b"]], names=names) == first
         for bad in (["c", "c"], [], [["a"], ["a"]], [1], ["a", None]):
             for _ in range(2):
                 with pytest.raises(formats.InputFormatError):
-                    formats.parse_vertex(bad, names=names)
+                    readers.parse_vertex(bad, names=names)
 
     def test_atom_beginning_with_a_bracket_is_refused(self, tmp_path, capsys):
         # its key would read back as the nested name ("a",)
@@ -172,15 +172,15 @@ class TestReader:
         # both readers accept the same names, and the key of one reads back
         # as the name
         try:
-            name = formats.parse_vertex(raw)
+            name = readers.parse_vertex(raw)
         except formats.InputFormatError:
             with pytest.raises(ValueError):
                 Complex.from_maximal([[raw]])
             return
         assert Complex.from_maximal([[raw]]).vertices == (name,)
         key = formats.vertex_to_key(name)
-        assert formats.parse_vertex_key(key) == name
-        assert formats.parse_vertex_key(key, names={}) == name
+        assert readers.parse_vertex_key(key) == name
+        assert readers.parse_vertex_key(key, names={}) == name
 
     def test_compact_text_is_json_dumps(self):
         # the text of the vertex keys and of the reader's memo keys
@@ -191,34 +191,34 @@ class TestReader:
 
     def test_depth_bound_holds_after_a_memoised_name(self):
         names: dict = {}
-        deepest = formats.parse_vertex(_deep_name(formats.MAX_NAME_DEPTH), names=names)
-        assert formats.parse_vertex(_deep_name(formats.MAX_NAME_DEPTH), names=names) is deepest
-        text = json.dumps(_deep_name(formats.MAX_NAME_DEPTH), separators=(",", ":"))
-        assert formats.parse_vertex_key(text, names=names) is deepest
+        deepest = readers.parse_vertex(_deep_name(readers.MAX_NAME_DEPTH), names=names)
+        assert readers.parse_vertex(_deep_name(readers.MAX_NAME_DEPTH), names=names) is deepest
+        text = json.dumps(_deep_name(readers.MAX_NAME_DEPTH), separators=(",", ":"))
+        assert readers.parse_vertex_key(text, names=names) is deepest
         with pytest.raises(formats.InputFormatError, match="nested more than"):
-            formats.parse_vertex(_deep_name(formats.MAX_NAME_DEPTH + 1), names=names)
+            readers.parse_vertex(_deep_name(readers.MAX_NAME_DEPTH + 1), names=names)
         with pytest.raises(formats.InputFormatError, match="nested more than"):
-            formats.parse_vertex_key("[%s]" % text, names=names)
+            readers.parse_vertex_key("[%s]" % text, names=names)
         # too deep for the JSON encoder that makes the memo's key
         too_deep = "x"
         for _ in range(5000):
             too_deep = [too_deep]
         with pytest.raises(formats.InputFormatError, match="nested more than"):
-            formats.parse_vertex(too_deep, names=names)
+            readers.parse_vertex(too_deep, names=names)
 
     @pytest.mark.parametrize(
         "argv, parse, to_obj",
         [
-            (["simplex", "--dim", "3"], formats.parse_complex, formats.complex_to_obj),
-            (["circle"], formats.parse_complex, formats.complex_to_obj),
-            (["sphere", "--dim", "2"], formats.parse_complex, formats.complex_to_obj),
-            (["rp2"], formats.parse_complex, formats.complex_to_obj),
-            (["cylinder"], formats.parse_map, formats.map_to_obj),
-            (["cylinder-tower"], formats.parse_tower, formats.tower_to_obj),
-            (["subdivision-tower", "--levels", "3"], formats.parse_tower, formats.tower_to_obj),
-            (["subdivision-tower", "--base", "tetrahedron", "--levels", "2"], formats.parse_tower, formats.tower_to_obj),
-            (["subdivision-tower", "--base", "rp2", "--levels", "2", "--scale-base", "3"], formats.parse_tower, formats.tower_to_obj),
-            (["random-tower", "--seed", "5", "--levels", "3"], formats.parse_tower, formats.tower_to_obj),
+            (["simplex", "--dim", "3"], readers.parse_complex, formats.complex_to_obj),
+            (["circle"], readers.parse_complex, formats.complex_to_obj),
+            (["sphere", "--dim", "2"], readers.parse_complex, formats.complex_to_obj),
+            (["rp2"], readers.parse_complex, formats.complex_to_obj),
+            (["cylinder"], readers.parse_map, formats.map_to_obj),
+            (["cylinder-tower"], readers.parse_tower, formats.tower_to_obj),
+            (["subdivision-tower", "--levels", "3"], readers.parse_tower, formats.tower_to_obj),
+            (["subdivision-tower", "--base", "tetrahedron", "--levels", "2"], readers.parse_tower, formats.tower_to_obj),
+            (["subdivision-tower", "--base", "rp2", "--levels", "2", "--scale-base", "3"], readers.parse_tower, formats.tower_to_obj),
+            (["random-tower", "--seed", "5", "--levels", "3"], readers.parse_tower, formats.tower_to_obj),
         ],
     )
     def test_every_gen_kind_round_trips(self, capsys, argv, parse, to_obj):

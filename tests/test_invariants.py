@@ -2,22 +2,11 @@
 import random
 from fractions import Fraction
 
-from polytower.complexes import (
-    barycentric_subdivision,
-    flatten_point,
-    lift_to_subdivision,
-    make_point,
-    subcomplex_from,
-    whole_subcomplex,
-)
+from polytower.complexes import barycentric_subdivision, subcomplex_from, whole_subcomplex
 from polytower.connectivity import ae_verdict
-from polytower.maps import (
-    apply_subdivision,
-    identity_qsmap,
-    induced_homology_map,
-    is_surjective,
-    VertexMap,
-)
+from polytower.induced import induced_homology_map
+from polytower.maps import VertexMap, identity_qsmap, is_surjective
+from polytower.points import apply_subdivision, flatten_point, lift_to_subdivision, make_point
 from polytower.stars import barycentric_vertex_star, cover_B, mesh
 from polytower.generators import cylinder_map, simplex, sphere, subdivision_tower
 
@@ -173,7 +162,7 @@ class TestLiftPreconditions:
     def test_non_lift_seed_rejected(self):
         from polytower.plmaps import PartialPLMap
         from polytower.stars import cover_B
-        from polytower.towers import single_lift
+        from polytower.lifts import single_lift
         import pytest
 
         t = subdivision_tower(simplex(2), 2)
@@ -205,7 +194,8 @@ class TestIncrementBoundSoundness:
     def test_projected_pairs_within_cone_mesh_times_lipschitz(self):
         # two points inside one star element of a deep level, projected down
         # through the bonds, stay within the certified increment bound
-        from polytower.maps import apply, lipschitz_constant
+        from polytower.maps import lipschitz_constant
+        from polytower.points import apply
         from polytower.stars import cone_geodesic_diameter_bound
         from polytower.towers import Tower
 

@@ -8,27 +8,24 @@ from polytower.complexes import (
     Subcomplex,
     barycentric_subdivision,
     induced_subcomplex,
-    make_point,
     subcomplex_from,
 )
 from polytower import formats
 from polytower.generators import projective_plane, sphere, subdivision_tower
+from polytower.induced import chain_map_columns, induced_homology_map
 from polytower.maps import (
     NotSimplicialError,
     VertexMap,
-    apply,
-    apply_subdivision,
     check_quasi_simplicial,
     check_simplicial,
-    chain_map_columns,
     identity_qsmap,
-    induced_homology_map,
     is_surjective,
     lipschitz_constant,
     preimage_of_base_subcomplex,
     preimage_of_subdivided_subcomplex,
     preimage_subcomplex,
 )
+from polytower.points import apply, apply_subdivision, make_point
 from polytower.stars import cover_B
 from polytower.verdicts import Verdict
 from polytower import snf

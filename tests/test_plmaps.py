@@ -2,12 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from polytower.complexes import (
-    barycenter_point,
-    make_point,
-    subcomplex_from,
-    whole_subcomplex,
-)
+from polytower.complexes import subcomplex_from, whole_subcomplex
+from polytower.points import barycenter_point, make_point
 from polytower.plmaps import PartialPLMap, equal_on
 
 from util import (

@@ -6,29 +6,26 @@ import pytest
 from polytower.complexes import (
     Complex,
     UnknownVertexError,
-    barycenter_point,
     barycentric_subdivision,
     chain_min,
-    flatten_point,
     induced_subcomplex,
-    make_point,
     subcomplex_from,
     vertex_key,
     whole_subcomplex,
 )
+from polytower.points import barycenter_point, flatten_point, make_point
 from polytower.generators import cylinder_tower, projective_plane, random_tower, simplex, subdivision_tower
 from polytower.maps import is_surjective
 from polytower.plmaps import PartialPLMap
+from polytower.carriers import align_point, element_contains_hull
 from polytower.stars import (
     IndexMismatchError,
     IndexedCover,
     OpenStarSet,
-    align_point,
     barycentric_vertex_star,
     cone_geodesic_diameter_bound,
     cover_B,
     cover_O,
-    element_contains_hull,
     mesh,
     nerve,
     open_intersection,
@@ -170,7 +167,7 @@ class TestBarycentricStar:
             for _ in range(60):
                 x = random_point(k, rng)
                 by_points = barycentric_star_contains_point(k, sub, x)
-                from polytower.complexes import lift_to_subdivision
+                from polytower.points import lift_to_subdivision
 
                 lifted = lift_to_subdivision(x, beta)
                 by_chains = lifted.support in star.simplices
@@ -517,7 +514,7 @@ class TestPullback:
         co = cover_O(p.base_target)
         pulled = pullback_cover(p, co)
         rng = random.Random(11)
-        from polytower.maps import apply
+        from polytower.points import apply
 
         for _ in range(150):
             x = random_point(p.source, rng)
@@ -546,7 +543,7 @@ class TestPullback:
         cb = cover_B(p.base_target)
         pulled = pullback_cover(p, cb)
         rng = random.Random(7)
-        from polytower.maps import apply
+        from polytower.points import apply
 
         for _ in range(120):
             x = random_point(p.source, rng)
@@ -558,7 +555,7 @@ class TestPullback:
     def test_bond_pullback_containment(self):
         """A point or a simplex hull lies in a pulled-back element exactly
         when its image lies in the element it came from."""
-        from polytower.maps import apply
+        from polytower.points import apply
 
         rng = random.Random(5)
         for label, bond, cover, pulled in bond_pullbacks():

@@ -3,24 +3,17 @@ from fractions import Fraction
 
 import pytest
 
-from polytower.complexes import (
-    Complex,
-    make_point,
-    subcomplex_from,
-    vertex_key,
-    whole_subcomplex,
-)
-from polytower.maps import VertexMap, apply, identity_qsmap, is_surjective
+from polytower.complexes import Complex, subcomplex_from, vertex_key, whole_subcomplex
+from polytower.maps import VertexMap, identity_qsmap, is_surjective
+from polytower.points import apply, make_point
 from polytower.plmaps import PartialPLMap
+from polytower.lifts import ThreadApprox, single_lift, tower_lift
 from polytower.towers import (
     MalformedTowerError,
-    ThreadApprox,
     Tower,
     regularity_report,
     restrict_tower,
-    single_lift,
     summability_report,
-    tower_lift,
     verify_tower,
 )
 from polytower.generators import (
@@ -41,7 +34,7 @@ from polytower.stars import (
     open_intersection,
     pullback_cover,
 )
-from polytower.verdicts import Budgets
+from polytower.verdicts import Budgets, Verdict
 
 from util import (
     barycentric_core_stars,
@@ -716,16 +709,16 @@ class TestSingleLift:
         # carry every cell into the element of the first cell's witness: the
         # extension holds on those targets, and the closeness certificate,
         # which reads each cell's own witness, refuses the lift
-        from polytower import carriers
+        from polytower import lifts
         from polytower.complexes import simplex_sort_key
 
-        real = carriers.carried_extension
+        real = lifts.carried_extension
 
         def one_target(seed, source_cover, targets, budgets):
             first = targets[min(targets, key=simplex_sort_key)]
             return real(seed, source_cover, dict.fromkeys(targets, first), budgets)
 
-        monkeypatch.setattr(carriers, "carried_extension", one_target)
+        monkeypatch.setattr(lifts, "carried_extension", one_target)
         t = subdivision_tower(simplex(2), 2)
         f = inclusion_of_edge(t)
         empty = subcomplex_from(f.domain, [])
@@ -775,6 +768,24 @@ class TestTowerLift:
         assert all(b <= a for a, b in zip(bounds, bounds[1:]))
         quotient = result.cauchy["contraction_quotient"]
         assert quotient < 1
+
+    def test_witness_search_aligns_only_the_images_it_reads(self, monkeypatch):
+        # the benchmark's inconclusive lift: a triangle onto the base
+        # triangle, anchored through three levels.  The second bond's
+        # search stops at its first uncovered cell after one subdivision;
+        # aligning every vertex image before searching cost 49 calls
+        from polytower import carriers
+
+        calls = []
+        real = carriers.lift_to_subdivision
+        monkeypatch.setattr(carriers, "lift_to_subdivision", lambda x, k: calls.append(x) or real(x, k))
+        t = subdivision_tower(simplex(2), 3)
+        domain = Complex.from_maximal([["x0", "x1", "x2"]])
+        f1 = from_vertex_images(domain, {"x0": "a", "x1": "b", "x2": "c"}, t.levels[0], scale=Fraction(1))
+        anchor = subcomplex_from(domain, [["x0"]])
+        result = tower_lift(t, f1, anchor, anchor_thread(t), 2)
+        assert result.status == Verdict.inconclusive("no cover element contains some image hull after one subdivision")
+        assert len(calls) < 49
 
     def test_thread_compatibility_enforced(self):
         t = subdivision_tower(simplex(2), 2)

@@ -18,12 +18,10 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
-from polytower.carriers import carried_extension
+from polytower.carriers import align_point, carried_extension, element_contains_hull, hull_witnesses
 from polytower.complexes import (
-    ONE,
     Complex,
     ComplexMismatchError,
-    Point,
     Subcomplex,
     UnknownVertexError,
     _induced_tops,
@@ -31,7 +29,6 @@ from polytower.complexes import (
     face_closure,
     faces,
     induced_subcomplex,
-    make_point,
     simplex_sort_key,
     vertex_key,
     vertex_label,
@@ -40,17 +37,15 @@ from polytower.complexes import (
 from polytower.connectivity import subcomplex_verdict
 from polytower.maps import VertexMap, check_quasi_simplicial
 from polytower.plmaps import PartialPLMap
+from polytower.points import ONE, Point, make_point
 from polytower.records import Record
 from polytower.stars import (
-    IndexedCover,
     IndexMismatchError,
+    IndexedCover,
     OpenStarSet,
-    align_point,
     barycentric_vertex_stars,
     cover_B,
     cover_O,
-    element_contains_hull,
-    hull_witnesses,
     nerve,
     pullback_cover,
 )
@@ -392,7 +387,7 @@ def reference_induced_homology_map(p, k: int) -> tuple:
     """(matrix over canonical generators, Verdict) of the degree-k induced
     map: the images of the source generators in target coordinates, and
     the cokernel test on them together with the target torsion relations."""
-    from polytower.maps import chain_map_columns
+    from polytower.induced import chain_map_columns
 
     src = reference_homology(p.source, k)
     dst = reference_homology(p.target, k)
@@ -878,7 +873,7 @@ def subcomplex_to_obj(sub: Subcomplex) -> list:
 
 
 def cover_to_obj(cover) -> dict:
-    """A cover as the document `formats.parse_cover` reads."""
+    """A cover as the document `readers.parse_cover` reads."""
     from polytower.formats import complex_to_obj, vertex_to_key
 
     elements = {}
