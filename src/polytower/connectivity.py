@@ -269,8 +269,6 @@ def subcomplex_verdict(sub: Subcomplex, n: int, budgets: Budgets = DEFAULT_BUDGE
     """`ae_verdict` of the subcomplex; for n >= 2 a subcomplex that collapses
     to a vertex within the π1 step budget holds without building a complex,
     and anything else takes the full path with its full budget."""
-    if sub.is_empty():
-        return Verdict.fails(witness="empty", reason="empty subcomplex")
     if n >= 2 and collapses_to_point(sub.simplices, budgets.pi1_steps):
         return Verdict.holds()
     return ae_verdict(sub.as_complex(), n, budgets)

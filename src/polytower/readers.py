@@ -110,8 +110,6 @@ def _parse_name(obj, context, names: dict, depth: int):
 
 
 def parse_vertex_key(text, context="vertex key", names=None):
-    if not isinstance(text, str):
-        raise InputFormatError("object keys must be strings", context)
     if text.startswith("["):
         if names is not None and text in names:  # compact text already read
             return names[text]

@@ -135,8 +135,6 @@ class IndexedCover(Record, frozen=True):
 
     def intersection_subcomplex(self, index_subset) -> Subcomplex:
         elems = [self.element(i) for i in index_subset]
-        if not all(isinstance(e, Subcomplex) for e in elems):
-            raise ValueError("only closed covers have subcomplex intersections")
         if any(e.parent != self.ambient for e in elems):
             raise ComplexMismatchError("cover element does not live in the ambient complex")
         common = set(elems[0].simplices)

@@ -71,8 +71,6 @@ class Budgets(Record, frozen=True):
         fields = {name: getattr(self, name) for name in self._fields}
         for key, value in kw.items():
             if value is not None:
-                if key not in fields:
-                    raise ValueError("unknown budget: %s" % key)
                 if value <= 0:
                     raise ValueError("budget must be positive: %s" % key)
                 fields[key] = value

@@ -1,4 +1,5 @@
-"""List every statement of the package that no test reaches.
+"""List every statement of the package that no test reaches, and fail on
+one that is not allowed to be unreached.
 
 Runs the tier-1 suite in this process under a `sys.settrace` line tracer
 and prints each line of `src/polytower` that starts a statement's code but
@@ -8,6 +9,10 @@ of them is listed too.  Extra arguments go to pytest.
 
     PYTHONPATH=src python tests/reach.py
     PYTHONPATH=src python tests/reach.py tests/test_carriers.py
+
+It exits 1 when pytest fails, when an unreached statement is not in
+`ALLOWED`, or when an entry of `ALLOWED` matches no unreached statement;
+otherwise 0.  A run on a subset of the tests therefore exits 1 too.
 
 Nothing of `polytower` may be imported before the tracer is installed, so
 that module-level statements are seen too.
@@ -22,6 +27,17 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "polytower"
+
+_CHILD_ONLY = "the out-of-memory exit: its test runs the command in a child process, which the tracer does not follow"
+
+# the statements no in-process test reaches, keyed by module file and
+# statement text (not line number), each with the reason it stays
+ALLOWED = {
+    ("cli.py", "os.write(2, _OUT_OF_MEMORY)"): _CHILD_ONLY,
+    ("cli.py", "os._exit(EXIT_INTERNAL)"): _CHILD_ONLY,
+    ("cli.py", "sys.exit(main())"): "`__main__`: runs only when the module is the script",
+    ("records.py", "own = cls.__annotations__"): "runs only on Python 3.14+, where class annotations are evaluated lazily",
+}
 
 
 def executable_lines(path: Path) -> set:
@@ -61,16 +77,16 @@ def run(pytest_args) -> dict:
     finally:
         sys.settrace(None)
         threading.settrace(None)
-    if status not in (0, 5):
-        print("pytest exited %s; the listing below is of that run" % status)
-    return reached
+    return status, reached
 
 
 def main(argv=None) -> int:
     args = sys.argv[1:] if argv is None else argv
-    reached = run(args or ["-q", "-p", "no:cacheprovider", str(ROOT / "tests")])
+    status, reached = run(args or ["-q", "-p", "no:cacheprovider", str(ROOT / "tests")])
     total = 0
     counts = []
+    matched = set()
+    unexpected = 0
     for path in sorted(PACKAGE.glob("*.py")):
         missed = sorted(executable_lines(path) - reached.get(str(path), set()))
         if not missed:
@@ -78,13 +94,23 @@ def main(argv=None) -> int:
         text = path.read_text().splitlines()
         rel = path.relative_to(ROOT)
         for line in missed:
-            print("%s:%d: %s" % (rel, line, text[line - 1].strip()))
+            key = (path.name, text[line - 1].strip())
+            if key in ALLOWED:
+                matched.add(key)
+            else:
+                unexpected += 1
+            print("%s:%d: %s%s" % (rel, line, key[1], "  (allowed)" if key in ALLOWED else ""))
         counts.append((rel, len(missed)))
         total += len(missed)
     for rel, count in counts:
         print("%5d  %s" % (count, rel))
-    print("%5d  unreached lines" % total)
-    return 0
+    print("%5d  unreached lines, %d of them not allowed" % (total, unexpected))
+    stale = sorted(set(ALLOWED) - matched)
+    for name, statement in stale:
+        print("allowed but reached or gone: %s: %s" % (name, statement))
+    if status != 0:
+        print("pytest exited %s; the listing above is of that run" % status)
+    return 1 if status != 0 or unexpected or stale else 0
 
 
 if __name__ == "__main__":

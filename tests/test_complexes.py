@@ -59,6 +59,17 @@ class TestValidate:
         with pytest.raises(EmptySimplexError):
             Complex.from_maximal([[]])
 
+    def test_name_of_another_type_rejected(self):
+        with pytest.raises(TypeError, match="vertex names are strings or nested tuples"):
+            Complex.from_maximal([[1]])
+
+    def test_immutable_and_equal_only_to_complexes(self):
+        k = Complex.from_maximal([["a", "b"]])
+        with pytest.raises(AttributeError, match="Complex is immutable"):
+            k.maximal = ()
+        assert k.maximal == (("a", "b"),)
+        assert (k == 5) is False
+
     def test_boundary_of_tetrahedron(self):
         k = sphere_complex(2)
         expected = brute_force_closure(k.maximal)

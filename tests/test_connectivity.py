@@ -26,6 +26,7 @@ from polytower.towers import verify_tower
 from polytower.verdicts import Budgets, Verdict, conjoin
 
 from util import (
+    betti_mod_p,
     betti_over_field,
     boundary_composition_is_zero,
     boundary_matrix,
@@ -36,7 +37,6 @@ from util import (
     invariant_factors,
     kernel_complexes,
     random_complex,
-    rank_mod_p,
     rational_rank,
     reference_homology,
     rp2_complex,
@@ -50,6 +50,21 @@ CROSS_CHECKED = [random_complex(seed) for seed in range(12)] + [rp2_complex()]
 
 def groups(k: Complex, up_to: int):
     return [(homology(k, d).betti, homology(k, d).torsion) for d in range(up_to + 1)]
+
+
+def field_checked_levels() -> list:
+    """(label, complex) pairs of every level of the corpus towers: the
+    triangle to depth 4, the tetrahedron and rp2 to depth 3, the circle, the
+    cylinder, and the random towers 0-15 at 3 levels."""
+    towers = [
+        ("triangle", subdivision_tower(simplex(2), 4)),
+        ("tetrahedron", subdivision_tower(simplex(3), 3)),
+        ("rp2", subdivision_tower(projective_plane(), 3)),
+        ("circle", subdivision_tower(circle(), 3)),
+        ("cylinder", cylinder_tower()),
+    ]
+    towers += [("random %d" % seed, random_tower(seed, 3)) for seed in range(16)]
+    return [("%s level %d" % (label, i + 1), level) for label, t in towers for i, level in enumerate(t.levels)]
 
 
 def kernel_and_corpus_complexes() -> list:
@@ -93,20 +108,24 @@ class TestHomology:
     def test_betti_matches_field_ranks_when_torsion_free(self):
         # over Q the betti numbers; over F_p the universal coefficient
         # theorem adds each torsion coefficient of H_k and of H_(k-1) that p
-        # divides
+        # divides, so levels with torsion, such as rp2's, are checked too
         for k in CROSS_CHECKED:
             for deg in range(k.dimension + 1):
-                summary = homology(k, deg)
-                assert summary.betti == betti_over_field(k, deg, rational_rank)
-                nearby = summary.torsion + (homology(k, deg - 1).torsion if deg else ())
+                assert homology(k, deg).betti == betti_over_field(k, deg, rational_rank)
+        labelled = [("cross-checked %d" % i, k) for i, k in enumerate(CROSS_CHECKED)]
+        for label, k in labelled + field_checked_levels():
+            previous = ()
+            for summary in homology_run(k, range(k.dimension + 1)):
+                nearby = summary.torsion + previous
                 for p in (2, 3):
-                    field_dim = betti_over_field(k, deg, lambda m: rank_mod_p(m, p))
-                    assert field_dim == summary.betti + sum(1 for d in nearby if d % p == 0)
+                    expected = summary.betti + sum(1 for d in nearby if d % p == 0)
+                    assert betti_mod_p(k, summary.degree, p) == expected, (label, summary.degree, p)
+                previous = summary.torsion
 
     def test_torsion_detected_by_mod2_gap(self):
         k = rp2_complex()
         assert betti_over_field(k, 1, rational_rank) == 0
-        assert betti_over_field(k, 1, lambda m: rank_mod_p(m, 2)) == 1
+        assert betti_mod_p(k, 1, 2) == 1
 
     def test_euler_characteristic_consistency(self):
         # χ counts simplices; the betti numbers come from the eliminations
@@ -211,6 +230,17 @@ class TestPi1:
         v = pi1_verdict(rp2_complex())
         assert v.is_fails
         assert v.witness["torsion"] == [2]
+
+    def test_empty_complex_has_no_presentation(self):
+        with pytest.raises(ValueError, match="empty complex has no fundamental group"):
+            pi1_presentation(Complex.from_maximal([]))
+
+    def test_free_reduction_is_cyclic(self):
+        from polytower.pi1 import _free_reduce
+
+        assert _free_reduce((1, 2, -2, 3)) == (1, 3)
+        assert _free_reduce((1, 2, -1)) == (2,)
+        assert _free_reduce((-3, 1, 2, -1, 3)) == (2,)
 
     def test_budget_exhaustion_is_inconclusive(self):
         k = sphere_complex(2)

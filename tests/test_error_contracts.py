@@ -5,6 +5,7 @@ import sys
 from collections.abc import Mapping
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from polytower.complexes import (
     ComplexMismatchError,
@@ -244,6 +245,21 @@ class TestRestrictLevelErrors:
         captured = capsys.readouterr()
         assert captured.out == "" and "(at restrict.complex)" in captured.err
 
+    def test_emptied_level_exits_3(self, tmp_path, capsys):
+        # the one vertex x of level 2 maps to u, so nothing lies over v
+        from polytower.cli import main
+
+        tower = {
+            "levels": [{"vertices": [], "maximal": [["u", "v"]]}, {"vertices": [], "maximal": [["x"]]}],
+            "bonds": [{"vertex_images": {"x": ["u"]}}],
+            "scales": ["1/2", "1/4"],
+        }
+        argv = ["restrict", _write_json(tmp_path, "tower.json", tower), "--level", "1"]
+        assert main(argv + ["--complex", _write_json(tmp_path, "v.json", {"maximal": [["v"]]})]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "input error: restriction emptied level 2\n"
+
 
 COMMANDS = ["validate", "subdivide", "stars", "nerve", "homology", "pi1", "check-map", "verify-tower", "restrict", "mesh", "lift", "gen"]
 
@@ -432,6 +448,22 @@ class TestGenArgumentErrors:
         assert captured.out == ""
         assert "input error: the scale base must be positive" in captured.err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["sphere", "--dim", "-1"], "sphere dimension must be non-negative"),
+            (["subdivision-tower", "--levels", "0"], "need at least one level"),
+        ],
+        ids=["sphere-dimension", "tower-levels"],
+    )
+    def test_generator_refusal(self, capsys, argv, message):
+        from polytower.cli import main
+
+        assert main(["gen"] + argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "input error: %s\n" % message
+
 
 class TestInternalErrors:
     def test_uncaught_exception_is_no_verdict(self, tmp_path, capsys, monkeypatch):
@@ -448,6 +480,30 @@ class TestInternalErrors:
         assert code == cli.EXIT_INTERNAL
         assert code not in (0, 1, 2, 3)
         assert "internal error: RuntimeError" in capsys.readouterr().err
+
+    def test_chain_map_fault_is_no_verdict(self, tmp_path, capsys, monkeypatch):
+        # a chain map with one sign flipped sends some cycle of the rp2
+        # level to a chain that is no cycle; the check in
+        # `induced_homology_map` stops the run as an internal error, never
+        # as a refutation
+        from polytower import cli, formats, induced
+        from polytower.generators import projective_plane
+
+        original = induced.chain_map_columns
+
+        def flipped(vm, k):
+            columns = original(vm, k)
+            j = next(j for j, column in enumerate(columns) if column)
+            columns[j] = {i: -sign for i, sign in columns[j].items()}
+            return columns
+
+        monkeypatch.setattr(induced, "chain_map_columns", flipped)
+        path = tmp_path / "rp2.json"
+        path.write_text(formats.dumps_canonical(formats.tower_to_obj(subdivision_tower(projective_plane(), 2))))
+        assert cli.main(["verify-tower", str(path), "--n", "2"]) == cli.EXIT_INTERNAL
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "internal error: AssertionError: image of a cycle is not a cycle" in captured.err
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="address-space limits are Linux's")
     def test_out_of_memory_is_no_verdict(self, tmp_path):
@@ -725,6 +781,15 @@ class TestReaderErrors:
             ("verify-tower", {"bonds": []}, {}, "missing 'levels' list"),
             ("verify-tower", _with(_tower_obj(2), bonds=[]), {}, "a tower with M levels needs M-1 bonds"),
             ("verify-tower", _with(_tower_obj(2), cover="X"), {}, "cover kind must be B or O"),
+            (
+                "verify-tower",
+                _with_bond(_tower_obj(2), vertex_images=_without(_tower_obj(2)["bonds"][0]["vertex_images"], '["a"]')),
+                {},
+                "no image for vertex (a)",
+            ),
+            ("verify-tower", _with(_tower_obj(2), scales=["1/2"]), {}, "one scale per level (at tower)"),
+            ("verify-tower", _with(_tower_obj(2), scales=["0", "1/4"]), {}, "scales must be positive (at tower)"),
+            ("mesh", _cover([["a"]]), {"--scale": "0"}, "scale must be positive"),
             ("lift", _tower_obj(2), {"--spec": []}, "a lift specification is an object"),
             (
                 "lift",
@@ -769,6 +834,10 @@ class TestReaderErrors:
             "tower-no-levels",
             "tower-bond-count",
             "tower-cover-kind",
+            "bond-vertex-without-image",
+            "tower-scale-count",
+            "tower-scale-zero",
+            "mesh-scale-zero",
             "lift-spec-not-object",
             "thread-point-sum",
             "f1-no-vertex-points",
@@ -803,6 +872,25 @@ class TestEquivalentInputs:
         assert runs[0] == runs[1]
         assert json.loads(runs[0][1])["command"] == "verify-tower"
 
+    def test_open_cover_of_simplex_lists(self, tmp_path, capsys):
+        # an open element given as simplices is the open star of their vertices
+        from polytower.cli import main
+
+        ambient = {"vertices": [], "maximal": [["a", "b"], ["b", "c"]]}
+        runs = []
+        for elements in ({"e": [["a", "b"]], "f": [["b", "c"]]}, {"e": [["a"], ["b"]], "f": [["c", "b"]]}):
+            cover = {"ambient": ambient, "kind": "open", "elements": elements}
+            code = main(["nerve", _write_json(tmp_path, "cover.json", cover)])
+            runs.append((code, capsys.readouterr().out))
+        assert runs[0] == runs[1]
+        assert runs[0][0] == 0
+        assert json.loads(runs[0][1]) == {
+            "command": "nerve",
+            "nerve": {"maximal": [["e", "f"]], "vertices": ["e", "f"]},
+            "status": {"status": "holds"},
+            "subsets_checked": 3,
+        }
+
     def test_empty_budget_entries_are_skipped(self, tmp_path, capsys, monkeypatch):
         from polytower import formats
         from polytower.cli import main
@@ -818,3 +906,95 @@ class TestEquivalentInputs:
         assert runs[0] == runs[1]
         assert runs[0][0] == 2
         assert json.loads(runs[0][1])["trivial"]["reason"] == "rewrite budget exhausted"
+
+
+# the atoms a mutation puts in place of a value: empty, unbalanced,
+# unreadable and repeating ones
+MUTATION_ATOMS = [None, "", "[", "1/0", [], {}, ["a", "a"]]
+
+
+def _fuzz_cases() -> list:
+    """(command, the valid document to mutate, the option that reads it or
+    None for the input file, the other options) of every command the fuzz
+    test runs; an option payload is written to a file, except a string."""
+    from polytower import formats
+    from polytower.generators import circle
+
+    tower = _tower_obj(2)
+    edge = {"maximal": [["a", "b"]]}
+    ambient = {"vertices": [], "maximal": [["a", "b"], ["b", "c"]]}
+    closed = {"ambient": ambient, "kind": "closed", "elements": {v: {"star_of": v} for v in "abc"}}
+    opened = {"ambient": ambient, "kind": "open", "elements": {"e": [["a", "b"]], "f": [["c"]]}}
+    n2 = {"--n": "2"}
+    return [
+        ("validate", formats.complex_to_obj(circle()), None, {}),
+        ("check-map", _cylinder_map_obj(), None, n2),
+        ("verify-tower", tower, None, n2),
+        ("restrict", tower, None, {"--level": "1", "--complex": edge}),
+        ("restrict", edge, "--complex", {"--level": "1"}),
+        ("nerve", closed, None, {}),
+        ("nerve", opened, None, {}),
+        ("mesh", closed, None, {"--scale": "1/2"}),
+        ("mesh", opened, None, {}),
+        ("lift", tower, None, dict(n2, **{"--spec": LIFT_SPEC})),
+        ("lift", LIFT_SPEC, "--spec", n2),
+    ]
+
+
+FUZZ_CASES = _fuzz_cases()
+
+
+def _value_paths(document, prefix=()):
+    """The path of every value inside the document, its root excluded."""
+    if isinstance(document, dict):
+        items = document.items()
+    elif isinstance(document, list):
+        items = enumerate(document)
+    else:
+        return
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _value_paths(value, prefix + (key,))
+
+
+def _mutate(document, path, action) -> None:
+    """Delete the value at the path, or put the action's atom there."""
+    for key in path[:-1]:
+        document = document[key]
+    if action == "delete":
+        del document[path[-1]]
+    else:
+        document[path[-1]] = json.loads(json.dumps(action))
+
+
+class TestExitCodeFuzz:
+    """Mutated documents never break the exit-code contract: every command
+    exits 0 to 3, never reports an internal error, and exit 3 always comes
+    with an input error."""
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_exit_codes_hold(self, tmp_path, capsys, data):
+        from polytower.cli import main
+
+        for command, document, option, others in FUZZ_CASES:
+            document = json.loads(json.dumps(document))
+            for _ in range(data.draw(st.integers(1, 3))):
+                paths = list(_value_paths(document))
+                if not paths:
+                    break
+                _mutate(document, data.draw(st.sampled_from(paths)), data.draw(st.sampled_from(["delete"] + MUTATION_ATOMS)))
+            options = dict(others)
+            if option is None:
+                argv = [command, _write_json(tmp_path, "input.json", document)]
+            else:
+                argv = [command, _write_json(tmp_path, "input.json", _tower_obj(2))]
+                options[option] = document
+            for flag, payload in options.items():
+                argv += [flag, payload if isinstance(payload, str) else _write_json(tmp_path, flag.strip("-") + ".json", payload)]
+            code = main(argv)
+            captured = capsys.readouterr()
+            assert 0 <= code <= 3, (argv, captured.err)
+            assert "internal error" not in captured.err
+            if code == 3:
+                assert captured.err.startswith("input error: "), captured.err

@@ -78,6 +78,9 @@ class TestWriter:
     def test_matches_json_dumps(self, document):
         assert formats.dumps_canonical(document) == dumps_reference(document)
 
+    def test_human_rendering_of_a_scalar(self):
+        assert formats.render_human("x") == "x"
+
     def test_one_name_at_several_depths(self):
         for name in NAMES + [("a", ("b", ("c", ("d",))))]:
             document = [name, [name, {"k": [name, (name,)]}], {name if isinstance(name, str) else "n": name}]

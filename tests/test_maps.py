@@ -172,6 +172,13 @@ class TestPreimage:
         bottom = preimage_of_base_subcomplex(p, u_only)
         assert sorted(bottom.vertices) == ["b0", "b1", "b2"]
 
+    def test_subcomplex_of_another_complex_refused(self):
+        p = cylinder_map()
+        with pytest.raises(ValueError, match="does not live in the map's target"):
+            preimage_of_subdivided_subcomplex(p, subcomplex_from(p.base_target, [["u"]]))
+        with pytest.raises(ValueError, match="does not live in the base target"):
+            preimage_of_base_subcomplex(p, subcomplex_from(p.target, [[("u",)]]))
+
 
 def fiber_maps():
     """(label, map) pairs: `random_qsmap` on the kernel complexes of at most
@@ -275,6 +282,11 @@ class TestLipschitz:
     def test_identity_subdivision_is_half(self):
         p = identity_qsmap(simplex_complex(["u", "v"]))
         assert lipschitz_constant(p, 1, 1) == Fraction(1, 2)
+
+    def test_non_positive_scale_refused(self):
+        p = identity_qsmap(simplex_complex(["u", "v"]))
+        with pytest.raises(ValueError, match="scales must be positive"):
+            lipschitz_constant(p, 0, 1)
 
     def test_edge_onto_vertex_and_barycenter(self):
         base = simplex_complex(["a", "b", "c"])

@@ -36,6 +36,13 @@ def test_divisibility_chain_and_sign():
         assert form.rank == rational_rank(matrix)
 
 
+def test_left_transform_makes_pivots_positive():
+    # the pivot -1 at (0, 0) is made positive by negating row 0 of U
+    reduction = snf.eliminate([{0: -1}, {1: 2}], 2, left=True)
+    assert reduction.pivots == [(0, 0, 1), (1, 1, 2)]
+    assert reduction.left == [{0: -1}, {1: 1}]
+
+
 def test_zero_and_empty_shapes():
     assert snf.smith_normal_form([[0, 0], [0, 0]]).rank == 0
     assert snf.smith_normal_form([], cols=0).rank == 0

@@ -614,6 +614,11 @@ class TestMesh:
             assert bound is not None
             assert bound >= mesh(cb).value or len(k.vertices) == 1
 
+    def test_cone_bound_needs_an_apex_for_every_element(self):
+        k = simplex_complex(["a", "b"])
+        cover = IndexedCover.build(k, "closed", {"e": whole_subcomplex(k)})
+        assert cone_geodesic_diameter_bound(cover) is None
+
 
 def _reference_positions(cover, element):
     """Element vertices (closure vertices for open stars) as Points of the

@@ -59,6 +59,18 @@ class TestTowerBuild:
         with pytest.raises(MalformedTowerError):
             Tower.build([b, bond.source], [bond])
 
+    def test_refusals(self):
+        k = simplex(1)
+        bond = identity_qsmap(k)
+        plain = VertexMap.build(bond.source, k, {v: v[0] for v in bond.source.vertices})
+        for levels, bonds, message in (
+            ([], [], "a tower needs at least one level"),
+            ([k, bond.source], [], "a tower with M levels needs M-1 bonds"),
+            ([k, bond.source], [plain], "bonds must be quasi-simplicial maps"),
+        ):
+            with pytest.raises(MalformedTowerError, match=message):
+                Tower.build(levels, bonds)
+
     def test_single_level(self):
         t = Tower.build([simplex(2)], [])
         assert t.depth() == 1
@@ -280,6 +292,31 @@ class TestNerveTheorem:
         assert checked == 2 * sum(t.depth() - 1 for _, t in corpus_towers()) - 1
 
 
+class TestFiberTheorem:
+    def test_surjective_regular_bonds_keep_the_low_homology(self):
+        # a surjective bond whose closed-simplex preimages are all
+        # (n - 1)-connected is n-connected (Quillen, Adv. Math. 1978;
+        # Björner, JCTA 2003), so it induces isomorphisms below degree n and
+        # its homology evidence holds there; the checks are the library's
+        # stages, and no certificate is built
+        from polytower.induced import induced_homology_map
+        from util import corpus_towers
+
+        checked, refused = 0, []
+        for label, tower in corpus_towers():
+            for idx, bond in enumerate(tower.bonds):
+                onto = is_surjective(bond).is_holds
+                for n in (1, 2, 3):
+                    if not (onto and regularity_report(bond, n)["aggregate"].is_holds):
+                        refused.append((label, idx + 1, n))
+                        continue
+                    for k in range(n):
+                        assert induced_homology_map(bond, k).is_holds, (label, idx + 1, n, k)
+                    checked += 1
+        assert refused == [("cylinder", 1, 2), ("cylinder", 1, 3)]
+        assert checked == 3 * sum(t.depth() - 1 for _, t in corpus_towers()) - 2
+
+
 def summability_cases() -> list:
     """(tower label, cover kind, tower) triples over both cover kinds: every
     corpus tower, and the 3-level random towers 0-39 at the default scales
@@ -309,6 +346,33 @@ class TestSummability:
             quotients.setdefault((label, kind), set()).add(report["contraction_quotient"])
         assert all(len(q) == 1 for q in quotients.values())  # the scales cancel
         assert max(q for qs in quotients.values() for q in qs) == Fraction(3, 4)
+
+    def test_growing_cone_bounds_are_inconclusive(self, tmp_path, capsys, monkeypatch):
+        # the bound above keeps every vertex-star tower out of the
+        # `inconclusive` branch; cone bounds that grow as the scales shrink
+        # reach it, and the verdict then certifies nothing
+        import json
+
+        from polytower import cli, formats, towers
+
+        original = towers.star_cover_bounds
+
+        def growing(kind, level, scale):
+            value, cone = original(kind, level, scale)
+            return value, cone / scale**2
+
+        monkeypatch.setattr(towers, "star_cover_bounds", growing)
+        tower = subdivision_tower(simplex(2), 2)
+        report = summability_report(tower)
+        assert report["contraction_quotient"] == Fraction(8, 3)
+        assert report["status"] == Verdict.inconclusive("increment bounds do not contract (quotient 8/3)")
+        assert report["tail_bound_after_depth"] is None
+        path = tmp_path / "tower.json"
+        path.write_text(formats.dumps_canonical(formats.tower_to_obj(tower)))
+        assert cli.main(["verify-tower", str(path), "--n", "2"]) == 2
+        certificate = json.loads(capsys.readouterr().out)
+        assert certificate["conditions"]["mesh_summability"]["status"]["status"] == "inconclusive"
+        assert certificate["conclusion"]["status"] == "inconclusive"
 
     def test_monotone_tail(self):
         t = subdivision_tower(simplex(2), 4)

@@ -113,25 +113,36 @@ def rational_rank(matrix) -> int:
     return rank
 
 
-def rank_mod_p(matrix, p: int) -> int:
-    """Row reduction over the field with p elements, p prime."""
-    mat = [[x % p for x in row] for row in matrix]
-    rank = 0
-    rows = len(mat)
-    cols = len(mat[0]) if rows else 0
-    for col in range(cols):
-        pivot = next((r for r in range(rank, rows) if mat[r][col]), None)
-        if pivot is None:
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        inverse = pow(mat[rank][col], -1, p)
-        mat[rank] = [x * inverse % p for x in mat[rank]]
-        for r in range(rows):
-            if r != rank and mat[r][col]:
-                f = mat[r][col]
-                mat[r] = [(a - f * b) % p for a, b in zip(mat[r], mat[rank])]
-        rank += 1
-    return rank
+def rank_mod_p(columns, p: int) -> int:
+    """Rank over the field with p elements, p prime, of the matrix with the
+    sparse columns {row: value}: each column is reduced against the kept
+    ones by its largest row, and kept when anything is left of it."""
+    kept: dict = {}  # largest row -> a kept column, 1 in that row
+    for column in columns:
+        col = {i: x % p for i, x in column.items() if x % p}
+        while col:
+            low = max(col)
+            pivot = kept.get(low)
+            if pivot is None:
+                inverse = pow(col[low], -1, p)
+                kept[low] = {i: x * inverse % p for i, x in col.items()}
+                break
+            c = col[low]
+            for i, x in pivot.items():
+                y = (col.get(i, 0) - c * x) % p
+                if y:
+                    col[i] = y
+                else:
+                    col.pop(i, None)
+    return len(kept)
+
+
+def betti_mod_p(complex_: Complex, k: int, p: int) -> int:
+    """dim H_k(K; F_p) = n_k - rank ∂_k - rank ∂_(k+1) over F_p."""
+    from polytower.connectivity import boundary_columns
+
+    n_k = len(complex_.simplices_of_dim(k))
+    return n_k - rank_mod_p(boundary_columns(complex_, k), p) - rank_mod_p(boundary_columns(complex_, k + 1), p)
 
 
 def boundary_matrix(complex_: Complex, k: int) -> list:
