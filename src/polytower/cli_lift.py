@@ -6,7 +6,7 @@ status, which `cli.main` emits and exits on.
 from __future__ import annotations
 
 from . import formats, readers
-from .complexes import subcomplex_from, vertex_label
+from .complexes import subcomplex_from, vertex_to_key
 from .lifts import ThreadApprox, tower_lift
 
 
@@ -34,7 +34,7 @@ def cmd_lift(args) -> tuple:
         ]
     for v in defined.vertices:
         if v not in threads:
-            raise formats.InputFormatError("no thread for anchored vertex %s" % vertex_label(v), "lift.threads")
+            raise formats.InputFormatError("no thread for anchored vertex %s" % vertex_to_key(v), "lift.threads")
     g0 = ThreadApprox(tower, threads)
     result = tower_lift(tower, f1, defined, g0, args.n, args.budgets)
     report = {

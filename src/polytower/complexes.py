@@ -7,15 +7,21 @@ vertex names; iterating the subdivision nests the tuples one level deeper.
 Atoms order before tuples and tuples compare componentwise, which gives a
 total order on every name that can ever appear in one complex.
 
+This module is the one home of the name format: `canon_vertex` makes a raw
+name canonical, `vertex_key` orders names, and `vertex_to_key` spells a name
+(or a simplex of names) as text, the form object keys and messages share.
+
 Points of a complex, with their exact rational coordinates and scaled l1
 metric, live in `points`; this module keeps the one distance the covers and
 maps read in closed form, `barycentre_distance`.
 """
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
+from json.encoder import c_make_encoder, encode_basestring_ascii
 
 from .records import Record
 
@@ -39,14 +45,31 @@ class ComplexMismatchError(ValueError):
 # ---------------------------------------------------------------------------
 # vertex names
 
+# deepest nesting of a vertex name; names made by subdivision nest one level
+# per subdivision, far below this
+MAX_NAME_DEPTH = 100
 
-def canon_vertex(name):
-    """Normalise a raw vertex name: atoms stay, sequences become sorted tuples."""
+
+def canon_vertex(name, names=None, depth=0):
+    """The canonical form of a raw vertex name: atoms stay, sequences become
+    sorted tuples of canonical parts, at most `MAX_NAME_DEPTH` deep.
+    `names`, when given, memoises each tuple of parts joined so far (one
+    document's dict), so a nested name met again is sorted and checked once.
+    Raises `TypeError` for a part that is neither and `ValueError` for a bad
+    name; `depth` is that of `name` inside the name being made canonical."""
     if isinstance(name, str):
         return check_atom(name)
-    if isinstance(name, (list, tuple)):
-        return join_parts(tuple(canon_vertex(p) for p in name), name)
-    raise TypeError("vertex names are strings or nested tuples, got %r" % (name,))
+    if not isinstance(name, (list, tuple)):
+        raise TypeError("vertex names are strings or nested tuples, got %r" % (name,))
+    if depth == MAX_NAME_DEPTH:
+        raise ValueError("vertex name nested more than %d deep" % MAX_NAME_DEPTH)
+    parts = tuple(canon_vertex(p, names, depth + 1) for p in name)
+    if names is None:
+        return join_parts(parts, name)
+    out = names.get(parts)
+    if out is None:
+        out = names[parts] = join_parts(parts, name)
+    return out
 
 
 def check_atom(name: str) -> str:
@@ -84,11 +107,23 @@ def vertex_key(name):
     return (1, tuple(vertex_key(p) for p in name))
 
 
-def vertex_label(name) -> str:
-    """Compact ASCII rendering of a possibly nested name."""
+# compact JSON text from one C encoder, built once with no
+# circular-reference markers (a name is a tree)
+_compact_chunks = c_make_encoder(None, json.JSONEncoder().default, encode_basestring_ascii, None, ":", ",", False, False, True)
+
+
+def _compact(obj) -> str:
+    return "".join(_compact_chunks(obj, 0))
+
+
+def vertex_to_key(name) -> str:
+    """The one text form of a name: an atom as it stands, a nested name (or
+    a simplex of names) as its compact JSON.  Object keys, `--vertex` and
+    messages spell names so, and `readers.parse_vertex_key` reads the text
+    back."""
     if isinstance(name, str):
         return name
-    return "(" + " ".join(vertex_label(p) for p in name) + ")"
+    return _compact(name)
 
 
 def sorted_simplex(names) -> tuple:
@@ -99,7 +134,7 @@ def sorted_simplex(names) -> tuple:
         raise EmptySimplexError("a simplex needs at least one vertex")
     for a, b in zip(names, names[1:]):
         if a == b:
-            raise DuplicateVertexError("duplicate vertex %s in simplex" % vertex_label(a))
+            raise DuplicateVertexError("duplicate vertex %s in simplex" % vertex_to_key(a))
     return tuple(names)
 
 
@@ -176,9 +211,8 @@ class Complex:
 
     @staticmethod
     def from_maximal(maximal, extra_vertices=()) -> "Complex":
-        """Validate raw simplex input and compute its downward closure: the
-        one place besides the readers of `formats` where a name is made
-        canonical."""
+        """Validate raw simplex input, each name through `canon_vertex`, and
+        compute its downward closure."""
         simplices = (sorted_simplex([canon_vertex(v) for v in s]) for s in maximal)
         return Complex.closure_of(simplices, map(canon_vertex, extra_vertices))
 
@@ -311,9 +345,7 @@ class Subcomplex(Record, frozen=True):
     def __post_init__(self):
         for s in self.simplices:
             if s not in self.parent.simplices:
-                raise UnknownVertexError(
-                    "simplex %s is not in the parent complex" % (tuple(map(vertex_label, s)),)
-                )
+                raise UnknownVertexError("simplex %s is not in the parent complex" % vertex_to_key(s))
             for f in faces(s):
                 if f not in self.simplices:
                     raise ValueError("subcomplex is not face-closed at %r" % (s,))
@@ -342,7 +374,7 @@ def subcomplex_from(parent: Complex, simplices) -> Subcomplex:
     for s in simplices:
         for v in s:
             if not parent.has_vertex(v):
-                raise UnknownVertexError(vertex_label(v))
+                raise UnknownVertexError(vertex_to_key(v))
         tops.append(sorted_simplex(s))
     return Subcomplex(parent, frozenset(face_closure(tops)))
 
@@ -372,7 +404,7 @@ def induced_subcomplex(complex_: Complex, vertex_subset) -> Subcomplex:
     w = set()
     for v in vertex_subset:
         if not complex_.has_vertex(v):
-            raise UnknownVertexError(vertex_label(v))
+            raise UnknownVertexError(vertex_to_key(v))
         w.add(v)
     return _induced(complex_, w)
 

@@ -20,7 +20,6 @@ from .complexes import (
     Subcomplex,
     simplex_sort_key,
     vertex_key,
-    vertex_label,
 )
 from .records import Record
 from .verdicts import DEFAULT_BUDGETS, Budgets, Verdict, conjoin
@@ -159,7 +158,7 @@ def is_connected(complex_: Complex) -> Verdict:
     if len(comps) == 1:
         return Verdict.holds()
     return Verdict.fails(
-        witness=[vertex_label(comps[0][0]), vertex_label(comps[1][0])],
+        witness=[comps[0][0], comps[1][0]],
         reason="%d connected components" % len(comps),
     )
 

@@ -13,8 +13,9 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from json.encoder import c_make_encoder, encode_basestring_ascii as _encode_str
+from json.encoder import encode_basestring_ascii as _encode_str
 
+from .complexes import vertex_to_key
 from .verdicts import Verdict
 
 
@@ -37,81 +38,32 @@ def fraction_to_str(value: Fraction) -> str:
     return "%d/%d" % (value.numerator, value.denominator)
 
 
-def _shared_obj(name, lists: dict):
-    """The JSON form of a vertex name within one document: `lists` holds one
-    list per nested name, shared by all its occurrences, so
-    `dumps_canonical` renders it once per depth."""
-    if isinstance(name, str):
-        return name
-    obj = lists.get(name)
-    if obj is None:
-        obj = lists[name] = [_shared_obj(part, lists) for part in name]
-    return obj
-
-
-# compact JSON text of a name from one C encoder, built once with no
-# circular-reference markers (a name is a tree): vertex keys and the
-# reader's name memo
-_compact_chunks = c_make_encoder(None, json.JSONEncoder().default, _encode_str, None, ":", ",", False, False, True)
-
-
-def _compact(name) -> str:
-    return "".join(_compact_chunks(name, 0))
-
-
-def vertex_to_key(name) -> str:
-    """Stable string form usable as a JSON object key."""
-    if isinstance(name, str):
-        return name
-    return _compact(name)
-
-
 # ---------------------------------------------------------------------------
-# complexes
+# complexes, maps and towers: names as the complex holds them, which
+# `dumps_canonical` renders once per depth
 
 
 def complex_to_obj(complex_: Complex) -> dict:
-    return _complex_obj(complex_, {})
+    # the vertex tuple and each maximal simplex occur once in a document, so
+    # they are lists, which `dumps_canonical` renders without a memo lookup
+    return {"vertices": list(complex_.vertices), "maximal": [list(s) for s in complex_.maximal]}
 
 
-def _complex_obj(complex_: Complex, lists: dict) -> dict:
-    objs = {v: _shared_obj(v, lists) for v in complex_.vertices}
-    return {
-        "vertices": list(objs.values()),
-        "maximal": [list(map(objs.__getitem__, s)) for s in complex_.maximal],
-    }
-
-
-# ---------------------------------------------------------------------------
-# maps
-
-
-def map_to_obj(m) -> dict:
-    return _map_obj(m, True, {})
-
-
-def _map_obj(m: QSMap, include_complexes: bool, lists: dict) -> dict:
+def map_to_obj(m: QSMap, include_complexes: bool = True) -> dict:
     out = {
         "subdivide_target": True,
-        "vertex_images": {
-            vertex_to_key(v): _shared_obj(w, lists) for v, w in m.assignment
-        },
+        "vertex_images": {vertex_to_key(v): w for v, w in m.assignment},
     }
     if include_complexes:
-        out["source"] = _complex_obj(m.source, lists)
-        out["target"] = _complex_obj(m.base_target, lists)
+        out["source"] = complex_to_obj(m.source)
+        out["target"] = complex_to_obj(m.base_target)
     return out
 
 
-# ---------------------------------------------------------------------------
-# towers
-
-
 def tower_to_obj(tower: Tower) -> dict:
-    lists: dict = {}
     return {
-        "levels": [_complex_obj(level, lists) for level in tower.levels],
-        "bonds": [_map_obj(bond, False, lists) for bond in tower.bonds],
+        "levels": [complex_to_obj(level) for level in tower.levels],
+        "bonds": [map_to_obj(bond, False) for bond in tower.bonds],
         "scales": [fraction_to_str(s) for s in tower.scales],
         "cover": tower.cover_kind,
     }
@@ -161,18 +113,15 @@ def _plain(value):
             items.sort(key=json.dumps)
         return items
     if isinstance(value, dict):
-        return {str(_plain(k)) if not isinstance(k, str) else k: _plain(v) for k, v in value.items()}
+        return {k if isinstance(k, str) else vertex_to_key(_plain(k)): _plain(v) for k, v in value.items()}
     return value
 
 
 def dumps_canonical(obj) -> str:
     """`json.dumps(_plain(obj), indent=2, sort_keys=True, ensure_ascii=True)`
-    and a newline, rendered in one pass.  A list or tuple whose leaves are
-    all strings, such as a vertex name, is rendered once per nesting depth:
-    a tuple is remembered by value, a list by identity, and the entry holds
-    the list so that its id cannot pass to another object."""
+    and a newline, rendered in one pass.  A tuple whose leaves are all
+    strings, such as a vertex name, is rendered once per nesting depth."""
     tuples: dict = {}  # (tuple, depth) -> text
-    lists: dict = {}  # (id(list), depth) -> (list, text)
 
     def render(value, depth):
         if isinstance(value, str):
@@ -182,7 +131,7 @@ def dumps_canonical(obj) -> str:
         if isinstance(value, dict):
             if not value:
                 return "{}"
-            items = {k if isinstance(k, str) else str(_plain(k)): v for k, v in value.items()}
+            items = {k if isinstance(k, str) else vertex_to_key(_plain(k)): v for k, v in value.items()}
             sep = ",\n" + "  " * (depth + 1)
             out = []
             for k, v in sorted(items.items()):
@@ -200,18 +149,14 @@ def dumps_canonical(obj) -> str:
         """The text of a list or tuple, and whether its leaves are all strings."""
         if not seq:
             return "[]", True
-        if isinstance(seq, tuple):
-            key = (seq, depth)
+        key = (seq, depth) if isinstance(seq, tuple) else None
+        if key is not None:
             try:
                 text = tuples.get(key)
             except TypeError:  # it holds a list or another unhashable value
                 key = text = None
             if text is not None:
                 return text, True
-        else:
-            hit = lists.get((id(seq), depth))
-            if hit is not None and hit[0] is seq:
-                return hit[1], True
         sep = ",\n" + "  " * (depth + 1)
         pure = True
         out = []
@@ -229,11 +174,8 @@ def dumps_canonical(obj) -> str:
         out[0] = "[" + sep[1:]
         out.append("\n" + "  " * depth + "]")
         text = "".join(out)
-        if pure:
-            if isinstance(seq, list):
-                lists[id(seq), depth] = (seq, text)
-            elif key is not None:
-                tuples[key] = text
+        if pure and key is not None:
+            tuples[key] = text
         return text, pure
 
     return render(obj, 0) + "\n"

@@ -12,7 +12,7 @@ inconclusive result naming the condition, never as a fabricated lift.
 from __future__ import annotations
 
 from .carriers import AlignedImages, carried_extension, element_contains_hull, hull_witnesses
-from .complexes import Complex, Subcomplex, faces, simplex_sort_key, vertex_key, vertex_label
+from .complexes import Complex, Subcomplex, faces, simplex_sort_key, vertex_key, vertex_to_key
 from .connectivity import check_degree
 from .maps import QSMap, Tower, is_surjective
 from .plmaps import PartialPLMap, equal_on
@@ -81,9 +81,7 @@ def single_lift(
     for v in sorted(defined.vertex_set(), key=vertex_key):
         projected = apply(p, g0.image_of(v), scale=f.scale)
         if projected.coords != f.image_of(v).coords:
-            raise ValueError(
-                "the given partial lift does not project onto the map at %s" % vertex_label(v)
-            )
+            raise ValueError("the given partial lift does not project onto the map at %s" % vertex_to_key(v))
 
     pulled = pullback_cover(p, cover)
     certified = pulled if cover.kind == "closed" else pullback_cover(p, cover_B(p.base_target))
@@ -166,13 +164,11 @@ class ThreadApprox(Record):
     def validate(self):
         for v, points in sorted(self.assignments.items(), key=lambda kv: vertex_key(kv[0])):
             if len(points) != self.tower.depth():
-                raise ValueError("thread at %s misses levels" % vertex_label(v))
+                raise ValueError("thread at %s misses levels" % vertex_to_key(v))
             for idx, bond in enumerate(self.tower.bonds):
                 projected = apply(bond, points[idx + 1], scale=points[idx].scale)
                 if projected.coords != points[idx].coords:
-                    raise ValueError(
-                        "thread at %s breaks at bond %d" % (vertex_label(v), idx + 1)
-                    )
+                    raise ValueError("thread at %s breaks at bond %d" % (vertex_to_key(v), idx + 1))
         return self
 
     def level_map(self, domain: Complex, defined: Subcomplex, level_index: int) -> PartialPLMap:

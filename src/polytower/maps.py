@@ -23,7 +23,7 @@ from .complexes import (
     beta_subcomplex,
     faces,
     vertex_key,
-    vertex_label,
+    vertex_to_key,
 )
 from .records import Record
 from .verdicts import Verdict
@@ -32,10 +32,7 @@ from .verdicts import Verdict
 class NotSimplicialError(ValueError):
     def __init__(self, witness):
         self.witness = witness
-        super().__init__(
-            "image of simplex %s spans no simplex of the target"
-            % (tuple(vertex_label(v) for v in witness),)
-        )
+        super().__init__("image of simplex %s spans no simplex of the target" % vertex_to_key(witness))
 
 
 class VertexMap(Record, frozen=True):
@@ -47,12 +44,12 @@ class VertexMap(Record, frozen=True):
     def build(source: Complex, target: Complex, images: dict) -> "VertexMap":
         for v in source.vertices:
             if v not in images:
-                raise ValueError("no image for vertex %s" % vertex_label(v))
+                raise ValueError("no image for vertex %s" % vertex_to_key(v))
         for k, w in images.items():
             if not source.has_vertex(k):
-                raise ValueError("unknown source vertex %s" % vertex_label(k))
+                raise ValueError("unknown source vertex %s" % vertex_to_key(k))
             if not target.has_vertex(w):
-                raise ValueError("unknown target vertex %s" % vertex_label(w))
+                raise ValueError("unknown target vertex %s" % vertex_to_key(w))
         return VertexMap(source, target, tuple((v, images[v]) for v in source.vertices))
 
     @cached_property
@@ -65,7 +62,7 @@ class VertexMap(Record, frozen=True):
         try:
             return self.lookup[vertex]
         except (KeyError, TypeError):  # TypeError: an unhashable name
-            raise ValueError("unknown vertex %s" % vertex_label(vertex)) from None
+            raise ValueError("unknown vertex %s" % vertex_to_key(vertex)) from None
 
     def image_simplex(self, simplex) -> tuple:
         lookup = self.lookup

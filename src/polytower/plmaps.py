@@ -19,7 +19,7 @@ from .complexes import (
     beta_subcomplex,
     simplex_sort_key,
     vertex_key,
-    vertex_label,
+    vertex_to_key,
 )
 from .maps import QSMap
 from .points import Point, apply, barycenter_point, convex_combination
@@ -38,7 +38,7 @@ class PartialPLMap(Record, frozen=True):
             raise ValueError("defined_on must be a subcomplex of the domain")
         for v, point in images.items():
             if not domain.has_vertex(v):
-                raise UnknownVertexError(vertex_label(v))
+                raise UnknownVertexError(vertex_to_key(v))
             if not isinstance(point, Point):
                 raise TypeError("images must be Points")
             if point.complex != target:
@@ -48,15 +48,12 @@ class PartialPLMap(Record, frozen=True):
             raise ValueError("image points disagree on scale")
         for v in defined_on.vertex_set():
             if v not in images:
-                raise ValueError("no image for vertex %s" % vertex_label(v))
+                raise ValueError("no image for vertex %s" % vertex_to_key(v))
         pairs = tuple(sorted(images.items(), key=lambda kv: vertex_key(kv[0])))
         pl = PartialPLMap(domain, defined_on, pairs, target)
         bad = pl.first_invalid_simplex()
         if bad is not None:
-            raise ValueError(
-                "images of simplex %s span no target simplex"
-                % (tuple(vertex_label(v) for v in bad),)
-            )
+            raise ValueError("images of simplex %s span no target simplex" % vertex_to_key(bad))
         return pl
 
     @cached_property
@@ -68,7 +65,7 @@ class PartialPLMap(Record, frozen=True):
         try:
             return self._lookup[vertex]
         except (KeyError, TypeError):  # TypeError: an unhashable name
-            raise ValueError("map not defined at %s" % vertex_label(vertex)) from None
+            raise ValueError("map not defined at %s" % vertex_to_key(vertex)) from None
 
     @property
     def scale(self) -> Fraction:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .complexes import Complex, ComplexMismatchError, UnknownVertexError, vertex_key, vertex_label
+from .complexes import Complex, ComplexMismatchError, UnknownVertexError, vertex_key, vertex_to_key
 from .records import Record
 
 ONE = Fraction(1)
@@ -33,7 +33,7 @@ class Point(Record, frozen=True):
         return dict(self.coords)
 
     def __repr__(self):
-        parts = ", ".join("%s: %s" % (vertex_label(v), c) for v, c in self.coords)
+        parts = ", ".join("%s: %s" % (vertex_to_key(v), c) for v, c in self.coords)
         return "Point({%s} @ %s)" % (parts, self.scale)
 
 
@@ -50,7 +50,7 @@ def make_point(complex_: Complex, coords: dict, scale=ONE) -> Point:
         if c == 0:
             continue
         if not complex_.has_vertex(v):
-            raise UnknownVertexError(vertex_label(v))
+            raise UnknownVertexError(vertex_to_key(v))
         cleaned.append((v, c))
         total += c
     if total != 1:

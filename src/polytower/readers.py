@@ -2,7 +2,8 @@
 takes (complexes, maps, covers, towers, points and PL maps) is validated
 here, and a malformed one raises `formats.InputFormatError` with the place
 it was found.  Vertex names read from one document share a memo, so each
-distinct nested name is checked once.
+distinct nested name is checked once; `complexes.canon_vertex` is what
+makes each canonical.
 """
 from __future__ import annotations
 
@@ -10,17 +11,17 @@ import json
 from fractions import Fraction
 
 from .complexes import (
+    MAX_NAME_DEPTH,  # re-exported: the bound a document's names are read under
     Complex,
     UnknownVertexError,
     barycentric_subdivision,
-    check_atom,
-    join_parts,
+    canon_vertex,
     sorted_simplex,
     subcomplex_from,
-    vertex_label,
+    vertex_to_key,
     whole_subcomplex,
 )
-from .formats import InputFormatError, _compact
+from .formats import InputFormatError
 from .maps import QSMap, Tower, check_quasi_simplicial
 
 
@@ -64,49 +65,29 @@ def parse_fraction(text, context="rational") -> Fraction:
 # vertex names
 
 
-# deepest nesting of a vertex name in an input document; names made by
-# subdivision nest one level per subdivision, far below this
-MAX_NAME_DEPTH = 100
-
-
 def parse_vertex(obj, context="vertex", names=None):
-    """A vertex name from its JSON form.  `names` memoises the names met so
-    far in one document (the caller's dict, fresh when omitted): a nested
-    name by its compact JSON text, so a name met again costs one encoding
-    and one lookup, and each distinct tuple of parts is sorted and checked
-    once."""
+    """A vertex name from its JSON form, made canonical by `canon_vertex`.
+    `names` memoises the names met so far in one document (the caller's
+    dict, fresh when omitted): a nested name by its compact JSON text, so a
+    name met again costs one encoding and one lookup, and each distinct
+    tuple of parts by itself, so it is sorted and checked once."""
     if names is None:
         names = {}
-    if not isinstance(obj, list):
-        return _parse_name(obj, context, names, 0)
     try:
-        key = _compact(obj)
-    except RecursionError:  # far deeper than MAX_NAME_DEPTH, which _parse_name reports
-        return _parse_name(obj, context, names, 0)
-    name = names.get(key)
-    if name is None:
-        name = names[key] = _parse_name(obj, context, names, 0)
-    return name
-
-
-def _parse_name(obj, context, names: dict, depth: int):
-    if isinstance(obj, str):
+        if not isinstance(obj, list):
+            return canon_vertex(obj)
         try:
-            return check_atom(obj)
-        except ValueError as exc:
-            raise InputFormatError(str(exc), context)
-    if not isinstance(obj, list):
+            key = vertex_to_key(obj)
+        except RecursionError:  # far deeper than MAX_NAME_DEPTH, which canon_vertex reports
+            return canon_vertex(obj, names)
+        name = names.get(key)
+        if name is None:
+            name = names[key] = canon_vertex(obj, names)
+        return name
+    except TypeError:
         raise InputFormatError("vertex names are strings or nested arrays", context)
-    if depth == MAX_NAME_DEPTH:
-        raise InputFormatError("vertex name nested more than %d deep" % MAX_NAME_DEPTH, context)
-    parts = tuple(_parse_name(part, context, names, depth + 1) for part in obj)
-    name = names.get(parts)
-    if name is None:
-        try:
-            name = names[parts] = join_parts(parts, obj)
-        except ValueError as exc:
-            raise InputFormatError(str(exc), context)
-    return name
+    except ValueError as exc:
+        raise InputFormatError(str(exc), context)
 
 
 def parse_vertex_key(text, context="vertex key", names=None):
@@ -235,7 +216,7 @@ def parse_cover(obj, context="cover") -> IndexedCover:
                     target_complex = barycentric_subdivision(ambient)
                     base = ambient
                 if v not in stars:
-                    raise UnknownVertexError(vertex_label(v))
+                    raise UnknownVertexError(vertex_to_key(v))
                 elements[index] = stars[v]
             else:
                 elements[index] = open_vertex_star(ambient, v)

@@ -30,7 +30,7 @@ from .complexes import (
     induced_subcomplex,
     simplex_sort_key,
     vertex_key,
-    vertex_label,
+    vertex_to_key,
 )
 from .maps import QSMap, preimage_of_subdivided_subcomplex
 from .records import Record
@@ -75,13 +75,13 @@ def open_intersection(ambient: Complex, cores) -> list:
 
 def open_vertex_star(ambient: Complex, vertex) -> OpenStarSet:
     if not ambient.has_vertex(vertex):
-        raise UnknownVertexError(vertex_label(vertex))
+        raise UnknownVertexError(vertex_to_key(vertex))
     return OpenStarSet(ambient, frozenset([vertex]))
 
 
 def barycentric_vertex_star(base: Complex, vertex) -> Subcomplex:
     if not base.has_vertex(vertex):
-        raise UnknownVertexError(vertex_label(vertex))
+        raise UnknownVertexError(vertex_to_key(vertex))
     return barycentric_vertex_stars(base)[vertex]
 
 
@@ -300,7 +300,7 @@ def cone_geodesic_diameter_bound(cover: IndexedCover, scale=Fraction(1)) -> Frac
         if i not in star_of:
             return None
         if not base.has_vertex(star_of[i]):
-            raise UnknownVertexError(vertex_label(star_of[i]))
+            raise UnknownVertexError(vertex_to_key(star_of[i]))
     elements = [(star_of[i], _element_vertex_sets(cover, e)) for i, e in cover.elements]
     return 2 * _diameter_bounds(elements)[1] * scale
 

@@ -785,7 +785,7 @@ class TestReaderErrors:
                 "verify-tower",
                 _with_bond(_tower_obj(2), vertex_images=_without(_tower_obj(2)["bonds"][0]["vertex_images"], '["a"]')),
                 {},
-                "no image for vertex (a)",
+                'no image for vertex ["a"]',
             ),
             ("verify-tower", _with(_tower_obj(2), scales=["1/2"]), {}, "one scale per level (at tower)"),
             ("verify-tower", _with(_tower_obj(2), scales=["0", "1/4"]), {}, "scales must be positive (at tower)"),
@@ -912,6 +912,30 @@ class TestEquivalentInputs:
 # unreadable and repeating ones
 MUTATION_ATOMS = [None, "", "[", "1/0", [], {}, ["a", "a"]]
 
+# `--vertex` strings: names that are vertices, atoms beginning with '[' and
+# others that are not JSON, names in no complex, unsorted and repeated parts,
+# and names at and one past the depth bound
+VERTEX_STRINGS = [
+    "a",
+    '["a"]',
+    '["a","b"]',
+    '["b","a"]',
+    '["a","a"]',
+    '[["a"],["a"]]',
+    "[",
+    "[a",
+    '["a"',
+    '["[a"]',
+    "[]",
+    "[1]",
+    "[null]",
+    "{}",
+    "",
+    '"a"',
+    _deep_name(100),
+    _deep_name(101),
+]
+
 
 def _fuzz_cases() -> list:
     """(command, the valid document to mutate, the option that reads it or
@@ -926,8 +950,15 @@ def _fuzz_cases() -> list:
     closed = {"ambient": ambient, "kind": "closed", "elements": {v: {"star_of": v} for v in "abc"}}
     opened = {"ambient": ambient, "kind": "open", "elements": {"e": [["a", "b"]], "f": [["c"]]}}
     n2 = {"--n": "2"}
+    # names nested one level, so that sorted and unsorted parts both occur
+    nested = json.loads(formats.dumps_canonical(formats.complex_to_obj(barycentric_subdivision(simplex(1)))))
+    two_pieces = {"vertices": [], "maximal": [["a", "b", "c"], ["x", "y"], ["y", "z"], ["x", "z"]]}
     return [
         ("validate", formats.complex_to_obj(circle()), None, {}),
+        ("subdivide", two_pieces, None, {}),
+        ("stars", nested, None, {"--vertex": VERTEX_STRINGS}),
+        ("homology", two_pieces, None, {"--degree": ["-1", "-7", "0", "2", "9", None]}),
+        ("pi1", two_pieces, None, {}),
         ("check-map", _cylinder_map_obj(), None, n2),
         ("verify-tower", tower, None, n2),
         ("restrict", tower, None, {"--level": "1", "--complex": edge}),
@@ -991,10 +1022,48 @@ class TestExitCodeFuzz:
                 argv = [command, _write_json(tmp_path, "input.json", _tower_obj(2))]
                 options[option] = document
             for flag, payload in options.items():
-                argv += [flag, payload if isinstance(payload, str) else _write_json(tmp_path, flag.strip("-") + ".json", payload)]
-            code = main(argv)
-            captured = capsys.readouterr()
-            assert 0 <= code <= 3, (argv, captured.err)
-            assert "internal error" not in captured.err
-            if code == 3:
-                assert captured.err.startswith("input error: "), captured.err
+                if isinstance(payload, list):  # the strings to draw one from
+                    payload = data.draw(st.sampled_from(payload))
+                if payload is not None:
+                    argv += [flag, payload if isinstance(payload, str) else _write_json(tmp_path, flag.strip("-") + ".json", payload)]
+            _assert_contract(main, argv, capsys)
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_gen_arguments_hold(self, tmp_path, capsys, data):
+        from polytower.cli import main
+
+        bad_json = tmp_path / "bad.json"
+        bad_json.write_text("{")
+        kind = data.draw(st.sampled_from(GEN_KINDS))
+        argv = ["gen", kind]
+        # small values only: a simplex or sphere of high dimension has
+        # exponentially many faces
+        for flag, values in (
+            ("--dim", ["-2", "-1", "0", "1", "3"]),
+            ("--levels", ["-1", "0", "1", "2"]),
+            ("--seed", ["-1", "0", "7"]),
+            ("--scale-base", ["0", "-1", "1/0", "x", "2", "1/2"]),
+            ("--base", ["triangle", "point", "sphere:x", "sphere:-1", "sphere:1", "nosuch", "no-such-file.json", str(bad_json)]),
+        ):
+            value = data.draw(st.sampled_from([None] + values))
+            if value is not None:
+                argv += [flag, value]
+        if kind in ("subdivision-tower", "random-tower") and "--levels" not in argv:
+            argv += ["--levels", "2"]
+        _assert_contract(main, argv + ["-o", str(tmp_path / "out.json")], capsys)
+
+
+# every kind `gen` makes
+GEN_KINDS = ["simplex", "circle", "sphere", "rp2", "cylinder", "cylinder-tower", "subdivision-tower", "random-tower"]
+
+
+def _assert_contract(main, argv, capsys) -> None:
+    """The command exits 0 to 3, reports no internal error, and exits 3
+    only with an input error."""
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert 0 <= code <= 3, (argv, captured.err)
+    assert "internal error" not in captured.err
+    if code == 3:
+        assert captured.err.startswith("input error: "), captured.err

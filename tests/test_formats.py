@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from polytower import formats, readers
+from polytower import complexes, formats, readers
 from polytower.cli import main
 from polytower.complexes import Complex
 from polytower.generators import cylinder_map, cylinder_tower, simplex, subdivision_tower
@@ -113,18 +113,6 @@ class TestWriter:
         for document in documents:
             assert formats.dumps_canonical(document) == dumps_reference(document)
 
-    def test_one_list_per_name_in_a_document(self):
-        obj = formats.tower_to_obj(subdivision_tower(simplex(2), 3))
-        assert obj == json.loads(formats.dumps_canonical(obj))
-        for level, bond in zip(obj["levels"][1:], obj["bonds"]):
-            shared = {json.dumps(v): v for v in level["vertices"]}
-            for s in level["maximal"]:
-                assert all(v is shared[json.dumps(v)] for v in s)
-            assert all(w is shared[json.dumps(w)] for w in bond["vertex_images"].values())
-        inner = {json.dumps(v): v for v in obj["levels"][1]["vertices"]}
-        for v in obj["levels"][2]["vertices"]:
-            assert all(part is inner[json.dumps(part)] for part in v)
-
 
 def _deep_name(depth: int):
     return json.loads("[" * depth + '"x"' + "]" * depth)
@@ -190,7 +178,7 @@ class TestReader:
         names = [v for _, k in kernel_complexes() for v in k.vertices] + ATOMS + [tuple(ATOMS), (("é",), "☃")]
         for name in names:
             for obj in (name, vertex_to_obj(name)):
-                assert formats._compact(obj) == json.dumps(obj, separators=(",", ":")), obj
+                assert complexes._compact(obj) == json.dumps(obj, separators=(",", ":")), obj
 
     def test_depth_bound_holds_after_a_memoised_name(self):
         names: dict = {}
@@ -228,3 +216,160 @@ class TestReader:
         assert main(["gen"] + argv) == 0
         generated = capsys.readouterr().out
         assert formats.dumps_canonical(to_obj(parse(json.loads(generated)))) == generated
+
+
+def _loop_spec(maximal, depth):
+    """The CI lift specification: x0, x1, x2 to q, f, o, x0 anchored on the
+    thread q, ["q"], [["q"]], ... of the given depth."""
+    point = lambda key: {"coords": {key: "1"}, "scale": "1"}  # noqa: E731
+    thread, key = [], "q"
+    for _ in range(depth):
+        thread.append(point(key))
+        key = json.dumps([json.loads(key) if key.startswith("[") else key], separators=(",", ":"))
+    return {
+        "domain": {"vertices": [], "maximal": maximal},
+        "f1": {"vertex_points": {"x0": point("q"), "x1": point("f"), "x2": point("o")}},
+        "anchor": [["x0"]] if depth else [],
+        "threads": {"x0": thread} if depth else {},
+    }
+
+
+_LOOP = [["x0", "x1"], ["x1", "x2"], ["x0", "x2"]]
+_TRIANGLE = [["x0", "x1", "x2"]]
+_QFO = {"vertices": [], "maximal": [["q", "f", "o"]]}
+
+# (input name, how `gen` makes it or its document, whether its cover is
+# made open) of every input of the CI smoke steps but the 16,000-edge circle
+# and the 5- and 6-level triangle towers, whose verify-tower runs are the
+# 4-level ones at a larger size
+_SMOKE_INPUTS = [
+    ("tower4", ["subdivision-tower", "--base", "triangle", "--levels", "4"], False),
+    ("tower4O", ["subdivision-tower", "--base", "triangle", "--levels", "4"], True),
+    ("tetra3", ["subdivision-tower", "--base", "tetrahedron", "--levels", "3"], False),
+    ("tetra2", ["subdivision-tower", "--base", "tetrahedron", "--levels", "2"], False),
+    ("rp2tower", ["subdivision-tower", "--base", "rp2", "--levels", "4"], False),
+    ("qfo3", ["subdivision-tower", "--base", "<qfo>", "--levels", "3"], False),
+    ("qfo3O", ["subdivision-tower", "--base", "<qfo>", "--levels", "3"], True),
+    ("qfo2", ["subdivision-tower", "--base", "<qfo>", "--levels", "2"], False),
+    ("random103", ["random-tower", "--seed", "103", "--levels", "3"], False),
+    ("random35O", ["random-tower", "--seed", "35", "--levels", "2"], True),
+    ("cylinder", ["cylinder-tower"], False),
+    ("cylinderO", ["cylinder-tower"], True),
+    ("cylmap", ["cylinder"], False),
+    ("rp2", ["rp2"], False),
+    ("circle", ["circle"], False),
+    ("s3", ["sphere", "--dim", "3"], False),
+    ("two_pieces", {"vertices": [], "maximal": [["a", "b", "c"], ["x", "y"], ["y", "z"], ["x", "z"]]}, False),
+    ("vertex_u", {"maximal": [["u"]]}, False),
+    ("loop3", _loop_spec(_LOOP, 3), False),
+    ("triangle3", _loop_spec(_TRIANGLE, 3), False),
+    ("triangle2", _loop_spec(_TRIANGLE, 2), False),
+    ("fill", dict(_loop_spec(_TRIANGLE, 0), f1={"vertex_points": {x: {"coords": {v: "1"}, "scale": "1"} for x, v in (("x0", "v1"), ("x1", "v2"), ("x2", "v3"))}}), False),
+]
+
+# every command of the CI smoke steps, on the inputs above by name
+_SMOKE_COMMANDS = [
+    ["verify-tower", "tower4", "--n", "2"],
+    ["verify-tower", "tower4O", "--n", "2"],
+    ["verify-tower", "tetra3", "--n", "3"],
+    ["verify-tower", "tetra2", "--n", "3", "--budget-nerve", "3"],
+    ["verify-tower", "rp2tower", "--n", "2"],
+    ["verify-tower", "rp2tower", "--n", "3"],
+    ["verify-tower", "random103", "--n", "2"],
+    ["verify-tower", "cylinder", "--n", "2"],
+    ["verify-tower", "cylinderO", "--n", "1"],
+    ["verify-tower", "cylinderO", "--n", "2"],
+    ["restrict", "cylinder", "--level", "1", "--complex", "vertex_u"],
+    ["validate", "rp2"],
+    ["check-map", "cylmap", "--n", "1"],
+    ["check-map", "cylmap", "--n", "2"],
+    ["nerve", "rp2_closed"],
+    ["nerve", "rp2_open"],
+    ["mesh", "rp2_closed"],
+    ["mesh", "rp2_open"],
+    ["subdivide", "rp2"],
+    ["stars", "rp2", "--vertex", "p0"],
+    ["stars", "rp2_sd", "--vertex", '["p0","p1"]'],
+    ["stars", "rp2_sd", "--vertex", '["p1","p0"]'],
+    ["pi1", "rp2"],
+    ["homology", "rp2"],
+    ["pi1", "circle"],
+    ["homology", "circle"],
+    ["pi1", "two_pieces"],
+    ["pi1", "s3", "--budget-pi1", "5"],
+    ["lift", "qfo3O", "--spec", "loop3", "--n", "2"],
+    ["lift", "random35O", "--spec", "fill", "--n", "2"],
+    ["lift", "qfo3", "--spec", "triangle3", "--n", "2"],
+    ["lift", "qfo3", "--spec", "loop3", "--n", "2"],
+    ["lift", "qfo2", "--spec", "triangle2", "--n", "2"],
+]
+
+
+@pytest.fixture(scope="module")
+def smoke_inputs(tmp_path_factory):
+    """{name: path} of the CI smoke inputs, made in-process by `gen`."""
+    root = tmp_path_factory.mktemp("smoke")
+    paths = {}
+
+    def put(name, document):
+        paths[name] = str(root / (name + ".json"))
+        with open(paths[name], "w", encoding="utf-8") as handle:
+            json.dump(document, handle)
+
+    put("<qfo>", _QFO)
+    for name, made, opened in _SMOKE_INPUTS:
+        if isinstance(made, dict):
+            put(name, made)
+            continue
+        path = str(root / (name + ".json"))
+        assert main(["gen"] + [paths["<qfo>"] if a == "<qfo>" else a for a in made] + ["-o", path]) == 0
+        with open(path, encoding="utf-8") as handle:
+            document = json.load(handle)
+        put(name, dict(document, cover="O") if opened else document)
+    with open(paths["rp2"], encoding="utf-8") as handle:
+        rp2 = json.load(handle)
+    for kind in ("closed", "open"):
+        put("rp2_" + kind, {"ambient": rp2, "kind": kind, "elements": {v: {"star_of": v} for v in rp2["vertices"]}})
+    paths["rp2_sd"] = str(root / "rp2_sd.json")
+    assert main(["subdivide", paths["rp2"], "-o", paths["rp2_sd"]]) == 0
+    return paths
+
+
+class TestPrintedNamesReadBack:
+    """What the commands print names vertices in the one text form: every
+    object key that begins with '[' reads back as the name it spells."""
+
+    @pytest.mark.parametrize("argv", _SMOKE_COMMANDS, ids=lambda argv: "-".join(a for a in argv if not a.startswith("--")))
+    def test_every_key_reads_back(self, smoke_inputs, tmp_path, argv):
+        from names_read_back import unreadable_keys
+
+        out = str(tmp_path / "out.json")
+        assert main([smoke_inputs.get(a, a) for a in argv] + ["-o", out]) in (0, 1, 2)
+        with open(out, encoding="utf-8") as handle:
+            assert unreadable_keys(json.load(handle)) == []
+
+    def test_every_generated_key_reads_back(self, smoke_inputs):
+        from names_read_back import unreadable_keys
+
+        for path in smoke_inputs.values():
+            with open(path, encoding="utf-8") as handle:
+                assert unreadable_keys(json.load(handle)) == [], path
+
+    def test_walker_refuses_repr_and_unread_keys(self):
+        from names_read_back import unreadable_keys
+
+        document = {"a": [{"[['x0', 'x1']]": 1, "('x0',)": 2, '["x0","x0"]': 3, '["b","a"]': 4, '["a","b"]': 5}]}
+        assert sorted(unreadable_keys(document)) == sorted(["[['x0', 'x1']]", "('x0',)", '["x0","x0"]', '["b","a"]'])
+
+    def test_connectedness_witness_is_two_names(self, smoke_inputs, tmp_path):
+        out = str(tmp_path / "pi1.json")
+        sd = str(tmp_path / "two_pieces_sd.json")
+        assert main(["subdivide", smoke_inputs["two_pieces"], "-o", sd]) == 0
+        assert main(["pi1", sd, "-o", out]) == 1
+        with open(sd, encoding="utf-8") as handle:
+            subdivided = readers.parse_complex(json.load(handle))
+        with open(out, encoding="utf-8") as handle:
+            witness = json.load(handle)["connected"]["witness"]
+        assert len(witness) == 2
+        names = [readers.parse_vertex(w) for w in witness]
+        assert all(subdivided.has_vertex(v) for v in names) and names[0] != names[1]

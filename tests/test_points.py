@@ -15,7 +15,7 @@ class TestMakePoint:
     def test_repr_labels_nested_names(self):
         beta = barycentric_subdivision(EDGE_AND_POINT)
         x = make_point(beta, {("a",): Fraction(1, 3), ("a", "b"): Fraction(2, 3)}, 2)
-        assert repr(x) == "Point({(a): 1/3, (a b): 2/3} @ 2)"
+        assert repr(x) == 'Point({["a"]: 1/3, ["a","b"]: 2/3} @ 2)'
 
     @pytest.mark.parametrize("scale", [0, -1])
     def test_scale_must_be_positive(self, scale):

@@ -31,7 +31,7 @@ from polytower.complexes import (
     induced_subcomplex,
     simplex_sort_key,
     vertex_key,
-    vertex_label,
+    vertex_to_key,
     whole_subcomplex,
 )
 from polytower.connectivity import subcomplex_verdict
@@ -684,7 +684,7 @@ def dunce_hat_complex() -> Complex:
         elif len(support) == 2:
             labels[name] = "e%d" % (position[support[1]] * 4)
         else:
-            labels[name] = "i" + vertex_label(name)
+            labels[name] = "i" + vertex_to_key(name)
     return Complex.from_maximal([[labels[v] for v in tri] for tri in twice.maximal])
 
 
@@ -1010,7 +1010,7 @@ def scan_validate_carrier(carrier):
 def plain_reference(value):
     """A document as JSON values: rationals as "p/q" strings, verdicts as
     objects, tuples as lists, sets as lists sorted by their JSON text and
-    non-string keys by the string of their plain form."""
+    non-string keys by the compact JSON of their plain form."""
     if isinstance(value, Fraction):
         return str(value.numerator) if value.denominator == 1 else "%d/%d" % (value.numerator, value.denominator)
     if isinstance(value, Verdict):
@@ -1028,8 +1028,14 @@ def plain_reference(value):
             items.sort(key=json.dumps)
         return items
     if isinstance(value, dict):
-        return {str(plain_reference(k)) if not isinstance(k, str) else k: plain_reference(v) for k, v in value.items()}
+        return {k if isinstance(k, str) else _key_reference(plain_reference(k)): plain_reference(v) for k, v in value.items()}
     return value
+
+
+def _key_reference(plain) -> str:
+    """A non-string key's text: its compact JSON, as an object key spells a
+    nested name; a rational's "p/q" string as it stands."""
+    return plain if isinstance(plain, str) else json.dumps(plain, separators=(",", ":"))
 
 
 def dumps_reference(obj) -> str:
@@ -1075,7 +1081,7 @@ def closed_star(complex_: Complex, vertex) -> frozenset:
     """Simplices of every closed simplex containing the vertex: the faces
     of the maximal simplices through it."""
     if not complex_.has_vertex(vertex):
-        raise UnknownVertexError(vertex_label(vertex))
+        raise UnknownVertexError(vertex_to_key(vertex))
     return frozenset(face_closure(complex_.maximal_at(vertex)))
 
 
