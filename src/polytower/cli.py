@@ -62,7 +62,11 @@ def _emit(report, args) -> None:
     if args.format == "human":
         text = formats.render_human(json.loads(text)) + "\n"
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
+        try:
+            handle = open(args.output, "w", encoding="utf-8")
+        except OSError as exc:
+            raise formats.InputFormatError("cannot write %s: %s" % (args.output, exc.strerror))
+        with handle:
             handle.write(text)
     else:
         sys.stdout.write(text)
@@ -205,7 +209,7 @@ def main(argv=None) -> int:
         # exits 1, the refutation code
         os.write(2, _OUT_OF_MEMORY)
         os._exit(EXIT_INTERNAL)
-    except (ValueError, KeyError) as exc:  # formats.InputFormatError is a ValueError
+    except ValueError as exc:  # formats.InputFormatError is one
         sys.stderr.write("input error: %s\n" % exc)
         return EXIT_INPUT
     except Exception as exc:

@@ -79,10 +79,10 @@ def cylinder_map() -> QSMap:
     return check_quasi_simplicial(cyl, base, images)
 
 
-def cylinder_tower(scales=None) -> Tower:
+def cylinder_tower() -> Tower:
     base = Complex.from_maximal([["u", "v"]])
     bond = cylinder_map()
-    return Tower.build([base, bond.source], [bond], scales)
+    return Tower.build([base, bond.source], [bond])
 
 
 def subdivision_tower(base: Complex, levels: int, scales=None) -> Tower:
@@ -97,14 +97,15 @@ def subdivision_tower(base: Complex, levels: int, scales=None) -> Tower:
     return Tower.build(complexes, bonds, scales)
 
 
-def random_base_complex(seed: int, max_vertices: int = 6, max_faces: int = 4) -> Complex:
+def random_base_complex(seed: int) -> Complex:
+    """Three to six vertices and one to four faces of dimension at most 2."""
     import random  # only the random generators pay for it
 
     rng = random.Random(seed)
-    nv = rng.randint(3, max_vertices)
+    nv = rng.randint(3, 6)
     names = ["v%d" % i for i in range(nv)]
     maximal = []
-    for _ in range(rng.randint(1, max_faces)):
+    for _ in range(rng.randint(1, 4)):
         size = rng.randint(1, min(3, nv))
         maximal.append(rng.sample(names, size))
     return Complex.from_maximal(maximal)

@@ -30,13 +30,15 @@ from .maps import QSMap, Tower, check_quasi_simplicial
 
 
 def load_json(path: str):
-    """The JSON document in a file; a missing file or one that is not JSON
-    is malformed input."""
+    """The JSON document in a file; a file that cannot be read, or is not
+    JSON, is malformed input."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             return json.load(handle)
     except FileNotFoundError:
         raise InputFormatError("no such file: %s" % path)
+    except OSError as exc:
+        raise InputFormatError("cannot read %s: %s" % (path, exc.strerror))
     except json.JSONDecodeError as exc:
         raise InputFormatError("not JSON: %s (%s)" % (path, exc))
     except RecursionError:

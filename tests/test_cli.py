@@ -20,56 +20,19 @@ from polytower.generators import (
 from polytower.stars import barycentric_vertex_star, cover_B
 from polytower.verdicts import DEFAULT_BUDGETS
 
-from util import cover_to_obj
-
-
-# golden-digest placeholder: switches the generated tower to open star covers
-OPEN_COVER = "<open-cover>"
-
-EDGE = [["x0", "x1"]]
-LOOP = [["x0", "x1"], ["x1", "x2"], ["x0", "x2"]]
-TRIANGLE = [["x0", "x1", "x2"]]
-
-
-def lift_spec(maximal, depth: int, names="abc") -> dict:
-    """Lift the map sending x_i to the vertex names[i] of the first level,
-    anchoring x0 on the thread a, (a,), ((a,),), ... of its image."""
-    used = sorted({x for s in maximal for x in s})
-    points = {x: {"coords": {names[int(x[1:])]: "1"}, "scale": "1"} for x in used}
-    thread, vertex = [], names[0]
-    for _ in range(depth):
-        key = vertex if isinstance(vertex, str) else json.dumps(vertex)
-        thread.append({"coords": {key: "1"}, "scale": "1"})
-        vertex = [vertex]
-    return {
-        "domain": {"vertices": [], "maximal": maximal},
-        "f1": {"vertex_points": points},
-        "anchor": [["x0"]],
-        "threads": {"x0": thread},
-    }
+import test_golden
+from test_golden import EDGE, LOOP
+from util import cover_to_obj, lift_spec
 
 
 # an edge from a to b in the first level, anchored at a through a thread
 LIFT_SPEC = lift_spec(EDGE, 2)
-
-# the triangle abc sent onto the vertex u of the edge uv: every simplex of
-# the subdivided edge but u has an empty preimage
-CONSTANT_MAP = {
-    "source": {"vertices": ["a", "b", "c"], "maximal": [["a", "b", "c"]]},
-    "target": {"vertices": ["u", "v"], "maximal": [["u", "v"]]},
-    "subdivide_target": True,
-    "vertex_images": {"a": ["u"], "b": ["u"], "c": ["u"]},
-}
 
 
 def run_cli(args, capsys):
     code = main(args)
     out = capsys.readouterr().out
     return code, out
-
-
-def sha256(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def write(tmp_path, name, payload):
@@ -317,17 +280,12 @@ class TestCommands:
         code, out = run_cli(["verify-tower", path, "--n", "2", "--budget-pi1", "1"], capsys)
         assert code == 2
 
-    def test_verify_tower_nerve_budget_exhaustion(self, tmp_path, capsys):
+    def test_verify_tower_nerve_budget_exhaustion(self, golden_runs, capsys):
         # three nerve simplices are fewer than any pulled-back star cover
         # of the tetrahedron tower has
-        _, generated = run_cli(["gen", "subdivision-tower", "--base", "tetrahedron", "--levels", "2"], capsys)
-        assert sha256(generated) == "f98acea24d61b706112ecea5f3d85f7f4adb26b32aa7c7ae9f9e73de328a63a3"
-        path = tmp_path / "tower.json"
-        path.write_text(generated, encoding="utf-8")
-        code, out = run_cli(["verify-tower", str(path), "--n", "3", "--budget-nerve", "3"], capsys)
+        code, out = run_cli(["verify-tower", golden_runs.path("tetra2"), "--n", "3", "--budget-nerve", "3"], capsys)
         assert code == 2
         assert json.loads(out)["conclusion"] == {"status": "inconclusive", "reason": "nerve budget exhausted"}
-        assert sha256(out) == "a6be5d49db3d28e73f18805a0427821d97bb0bc9673d9d4a865d240130dd4235"
 
     def test_budgets_env(self, tmp_path, capsys, monkeypatch):
         t = subdivision_tower(simplex(2), 2)
@@ -401,23 +359,17 @@ class TestCommands:
         assert code == 3
         assert "a PL map is an object (at lift.f1)" in capsys.readouterr().err
 
-    def test_lift_inconclusive_after_one_subdivision(self, tmp_path, capsys):
+    def test_lift_inconclusive_after_one_subdivision(self, golden_runs, capsys):
         # the triangle sent onto the first level's triangle qfo: some image
         # hull lies in no element of a cover, even after the domain is
         # subdivided once
-        base = write(tmp_path, "base.json", {"vertices": [], "maximal": [["q", "f", "o"]]})
-        _, generated = run_cli(["gen", "subdivision-tower", "--base", base, "--levels", "3"], capsys)
-        assert sha256(generated) == "30f13b1b5330327dfe9d8c6ac21f49b5e5e40627c445de9fb644dfa3491cf6b7"
-        tower = tmp_path / "tower.json"
-        tower.write_text(generated, encoding="utf-8")
-        spec = write(tmp_path, "spec.json", lift_spec(TRIANGLE, 3, "qfo"))
-        code, out = run_cli(["lift", str(tower), "--spec", spec, "--n", "2"], capsys)
+        tower, spec = golden_runs.path("qfo3"), golden_runs.path("triangle3")
+        code, out = run_cli(["lift", tower, "--spec", spec, "--n", "2"], capsys)
         assert code == 2
         assert json.loads(out)["status"] == {
             "status": "inconclusive",
             "reason": "no cover element contains some image hull after one subdivision",
         }
-        assert sha256(out) == "9cdabe2aa64355a15e79c091c0e72849900aada6ebba83bde353b3fbe27b38b5"
 
     @pytest.mark.parametrize("names", ["abc", "qfo"])
     def test_loop_lift_with_open_star_covers(self, tmp_path, capsys, names):
@@ -515,6 +467,22 @@ class TestBudgetTable:
         assert captured.err == "input error: invalid literal for int() with base 10: 'abc'\n"
 
 
+# lines of the golden table that a fresh process runs too: small inputs of
+# every certificate command, giving each exit code 0, 1 and 2
+PROCESS_LINES = [
+    "verify-tower @tower3 --n 2",
+    "verify-tower @cylinder --n 2",
+    "homology @rp2 --degree 1",
+    "verify-tower @tower3O --n 2",
+    "check-map @cylmap --n 2",
+    "lift @tower2 --spec @edge2_abc --n 2",
+    "lift @tower3 --spec @loop3_abc --n 2",
+    "lift @tower2 --spec @triangle2_abc --n 2",
+    "check-map @constant_map --n 1",
+    "verify-tower @tetra2 --n 2 --budget-pi1 1",
+]
+
+
 class TestDeterminism:
     def test_reports_byte_identical(self, tmp_path, capsys):
         t = subdivision_tower(simplex(2), 2)
@@ -528,90 +496,15 @@ class TestDeterminism:
 
     @pytest.mark.parametrize(
         "gen, command, expected_code, digest",
-        [
-            (
-                ["gen", "subdivision-tower", "--base", "triangle", "--levels", "3"],
-                ["verify-tower", "--n", "2"],
-                0,
-                "a659cf68092c85b0b3b9ecd6cdba4f2f2b6eae731b54c6ec5b184af28c4fc113",
-            ),
-            (
-                ["gen", "cylinder-tower"],
-                ["verify-tower", "--n", "2"],
-                1,
-                "c391a6145c3bcab554db4ccd3096cefb8338fa523c00e6d13fabd554b46c1801",
-            ),
-            (
-                ["gen", "rp2"],
-                ["homology", "--degree", "1"],
-                0,
-                "06241d6696404625b1a9ecd8e4ac75e228753fbb3fcf64ea3fde6f1bd7b97d13",
-            ),
-            (
-                # the open-star cover path: open intersections and meshes of closures
-                ["gen", "subdivision-tower", "--base", "triangle", "--levels", "3", OPEN_COVER],
-                ["verify-tower", "--n", "2"],
-                0,
-                "4df3365cafbcf6a7a45274d5a97bf465313a698eb61198c957d0323614e4aead",
-            ),
-            (
-                ["gen", "cylinder"],
-                ["check-map", "--n", "2"],
-                1,
-                "7437b3d342e3e4c42b282e24913b053a1bbcf171f0b38983bc2be56f59c65d0b",
-            ),
-            (
-                ["gen", "subdivision-tower", "--base", "triangle", "--levels", "2"],
-                ["lift", "--n", "2", "--spec", LIFT_SPEC],
-                0,
-                "51724f5d10a3ac4c2bcf4089e4e05fb7ba74c7e5a13a47c08f47544c80ddf19a",
-            ),
-            (
-                # a loop: straight edges and edge paths inside closed regions
-                ["gen", "subdivision-tower", "--base", "triangle", "--levels", "3"],
-                ["lift", "--n", "2", "--spec", lift_spec(LOOP, 3)],
-                0,
-                "612d3dc817ea29c6f71d9f90bc3f7fc2cc8e48c9e02f094aa5ed274590d69ada",
-            ),
-            (
-                # a two-cell filled inside closed regions
-                ["gen", "subdivision-tower", "--base", "triangle", "--levels", "2"],
-                ["lift", "--n", "2", "--spec", lift_spec(TRIANGLE, 2)],
-                0,
-                "8b9c355bb4581e321e8eea16b1beaf98b22b6dab81a3ff8f0d855b466df96c8f",
-            ),
-            (
-                # nonsurjective regularity entries, each with its empty-preimage witness
-                CONSTANT_MAP,
-                ["check-map", "--n", "1"],
-                1,
-                "d6230cf9f8b6d8fdae7664c2466eb53e76caf42d1c7a6aa97a3b973e698f66c0",
-            ),
-            (
-                # inconclusive regularity entries: a closed tetrahedron piece
-                # needs seven collapses, more than the budget of one
-                ["gen", "subdivision-tower", "--base", "tetrahedron", "--levels", "2"],
-                ["verify-tower", "--n", "2", "--budget-pi1", "1"],
-                2,
-                "f0ad39dfa503d2407b920e98080b374ea01946db832a26da100f380279830884",
-            ),
-        ],
+        [(test_golden.inputs(line), test_golden.split(line)[1]) + test_golden.PINS[line] for line in PROCESS_LINES],
     )
-    def test_golden_digest(self, tmp_path, capsys, gen, command, expected_code, digest):
-        # certificates are canonical JSON, so a changed digest is a changed
-        # certificate, whatever engine computed it
-        if isinstance(gen, dict):
-            generated = formats.dumps_canonical(gen)
-        else:
-            _, generated = run_cli([a for a in gen if a != OPEN_COVER], capsys)
-        if OPEN_COVER in gen:
-            generated = formats.dumps_canonical(dict(json.loads(generated), cover="O"))
-        path = tmp_path / "input.json"
-        path.write_text(generated, encoding="utf-8")
-        args = [write(tmp_path, "spec.json", a) if isinstance(a, dict) else a for a in command[1:]]
-        code, out = run_cli([command[0], str(path)] + args, capsys)
-        assert code == expected_code
-        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+    def test_golden_digest(self, golden_runs, gen, command, expected_code, digest):
+        # a process's stdout carries the bytes the golden table pins for
+        # `cli.main` run in-process, on the inputs `gen` names
+        paths = {"@" + name: golden_runs.path(name) for name in gen}
+        proc = run_fresh([sys.executable, "-m", "polytower.cli"] + [paths.get(w, w) for w in command], text=False)
+        assert proc.returncode == expected_code
+        assert hashlib.sha256(proc.stdout).hexdigest() == digest
 
     def test_entry_point_runs(self, triangle_file):
         proc = run_fresh([sys.executable, "-m", "polytower.cli", "validate", triangle_file])
@@ -619,14 +512,14 @@ class TestDeterminism:
         assert json.loads(proc.stdout)["dimension"] == 2
 
 
-def run_fresh(argv) -> subprocess.CompletedProcess:
+def run_fresh(argv, text=True) -> subprocess.CompletedProcess:
     """Run argv in a new interpreter that imports the package from `src/`."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [os.path.join(os.path.dirname(__file__), "..", "src")]
         + env.get("PYTHONPATH", "").split(os.pathsep)
     )
-    return subprocess.run(argv, capture_output=True, text=True, env=env)
+    return subprocess.run(argv, capture_output=True, text=text, env=env)
 
 
 # modules a command-line process must not pay for at start-up: record

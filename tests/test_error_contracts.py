@@ -22,7 +22,7 @@ from polytower.stars import barycentric_vertex_star, open_vertex_star
 from polytower.towers import MalformedTowerError, restrict_tower
 from polytower.generators import simplex, subdivision_tower
 
-from util import ScaleMismatchError, compose, distance, simplex_complex, vertex_point, vertex_to_obj
+from util import ScaleMismatchError, compose, distance, lift_spec, simplex_complex, vertex_point, vertex_to_obj
 
 
 # the subdivided edge: its vertices are ("a",), ("b",) and ("a", "b")
@@ -171,6 +171,41 @@ class TestCliInputErrors:
 
         assert main(["validate", "/nonexistent/x.json"]) == 3
         assert main(["lift", "/nonexistent/t.json", "--spec", "/nonexistent/s.json", "--n", "1"]) == 3
+
+
+# a command line whose only unusable path is the directory `d` (and the
+# tower `t`, written there when a command reads one first)
+DIRECTORY_PATHS = {
+    "validate": lambda d, t: ["validate", d],
+    "lift --spec": lambda d, t: ["lift", t, "--spec", d, "--n", "2"],
+    "restrict --complex": lambda d, t: ["restrict", t, "--level", "1", "--complex", d],
+    "gen --base": lambda d, t: ["gen", "subdivision-tower", "--base", d],
+}
+
+
+class TestUnusablePaths:
+    """A path that cannot be read or written is malformed input (3), never
+    the internal-error code (4), and the run prints nothing."""
+
+    @pytest.mark.parametrize("command", sorted(DIRECTORY_PATHS))
+    def test_directory_read_exits_3(self, tmp_path, capsys, command):
+        from polytower.cli import main
+
+        tower = _write_json(tmp_path, "tower.json", _tower_obj(2))
+        assert main(DIRECTORY_PATHS[command](str(tmp_path), tower)) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("input error: cannot read %s: " % tmp_path)
+
+    @pytest.mark.parametrize("target", ["directory", "missing parent"])
+    def test_unwritable_output_exits_3(self, tmp_path, capsys, target):
+        from polytower.cli import main
+
+        output = str(tmp_path) if target == "directory" else str(tmp_path / "no" / "x.json")
+        assert main(["gen", "rp2", "-o", output]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("input error: cannot write %s: " % output)
 
 
 class TestLiftThreadErrors:
@@ -481,6 +516,19 @@ class TestInternalErrors:
         assert code not in (0, 1, 2, 3)
         assert "internal error: RuntimeError" in capsys.readouterr().err
 
+    def test_key_error_is_a_fault(self, capsys, monkeypatch):
+        # no malformed input raises KeyError, so one is the program's fault
+        from polytower import cli, cli_gen
+
+        def broken(args):
+            raise KeyError("simulated")
+
+        monkeypatch.setattr(cli_gen, "cmd_gen", broken)
+        assert cli.main(["gen", "rp2"]) == cli.EXIT_INTERNAL
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("internal error: KeyError: 'simulated'\n")
+
     def test_chain_map_fault_is_no_verdict(self, tmp_path, capsys, monkeypatch):
         # a chain map with one sign flipped sends some cycle of the rp2
         # level to a chain that is no cycle; the check in
@@ -546,17 +594,7 @@ def _tower_obj(levels: int) -> dict:
 
 # an edge x0 x1 onto a b of the first level, anchored at x0 through the
 # thread a, (a,) of its image
-LIFT_SPEC = {
-    "domain": {"vertices": [], "maximal": [["x0", "x1"]]},
-    "f1": {
-        "vertex_points": {
-            "x0": {"coords": {"a": "1"}, "scale": "1"},
-            "x1": {"coords": {"b": "1"}, "scale": "1"},
-        }
-    },
-    "anchor": [["x0"]],
-    "threads": {"x0": [{"coords": {"a": "1"}, "scale": "1"}, {"coords": {'["a"]': "1"}, "scale": "1"}]},
-}
+LIFT_SPEC = lift_spec([["x0", "x1"]], 2)
 
 
 class TestDegreeErrors:

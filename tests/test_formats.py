@@ -14,7 +14,8 @@ from polytower.generators import cylinder_map, cylinder_tower, simplex, subdivis
 from polytower.towers import verify_tower
 from polytower.verdicts import Verdict
 
-from util import dumps_reference, kernel_complexes, vertex_to_obj
+from test_golden import DOCUMENTS, PINS, line_id
+from util import dumps_reference, kernel_complexes, unreadable_keys, vertex_to_obj
 
 ATOMS = ["a", "b", "1", "['a']", "é", "☃", 'q"\\', "new\nline"]
 
@@ -218,153 +219,29 @@ class TestReader:
         assert formats.dumps_canonical(to_obj(parse(json.loads(generated)))) == generated
 
 
-def _loop_spec(maximal, depth):
-    """The CI lift specification: x0, x1, x2 to q, f, o, x0 anchored on the
-    thread q, ["q"], [["q"]], ... of the given depth."""
-    point = lambda key: {"coords": {key: "1"}, "scale": "1"}  # noqa: E731
-    thread, key = [], "q"
-    for _ in range(depth):
-        thread.append(point(key))
-        key = json.dumps([json.loads(key) if key.startswith("[") else key], separators=(",", ":"))
-    return {
-        "domain": {"vertices": [], "maximal": maximal},
-        "f1": {"vertex_points": {"x0": point("q"), "x1": point("f"), "x2": point("o")}},
-        "anchor": [["x0"]] if depth else [],
-        "threads": {"x0": thread} if depth else {},
-    }
-
-
-_LOOP = [["x0", "x1"], ["x1", "x2"], ["x0", "x2"]]
-_TRIANGLE = [["x0", "x1", "x2"]]
-_QFO = {"vertices": [], "maximal": [["q", "f", "o"]]}
-
-# (input name, how `gen` makes it or its document, whether its cover is
-# made open) of every input of the CI smoke steps but the 16,000-edge circle
-# and the 5- and 6-level triangle towers, whose verify-tower runs are the
-# 4-level ones at a larger size
-_SMOKE_INPUTS = [
-    ("tower4", ["subdivision-tower", "--base", "triangle", "--levels", "4"], False),
-    ("tower4O", ["subdivision-tower", "--base", "triangle", "--levels", "4"], True),
-    ("tetra3", ["subdivision-tower", "--base", "tetrahedron", "--levels", "3"], False),
-    ("tetra2", ["subdivision-tower", "--base", "tetrahedron", "--levels", "2"], False),
-    ("rp2tower", ["subdivision-tower", "--base", "rp2", "--levels", "4"], False),
-    ("qfo3", ["subdivision-tower", "--base", "<qfo>", "--levels", "3"], False),
-    ("qfo3O", ["subdivision-tower", "--base", "<qfo>", "--levels", "3"], True),
-    ("qfo2", ["subdivision-tower", "--base", "<qfo>", "--levels", "2"], False),
-    ("random103", ["random-tower", "--seed", "103", "--levels", "3"], False),
-    ("random35O", ["random-tower", "--seed", "35", "--levels", "2"], True),
-    ("cylinder", ["cylinder-tower"], False),
-    ("cylinderO", ["cylinder-tower"], True),
-    ("cylmap", ["cylinder"], False),
-    ("rp2", ["rp2"], False),
-    ("circle", ["circle"], False),
-    ("s3", ["sphere", "--dim", "3"], False),
-    ("two_pieces", {"vertices": [], "maximal": [["a", "b", "c"], ["x", "y"], ["y", "z"], ["x", "z"]]}, False),
-    ("vertex_u", {"maximal": [["u"]]}, False),
-    ("loop3", _loop_spec(_LOOP, 3), False),
-    ("triangle3", _loop_spec(_TRIANGLE, 3), False),
-    ("triangle2", _loop_spec(_TRIANGLE, 2), False),
-    ("fill", dict(_loop_spec(_TRIANGLE, 0), f1={"vertex_points": {x: {"coords": {v: "1"}, "scale": "1"} for x, v in (("x0", "v1"), ("x1", "v2"), ("x2", "v3"))}}), False),
-]
-
-# every command of the CI smoke steps, on the inputs above by name
-_SMOKE_COMMANDS = [
-    ["verify-tower", "tower4", "--n", "2"],
-    ["verify-tower", "tower4O", "--n", "2"],
-    ["verify-tower", "tetra3", "--n", "3"],
-    ["verify-tower", "tetra2", "--n", "3", "--budget-nerve", "3"],
-    ["verify-tower", "rp2tower", "--n", "2"],
-    ["verify-tower", "rp2tower", "--n", "3"],
-    ["verify-tower", "random103", "--n", "2"],
-    ["verify-tower", "cylinder", "--n", "2"],
-    ["verify-tower", "cylinderO", "--n", "1"],
-    ["verify-tower", "cylinderO", "--n", "2"],
-    ["restrict", "cylinder", "--level", "1", "--complex", "vertex_u"],
-    ["validate", "rp2"],
-    ["check-map", "cylmap", "--n", "1"],
-    ["check-map", "cylmap", "--n", "2"],
-    ["nerve", "rp2_closed"],
-    ["nerve", "rp2_open"],
-    ["mesh", "rp2_closed"],
-    ["mesh", "rp2_open"],
-    ["subdivide", "rp2"],
-    ["stars", "rp2", "--vertex", "p0"],
-    ["stars", "rp2_sd", "--vertex", '["p0","p1"]'],
-    ["stars", "rp2_sd", "--vertex", '["p1","p0"]'],
-    ["pi1", "rp2"],
-    ["homology", "rp2"],
-    ["pi1", "circle"],
-    ["homology", "circle"],
-    ["pi1", "two_pieces"],
-    ["pi1", "s3", "--budget-pi1", "5"],
-    ["lift", "qfo3O", "--spec", "loop3", "--n", "2"],
-    ["lift", "random35O", "--spec", "fill", "--n", "2"],
-    ["lift", "qfo3", "--spec", "triangle3", "--n", "2"],
-    ["lift", "qfo3", "--spec", "loop3", "--n", "2"],
-    ["lift", "qfo2", "--spec", "triangle2", "--n", "2"],
-]
-
-
-@pytest.fixture(scope="module")
-def smoke_inputs(tmp_path_factory):
-    """{name: path} of the CI smoke inputs, made in-process by `gen`."""
-    root = tmp_path_factory.mktemp("smoke")
-    paths = {}
-
-    def put(name, document):
-        paths[name] = str(root / (name + ".json"))
-        with open(paths[name], "w", encoding="utf-8") as handle:
-            json.dump(document, handle)
-
-    put("<qfo>", _QFO)
-    for name, made, opened in _SMOKE_INPUTS:
-        if isinstance(made, dict):
-            put(name, made)
-            continue
-        path = str(root / (name + ".json"))
-        assert main(["gen"] + [paths["<qfo>"] if a == "<qfo>" else a for a in made] + ["-o", path]) == 0
-        with open(path, encoding="utf-8") as handle:
-            document = json.load(handle)
-        put(name, dict(document, cover="O") if opened else document)
-    with open(paths["rp2"], encoding="utf-8") as handle:
-        rp2 = json.load(handle)
-    for kind in ("closed", "open"):
-        put("rp2_" + kind, {"ambient": rp2, "kind": kind, "elements": {v: {"star_of": v} for v in rp2["vertices"]}})
-    paths["rp2_sd"] = str(root / "rp2_sd.json")
-    assert main(["subdivide", paths["rp2"], "-o", paths["rp2_sd"]]) == 0
-    return paths
-
-
 class TestPrintedNamesReadBack:
     """What the commands print names vertices in the one text form: every
-    object key that begins with '[' reads back as the name it spells."""
+    object key that begins with '[' reads back as the name it spells.  The
+    runs are the golden table's, in `test_golden.py`."""
 
-    @pytest.mark.parametrize("argv", _SMOKE_COMMANDS, ids=lambda argv: "-".join(a for a in argv if not a.startswith("--")))
-    def test_every_key_reads_back(self, smoke_inputs, tmp_path, argv):
-        from names_read_back import unreadable_keys
-
-        out = str(tmp_path / "out.json")
-        assert main([smoke_inputs.get(a, a) for a in argv] + ["-o", out]) in (0, 1, 2)
-        with open(out, encoding="utf-8") as handle:
+    @pytest.mark.parametrize("line", [line for line in PINS if "--format human" not in line], ids=line_id)
+    def test_every_key_reads_back(self, golden_runs, line):
+        with open(golden_runs.run(line)[2], encoding="utf-8") as handle:
             assert unreadable_keys(json.load(handle)) == []
 
-    def test_every_generated_key_reads_back(self, smoke_inputs):
-        from names_read_back import unreadable_keys
-
-        for path in smoke_inputs.values():
-            with open(path, encoding="utf-8") as handle:
-                assert unreadable_keys(json.load(handle)) == [], path
+    def test_every_generated_key_reads_back(self, golden_runs):
+        # the input documents the table writes beside the printed ones
+        for name in DOCUMENTS:
+            assert unreadable_keys(golden_runs.read(name)) == [], name
 
     def test_walker_refuses_repr_and_unread_keys(self):
-        from names_read_back import unreadable_keys
-
         document = {"a": [{"[['x0', 'x1']]": 1, "('x0',)": 2, '["x0","x0"]': 3, '["b","a"]': 4, '["a","b"]': 5}]}
         assert sorted(unreadable_keys(document)) == sorted(["[['x0', 'x1']]", "('x0',)", '["x0","x0"]', '["b","a"]'])
 
-    def test_connectedness_witness_is_two_names(self, smoke_inputs, tmp_path):
+    def test_connectedness_witness_is_two_names(self, golden_runs, tmp_path):
         out = str(tmp_path / "pi1.json")
         sd = str(tmp_path / "two_pieces_sd.json")
-        assert main(["subdivide", smoke_inputs["two_pieces"], "-o", sd]) == 0
+        assert main(["subdivide", golden_runs.path("two_pieces"), "-o", sd]) == 0
         assert main(["pi1", sd, "-o", out]) == 1
         with open(sd, encoding="utf-8") as handle:
             subdivided = readers.parse_complex(json.load(handle))

@@ -35,9 +35,11 @@ from polytower.complexes import (
     whole_subcomplex,
 )
 from polytower.connectivity import subcomplex_verdict
+from polytower.formats import InputFormatError
 from polytower.maps import VertexMap, check_quasi_simplicial
 from polytower.plmaps import PartialPLMap
 from polytower.points import ONE, Point, make_point
+from polytower.readers import parse_vertex_key
 from polytower.records import Record
 from polytower.stars import (
     IndexMismatchError,
@@ -1001,6 +1003,60 @@ def scan_validate_carrier(carrier):
         if not _region_for(carrier, list(subset)).simplices:
             return Verdict.fails(witness=list(subset), reason="target intersection empty")
     return Verdict.holds()
+
+
+# ---------------------------------------------------------------------------
+# command documents: lift specifications, and names that read back
+
+
+def lift_spec(maximal, depth: int, names="abc") -> dict:
+    """The lift specification of the map sending each x_i of the domain to
+    the vertex names[i] of the first level, with x0 anchored on the thread
+    names[0], [names[0]], [[names[0]]], ... of `depth` points (no anchor at
+    depth 0)."""
+    point = lambda key: {"coords": {key: "1"}, "scale": "1"}  # noqa: E731
+    used = sorted({x for s in maximal for x in s})
+    thread, vertex = [], names[0]
+    for _ in range(depth):
+        thread.append(point(vertex_to_key(vertex)))
+        vertex = (vertex,)
+    return {
+        "domain": {"vertices": [], "maximal": maximal},
+        "f1": {"vertex_points": {x: point(names[int(x[1:])]) for x in used}},
+        "anchor": [["x0"]] if depth else [],
+        "threads": {"x0": thread} if depth else {},
+    }
+
+
+def unreadable_keys(document) -> list:
+    """The object keys anywhere in a JSON document that do not read back.
+
+    A key that begins with '[' spells a nested vertex name, or a simplex of
+    names, as its compact JSON: `readers.parse_vertex_key` must read it and
+    `vertex_to_key` must spell what it read as the same text.  No key may be
+    a Python repr of a list or a tuple (one that begins with "['" or "('").
+    """
+    bad = []
+    stack = [document]
+    while stack:
+        value = stack.pop()
+        if isinstance(value, dict):
+            bad.extend(key for key in value if not _reads_back(key))
+            stack.extend(value.values())
+        elif isinstance(value, list):
+            stack.extend(value)
+    return bad
+
+
+def _reads_back(key: str) -> bool:
+    if key.startswith(("['", "('")):
+        return False
+    if not key.startswith("["):
+        return True
+    try:
+        return vertex_to_key(parse_vertex_key(key)) == key
+    except InputFormatError:
+        return False
 
 
 # ---------------------------------------------------------------------------
