@@ -7,6 +7,10 @@ a verdict); running out of memory is an internal error too.  Budgets come
 from flags, the POLYTOWER_BUDGETS environment variable
 ("pi1=N,filler=N,nerve=N"), or the defaults, in that order of precedence.
 A command accepts the flags of the budgets it reads, and no others.
+The `-o` path is opened (not truncated) before the command runs, so an
+unusable path exits 3 before any work; it is overwritten only once the
+report is ready, so a command may read the file it writes (`subdivide F -o
+F`), and a file the run created is removed when the command fails.
 
 The one command table, `_COMMANDS`, names each command's flags, budgets and
 handler module (`cli_gen`, `cli_towers`, `cli_lift`, `cli_complexes`); a
@@ -57,16 +61,27 @@ def _budgets_from(args) -> Budgets:
     return DEFAULT_BUDGETS.with_overrides(**overrides).with_overrides(**flags)
 
 
+def _claim_output(path) -> bool:
+    """Open the `-o` path, without truncating it, before the command's work,
+    so that an unusable path exits 3 before any of it; True when this run
+    created the file."""
+    try:
+        try:
+            os.close(os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
+            return True
+        except FileExistsError:
+            os.close(os.open(path, os.O_WRONLY))
+            return False
+    except OSError as exc:
+        raise formats.InputFormatError("cannot write %s: %s" % (path, exc.strerror))
+
+
 def _emit(report, args) -> None:
     text = formats.dumps_canonical(report)
     if args.format == "human":
         text = formats.render_human(json.loads(text)) + "\n"
-    if args.output:
-        try:
-            handle = open(args.output, "w", encoding="utf-8")
-        except OSError as exc:
-            raise formats.InputFormatError("cannot write %s: %s" % (args.output, exc.strerror))
-        with handle:
+    if args.output:  # `_claim_output` has opened it once already
+        with open(args.output, "w", encoding="utf-8") as handle:
             handle.write(text)
     else:
         sys.stdout.write(text)
@@ -200,9 +215,15 @@ def main(argv=None) -> int:
         _, module, _, budgets, _ = _COMMANDS[args.command]
         if budgets:
             args.budgets = _budgets_from(args)
-        handler = getattr(import_module("." + module, __package__), "cmd_" + args.command.replace("-", "_"))
-        report, status = handler(args)
-        _emit(report, args)
+        created = bool(args.output) and _claim_output(args.output)
+        try:
+            handler = getattr(import_module("." + module, __package__), "cmd_" + args.command.replace("-", "_"))
+            report, status = handler(args)
+            _emit(report, args)
+        except BaseException:
+            if created:
+                os.unlink(args.output)
+            raise
         return _STATUS_EXIT[status]
     except MemoryError:
         # the report below allocates; when that fails too the interpreter

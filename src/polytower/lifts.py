@@ -73,7 +73,7 @@ def single_lift(
     surjective = is_surjective(p)
     if not surjective.is_holds:
         return LiftResult(
-            Verdict.inconclusive("bond is not surjective at %s" % (surjective.witness,)),
+            Verdict.inconclusive("bond is not surjective at %s" % vertex_to_key(surjective.witness)),
             None,
             None,
             {},
@@ -93,7 +93,7 @@ def single_lift(
             return LiftResult(
                 Verdict.inconclusive(
                     "pulled-back cover intersection %s lacks an extensor certificate"
-                    % (indices,)
+                    % vertex_to_key(indices)
                 ),
                 None,
                 None,

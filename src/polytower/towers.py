@@ -11,8 +11,8 @@ a scale per level.  The certificate checks, per level and per bond:
   k-connectedness rule below the requested degree);
 * completeness (trivial for finite complexes) and the cover class of the
   chosen vertex-star covers;
-* extensor verdicts for every non-empty intersection of the pulled-back
-  covers;
+* extensor verdicts for the non-empty intersections of the pulled-back
+  covers, counted per level and listed where they do not hold;
 * summability of the lift increments: exact per-bond Lipschitz constants,
   exact cover meshes, and a geometric tail bound through cone-shaped
   elements.
@@ -48,30 +48,28 @@ from .verdicts import DEFAULT_BUDGETS, Budgets, Verdict, conjoin
 
 def regularity_report(p: QSMap, n: int, budgets: Budgets = DEFAULT_BUDGETS) -> dict:
     """Per simplex of the subdivided target: the preimage subcomplex and its
-    k-connectedness verdict below n.  Only simplices whose verdict is not
-    `holds` get an entry; `checked` counts them all.  Empty preimages are
-    surjectivity failures, never vacuous passes."""
+    k-connectedness verdict below n, listed and counted by `_not_holding`.
+    Empty preimages are surjectivity failures, never vacuous passes."""
     check_degree(n)
-    simplices = p.target.sorted_simplices()
-    entries = []
-    for delta in simplices:
-        pre = preimage_subcomplex(p, delta)
-        if pre.is_empty():
-            verdict = Verdict.fails(
-                witness={"delta": delta},
-                reason="empty preimage: map is not onto this simplex",
-            )
-        else:
-            verdict = subcomplex_verdict(pre, n, budgets)
-        if not verdict.is_holds:
-            entries.append(
-                {
-                    "delta": delta,
-                    "preimage_size": len(pre.simplices),
-                    "verdict": verdict,
-                    "nonsurjective": pre.is_empty(),
-                }
-            )
+
+    def judged():
+        for delta in p.target.sorted_simplices():
+            pre = preimage_subcomplex(p, delta)
+            if pre.is_empty():
+                verdict = Verdict.fails(
+                    witness={"delta": delta},
+                    reason="empty preimage: map is not onto this simplex",
+                )
+            else:
+                verdict = subcomplex_verdict(pre, n, budgets)
+            yield {
+                "delta": delta,
+                "preimage_size": len(pre.simplices),
+                "verdict": verdict,
+                "nonsurjective": pre.is_empty(),
+            }
+
+    entries, checked = _not_holding(judged(), "verdict")
     aggregate = conjoin(e["verdict"] for e in entries)
     if aggregate.is_fails:
         first = next(e for e in entries if e["verdict"].is_fails)
@@ -79,7 +77,17 @@ def regularity_report(p: QSMap, n: int, budgets: Budgets = DEFAULT_BUDGETS) -> d
             witness={"delta": first["delta"], "detail": aggregate.witness},
             reason=aggregate.reason,
         )
-    return {"n": n, "aggregate": aggregate, "entries": entries, "checked": len(simplices)}
+    return {"n": n, "aggregate": aggregate, "entries": entries, "checked": checked}
+
+
+def _not_holding(entries, key: str) -> tuple:
+    """The one rule of a per-simplex section: (the entries whose verdict under
+    `key` is not `holds`, in order; how many were judged)."""
+    listed, checked = [], 0
+    for checked, entry in enumerate(entries, 1):
+        if not entry[key].is_holds:
+            listed.append(entry)
+    return listed, checked
 
 
 # ---------------------------------------------------------------------------
@@ -162,16 +170,18 @@ def verify_tower(tower: Tower, n: int, budgets: Budgets = DEFAULT_BUDGETS) -> To
     }
 
     pullback_entries = []
+    closed = tower.cover_kind == "B"  # an open intersection has no simplex count
     for idx, bond in enumerate(tower.bonds):
         pulled = pullback_cover(bond, cover_B(tower.levels[idx]))
-        level_entry = {"level": idx + 1, "intersections": []}
         nerve_status, intersections = intersection_verdicts(pulled, n, budgets)
-        if not nerve_status.is_holds:
-            level_entry["intersections"].append({"status": nerve_status, "indices": None})
-        for indices, verdict, size in intersections:
-            size = size if tower.cover_kind == "B" else None  # an open intersection has no simplex count
-            level_entry["intersections"].append({"indices": indices, "status": verdict, "simplices": size})
-        pullback_entries.append(level_entry)
+        judged = (
+            {"indices": indices, "status": verdict, "simplices": size if closed else None}
+            for indices, verdict, size in intersections
+        )
+        listed, checked = _not_holding(judged, "status")
+        if not nerve_status.is_holds:  # then no piece was judged
+            listed = [{"status": nerve_status, "indices": None}]
+        pullback_entries.append({"level": idx + 1, "checked": checked, "intersections": listed})
     conditions["pullback_extensors"] = _section("levels", pullback_entries)
 
     conditions["mesh_summability"] = summability_report(tower)

@@ -238,9 +238,12 @@ def test_ac08_tower_certification_positive():
         assert tower.scales == (Fraction(1, 2), Fraction(1, 4), Fraction(1, 8))
         certificate = verify_tower(tower, 2)
         assert certificate.conclusion.is_holds
-        pullbacks = certificate.conditions["pullback_extensors"]
-        entries = [e for level in pullbacks["levels"] for e in level["intersections"]]
-        assert entries and all(e["status"].is_holds for e in entries)
+        # every nerve simplex of each pull-back is judged, and none is listed
+        levels = certificate.conditions["pullback_extensors"]["levels"]
+        assert len(levels) == len(tower.bonds)
+        for idx, (level, bond) in enumerate(zip(levels, tower.bonds)):
+            assert level["intersections"] == []
+            assert level["checked"] == len(nerve(pullback_cover(bond, cover_B(tower.levels[idx]))).complex.simplices) > 0
         summability = certificate.conditions["mesh_summability"]
         assert summability["status"].is_holds
         assert summability["contraction_quotient"] < 1

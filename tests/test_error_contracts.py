@@ -207,6 +207,66 @@ class TestUnusablePaths:
         assert captured.out == ""
         assert captured.err.startswith("input error: cannot write %s: " % output)
 
+    @pytest.mark.parametrize("target", ["directory", "missing parent"])
+    def test_unwritable_output_is_refused_before_the_work(self, tmp_path, capsys, monkeypatch, target):
+        from polytower import towers
+        from polytower.cli import main
+
+        def never(*args):
+            raise AssertionError("the certificate was computed")
+
+        monkeypatch.setattr(towers, "verify_tower", never)
+        tower = _write_json(tmp_path, "tower.json", _tower_obj(5))
+        output = str(tmp_path) if target == "directory" else str(tmp_path / "no" / "x.json")
+        assert main(["verify-tower", tower, "--n", "2", "-o", output]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("input error: cannot write %s: " % output)
+
+    def test_output_may_overwrite_the_input(self, tmp_path, capsys):
+        # the file is read before it is overwritten, and a shorter report
+        # leaves nothing of what it held
+        from polytower.cli import main
+
+        path = _write_json(tmp_path, "c.json", {"vertices": [], "maximal": [["a", "b", "c"]]})
+        assert main(["subdivide", path]) == 0
+        subdivided = capsys.readouterr().out
+        assert main(["subdivide", path, "-o", path]) == 0
+        with open(path, encoding="utf-8") as handle:
+            assert handle.read() == subdivided
+        assert main(["validate", path]) == 0
+        validated = capsys.readouterr().out
+        assert len(validated) < len(subdivided)
+        assert main(["validate", path, "-o", path]) == 0
+        with open(path, encoding="utf-8") as handle:
+            assert handle.read() == validated
+
+    def test_output_to_a_device(self, tmp_path, capsys):
+        # a path that is no regular file takes the report as before: the
+        # early open neither truncates nor refuses it
+        import os
+
+        from polytower.cli import main
+
+        tower = _write_json(tmp_path, "tower.json", _tower_obj(2))
+        assert main(["verify-tower", tower, "--n", "2", "-o", os.devnull]) == 0
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "")
+
+    def test_failed_command_leaves_no_new_output(self, tmp_path, capsys):
+        # a path the run created is removed when the command fails; a file
+        # that was there keeps what it held
+        from polytower.cli import main
+
+        fresh, kept = tmp_path / "fresh.json", tmp_path / "kept.json"
+        kept.write_text("held\n", encoding="utf-8")
+        missing = str(tmp_path / "missing.json")
+        assert main(["validate", missing, "-o", str(fresh)]) == 3
+        assert main(["validate", missing, "-o", str(kept)]) == 3
+        assert not fresh.exists()
+        assert kept.read_text(encoding="utf-8") == "held\n"
+        assert capsys.readouterr().out == ""
+
 
 class TestLiftThreadErrors:
     """A thread with a point count other than the tower's depth, and an

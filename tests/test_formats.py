@@ -2,6 +2,7 @@
 `polytower.formats`, against `json.dumps` over `util.plain_reference` and
 against reading every name afresh."""
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -233,6 +234,17 @@ class TestPrintedNamesReadBack:
         # the input documents the table writes beside the printed ones
         for name in DOCUMENTS:
             assert unreadable_keys(golden_runs.read(name)) == [], name
+
+    def test_lift_reason_names_a_piece_the_certificate_lists(self, golden_runs):
+        # the lift across the cylinder's bond at n = 2 quotes, in the one
+        # text form, a pulled-back intersection that `verify-tower` lists
+        with open(golden_runs.run("lift @cylinder --spec @edge_uv --n 2")[2], encoding="utf-8") as handle:
+            reason = json.load(handle)["status"]["reason"]
+        quoted = re.fullmatch(r"pulled-back cover intersection (.+) lacks an extensor certificate", reason).group(1)
+        with open(golden_runs.run("verify-tower @cylinder --n 2")[2], encoding="utf-8") as handle:
+            levels = json.load(handle)["conditions"]["pullback_extensors"]["levels"]
+        listed = {tuple(e["indices"]) for e in levels[0]["intersections"] if e["status"]["status"] != "holds"}
+        assert readers.parse_vertex_key(quoted) in listed
 
     def test_walker_refuses_repr_and_unread_keys(self):
         document = {"a": [{"[['x0', 'x1']]": 1, "('x0',)": 2, '["x0","x0"]': 3, '["b","a"]': 4, '["a","b"]': 5}]}

@@ -64,6 +64,8 @@ DOCUMENTS = {
     "triangle3": lift_spec(TRIANGLE, 3, "qfo"),
     "triangle2": lift_spec(TRIANGLE, 2, "qfo"),
     "fill": lift_spec(TRIANGLE, 0, ["v1", "v2", "v3"]),
+    # the cylinder's edge uv, anchored at its bottom vertex b0 over u
+    "edge_uv": lift_spec(EDGE, 2, "uv", thread=["u", "b0"]),
     "tower3O": opened("tower3"),
     "tower4O": opened("tower4"),
     "tower5O": opened("tower5"),
@@ -97,27 +99,27 @@ ROWS = [
     ("s3 = gen sphere --dim 3", 0, "103d7720e633f238ab0a9b87ad81adc43845f8337db91eeb071156a73a249773"),
     ("rp2_sd = subdivide @rp2", 0, "6ab967029b6cde4fd2254068e368b58634990e1345d57062ea749850fdacabce"),
     # verify-tower on subdivision towers, closed and open star covers
-    ("verify-tower @tower3 --n 2", 0, "a659cf68092c85b0b3b9ecd6cdba4f2f2b6eae731b54c6ec5b184af28c4fc113"),
-    ("verify-tower @tower3O --n 2", 0, "4df3365cafbcf6a7a45274d5a97bf465313a698eb61198c957d0323614e4aead"),
-    ("verify-tower @tower4 --n 2", 0, "7d7a75b512499ea70bfb0c66fd3df4765adf2fbffed35cd39bc3a8aa2114326b"),
-    ("verify-tower @tower4O --n 2", 0, "d0b07bbb1d180cd7f961773808b5933d8f1fd0fbee45554facf94ec4607edbae"),
-    ("verify-tower @tower5 --n 2", 0, "74330d4558a9f8727ae5fa7efd71567732899399d66d1ad85ec706f0d36d4097"),
-    ("verify-tower @tower5O --n 2", 0, "4b9c9a672a5ab8ec9b53dc683f50b7468d7cdd2d3dce254d3a58c95894982a21"),
-    ("verify-tower @tower6 --n 2", 0, "8565797b61b86c56c6ea9790302229e1f0a4cbbb8c20c76a4362917d712de315"),
-    ("verify-tower @tetra3 --n 3", 0, "b4570ef9989c774ff59d6b2ad0cd1c61bd6df6d4a8ffb0bcc9c8f57c2295b085"),
-    ("verify-tower @tetra4 --n 2", 0, "b14167cddb05005bde1f5ae1540bb2e95f23f462bf1fe91ddcbf651609d54c29"),
+    ("verify-tower @tower3 --n 2", 0, "257eb12303b965347e8eebc75847c2b30f9d014b4f6abc318130fa7e5da71b7b"),
+    ("verify-tower @tower3O --n 2", 0, "fade5394cbbaa89a3cfba39d2b7dc564af054bf1db572519d7889d84fbf4b570"),
+    ("verify-tower @tower4 --n 2", 0, "1b3e08c78f0998d1b30850c6865837e07a86c875477880e6e85a5082058f3516"),
+    ("verify-tower @tower4O --n 2", 0, "c3159fdfb9bca26a4670055c9c4459ac3bacae792eda64dffde01086612faacf"),
+    ("verify-tower @tower5 --n 2", 0, "de17701fb578258bf8b442c68dc34bfb72425d0705805412894bdd874201ed19"),
+    ("verify-tower @tower5O --n 2", 0, "2549408b7e04e3c64fb4fdb5cae5652eb5c1e0f141db4263f4017c0e0e1b859c"),
+    ("verify-tower @tower6 --n 2", 0, "4129b5b49703dcea59b54dcc78abf5c571d9dc9c92f565b5f82b2a851cc8ed91"),
+    ("verify-tower @tetra3 --n 3", 0, "66ced6c471f752bf68022c1a695d67b968f645a93191e4248e3dbdb71d0f7d8f"),
+    ("verify-tower @tetra4 --n 2", 0, "2fa28e988217b32403e5c322ac458ab25c218beb66b72aa1d4c22390a8fd56be"),
     # rp2: H1 = Z/2
-    ("verify-tower @rp2tower --n 2", 0, "a66ffcba8f3cd4db6c65758f35d2b57da644c083526c6b1009c285411da8559b"),
-    ("verify-tower @rp2tower --n 3", 0, "0432d201657aa650490e3bab3d1147cba62ddf453c0ec91fde9ed6e01d1dbea7"),
-    ("verify-tower @random103 --n 2", 0, "374bd4f7300f2b9df02d438a45900f1005b1637cfee0d736f09ab230d7465f90"),
+    ("verify-tower @rp2tower --n 2", 0, "a455592271d3add36b014a9307a4e50e22297447e4e4ea4ed4031b5ae1afba2d"),
+    ("verify-tower @rp2tower --n 3", 0, "617522ed0a6af58d9da6c7253c511d0b80a35c0a1525cb3551f57154e44f4c6f"),
+    ("verify-tower @random103 --n 2", 0, "606ddaf8cfb2f2af20ea2b6248ff55700523f2a80a4495b92ea0bd7210712d46"),
     # the cylinder's bond is no identity: it fails at n = 2 with a witness
-    ("verify-tower @cylinder --n 2", 1, "c391a6145c3bcab554db4ccd3096cefb8338fa523c00e6d13fabd554b46c1801"),
-    ("verify-tower @cylinderO --n 1", 0, "4430e2ea6fe5639c458a4b82220b76caa0e7e8d0299765aefa04a2ac73fd8c3d"),
-    ("verify-tower @cylinderO --n 2", 1, "4a3e6efc8ef6c27ad98676aa5a620d8d07d73ceeea713130e06920d118e9c5fb"),
+    ("verify-tower @cylinder --n 2", 1, "d7d1c4b509cec574b1e3a0300e531e143d11e43a9226e2fbf11d34a01f3add0c"),
+    ("verify-tower @cylinderO --n 1", 0, "ebf68dac6004c651fd8986e4fa89885b152e816690c70202225b4f7210fc0ecd"),
+    ("verify-tower @cylinderO --n 2", 1, "aa0ad0b03926d7fee908b778cb067f9ddd8325475286d085078d3cda6b92f50c"),
     # inconclusive: three nerve simplices are fewer than any pulled-back
     # star cover has; a closed tetrahedron piece needs seven collapses
-    ("verify-tower @tetra2 --n 3 --budget-nerve 3", 2, "a6be5d49db3d28e73f18805a0427821d97bb0bc9673d9d4a865d240130dd4235"),
-    ("verify-tower @tetra2 --n 2 --budget-pi1 1", 2, "f0ad39dfa503d2407b920e98080b374ea01946db832a26da100f380279830884"),
+    ("verify-tower @tetra2 --n 3 --budget-nerve 3", 2, "fba27e39d9e30bacea6e9ad1f0de9f875f807972aea52c7ac533df958d153923"),
+    ("verify-tower @tetra2 --n 2 --budget-pi1 1", 2, "8748e94f5a1234e1fe7b9d7ad514841034b175e48d2e543cddd96d685a7e94c2"),
     ("restrict @cylinder --level 1 --complex @vertex_u", 0, "93f65ca56c1cef5c2146f7835a6df56109e2fdf7c6815d1ba19642eedde7e996"),
     # maps: the cylinder's midpoint fiber is a circle
     ("check-map @cylmap --n 1", 0, "7632d3f3e908ea28c4eeb99a565397fb4f9e68fbeb7e611e13b1624fc77a15c9"),
@@ -155,6 +157,10 @@ ROWS = [
     ("lift @random35O --spec @fill --n 2", 0, "aea880accfaf6d4c200b247d89ed6cdbd2a613b16a9ee735a09ea7380c9a0089"),
     # no cover element contains some image hull, even after one subdivision
     ("lift @qfo3 --spec @triangle3 --n 2", 2, "9cdabe2aa64355a15e79c091c0e72849900aada6ebba83bde353b3fbe27b38b5"),
+    # across the cylinder's bond: an edge lifts at n = 1; at n = 2 the lift
+    # names a pulled-back intersection that is not simply connected
+    ("lift @cylinder --spec @edge_uv --n 1", 0, "169388cb07dafc279519776f1e9292de992d47ae8608779f7ae8088feed0ea84"),
+    ("lift @cylinder --spec @edge_uv --n 2", 2, "8f1a1a21f419ca221538d5ba57f2b5b50333f5e27bb5f7e93e61250eb827ce65"),
 ]
 
 

@@ -131,11 +131,11 @@ class TestVerifyTower:
         assert cert.conclusion.is_holds
         pullbacks = cert.conditions["pullback_extensors"]
         assert pullbacks["status"].is_holds
-        assert all(
-            entry["status"].is_holds
-            for level in pullbacks["levels"]
-            for entry in level["intersections"]
-        )
+        # every nerve simplex of each pull-back is judged, and none is listed
+        assert len(pullbacks["levels"]) == len(t.bonds)
+        for idx, (level, bond) in enumerate(zip(pullbacks["levels"], t.bonds)):
+            assert level["intersections"] == []
+            assert level["checked"] == len(nerve(pullback_cover(bond, cover_B(t.levels[idx]))).complex.simplices) > 0
         summability = cert.conditions["mesh_summability"]
         assert summability["status"].is_holds
         assert summability["contraction_quotient"] < 1
@@ -194,8 +194,13 @@ class TestVerifyTower:
         cert = verify_tower(Tower.build(t.levels, t.bonds, t.scales, cover_kind="O"), 2)
         assert cert.conclusion.is_holds
         assert calls == {"cover_B": 2, "cover_O": 0}
+        # the open cylinder tower lists the pieces that fail at n = 2
+        t = cylinder_tower()
+        cert = verify_tower(Tower.build(t.levels, t.bonds, t.scales, cover_kind="O"), 2)
+        assert cert.conclusion.is_fails
         entries = [e for level in cert.conditions["pullback_extensors"]["levels"] for e in level["intersections"]]
         assert entries and all(e["simplices"] is None for e in entries)
+        assert calls == {"cover_B": 3, "cover_O": 0}
 
     def test_covers_and_lipschitz_constants_built_once(self, monkeypatch):
         # one cover per bond target, built where its pull-back reads it, and
@@ -290,6 +295,64 @@ class TestNerveTheorem:
                     checked += 1
         assert refused == [("cylinder", 1, 2)]
         assert checked == 2 * sum(t.depth() - 1 for _, t in corpus_towers()) - 1
+
+
+class TestPullbackListing:
+    """A pull-back level of the certificate lists exactly the pieces that do
+    not hold in the reference verdict table of `util.pullback_star_cover`,
+    in its order, and counts every piece of that table."""
+
+    def test_listed_pieces_are_the_reference_failures(self):
+        from util import corpus_towers
+
+        judged, listed = 0, 0
+        for label, tower in corpus_towers():
+            opened = Tower.build(tower.levels, tower.bonds, tower.scales, cover_kind="O")
+            for t in (tower, opened):
+                for n in (1, 2):
+                    levels = verify_tower(t, n).conditions["pullback_extensors"]["levels"]
+                    assert [level["level"] for level in levels] == list(range(1, tower.depth()))
+                    for i, level in enumerate(levels, 1):
+                        cover, reference = pullback_star_cover(tower, i, i + 1, "B", n)
+                        assert "status" not in reference, (label, i, n)
+                        where = (label, t.cover_kind, i, n)
+                        failing = [key for key, verdict in reference.items() if not verdict.is_holds]
+                        assert [tuple(e["indices"]) for e in level["intersections"]] == failing, where
+                        assert [e["status"] for e in level["intersections"]] == [reference[key] for key in failing], where
+                        sizes = [len(cover.intersection_subcomplex(list(key)).simplices) if t.cover_kind == "B" else None for key in failing]
+                        assert [e["simplices"] for e in level["intersections"]] == sizes, where
+                        assert level["checked"] == len(reference), where
+                        judged += len(reference)
+                        listed += len(failing)
+        # the cylinder's three pieces fail at n = 2, closed and open
+        assert (listed, judged) == (6, 884)
+
+    def test_a_mutant_verdict_is_listed_alone(self, monkeypatch):
+        # one piece judged inconclusive is the one entry listed, and the
+        # section turns inconclusive; regularity, which shares the verdict
+        # routine, judges no equal subcomplex
+        from polytower import towers
+
+        tower = subdivision_tower(simplex(2), 3)
+        cover, reference = pullback_star_cover(tower, 1, 2, "B", 2)
+        assert ("a",) in reference and all(verdict.is_holds for verdict in reference.values())
+        piece = cover.intersection_subcomplex(["a"])
+        real = towers.subcomplex_verdict
+
+        def mutant(sub, n, budgets):
+            if sub.parent is piece.parent and sub.simplices == piece.simplices:
+                return Verdict.inconclusive("mutant")
+            return real(sub, n, budgets)
+
+        monkeypatch.setattr(towers, "subcomplex_verdict", mutant)
+        cert = verify_tower(tower, 2)
+        section = cert.conditions["pullback_extensors"]
+        assert section["status"] == Verdict.inconclusive("mutant")
+        listed = [(level["level"], e["indices"], e["status"]) for level in section["levels"] for e in level["intersections"]]
+        assert listed == [(1, ["a"], Verdict.inconclusive("mutant"))]
+        assert [level["checked"] for level in section["levels"]] == [len(reference), len(pullback_star_cover(tower, 2, 3, "B", 2)[1])]
+        assert cert.conditions["bond_regularity"]["status"].is_holds
+        assert cert.conclusion.is_inconclusive
 
 
 class TestFiberTheorem:
@@ -741,7 +804,7 @@ class TestSingleLift:
         empty = subcomplex_from(domain, [])
         g0 = PartialPLMap.build(domain, empty, {}, bond.source)
         result = single_lift(bond, cover_B(base), f, empty, g0, 1)
-        assert result.status.is_inconclusive and result.status.reason.startswith("bond is not surjective")
+        assert result.status.is_inconclusive and result.status.reason == 'bond is not surjective at [["a"],["a","b"]]'
 
     def test_nerve_budget_is_reported(self):
         t, f, empty, g0 = self._point_lift()

@@ -1009,17 +1009,19 @@ def scan_validate_carrier(carrier):
 # command documents: lift specifications, and names that read back
 
 
-def lift_spec(maximal, depth: int, names="abc") -> dict:
+def lift_spec(maximal, depth: int, names="abc", thread=None) -> dict:
     """The lift specification of the map sending each x_i of the domain to
     the vertex names[i] of the first level, with x0 anchored on the thread
-    names[0], [names[0]], [[names[0]]], ... of `depth` points (no anchor at
-    depth 0)."""
+    of `depth` points at the vertices `thread` names, by default names[0],
+    [names[0]], [[names[0]]], ... (no anchor at depth 0)."""
     point = lambda key: {"coords": {key: "1"}, "scale": "1"}  # noqa: E731
     used = sorted({x for s in maximal for x in s})
-    thread, vertex = [], names[0]
-    for _ in range(depth):
-        thread.append(point(vertex_to_key(vertex)))
-        vertex = (vertex,)
+    if thread is None:
+        thread, vertex = [], names[0]
+        for _ in range(depth):
+            thread.append(vertex)
+            vertex = (vertex,)
+    thread = [point(vertex_to_key(v)) for v in thread[:depth]]
     return {
         "domain": {"vertices": [], "maximal": maximal},
         "f1": {"vertex_points": {x: point(names[int(x[1:])]) for x in used}},
