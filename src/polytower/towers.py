@@ -15,7 +15,13 @@ a scale per level.  The certificate checks, per level and per bond:
   covers, counted per level and listed where they do not hold;
 * summability of the lift increments: exact per-bond Lipschitz constants,
   exact cover meshes, and a geometric tail bound through cone-shaped
-  elements.
+  elements;
+* homology evidence: whether each bond induces isomorphisms on integral
+  homology below the requested degree.
+
+For a bond that is surjective and regular, the fiber lemma settles its
+pull-back level and its homology evidence, so both are read off those two
+verdicts and not computed (`_fiber_lemma_applies`).
 
 The reported increment bounds multiply the per-piece Lipschitz constants of
 the bonds, which control distances along paths, with the through-the-apex
@@ -169,9 +175,15 @@ def verify_tower(tower: Tower, n: int, budgets: Budgets = DEFAULT_BUDGETS) -> To
         "kind": tower.cover_kind,
     }
 
-    pullback_entries = []
+    pullback_entries, evidence_entries = [], []
     closed = tower.cover_kind == "B"  # an open intersection has no simplex count
-    for idx, bond in enumerate(tower.bonds):
+    for idx, (bond, bond_entry) in enumerate(zip(tower.bonds, bond_entries)):
+        if _fiber_lemma_applies(bond_entry):
+            # the nerve is K_i, every piece holds and f_* is an isomorphism
+            # below n: nothing to list
+            pullback_entries.append({"level": idx + 1, "checked": len(tower.levels[idx].simplices), "intersections": []})
+            evidence_entries.append({"bond": idx + 1, "degrees": {k: Verdict.holds() for k in range(n)}})
+            continue
         pulled = pullback_cover(bond, cover_B(tower.levels[idx]))
         nerve_status, intersections = intersection_verdicts(pulled, n, budgets)
         judged = (
@@ -182,18 +194,16 @@ def verify_tower(tower: Tower, n: int, budgets: Budgets = DEFAULT_BUDGETS) -> To
         if not nerve_status.is_holds:  # then no piece was judged
             listed = [{"status": nerve_status, "indices": None}]
         pullback_entries.append({"level": idx + 1, "checked": checked, "intersections": listed})
+
+        # only this evidence reads induced maps, so `lift`, `check-map` and a
+        # tower whose bonds are all read off the fiber lemma do not load them
+        from .induced import induced_homology_map
+
+        evidence_entries.append({"bond": idx + 1, "degrees": {k: induced_homology_map(bond, k) for k in range(n)}})
     conditions["pullback_extensors"] = _section("levels", pullback_entries)
 
     conditions["mesh_summability"] = summability_report(tower)
 
-    # only this evidence reads induced maps, so `lift` and `check-map`,
-    # which load this module too, do not load them
-    from .induced import induced_homology_map
-
-    evidence_entries = [
-        {"bond": idx + 1, "degrees": {k: induced_homology_map(bond, k) for k in range(n)}}
-        for idx, bond in enumerate(tower.bonds)
-    ]
     homology_evidence = _section("bonds", evidence_entries)
 
     sections = [*conditions.values(), homology_evidence]
@@ -209,6 +219,30 @@ def verify_tower(tower: Tower, n: int, budgets: Budgets = DEFAULT_BUDGETS) -> To
     else:
         statement = "certification incomplete at n=%d; see the recorded reason" % n
     return TowerCertificate(n, conditions, homology_evidence, conclusion, statement)
+
+
+def _fiber_lemma_applies(bond_entry: dict) -> bool:
+    """Whether a bond's pull-back and homology-evidence entries follow from
+    its surjectivity and regularity entries, so neither is computed.
+
+    Let p: K_{i+1} → β(K_i) be onto, with every closed-simplex preimage
+    (n−1)-connected, as a `holds` regularity report certifies.  By the fiber
+    lemma p is n-connected, and so is its restriction p⁻¹(M) → M over every
+    subcomplex M of β(K_i), whose simplex preimages are the same (Quillen,
+    *Homotopy properties of the poset of nontrivial p-subgroups of a group*,
+    Adv. Math. 1978; Björner, *Nerves, fibers and homotopy groups*, JCTA
+    2003).  Hence:
+
+    * the pulled-back intersection over σ is p⁻¹ of ∩_{v∈σ} St(v), a cone
+      (`intersection_verdicts`), so every piece is (n−1)-connected and holds;
+    * every σ of K_i has a non-empty piece, p being onto, so the nerve is
+      K_i, and its simplices are the ones counted;
+    * with M = β(K_i), f_* is an isomorphism on H_k for every k < n.
+
+    Where the rule applies, the computed entries list nothing and count the
+    same simplices, so the certificate's bytes are those of the computation
+    whenever the computation certifies every piece."""
+    return bond_entry["surjective"].is_holds and bond_entry["regularity"]["aggregate"].is_holds
 
 
 def _section(key: str, entries: list) -> dict:

@@ -275,20 +275,26 @@ class TestCommands:
         assert code == 1
 
     def test_verify_tower_budget_exhaustion(self, tmp_path, capsys):
-        t = subdivision_tower(simplex(2), 2)
+        # a closed tetrahedron needs more than one rewrite
+        t = subdivision_tower(simplex(3), 2)
         path = write(tmp_path, "tower.json", formats.tower_to_obj(t))
         code, out = run_cli(["verify-tower", path, "--n", "2", "--budget-pi1", "1"], capsys)
         assert code == 2
 
     def test_verify_tower_nerve_budget_exhaustion(self, golden_runs, capsys):
         # three nerve simplices are fewer than any pulled-back star cover
-        # of the tetrahedron tower has
-        code, out = run_cli(["verify-tower", golden_runs.path("tetra2"), "--n", "3", "--budget-nerve", "3"], capsys)
+        # of the tetrahedron tower has; its regularity is not certified
+        # within one rewrite, so its pull-back is computed
+        argv = ["verify-tower", golden_runs.path("tetra2"), "--n", "2", "--budget-pi1", "1", "--budget-nerve", "3"]
+        code, out = run_cli(argv, capsys)
         assert code == 2
-        assert json.loads(out)["conclusion"] == {"status": "inconclusive", "reason": "nerve budget exhausted"}
+        certificate = json.loads(out)
+        assert certificate["conclusion"]["status"] == "inconclusive"
+        pullbacks = certificate["conditions"]["pullback_extensors"]
+        assert pullbacks["status"] == {"status": "inconclusive", "reason": "nerve budget exhausted"}
 
     def test_budgets_env(self, tmp_path, capsys, monkeypatch):
-        t = subdivision_tower(simplex(2), 2)
+        t = subdivision_tower(simplex(3), 2)
         path = write(tmp_path, "tower.json", formats.tower_to_obj(t))
         monkeypatch.setenv("POLYTOWER_BUDGETS", "pi1=1")
         code, _ = run_cli(["verify-tower", path, "--n", "2"], capsys)
@@ -494,15 +500,15 @@ class TestDeterminism:
             outputs.append(out)
         assert outputs[0] == outputs[1]
 
-    @pytest.mark.parametrize(
-        "gen, command, expected_code, digest",
-        [(test_golden.inputs(line), test_golden.split(line)[1]) + test_golden.PINS[line] for line in PROCESS_LINES],
-    )
-    def test_golden_digest(self, golden_runs, gen, command, expected_code, digest):
+    # ids are the table's row ids, so a re-pinned digest renames no test
+    @pytest.mark.parametrize("line", PROCESS_LINES, ids=test_golden.line_id)
+    def test_golden_digest(self, golden_runs, line):
         # a process's stdout carries the bytes the golden table pins for
-        # `cli.main` run in-process, on the inputs `gen` names
-        paths = {"@" + name: golden_runs.path(name) for name in gen}
-        proc = run_fresh([sys.executable, "-m", "polytower.cli"] + [paths.get(w, w) for w in command], text=False)
+        # `cli.main` run in-process, on the inputs the line names
+        paths = {"@" + name: golden_runs.path(name) for name in test_golden.inputs(line)}
+        command = [paths.get(w, w) for w in test_golden.split(line)[1]]
+        expected_code, digest = test_golden.PINS[line]
+        proc = run_fresh([sys.executable, "-m", "polytower.cli"] + command, text=False)
         assert proc.returncode == expected_code
         assert hashlib.sha256(proc.stdout).hexdigest() == digest
 
@@ -567,13 +573,16 @@ print(json.dumps({"code": code, "loaded": loaded}))
 # command -> the package modules its process must not load: `gen` compiles
 # only the generator path, neither certificate command the other's code,
 # and no command another command's handler; `verify-tower` runs on a tower
-# whose pieces all collapse, so it never needs π1
+# whose pieces all collapse, so it never needs π1, and whose bonds are
+# regular, so it never computes an induced map
 NOT_LOADED_BY = {
     "gen": (
         "connectivity", "snf", "stars", "towers", "carriers", "plmaps", "readers", "induced", "points", "lifts",
         "pi1", "cli_towers", "cli_lift", "cli_complexes",
     ),
-    "verify-tower": ("carriers", "plmaps", "generators", "lifts", "pi1", "points", "cli_gen", "cli_lift", "cli_complexes"),
+    "verify-tower": (
+        "carriers", "plmaps", "generators", "lifts", "pi1", "points", "induced", "cli_gen", "cli_lift", "cli_complexes",
+    ),
     "lift": ("generators", "induced", "cli_gen", "cli_towers", "cli_complexes"),
 }
 
@@ -602,10 +611,12 @@ class TestColdStart:
         assert sorted(set(loaded) & {"polytower." + m for m in NOT_LOADED_BY[command]}) == []
 
     def test_pi1_loads_for_a_piece_that_does_not_collapse(self, tmp_path):
-        # the cylinder's fibers are circles, which no collapse reduces
+        # the cylinder's fibers are circles, which no collapse reduces, so
+        # its bond is not regular and its induced maps are computed
         tower = write(tmp_path, "cylinder.json", formats.tower_to_obj(cylinder_tower()))
         loaded = loaded_by(tmp_path, ["verify-tower", tower, "--n", "2"], expected_code=1)
         assert "polytower.pi1" in loaded and "polytower.lifts" not in loaded
+        assert "polytower.induced" in loaded
 
     def test_cli_import_loads_only_what_commands_share(self):
         proc = run_fresh([sys.executable, "-c", COLD_START_SCRIPT, *NOT_AT_START])

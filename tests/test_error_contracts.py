@@ -590,12 +590,14 @@ class TestInternalErrors:
         assert captured.err.startswith("internal error: KeyError: 'simulated'\n")
 
     def test_chain_map_fault_is_no_verdict(self, tmp_path, capsys, monkeypatch):
-        # a chain map with one sign flipped sends some cycle of the rp2
-        # level to a chain that is no cycle; the check in
+        # a chain map with one sign flipped sends the fundamental cycle of
+        # the 3-sphere level to a chain that is no cycle; the check in
         # `induced_homology_map` stops the run as an internal error, never
-        # as a refutation
+        # as a refutation.  Its closed 3-simplices need more than one
+        # rewrite, so regularity is not certified and the evidence is
+        # computed
         from polytower import cli, formats, induced
-        from polytower.generators import projective_plane
+        from polytower.generators import sphere
 
         original = induced.chain_map_columns
 
@@ -606,9 +608,9 @@ class TestInternalErrors:
             return columns
 
         monkeypatch.setattr(induced, "chain_map_columns", flipped)
-        path = tmp_path / "rp2.json"
-        path.write_text(formats.dumps_canonical(formats.tower_to_obj(subdivision_tower(projective_plane(), 2))))
-        assert cli.main(["verify-tower", str(path), "--n", "2"]) == cli.EXIT_INTERNAL
+        path = tmp_path / "s3.json"
+        path.write_text(formats.dumps_canonical(formats.tower_to_obj(subdivision_tower(sphere(3), 2))))
+        assert cli.main(["verify-tower", str(path), "--n", "4", "--budget-pi1", "1"]) == cli.EXIT_INTERNAL
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "internal error: AssertionError: image of a cycle is not a cycle" in captured.err

@@ -116,9 +116,12 @@ ROWS = [
     ("verify-tower @cylinder --n 2", 1, "d7d1c4b509cec574b1e3a0300e531e143d11e43a9226e2fbf11d34a01f3add0c"),
     ("verify-tower @cylinderO --n 1", 0, "ebf68dac6004c651fd8986e4fa89885b152e816690c70202225b4f7210fc0ecd"),
     ("verify-tower @cylinderO --n 2", 1, "aa0ad0b03926d7fee908b778cb067f9ddd8325475286d085078d3cda6b92f50c"),
-    # inconclusive: three nerve simplices are fewer than any pulled-back
-    # star cover has; a closed tetrahedron piece needs seven collapses
-    ("verify-tower @tetra2 --n 3 --budget-nerve 3", 2, "fba27e39d9e30bacea6e9ad1f0de9f875f807972aea52c7ac533df958d153923"),
+    # a regular bond's nerve is its target level, read off the fiber lemma,
+    # so a nerve budget does not bind; the cylinder's is computed, and three
+    # nerve simplices exceed a budget of one
+    ("verify-tower @tetra2 --n 3 --budget-nerve 3", 0, "43d3d1bd288631b2cbb3b971258dd1d740a86e495a45b55491b480c15e4c59b1"),
+    ("verify-tower @cylinder --n 2 --budget-nerve 1", 1, "3cf500c8f2bebc463f0c4f8e5b492cad27883c2444d43825150a8f3c1609cc25"),
+    # inconclusive: a closed tetrahedron piece needs seven collapses
     ("verify-tower @tetra2 --n 2 --budget-pi1 1", 2, "8748e94f5a1234e1fe7b9d7ad514841034b175e48d2e543cddd96d685a7e94c2"),
     ("restrict @cylinder --level 1 --complex @vertex_u", 0, "93f65ca56c1cef5c2146f7835a6df56109e2fdf7c6815d1ba19642eedde7e996"),
     # maps: the cylinder's midpoint fiber is a circle

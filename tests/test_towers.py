@@ -164,7 +164,9 @@ class TestVerifyTower:
         assert cert.homology_evidence["status"].is_holds
 
     def test_budget_exhaustion_is_inconclusive(self):
-        t = subdivision_tower(simplex(2), 2)
+        # a closed tetrahedron needs more than one rewrite, so regularity is
+        # not certified and the pull-back pieces are judged too
+        t = subdivision_tower(simplex(3), 2)
         cert = verify_tower(t, 2, Budgets(pi1_steps=1))
         assert cert.conclusion.is_inconclusive
 
@@ -190,22 +192,32 @@ class TestVerifyTower:
 
             monkeypatch.setattr(stars, name, counted)
             monkeypatch.setattr(towers, name, counted, raising=False)
+        # a regular tower's pieces are read off the fiber lemma: no cover
         t = subdivision_tower(simplex(2), 3)
         cert = verify_tower(Tower.build(t.levels, t.bonds, t.scales, cover_kind="O"), 2)
         assert cert.conclusion.is_holds
-        assert calls == {"cover_B": 2, "cover_O": 0}
+        assert calls == {"cover_B": 0, "cover_O": 0}
+        # regularity is not certified within one rewrite, so the pieces are
+        # judged, and the ones that are not certified either are listed
+        t = subdivision_tower(simplex(3), 2)
+        cert = verify_tower(Tower.build(t.levels, t.bonds, t.scales, cover_kind="O"), 2, Budgets(pi1_steps=1))
+        assert cert.conclusion.is_inconclusive
+        entries = [e for level in cert.conditions["pullback_extensors"]["levels"] for e in level["intersections"]]
+        assert entries and all(e["simplices"] is None for e in entries)
+        assert calls == {"cover_B": 1, "cover_O": 0}
         # the open cylinder tower lists the pieces that fail at n = 2
         t = cylinder_tower()
         cert = verify_tower(Tower.build(t.levels, t.bonds, t.scales, cover_kind="O"), 2)
         assert cert.conclusion.is_fails
         entries = [e for level in cert.conditions["pullback_extensors"]["levels"] for e in level["intersections"]]
         assert entries and all(e["simplices"] is None for e in entries)
-        assert calls == {"cover_B": 3, "cover_O": 0}
+        assert calls == {"cover_B": 2, "cover_O": 0}
 
     def test_covers_and_lipschitz_constants_built_once(self, monkeypatch):
         # one cover per bond target, built where its pull-back reads it, and
         # one constant per bond, shared by the lipschitz condition and the
-        # summability report
+        # summability report; regularity is not certified within one
+        # rewrite, so every pull-back is computed
         from polytower import maps, towers
 
         calls = {"cover_B": 0, "lipschitz_constant": 0}
@@ -217,19 +229,22 @@ class TestVerifyTower:
                 return _original(*args, **kwargs)
 
             monkeypatch.setattr(module, name, counted)
-        cert = verify_tower(subdivision_tower(simplex(2), 3), 1)
-        assert cert.conclusion.is_holds
+        cert = verify_tower(subdivision_tower(simplex(3), 3), 2, Budgets(pi1_steps=1))
+        assert cert.conclusion.is_inconclusive
+        assert cert.conditions["bond_regularity"]["status"].is_inconclusive
         assert calls == {"cover_B": 2, "lipschitz_constant": 2}
 
     @pytest.mark.parametrize("kind", ["B", "O"])
     def test_top_level_never_subdivided(self, monkeypatch, kind):
         # the summability bounds are read from the levels, and covers are
-        # built only at bond targets, so the last level is never subdivided
+        # built only at bond targets, so the last level is never subdivided;
+        # regularity is not certified within one rewrite, so the covers are
+        # built
         import sys
 
         from polytower import complexes
 
-        t = subdivision_tower(simplex(2), 3)
+        t = subdivision_tower(simplex(3), 3)
         t = Tower.build(t.levels, t.bonds, t.scales, cover_kind=kind)
         original = complexes.barycentric_subdivision
         subdivided = []
@@ -241,8 +256,8 @@ class TestVerifyTower:
         for name, module in list(sys.modules.items()):
             if name.startswith("polytower") and getattr(module, "barycentric_subdivision", None) is original:
                 monkeypatch.setattr(module, "barycentric_subdivision", recording)
-        cert = verify_tower(t, 2)
-        assert cert.conclusion.is_holds
+        cert = verify_tower(t, 2, Budgets(pi1_steps=1))
+        assert cert.conclusion.is_inconclusive
         assert all(k != t.levels[-1] for k in subdivided)
         assert subdivided or kind == "O"  # the B covers of the bond targets pass through the spy
 
@@ -330,9 +345,12 @@ class TestPullbackListing:
     def test_a_mutant_verdict_is_listed_alone(self, monkeypatch):
         # one piece judged inconclusive is the one entry listed, and the
         # section turns inconclusive; regularity, which shares the verdict
-        # routine, judges no equal subcomplex
+        # routine, judges no equal subcomplex.  A bond whose regularity holds
+        # has its pieces read off the fiber lemma, so the rule is switched
+        # off to have them judged
         from polytower import towers
 
+        monkeypatch.setattr(towers, "_fiber_lemma_applies", lambda bond_entry: False)
         tower = subdivision_tower(simplex(2), 3)
         cover, reference = pullback_star_cover(tower, 1, 2, "B", 2)
         assert ("a",) in reference and all(verdict.is_holds for verdict in reference.values())
@@ -378,6 +396,67 @@ class TestFiberTheorem:
                     checked += 1
         assert refused == [("cylinder", 1, 2), ("cylinder", 1, 3)]
         assert checked == 3 * sum(t.depth() - 1 for _, t in corpus_towers()) - 2
+
+    def test_derived_sections_equal_the_computed_ones(self):
+        # `verify_tower` reads the pull-back level and the homology evidence
+        # of a surjective regular bond off the fiber lemma; each is computed
+        # here, the pieces on the closed or the open pulled-back stars, and
+        # must equal what the certificate prints
+        from polytower.induced import induced_homology_map
+        from util import corpus_towers
+
+        derived, refused = 0, []
+        for label, tower in corpus_towers():
+            for kind in "BO":
+                t = Tower.build(tower.levels, tower.bonds, tower.scales, cover_kind=kind)
+                for n in (1, 2, 3):
+                    cert = verify_tower(t, n)
+                    for idx, bond in enumerate(t.bonds):
+                        where = (label, kind, idx + 1, n)
+                        entry = cert.conditions["bond_regularity"]["bonds"][idx]
+                        if not (entry["surjective"].is_holds and entry["regularity"]["aggregate"].is_holds):
+                            refused.append(where)
+                            continue
+                        cover, reference = pullback_star_cover(t, idx + 1, idx + 2, kind, n)
+                        assert nerve(cover).complex.simplices == t.levels[idx].simplices, where
+                        computed = {
+                            "level": idx + 1,
+                            "checked": len(reference),
+                            "intersections": [key for key, verdict in reference.items() if not verdict.is_holds],
+                        }
+                        assert cert.conditions["pullback_extensors"]["levels"][idx] == computed, where
+                        degrees = {k: induced_homology_map(bond, k) for k in range(n)}
+                        assert cert.homology_evidence["bonds"][idx]["degrees"] == degrees, where
+                        derived += 1
+        assert refused == [("cylinder", kind, 1, n) for kind in "BO" for n in (2, 3)]
+        assert derived == 6 * sum(t.depth() - 1 for _, t in corpus_towers()) - 4
+
+    def test_a_bond_that_is_not_regular_is_computed(self, monkeypatch):
+        # the cylinder's bond is onto, and its fibers are circles, so at
+        # n = 2 its pieces and its evidence are computed and fail; a rule
+        # that skipped the regularity check would print them as holding
+        from polytower import towers
+
+        def check_cylinder():
+            cert = verify_tower(cylinder_tower(), 2)
+            circle = Verdict.fails(witness={"betti": 1, "torsion": []}, reason="non-trivial first homology")
+            (level,) = cert.conditions["pullback_extensors"]["levels"]
+            assert [(e["indices"], e["status"]) for e in level["intersections"]] == [
+                (["u"], circle), (["v"], circle), (["u", "v"], circle)
+            ]
+            (evidence,) = cert.homology_evidence["bonds"]
+            assert evidence["degrees"] == {
+                0: Verdict.holds(),
+                1: Verdict.fails(
+                    witness={"source": {"betti": 1, "torsion": []}, "target": {"betti": 0, "torsion": []}},
+                    reason="homology groups differ in degree 1",
+                ),
+            }
+
+        check_cylinder()
+        monkeypatch.setattr(towers, "_fiber_lemma_applies", lambda bond_entry: bond_entry["surjective"].is_holds)
+        with pytest.raises(AssertionError):
+            check_cylinder()
 
 
 def summability_cases() -> list:
