@@ -23,6 +23,7 @@ from .complexes import (
     face_closure,
     simplex_sort_key,
     vertex_key,
+    vertex_to_key,
     whole_subcomplex,
 )
 from .connectivity import collapses_to_point
@@ -96,9 +97,7 @@ def is_carried(f: PartialPLMap, carrier: Carrier) -> Verdict:
                 continue
             if verdict is False:
                 return Verdict.fails(witness={"index": i, "simplex": s}, reason="image leaves the carrier target")
-            return Verdict.inconclusive(
-                "hull containment undecided for index %r" % (i,)
-            )
+            return Verdict.inconclusive("hull containment undecided for index %s" % vertex_to_key(i))
     return Verdict.holds()
 
 
@@ -311,7 +310,7 @@ def extend_carried(
     def region_of(cell) -> Region:
         key = tuple(sorted(carrier.indices_covering(cell), key=vertex_key))
         if not key:
-            raise ValueError("domain cell %r is not covered" % (cell,))
+            raise ValueError("domain cell %s is not covered" % vertex_to_key(cell))
         if key not in region_cache:
             region_cache[key] = _region_for(carrier, list(key))
         return region_cache[key]

@@ -35,7 +35,10 @@ class EmptySimplexError(ValueError):
 
 
 class UnknownVertexError(ValueError):
-    """A vertex name does not belong to the complex at hand."""
+    """A name, or a simplex of names, not in the complex at hand."""
+
+    def __init__(self, name, message: str = "unknown vertex %s"):
+        super().__init__(message % vertex_to_key(name))
 
 
 class ComplexMismatchError(ValueError):
@@ -345,10 +348,10 @@ class Subcomplex(Record, frozen=True):
     def __post_init__(self):
         for s in self.simplices:
             if s not in self.parent.simplices:
-                raise UnknownVertexError("simplex %s is not in the parent complex" % vertex_to_key(s))
+                raise UnknownVertexError(s, "simplex %s is not in the parent complex")
             for f in faces(s):
                 if f not in self.simplices:
-                    raise ValueError("subcomplex is not face-closed at %r" % (s,))
+                    raise ValueError("subcomplex is not face-closed at %s" % vertex_to_key(s))
 
     @property
     def vertices(self) -> tuple:
@@ -374,7 +377,7 @@ def subcomplex_from(parent: Complex, simplices) -> Subcomplex:
     for s in simplices:
         for v in s:
             if not parent.has_vertex(v):
-                raise UnknownVertexError(vertex_to_key(v))
+                raise UnknownVertexError(v)
         tops.append(sorted_simplex(s))
     return Subcomplex(parent, frozenset(face_closure(tops)))
 
@@ -404,7 +407,7 @@ def induced_subcomplex(complex_: Complex, vertex_subset) -> Subcomplex:
     w = set()
     for v in vertex_subset:
         if not complex_.has_vertex(v):
-            raise UnknownVertexError(vertex_to_key(v))
+            raise UnknownVertexError(v)
         w.add(v)
     return _induced(complex_, w)
 

@@ -7,8 +7,8 @@ homotopy-group vanishing: connected, plus a trivialised edge-path
 presentation of the fundamental group, plus vanishing integral homology in
 the intermediate degrees.  Whenever the bounded simplification cannot decide
 the fundamental group the verdict is inconclusive, never a guess.  A
-subcomplex that collapses to a vertex is contractible, so it is decided by
-elementary collapses alone, before any of that is built.
+subcomplex that collapses to a vertex is contractible, so at every degree it
+is decided by elementary collapses alone, before any of that is built.
 """
 from __future__ import annotations
 
@@ -265,10 +265,10 @@ def ae_verdict(complex_: Complex, n: int, budgets: Budgets = DEFAULT_BUDGETS) ->
 
 
 def subcomplex_verdict(sub: Subcomplex, n: int, budgets: Budgets = DEFAULT_BUDGETS) -> Verdict:
-    """`ae_verdict` of the subcomplex; for n >= 2 a subcomplex that collapses
-    to a vertex within the π1 step budget holds without building a complex,
-    and anything else takes the full path with its full budget."""
-    if n >= 2 and collapses_to_point(sub.simplices, budgets.pi1_steps):
+    """`ae_verdict` of the subcomplex; one that collapses to a vertex within
+    the π1 step budget is contractible and holds at every n with no complex
+    built, and anything else takes the full path with its full budget."""
+    if collapses_to_point(sub.simplices, budgets.pi1_steps):
         return Verdict.holds()
     return ae_verdict(sub.as_complex(), n, budgets)
 

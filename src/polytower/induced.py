@@ -70,8 +70,7 @@ def induced_homology_map(p, k: int) -> Verdict:
     factors of the cokernel.
     """
     src = homology_coordinates(p.source, k)
-    # a map onto an equal complex (an identity bond) reduces it once
-    dst = src if p.target == p.source else homology_coordinates(p.target, k)
+    dst = homology_coordinates(p.target, k)
     if (src.betti, src.torsion) != (dst.betti, dst.torsion):
         return Verdict.fails(
             witness={"source": _group_obj(src), "target": _group_obj(dst)},

@@ -3,11 +3,12 @@ PL map into a level is lifted to the next one, exactly on an anchored
 subcomplex and cover-close to the input elsewhere, with a per-simplex
 closeness certificate, and the stages are chained through the whole tower.
 
-Each stage first checks the hypotheses that `towers` certifies (a
-surjective bond and extensor pulled-back cover intersections), then finds
-cover elements holding the image hulls and extends the anchored lift over
-the carrier they give (`carriers`).  A hypothesis that fails surfaces as an
-inconclusive result naming the condition, never as a fabricated lift.
+Each stage checks the hypotheses that `towers` certifies (a surjective
+bond and extensor pulled-back cover intersections) on the tower's kind of
+vertex-star cover of the bond's base target, then finds cover elements
+holding the image hulls and extends the anchored lift over the carrier they
+give (`carriers`).  A hypothesis that fails surfaces as an inconclusive
+result naming the condition, never as a fabricated lift.
 """
 from __future__ import annotations
 
@@ -38,7 +39,7 @@ class LiftResult(Record):
 
 def single_lift(
     p: QSMap,
-    cover: IndexedCover,
+    cover_kind: str,
     f: PartialPLMap,
     defined: Subcomplex,
     g0: PartialPLMap,
@@ -49,14 +50,12 @@ def single_lift(
     lift exactly, and its projection is cover-close to the input with a
     per-simplex certificate.
 
-    An open cover must be the vertex stars of the base target, as its
-    pulled-back intersections are certified on the barycentric ones.
-    Hypothesis failures (non-surjective bond, uncertified pull-back
+    The cover is the tower's kind (`"B"` or `"O"`) of vertex stars of the
+    base target, and an open one's pieces are certified on the barycentric
+    stars.  Hypothesis failures (non-surjective bond, uncertified pull-back
     intersections, missing image witnesses after one subdivision) surface as
     inconclusive results naming the condition, never as fabricated lifts.
     """
-    if cover.kind == "open" and cover != cover_O(p.base_target):
-        raise ValueError("an open cover must be the open vertex-star cover of the base target")
     if f.domain != g0.domain:
         raise ValueError("the partial lift must live on the map's domain")
     if not f.is_total():
@@ -83,8 +82,9 @@ def single_lift(
         if projected.coords != f.image_of(v).coords:
             raise ValueError("the given partial lift does not project onto the map at %s" % vertex_to_key(v))
 
+    cover = (cover_B if cover_kind == "B" else cover_O)(p.base_target)
     pulled = pullback_cover(p, cover)
-    certified = pulled if cover.kind == "closed" else pullback_cover(p, cover_B(p.base_target))
+    certified = pulled if cover_kind == "B" else pullback_cover(p, cover_B(p.base_target))
     nerve_status, intersections = intersection_verdicts(certified, n, budgets)
     if not nerve_status.is_holds:
         return LiftResult(nerve_status, None, None, {})
@@ -204,8 +204,7 @@ def tower_lift(
     status = Verdict.holds()
     anchored = True
     for idx, bond in enumerate(tower.bonds):
-        cover = (cover_B if tower.cover_kind == "B" else cover_O)(tower.levels[idx])
-        result = single_lift(bond, cover, current_f, current_defined, seeds[idx + 1], n, budgets)
+        result = single_lift(bond, tower.cover_kind, current_f, current_defined, seeds[idx + 1], n, budgets)
         if not result.status.is_holds:
             status = result.status
             break

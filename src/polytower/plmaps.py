@@ -38,7 +38,7 @@ class PartialPLMap(Record, frozen=True):
             raise ValueError("defined_on must be a subcomplex of the domain")
         for v, point in images.items():
             if not domain.has_vertex(v):
-                raise UnknownVertexError(vertex_to_key(v))
+                raise UnknownVertexError(v)
             if not isinstance(point, Point):
                 raise TypeError("images must be Points")
             if point.complex != target:

@@ -50,7 +50,7 @@ def make_point(complex_: Complex, coords: dict, scale=ONE) -> Point:
         if c == 0:
             continue
         if not complex_.has_vertex(v):
-            raise UnknownVertexError(vertex_to_key(v))
+            raise UnknownVertexError(v)
         cleaned.append((v, c))
         total += c
     if total != 1:
@@ -58,14 +58,14 @@ def make_point(complex_: Complex, coords: dict, scale=ONE) -> Point:
     cleaned.sort(key=lambda p: vertex_key(p[0]))
     support = tuple(v for v, _ in cleaned)
     if support not in complex_.simplices:
-        raise ValueError("support does not span a simplex: %r" % (support,))
+        raise ValueError("support does not span a simplex: %s" % vertex_to_key(support))
     return Point(complex_, tuple(cleaned), scale)
 
 
 def barycenter_point(complex_: Complex, simplex, scale=ONE) -> Point:
     """Uniform coordinates on the vertices of a simplex of the complex."""
     if not complex_.has_simplex(simplex):
-        raise UnknownVertexError("not a simplex of the complex: %r" % (simplex,))
+        raise UnknownVertexError(simplex, "not a simplex of the complex: %s")
     w = Fraction(1, len(simplex))
     return make_point(complex_, {v: w for v in simplex}, scale)
 
@@ -98,7 +98,7 @@ def flatten_point(point: Point, parent: Complex) -> Point:
     acc: dict = {}
     for name, c in point.coords:
         if not isinstance(name, tuple):
-            raise UnknownVertexError("not a subdivision vertex: %r" % (name,))
+            raise UnknownVertexError(name, "not a subdivision vertex: %s")
         share = c / len(name)
         for v in name:
             acc[v] = acc.get(v, Fraction(0)) + share

@@ -218,7 +218,7 @@ def parse_cover(obj, context="cover") -> IndexedCover:
                     target_complex = barycentric_subdivision(ambient)
                     base = ambient
                 if v not in stars:
-                    raise UnknownVertexError(vertex_to_key(v))
+                    raise UnknownVertexError(v)
                 elements[index] = stars[v]
             else:
                 elements[index] = open_vertex_star(ambient, v)

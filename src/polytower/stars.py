@@ -75,13 +75,13 @@ def open_intersection(ambient: Complex, cores) -> list:
 
 def open_vertex_star(ambient: Complex, vertex) -> OpenStarSet:
     if not ambient.has_vertex(vertex):
-        raise UnknownVertexError(vertex_to_key(vertex))
+        raise UnknownVertexError(vertex)
     return OpenStarSet(ambient, frozenset([vertex]))
 
 
 def barycentric_vertex_star(base: Complex, vertex) -> Subcomplex:
     if not base.has_vertex(vertex):
-        raise UnknownVertexError(vertex_to_key(vertex))
+        raise UnknownVertexError(vertex)
     return barycentric_vertex_stars(base)[vertex]
 
 
@@ -131,7 +131,7 @@ class IndexedCover(Record, frozen=True):
         try:
             return self._by_index[index]
         except (KeyError, TypeError):
-            raise IndexMismatchError("unknown cover index %r" % (index,)) from None
+            raise IndexMismatchError("unknown cover index %s" % vertex_to_key(index)) from None
 
     def intersection_subcomplex(self, index_subset) -> Subcomplex:
         elems = [self.element(i) for i in index_subset]
@@ -223,7 +223,7 @@ def nerve(cover: IndexedCover, budgets: Budgets = DEFAULT_BUDGETS) -> NerveResul
     nerve simplex counted against the budget."""
     budget = budgets.nerve_subsets
     closure: set = set()
-    for ids in {tuple(sorted(ids, key=vertex_key)) for ids in _meeting_sets(cover) if ids}:
+    for ids in {tuple(sorted(ids, key=vertex_key)) for ids in _meeting_sets(cover)}:
         for face in faces(ids):
             if face not in closure:
                 closure.add(face)
@@ -300,7 +300,7 @@ def cone_geodesic_diameter_bound(cover: IndexedCover, scale=Fraction(1)) -> Frac
         if i not in star_of:
             return None
         if not base.has_vertex(star_of[i]):
-            raise UnknownVertexError(vertex_to_key(star_of[i]))
+            raise UnknownVertexError(star_of[i])
     elements = [(star_of[i], _element_vertex_sets(cover, e)) for i, e in cover.elements]
     return 2 * _diameter_bounds(elements)[1] * scale
 

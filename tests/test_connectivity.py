@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from polytower.complexes import Complex, barycentric_subdivision, vertex_key, whole_subcomplex
+from polytower.complexes import Complex, barycentric_subdivision, subcomplex_from, vertex_key, whole_subcomplex
 from polytower import snf
 from polytower.connectivity import (
     ae_verdict,
@@ -20,6 +20,8 @@ from polytower.connectivity import (
     subcomplex_verdict,
 )
 from polytower.induced import cycle_basis
+from polytower.maps import preimage_of_subdivided_subcomplex, preimage_subcomplex
+from polytower.stars import cover_B, nerve, pullback_cover
 from polytower.pi1 import Presentation, pi1_presentation, pi1_verdict, tietze_simplify
 from polytower.generators import circle, cylinder_tower, projective_plane, random_tower, simplex, subdivision_tower
 from polytower.towers import verify_tower
@@ -538,14 +540,67 @@ class TestCollapse:
         assert subcomplex_verdict(whole_subcomplex(k), 2) == expected
         assert fallbacks == [k]
 
-    def test_fast_path_only_from_n_2(self, monkeypatch):
+    def test_collapsible_piece_holds_at_every_n_without_a_complex(self, monkeypatch):
+        # a piece that collapses to a vertex is contractible: it holds at
+        # n = 1 as at n >= 2, read off the collapse with no complex built
+        built = []
+        init = Complex.__init__
+
+        def counting_init(self, *args):
+            built.append(args)
+            init(self, *args)
+
+        pieces = [whole_subcomplex(k) for k in (simplex_complex(["a", "b"]), cone(sphere_complex(1)))]
+        monkeypatch.setattr(Complex, "__init__", counting_init)
+        verdicts = [subcomplex_verdict(piece, n) for piece in pieces for n in (1, 2, 3)]
+        monkeypatch.undo()
+        assert verdicts == [Verdict.holds()] * 6
+        assert built == []
+
+    @staticmethod
+    def _degree_one_mismatches() -> tuple:
+        """Every preimage of a simplex under a corpus bond, the preimage of
+        the two ends of every edge (which is disconnected), and every
+        pulled-back intersection of the cylinder bond, judged at n = 1 and
+        by the connectedness of the piece as a complex: (the pieces on which
+        the two differ, the verdict statuses seen)."""
+        pieces = []
+        for label, tower in corpus_towers():
+            for bond in tower.bonds:
+                for delta in bond.target.sorted_simplices():
+                    pieces.append((label, delta, preimage_subcomplex(bond, delta)))
+                    if len(delta) == 2:
+                        ends = subcomplex_from(bond.target, [[delta[0]], [delta[1]]])
+                        pieces.append((label, ("ends",) + delta, preimage_of_subdivided_subcomplex(bond, ends)))
+        tower = cylinder_tower()
+        pulled = pullback_cover(tower.bonds[0], cover_B(tower.levels[0]))
+        for indices in nerve(pulled).complex.sorted_simplices():
+            pieces.append(("cylinder piece", indices, pulled.intersection_subcomplex(list(indices))))
+        mismatches, seen = [], set()
+        for label, where, piece in pieces:
+            verdict = subcomplex_verdict(piece, 1)
+            seen.add(verdict.status)
+            if verdict != is_connected(piece.as_complex()):
+                mismatches.append((label, where))
+        return mismatches, seen
+
+    def test_degree_one_verdict_is_connectedness(self):
+        mismatches, seen = self._degree_one_mismatches()
+        assert mismatches == []
+        assert seen == {"holds", "fails"}
+
+    def test_degree_one_cross_check_catches_a_collapse_of_a_disconnected_set(self, monkeypatch):
         import polytower.connectivity as connectivity
 
-        def no_collapse(simplices, budget):
-            raise AssertionError("n = 1 needs only connectedness")
+        real = connectivity.collapses_to_point
 
-        monkeypatch.setattr(connectivity, "collapses_to_point", no_collapse)
-        assert subcomplex_verdict(whole_subcomplex(simplex_complex(["a", "b"])), 1).is_holds
+        def mutant(simplices, budget):
+            # also answers True for a set of two or more components
+            return real(simplices, budget) or len(connectivity.components(Complex._from_closed(set(simplices)))) > 1
+
+        monkeypatch.setattr(connectivity, "collapses_to_point", mutant)
+        mismatches, _ = self._degree_one_mismatches()
+        assert mismatches and all(where[0] == "ends" for _, where in mismatches)
 
     def test_independent_of_hash_seed(self):
         script = (

@@ -173,6 +173,45 @@ class TestCliInputErrors:
         assert main(["lift", "/nonexistent/t.json", "--spec", "/nonexistent/s.json", "--n", "1"]) == 3
 
 
+class TestUnknownVertexMessages:
+    """A vertex that is not in the complex at hand is named once, in its one
+    text form (a nested name as its compact JSON), whichever input holds it."""
+
+    @pytest.mark.parametrize("vertex", ["zz", '["a","z"]'])
+    def test_stars_vertex(self, tmp_path, capsys, vertex):
+        from polytower.cli import main
+
+        path = _write_json(tmp_path, "c.json", {"vertices": [], "maximal": [["a", "b", "c"]]})
+        assert main(["stars", path, "--vertex", vertex]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "input error: unknown vertex %s\n" % vertex
+
+    def test_lift_anchor(self, tmp_path, capsys):
+        from polytower import formats
+        from polytower.cli import main
+
+        tower = tmp_path / "tower.json"
+        tower.write_text(formats.dumps_canonical(formats.tower_to_obj(subdivision_tower(simplex(2), 2))))
+        spec = dict(lift_spec([["x0", "x1"]], 2), anchor=[[["x0", "x9"]]])
+        argv = ["lift", str(tower), "--spec", _write_json(tmp_path, "spec.json", spec), "--n", "2"]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == 'input error: unknown vertex ["x0","x9"]\n'
+
+    @pytest.mark.parametrize("kind", ["closed", "open"])
+    def test_cover_star_of(self, tmp_path, capsys, kind):
+        from polytower.cli import main
+
+        elements = {"a": {"star_of": "a"}, "b": {"star_of": ["a", "z"]}}
+        cover = {"ambient": {"vertices": [], "maximal": [["a", "b"]]}, "kind": kind, "elements": elements}
+        assert main(["nerve", _write_json(tmp_path, "cover.json", cover)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == 'input error: unknown vertex ["a","z"]\n'
+
+
 # a command line whose only unusable path is the directory `d` (and the
 # tower `t`, written there when a command reads one first)
 DIRECTORY_PATHS = {

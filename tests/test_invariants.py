@@ -161,7 +161,6 @@ class TestRandomMapSweeps:
 class TestLiftPreconditions:
     def test_non_lift_seed_rejected(self):
         from polytower.plmaps import PartialPLMap
-        from polytower.stars import cover_B
         from polytower.lifts import single_lift
         import pytest
 
@@ -173,7 +172,7 @@ class TestLiftPreconditions:
             domain, anchor, {"x": vertex_point(t.levels[1], ("b",))}, t.levels[1]
         )
         with pytest.raises(ValueError):
-            single_lift(t.bonds[0], cover_B(t.levels[0]), f, anchor, bad_seed, 2)
+            single_lift(t.bonds[0], "B", f, anchor, bad_seed, 2)
 
 
 class TestPulledOpenStarCover:

@@ -760,7 +760,7 @@ class TestSingleLift:
         f = from_vertex_images(domain, {"x": "u"}, t.levels[0])
         empty = subcomplex_from(domain, [])
         g0 = PartialPLMap.build(domain, empty, {}, t.levels[1])
-        result = single_lift(bond, cover_B(t.levels[0]), f, empty, g0, 1)
+        result = single_lift(bond, "B", f, empty, g0, 1)
         assert result.status.is_holds
         lifted_vertex = result.lift.image_of("x")
         assert apply(bond, lifted_vertex, scale=1).as_dict() == {"u": Fraction(1)}
@@ -774,7 +774,7 @@ class TestSingleLift:
         g0 = PartialPLMap.build(
             domain, anchor, {"x0": vertex_point(t.levels[1], "b0")}, t.levels[1]
         )
-        result = single_lift(bond, cover_B(t.levels[0]), f, anchor, g0, 1)
+        result = single_lift(bond, "B", f, anchor, g0, 1)
         assert result.status.is_holds
         assert result.closeness.is_holds
         assert len(result.closeness.witness) >= 2
@@ -782,34 +782,15 @@ class TestSingleLift:
         assert result.lift.image_of(anchor_name).as_dict() == {"b0": Fraction(1)}
 
     def test_lift_with_open_star_cover(self):
-        from polytower.stars import cover_O
-
         t = subdivision_tower(simplex(2), 2)
         bond = t.bonds[0]
         domain = Complex.from_maximal([["x"]])
         f = from_vertex_images(domain, {"x": "a"}, t.levels[0])
         empty = subcomplex_from(domain, [])
         g0 = PartialPLMap.build(domain, empty, {}, t.levels[1])
-        result = single_lift(bond, cover_O(t.levels[0]), f, empty, g0, 2)
+        result = single_lift(bond, "O", f, empty, g0, 2)
         assert result.status.is_holds
         assert apply(bond, result.lift.image_of("x")).as_dict() == {"a": Fraction(1)}
-
-    def test_open_cover_must_be_the_vertex_stars_of_the_base_target(self):
-        # an open cover's pulled-back intersections are certified on the
-        # barycentric vertex stars, which stand in for open vertex stars only
-        t = subdivision_tower(simplex(2), 2)
-        bond, level = t.bonds[0], t.levels[0]
-        domain = Complex.from_maximal([["x"]])
-        f = from_vertex_images(domain, {"x": "a"}, level)
-        empty = subcomplex_from(domain, [])
-        g0 = PartialPLMap.build(domain, empty, {}, t.levels[1])
-        stars = cover_O(level)
-        wide = dict(stars.elements, a=OpenStarSet(level, frozenset(["a", "b"])))
-        renamed_index = {("star", v): e for v, e in stars.elements}
-        for elements in (wide, renamed_index):
-            cover = IndexedCover.build(level, "open", elements, base=level)
-            with pytest.raises(ValueError, match="open vertex-star cover"):
-                single_lift(bond, cover, f, empty, g0, 2)
 
     def test_anchor_equal_to_domain_returns_seed(self):
         t = subdivision_tower(simplex(2), 2)
@@ -834,7 +815,7 @@ class TestSingleLift:
             },
             t.levels[1],
         )
-        result = single_lift(bond, cover_B(t.levels[0]), f, whole, g0, 2)
+        result = single_lift(bond, "B", f, whole, g0, 2)
         assert result.status.is_holds
         for v in ("x0", "x1"):
             name = renamed(result.lift.domain, v)
@@ -851,16 +832,16 @@ class TestSingleLift:
 
     def test_inputs_must_agree(self):
         t, f, empty, g0 = self._point_lift()
-        bond, cover = t.bonds[0], cover_B(t.levels[0])
+        bond = t.bonds[0]
         edge = edge_domain()
         other_g0 = PartialPLMap.build(edge, subcomplex_from(edge, []), {}, t.levels[1])
         with pytest.raises(ValueError, match="live on the map's domain"):
-            single_lift(bond, cover, f, empty, other_g0, 2)
+            single_lift(bond, "B", f, empty, other_g0, 2)
         partial = PartialPLMap.build(f.domain, empty, {}, t.levels[0])
         with pytest.raises(ValueError, match="must be total"):
-            single_lift(bond, cover, partial, empty, g0, 2)
+            single_lift(bond, "B", partial, empty, g0, 2)
         with pytest.raises(ValueError, match="exactly on the given subcomplex"):
-            single_lift(bond, cover, f, whole_subcomplex(f.domain), g0, 2)
+            single_lift(bond, "B", f, whole_subcomplex(f.domain), g0, 2)
 
     def test_domain_above_the_constructive_range_is_inconclusive(self):
         # a triangle is two-dimensional, more than n = 1 asks for
@@ -869,7 +850,7 @@ class TestSingleLift:
         f = from_vertex_images(domain, {"x": "a", "y": "b", "z": "c"}, t.levels[0])
         empty = subcomplex_from(domain, [])
         g0 = PartialPLMap.build(domain, empty, {}, t.levels[1])
-        result = single_lift(t.bonds[0], cover_B(t.levels[0]), f, empty, g0, 1)
+        result = single_lift(t.bonds[0], "B", f, empty, g0, 1)
         assert result.status.is_inconclusive and result.lift is None
         assert result.status.reason == "domain dimension exceeds the constructive range"
 
@@ -882,12 +863,12 @@ class TestSingleLift:
         f = from_vertex_images(domain, {"x": "a"}, base)
         empty = subcomplex_from(domain, [])
         g0 = PartialPLMap.build(domain, empty, {}, bond.source)
-        result = single_lift(bond, cover_B(base), f, empty, g0, 1)
+        result = single_lift(bond, "B", f, empty, g0, 1)
         assert result.status.is_inconclusive and result.status.reason == 'bond is not surjective at [["a"],["a","b"]]'
 
     def test_nerve_budget_is_reported(self):
         t, f, empty, g0 = self._point_lift()
-        result = single_lift(t.bonds[0], cover_B(t.levels[0]), f, empty, g0, 2, Budgets(nerve_subsets=2))
+        result = single_lift(t.bonds[0], "B", f, empty, g0, 2, Budgets(nerve_subsets=2))
         assert result.status.is_inconclusive and result.status.reason == "nerve budget exhausted"
         assert result.lift is None and result.witnesses == {}
 
@@ -907,7 +888,7 @@ class TestSingleLift:
 
         monkeypatch.setattr(carriers, "_fill_two_cell", lambda *args: None)
         t, f, empty, g0 = self._triangle_lift()
-        result = single_lift(t.bonds[0], cover_B(t.levels[0]), f, empty, g0, 2)
+        result = single_lift(t.bonds[0], "B", f, empty, g0, 2)
         assert result.status.is_inconclusive and "filler budget exhausted" in result.status.reason
         assert result.lift is None and result.witnesses
 
@@ -929,7 +910,7 @@ class TestSingleLift:
         f = inclusion_of_edge(t)
         empty = subcomplex_from(f.domain, [])
         g0 = PartialPLMap.build(f.domain, empty, {}, t.levels[1])
-        result = single_lift(t.bonds[0], cover_B(t.levels[0]), f, empty, g0, 2)
+        result = single_lift(t.bonds[0], "B", f, empty, g0, 2)
         assert result.status.is_inconclusive
         assert result.status.reason == "projected lift leaves the witness element"
         assert result.closeness == result.status and result.lift is not None
